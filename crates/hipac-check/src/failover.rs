@@ -33,8 +33,8 @@
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use crate::restart::{
-    committed_counts, fresh_dir, land_value, raw_replay_probe, setup_schema, torture_client,
-    try_torture_client,
+    committed_counts, fresh_dir, land_value, land_values, raw_replay_probe, setup_schema, tally,
+    torture_client, AuditSubscriber,
 };
 use hipac::ActiveDatabase;
 use hipac_net::{HipacServer, ServerConfig};
@@ -42,7 +42,7 @@ use hipac_repl::ReplicaNode;
 use hipac_storage::journal;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -139,7 +139,8 @@ fn uncontended_counts(cfg: &FailoverTortureConfig) -> HashMap<i64, usize> {
     let server =
         HipacServer::bind(Arc::clone(&db), "127.0.0.1:0").expect("bind uncontended server");
     let deadline = Instant::now() + cfg.budget;
-    let client = torture_client(server.local_addr().to_string(), cfg.seed, 0xFA11);
+    let client = torture_client(server.local_addr().to_string(), cfg.seed, 0xFA11)
+        .expect("connect to the uncontended server");
     client.subscribe("audit", |_| {}).expect("subscribe");
     for w in 0..cfg.workers as i64 {
         for i in 0..cfg.txns_per_worker {
@@ -202,34 +203,9 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         "replica never caught up before the burst"
     );
 
-    // Subscriber homed on the replica: counts handler executions per
-    // push seq. Its poll thread keeps a request flowing so reconnects
-    // re-subscribe — across the promotion the same address answers.
-    let push_deliveries: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    let subscriber = Arc::new(torture_client(
-        node.local_addr().to_string(),
-        cfg.seed,
-        0x5B5C,
-    ));
-    {
-        let deliveries = Arc::clone(&push_deliveries);
-        subscriber
-            .subscribe("audit", move |event| {
-                *deliveries.lock().entry(event.seq).or_insert(0) += 1;
-            })
-            .expect("subscribe audit on replica");
-    }
-    let sub_stop = Arc::new(AtomicBool::new(false));
-    let sub_poll = {
-        let subscriber = Arc::clone(&subscriber);
-        let stop = Arc::clone(&sub_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let _ = subscriber.stats();
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        })
-    };
+    // Subscriber homed on the replica — across the promotion the same
+    // address answers.
+    let subscriber = AuditSubscriber::start(node.local_addr().to_string(), cfg.seed, 0x5B5C);
 
     // Workers land values through the chaos proxy; a lag prober rides
     // along on the direct primary address sampling ack→applied time.
@@ -241,17 +217,16 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         let acked = Arc::clone(&acked);
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let per = cfg.txns_per_worker;
+        let values = w * 1000..w * 1000 + cfg.txns_per_worker;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, w as u64 + 1);
-            for i in 0..per {
-                let v = w * 1000 + i;
-                if land_value(&client, "t", v, deadline) {
-                    acked.lock().push(v);
-                } else {
-                    unknown.lock().push(v);
-                }
-            }
+            land_values(
+                addr,
+                (seed, w as u64 + 1),
+                "t",
+                values,
+                deadline,
+                tally(Some(&acked), &unknown),
+            )
         }));
     }
     // Pusher: fires the pre-kill pushes concurrently with the burst.
@@ -259,14 +234,16 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         let addr = proxy_addr.clone();
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let n = cfg.pushes_before;
+        let values = 9000..9000 + cfg.pushes_before;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, 0x9059);
-            for i in 0..n {
-                if !land_value(&client, "p", 9000 + i, deadline) {
-                    unknown.lock().push(9000 + i);
-                }
-            }
+            land_values(
+                addr,
+                (seed, 0x9059),
+                "p",
+                values,
+                deadline,
+                tally(None, &unknown),
+            )
         }));
     }
 
@@ -328,23 +305,18 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         let addr = proxy_addr.clone();
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let (from, to) = (cfg.pushes_before, cfg.pushes_before + cfg.pushes_after);
+        let values = 9000 + cfg.pushes_before..9000 + cfg.pushes_before + cfg.pushes_after;
         threads.push(std::thread::spawn(move || {
-            // The proxy may still be swinging over: retry construction.
-            let client = loop {
-                match try_torture_client(addr.clone(), seed, 0x905A) {
-                    Ok(c) => break c,
-                    Err(_) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(5))
-                    }
-                    Err(e) => panic!("post-failover client never connected: {e}"),
-                }
-            };
-            for i in from..to {
-                if !land_value(&client, "p", 9000 + i, deadline) {
-                    unknown.lock().push(9000 + i);
-                }
-            }
+            // The proxy may still be swinging over: the client's connect
+            // retry rides that out.
+            land_values(
+                addr,
+                (seed, 0x905A),
+                "p",
+                values,
+                deadline,
+                tally(None, &unknown),
+            )
         }));
     }
     for t in threads {
@@ -356,8 +328,7 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
     while server2.unacked_pushes() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
     }
-    sub_stop.store(true, Ordering::Relaxed);
-    sub_poll.join().expect("join subscriber poll");
+    let push_deliveries = subscriber.finish();
 
     // Journal evidence: the promoted node's journal was *replicated*,
     // never written by a local client session — raw keyed duplicates
@@ -393,7 +364,7 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         replay_probes,
         replay_hits,
         failover,
-        push_deliveries: push_deliveries.lock().clone(),
+        push_deliveries,
         replica_pushes,
         promotions: db2.repl_counters().promotions.load(Ordering::Relaxed),
         unacked_after: server2.unacked_pushes(),

@@ -52,7 +52,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -247,27 +247,108 @@ pub(crate) fn land_value(client: &HipacClient, class: &str, v: i64, deadline: In
     false
 }
 
-pub(crate) fn torture_client(addr: String, seed: u64, salt: u64) -> HipacClient {
-    try_torture_client(addr, seed, salt).expect("connect torture client")
-}
-
-/// Fallible [`torture_client`]: callers racing a server that is still
-/// coming up (e.g. mid-promotion) retry the construction themselves.
-pub(crate) fn try_torture_client(
+/// An exactly-once torture client. Its link may be a chaos proxy that
+/// resets the very first handshake, so the first dial runs under the
+/// same retry/backoff policy as every later request; a client that
+/// still cannot connect is an outcome the caller reports, not a panic.
+pub(crate) fn torture_client(
     addr: String,
     seed: u64,
     salt: u64,
-) -> std::result::Result<HipacClient, hipac_net::proto::WireError> {
+) -> std::result::Result<HipacClient, WireError> {
     HipacClient::connect_with(
         addr,
         ClientConfig {
             max_retries: 64,
             backoff: Duration::from_millis(1),
             retry_ambiguous: true,
+            connect_retry: true,
             client_id: 0xC0FFEE ^ (seed << 8) ^ salt,
             ..ClientConfig::default()
         },
     )
+}
+
+/// Connect a [`torture_client`] and land `values` one by one, telling
+/// `outcome` whether each landed. A value does not land when its
+/// outcome stayed ambiguous — or when the client never connected.
+pub(crate) fn land_values(
+    addr: String,
+    (seed, salt): (u64, u64),
+    class: &str,
+    values: impl Iterator<Item = i64>,
+    deadline: Instant,
+    mut outcome: impl FnMut(i64, bool),
+) {
+    let client = torture_client(addr, seed, salt);
+    for v in values {
+        let landed = client
+            .as_ref()
+            .is_ok_and(|c| land_value(c, class, v, deadline));
+        outcome(v, landed);
+    }
+}
+
+/// The usual [`land_values`] outcome: landed values to `acked` (when the
+/// caller tracks them), the rest to `unknown`.
+pub(crate) fn tally<'a>(
+    acked: Option<&'a Mutex<Vec<i64>>>,
+    unknown: &'a Mutex<Vec<i64>>,
+) -> impl FnMut(i64, bool) + 'a {
+    move |v, landed| match (landed, acked) {
+        (true, Some(acked)) => acked.lock().push(v),
+        (true, None) => {}
+        (false, _) => unknown.lock().push(v),
+    }
+}
+
+/// A torture's push subscriber: counts `audit` handler executions per
+/// push seq, and keeps a request flowing so that reconnects
+/// re-subscribe (which is what triggers outbox redelivery). If it
+/// cannot connect or subscribe it counts nothing, and the report shows
+/// every push undelivered.
+pub(crate) struct AuditSubscriber {
+    deliveries: Arc<Mutex<HashMap<u64, u64>>>,
+    stop: Arc<AtomicBool>,
+    poll: Option<std::thread::JoinHandle<()>>,
+}
+
+impl AuditSubscriber {
+    pub(crate) fn start(addr: String, seed: u64, salt: u64) -> AuditSubscriber {
+        let deliveries: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let counted = Arc::clone(&deliveries);
+        let subscribed = torture_client(addr, seed, salt).and_then(|client| {
+            client.subscribe("audit", move |event| {
+                *counted.lock().entry(event.seq).or_insert(0) += 1;
+            })?;
+            Ok(client)
+        });
+        let poll = subscribed.ok().map(|client| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let _ = client.stats();
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+            })
+        });
+        AuditSubscriber {
+            deliveries,
+            stop,
+            poll,
+        }
+    }
+
+    /// Stop polling and return the handler executions per push seq.
+    pub(crate) fn finish(self) -> HashMap<u64, u64> {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(poll) = self.poll {
+            poll.join().expect("join subscriber poll");
+        }
+        let deliveries = self.deliveries.lock().clone();
+        deliveries
+    }
 }
 
 /// Send a raw keyed duplicate straight at `addr` and report whether it
@@ -312,7 +393,8 @@ fn uncontended_counts(cfg: &RestartTortureConfig) -> HashMap<i64, usize> {
     setup_schema(&db);
     let server = HipacServer::bind(Arc::clone(&db), "127.0.0.1:0").expect("bind uncontended server");
     let deadline = Instant::now() + cfg.budget;
-    let client = torture_client(server.local_addr().to_string(), cfg.seed, 0xBA5E);
+    let client = torture_client(server.local_addr().to_string(), cfg.seed, 0xBA5E)
+        .expect("connect to the uncontended server");
     client.subscribe("audit", |_| {}).expect("subscribe");
     for w in 0..cfg.workers as i64 {
         for i in 0..cfg.txns_per_worker {
@@ -359,30 +441,7 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
     );
     let proxy_addr = proxy.local_addr().to_string();
 
-    // Subscriber: counts handler executions per push seq; its poll
-    // thread keeps a request flowing so reconnects re-subscribe (which
-    // is what triggers outbox redelivery).
-    let push_deliveries: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
-    let subscriber = Arc::new(torture_client(proxy_addr.clone(), cfg.seed, 0x5B5B));
-    {
-        let deliveries = Arc::clone(&push_deliveries);
-        subscriber
-            .subscribe("audit", move |event| {
-                *deliveries.lock().entry(event.seq).or_insert(0) += 1;
-            })
-            .expect("subscribe audit");
-    }
-    let sub_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let sub_poll = {
-        let subscriber = Arc::clone(&subscriber);
-        let stop = Arc::clone(&sub_stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let _ = subscriber.stats();
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        })
-    };
+    let subscriber = AuditSubscriber::start(proxy_addr.clone(), cfg.seed, 0x5B5B);
 
     // Workers: each lands its values through the chaos + crash.
     let acked: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -393,17 +452,16 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         let acked = Arc::clone(&acked);
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let per = cfg.txns_per_worker;
+        let values = w * 1000..w * 1000 + cfg.txns_per_worker;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, w as u64 + 1);
-            for i in 0..per {
-                let v = w * 1000 + i;
-                if land_value(&client, "t", v, deadline) {
-                    acked.lock().push(v);
-                } else {
-                    unknown.lock().push(v);
-                }
-            }
+            land_values(
+                addr,
+                (seed, w as u64 + 1),
+                "t",
+                values,
+                deadline,
+                tally(Some(&acked), &unknown),
+            )
         }));
     }
     // Pusher: fires the pre-crash pushes concurrently with the burst.
@@ -411,14 +469,16 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         let addr = proxy_addr.clone();
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let n = cfg.pushes_before;
+        let values = 9000..9000 + cfg.pushes_before;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, 0x9057);
-            for i in 0..n {
-                if !land_value(&client, "p", 9000 + i, deadline) {
-                    unknown.lock().push(9000 + i);
-                }
-            }
+            land_values(
+                addr,
+                (seed, 0x9057),
+                "p",
+                values,
+                deadline,
+                tally(None, &unknown),
+            )
         }));
     }
 
@@ -451,14 +511,16 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         let addr = proxy_addr.clone();
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let (from, to) = (cfg.pushes_before, cfg.pushes_before + cfg.pushes_after);
+        let values = 9000 + cfg.pushes_before..9000 + cfg.pushes_before + cfg.pushes_after;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, 0x9058);
-            for i in from..to {
-                if !land_value(&client, "p", 9000 + i, deadline) {
-                    unknown.lock().push(9000 + i);
-                }
-            }
+            land_values(
+                addr,
+                (seed, 0x9058),
+                "p",
+                values,
+                deadline,
+                tally(None, &unknown),
+            )
         }));
     }
     for t in threads {
@@ -473,8 +535,7 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
             proxy.break_connections();
         }
     }
-    sub_stop.store(true, Ordering::Relaxed);
-    sub_poll.join().expect("join subscriber poll");
+    let push_deliveries = subscriber.finish();
 
     // Journal evidence: enumerate surviving entries and fire raw keyed
     // duplicates at the restarted server — `Ok` without a live session
@@ -512,7 +573,7 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         replay_hits,
         journal_replays: server2.journal_replays(),
         recovery,
-        push_deliveries: push_deliveries.lock().clone(),
+        push_deliveries,
         pushes_redelivered: server2.pushes_redelivered(),
         unacked_after: server2.unacked_pushes(),
     };
@@ -543,6 +604,9 @@ pub struct GroupCrashMatrixReport {
     pub postfsync_recovered: usize,
 }
 
+/// Extra keys in [`group_burst`]'s plug batch (see there).
+const PLUG_FILLER: usize = 2_000;
+
 fn group_store_key(i: usize) -> Vec<u8> {
     format!("gk{i:04}").into_bytes()
 }
@@ -571,8 +635,8 @@ fn open_group_store(
 /// degenerate-to-immediate window (`queued >= committers`) then
 /// flushes a cohort of one. So a *plug* commit goes first: members
 /// spin until the plug's WAL append crosses the fault policy — at
-/// which point the plug holds the flush mutex and is headed into the
-/// cohort fsync — then all enter `commit`. Each member registers on
+/// which point the plug holds the flush mutex and is headed into its
+/// fsync and a long apply — then all enter `commit`. Each member registers on
 /// the committers gauge before queuing, so whichever member leads
 /// after the plug releases waits out the straggler window until every
 /// member is queued.
@@ -611,10 +675,17 @@ fn group_burst(
         let store = Arc::clone(store);
         let barrier = Arc::clone(&barrier);
         std::thread::spawn(move || {
-            let ops = vec![hipac_storage::StoreOp::Put {
-                key: b"gplug".to_vec(),
-                value: seed.to_le_bytes().to_vec(),
-            }];
+            // The plug is a *big* batch: applying it keeps the flush mutex
+            // held for tens of milliseconds after the append the members
+            // are watching for, instead of one fsync's worth — room for
+            // every member to reach its enqueue even on a loaded runner.
+            let ops: Vec<_> = std::iter::once(b"gplug".to_vec())
+                .chain((0..PLUG_FILLER).map(|n| format!("gplug{n:05}").into_bytes()))
+                .map(|key| hipac_storage::StoreOp::Put {
+                    key,
+                    value: seed.to_le_bytes().to_vec(),
+                })
+                .collect();
             barrier.wait();
             store.commit(TxnId(999), &ops)
         })

@@ -30,7 +30,7 @@
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use crate::restart::{
-    committed_counts, fresh_dir, land_value, setup_schema, torture_client, try_torture_client,
+    committed_counts, fresh_dir, land_value, land_values, setup_schema, tally, torture_client,
 };
 use hipac::ActiveDatabase;
 use hipac_common::{Value, ROLE_PRIMARY};
@@ -144,7 +144,7 @@ pub struct SplitbrainTortureReport {
 
 /// Snapshot-read the committed `t.n` counts from a replica-role node.
 fn replica_counts(addr: String, seed: u64) -> HashMap<i64, usize> {
-    let client = torture_client(addr, seed, 0x5EAD);
+    let client = torture_client(addr, seed, 0x5EAD).expect("connect to the rejoined node");
     let rows = client
         .query(hipac_common::TxnId(0), "from t", HashMap::new())
         .expect("snapshot query on rejoined node");
@@ -219,17 +219,16 @@ pub fn run_splitbrain_torture(cfg: &SplitbrainTortureConfig) -> SplitbrainTortur
         let acked = Arc::clone(&acked);
         let unknown = Arc::clone(&unknown);
         let seed = cfg.seed;
-        let per = cfg.txns_per_worker;
+        let values = w * 1000..w * 1000 + cfg.txns_per_worker;
         threads.push(std::thread::spawn(move || {
-            let client = torture_client(addr, seed, w as u64 + 1);
-            for i in 0..per {
-                let v = w * 1000 + i;
-                if land_value(&client, "t", v, deadline) {
-                    acked.lock().push(v);
-                } else {
-                    unknown.lock().push(v);
-                }
-            }
+            land_values(
+                addr,
+                (seed, w as u64 + 1),
+                "t",
+                values,
+                deadline,
+                tally(Some(&acked), &unknown),
+            )
         }));
     }
 
@@ -272,13 +271,19 @@ pub fn run_splitbrain_torture(cfg: &SplitbrainTortureConfig) -> SplitbrainTortur
     // tail rejoin must truncate.
     let mut divergent_acked = Vec::new();
     {
-        let client = torture_client(a_addr.clone(), cfg.seed, 0xD1FF);
-        for i in 0..cfg.divergent_txns {
-            let v = 5000 + i;
-            if land_value(&client, "t", v, deadline) {
-                divergent_acked.push(v);
-            }
-        }
+        let values = 5000..5000 + cfg.divergent_txns;
+        land_values(
+            a_addr.clone(),
+            (cfg.seed, 0xD1FF),
+            "t",
+            values,
+            deadline,
+            |v, landed| {
+                if landed {
+                    divergent_acked.push(v)
+                }
+            },
+        );
     }
 
     // Heal: deliver the new epoch to the deposed primary. From this
@@ -290,7 +295,8 @@ pub fn run_splitbrain_torture(cfg: &SplitbrainTortureConfig) -> SplitbrainTortur
     // come back as a typed `NotPrimary` refusal, never a commit.
     let mut fence_refusals = 0i64;
     {
-        let client = torture_client(a_addr.clone(), cfg.seed, 0xAD5E);
+        let client =
+            torture_client(a_addr.clone(), cfg.seed, 0xAD5E).expect("connect to the fenced node");
         for i in 0..cfg.adversarial_attempts {
             let v = 6000 + i;
             let txn = match client.begin() {
@@ -330,21 +336,19 @@ pub fn run_splitbrain_torture(cfg: &SplitbrainTortureConfig) -> SplitbrainTortur
     // the rejoined node's acks (quorum of one peer is one).
     let mut acked_after = Vec::new();
     {
-        let client = loop {
-            match try_torture_client(b_addr.clone(), cfg.seed, 0xAF7E) {
-                Ok(c) => break c,
-                Err(_) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5))
+        let values = 7000..7000 + cfg.post_txns;
+        land_values(
+            b_addr.clone(),
+            (cfg.seed, 0xAF7E),
+            "t",
+            values,
+            deadline,
+            |v, landed| {
+                if landed {
+                    acked_after.push(v)
                 }
-                Err(e) => panic!("post-rejoin client never connected: {e}"),
-            }
-        };
-        for i in 0..cfg.post_txns {
-            let v = 7000 + i;
-            if land_value(&client, "t", v, deadline) {
-                acked_after.push(v);
-            }
-        }
+            },
+        );
     }
     assert!(
         rejoined.wait_caught_up(Duration::from_secs(10)),
@@ -504,7 +508,8 @@ pub fn run_quorum_torture(cfg: &QuorumTortureConfig) -> QuorumTortureReport {
     let peers_at_start = db.repl_counters().peers.load(Ordering::Relaxed);
     let quorum_at_start = db.repl_counters().quorum.load(Ordering::Relaxed);
 
-    let client = torture_client(addr.clone(), cfg.seed, 0x0E09);
+    let client =
+        torture_client(addr.clone(), cfg.seed, 0x0E09).expect("connect to the quorum primary");
     let mut acked_before = Vec::new();
     for i in 0..cfg.txns_before {
         let v = 100 + i;

@@ -101,6 +101,14 @@ pub struct ClientConfig {
     /// v≤7 server (which cannot understand `Auth`) the step is
     /// skipped. `None` sends no token.
     pub auth_secret: Option<Vec<u8>>,
+    /// Run the *first* dial under the same `max_retries`/`backoff`
+    /// policy as every later request (transport failures, plus
+    /// `Overloaded`/`Draining` handshake refusals when
+    /// `retry_ambiguous` is set). Off by default — a bad address or an
+    /// incompatible server should fail at connect, not after a retry
+    /// budget — and on for clients behind a link that may reset the
+    /// handshake itself (a lossy network, a chaos proxy).
+    pub connect_retry: bool,
 }
 
 impl Default for ClientConfig {
@@ -114,6 +122,7 @@ impl Default for ClientConfig {
             breaker_threshold: 0,
             breaker_cooldown: Duration::from_millis(250),
             auth_secret: None,
+            connect_retry: false,
         }
     }
 }
@@ -316,9 +325,33 @@ impl HipacClient {
             subscribed: Mutex::new(HashSet::new()),
             closed: AtomicBool::new(false),
         };
-        // Fail fast on first dial: a bad address or incompatible server
-        // should error at connect, not at first use.
-        client.ensure_conn()?;
+        // Dial now: a bad address or incompatible server should error at
+        // connect, not at first use — at once, unless the caller opted
+        // the first dial into the request retry policy.
+        let mut attempt: u32 = 0;
+        while let Err(e) = client.ensure_conn() {
+            // As for requests: transport failures, and — for a client that
+            // retries refusals — a handshake refused by a draining or
+            // overloaded server (the restarted one will answer).
+            let transient = match &e {
+                WireError::Io(_) | WireError::Transport(_) => true,
+                WireError::Remote { kind, .. } => {
+                    client.config.retry_ambiguous
+                        && matches!(kind.as_str(), "Overloaded" | "Draining")
+                }
+                _ => false,
+            };
+            if !(client.config.connect_retry && transient) || attempt >= client.config.max_retries {
+                return Err(e);
+            }
+            attempt += 1;
+            std::thread::sleep(retry_backoff(
+                client.config.backoff,
+                client.client_id,
+                0,
+                attempt,
+            ));
+        }
         Ok(client)
     }
 
@@ -1145,6 +1178,13 @@ fn raw_request(
     }
     let (tx, rx) = crossbeam::channel::bounded(1);
     conn.pending.lock().insert(id, tx);
+    // The reader marks the connection dead *before* it clears the
+    // pending table: a request registered after that sweep would wait
+    // forever, so look again now that ours is in the table.
+    if conn.dead.load(Ordering::Acquire) {
+        conn.pending.lock().remove(&id);
+        return Err(WireError::Transport("connection lost".into()));
+    }
     let frame = Frame::Request { id, meta, command }.encode();
     if let Err(e) = conn.writer.lock().write_all(&frame) {
         conn.pending.lock().remove(&id);

@@ -17,8 +17,9 @@
 //! * updates take a `Write` lock on the object;
 //! * creates/deletes take a `Write` lock on the class (extent change —
 //!   this is the phantom guard) plus the object;
-//! * extent scans take a `Read` lock on the class and on every object
-//!   examined;
+//! * queries take a `Read` lock on the class and on every result row;
+//!   an index probe locks each candidate *before* reading it (one
+//!   version read per row), a scan only the rows a pre-check selects;
 //! * DDL takes a `Write` lock on the class (and on the class name for
 //!   creation, to serialize concurrent same-name creation).
 //!
@@ -263,7 +264,7 @@ impl ObjectStore {
             let oid = ObjectId(u64::from_be_bytes(key[1..9].try_into().unwrap()));
             let rec = ObjectRecord::decode(&bytes)?;
             self.oid_alloc.bump_to(oid.raw());
-            self.index_add(oid, &rec)?;
+            self.reindex(oid, None, Some(&rec))?;
             self.objects.put_committed(oid, rec);
         }
         Ok(())
@@ -728,15 +729,15 @@ impl ObjectStore {
             Plan::Scan => self.objects.visible_keys(txn),
         };
 
-        let mut rows = Vec::new();
-        for oid in candidates {
-            // Visibility re-check (candidate sets may include deleted or
-            // invisible objects).
+        // The visible version of `oid`, if it belongs to the queried
+        // classes and satisfies the predicate.
+        let mut matching = |oid: ObjectId| -> Result<Option<ObjectRecord>> {
+            // Candidate sets may include deleted or invisible objects.
             let Some(rec) = self.objects.get(txn, &oid) else {
-                continue;
+                return Ok(None);
             };
             if !member_classes.contains(&rec.class) {
-                continue;
+                return Ok(None);
             }
             let pred = match resolved.get(&rec.class) {
                 Some(p) => p,
@@ -753,39 +754,49 @@ impl ObjectStore {
                 params,
                 ..Default::default()
             };
-            if pred.eval_bool(&ctx)? {
-                // Lock the result row for repeatable reads.
+            Ok(pred.eval_bool(&ctx)?.then_some(rec))
+        };
+
+        // Result rows are read-locked for repeatable reads. An index
+        // probe's candidates are (nearly all) result rows, so each is
+        // locked first and its version read once; a scan examines the
+        // whole extent, so it locks only the rows a pre-check selects and
+        // then reads them again, because the unlocked read may have
+        // raced a concurrent committer.
+        let lock_first = matches!(plan, Plan::IndexEq { .. });
+        let mut rows = Vec::new();
+        for oid in candidates {
+            if lock_first {
                 self.locks
                     .acquire(txn, LockKey::Object(oid), LockMode::Read)?;
-                // Re-read under the lock (the pre-lock read may have
-                // raced a concurrent committer).
-                let Some(rec) = self.objects.get(txn, &oid) else {
-                    continue;
-                };
-                if !pred.eval_bool(&Bindings {
-                    row: Some(&rec.values),
-                    params,
-                    ..Default::default()
-                })? {
-                    continue;
-                }
-                let values = match &query.projection {
-                    None => rec.values,
-                    Some(attrs) => {
-                        let mut out = Vec::with_capacity(attrs.len());
-                        for a in attrs {
-                            let (slot, _) = schema.resolve_attr(rec.class, a)?;
-                            out.push(rec.values[slot].clone());
-                        }
-                        out
-                    }
-                };
-                rows.push(Row {
-                    oid,
-                    class: rec.class,
-                    values,
-                });
             }
+            let Some(mut rec) = matching(oid)? else {
+                continue;
+            };
+            if !lock_first {
+                self.locks
+                    .acquire(txn, LockKey::Object(oid), LockMode::Read)?;
+                match matching(oid)? {
+                    Some(locked) => rec = locked,
+                    None => continue,
+                }
+            }
+            let values = match &query.projection {
+                None => rec.values,
+                Some(attrs) => {
+                    let mut out = Vec::with_capacity(attrs.len());
+                    for a in attrs {
+                        let (slot, _) = schema.resolve_attr(rec.class, a)?;
+                        out.push(rec.values[slot].clone());
+                    }
+                    out
+                }
+            };
+            rows.push(Row {
+                oid,
+                class: rec.class,
+                values,
+            });
         }
         rows.sort_by_key(|r| r.oid);
         Ok(rows)
@@ -857,42 +868,62 @@ impl ObjectStore {
         Ok(slots)
     }
 
-    fn index_add(&self, oid: ObjectId, rec: &ObjectRecord) -> Result<()> {
-        let slots = self.indexed_slots(rec.class)?;
-        if slots.is_empty() {
-            return Ok(());
-        }
-        let mut indexes = self.indexes.write();
-        for slot in slots {
-            if let Some(v) = rec.values.get(slot) {
-                indexes
-                    .entry((rec.class, slot))
-                    .or_default()
-                    .entry(v.clone())
-                    .or_default()
-                    .insert(oid);
-            }
-        }
-        Ok(())
+    /// The `((class, slot), value)` index entries `rec` occupies.
+    fn index_entries<'a>(
+        &self,
+        rec: Option<&'a ObjectRecord>,
+    ) -> Result<Vec<((ClassId, usize), &'a Value)>> {
+        let Some(rec) = rec else {
+            return Ok(Vec::new());
+        };
+        Ok(self
+            .indexed_slots(rec.class)?
+            .into_iter()
+            .filter_map(|slot| Some(((rec.class, slot), rec.values.get(slot)?)))
+            .collect())
     }
 
-    fn index_remove(&self, oid: ObjectId, rec: &ObjectRecord) -> Result<()> {
-        let slots = self.indexed_slots(rec.class)?;
-        if slots.is_empty() {
+    /// Move `oid` from the index entries of its `old` committed version
+    /// to those of its `new` one. An entry both versions share is left
+    /// alone, and the rest change under one guard: a concurrent index
+    /// probe finds the row under its old value or its new one, never
+    /// under neither.
+    fn reindex(
+        &self,
+        oid: ObjectId,
+        old: Option<&ObjectRecord>,
+        new: Option<&ObjectRecord>,
+    ) -> Result<()> {
+        let mut stale = self.index_entries(old)?;
+        let mut fresh = self.index_entries(new)?;
+        stale.retain(|entry| match fresh.iter().position(|f| f == entry) {
+            Some(kept) => {
+                fresh.swap_remove(kept);
+                false
+            }
+            None => true,
+        });
+        if stale.is_empty() && fresh.is_empty() {
             return Ok(());
         }
         let mut indexes = self.indexes.write();
-        for slot in slots {
-            if let Some(v) = rec.values.get(slot) {
-                if let Some(idx) = indexes.get_mut(&(rec.class, slot)) {
-                    if let Some(set) = idx.get_mut(v) {
-                        set.remove(&oid);
-                        if set.is_empty() {
-                            idx.remove(v);
-                        }
+        for (key, value) in stale {
+            if let Some(idx) = indexes.get_mut(&key) {
+                if let Some(set) = idx.get_mut(value) {
+                    set.remove(&oid);
+                    if set.is_empty() {
+                        idx.remove(value);
                     }
                 }
             }
+        }
+        for (key, value) in fresh {
+            indexes
+                .entry(key)
+                .or_default()
+                .entry(value.clone())
+                .or_default()
+                .insert(oid);
         }
         Ok(())
     }
@@ -938,12 +969,7 @@ impl ResourceManager for ObjectStore {
         }
         // Index maintenance.
         for (oid, old, new) in &object_changes {
-            if let Some(old) = old {
-                self.index_remove(*oid, old)?;
-            }
-            if let Some(new) = new {
-                self.index_add(*oid, new)?;
-            }
+            self.reindex(*oid, old.as_ref(), new.as_ref())?;
         }
         // Durability: one atomic batch per top-level commit.
         if let Some(d) = &self.durable {

@@ -12,14 +12,17 @@
 //! entries always fit one page.
 //!
 //! Pages freed by merges are leaked until the next durable-store
-//! checkpoint, which rewrites the file compactly; a free list would be
-//! redundant with that.
+//! checkpoint, which rebuilds the tree into a fresh file with
+//! [`BTree::bulk_load`] — one pass over the sorted entries, every node
+//! serialized once. Until the tree has a free list that rewrite is the
+//! only reclaimer, which is why the checkpoint still compacts instead of
+//! flushing dirty pages in place.
 
-use crate::buffer::BufferPool;
+use crate::buffer::{BufferPool, PageRef};
 use crate::page::{PageId, PAGE_SIZE};
 use hipac_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use hipac_common::{HipacError, Result};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -29,6 +32,17 @@ pub const MAX_ENTRY: usize = 1024;
 const NODE_CAPACITY: usize = PAGE_SIZE - 8;
 /// Nodes smaller than this (in serialized bytes) are rebalanced.
 const UNDERFLOW: usize = NODE_CAPACITY / 4;
+
+/// Upper bound on a node's serialized header (type, next/count varints).
+const NODE_HEADER: usize = 16;
+/// Upper bound on a serialized child pointer (a varint page id).
+const CHILD_POINTER: usize = 10;
+
+/// Serialized size of a length-prefixed byte string no longer than
+/// [`MAX_ENTRY`] (whose length fits a two-byte varint).
+fn encoded_len(bytes: &[u8]) -> usize {
+    bytes.len() + if bytes.len() < 0x80 { 1 } else { 2 }
+}
 
 const TYPE_LEAF: u8 = 1;
 const TYPE_INTERNAL: u8 = 2;
@@ -161,6 +175,96 @@ impl BTree {
         })
     }
 
+    /// Build a tree from `entries`, which must arrive in strictly
+    /// ascending key order: leaves are filled left to right and each
+    /// node is serialized exactly once, so the cost is linear in the
+    /// input and the pool needs room for one node per level, whatever
+    /// the size of the tree. Equivalent to [`BTree::create`] followed by
+    /// an [`BTree::insert`] per entry.
+    pub fn bulk_load(
+        pool: Arc<BufferPool>,
+        entries: impl IntoIterator<Item = Result<(Vec<u8>, Vec<u8>)>>,
+    ) -> Result<Self> {
+        // (smallest key, page) of every finished node of the level being
+        // built, left to right.
+        let mut level: Vec<(Vec<u8>, PageId)> = Vec::new();
+        let mut page = pool.new_page()?;
+        let mut leaf: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut leaf_bytes = NODE_HEADER;
+        for entry in entries {
+            let (key, value) = entry?;
+            Self::check_entry(&key, &value)?;
+            if leaf.last().is_some_and(|(last, _)| *last >= key) {
+                return Err(HipacError::internal("bulk load input is not sorted"));
+            }
+            let size = encoded_len(&key) + encoded_len(&value);
+            if !leaf.is_empty() && leaf_bytes + size > NODE_CAPACITY {
+                // The successor is allocated (and stays pinned) before
+                // this leaf is written, so the chain link is known.
+                let next = pool.new_page()?;
+                level.push((leaf[0].0.clone(), page.id()));
+                let entries = std::mem::take(&mut leaf);
+                Self::write_into(
+                    &page,
+                    &Node::Leaf {
+                        next: next.id(),
+                        entries,
+                    },
+                )?;
+                page = next;
+                leaf_bytes = NODE_HEADER;
+            }
+            leaf_bytes += size;
+            leaf.push((key, value));
+        }
+        level.push((
+            leaf.first().map(|(k, _)| k.clone()).unwrap_or_default(),
+            page.id(),
+        ));
+        Self::write_into(
+            &page,
+            &Node::Leaf {
+                next: PageId::NULL,
+                entries: leaf,
+            },
+        )?;
+        drop(page);
+
+        while level.len() > 1 {
+            let mut groups: Vec<Vec<(Vec<u8>, PageId)>> = vec![Vec::new()];
+            let mut bytes = NODE_HEADER;
+            for child in level {
+                let size = encoded_len(&child.0) + CHILD_POINTER;
+                if bytes + size > NODE_CAPACITY {
+                    groups.push(Vec::new());
+                    bytes = NODE_HEADER;
+                }
+                bytes += size;
+                groups.last_mut().expect("never empty").push(child);
+            }
+            // An internal node needs two children: a lone straggler takes
+            // one from its left neighbour (any two entries fit one page).
+            if let [.., left, last] = groups.as_mut_slice() {
+                if last.len() == 1 {
+                    last.insert(0, left.pop().expect("a full node has many children"));
+                }
+            }
+            level = Vec::with_capacity(groups.len());
+            for mut group in groups {
+                let page = pool.new_page()?;
+                let children = group.iter().map(|(_, id)| *id).collect();
+                let first = std::mem::take(&mut group[0].0);
+                let keys = group.into_iter().skip(1).map(|(key, _)| key).collect();
+                Self::write_into(&page, &Node::Internal { keys, children })?;
+                level.push((first, page.id()));
+            }
+        }
+        Ok(BTree {
+            root: RwLock::new(level[0].1),
+            pool,
+        })
+    }
+
     /// Current root page id (persist this in the meta page).
     pub fn root_page(&self) -> PageId {
         *self.root.read()
@@ -179,14 +283,18 @@ impl BTree {
     }
 
     fn write_node(pool: &BufferPool, id: PageId, node: &Node) -> Result<()> {
+        Self::write_into(&pool.fetch(id)?, node)
+    }
+
+    fn write_into(page: &PageRef, node: &Node) -> Result<()> {
         let bytes = node.encode();
         if bytes.len() > NODE_CAPACITY {
             return Err(HipacError::internal(format!(
-                "btree node {id} overflow: {} bytes",
+                "btree node {} overflow: {} bytes",
+                page.id(),
                 bytes.len()
             )));
         }
-        let page = pool.fetch(id)?;
         let mut guard = page.write();
         guard.put_u32(0, bytes.len() as u32);
         guard.put_slice(4, &bytes);
@@ -478,62 +586,70 @@ impl BTree {
         entries.iter().map(|(k, v)| k.len() + v.len() + 8).sum()
     }
 
+    /// Stream the entries from the leaf that would hold `seek` onwards,
+    /// in key order, one leaf in memory at a time. The iterator holds the
+    /// tree latch (shared) for as long as it lives.
+    pub(crate) fn entries_from(&self, seek: &[u8]) -> Result<Entries<'_>> {
+        let root = self.root.read();
+        let mut id = *root;
+        while let Node::Internal { keys, children } = Self::read_node(&self.pool, id)? {
+            let idx = keys.partition_point(|k| k.as_slice() <= seek);
+            id = children[idx];
+        }
+        Ok(Entries {
+            _latch: root,
+            pool: &self.pool,
+            leaf: Vec::new().into_iter(),
+            next: id,
+        })
+    }
+
+    /// Stream every entry in key order (see [`BTree::entries_from`]).
+    pub(crate) fn entries(&self) -> Result<Entries<'_>> {
+        self.entries_from(&[])
+    }
+
     /// Scan entries with keys in `[start, end)` bounds.
     pub fn range(
         &self,
         start: Bound<&[u8]>,
         end: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let root = self.root.read();
-        // Descend to the leaf containing the lower bound.
         let seek: &[u8] = match start {
             Bound::Included(k) | Bound::Excluded(k) => k,
             Bound::Unbounded => &[],
         };
-        let mut id = *root;
-        while let Node::Internal { keys, children } = Self::read_node(&self.pool, id)? {
-            let idx = keys.partition_point(|k| k.as_slice() <= seek);
-            id = children[idx];
-        }
         let mut out = Vec::new();
-        let in_lower = |k: &[u8]| match start {
-            Bound::Included(s) => k >= s,
-            Bound::Excluded(s) => k > s,
-            Bound::Unbounded => true,
-        };
-        let in_upper = |k: &[u8]| match end {
-            Bound::Included(e) => k <= e,
-            Bound::Excluded(e) => k < e,
-            Bound::Unbounded => true,
-        };
-        loop {
-            let Node::Leaf { next, entries } = Self::read_node(&self.pool, id)? else {
-                return Err(HipacError::Corruption("leaf chain hit internal node".into()));
+        for entry in self.entries_from(seek)? {
+            let (k, v) = entry?;
+            let below = match start {
+                Bound::Included(s) => k.as_slice() < s,
+                Bound::Excluded(s) => k.as_slice() <= s,
+                Bound::Unbounded => false,
             };
-            for (k, v) in entries {
-                if !in_lower(&k) {
-                    continue;
-                }
-                if !in_upper(&k) {
-                    return Ok(out);
-                }
+            let above = match end {
+                Bound::Included(e) => k.as_slice() > e,
+                Bound::Excluded(e) => k.as_slice() >= e,
+                Bound::Unbounded => false,
+            };
+            if above {
+                break;
+            }
+            if !below {
                 out.push((k, v));
             }
-            if next.is_null() {
-                return Ok(out);
-            }
-            id = next;
         }
+        Ok(out)
     }
 
     /// All entries in key order.
     pub fn iter_all(&self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.range(Bound::Unbounded, Bound::Unbounded)
+        self.entries()?.collect()
     }
 
     /// Number of entries (walks the leaf chain).
     pub fn len(&self) -> Result<usize> {
-        Ok(self.iter_all()?.len())
+        self.entries()?.try_fold(0, |n, entry| entry.map(|_| n + 1))
     }
 
     /// True if the tree holds no entries.
@@ -553,6 +669,43 @@ impl BTree {
                     id = children[0];
                     h += 1;
                 }
+            }
+        }
+    }
+}
+
+/// Streaming cursor over a tree's leaf chain; see
+/// [`BTree::entries_from`].
+pub(crate) struct Entries<'a> {
+    _latch: RwLockReadGuard<'a, PageId>,
+    pool: &'a BufferPool,
+    leaf: std::vec::IntoIter<(Vec<u8>, Vec<u8>)>,
+    /// The next leaf to read; null once the chain is exhausted.
+    next: PageId,
+}
+
+impl Iterator for Entries<'_> {
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(entry) = self.leaf.next() {
+                return Some(Ok(entry));
+            }
+            if self.next.is_null() {
+                return None;
+            }
+            match BTree::read_node(self.pool, std::mem::replace(&mut self.next, PageId::NULL)) {
+                Ok(Node::Leaf { next, entries }) => {
+                    self.next = next;
+                    self.leaf = entries.into_iter();
+                }
+                Ok(Node::Internal { .. }) => {
+                    return Some(Err(HipacError::Corruption(
+                        "leaf chain hit internal node".into(),
+                    )))
+                }
+                Err(e) => return Some(Err(e)),
             }
         }
     }

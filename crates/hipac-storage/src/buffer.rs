@@ -1,9 +1,21 @@
-//! A pinning buffer pool with LRU eviction.
+//! A pinning buffer pool with second-chance (clock) replacement.
 //!
 //! Callers fetch pages through the pool and hold them via [`PageRef`]
 //! guards; a page is only evictable while unpinned. `capacity` is a
-//! soft limit: if every frame is pinned the pool grows rather than
+//! soft limit: if nothing is evictable the pool grows rather than
 //! failing, which keeps deep B+tree descents simple.
+//!
+//! Replacement is a FIFO of the resident frames with one reference bit
+//! each — exactly one queue entry per queued frame, so the queue never
+//! outgrows the pool. A hit sets the bit and allocates nothing; the
+//! evictor gives a referenced or pinned frame another lap. Under
+//! [`EvictionPolicy::CleanOnly`] a dirty frame the evictor meets
+//! *leaves* the queue — it cannot go anywhere until a flush — and
+//! re-enters at [`BufferPool::flush_all`], so the dirty set is never
+//! rescanned. A miss examines at most `SWEEP` (8) candidates and grows
+//! the pool if none of them can go; the next misses keep sweeping until
+//! the pool is back under capacity. A miss therefore costs the same
+//! whether ten frames are dirty or ten thousand.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
@@ -12,6 +24,10 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Replacement candidates one miss may examine before the pool grows
+/// instead.
+const SWEEP: usize = 8;
 
 /// One buffered page.
 pub struct Frame {
@@ -60,17 +76,29 @@ impl Drop for PageRef {
     }
 }
 
+/// A resident frame and its replacement state (guarded by the pool
+/// mutex, like the queue it describes).
+struct Slot {
+    frame: Arc<Frame>,
+    /// Touched since the evictor last passed: earns one more lap.
+    referenced: bool,
+    /// Whether `queue` holds this frame's (single) entry.
+    queued: bool,
+}
+
 struct PoolInner {
-    frames: HashMap<PageId, Arc<Frame>>,
-    /// Approximate recency queue; may contain stale duplicates, which
-    /// eviction skips.
-    lru: VecDeque<PageId>,
+    frames: HashMap<PageId, Slot>,
+    /// Replacement order, oldest first: the ids of exactly the frames
+    /// whose slot says `queued`.
+    queue: VecDeque<PageId>,
 }
 
 /// What eviction may do with dirty pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Dirty pages may be evicted after being written back ("steal").
+    /// The checkpoint's shadow file is built through such a pool: it is
+    /// not authoritative until renamed, so it may stream to disk.
     WriteBack,
     /// Only clean pages are evictable; dirty pages stay resident until
     /// an explicit flush ("no-steal"). The durable store relies on this
@@ -86,6 +114,7 @@ pub struct BufferPool {
     inner: Mutex<PoolInner>,
     hits: AtomicU64,
     misses: AtomicU64,
+    examined: AtomicU64,
 }
 
 impl BufferPool {
@@ -107,10 +136,11 @@ impl BufferPool {
             policy,
             inner: Mutex::new(PoolInner {
                 frames: HashMap::new(),
-                lru: VecDeque::new(),
+                queue: VecDeque::new(),
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            examined: AtomicU64::new(0),
         }
     }
 
@@ -122,25 +152,18 @@ impl BufferPool {
     /// Fetch page `id`, reading it from disk on a miss.
     pub fn fetch(&self, id: PageId) -> Result<PageRef> {
         let mut inner = self.inner.lock();
-        if let Some(frame) = inner.frames.get(&id) {
+        if let Some(slot) = inner.frames.get_mut(&id) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            frame.pins.fetch_add(1, Ordering::AcqRel);
-            let frame = Arc::clone(frame);
-            inner.lru.push_back(id);
-            return Ok(PageRef { frame });
+            slot.referenced = true;
+            slot.frame.pins.fetch_add(1, Ordering::AcqRel);
+            return Ok(PageRef {
+                frame: Arc::clone(&slot.frame),
+            });
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.evict_if_full(&mut inner)?;
         let page = self.disk.read_page(id)?;
-        let frame = Arc::new(Frame {
-            id,
-            page: RwLock::new(page),
-            dirty: AtomicBool::new(false),
-            pins: AtomicUsize::new(1),
-        });
-        inner.frames.insert(id, Arc::clone(&frame));
-        inner.lru.push_back(id);
-        Ok(PageRef { frame })
+        Ok(Self::admit(&mut inner, id, page))
     }
 
     /// Allocate a fresh zeroed page on disk and return it pinned.
@@ -148,59 +171,72 @@ impl BufferPool {
         let id = self.disk.allocate()?;
         let mut inner = self.inner.lock();
         self.evict_if_full(&mut inner)?;
+        Ok(Self::admit(&mut inner, id, Page::new()))
+    }
+
+    /// Make `page` resident as a clean frame at the young end of the
+    /// queue, and return it pinned.
+    fn admit(inner: &mut PoolInner, id: PageId, page: Page) -> PageRef {
         let frame = Arc::new(Frame {
             id,
-            page: RwLock::new(Page::new()),
+            page: RwLock::new(page),
             dirty: AtomicBool::new(false),
             pins: AtomicUsize::new(1),
         });
-        inner.frames.insert(id, Arc::clone(&frame));
-        inner.lru.push_back(id);
-        Ok(PageRef { frame })
+        inner.frames.insert(
+            id,
+            Slot {
+                frame: Arc::clone(&frame),
+                referenced: false,
+                queued: true,
+            },
+        );
+        inner.queue.push_back(id);
+        PageRef { frame }
     }
 
     fn evict_if_full(&self, inner: &mut PoolInner) -> Result<()> {
-        let mut scanned = 0;
-        let bound = inner.lru.len();
-        while inner.frames.len() >= self.capacity && scanned < bound {
-            scanned += 1;
-            let Some(candidate) = inner.lru.pop_front() else {
+        let mut examined = 0;
+        while inner.frames.len() >= self.capacity && examined < SWEEP {
+            let Some(id) = inner.queue.pop_front() else {
                 break;
             };
-            let evictable = match inner.frames.get(&candidate) {
-                Some(f) => {
-                    f.pins.load(Ordering::Acquire) == 0
-                        && (self.policy == EvictionPolicy::WriteBack
-                            || !f.dirty.load(Ordering::Acquire))
+            examined += 1;
+            let slot = inner
+                .frames
+                .get_mut(&id)
+                .expect("queue entries are resident frames");
+            // Unpinned means no `PageRef` exists, and a new one needs the
+            // pool mutex we hold: `dirty` cannot change under us.
+            let dirty = slot.frame.dirty.load(Ordering::Acquire);
+            if dirty && self.policy == EvictionPolicy::CleanOnly {
+                slot.queued = false;
+            } else if slot.frame.pins.load(Ordering::Acquire) > 0
+                || std::mem::take(&mut slot.referenced)
+            {
+                inner.queue.push_back(id);
+            } else {
+                if dirty {
+                    self.disk.write_page(id, &slot.frame.page.read())?;
                 }
-                None => continue, // stale queue entry
-            };
-            if !evictable {
-                inner.lru.push_back(candidate);
-                continue;
-            }
-            // A later duplicate queue entry means the page was touched
-            // again after this entry was queued: skip this entry and let
-            // the newer one carry the recency.
-            if inner.lru.contains(&candidate) {
-                continue;
-            }
-            let frame = inner.frames.remove(&candidate).expect("checked above");
-            if frame.dirty.load(Ordering::Acquire) {
-                let page = frame.page.read();
-                self.disk.write_page(candidate, &page)?;
+                inner.frames.remove(&id);
             }
         }
+        self.examined.fetch_add(examined as u64, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Write all dirty pages back to disk (without syncing).
+    /// Write all dirty pages back to disk (without syncing). Frames that
+    /// left the replacement queue while dirty rejoin it.
     pub fn flush_all(&self) -> Result<()> {
-        let inner = self.inner.lock();
-        for (id, frame) in inner.frames.iter() {
-            if frame.dirty.swap(false, Ordering::AcqRel) {
-                let page = frame.page.read();
-                self.disk.write_page(*id, &page)?;
+        let mut inner = self.inner.lock();
+        let PoolInner { frames, queue } = &mut *inner;
+        for (id, slot) in frames.iter_mut() {
+            if slot.frame.dirty.swap(false, Ordering::AcqRel) {
+                self.disk.write_page(*id, &slot.frame.page.read())?;
+            }
+            if !std::mem::replace(&mut slot.queued, true) {
+                queue.push_back(*id);
             }
         }
         Ok(())
@@ -223,6 +259,12 @@ impl BufferPool {
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// Replacement candidates examined since creation; at most eight
+    /// per miss or allocation.
+    pub fn examined(&self) -> u64 {
+        self.examined.load(Ordering::Relaxed)
     }
 }
 
@@ -404,6 +446,79 @@ mod policy_tests {
         pool.flush_all().unwrap();
         let on_disk = pool.disk().read_page(dirty_id).unwrap();
         assert_eq!(on_disk.get_u64(0), 0xD1D1);
+    }
+
+    /// The count, not the clock: with every frame of a full pool dirty
+    /// and unpinned, no miss examines more than `SWEEP` candidates, and
+    /// once the dirty frames have left the queue a miss examines none.
+    #[test]
+    fn a_miss_examines_a_bounded_number_of_dirty_frames() {
+        const N: usize = 2_000;
+        let pool = clean_only_pool("sweep", N);
+        let ids: Vec<PageId> = (0..N)
+            .map(|_| {
+                let p = pool.new_page().unwrap();
+                p.write().put_u64(0, 1);
+                p.id()
+            })
+            .collect();
+        assert_eq!(pool.buffered_pages(), N);
+        let mut worst = 0;
+        for _ in 0..N {
+            let before = pool.examined();
+            drop(pool.new_page().unwrap());
+            worst = worst.max(pool.examined() - before);
+        }
+        assert!(
+            worst <= SWEEP as u64,
+            "one miss examined {worst} candidates"
+        );
+        // Each dirty frame was examined once and then left the queue; the
+        // clean newcomers were evicted on the way.
+        assert!(pool.examined() <= 2 * (2 * N) as u64);
+        assert!(pool.inner.lock().queue.len() <= SWEEP);
+        // A flush makes them evictable again, one queue entry each.
+        pool.flush_all().unwrap();
+        let queued = pool.inner.lock().queue.len();
+        assert_eq!(queued, pool.buffered_pages());
+        for id in ids.iter().take(10) {
+            assert_eq!(pool.fetch(*id).unwrap().read().get_u64(0), 1);
+        }
+    }
+
+    #[test]
+    fn hits_do_not_grow_the_queue() {
+        let pool = clean_only_pool("hits", 64);
+        let ids: Vec<PageId> = (0..16).map(|_| pool.new_page().unwrap().id()).collect();
+        for i in 0..1_000_000usize {
+            drop(pool.fetch(ids[i % ids.len()]).unwrap());
+        }
+        let inner = pool.inner.lock();
+        assert_eq!(inner.frames.len(), 16);
+        assert!(
+            inner.queue.len() <= inner.frames.len(),
+            "one queue entry per resident frame, got {}",
+            inner.queue.len()
+        );
+        assert!(
+            inner.queue.capacity() <= 64,
+            "queue memory is bounded by the pool"
+        );
+    }
+
+    #[test]
+    fn referenced_frames_get_a_second_chance() {
+        let pool = clean_only_pool("clock", 4);
+        let hot = pool.new_page().unwrap().id();
+        for _ in 0..64 {
+            drop(pool.fetch(hot).unwrap());
+            drop(pool.new_page().unwrap());
+        }
+        let (_, misses) = pool.stats();
+        assert_eq!(
+            misses, 0,
+            "the page touched between misses never left the pool"
+        );
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //!
 //! Insertion fills the tail page and extends the chain when it is full;
 //! space freed by deletions in interior pages is reused only by updates
-//! within the page (the durable store compacts whole files at
-//! checkpoint, which is where reclamation happens).
+//! within the page. The durable store's checkpoint copies the live
+//! values into a fresh heap, appending sequentially, and that copy is
+//! where reclamation happens — the reason the checkpoint compacts rather
+//! than flushing dirty pages in place. Reads take the page's shared
+//! latch and leave it clean.
 
 use crate::buffer::BufferPool;
 use crate::page::PageId;
@@ -158,10 +161,8 @@ impl HeapFile {
     /// Read the record at `rid`.
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
         let page = self.pool.fetch(rid.page)?;
-        let mut guard = page.write();
-        let slotted = SlottedPage::new(&mut guard, SLOT_BASE);
-        slotted
-            .get(rid.slot)
+        let guard = page.read();
+        SlottedPage::read(&guard, SLOT_BASE, rid.slot)
             .map(<[u8]>::to_vec)
             .ok_or_else(|| HipacError::StorageNotFound(format!("{rid:?}")))
     }

@@ -5,14 +5,14 @@
 //! one from scratch:
 //!
 //! * [`page`] / [`disk`] — 4 KiB pages over a single database file;
-//! * [`buffer`] — a pinning buffer pool with LRU eviction;
+//! * [`buffer`] — a pinning buffer pool with second-chance replacement;
 //! * [`slotted`] — slotted-page record layout;
 //! * [`heap`] — heap files of variable-length records;
 //! * [`btree`] — a disk-backed B+tree mapping byte keys to records;
 //! * [`wal`] — a checksummed append-only write-ahead log;
 //! * [`store`] — [`store::DurableStore`], the logical key→bytes store
 //!   the Object Manager persists into, with redo-only commit logging,
-//!   checkpointing and crash recovery;
+//!   streaming shadow checkpoints and crash recovery;
 //! * [`journal`] — the crash-safe reply journal and push-outbox key
 //!   space that keeps the network layer's exactly-once window durable
 //!   across restarts.

@@ -150,15 +150,22 @@ impl<'a> SlottedPage<'a> {
 
     /// Read the record in `slot`, if live.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        let i = slot as usize;
-        if i >= self.count() {
+        Self::read(self.page, self.base, slot)
+    }
+
+    /// [`SlottedPage::get`] over a shared page image: readers need no
+    /// write access (and so do not dirty a buffered page).
+    pub fn read(page: &Page, base: usize, slot: u16) -> Option<&[u8]> {
+        let count = page.get_u16(base + HDR_COUNT);
+        if slot >= count {
             return None;
         }
-        let (off, len) = self.slot(i);
-        if off == 0 {
-            return None;
-        }
-        Some(self.page.get_slice(self.base + off, len))
+        let entry = base + HDR_SIZE + slot as usize * SLOT_SIZE;
+        let (off, len) = (
+            page.get_u16(entry) as usize,
+            page.get_u16(entry + 2) as usize,
+        );
+        (off != 0).then(|| page.get_slice(base + off, len))
     }
 
     /// Delete the record in `slot`. Returns false if it was not live.

@@ -16,7 +16,12 @@
 //!   only then truncates the WAL. A crash anywhere in that sequence
 //!   leaves either (old file + full WAL) or (new file + replayable WAL),
 //!   both of which recover to the same state because replay is
-//!   idempotent (last-writer-wins upserts).
+//!   idempotent (last-writer-wins upserts). The rewrite is one streaming
+//!   pass in key order: values are appended to a fresh heap and the
+//!   index is bulk-loaded behind them. The shadow file means nothing
+//!   until the rename, so its (small, [`EvictionPolicy::WriteBack`])
+//!   pool steals freely — stolen pages in a `data.db.tmp` that a crash
+//!   leaves behind are discarded with it at the next open.
 //!
 //! Values of any size are supported by chunking across heap records.
 
@@ -106,6 +111,11 @@ const META_INDEX_OFF: usize = 16;
 /// Default WAL size (bytes) that triggers an automatic checkpoint.
 pub const DEFAULT_CHECKPOINT_THRESHOLD: u64 = 4 * 1024 * 1024;
 
+/// Pages the checkpoint's shadow pool may hold. The copy appends to one
+/// heap page and one B+tree node per level at a time, so this is ample
+/// at any store size.
+const SHADOW_POOL_PAGES: usize = 64;
+
 /// One logical operation in a committed batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreOp {
@@ -116,7 +126,6 @@ pub enum StoreOp {
 }
 
 struct Engine {
-    pool: Arc<BufferPool>,
     heap: HeapFile,
     index: BTree,
 }
@@ -136,8 +145,8 @@ impl Engine {
             let heap_first = PageId(meta.read().get_u64(META_HEAP_OFF));
             let index_root = PageId(meta.read().get_u64(META_INDEX_OFF));
             let heap = HeapFile::open(Arc::clone(&pool), heap_first)?;
-            let index = BTree::open(Arc::clone(&pool), index_root)?;
-            Ok(Engine { pool, heap, index })
+            let index = BTree::open(pool, index_root)?;
+            Ok(Engine { heap, index })
         } else if magic == 0 {
             let heap = HeapFile::create(Arc::clone(&pool))?;
             let index = BTree::create(Arc::clone(&pool))?;
@@ -154,7 +163,7 @@ impl Engine {
             pool.flush_and_sync()?;
             meta.write().put_u64(META_MAGIC_OFF, MAGIC);
             pool.flush_and_sync()?;
-            Ok(Engine { pool, heap, index })
+            Ok(Engine { heap, index })
         } else {
             Err(HipacError::Corruption(format!(
                 "bad database magic {magic:#x} in {}",
@@ -163,23 +172,18 @@ impl Engine {
         }
     }
 
-    /// Store `value` as a chunk chain; returns the head record id.
-    fn write_value(&self, value: &[u8]) -> Result<RecordId> {
-        let chunk_payload = HeapFile::max_record_len() - 8;
-        // Write chunks back-to-front so each holds its successor's rid.
-        let mut next: u64 = 0;
-        let mut chunks: Vec<&[u8]> = value.chunks(chunk_payload).collect();
-        if chunks.is_empty() {
-            chunks.push(&[]);
+    fn apply(&self, op: &StoreOp) -> Result<()> {
+        let old = match op {
+            StoreOp::Put { key, value } => {
+                let head = write_value(&self.heap, value)?;
+                self.index.insert(key, &head.to_u64().to_le_bytes())?
+            }
+            StoreOp::Delete { key } => self.index.delete(key)?,
+        };
+        match old {
+            Some(old) => self.delete_value(rid_of(&old)?),
+            None => Ok(()),
         }
-        for chunk in chunks.iter().rev() {
-            let mut rec = Vec::with_capacity(8 + chunk.len());
-            rec.extend_from_slice(&next.to_le_bytes());
-            rec.extend_from_slice(chunk);
-            let rid = self.heap.insert(&rec)?;
-            next = rid.to_u64() + 1; // +1 so 0 can mean "no next"
-        }
-        Ok(RecordId::from_u64(next - 1))
     }
 
     /// Read a chunk chain starting at `head`.
@@ -188,16 +192,8 @@ impl Engine {
         let mut cur = Some(head);
         while let Some(rid) = cur {
             let rec = self.heap.get(rid)?;
-            if rec.len() < 8 {
-                return Err(HipacError::Corruption("value chunk too short".into()));
-            }
-            let next = u64::from_le_bytes(rec[..8].try_into().unwrap());
+            cur = next_chunk(&rec)?;
             out.extend_from_slice(&rec[8..]);
-            cur = if next == 0 {
-                None
-            } else {
-                Some(RecordId::from_u64(next - 1))
-            };
         }
         Ok(out)
     }
@@ -207,62 +203,60 @@ impl Engine {
         let mut cur = Some(head);
         while let Some(rid) = cur {
             let rec = self.heap.get(rid)?;
-            let next = u64::from_le_bytes(rec[..8].try_into().unwrap());
             self.heap.delete(rid)?;
-            cur = if next == 0 {
-                None
-            } else {
-                Some(RecordId::from_u64(next - 1))
-            };
-        }
-        Ok(())
-    }
-
-    fn apply(&self, op: &StoreOp) -> Result<()> {
-        match op {
-            StoreOp::Put { key, value } => {
-                let head = self.write_value(value)?;
-                if let Some(old) = self.index.insert(key, &head.to_u64().to_le_bytes())? {
-                    let old_rid = RecordId::from_u64(u64::from_le_bytes(
-                        old.as_slice().try_into().map_err(|_| {
-                            HipacError::Corruption("bad rid in index".into())
-                        })?,
-                    ));
-                    self.delete_value(old_rid)?;
-                }
-            }
-            StoreOp::Delete { key } => {
-                if let Some(old) = self.index.delete(key)? {
-                    let old_rid = RecordId::from_u64(u64::from_le_bytes(
-                        old.as_slice().try_into().map_err(|_| {
-                            HipacError::Corruption("bad rid in index".into())
-                        })?,
-                    ));
-                    self.delete_value(old_rid)?;
-                }
-            }
+            cur = next_chunk(&rec)?;
         }
         Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match self.index.get(key)? {
-            Some(ridb) => {
-                let rid = RecordId::from_u64(u64::from_le_bytes(
-                    ridb.as_slice()
-                        .try_into()
-                        .map_err(|_| HipacError::Corruption("bad rid in index".into()))?,
-                ));
-                Ok(Some(self.read_value(rid)?))
-            }
+            Some(ridb) => Ok(Some(self.read_value(rid_of(&ridb)?)?)),
             None => Ok(None),
         }
     }
 }
 
+/// Store `value` in `heap` as a chunk chain; returns the head record id.
+fn write_value(heap: &HeapFile, value: &[u8]) -> Result<RecordId> {
+    let chunk_payload = HeapFile::max_record_len() - 8;
+    // Write chunks back-to-front so each holds its successor's rid.
+    let mut next: u64 = 0;
+    let mut chunks: Vec<&[u8]> = value.chunks(chunk_payload).collect();
+    if chunks.is_empty() {
+        chunks.push(&[]);
+    }
+    for chunk in chunks.iter().rev() {
+        let mut rec = Vec::with_capacity(8 + chunk.len());
+        rec.extend_from_slice(&next.to_le_bytes());
+        rec.extend_from_slice(chunk);
+        let rid = heap.insert(&rec)?;
+        next = rid.to_u64() + 1; // +1 so 0 can mean "no next"
+    }
+    Ok(RecordId::from_u64(next - 1))
+}
+
+/// The successor link in a chunk record's first eight bytes.
+fn next_chunk(rec: &[u8]) -> Result<Option<RecordId>> {
+    let link = rec
+        .get(..8)
+        .ok_or_else(|| HipacError::Corruption("value chunk too short".into()))?;
+    let next = u64::from_le_bytes(link.try_into().expect("eight bytes"));
+    Ok((next != 0).then(|| RecordId::from_u64(next - 1)))
+}
+
+/// Decode the record id an index leaf stores for a key.
+fn rid_of(bytes: &[u8]) -> Result<RecordId> {
+    let raw = bytes
+        .try_into()
+        .map_err(|_| HipacError::Corruption("bad rid in index".into()))?;
+    Ok(RecordId::from_u64(u64::from_le_bytes(raw)))
+}
+
 struct Inner {
     engine: Engine,
     wal: Wal,
+    pool_capacity: usize,
     checkpoint_threshold: u64,
     faults: Arc<FaultPolicy>,
 }
@@ -449,6 +443,7 @@ impl DurableStore {
             inner: Mutex::new(Inner {
                 engine,
                 wal,
+                pool_capacity,
                 checkpoint_threshold,
                 faults,
             }),
@@ -721,12 +716,7 @@ impl DurableStore {
         let keys = inner.engine.index.range(start, end)?;
         let mut out = Vec::with_capacity(keys.len());
         for (key, ridb) in keys {
-            let rid = RecordId::from_u64(u64::from_le_bytes(
-                ridb.as_slice()
-                    .try_into()
-                    .map_err(|_| HipacError::Corruption("bad rid in index".into()))?,
-            ));
-            let value = inner.engine.read_value(rid)?;
+            let value = inner.engine.read_value(rid_of(&ridb)?)?;
             out.push((key, value));
         }
         Ok(out)
@@ -762,26 +752,30 @@ impl DurableStore {
         let tmp_path = dir.join("data.db.tmp");
         let data_path = dir.join("data.db");
         let _ = std::fs::remove_file(&tmp_path);
-        // Build the shadow copy.
+        // Build the shadow copy: one pass over the index in key order,
+        // appending each value to the new heap and handing its new
+        // address to the bulk loader. Every page is written once, as
+        // the small write-back pool steals it or at the final flush.
         {
-            let shadow = Engine::open(&tmp_path, 1024, Arc::clone(&inner.faults))?;
-            for (key, ridb) in inner.engine.index.iter_all()? {
-                let rid = RecordId::from_u64(u64::from_le_bytes(
-                    ridb.as_slice()
-                        .try_into()
-                        .map_err(|_| HipacError::Corruption("bad rid in index".into()))?,
-                ));
-                let value = inner.engine.read_value(rid)?;
-                shadow.apply(&StoreOp::Put { key, value })?;
-            }
-            // Persist the shadow's (possibly moved) roots.
-            let meta = shadow.pool.fetch(PageId(0))?;
+            let disk = DiskManager::open_with_faults(&tmp_path, Arc::clone(&inner.faults))?;
+            let pool = Arc::new(BufferPool::new(Arc::new(disk), SHADOW_POOL_PAGES));
+            let meta = pool.fetch(PageId(0))?;
+            let heap = HeapFile::create(Arc::clone(&pool))?;
+            let live = &inner.engine;
+            let copied = live.index.entries()?.map(|entry| {
+                let (key, ridb) = entry?;
+                let value = live.read_value(rid_of(&ridb)?)?;
+                let head = write_value(&heap, &value)?;
+                Ok((key, head.to_u64().to_le_bytes().to_vec()))
+            });
+            let index = BTree::bulk_load(Arc::clone(&pool), copied)?;
             {
                 let mut guard = meta.write();
-                guard.put_u64(META_HEAP_OFF, shadow.heap.first_page().0);
-                guard.put_u64(META_INDEX_OFF, shadow.index.root_page().0);
+                guard.put_u64(META_MAGIC_OFF, MAGIC);
+                guard.put_u64(META_HEAP_OFF, heap.first_page().0);
+                guard.put_u64(META_INDEX_OFF, index.root_page().0);
             }
-            shadow.pool.flush_and_sync()?;
+            pool.flush_and_sync()?;
         }
         // Atomic switch; the rename itself needs a directory fsync to
         // be durable.
@@ -790,7 +784,7 @@ impl DurableStore {
         inner.faults.hit(FaultPoint::DirSync)?;
         sync_dir(dir)?;
         // Reopen over the new file, then retire the WAL.
-        inner.engine = Engine::open(&data_path, 1024, Arc::clone(&inner.faults))?;
+        inner.engine = Engine::open(&data_path, inner.pool_capacity, Arc::clone(&inner.faults))?;
         inner.wal.append(&WalRecord::Checkpoint)?;
         inner.wal.sync()?;
         inner.wal.reset()?;
@@ -827,16 +821,12 @@ impl DurableStore {
         let inner = self.inner.lock();
         let lsn = inner.wal.durable_lsn();
         let mut out = Vec::new();
-        for (key, ridb) in inner.engine.index.iter_all()? {
+        for entry in inner.engine.index.entries()? {
+            let (key, ridb) = entry?;
             if key == REPL_APPLIED_KEY {
                 continue;
             }
-            let rid = RecordId::from_u64(u64::from_le_bytes(
-                ridb.as_slice()
-                    .try_into()
-                    .map_err(|_| HipacError::Corruption("bad rid in index".into()))?,
-            ));
-            let value = inner.engine.read_value(rid)?;
+            let value = inner.engine.read_value(rid_of(&ridb)?)?;
             out.push((key, value));
         }
         Ok((lsn, out))

@@ -269,3 +269,82 @@ fn enumeration_is_deterministic() {
     }
     assert_eq!(histograms[0], histograms[1]);
 }
+
+/// The shadow file is built through a small write-back pool, so a
+/// checkpoint of a store larger than that pool has *stolen* pages in
+/// `data.db.tmp` long before its fsync. A crash at any such point must
+/// leave the old file and the full WAL in charge: the half-written
+/// shadow is discarded at reopen, nothing is lost, and the checkpoint
+/// can simply run again.
+#[test]
+fn crash_mid_shadow_with_stolen_pages_on_disk() {
+    use hipac_storage::FaultPoint;
+
+    let steps = vec![
+        Step::Batch(
+            (0..600u32)
+                .map(|i| put(&i.to_be_bytes(), vec![i as u8; 1_000]))
+                .collect(),
+        ),
+        Step::Batch(vec![del(&7u32.to_be_bytes()), put(b"tail", vec![1; 9_000])]),
+        Step::Checkpoint,
+    ];
+    let expected = model_after(&steps, steps.len());
+
+    let count_dir = tmpdir("shadow-count");
+    let counter = FaultPolicy::count_only();
+    let store =
+        DurableStore::open_with_faults(&count_dir, POOL_PAGES, NO_AUTO_CKPT, Arc::clone(&counter))
+            .unwrap();
+    run(&store, &steps[..2], 0).unwrap();
+    let checkpoint_start = counter.log().len();
+    run(&store, &steps, 2).unwrap();
+    drop(store);
+    // A page write that precedes a later allocation happened while the
+    // copy was still running: a steal, not the final flush.
+    let log = counter.log();
+    let last_allocate = log
+        .iter()
+        .rposition(|p| *p == FaultPoint::DiskAllocate)
+        .unwrap();
+    let steals: Vec<usize> = (checkpoint_start..last_allocate)
+        .filter(|&k| log[k] == FaultPoint::DiskWrite)
+        .collect();
+    assert!(
+        steals.len() > 20,
+        "the shadow pool stole only {} pages",
+        steals.len()
+    );
+
+    // Crash just after the first steal, mid-way, and at the last
+    // allocation (every steal already on disk).
+    for k in [steals[0] + 1, steals[steals.len() / 2] + 1, last_allocate] {
+        let dir = tmpdir(&format!("shadow-k{k}"));
+        let faults = FaultPolicy::crash_at(k as u64, SEED ^ k as u64);
+        let store = DurableStore::open_with_faults(&dir, POOL_PAGES, NO_AUTO_CKPT, faults).unwrap();
+        let (step, err) = run(&store, &steps, 0).unwrap_err();
+        assert_eq!(step, 2, "k={k}: the crash must land inside the checkpoint");
+        assert!(FaultPolicy::is_injected(&err), "k={k}: {err}");
+        drop(store);
+        let shadow = dir.join("data.db.tmp");
+        assert!(
+            std::fs::metadata(&shadow).unwrap().len() > 8 * 4096,
+            "k={k}: stolen pages should be in the shadow file"
+        );
+        let recovered = DurableStore::open(&dir).unwrap();
+        assert!(
+            !shadow.exists(),
+            "k={k}: a stale shadow is discarded at open"
+        );
+        assert_eq!(dump(&recovered), expected, "k={k}: old file + WAL");
+        assert!(
+            recovered.wal_size().unwrap() > 0,
+            "k={k}: the WAL was not retired"
+        );
+        run(&recovered, &steps, 2).unwrap();
+        assert_eq!(recovered.wal_size().unwrap(), 0);
+        assert_eq!(dump(&recovered), expected, "k={k}: after the rerun");
+        drop(recovered);
+        assert_eq!(dump(&DurableStore::open(&dir).unwrap()), expected);
+    }
+}

@@ -102,6 +102,72 @@ proptest! {
         prop_assert_eq!(all, expected);
     }
 
+    /// `bulk_load(sorted)` builds the tree `insert` would: same contents
+    /// under `get`/`range`/`len`, no taller, and as open to later
+    /// inserts and deletes (which exercise splits and rebalances of the
+    /// tightly packed nodes it leaves).
+    #[test]
+    fn bulk_load_matches_repeated_insert(
+        entries in proptest::collection::vec(
+            (
+                proptest::collection::vec(any::<u8>(), 1..24),
+                prop_oneof![
+                    proptest::collection::vec(any::<u8>(), 0..16),
+                    proptest::collection::vec(any::<u8>(), 900..1000),
+                ],
+            ),
+            0..300,
+        ),
+        churn in proptest::collection::vec(arb_tree_op(), 0..60),
+    ) {
+        let dir = tmpdir("bulk-load");
+        let pool = |name: &str| {
+            Arc::new(BufferPool::new(
+                Arc::new(DiskManager::open(&dir.join(name)).unwrap()),
+                8,
+            ))
+        };
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = entries.into_iter().collect();
+        let inserted = BTree::create(pool("inserted.db")).unwrap();
+        for (k, v) in &model {
+            inserted.insert(k, v).unwrap();
+        }
+        let loaded = BTree::bulk_load(pool("loaded.db"), model.clone().into_iter().map(Ok)).unwrap();
+
+        prop_assert_eq!(loaded.len().unwrap(), model.len());
+        prop_assert_eq!(loaded.iter_all().unwrap(), inserted.iter_all().unwrap());
+        prop_assert!(loaded.height().unwrap() <= inserted.height().unwrap());
+        for k in model.keys() {
+            prop_assert_eq!(loaded.get(k).unwrap(), model.get(k).cloned());
+            let mut absent = k.clone();
+            absent.push(0xFF);
+            prop_assert_eq!(loaded.get(&absent).unwrap(), model.get(&absent).cloned());
+            let from_k = loaded.range(Bound::Excluded(&k[..]), Bound::Included(&absent[..])).unwrap();
+            let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                .range::<[u8], _>((Bound::Excluded(&k[..]), Bound::Included(&absent[..])))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(from_k, expected);
+        }
+        for op in churn {
+            match op {
+                TreeOp::Insert(k, v) => {
+                    prop_assert_eq!(loaded.insert(&k, &v).unwrap(), model.insert(k, v));
+                }
+                TreeOp::Delete(k) | TreeOp::Get(k) | TreeOp::Range(k, _) => {
+                    prop_assert_eq!(loaded.delete(&k).unwrap(), model.remove(&k));
+                }
+            }
+        }
+        // Drain half of what is left, so packed leaves underflow.
+        let victims: Vec<Vec<u8>> = model.keys().step_by(2).cloned().collect();
+        for k in victims {
+            prop_assert_eq!(loaded.delete(&k).unwrap(), model.remove(&k));
+        }
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+        prop_assert_eq!(loaded.iter_all().unwrap(), expected);
+    }
+
     #[test]
     fn slotted_page_matches_vec_model(
         ops in proptest::collection::vec(

@@ -271,6 +271,21 @@ impl TxnTree {
         }
     }
 
+    /// The first `Some` that `f` returns along the chain from `txn` up
+    /// to its top-level ancestor — [`TxnTree::ancestors_inclusive`]
+    /// without the allocation, for per-row paths.
+    pub fn find_in_chain<T>(&self, txn: TxnId, mut f: impl FnMut(TxnId) -> Option<T>) -> Option<T> {
+        let txns = self.txns.read();
+        let mut cur = Some(txn);
+        while let Some(id) = cur {
+            if let Some(found) = f(id) {
+                return Some(found);
+            }
+            cur = txns.get(&id).and_then(|m| m.parent);
+        }
+        None
+    }
+
     /// Chain from `txn` up to (and including) its top-level ancestor.
     pub fn ancestors_inclusive(&self, txn: TxnId) -> Vec<TxnId> {
         let txns = self.txns.read();

@@ -61,16 +61,19 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
     /// Read `key` as seen by `txn`.
     pub fn get(&self, txn: TxnId, key: &K) -> Option<V> {
         let inner = self.inner.read();
-        for t in self.tree.ancestors_inclusive(txn) {
-            if let Some(layer) = inner.pending.get(&t) {
-                match layer.get(key) {
-                    Some(Pending::Put(v)) => return Some(v.clone()),
-                    Some(Pending::Delete) => return None,
-                    None => {}
-                }
-            }
+        // No transaction has written anything: skip the chain walk.
+        let pending = if inner.pending.is_empty() {
+            None
+        } else {
+            self.tree.find_in_chain(txn, |t| {
+                inner.pending.get(&t).and_then(|layer| layer.get(key))
+            })
+        };
+        match pending {
+            Some(Pending::Put(v)) => Some(v.clone()),
+            Some(Pending::Delete) => None,
+            None => inner.committed.get(key).cloned(),
         }
-        inner.committed.get(key).cloned()
     }
 
     /// Read the committed version of `key`, ignoring all transactions.

@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (full workspace, network matching — the default)"
-cargo test -q
+echo "==> cargo test -q --no-fail-fast (full workspace, network matching — the default)"
+# --no-fail-fast: one red suite must not hide the suites scheduled after it.
+cargo test -q --no-fail-fast
 
 echo "==> cargo test -q (naive matching: engine-level suites under the oracle dispatch path)"
 HIPAC_MATCHING=naive cargo test -q -p hipac -p hipac-rules -p hipac-bench
@@ -23,8 +24,9 @@ cargo test -q -p hipac-rules --test match_properties
 echo "==> match bench smoke (1k/10k rules, network vs naive dispatch)"
 cargo run --release -q -p hipac-bench --bin report -- --only match --smoke
 
-echo "==> crash matrix (deterministic, fixed seed)"
-cargo test -q -p hipac-storage --test crash_matrix
+echo "==> crash matrix (deterministic, fixed seed), streaming-checkpoint counts, index atomicity"
+cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream
+cargo test -q -p hipac-object --test index_atomicity
 
 echo "==> serializability-checked stress suites"
 cargo test -q -p hipac --test chaos --test coupling_stress
@@ -99,5 +101,8 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "==> clippy unavailable in this toolchain; skipping lint"
 fi
+
+echo "==> benchmark smoke (bench/: all four workloads at 1/20 size, untraced then traced)"
+bash bench/run.sh --smoke
 
 echo "==> CI OK"

@@ -1,11 +1,18 @@
 //! Differential harness: the discrimination network
 //! ([`Matching::Network`]) must be observationally equivalent to the
-//! naive full-list oracle ([`Matching::Naive`]) — same fired rules in
-//! the same order, same satisfied-condition counts, same committed
-//! state — across randomized rule sets (equality / range / compound /
-//! residual conditions), data churn, rule churn (create / alter / drop
-//! / enable / disable), abort-heavy schedules, durable restarts (in
-//! either mode) and injected storage crashes.
+//! naive full-list oracle ([`Matching::Naive`]) — the same multiset of
+//! fired rules in every transaction, same satisfied-condition counts,
+//! same committed state — across randomized rule sets (equality / range
+//! / compound / residual conditions), data churn, rule churn (create /
+//! alter / drop / enable / disable), abort-heavy schedules, durable
+//! restarts (in either mode) and injected storage crashes.
+//!
+//! Firings are compared per transaction as multisets, not as one
+//! ordered log: the rules a transaction triggers fire as concurrent
+//! sibling subtransactions (paper §3), serializability is the only
+//! criterion, and which sibling's action reaches the handler first is
+//! the scheduler's business — an ordered comparison fails whenever the
+//! cores are busy.
 
 use hipac::prelude::*;
 use hipac::Matching;
@@ -380,8 +387,12 @@ impl Harness {
             .unwrap_or_default()
     }
 
+    /// The rules fired since the last call — one schedule step's worth
+    /// when called after every [`Harness::apply`] — as a sorted multiset.
     fn fired(&self) -> Vec<String> {
-        self.log.lock().unwrap().clone()
+        let mut fired = std::mem::take(&mut *self.log.lock().unwrap());
+        fired.sort();
+        fired
     }
 
     fn satisfied(&self) -> u64 {
@@ -413,7 +424,7 @@ fn run_diff(seed: u64, steps: usize, abort_pct: u64) {
         assert_eq!(
             naive.fired(),
             network.fired(),
-            "seed {seed}: fired-rule traces diverged after step {i}: {step:?}"
+            "seed {seed}: fired-rule multisets diverged in step {i}: {step:?}"
         );
     }
     assert_eq!(naive.state(), network.state(), "seed {seed}: committed state diverged");
@@ -461,8 +472,12 @@ fn durable_restart_crosses_modes() {
         a.apply(step).unwrap();
         b.apply(step).unwrap();
         next_rule = a.next_rule;
+        assert_eq!(
+            a.fired(),
+            b.fired(),
+            "pre-restart firings diverged in {step:?}"
+        );
     }
-    assert_eq!(a.fired(), b.fired());
     drop(a);
     drop(b);
 
@@ -476,8 +491,12 @@ fn durable_restart_crosses_modes() {
     for step in second {
         a.apply(step).unwrap();
         b.apply(step).unwrap();
+        assert_eq!(
+            a.fired(),
+            b.fired(),
+            "post-restart firings diverged in {step:?}"
+        );
     }
-    assert_eq!(a.fired(), b.fired(), "post-restart traces diverged");
     assert_eq!(a.state(), b.state(), "post-restart states diverged");
 }
 
