@@ -19,8 +19,19 @@ use hipac_rules::{Action, ActionOp, RuleDef};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// The horde test asserts on this process's thread count, which any
+/// server another test starts beside it would move: the binary's tests
+/// take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock leaves nothing behind
+    // that the next one depends on.
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn server_with(config: ServerConfig) -> HipacServer {
     let db = Arc::new(
@@ -107,6 +118,7 @@ fn fd_soft_limit() -> u64 {
 /// allows. `HORDE_N` overrides the target for quick local runs.
 #[test]
 fn idle_subscriber_horde_costs_fds_not_threads() {
+    let _serial = serial();
     let budget = fd_soft_limit().saturating_sub(1000) / 3;
     let target = std::env::var("HORDE_N")
         .ok()
@@ -191,6 +203,7 @@ fn idle_subscriber_horde_costs_fds_not_threads() {
 /// completes in a fraction of `pushes x push_write_timeout`.
 #[test]
 fn slow_subscriber_is_culled_without_stalling_fanout() {
+    let _serial = serial();
     const PUSHES: usize = 64;
     let timeout = Duration::from_millis(150);
     let server = server_with(ServerConfig {
@@ -282,6 +295,7 @@ fn slow_subscriber_is_culled_without_stalling_fanout() {
 /// re-executing.
 #[test]
 fn dedup_survives_reconnect_across_shards() {
+    let _serial = serial();
     let server = server_with(ServerConfig {
         reactor_shards: 2,
         ..ServerConfig::default()

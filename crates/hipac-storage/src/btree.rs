@@ -1,9 +1,15 @@
 //! A disk-backed B+tree mapping byte keys to byte values.
 //!
-//! Nodes are serialized whole into buffer-pool pages (clarity over raw
-//! in-page mutation; the buffer pool keeps hot nodes resident so the
-//! asymptotics are unchanged). Keys are unique; `insert` is an upsert.
-//! Leaves are chained for range scans.
+//! Each node is one length-prefixed serialized record in its own
+//! buffer-pool page, and is read and changed where it lies: a lookup or
+//! descent parses the header and scans the entries borrowed from the
+//! page guard, building nothing and cloning only the value it returns;
+//! a leaf upsert or delete that neither splits nor underflows writes
+//! the new node bytes once, spliced from the old page's slices and the
+//! new entry. Only the rare split, merge and redistribute paths decode
+//! a node into an owned [`Node`], change it and re-encode it — in the
+//! same format, so either writer can follow the other. Keys are unique;
+//! `insert` is an upsert. Leaves are chained for range scans.
 //!
 //! Sizing is byte-based rather than arity-based: a node splits when its
 //! serialized form outgrows a page and is rebalanced (merged with or
@@ -19,10 +25,11 @@
 //! flushing dirty pages in place.
 
 use crate::buffer::{BufferPool, PageRef};
-use crate::page::{PageId, PAGE_SIZE};
+use crate::page::{Page, PageId, PAGE_SIZE};
 use hipac_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use hipac_common::{HipacError, Result};
 use parking_lot::{RwLock, RwLockReadGuard};
+use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -38,15 +45,21 @@ const NODE_HEADER: usize = 16;
 /// Upper bound on a serialized child pointer (a varint page id).
 const CHILD_POINTER: usize = 10;
 
-/// Serialized size of a length-prefixed byte string no longer than
-/// [`MAX_ENTRY`] (whose length fits a two-byte varint).
+/// Serialized size of the varint `v`.
+fn uvarint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Serialized size of a length-prefixed byte string.
 fn encoded_len(bytes: &[u8]) -> usize {
-    bytes.len() + if bytes.len() < 0x80 { 1 } else { 2 }
+    uvarint_len(bytes.len() as u64) + bytes.len()
 }
 
 const TYPE_LEAF: u8 = 1;
 const TYPE_INTERNAL: u8 = 2;
 
+/// A node decoded into owned entries: the split/merge/redistribute
+/// representation, and the format's reference codec.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
@@ -61,7 +74,7 @@ enum Node {
 
 impl Node {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(256);
+        let mut buf = Vec::with_capacity(self.size());
         match self {
             Node::Leaf { next, entries } => {
                 buf.push(TYPE_LEAF);
@@ -87,49 +100,188 @@ impl Node {
     }
 
     fn decode(buf: &[u8]) -> Result<Node> {
-        let mut pos = 0usize;
-        let ty = *buf
-            .first()
-            .ok_or_else(|| HipacError::Corruption("empty btree node".into()))?;
-        pos += 1;
-        match ty {
-            TYPE_LEAF => {
-                let next = PageId(get_uvarint(buf, &mut pos)?);
-                let n = get_uvarint(buf, &mut pos)? as usize;
-                let mut entries = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let k = get_bytes(buf, &mut pos)?.to_vec();
-                    let v = get_bytes(buf, &mut pos)?.to_vec();
-                    entries.push((k, v));
-                }
-                Ok(Node::Leaf { next, entries })
+        let view = NodeView::parse(buf)?;
+        let mut pos = view.body;
+        let mut bytes = || get_bytes(buf, &mut pos).map(<[u8]>::to_vec);
+        if view.leaf {
+            let mut entries = Vec::with_capacity(view.count.min(1024));
+            for _ in 0..view.count {
+                entries.push((bytes()?, bytes()?));
             }
-            TYPE_INTERNAL => {
-                let n = get_uvarint(buf, &mut pos)? as usize;
-                let mut keys = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    keys.push(get_bytes(buf, &mut pos)?.to_vec());
-                }
-                let mut children = Vec::with_capacity(n + 1);
-                for _ in 0..=n {
-                    children.push(PageId(get_uvarint(buf, &mut pos)?));
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            other => Err(HipacError::Corruption(format!(
-                "unknown btree node type {other}"
-            ))),
+            let next = view.next;
+            return Ok(Node::Leaf { next, entries });
+        }
+        let mut keys = Vec::with_capacity(view.count.min(1024));
+        for _ in 0..view.count {
+            keys.push(bytes()?);
+        }
+        let mut children = Vec::with_capacity(keys.len() + 1);
+        for _ in 0..=view.count {
+            children.push(PageId(get_uvarint(buf, &mut pos)?));
+        }
+        Ok(Node::Internal { keys, children })
+    }
+
+    /// In an internal node, take in the split of child `idx`: its
+    /// separator and new right sibling.
+    fn adopt(&mut self, idx: usize, (sep, right): (Vec<u8>, PageId)) {
+        if let Node::Internal { keys, children } = self {
+            keys.insert(idx, sep);
+            children.insert(idx + 1, right);
         }
     }
 
+    /// Serialized size, computed without serializing.
     fn size(&self) -> usize {
-        self.encode().len()
+        match self {
+            Node::Leaf { next, entries } => {
+                1 + uvarint_len(next.0)
+                    + uvarint_len(entries.len() as u64)
+                    + entries
+                        .iter()
+                        .map(|(k, v)| encoded_len(k) + encoded_len(v))
+                        .sum::<usize>()
+            }
+            Node::Internal { keys, children } => {
+                1 + uvarint_len(keys.len() as u64)
+                    + keys.iter().map(|k| encoded_len(k)).sum::<usize>()
+                    + children.iter().map(|c| uvarint_len(c.0)).sum::<usize>()
+            }
+        }
     }
 }
 
-/// Result of a recursive insert: a promoted separator and new right
-/// sibling, if the child split.
+/// A serialized node parsed where it lies: the header decoded, the
+/// entries (leaf) or keys then children (internal) left in place.
+struct NodeView<'a> {
+    bytes: &'a [u8],
+    leaf: bool,
+    /// A leaf's successor in the chain (null for internal nodes).
+    next: PageId,
+    /// Entries of a leaf; separator keys of an internal node.
+    count: usize,
+    /// Byte offset of the first entry or key.
+    body: usize,
+}
+
+/// Where a key falls among a serialized leaf's entries.
+struct Seek<'a> {
+    /// Byte offset of the first entry whose key is not less than it.
+    at: usize,
+    /// Byte offset just past that entry if its key is equal, else `at`.
+    end: usize,
+    /// The equal entry's value.
+    value: Option<&'a [u8]>,
+}
+
+impl<'a> NodeView<'a> {
+    fn parse(bytes: &'a [u8]) -> Result<NodeView<'a>> {
+        let mut pos = 1;
+        let (leaf, next) = match bytes.first() {
+            Some(&TYPE_LEAF) => (true, PageId(get_uvarint(bytes, &mut pos)?)),
+            Some(&TYPE_INTERNAL) => (false, PageId::NULL),
+            Some(other) => {
+                return Err(HipacError::Corruption(format!(
+                    "unknown btree node type {other}"
+                )))
+            }
+            None => return Err(HipacError::Corruption("empty btree node".into())),
+        };
+        let count = get_uvarint(bytes, &mut pos)? as usize;
+        Ok(NodeView {
+            bytes,
+            leaf,
+            next,
+            count,
+            body: pos,
+        })
+    }
+
+    /// In a leaf, scan the entries up to the first key not less than
+    /// `key`.
+    fn seek(&self, key: &[u8]) -> Result<Seek<'a>> {
+        let mut pos = self.body;
+        for _ in 0..self.count {
+            let at = pos;
+            let k = get_bytes(self.bytes, &mut pos)?;
+            let v = get_bytes(self.bytes, &mut pos)?;
+            let (end, value) = match k.cmp(key) {
+                Ordering::Less => continue,
+                Ordering::Equal => (pos, Some(v)),
+                Ordering::Greater => (at, None),
+            };
+            return Ok(Seek { at, end, value });
+        }
+        Ok(Seek {
+            at: pos,
+            end: pos,
+            value: None,
+        })
+    }
+
+    /// In an internal node, the index and page of the child whose
+    /// subtree holds `key`: the child after the last separator `<= key`.
+    fn child(&self, key: &[u8]) -> Result<(usize, PageId)> {
+        let mut pos = self.body;
+        let mut idx = self.count;
+        for i in 0..self.count {
+            if get_bytes(self.bytes, &mut pos)? > key && idx == self.count {
+                idx = i;
+            }
+        }
+        for _ in 0..idx {
+            get_uvarint(self.bytes, &mut pos)?;
+        }
+        Ok((idx, PageId(get_uvarint(self.bytes, &mut pos)?)))
+    }
+
+    /// This leaf re-serialized with the entry at `seek` replaced by
+    /// `entry` (or removed): an upsert or delete written once, from the
+    /// page's own slices.
+    fn splice(&self, seek: &Seek<'_>, entry: Option<(&[u8], &[u8])>) -> Vec<u8> {
+        let (key, value) = entry.unwrap_or_default();
+        let count = self.count + usize::from(entry.is_some()) - usize::from(seek.value.is_some());
+        let mut out =
+            Vec::with_capacity(self.bytes.len() + encoded_len(key) + encoded_len(value) + 2);
+        out.push(TYPE_LEAF);
+        put_uvarint(&mut out, self.next.0);
+        put_uvarint(&mut out, count as u64);
+        out.extend_from_slice(&self.bytes[self.body..seek.at]);
+        if entry.is_some() {
+            put_bytes(&mut out, key);
+            put_bytes(&mut out, value);
+        }
+        out.extend_from_slice(&self.bytes[seek.end..]);
+        out
+    }
+}
+
+/// The serialized node held by `page`, checked against its length
+/// field.
+fn node_bytes(page: &Page, id: PageId) -> Result<&[u8]> {
+    let len = page.get_u32(0) as usize;
+    if len > NODE_CAPACITY {
+        return Err(HipacError::Corruption(format!(
+            "btree node {id} length field {len}"
+        )));
+    }
+    Ok(page.get_slice(4, len))
+}
+
+/// Result of a recursive insert or delete: a promoted separator and
+/// new right sibling, if the child split.
 type SplitInfo = Option<(Vec<u8>, PageId)>;
+
+/// What a recursive delete did to the subtree it descended into.
+struct Removed {
+    /// The removed value, if the key was present.
+    old: Option<Vec<u8>>,
+    /// The subtree root's serialized size afterwards: its parent
+    /// rebalances it when that fell below [`UNDERFLOW`].
+    size: usize,
+    /// Rebalancing below can lengthen a separator, and so split a node.
+    split: SplitInfo,
+}
 
 /// The B+tree.
 pub struct BTree {
@@ -161,14 +313,7 @@ impl BTree {
     /// Open an existing tree rooted at `root`.
     pub fn open(pool: Arc<BufferPool>, root: PageId) -> Result<Self> {
         // Validate eagerly so corruption surfaces at open time.
-        let page = pool.fetch(root)?;
-        let guard = page.read();
-        let len = guard.get_u32(0) as usize;
-        if len > NODE_CAPACITY {
-            return Err(HipacError::Corruption("btree root length field".into()));
-        }
-        Node::decode(guard.get_slice(4, len))?;
-        drop(guard);
+        Self::read_node(&pool, root)?;
         Ok(BTree {
             pool,
             root: RwLock::new(root),
@@ -271,15 +416,7 @@ impl BTree {
     }
 
     fn read_node(pool: &BufferPool, id: PageId) -> Result<Node> {
-        let page = pool.fetch(id)?;
-        let guard = page.read();
-        let len = guard.get_u32(0) as usize;
-        if len > NODE_CAPACITY {
-            return Err(HipacError::Corruption(format!(
-                "btree node {id} length field {len}"
-            )));
-        }
-        Node::decode(guard.get_slice(4, len))
+        Node::decode(node_bytes(&pool.fetch(id)?.read(), id)?)
     }
 
     fn write_node(pool: &BufferPool, id: PageId, node: &Node) -> Result<()> {
@@ -287,7 +424,10 @@ impl BTree {
     }
 
     fn write_into(page: &PageRef, node: &Node) -> Result<()> {
-        let bytes = node.encode();
+        Self::write_bytes(page, &node.encode())
+    }
+
+    fn write_bytes(page: &PageRef, bytes: &[u8]) -> Result<()> {
         if bytes.len() > NODE_CAPACITY {
             return Err(HipacError::internal(format!(
                 "btree node {} overflow: {} bytes",
@@ -297,8 +437,23 @@ impl BTree {
         }
         let mut guard = page.write();
         guard.put_u32(0, bytes.len() as u32);
-        guard.put_slice(4, &bytes);
+        guard.put_slice(4, bytes);
         Ok(())
+    }
+
+    /// The leaf whose key range holds `key`, reached from `id` by
+    /// reading each internal node in place.
+    fn find_leaf(pool: &BufferPool, mut id: PageId, key: &[u8]) -> Result<PageRef> {
+        loop {
+            let page = pool.fetch(id)?;
+            let guard = page.read();
+            let view = NodeView::parse(node_bytes(&guard, id)?)?;
+            if view.leaf {
+                drop(guard);
+                return Ok(page);
+            }
+            id = view.child(key)?.1;
+        }
     }
 
     fn check_entry(key: &[u8], value: &[u8]) -> Result<()> {
@@ -314,21 +469,10 @@ impl BTree {
     /// Look up `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let root = self.root.read();
-        let mut id = *root;
-        loop {
-            match Self::read_node(&self.pool, id)? {
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    id = children[idx];
-                }
-            }
-        }
+        let leaf = Self::find_leaf(&self.pool, *root, key)?;
+        let guard = leaf.read();
+        let view = NodeView::parse(node_bytes(&guard, leaf.id())?)?;
+        Ok(view.seek(key)?.value.map(<[u8]>::to_vec))
     }
 
     /// Insert or replace `key`; returns the previous value, if any.
@@ -336,19 +480,7 @@ impl BTree {
         Self::check_entry(key, value)?;
         let mut root = self.root.write();
         let (old, split) = self.insert_rec(*root, key, value)?;
-        if let Some((sep, right)) = split {
-            let page = self.pool.new_page()?;
-            let new_root = page.id();
-            Self::write_node(
-                &self.pool,
-                new_root,
-                &Node::Internal {
-                    keys: vec![sep],
-                    children: vec![*root, right],
-                },
-            )?;
-            *root = new_root;
-        }
+        self.grow_root(&mut root, split)?;
         Ok(old)
     }
 
@@ -358,47 +490,64 @@ impl BTree {
         key: &[u8],
         value: &[u8],
     ) -> Result<(Option<Vec<u8>>, SplitInfo)> {
-        let mut node = Self::read_node(&self.pool, id)?;
-        let old = match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let prev = std::mem::replace(&mut entries[i].1, value.to_vec());
-                        Some(prev)
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value.to_vec()));
-                        None
-                    }
-                }
+        let page = self.pool.fetch(id)?;
+        let guard = page.read();
+        let view = NodeView::parse(node_bytes(&guard, id)?)?;
+        if view.leaf {
+            let seek = view.seek(key)?;
+            let old = seek.value.map(<[u8]>::to_vec);
+            let bytes = view.splice(&seek, Some((key, value)));
+            drop(guard);
+            if bytes.len() <= NODE_CAPACITY {
+                Self::write_bytes(&page, &bytes)?;
+                return Ok((old, None));
             }
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child = children[idx];
-                let (old, split) = self.insert_rec(child, key, value)?;
-                if let Some((sep, right)) = split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                }
-                old
-            }
-        };
-        if node.size() > NODE_CAPACITY {
-            let (sep, right_node) = Self::split(&mut node);
-            let right_page = self.pool.new_page()?;
-            let right_id = right_page.id();
-            // For leaves fix the chain: left -> new right -> old next
-            // (right_node already carries the old next pointer).
-            if let Node::Leaf { next, .. } = &mut node {
-                *next = right_id;
-            }
-            Self::write_node(&self.pool, right_id, &right_node)?;
-            Self::write_node(&self.pool, id, &node)?;
-            Ok((old, Some((sep, right_id))))
-        } else {
-            Self::write_node(&self.pool, id, &node)?;
-            Ok((old, None))
+            return Ok((old, self.write_or_split(&page, Node::decode(&bytes)?)?));
         }
+        let (idx, child) = view.child(key)?;
+        drop(guard);
+        let (old, split) = self.insert_rec(child, key, value)?;
+        let Some(split) = split else {
+            return Ok((old, None));
+        };
+        let mut node = Self::read_node(&self.pool, id)?;
+        node.adopt(idx, split);
+        Ok((old, self.write_or_split(&page, node)?))
+    }
+
+    /// Put a new root above a root that split.
+    fn grow_root(&self, root: &mut PageId, split: SplitInfo) -> Result<()> {
+        if let Some((sep, right)) = split {
+            let page = self.pool.new_page()?;
+            Self::write_into(
+                &page,
+                &Node::Internal {
+                    keys: vec![sep],
+                    children: vec![*root, right],
+                },
+            )?;
+            *root = page.id();
+        }
+        Ok(())
+    }
+
+    /// Write `node` to `page`, first splitting off a new right sibling
+    /// if it outgrew the page.
+    fn write_or_split(&self, page: &PageRef, mut node: Node) -> Result<SplitInfo> {
+        if node.size() <= NODE_CAPACITY {
+            Self::write_into(page, &node)?;
+            return Ok(None);
+        }
+        let (sep, right_node) = Self::split(&mut node);
+        let right_page = self.pool.new_page()?;
+        // For leaves fix the chain: left -> new right -> old next
+        // (right_node already carries the old next pointer).
+        if let Node::Leaf { next, .. } = &mut node {
+            *next = right_page.id();
+        }
+        Self::write_into(&right_page, &right_node)?;
+        Self::write_into(page, &node)?;
+        Ok(Some((sep, right_page.id())))
     }
 
     /// Split an oversized node roughly in half (by bytes for leaves, by
@@ -442,57 +591,72 @@ impl BTree {
     /// Remove `key`; returns the removed value, if present.
     pub fn delete(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let mut root = self.root.write();
-        let old = self.delete_rec(*root, key)?;
+        let removed = self.delete_rec(*root, key)?;
+        self.grow_root(&mut root, removed.split)?;
         // Collapse a root that became a single-child internal node.
         loop {
-            match Self::read_node(&self.pool, *root)? {
-                Node::Internal { keys, children } if keys.is_empty() => {
-                    *root = children[0];
-                }
-                _ => break,
+            let page = self.pool.fetch(*root)?;
+            let guard = page.read();
+            let view = NodeView::parse(node_bytes(&guard, *root)?)?;
+            if view.leaf || view.count > 0 {
+                break;
             }
+            *root = view.child(&[])?.1;
         }
-        Ok(old)
+        Ok(removed.old)
     }
 
-    fn delete_rec(&self, id: PageId, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    fn delete_rec(&self, id: PageId, key: &[u8]) -> Result<Removed> {
+        let page = self.pool.fetch(id)?;
+        let guard = page.read();
+        let view = NodeView::parse(node_bytes(&guard, id)?)?;
+        let size = view.bytes.len();
+        if view.leaf {
+            let seek = view.seek(key)?;
+            let old = seek.value.map(<[u8]>::to_vec);
+            if old.is_none() {
+                return Ok(Removed {
+                    old,
+                    size,
+                    split: None,
+                });
+            }
+            let bytes = view.splice(&seek, None);
+            drop(guard);
+            Self::write_bytes(&page, &bytes)?;
+            return Ok(Removed {
+                old,
+                size: bytes.len(),
+                split: None,
+            });
+        }
+        let (idx, child) = view.child(key)?;
+        let count = view.count;
+        drop(guard);
+        let removed = self.delete_rec(child, key)?;
+        let underflow = removed.old.is_some() && removed.size < UNDERFLOW && count > 0;
+        if removed.split.is_none() && !underflow {
+            return Ok(Removed { size, ..removed });
+        }
         let mut node = Self::read_node(&self.pool, id)?;
-        match &mut node {
-            Node::Leaf { entries, .. } => {
-                match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let (_, v) = entries.remove(i);
-                        Self::write_node(&self.pool, id, &node)?;
-                        Ok(Some(v))
-                    }
-                    Err(_) => Ok(None),
-                }
-            }
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let child_id = children[idx];
-                let old = self.delete_rec(child_id, key)?;
-                if old.is_some() {
-                    let child = Self::read_node(&self.pool, child_id)?;
-                    if child.size() < UNDERFLOW && children.len() > 1 {
-                        self.rebalance(keys, children, idx)?;
-                        Self::write_node(&self.pool, id, &node)?;
-                    }
-                }
-                Ok(old)
-            }
+        match removed.split {
+            Some(split) => node.adopt(idx, split),
+            None => self.rebalance(&mut node, idx)?,
         }
+        Ok(Removed {
+            old: removed.old,
+            size: node.size(),
+            split: self.write_or_split(&page, node)?,
+        })
     }
 
-    /// Fix an underflowing child at `idx` by merging with or borrowing
-    /// from a sibling. `keys`/`children` belong to the parent and are
-    /// mutated in place; the caller rewrites the parent.
-    fn rebalance(
-        &self,
-        keys: &mut Vec<Vec<u8>>,
-        children: &mut Vec<PageId>,
-        idx: usize,
-    ) -> Result<()> {
+    /// Fix an underflowing child at `idx` of `parent` by merging with or
+    /// borrowing from a sibling. The parent is changed in place; the
+    /// caller rewrites it.
+    fn rebalance(&self, parent: &mut Node, idx: usize) -> Result<()> {
+        let Node::Internal { keys, children } = parent else {
+            return Err(HipacError::Corruption("btree leaf with children".into()));
+        };
         // Normalize to (left_idx, right_idx) = adjacent pair.
         let (li, ri) = if idx == 0 { (0, 1) } else { (idx - 1, idx) };
         let left_id = children[li];
@@ -500,8 +664,13 @@ impl BTree {
         let mut left = Self::read_node(&self.pool, left_id)?;
         let mut right = Self::read_node(&self.pool, right_id)?;
         let sep = keys[li].clone();
+        // Merging internal nodes pulls the separator down between them.
+        let pulled_down = match left {
+            Node::Internal { .. } => encoded_len(&sep),
+            Node::Leaf { .. } => 0,
+        };
 
-        if left.size() + right.size() <= NODE_CAPACITY - 64 {
+        if left.size() + right.size() + pulled_down <= NODE_CAPACITY - 64 {
             // Merge right into left.
             match (&mut left, right) {
                 (
@@ -591,16 +760,12 @@ impl BTree {
     /// tree latch (shared) for as long as it lives.
     pub(crate) fn entries_from(&self, seek: &[u8]) -> Result<Entries<'_>> {
         let root = self.root.read();
-        let mut id = *root;
-        while let Node::Internal { keys, children } = Self::read_node(&self.pool, id)? {
-            let idx = keys.partition_point(|k| k.as_slice() <= seek);
-            id = children[idx];
-        }
+        let next = Self::find_leaf(&self.pool, *root, seek)?.id();
         Ok(Entries {
             _latch: root,
             pool: &self.pool,
             leaf: Vec::new().into_iter(),
-            next: id,
+            next,
         })
     }
 
@@ -671,6 +836,35 @@ impl BTree {
                 }
             }
         }
+    }
+
+    /// Walk every node reachable from the root and check that it is in
+    /// the format's canonical form: that its bytes decode with the owned
+    /// codec and re-encode to exactly the same bytes, and that its keys
+    /// ascend strictly. (A diagnostic: the in-place writers are held to
+    /// the owned codec.)
+    pub fn check_nodes(&self) -> Result<()> {
+        let root = self.root.read();
+        let mut stack = vec![*root];
+        while let Some(id) = stack.pop() {
+            let page = self.pool.fetch(id)?;
+            let guard = page.read();
+            let bytes = node_bytes(&guard, id)?;
+            let node = Node::decode(bytes)?;
+            let ascending = match &node {
+                Node::Leaf { entries, .. } => entries.windows(2).all(|w| w[0].0 < w[1].0),
+                Node::Internal { keys, children } => {
+                    stack.extend(children);
+                    keys.windows(2).all(|w| w[0] < w[1])
+                }
+            };
+            if node.encode() != bytes || node.size() != bytes.len() || !ascending {
+                return Err(HipacError::Corruption(format!(
+                    "btree node {id} is not in canonical form"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -871,6 +1065,59 @@ mod tests {
         for i in 0..50u64 {
             assert_eq!(t.get(&key(i)).unwrap(), Some(vec![1u8; 900]));
         }
+    }
+
+    /// Redistributing two leaves can replace their separator with a far
+    /// longer key; when the parent was nearly full, the delete must
+    /// split it and grow the tree instead of overflowing the page.
+    #[test]
+    fn delete_splits_a_parent_whose_separator_grew() {
+        let t = make_tree("separator-grows");
+        let sep = |i: usize| {
+            let mut k = format!("{i:04}").into_bytes();
+            k.resize(40, b'a');
+            k
+        };
+        let long = |i: usize, j: u8| {
+            let mut k = sep(i);
+            k.resize(940, b'z');
+            k.push(j);
+            k
+        };
+        // A root of 90 leaves under 40-byte separators (~3 800 bytes).
+        // Leaf 48 ends in 940-byte keys; leaf 49 sits just above the
+        // underflow line, and too much is in the pair to merge it.
+        let (n, thin) = (90, 49);
+        let mut model = BTreeMap::new();
+        let leaves: Vec<PageRef> = (0..n).map(|_| t.pool.new_page().unwrap()).collect();
+        for (i, page) in leaves.iter().enumerate() {
+            let mut entries = vec![(sep(i), vec![b'v'; 10])];
+            if i == thin - 1 {
+                entries.extend((0..4).map(|j| (long(i, j), Vec::new())));
+            }
+            if i == thin {
+                entries = vec![
+                    (sep(i), vec![1; 600]),
+                    ([sep(i), b"b".to_vec()].concat(), vec![2; 600]),
+                ];
+            }
+            model.extend(entries.iter().cloned());
+            let next = leaves.get(i + 1).map_or(PageId::NULL, PageRef::id);
+            BTree::write_into(page, &Node::Leaf { next, entries }).unwrap();
+        }
+        let root = t.pool.new_page().unwrap();
+        let keys = (1..n).map(sep).collect();
+        let children = leaves.iter().map(PageRef::id).collect();
+        BTree::write_into(&root, &Node::Internal { keys, children }).unwrap();
+        *t.root.write() = root.id();
+        t.check_nodes().unwrap();
+        assert_eq!(t.height().unwrap(), 2);
+
+        let victim = [sep(thin), b"b".to_vec()].concat();
+        assert_eq!(t.delete(&victim).unwrap(), model.remove(&victim));
+        assert_eq!(t.height().unwrap(), 3, "the overgrown root split");
+        t.check_nodes().unwrap();
+        assert_eq!(t.iter_all().unwrap(), model.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -128,6 +128,9 @@ pub enum StoreOp {
 struct Engine {
     heap: HeapFile,
     index: BTree,
+    /// The [`REPL_APPLIED_KEY`] watermark as last applied, so the
+    /// replica's per-batch chaining check reads no tree.
+    repl_applied: Option<u64>,
 }
 
 impl Engine {
@@ -146,7 +149,13 @@ impl Engine {
             let index_root = PageId(meta.read().get_u64(META_INDEX_OFF));
             let heap = HeapFile::open(Arc::clone(&pool), heap_first)?;
             let index = BTree::open(pool, index_root)?;
-            Ok(Engine { heap, index })
+            let mut engine = Engine {
+                heap,
+                index,
+                repl_applied: None,
+            };
+            engine.repl_applied = engine.get(REPL_APPLIED_KEY)?.as_deref().and_then(watermark);
+            Ok(engine)
         } else if magic == 0 {
             let heap = HeapFile::create(Arc::clone(&pool))?;
             let index = BTree::create(Arc::clone(&pool))?;
@@ -163,7 +172,11 @@ impl Engine {
             pool.flush_and_sync()?;
             meta.write().put_u64(META_MAGIC_OFF, MAGIC);
             pool.flush_and_sync()?;
-            Ok(Engine { heap, index })
+            Ok(Engine {
+                heap,
+                index,
+                repl_applied: None,
+            })
         } else {
             Err(HipacError::Corruption(format!(
                 "bad database magic {magic:#x} in {}",
@@ -172,13 +185,23 @@ impl Engine {
         }
     }
 
-    fn apply(&self, op: &StoreOp) -> Result<()> {
+    fn apply(&mut self, op: &StoreOp) -> Result<()> {
         let old = match op {
             StoreOp::Put { key, value } => {
                 let head = write_value(&self.heap, value)?;
-                self.index.insert(key, &head.to_u64().to_le_bytes())?
+                let old = self.index.insert(key, &head.to_u64().to_le_bytes())?;
+                if key == REPL_APPLIED_KEY {
+                    self.repl_applied = watermark(value);
+                }
+                old
             }
-            StoreOp::Delete { key } => self.index.delete(key)?,
+            StoreOp::Delete { key } => {
+                let old = self.index.delete(key)?;
+                if key == REPL_APPLIED_KEY {
+                    self.repl_applied = None;
+                }
+                old
+            }
         };
         match old {
             Some(old) => self.delete_value(rid_of(&old)?),
@@ -243,6 +266,22 @@ fn next_chunk(rec: &[u8]) -> Result<Option<RecordId>> {
         .ok_or_else(|| HipacError::Corruption("value chunk too short".into()))?;
     let next = u64::from_le_bytes(link.try_into().expect("eight bytes"));
     Ok((next != 0).then(|| RecordId::from_u64(next - 1)))
+}
+
+/// The LSN a [`REPL_APPLIED_KEY`] value records.
+fn watermark(value: &[u8]) -> Option<u64> {
+    let lsn = value.get(..8)?;
+    Some(u64::from_le_bytes(lsn.try_into().expect("eight bytes")))
+}
+
+/// The least key above every key that starts with `prefix` — the prefix
+/// with its trailing `0xFF` bytes dropped and its last byte incremented
+/// — or `None` when no key is (an empty or all-`0xFF` prefix).
+fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
+    let last = prefix.iter().rposition(|&b| b != 0xFF)?;
+    let mut end = prefix[..=last].to_vec();
+    end[last] += 1;
+    Some(end)
 }
 
 /// Decode the record id an index leaf stores for a key.
@@ -397,7 +436,7 @@ impl DurableStore {
         // A crash during checkpoint may leave a stale tmp file; it is
         // never authoritative, so discard it.
         let _ = std::fs::remove_file(dir.join("data.db.tmp"));
-        let engine = Engine::open(&dir.join("data.db"), pool_capacity, Arc::clone(&faults))?;
+        let mut engine = Engine::open(&dir.join("data.db"), pool_capacity, Arc::clone(&faults))?;
         let (wal, records) = Wal::open_with_faults(&dir.join("wal.log"), Arc::clone(&faults))?;
         // The data and WAL files may have just been created: make their
         // directory entries durable before anything is logged against
@@ -724,11 +763,10 @@ impl DurableStore {
 
     /// All `(key, value)` pairs whose key starts with `prefix`.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let all = self.range(Bound::Included(prefix), Bound::Unbounded)?;
-        Ok(all
-            .into_iter()
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .collect())
+        match prefix_successor(prefix) {
+            Some(end) => self.range(Bound::Included(prefix), Bound::Excluded(&end)),
+            None => self.range(Bound::Included(prefix), Bound::Unbounded),
+        }
     }
 
     /// Number of keys.
@@ -916,12 +954,7 @@ impl DurableStore {
     /// The primary LSN this (replica) store reflects, if it has ever
     /// applied replicated state.
     pub fn replicated_applied_lsn(&self) -> Result<Option<u64>> {
-        match self.get(REPL_APPLIED_KEY)? {
-            Some(v) if v.len() >= 8 => {
-                Ok(Some(u64::from_le_bytes(v[..8].try_into().unwrap())))
-            }
-            _ => Ok(None),
-        }
+        Ok(self.inner.lock().engine.repl_applied)
     }
 
     /// Overwrite the replica watermark directly (rejoin repair only —
@@ -1252,6 +1285,69 @@ mod tests {
         assert_eq!(a[0].0, b"a/1");
         let all = store.range(Bound::Unbounded, Bound::Unbounded).unwrap();
         assert_eq!(all.len(), 3);
+    }
+
+    /// A prefix scan stops at the prefix's successor: it returns exactly
+    /// the prefixed keys (trailing `0xFF` bytes included) and reads no
+    /// value past them — here, a later entry whose record id is garbage
+    /// fails any read that reaches it.
+    #[test]
+    fn scan_prefix_reads_nothing_past_the_prefix() {
+        let dir = tmpdir("prefix-bound");
+        let store = DurableStore::open(&dir).unwrap();
+        store
+            .commit(
+                TxnId(1),
+                &[
+                    put(b"b", b"before"),
+                    put(b"c1", b"one"),
+                    put(b"c\xff", b"two"),
+                    put(b"c\xff\xff", b"three"),
+                    put(b"d1", b"after"),
+                ],
+            )
+            .unwrap();
+        store.inner.lock().engine.index.insert(b"d2", b"no rid").unwrap();
+        let pairs = |pairs: &[(&[u8], &[u8])]| -> Vec<(Vec<u8>, Vec<u8>)> {
+            pairs.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+        };
+        let (one, two, three): (&[u8], &[u8], &[u8]) = (b"c1", b"c\xff", b"c\xff\xff");
+        assert_eq!(
+            store.scan_prefix(b"c").unwrap(),
+            pairs(&[(one, b"one"), (two, b"two"), (three, b"three")])
+        );
+        assert_eq!(
+            store.scan_prefix(two).unwrap(),
+            pairs(&[(two, b"two"), (three, b"three")])
+        );
+        assert_eq!(store.scan_prefix(b"\xff").unwrap(), pairs(&[]));
+        assert!(
+            store.scan_prefix(b"d").is_err(),
+            "a scan that reaches the garbage entry reads it"
+        );
+    }
+
+    /// The in-memory watermark follows every way the durable key moves:
+    /// commit, reopen (recovery), checkpoint (engine reopen), snapshot.
+    #[test]
+    fn replicated_watermark_mirror_tracks_the_key() {
+        let dir = tmpdir("watermark");
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), None);
+        store.set_replicated_watermark(7).unwrap();
+        drop(store);
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), Some(7));
+        store.checkpoint().unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), Some(7));
+        store.install_snapshot(&[], 40).unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), Some(40));
+        store.checkpoint().unwrap();
+        drop(store);
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), Some(40));
+        store.commit(TxnId(1), &[del(REPL_APPLIED_KEY)]).unwrap();
+        assert_eq!(store.replicated_applied_lsn().unwrap(), None);
     }
 
     #[test]

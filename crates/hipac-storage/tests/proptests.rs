@@ -4,7 +4,7 @@
 //! against a vector model.
 
 use hipac_common::TxnId;
-use hipac_storage::btree::BTree;
+use hipac_storage::btree::{BTree, MAX_ENTRY};
 use hipac_storage::buffer::BufferPool;
 use hipac_storage::disk::DiskManager;
 use hipac_storage::page::Page;
@@ -54,6 +54,43 @@ fn arb_tree_op() -> impl Strategy<Value = TreeOp> {
     ]
 }
 
+#[derive(Debug, Clone)]
+enum FormatOp {
+    Put(u8, Vec<u8>),
+    /// A [`MAX_ENTRY`]-byte entry: the key and a value of the given fill.
+    PutMax(u8, u8),
+    Delete(u8),
+    Get(u8),
+    Range(u8, u8),
+}
+
+/// Key `k`, 1 to 361 bytes long: wide keys keep internal fan-out low.
+fn wide_key(k: u8) -> Vec<u8> {
+    vec![k; 1 + usize::from(k % 4) * 120]
+}
+
+fn arb_format_op() -> impl Strategy<Value = FormatOp> {
+    let put = || {
+        (
+            any::<u8>(),
+            prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..16),
+                proptest::collection::vec(any::<u8>(), 200..600),
+            ],
+        )
+            .prop_map(|(k, v)| FormatOp::Put(k, v))
+    };
+    prop_oneof![
+        put(),
+        put(),
+        put(),
+        (any::<u8>(), any::<u8>()).prop_map(|(k, fill)| FormatOp::PutMax(k, fill)),
+        any::<u8>().prop_map(FormatOp::Delete),
+        any::<u8>().prop_map(FormatOp::Get),
+        (any::<u8>(), any::<u8>()).prop_map(|(a, b)| FormatOp::Range(a, b)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -100,6 +137,77 @@ proptest! {
         let expected: Vec<(Vec<u8>, Vec<u8>)> =
             model.into_iter().collect();
         prop_assert_eq!(all, expected);
+    }
+
+    /// The in-place node writers keep the on-disk format: after every
+    /// step of a random history — and of the drain that follows it —
+    /// every reachable node re-decodes with the owned codec to exactly
+    /// its bytes, and the tree agrees with the model. Keys up to 361
+    /// bytes and entries up to [`MAX_ENTRY`] make leaves of a handful of
+    /// entries and internal nodes of a few dozen children, so histories
+    /// split leaves and internal nodes (height 3) and upsert entries
+    /// past a page, and the drain merges, redistributes and collapses
+    /// the root.
+    #[test]
+    fn in_place_writes_keep_the_node_format(
+        ops in proptest::collection::vec(arb_format_op(), 1..600),
+    ) {
+        let dir = tmpdir("btree-format");
+        let pool = Arc::new(BufferPool::new(
+            Arc::new(DiskManager::open(&dir.join("t.db")).unwrap()),
+            8,
+        ));
+        let tree = BTree::create(pool).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut tallest = 1;
+        for op in ops {
+            match op {
+                FormatOp::Put(k, v) => {
+                    let k = wide_key(k);
+                    prop_assert_eq!(tree.insert(&k, &v).unwrap(), model.insert(k, v));
+                }
+                FormatOp::PutMax(k, fill) => {
+                    let k = wide_key(k);
+                    let v = vec![fill; MAX_ENTRY - k.len()];
+                    prop_assert_eq!(tree.insert(&k, &v).unwrap(), model.insert(k, v));
+                }
+                FormatOp::Delete(k) => {
+                    let k = wide_key(k);
+                    prop_assert_eq!(tree.delete(&k).unwrap(), model.remove(&k));
+                }
+                FormatOp::Get(k) => {
+                    let k = wide_key(k);
+                    prop_assert_eq!(tree.get(&k).unwrap(), model.get(&k).cloned());
+                }
+                FormatOp::Range(a, b) => {
+                    let (lo, hi) = (wide_key(a.min(b)), wide_key(a.max(b)));
+                    let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range::<[u8], _>((Bound::Included(&lo[..]), Bound::Excluded(&hi[..])))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    prop_assert_eq!(
+                        tree.range(Bound::Included(&lo[..]), Bound::Excluded(&hi[..])).unwrap(),
+                        expected
+                    );
+                }
+            }
+            tree.check_nodes().unwrap();
+            tallest = tallest.max(tree.height().unwrap());
+        }
+        // Drain from the middle outwards, so both ends of the tree
+        // underflow into their neighbours.
+        let mut keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        let mid = keys.len() / 2;
+        keys.rotate_left(mid);
+        for k in keys {
+            prop_assert_eq!(tree.delete(&k).unwrap(), model.remove(&k));
+            tree.check_nodes().unwrap();
+            for probe in model.keys().step_by(7) {
+                prop_assert_eq!(tree.get(probe).unwrap(), model.get(probe).cloned());
+            }
+        }
+        prop_assert!(tree.is_empty().unwrap());
+        prop_assert_eq!(tree.height().unwrap(), 1, "root collapsed from height {}", tallest);
     }
 
     /// `bulk_load(sorted)` builds the tree `insert` would: same contents

@@ -24,8 +24,8 @@ cargo test -q -p hipac-rules --test match_properties
 echo "==> match bench smoke (1k/10k rules, network vs naive dispatch)"
 cargo run --release -q -p hipac-bench --bin report -- --only match --smoke
 
-echo "==> crash matrix (deterministic, fixed seed), streaming-checkpoint counts, index atomicity"
-cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream
+echo "==> crash matrix (deterministic, fixed seed), streaming-checkpoint and B+tree allocation counts, index atomicity"
+cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc
 cargo test -q -p hipac-object --test index_atomicity
 
 echo "==> serializability-checked stress suites"
