@@ -62,6 +62,10 @@ pub struct ReplCounters {
     pub quorum: AtomicU64,
     /// 1 while enough live peers exist to satisfy the quorum.
     pub quorum_ok: AtomicU64,
+    /// Replica: commits its shipped batches took — one per run of
+    /// batches that arrived together (in-process gauge, not served
+    /// over STATS).
+    pub apply_runs: AtomicU64,
 }
 
 impl ReplCounters {

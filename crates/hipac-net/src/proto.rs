@@ -1146,7 +1146,8 @@ pub struct RequestMeta {
 pub enum ReplMsg {
     /// One committed WAL batch. Applying it and recording `next_lsn`
     /// as the follower's watermark must be atomic (see
-    /// `DurableStore::apply_replicated`).
+    /// `DurableStore::apply_replicated_run`, which applies the batches
+    /// that arrive together as one run).
     ///
     /// `prev_lsn` is the shipper's stream-chain position before this
     /// batch — exactly the watermark the follower must hold for the

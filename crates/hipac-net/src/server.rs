@@ -189,6 +189,10 @@ fn env_millis(name: &str) -> Option<Duration> {
 /// How often blocked reads wake to check idle/shutdown state.
 const READ_TICK: Duration = Duration::from_millis(50);
 
+/// The eviction housekeeper's idle tick; each tick also commits the
+/// ack deletes no outbox write has carried yet.
+const ACK_FLUSH_EVERY: Duration = Duration::from_millis(2);
+
 /// Lock stripes for the shard-local session maps. Keys hash to a
 /// stripe independently of which reactor shard serves the connection,
 /// so the *same* client id or handler name always lands on the same
@@ -249,6 +253,11 @@ struct Subscriptions {
     /// sequence would make clients silently drop a fresh push as a
     /// redelivery).
     durable: Option<Arc<DurableStore>>,
+    /// `'q'` deletes of acked frames not yet committed: they ride the
+    /// next outbox write ([`Subscriptions::deliver`]) or the eviction
+    /// housekeeper's tick ([`Subscriptions::flush_acks`]), whichever
+    /// comes first.
+    acked: Mutex<Vec<StoreOp>>,
 }
 
 #[derive(Default)]
@@ -355,6 +364,7 @@ impl Subscriptions {
             evict_queue: Mutex::new(Vec::new()),
             pushes_shed: AtomicU64::new(0),
             durable,
+            acked: Mutex::new(Vec::new()),
         };
         subs.restore();
         Arc::new(subs)
@@ -669,20 +679,23 @@ impl Subscriptions {
             if let Some(d) = &self.durable {
                 // Persist-then-send: runs as a metadata batch (TxnId 0)
                 // so it cannot consume a reply-journal annotation armed
-                // for the enclosing commit.
-                d.commit(
-                    TxnId(0),
-                    &[
-                        StoreOp::Put {
-                            key: journal::outbox_key(handler, seq),
-                            value: journal::seal(&frame),
-                        },
-                        StoreOp::Put {
-                            key: journal::push_seq_key(handler),
-                            value: journal::seal(&push_seq_value(h.next_seq, h.owner)),
-                        },
-                    ],
-                )?;
+                // for the enclosing commit. The deletes of frames acked
+                // since the last outbox write ride the same batch.
+                let mut ops = std::mem::take(&mut *self.acked.lock());
+                let n_acked = ops.len();
+                ops.push(StoreOp::Put {
+                    key: journal::outbox_key(handler, seq),
+                    value: journal::seal(&frame),
+                });
+                ops.push(StoreOp::Put {
+                    key: journal::push_seq_key(handler),
+                    value: journal::seal(&push_seq_value(h.next_seq, h.owner)),
+                });
+                if let Err(e) = d.commit(TxnId(0), &ops) {
+                    ops.truncate(n_acked);
+                    self.acked.lock().extend(ops);
+                    return Err(e);
+                }
             }
             h.bytes += frame.len() as u64;
             h.enqueued_at.insert(seq, Instant::now());
@@ -719,7 +732,15 @@ impl Subscriptions {
         Ok(())
     }
 
-    /// Drop an acked frame from the outbox (and storage).
+    /// Drop an acked frame from the outbox. The frame leaves memory at
+    /// once; the delete of its durable `'q'` row is queued and commits
+    /// with the next outbox write or the housekeeper's next tick
+    /// ([`ACK_FLUSH_EVERY`]), never as a commit of its own. A crash
+    /// before that delete commits redelivers the frame after restart,
+    /// and the client dedups by sequence — the same contract a crash
+    /// between the ack and its own commit always had, over a wider
+    /// window. Sequences are never reused, so a late delete cannot
+    /// remove a newer frame.
     fn ack(&self, handler: &str, seq: u64) {
         let removed = {
             let mut ob = self.outbox_stripe(handler).lock();
@@ -734,18 +755,22 @@ impl Subscriptions {
                 })
                 .unwrap_or(false)
         };
-        if removed {
-            if let Some(d) = &self.durable {
-                // Best effort: a crash before this delete redelivers
-                // the frame after restart and the client dedups by
-                // sequence.
-                let _ = d.commit(
-                    TxnId(0),
-                    &[StoreOp::Delete {
-                        key: journal::outbox_key(handler, seq),
-                    }],
-                );
-            }
+        if removed && self.durable.is_some() {
+            self.acked.lock().push(StoreOp::Delete {
+                key: journal::outbox_key(handler, seq),
+            });
+        }
+    }
+
+    /// Commit the queued deletes of acked frames (the housekeeper's
+    /// tick, and the last step of a shutdown). Best effort, like the
+    /// deletes themselves: a failed commit leaves the rows for
+    /// redelivery.
+    fn flush_acks(&self) {
+        let Some(d) = &self.durable else { return };
+        let ops = std::mem::take(&mut *self.acked.lock());
+        if !ops.is_empty() {
+            let _ = d.commit(TxnId(0), &ops);
         }
     }
 
@@ -1867,13 +1892,14 @@ impl HipacServer {
             std::thread::Builder::new()
                 .name("hipac-net-evict".to_owned())
                 .spawn(move || loop {
+                    ctx.subs.flush_acks();
                     let batch: Vec<EvictNotice> =
                         std::mem::take(&mut *ctx.subs.evict_queue.lock());
                     if batch.is_empty() {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        std::thread::sleep(Duration::from_millis(2));
+                        std::thread::sleep(ACK_FLUSH_EVERY);
                         continue;
                     }
                     for n in batch {
@@ -2099,6 +2125,9 @@ impl HipacServer {
         if let Some(t) = self.evict_thread.take() {
             let _ = t.join();
         }
+        // Every thread that could ack is gone: commit the last queued
+        // ack deletes, so a clean shutdown leaves no acked row on disk.
+        self.subscriptions.flush_acks();
     }
 
     /// Graceful drain: refuse new connections and new requests (with a
@@ -3231,5 +3260,72 @@ pub fn stats_to_wire(s: EngineStats) -> WireStats {
         repl_digest_mismatches: s.repl_digest_mismatches,
         repl_quorum: s.repl_quorum,
         repl_quorum_ok: s.repl_quorum_ok,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An ack takes its frame out of memory at once but only queues the
+    /// `'q'` delete: no WAL batch is written until the next outbox write
+    /// carries the delete in its own batch (or a housekeeper flush
+    /// commits it).
+    #[test]
+    fn ack_delete_rides_the_next_outbox_write() {
+        let dir = std::env::temp_dir().join(format!("hipac-net-ack-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(DurableStore::open(&dir).unwrap());
+        let subs = Subscriptions::new(
+            16,
+            Duration::from_secs(1),
+            0,
+            None,
+            Some(Arc::clone(&store)),
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let _reader = listener.accept().unwrap();
+        subs.handlers("h").write().insert(
+            "h".to_owned(),
+            vec![Subscriber {
+                session: 1,
+                writer: Arc::new(Mutex::new(writer)),
+            }],
+        );
+        let row = |seq| store.get(&journal::outbox_key("h", seq)).unwrap();
+        let batches_since = |lsn| match store.read_batches_from(lsn, 1 << 20).unwrap() {
+            TailRead::Batches { batches, .. } => batches,
+            other => panic!("{other:?}"),
+        };
+
+        subs.deliver("h", "r", &HashMap::new()).unwrap();
+        assert!(row(1).is_some());
+        let lsn = store.durable_lsn();
+        subs.ack("h", 1);
+        assert_eq!(subs.unacked_total(), 0, "the frame leaves memory at once");
+        assert!(row(1).is_some(), "its durable row waits for a carrier");
+        assert_eq!(store.durable_lsn(), lsn, "the ack wrote no WAL batch");
+
+        subs.deliver("h", "r", &HashMap::new()).unwrap();
+        let carried = batches_since(lsn);
+        assert_eq!(carried.len(), 1, "one batch: the push and the ack's delete");
+        assert!(carried[0].ops.contains(&StoreOp::Delete {
+            key: journal::outbox_key("h", 1)
+        }));
+        assert!(row(1).is_none() && row(2).is_some());
+
+        subs.ack("h", 2);
+        let lsn = store.durable_lsn();
+        subs.flush_acks();
+        assert_eq!(batches_since(lsn).len(), 1);
+        assert!(row(2).is_none());
+        subs.flush_acks();
+        assert_eq!(
+            batches_since(lsn).len(),
+            1,
+            "an empty queue commits nothing"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,6 +11,7 @@ use hipac_net::proto::{Command, Frame, Reply, RequestMeta};
 use hipac_net::{ClientConfig, HipacClient, HipacServer, ServerConfig, WireError};
 use hipac_object::{AttrDef, Expr};
 use hipac_rules::{Action, ActionOp, RuleDef};
+use hipac_storage::{FaultPolicy, StoreOp, TailRead};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
@@ -950,4 +951,272 @@ fn circuit_breaker_trips_and_recovers() {
     client.stats().unwrap();
     assert!(client.breaker_trips() >= 1, "breaker tripped at least once");
     assert!(client.breaker_resets() >= 1, "breaker reset after the probe");
+}
+
+/// A durable server on `dir`, bound to `addr`, whose store runs under
+/// `faults` when given.
+fn durable_server_at(
+    dir: &std::path::Path,
+    addr: &str,
+    faults: Option<Arc<FaultPolicy>>,
+) -> HipacServer {
+    let mut builder = ActiveDatabase::builder()
+        .durable(dir)
+        .lock_timeout(Duration::from_secs(3));
+    if let Some(faults) = faults {
+        builder = builder.storage_faults(faults);
+    }
+    HipacServer::bind(Arc::new(builder.build().unwrap()), addr).unwrap()
+}
+
+/// Class `item` plus a rule pushing `notify` to handler `alert` on
+/// every update; returns the item to update.
+fn install_alert_rule(client: &HipacClient) -> u64 {
+    let t = client.begin().unwrap();
+    client
+        .create_class(t, "item", None, vec![AttrDef::new("qty", ValueType::Int)])
+        .unwrap();
+    client
+        .create_rule(
+            t,
+            &RuleDef::new("watch")
+                .on(EventSpec::on_update("item"))
+                .then(Action::single(ActionOp::AppRequest {
+                    handler: "alert".into(),
+                    request: "notify".into(),
+                    args: vec![],
+                })),
+        )
+        .unwrap();
+    let oid = client.insert(t, "item", vec![Value::from(0)]).unwrap();
+    client.commit(t).unwrap();
+    oid
+}
+
+/// One committed update of `oid`: one push to `alert`.
+fn fire_alert(client: &HipacClient, oid: u64, n: i64) {
+    let t = client.begin().unwrap();
+    client
+        .update(t, oid, vec![("qty".into(), Value::from(n))])
+        .unwrap();
+    client.commit(t).unwrap();
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting: {what}"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn durable_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("hipac-net-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `AckPush` does not commit on its own: a burst of acks leaves memory
+/// at once and its outbox deletes land in a few shared WAL batches —
+/// the housekeeper's flushes, with no push to carry them — rather than
+/// one batch per ack.
+#[test]
+fn acks_commit_together_not_one_batch_each() {
+    const N: u64 = 64;
+    let dir = durable_dir("ack-burst");
+    let server = durable_server_at(&dir, "127.0.0.1:0", None);
+    let trigger = HipacClient::connect(server.local_addr().to_string()).unwrap();
+    let oid = install_alert_rule(&trigger);
+
+    // A raw subscriber: it receives pushes but acks only when told to.
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let subscribe = Command::Subscribe {
+        handler: "alert".into(),
+    };
+    assert_eq!(
+        raw_roundtrip(&mut raw, 1, RequestMeta::default(), subscribe),
+        Reply::Ok
+    );
+    for n in 0..N {
+        fire_alert(&trigger, oid, n as i64);
+    }
+    let mut seqs = Vec::new();
+    while seqs.len() < N as usize {
+        if let Some(Frame::Push(push)) = Frame::read_from(&mut raw).unwrap() {
+            seqs.push(push.seq);
+        }
+    }
+    assert_eq!(server.unacked_pushes(), N);
+
+    let store = Arc::clone(server.db().durable_store().unwrap());
+    let lsn = store.durable_lsn();
+    let mut acks = Vec::new();
+    for (id, seq) in (10..).zip(&seqs) {
+        let command = Command::AckPush {
+            handler: "alert".into(),
+            seq: *seq,
+        };
+        acks.extend(
+            Frame::Request {
+                id,
+                meta: RequestMeta::default(),
+                command,
+            }
+            .encode(),
+        );
+    }
+    raw.write_all(&acks).unwrap();
+    for _ in 0..N {
+        assert!(matches!(
+            Frame::read_from(&mut raw).unwrap(),
+            Some(Frame::Response {
+                reply: Reply::Ok,
+                ..
+            })
+        ));
+    }
+    assert_eq!(
+        server.unacked_pushes(),
+        0,
+        "acked frames leave memory at once"
+    );
+
+    let acked_batches = || match store.read_batches_from(lsn, 1 << 24).unwrap() {
+        TailRead::Batches { batches, .. } => batches,
+        other => panic!("{other:?}"),
+    };
+    wait_until("every ack delete committed", || {
+        acked_batches().iter().map(|b| b.ops.len()).sum::<usize>() == N as usize
+    });
+    let batches = acked_batches();
+    assert!(batches
+        .iter()
+        .flat_map(|b| &b.ops)
+        .all(|op| matches!(op, StoreOp::Delete { .. })));
+    assert!(
+        batches.len() < N as usize / 4,
+        "{N} acks took {} WAL batches",
+        batches.len()
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clean shutdown commits the ack deletes still queued: reopened,
+/// the outbox is empty and a fresh subscriber gets no redelivery.
+#[test]
+fn clean_shutdown_leaves_no_acked_push_on_disk() {
+    const N: usize = 8;
+    let dir = durable_dir("ack-shutdown");
+    let mut server = durable_server_at(&dir, "127.0.0.1:0", None);
+    let addr = server.local_addr().to_string();
+    let trigger = HipacClient::connect(&*addr).unwrap();
+    let oid = install_alert_rule(&trigger);
+    let subscriber = HipacClient::connect(&*addr).unwrap();
+    let seen = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let count = Arc::clone(&seen);
+    subscriber
+        .subscribe("alert", move |_| {
+            count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        })
+        .unwrap();
+    for n in 0..N {
+        fire_alert(&trigger, oid, n as i64);
+    }
+    wait_until("every push handled and acked", || {
+        seen.load(std::sync::atomic::Ordering::SeqCst) == N && server.unacked_pushes() == 0
+    });
+    drop((trigger, subscriber));
+    server.shutdown();
+    drop(server);
+
+    let server = durable_server_at(&dir, "127.0.0.1:0", None);
+    assert_eq!(server.unacked_pushes(), 0, "no acked row survived on disk");
+    let late = HipacClient::connect(server.local_addr().to_string()).unwrap();
+    late.subscribe("alert", |push| panic!("redelivered seq {}", push.seq))
+        .unwrap();
+    assert_eq!(server.pushes_redelivered(), 0);
+    drop((late, server));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash after the acks but before their deletes commit: the restarted
+/// server redelivers every acked frame, and `HipacClient` drops them by
+/// sequence — the handler sees each push exactly once.
+#[test]
+fn acked_frames_lost_in_a_crash_are_redelivered_and_dropped() {
+    const N: u64 = 6;
+    let dir = durable_dir("ack-crash");
+    // A port no connection has used, so the restart can rebind it.
+    let addr = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let faults = FaultPolicy::count_only();
+    let mut server = durable_server_at(&dir, &addr, Some(Arc::clone(&faults)));
+    let trigger = HipacClient::connect(&*addr).unwrap();
+    let oid = install_alert_rule(&trigger);
+
+    // The handler records each push, then holds the client's reader
+    // (and with it every ack) until the gate opens.
+    let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let subscriber = HipacClient::connect_with(
+        &*addr,
+        ClientConfig {
+            max_retries: 20,
+            backoff: Duration::from_millis(5),
+            ..ClientConfig::default()
+        },
+    )
+    .unwrap();
+    {
+        let (seen, gate) = (Arc::clone(&seen), Arc::clone(&gate));
+        subscriber
+            .subscribe("alert", move |push| {
+                seen.lock().push(push.seq);
+                while !gate.load(std::sync::atomic::Ordering::SeqCst) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+            .unwrap();
+    }
+    for n in 0..N {
+        fire_alert(&trigger, oid, n as i64);
+    }
+    wait_until("every push persisted", || server.unacked_pushes() == N);
+
+    // The disk dies here; the process keeps running, and the client
+    // now handles and acks every push.
+    faults.crash_now();
+    gate.store(true, std::sync::atomic::Ordering::SeqCst);
+    wait_until("every push handled and acked in memory", || {
+        seen.lock().len() == N as usize && server.unacked_pushes() == 0
+    });
+    drop(trigger);
+    server.shutdown();
+    drop(server);
+
+    let server = durable_server_at(&dir, &addr, None);
+    assert_eq!(
+        server.unacked_pushes(),
+        N,
+        "the deletes never reached the disk"
+    );
+    // Any request reconnects the subscriber, which re-subscribes and is
+    // caught up from the recovered outbox.
+    subscriber.stats().unwrap();
+    wait_until("duplicates redelivered and acked", || {
+        server.pushes_redelivered() == N && server.unacked_pushes() == 0
+    });
+    assert_eq!(
+        *seen.lock(),
+        (1..=N).collect::<Vec<_>>(),
+        "each seq handled once"
+    );
+    drop((subscriber, server));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,9 +15,10 @@
 //!   replicas confirm the committing frontier (semi-sync, degrading to
 //!   async on timeout), and a draining primary finishes shipping its
 //!   committed tail before refusing.
-//! * The **replica** ([`ReplicaNode`]) applies each batch through the
-//!   recovery-equivalent [`hipac_storage::DurableStore::apply_replicated`]
-//!   path — batch and watermark are one atomic WAL commit, so a crash
+//! * The **replica** ([`ReplicaNode`]) applies the batches that arrive
+//!   together as one run through the recovery-equivalent
+//!   [`hipac_storage::DurableStore::apply_replicated_run`] path — the
+//!   run and its watermark are one atomic WAL commit, so a crash
 //!   mid-stream resumes exactly where it stopped. Reads are served
 //!   from a batch-consistent in-memory [`ReplicaView`] at the applied
 //!   LSN; writes are refused with a typed `NotPrimary` error.

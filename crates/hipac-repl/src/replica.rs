@@ -4,14 +4,18 @@
 //! A [`ReplicaNode`] maintains two socket roles at once:
 //!
 //! * **Follower** — one outbound connection to the primary. It
-//!   negotiates protocol v5, sends `ReplSubscribe` from its durable
-//!   watermark, applies each [`ReplMsg::Batch`] through
-//!   [`DurableStore::apply_replicated`] (the recovery-equivalent path:
-//!   batch + watermark are one atomic commit), mirrors the batch into
-//!   the in-memory [`ReplicaView`], and reports `ReplProgress` so the
-//!   primary's semi-sync gate and lag gauges advance. When its resume
-//!   LSN has fallen off the primary's retained log it installs the
-//!   streamed snapshot instead.
+//!   negotiates protocol v5 and sends `ReplSubscribe` from its durable
+//!   watermark. It reads the socket a burst at a time: every
+//!   consecutive [`ReplMsg::Batch`] already received forms one run,
+//!   applied through [`DurableStore::apply_replicated_run`] (the
+//!   recovery-equivalent path: the run's ops and the watermark are one
+//!   atomic commit, one fsync), mirrored into the in-memory
+//!   [`ReplicaView`] under one write lock, and reported with one
+//!   `ReplProgress` so the primary's semi-sync gate and lag gauges
+//!   advance. A run is all-or-nothing: a stale epoch or a chaining gap
+//!   anywhere in it applies none of it and the follower resubscribes.
+//!   When its resume LSN has fallen off the primary's retained log it
+//!   installs the streamed snapshot instead.
 //! * **Read server** — a listener speaking the ordinary wire protocol.
 //!   Snapshot queries (`txn == 0`) are served from the view at its
 //!   applied LSN; writes are refused with a typed `NotPrimary` error so
@@ -27,7 +31,7 @@
 //! instead of re-executing), and bind a real [`HipacServer`] on the
 //! same read address clients already know.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -37,13 +41,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hipac::ActiveDatabase;
-use hipac_common::{HipacError, ReplCounters, Result, ROLE_REPLICA};
+use hipac_common::{HipacError, ReplCounters, Result, TxnId, ROLE_REPLICA};
 use hipac_net::proto::{
     Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats, MAX_FRAME,
     MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use hipac_net::{HipacServer, ServerConfig};
-use hipac_storage::{batch_digest, fold_digest, DurableStore, TailTruncate, REPL_SNAPSHOT_SENTINEL};
+use hipac_storage::{
+    batch_digest, fold_digest, DurableStore, ReplBatch, StoreOp, TailTruncate,
+    REPL_SNAPSHOT_SENTINEL,
+};
 use parking_lot::Mutex;
 
 use crate::view::ReplicaView;
@@ -58,72 +65,115 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
-/// Resumable frame reader over a socket with a short read timeout
-/// (same contract as the server's internal reader: partial frames park
-/// across ticks, never desynchronizing the stream).
-struct TickReader {
-    want: Option<usize>,
+/// Read buffer a [`FrameReader`] starts with (and shrinks back to once
+/// an oversized frame has been consumed).
+const READ_BUF: usize = 64 * 1024;
+
+/// Buffered frame reader over a socket with a short read timeout. One
+/// `read` takes whatever the kernel holds — a whole burst of frames —
+/// and complete frames are decoded straight out of the buffer. Partial
+/// frames park across ticks, never desynchronizing the stream.
+struct FrameReader {
     buf: Vec<u8>,
-    filled: usize,
+    /// Start of the bytes not yet decoded.
+    start: usize,
+    /// End of the bytes read so far.
+    end: usize,
 }
 
-impl TickReader {
-    fn new() -> TickReader {
-        TickReader {
-            want: None,
-            buf: vec![0u8; 4],
-            filled: 0,
+impl FrameReader {
+    fn new() -> FrameReader {
+        FrameReader {
+            buf: vec![0u8; READ_BUF],
+            start: 0,
+            end: 0,
         }
     }
 
-    /// `Ok(Some(payload))` on a complete frame, `Ok(None)` when the
-    /// read tick expired first, `Err` on EOF / oversize / transport
-    /// error.
-    fn poll(&mut self, stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+    /// Length prefix of the frame at the head of the buffer, once its
+    /// four bytes are in.
+    fn head_len(&self) -> std::io::Result<Option<usize>> {
+        let Some(prefix) = self.buf[self.start..self.end].get(..4) else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(prefix.try_into().expect("a 4-byte slice")) as usize;
+        if len > MAX_FRAME {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("frame of {len} bytes exceeds cap"),
+            ));
+        }
+        Ok(Some(len))
+    }
+
+    /// The next complete frame already in the buffer, if any. `Err` on
+    /// an oversize or undecodable frame.
+    fn next_frame(&mut self) -> std::io::Result<Option<Frame>> {
+        let Some(len) = self.head_len()? else {
+            return Ok(None);
+        };
+        if self.end - self.start < 4 + len {
+            return Ok(None);
+        }
+        let payload = &self.buf[self.start + 4..self.start + 4 + len];
+        let frame = Frame::decode(payload)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        self.start += 4 + len;
+        Ok(Some(frame))
+    }
+
+    /// One `read` from `stream` into the buffer. `Ok(false)` when the
+    /// read tick expired first; `Err` on EOF or a transport error.
+    fn fill(&mut self, stream: &mut TcpStream) -> std::io::Result<bool> {
+        // What is left undecoded is at most a partial frame: move it to
+        // the front so the read has the rest of the buffer.
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end == 0 && self.buf.len() > READ_BUF {
+            self.buf = vec![0u8; READ_BUF];
+        }
+        if self.end == self.buf.len() {
+            // A frame larger than the buffer: grow to hold it.
+            let need = 4 + self.head_len()?.unwrap_or(0);
+            self.buf.resize(need.max(self.buf.len() + READ_BUF), 0);
+        }
         loop {
-            let target = self.buf.len();
-            while self.filled < target {
-                match stream.read(&mut self.buf[self.filled..]) {
-                    Ok(0) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed",
-                        ))
-                    }
-                    Ok(n) => self.filled += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e),
+            match stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "connection closed",
+                    ))
                 }
-            }
-            match self.want {
-                None => {
-                    let len =
-                        u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                            as usize;
-                    if len > MAX_FRAME {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("frame of {len} bytes exceeds cap"),
-                        ));
-                    }
-                    self.want = Some(len);
-                    self.buf = vec![0u8; len];
-                    self.filled = 0;
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(true);
                 }
-                Some(_) => {
-                    let payload = std::mem::replace(&mut self.buf, vec![0u8; 4]);
-                    self.want = None;
-                    self.filled = 0;
-                    return Ok(Some(payload));
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(false)
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The next frame, reading the socket once if none is buffered.
+    /// `Ok(None)` when no complete frame arrived within the read tick.
+    fn poll(&mut self, stream: &mut TcpStream) -> std::io::Result<Option<Frame>> {
+        if let Some(frame) = self.next_frame()? {
+            return Ok(Some(frame));
+        }
+        if !self.fill(stream)? {
+            return Ok(None);
+        }
+        self.next_frame()
     }
 }
 
@@ -535,7 +585,7 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     let Ok(writer) = stream.try_clone() else {
         return FollowEnd::Disconnected;
     };
-    let mut reader = TickReader::new();
+    let mut reader = FrameReader::new();
 
     // Handshake: negotiate v5 (a v4 primary cannot ship), then
     // subscribe from our durable watermark.
@@ -553,7 +603,7 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     // here and drained by the steady loop — never discarded. (The
     // server defers peer registration until its Ok is on the wire, so
     // nothing *should* precede the ack; this is defense in depth.)
-    let mut deferred: VecDeque<Frame> = VecDeque::new();
+    let mut deferred: Vec<Frame> = Vec::new();
     let negotiated = match wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred) {
         Some(Reply::Pong { version }) if version >= 5 => version,
         _ => return FollowEnd::Disconnected,
@@ -591,58 +641,84 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
         shared.send_upstream(Command::Subscribe { handler });
     }
 
-    // Steady state: apply the stream. The digest fold is
-    // per-connection — the primary reseeds its side of the exchange on
-    // every (re)subscribe, so both folds start from zero together.
+    // Steady state: apply the stream, one burst per socket read. The
+    // digest fold is per-connection — the primary reseeds its side of
+    // the exchange on every (re)subscribe, so both folds start from
+    // zero together.
     let mut snapshot: Option<Vec<(Vec<u8>, Vec<u8>)>> = None;
     let mut fold: u64 = 0;
+    // Frames parked during the handshake are the first burst: they
+    // precede everything still in flight.
+    let mut burst = deferred;
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return FollowEnd::Stopped;
         }
-        // Frames parked during the handshake drain before the socket
-        // is polled again: they precede everything still in flight.
-        let frame = if let Some(f) = deferred.pop_front() {
-            f
-        } else {
-            let payload = match reader.poll(&mut stream) {
-                Ok(Some(p)) => p,
-                Ok(None) => continue,
-                Err(_) => return FollowEnd::Disconnected,
-            };
-            match Frame::decode(&payload) {
-                Ok(f) => f,
+        if burst.is_empty() {
+            match reader.fill(&mut stream) {
+                Ok(true) => {}
+                Ok(false) => continue,
                 Err(_) => return FollowEnd::Disconnected,
             }
-        };
-        match frame {
-            Frame::Repl(msg) => match apply_repl(shared, &store, msg, &mut snapshot, &mut fold) {
-                ReplApply::Applied => {}
-                // The stream skipped past our watermark: drop the
-                // connection and resubscribe from the durable
-                // watermark — the primary resumes or snapshots, and
-                // silent divergence becomes automatic recovery.
-                ReplApply::Gap => return FollowEnd::Disconnected,
-                // The stream carries an epoch older than one this node
-                // has durably observed: a deposed primary is still
-                // shipping. Never apply its batches; disconnect (the
-                // backoff loop retries, and succeeds once the operator
-                // repoints this follower at the real primary).
-                ReplApply::StaleEpoch => return FollowEnd::Disconnected,
-                // Storage failure: this node cannot keep its
-                // durability promise — stop following for good.
-                ReplApply::StoreFailed => return FollowEnd::StoreGone,
-            },
-            // Pushes for subscriptions homed on this replica.
-            Frame::Push(event) => shared.fan_out(event),
-            // Acks of our id-0 progress/subscribe/ack sends.
-            Frame::Response { .. } => {}
-            Frame::Request { .. } => return FollowEnd::Disconnected,
+        }
+        loop {
+            match reader.next_frame() {
+                Ok(Some(frame)) => burst.push(frame),
+                Ok(None) => break,
+                Err(_) => return FollowEnd::Disconnected,
+            }
+        }
+        if let Some(end) = follow_burst(shared, &store, burst.drain(..), &mut snapshot, &mut fold) {
+            return end;
         }
     }
 }
 
-/// Outcome of applying one replication message.
+/// Handle one burst of frames in arrival order. Consecutive
+/// [`ReplMsg::Batch`] frames form a run, applied as one durable commit
+/// by [`apply_run`]; any other replication or push frame ends the run
+/// and is handled after it. Returns how the connection ends, if it
+/// does.
+fn follow_burst(
+    shared: &Arc<Shared>,
+    store: &Arc<DurableStore>,
+    frames: impl Iterator<Item = Frame>,
+    snapshot: &mut Option<Vec<(Vec<u8>, Vec<u8>)>>,
+    fold: &mut u64,
+) -> Option<FollowEnd> {
+    let mut run: Vec<Shipped> = Vec::new();
+    for frame in frames {
+        let outcome = match frame {
+            Frame::Repl(msg) => apply_repl(shared, store, msg, &mut run, snapshot, fold),
+            // Acks of our id-0 progress/subscribe/ack sends.
+            Frame::Response { .. } => continue,
+            // Pushes for subscriptions homed on this replica.
+            Frame::Push(event) => {
+                let outcome = apply_run(shared, store, &std::mem::take(&mut run), fold);
+                if matches!(outcome, ReplApply::Applied) {
+                    shared.fan_out(event);
+                }
+                outcome
+            }
+            Frame::Request { .. } => return Some(FollowEnd::Disconnected),
+        };
+        if let Some(end) = outcome.end() {
+            return Some(end);
+        }
+    }
+    apply_run(shared, store, &run, fold).end()
+}
+
+/// One shipped [`ReplMsg::Batch`], held until its run is applied.
+struct Shipped {
+    prev_lsn: u64,
+    next_lsn: u64,
+    txn: TxnId,
+    ops: Vec<StoreOp>,
+    epoch: u64,
+}
+
+/// Outcome of applying replication messages.
 enum ReplApply {
     Applied,
     /// The batch does not chain onto our applied watermark
@@ -654,6 +730,30 @@ enum ReplApply {
     StaleEpoch,
     /// Local storage failed: not recoverable by reconnecting.
     StoreFailed,
+}
+
+impl ReplApply {
+    /// How the follower's connection ends after this outcome, if it
+    /// does.
+    fn end(self) -> Option<FollowEnd> {
+        match self {
+            ReplApply::Applied => None,
+            // The stream skipped past our watermark: drop the
+            // connection and resubscribe from the durable watermark —
+            // the primary resumes or snapshots, and silent divergence
+            // becomes automatic recovery.
+            ReplApply::Gap => Some(FollowEnd::Disconnected),
+            // The stream carries an epoch older than one this node has
+            // durably observed: a deposed primary is still shipping.
+            // Never apply its batches; disconnect (the backoff loop
+            // retries, and succeeds once the operator repoints this
+            // follower at the real primary).
+            ReplApply::StaleEpoch => Some(FollowEnd::Disconnected),
+            // Storage failure: this node cannot keep its durability
+            // promise — stop following for good.
+            ReplApply::StoreFailed => Some(FollowEnd::StoreGone),
+        }
+    }
 }
 
 /// Observe the epoch stamped on a replication message. Newer epochs
@@ -680,15 +780,86 @@ fn observe_epoch(shared: &Arc<Shared>, store: &Arc<DurableStore>, wire_epoch: u6
     ReplApply::Applied
 }
 
-/// Apply one replication message, threading the connection's digest
-/// fold (reported back to the primary with every progress frame).
+/// Apply a run of consecutive shipped batches: every batch's epoch is
+/// observed in order, then the whole run is one durable commit
+/// ([`DurableStore::apply_replicated_run`]) and one view update, each
+/// batch's digest is folded in order (the primary logs one fold per
+/// batch), and one progress report carries the run's last LSN and the
+/// fold. A stale epoch or a chaining gap anywhere in the run applies
+/// none of it — the resubscribe that follows re-ships the whole run.
+fn apply_run(
+    shared: &Arc<Shared>,
+    store: &Arc<DurableStore>,
+    run: &[Shipped],
+    fold: &mut u64,
+) -> ReplApply {
+    let Some(last) = run.last() else {
+        return ReplApply::Applied;
+    };
+    for b in run {
+        match observe_epoch(shared, store, b.epoch) {
+            ReplApply::Applied => {}
+            other => return other,
+        }
+    }
+    let batches: Vec<ReplBatch<'_>> = run
+        .iter()
+        .map(|b| ReplBatch {
+            ops: &b.ops,
+            prev_lsn: b.prev_lsn,
+            next_lsn: b.next_lsn,
+        })
+        .collect();
+    match store.apply_replicated_run(&batches) {
+        Ok(()) => {}
+        Err(HipacError::ReplGap { .. }) => return ReplApply::Gap,
+        Err(_) => return ReplApply::StoreFailed,
+    }
+    let c = &shared.counters;
+    c.apply_runs.fetch_add(1, Ordering::Relaxed);
+    let next_lsn = last.next_lsn;
+    if shared
+        .view
+        .apply_ops(run.iter().flat_map(|b| &b.ops), next_lsn)
+        .is_err()
+    {
+        return ReplApply::StoreFailed;
+    }
+    for b in run {
+        *fold = fold_digest(*fold, batch_digest(b.next_lsn, b.txn, &b.ops));
+    }
+    let frontier = shared
+        .primary_durable
+        .fetch_max(next_lsn, Ordering::Relaxed)
+        .max(next_lsn);
+    c.record_applied(next_lsn, frontier);
+    shared.connected.store(true, Ordering::Relaxed);
+    shared.send_upstream(Command::ReplProgress {
+        applied_lsn: next_lsn,
+        epoch: store.repl_epoch(),
+        digest: *fold,
+    });
+    ReplApply::Applied
+}
+
+/// Take one replication message, threading the connection's digest
+/// fold (reported back to the primary with every progress frame). A
+/// batch joins the pending `run`; any other message first applies the
+/// run, then itself.
 fn apply_repl(
     shared: &Arc<Shared>,
     store: &Arc<DurableStore>,
     msg: ReplMsg,
+    run: &mut Vec<Shipped>,
     snapshot: &mut Option<Vec<(Vec<u8>, Vec<u8>)>>,
     fold: &mut u64,
 ) -> ReplApply {
+    if !matches!(msg, ReplMsg::Batch { .. }) {
+        match apply_run(shared, store, &std::mem::take(run), fold) {
+            ReplApply::Applied => {}
+            other => return other,
+        }
+    }
     match msg {
         ReplMsg::Batch {
             prev_lsn,
@@ -697,32 +868,13 @@ fn apply_repl(
             ops,
             epoch,
             ..
-        } => {
-            match observe_epoch(shared, store, epoch) {
-                ReplApply::Applied => {}
-                other => return other,
-            }
-            match store.apply_replicated(&ops, prev_lsn, next_lsn) {
-                Ok(()) => {}
-                Err(HipacError::ReplGap { .. }) => return ReplApply::Gap,
-                Err(_) => return ReplApply::StoreFailed,
-            }
-            if shared.view.apply_ops(&ops, next_lsn).is_err() {
-                return ReplApply::StoreFailed;
-            }
-            *fold = fold_digest(*fold, batch_digest(next_lsn, txn, &ops));
-            let frontier = shared
-                .primary_durable
-                .fetch_max(next_lsn, Ordering::Relaxed)
-                .max(next_lsn);
-            shared.counters.record_applied(next_lsn, frontier);
-            shared.connected.store(true, Ordering::Relaxed);
-            shared.send_upstream(Command::ReplProgress {
-                applied_lsn: next_lsn,
-                epoch: store.repl_epoch(),
-                digest: *fold,
-            });
-        }
+        } => run.push(Shipped {
+            prev_lsn,
+            next_lsn,
+            txn,
+            ops,
+            epoch,
+        }),
         ReplMsg::SnapshotBegin { .. } => *snapshot = Some(Vec::new()),
         ReplMsg::SnapshotChunk { pairs } => {
             if let Some(buf) = snapshot.as_mut() {
@@ -782,19 +934,16 @@ fn apply_repl(
 /// from the replica while the primary's shipped cursor moves past it.
 fn wait_reply(
     shared: &Arc<Shared>,
-    reader: &mut TickReader,
+    reader: &mut FrameReader,
     stream: &mut TcpStream,
     id: u64,
-    deferred: &mut VecDeque<Frame>,
+    deferred: &mut Vec<Frame>,
 ) -> Option<Reply> {
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     while Instant::now() < deadline && !shared.stop.load(Ordering::SeqCst) {
         match reader.poll(stream) {
-            Ok(Some(payload)) => match Frame::decode(&payload) {
-                Ok(Frame::Response { id: got, reply }) if got == id => return Some(reply),
-                Ok(f) => deferred.push_back(f),
-                Err(_) => return None,
-            },
+            Ok(Some(Frame::Response { id: got, reply })) if got == id => return Some(reply),
+            Ok(Some(f)) => deferred.push(f),
             Ok(None) => {}
             Err(_) => return None,
         }
@@ -839,16 +988,12 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     let writer = Arc::new(Mutex::new(writer_stream));
     let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
     let mut negotiated = MIN_PROTOCOL_VERSION;
-    let mut reader = TickReader::new();
+    let mut reader = FrameReader::new();
 
     while !shared.stop.load(Ordering::SeqCst) {
-        let payload = match reader.poll(&mut stream) {
-            Ok(Some(p)) => p,
+        let (id, command) = match reader.poll(&mut stream) {
+            Ok(Some(Frame::Request { id, command, .. })) => (id, command),
             Ok(None) => continue,
-            Err(_) => break,
-        };
-        let (id, command) = match Frame::decode(&payload) {
-            Ok(Frame::Request { id, command, .. }) => (id, command),
             _ => break,
         };
         let reply = execute(shared, session, &writer, &mut negotiated, command);
@@ -999,7 +1144,7 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
     let mut stream = TcpStream::connect(addr).map_err(|e| HipacError::Io(e.to_string()))?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_TICK)).ok();
-    let mut reader = TickReader::new();
+    let mut reader = FrameReader::new();
 
     let ping = Frame::Request {
         id: 1,
@@ -1045,16 +1190,12 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
 
 /// Blocking read until the response with `id` arrives (probe
 /// connections only — anything else on the wire is irrelevant here).
-fn wait_reply_raw(reader: &mut TickReader, stream: &mut TcpStream, id: u64) -> Result<Reply> {
+fn wait_reply_raw(reader: &mut FrameReader, stream: &mut TcpStream, id: u64) -> Result<Reply> {
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     while Instant::now() < deadline {
         match reader.poll(stream) {
-            Ok(Some(payload)) => match Frame::decode(&payload) {
-                Ok(Frame::Response { id: got, reply }) if got == id => return Ok(reply),
-                Ok(_) => {}
-                Err(e) => return Err(HipacError::Io(format!("bad frame: {e}"))),
-            },
-            Ok(None) => {}
+            Ok(Some(Frame::Response { id: got, reply })) if got == id => return Ok(reply),
+            Ok(_) => {}
             Err(e) => return Err(HipacError::Io(e.to_string())),
         }
     }

@@ -4,9 +4,10 @@
 //! [`hipac_storage::DurableStore`] for durability, but snapshot reads
 //! must not pay a disk walk per query. [`ReplicaView`] keeps the
 //! catalog ('c'-prefixed keys) and object extents ('o'-prefixed keys)
-//! decoded in memory, updated atomically per applied batch under a
-//! write lock — so every read observes a batch-consistent snapshot at
-//! the view's applied LSN, never a half-applied transaction.
+//! decoded in memory, updated atomically per applied run of batches
+//! under a write lock — so every read observes a batch-consistent
+//! snapshot at the view's applied LSN, never a half-applied
+//! transaction.
 //!
 //! Non-object keys on the stream (rules, events, reply journal, push
 //! outbox, push sequences) are durably applied by the store but
@@ -139,8 +140,14 @@ impl ReplicaView {
         Ok(())
     }
 
-    /// Apply one committed batch atomically and advance the watermark.
-    pub fn apply_ops(&self, ops: &[StoreOp], applied_lsn: u64) -> Result<()> {
+    /// Apply committed operations — one batch, or a whole run of them —
+    /// under one write lock and advance the watermark, so a reader sees
+    /// the view before the run or after it, never in between.
+    pub fn apply_ops<'a>(
+        &self,
+        ops: impl IntoIterator<Item = &'a StoreOp>,
+        applied_lsn: u64,
+    ) -> Result<()> {
         let mut state = self.inner.write();
         for op in ops {
             match op {

@@ -6,11 +6,14 @@
 use hipac::ActiveDatabase;
 use hipac_common::{TxnId, Value, ValueType, ROLE_PRIMARY, ROLE_REPLICA};
 use hipac_event::EventSpec;
+use hipac_net::proto::{Command, Frame, ReplMsg, Reply, PROTOCOL_VERSION};
 use hipac_net::{ClientConfig, FleetClient, HipacClient, HipacServer, ServerConfig, WireError};
 use hipac_object::{AttrDef, Expr, Query};
 use hipac_repl::ReplicaNode;
 use hipac_rules::{Action, ActionOp, RuleDef};
+use hipac_storage::{batch_digest, fold_digest, DurableStore, StoreOp, TailRead};
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,6 +134,206 @@ fn replica_follows_applies_and_serves_snapshot_reads() {
 
     node.shutdown();
     server.shutdown();
+}
+
+/// Batches the primary committed before the replica subscribed reach
+/// the follower as one burst: it applies them in runs — fewer replica
+/// commits than batches — while the per-batch digest fold still agrees
+/// with the primary's and the view ends up equal to the primary's rows.
+#[test]
+fn burst_of_batches_applies_in_fewer_commits() {
+    let pdir = tdir("burst-p");
+    let rdir = tdir("burst-r");
+    let mut server = primary(&pdir, false);
+    let client = HipacClient::connect(server.local_addr().to_string()).unwrap();
+    let oids = seed_stock(&client, 1);
+    // One commit — one shipped batch — per update.
+    for i in 0..32 {
+        let t = client.begin().unwrap();
+        client
+            .update(
+                t,
+                oids[0],
+                vec![("price".into(), Value::from(100.0 + i as f64))],
+            )
+            .unwrap();
+        client
+            .insert(
+                t,
+                "stock",
+                vec![Value::from(format!("B{i}")), Value::from(i as f64)],
+            )
+            .unwrap();
+        client.commit(t).unwrap();
+    }
+    let store = Arc::clone(server.db().durable_store().unwrap());
+    let frontier = store.durable_lsn();
+    let batches = match store.read_batches_from(0, 1 << 24).unwrap() {
+        TailRead::Batches { batches, .. } => batches.len() as u64,
+        other => panic!("{other:?}"),
+    };
+    assert!(batches >= 33, "one batch per commit: {batches}");
+
+    let node = ReplicaNode::start(&rdir, server.local_addr().to_string(), "127.0.0.1:0").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while node.applied_lsn() < frontier {
+        assert!(Instant::now() < deadline, "replica never applied the burst");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let runs = node.counters().apply_runs.load(Ordering::Relaxed);
+    assert!(
+        runs < batches,
+        "{batches} batches took {runs} replica commits"
+    );
+
+    // The primary compared the replica's fold at the run's last LSN.
+    let pc = Arc::clone(server.db().repl_counters());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pc.last_applied_lsn.load(Ordering::Relaxed) < frontier {
+        assert!(
+            Instant::now() < deadline,
+            "progress never reached the primary"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(pc.digest_mismatches.load(Ordering::Relaxed), 0);
+    assert_eq!(pc.digest_ok_peers.load(Ordering::Relaxed), 1);
+
+    let mut on_primary = {
+        let t = client.begin().unwrap();
+        let rows = client.query(t, "from stock", HashMap::new()).unwrap();
+        client.commit(t).unwrap();
+        rows
+    };
+    on_primary.sort_by_key(|r| r.oid);
+    let reader = HipacClient::connect(node.local_addr().to_string()).unwrap();
+    let on_replica = reader
+        .query(TxnId(0), "from stock", HashMap::new())
+        .unwrap();
+    assert_eq!(on_replica.len(), 33);
+    assert_eq!(on_replica, on_primary, "view rows equal the primary's");
+
+    node.shutdown();
+    server.shutdown();
+}
+
+/// Read one request frame a follower sent, answering its handshake
+/// (`Ping`, `ReplSubscribe`) the way a primary does. Returns the frame,
+/// or `None` once the follower hung up.
+fn fake_primary_read(conn: &mut std::net::TcpStream) -> Option<Command> {
+    let Ok(Some(Frame::Request { id, command, .. })) = Frame::read_from(conn) else {
+        return None;
+    };
+    let reply = match &command {
+        Command::Ping { version } => Reply::Pong {
+            version: (*version).min(PROTOCOL_VERSION),
+        },
+        _ => Reply::Ok,
+    };
+    if id != 0 {
+        conn.write_all(&Frame::Response { id, reply }.encode())
+            .ok()?;
+    }
+    Some(command)
+}
+
+/// A gap in the middle of a run: a scripted primary ships sixteen
+/// batches in one write, the ninth not chaining onto the eighth. The
+/// follower commits nothing of that run — it reports no progress and
+/// resubscribes from the very watermark it started from — and the
+/// correctly chained re-ship then applies whole, with the reported
+/// digest equal to the fold of all sixteen batch digests.
+#[test]
+fn mid_run_gap_commits_nothing_and_resubscribes() {
+    const N: u64 = 16;
+    let rdir = tdir("midgap-r");
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let ops = |i: u64| {
+        vec![StoreOp::Put {
+            key: format!("k{i:02}").into_bytes(),
+            value: vec![i as u8; 8],
+        }]
+    };
+    let fake = std::thread::spawn(move || {
+        let mut sessions = Vec::new();
+        for attempt in 0..2 {
+            let (mut conn, _) = listener.accept().unwrap();
+            let start = loop {
+                match fake_primary_read(&mut conn) {
+                    Some(Command::ReplSubscribe { start_lsn, .. }) => break start_lsn,
+                    Some(_) => {}
+                    None => panic!("follower hung up during the handshake"),
+                }
+            };
+            let mut burst = Vec::new();
+            for i in 0..N {
+                let prev_lsn = if attempt == 0 && i == 8 {
+                    i * 100 + 1
+                } else {
+                    i * 100
+                };
+                let batch = ReplMsg::Batch {
+                    prev_lsn,
+                    start_lsn: prev_lsn,
+                    next_lsn: (i + 1) * 100,
+                    txn: TxnId(i + 1),
+                    ops: ops(i),
+                    epoch: 0,
+                };
+                burst.extend(Frame::Repl(batch).encode());
+            }
+            conn.write_all(&burst).unwrap();
+            let mut progress = Vec::new();
+            while let Some(command) = fake_primary_read(&mut conn) {
+                if let Command::ReplProgress {
+                    applied_lsn,
+                    digest,
+                    ..
+                } = command
+                {
+                    progress.push((applied_lsn, digest));
+                    if applied_lsn == N * 100 {
+                        break;
+                    }
+                }
+            }
+            sessions.push((start, progress));
+        }
+        sessions
+    });
+
+    let node = ReplicaNode::start(&rdir, addr.to_string(), "127.0.0.1:0").unwrap();
+    let sessions = fake.join().unwrap();
+    let (first_start, first_progress) = &sessions[0];
+    let (second_start, second_progress) = &sessions[1];
+    assert_eq!(*first_start, 0);
+    assert!(
+        first_progress.is_empty(),
+        "a refused run reports no progress"
+    );
+    assert_eq!(*second_start, 0, "resubscribed from the pre-run watermark");
+    let fold = (0..N).fold(0, |acc, i| {
+        fold_digest(acc, batch_digest((i + 1) * 100, TxnId(i + 1), &ops(i)))
+    });
+    assert_eq!(second_progress.last(), Some(&(N * 100, fold)));
+    assert!(node.counters().apply_runs.load(Ordering::Relaxed) < N);
+    node.shutdown();
+
+    let store = DurableStore::open(&rdir).unwrap();
+    assert_eq!(store.replicated_applied_lsn().unwrap(), Some(N * 100));
+    let keys: Vec<Vec<u8>> = store
+        .scan_prefix(b"k")
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .collect();
+    assert_eq!(
+        keys,
+        (0..N)
+            .map(|i| format!("k{i:02}").into_bytes())
+            .collect::<Vec<_>>()
+    );
 }
 
 #[test]

@@ -132,6 +132,14 @@ impl FaultPolicy {
         self.state.lock().crashed
     }
 
+    /// Simulate a process crash at this instant, wherever the workload
+    /// is: every later fault point fails, as after a fired
+    /// [`FaultPolicy::crash_at`]. The no-op [`FaultPolicy::none`]
+    /// ignores it — only a test policy can crash.
+    pub fn crash_now(&self) {
+        self.state.lock().crashed = true;
+    }
+
     /// The error an injected crash surfaces as.
     pub fn crash_error(point: FaultPoint) -> HipacError {
         HipacError::Io(format!("injected crash at {point:?}"))
@@ -228,6 +236,20 @@ mod tests {
         // Every later hit fails too (the process is "dead").
         assert!(p.hit(FaultPoint::DiskWrite).is_err());
         assert!(p.on_write(FaultPoint::WalAppend, 100).is_err());
+    }
+
+    #[test]
+    fn crash_now_sticks_on_test_policies_only() {
+        let p = FaultPolicy::count_only();
+        p.hit(FaultPoint::WalAppend).unwrap();
+        p.crash_now();
+        assert!(p.has_crashed());
+        assert!(FaultPolicy::is_injected(
+            &p.hit(FaultPoint::WalSync).unwrap_err()
+        ));
+        let inert = FaultPolicy::none();
+        inert.crash_now();
+        inert.hit(FaultPoint::WalSync).unwrap();
     }
 
     #[test]

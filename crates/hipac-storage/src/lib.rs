@@ -41,6 +41,7 @@ pub use fault::{FaultPoint, FaultPolicy};
 pub use heap::{HeapFile, RecordId};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use store::{
-    batch_digest, fold_digest, DurableStore, StoreOp, REPL_APPLIED_KEY, REPL_SNAPSHOT_SENTINEL,
+    batch_digest, fold_digest, DurableStore, ReplBatch, StoreOp, REPL_APPLIED_KEY,
+    REPL_SNAPSHOT_SENTINEL,
 };
 pub use wal::{TailRead, TailTruncate, Wal, WalBatch, WalRecord};

@@ -103,6 +103,18 @@ pub fn fold_digest(acc: u64, batch: u64) -> u64 {
 /// bootstrap snapshot.
 pub type SnapshotPairs = Vec<(Vec<u8>, Vec<u8>)>;
 
+/// One shipped batch of a [`DurableStore::apply_replicated_run`] run:
+/// its operations and the stream positions it chains from and to.
+#[derive(Debug, Clone, Copy)]
+pub struct ReplBatch<'a> {
+    /// The primary's batch, in log order.
+    pub ops: &'a [StoreOp],
+    /// The watermark this batch ships from.
+    pub prev_lsn: u64,
+    /// The watermark once it is applied.
+    pub next_lsn: u64,
+}
+
 const MAGIC: u64 = 0x4849_5041_4344_4231; // "HIPACDB1"
 const META_MAGIC_OFF: usize = 0;
 const META_HEAP_OFF: usize = 8;
@@ -129,7 +141,7 @@ struct Engine {
     heap: HeapFile,
     index: BTree,
     /// The [`REPL_APPLIED_KEY`] watermark as last applied, so the
-    /// replica's per-batch chaining check reads no tree.
+    /// replica's chaining check reads no tree.
     repl_applied: Option<u64>,
 }
 
@@ -532,21 +544,22 @@ impl DurableStore {
         // The journal annotation is a *thread-local*: it must be
         // consumed here, on the caller's thread, before the batch can
         // be handed to a group leader running on some other thread.
-        let merged: Vec<StoreOp>;
-        let batch: &[StoreOp] = match txn {
-            TxnId(0) => ops,
-            _ => match crate::journal::take_pending_ops() {
-                Some(extra) if !extra.is_empty() => {
-                    merged = ops.iter().cloned().chain(extra).collect();
-                    &merged
-                }
-                _ => ops,
-            },
-        };
-        if !self.group.enabled.load(Ordering::Relaxed) {
-            return self.commit_immediate(txn, batch);
+        let mut batch = ops.to_vec();
+        if txn != TxnId(0) {
+            if let Some(extra) = crate::journal::take_pending_ops() {
+                batch.extend(extra);
+            }
         }
-        self.commit_grouped(txn, batch.to_vec())
+        self.commit_owned(txn, batch)
+    }
+
+    /// Commit a batch the caller already owns, exactly as given (no
+    /// reply-journal annotation is merged here).
+    fn commit_owned(&self, txn: TxnId, batch: Vec<StoreOp>) -> Result<()> {
+        if !self.group.enabled.load(Ordering::Relaxed) {
+            return self.commit_immediate(txn, &batch);
+        }
+        self.commit_grouped(txn, batch)
     }
 
     /// The pre-group path: one WAL append + fsync per commit, under the
@@ -870,35 +883,59 @@ impl DurableStore {
         Ok((lsn, out))
     }
 
-    /// Replica side: apply one shipped batch and atomically record that
-    /// the store now reflects the primary's log up to `applied_lsn`.
-    /// Ops targeting the watermark key itself are dropped (a promoted
-    /// primary that was once a replica must not replay its old
-    /// watermark into followers).
-    ///
-    /// `prev_lsn` is the stream-chain position the batch ships from
-    /// (the shipper's view of what this follower already holds). It
-    /// must equal the store's current watermark exactly — otherwise a
-    /// batch was dropped or replayed between the two, and absorbing
-    /// this one would advance the watermark over a gap. That case
-    /// returns [`HipacError::ReplGap`] without touching the store; the
-    /// caller disconnects and resubscribes from its durable watermark,
-    /// turning silent divergence into automatic recovery.
+    /// Replica side: apply one shipped batch — a run of one (see
+    /// [`DurableStore::apply_replicated_run`]).
     pub fn apply_replicated(
         &self,
         ops: &[StoreOp],
         prev_lsn: u64,
         applied_lsn: u64,
     ) -> Result<()> {
-        let expected = self.replicated_applied_lsn()?.unwrap_or(0);
-        if prev_lsn != expected || applied_lsn <= expected {
-            return Err(HipacError::ReplGap {
-                expected,
-                got: prev_lsn,
-            });
+        self.apply_replicated_run(&[ReplBatch {
+            ops,
+            prev_lsn,
+            next_lsn: applied_lsn,
+        }])
+    }
+
+    /// Replica side: apply a run of consecutive shipped batches as one
+    /// WAL batch — one append, one fsync — and atomically record that
+    /// the store now reflects the primary's log up to the last batch's
+    /// `next_lsn`. Ops targeting the watermark key itself are dropped
+    /// (a promoted primary that was once a replica must not replay its
+    /// old watermark into followers).
+    ///
+    /// Each batch's `prev_lsn` is the stream-chain position it ships
+    /// from (the shipper's view of what this follower holds once the
+    /// batches before it are applied). The first must equal the
+    /// store's current watermark and each later one the `next_lsn` of
+    /// the batch before it — otherwise a batch was dropped or replayed
+    /// in between, and absorbing the run would advance the watermark
+    /// over a gap. That case returns [`HipacError::ReplGap`] (naming
+    /// the first breaking batch) and commits **nothing** of the run,
+    /// not even the chaining prefix: a run is all-or-nothing, so the
+    /// store, the watermark and the caller's view and digest all stay
+    /// at the pre-run state. The caller disconnects and resubscribes
+    /// from its durable watermark, and the primary re-ships the prefix
+    /// with the rest, turning silent divergence into automatic
+    /// recovery.
+    pub fn apply_replicated_run(&self, run: &[ReplBatch<'_>]) -> Result<()> {
+        let mut at = self.replicated_applied_lsn()?.unwrap_or(0);
+        for b in run {
+            if b.prev_lsn != at || b.next_lsn <= at {
+                return Err(HipacError::ReplGap {
+                    expected: at,
+                    got: b.prev_lsn,
+                });
+            }
+            at = b.next_lsn;
         }
-        let mut batch: Vec<StoreOp> = ops
+        if run.is_empty() {
+            return Ok(());
+        }
+        let mut batch: Vec<StoreOp> = run
             .iter()
+            .flat_map(|b| b.ops)
             .filter(|op| {
                 let key = match op {
                     StoreOp::Put { key, .. } => key,
@@ -910,11 +947,11 @@ impl DurableStore {
             .collect();
         batch.push(StoreOp::Put {
             key: REPL_APPLIED_KEY.to_vec(),
-            value: applied_lsn.to_le_bytes().to_vec(),
+            value: at.to_le_bytes().to_vec(),
         });
         // TxnId(0): metadata-style batch — never merges a reply-journal
         // annotation from this thread.
-        self.commit(TxnId(0), &batch)
+        self.commit_owned(TxnId(0), batch)
     }
 
     /// Replica side: replace the whole store contents with a primary
@@ -958,7 +995,7 @@ impl DurableStore {
     }
 
     /// Overwrite the replica watermark directly (rejoin repair only —
-    /// normal application always rides [`DurableStore::apply_replicated`]).
+    /// normal application always rides [`DurableStore::apply_replicated_run`]).
     /// A fenced ex-primary's stale watermark lives in the *old*
     /// primary's LSN space; chaining the new primary's stream onto it
     /// would either refuse forever or, worse, silently line up with an

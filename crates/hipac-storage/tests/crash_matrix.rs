@@ -20,7 +20,7 @@
 //! recorded order.
 
 use hipac_common::{HipacError, TxnId};
-use hipac_storage::{DurableStore, FaultPolicy, StoreOp};
+use hipac_storage::{DurableStore, FaultPolicy, ReplBatch, StoreOp, REPL_APPLIED_KEY};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::PathBuf;
@@ -56,6 +56,12 @@ fn del(key: &[u8]) -> StoreOp {
 enum Step {
     Batch(Vec<StoreOp>),
     Checkpoint,
+    /// A replica's grouped apply: batch `i` chains from watermark
+    /// `from + i` to `from + i + 1`, and the whole run is one commit.
+    Run {
+        from: u64,
+        batches: Vec<Vec<StoreOp>>,
+    },
 }
 
 /// The logical key→value map (the store's observable state).
@@ -78,8 +84,16 @@ fn apply_to_model(model: &mut Model, ops: &[StoreOp]) {
 fn model_after(steps: &[Step], n: usize) -> Model {
     let mut model = Model::new();
     for step in &steps[..n] {
-        if let Step::Batch(ops) = step {
-            apply_to_model(&mut model, ops);
+        match step {
+            Step::Batch(ops) => apply_to_model(&mut model, ops),
+            Step::Checkpoint => {}
+            Step::Run { from, batches } => {
+                for ops in batches {
+                    apply_to_model(&mut model, ops);
+                }
+                let watermark = from + batches.len() as u64;
+                model.insert(REPL_APPLIED_KEY.to_vec(), watermark.to_le_bytes().to_vec());
+            }
         }
     }
     model
@@ -100,6 +114,17 @@ fn run(store: &DurableStore, steps: &[Step], from: usize) -> Result<(), (usize, 
         let r = match step {
             Step::Batch(ops) => store.commit(TxnId(i as u64 + 1), ops),
             Step::Checkpoint => store.checkpoint(),
+            Step::Run { from, batches } => {
+                let run: Vec<ReplBatch<'_>> = (*from..)
+                    .zip(batches)
+                    .map(|(prev, ops)| ReplBatch {
+                        ops,
+                        prev_lsn: prev,
+                        next_lsn: prev + 1,
+                    })
+                    .collect();
+                store.apply_replicated_run(&run)
+            }
         };
         if let Err(e) = r {
             return Err((i, e));
@@ -236,6 +261,38 @@ fn multi_batch_history_with_checkpoints_matrix() {
         Step::Checkpoint,
     ];
     crash_matrix("multi", &steps);
+}
+
+/// A replica's grouped apply — several shipped batches plus the
+/// watermark in one commit — crashed at every fault point it crosses
+/// (WAL append, possibly torn, WAL sync, the group wake-up, each
+/// operation's apply) recovers to the pre-run or the post-run state,
+/// never a prefix of the run's batches or its data without its
+/// watermark. Runs sit between ordinary commits and a checkpoint, so a
+/// recovered run also survives being baked into the data file.
+#[test]
+fn grouped_replica_apply_matrix() {
+    let steps = vec![
+        Step::Batch(vec![put(b"local", b"1".to_vec())]),
+        Step::Run {
+            from: 0,
+            batches: vec![
+                vec![put(b"a", b"1".to_vec()), put(b"b", vec![0xB; 300])],
+                vec![del(b"a"), put(b"c", b"3".to_vec())],
+                vec![put(b"big", vec![7u8; 10_000])],
+                vec![put(b"b", b"22".to_vec()), del(b"missing")],
+            ],
+        },
+        Step::Checkpoint,
+        Step::Run {
+            from: 4,
+            batches: vec![
+                vec![put(b"big", b"small-now".to_vec())],
+                vec![del(b"c"), put(b"d", vec![9u8; 500])],
+            ],
+        },
+    ];
+    crash_matrix("grouped-run", &steps);
 }
 
 /// The enumeration itself is deterministic: two counting runs of the

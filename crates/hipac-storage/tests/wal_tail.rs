@@ -5,7 +5,9 @@
 //! LSN is indistinguishable from full crash recovery.
 
 use hipac_common::{HipacError, TxnId};
-use hipac_storage::{DurableStore, StoreOp, TailRead, Wal, WalRecord, REPL_APPLIED_KEY};
+use hipac_storage::{
+    DurableStore, ReplBatch, StoreOp, TailRead, Wal, WalBatch, WalRecord, REPL_APPLIED_KEY,
+};
 use std::io::Write;
 use std::ops::Bound;
 use std::path::PathBuf;
@@ -393,6 +395,203 @@ fn apply_replicated_rejects_stream_gaps() {
     let err = b.apply_replicated(&first.ops, 0, first.next_lsn).unwrap_err();
     assert!(matches!(err, HipacError::ReplGap { .. }), "got {err}");
     assert_eq!(b.replicated_applied_lsn().unwrap(), Some(chain));
+}
+
+/// Commit `k` one-key batches on a fresh primary and tail them back:
+/// the batches, each paired with the chain position it ships from
+/// (exactly as the shipper stamps `prev_lsn`).
+fn shipped_batches(name: &str, k: usize) -> Vec<(u64, WalBatch)> {
+    let a = DurableStore::open(&tmpdir(name)).unwrap();
+    for i in 0..k {
+        let key = format!("k{i:02}");
+        let ops = [
+            put(key.as_bytes(), &[i as u8; 24]),
+            put(b"last", key.as_bytes()),
+        ];
+        a.commit(TxnId(i as u64 + 1), &ops).unwrap();
+    }
+    let TailRead::Batches { batches, .. } = a.read_batches_from(0, 1 << 20).unwrap() else {
+        panic!("in range");
+    };
+    assert_eq!(batches.len(), k);
+    let mut chain = 0;
+    batches
+        .into_iter()
+        .map(|b| {
+            let prev = std::mem::replace(&mut chain, b.next_lsn);
+            (prev, b)
+        })
+        .collect()
+}
+
+fn as_run<'a>(batches: &[&'a (u64, WalBatch)]) -> Vec<ReplBatch<'a>> {
+    batches
+        .iter()
+        .map(|(prev, b)| ReplBatch {
+            ops: &b.ops,
+            prev_lsn: *prev,
+            next_lsn: b.next_lsn,
+        })
+        .collect()
+}
+
+/// WAL batches `store` has appended since `from_lsn`.
+fn own_batches_since(store: &DurableStore, from_lsn: u64) -> usize {
+    match store.read_batches_from(from_lsn, 1 << 24).unwrap() {
+        TailRead::Batches { batches, .. } => batches.len(),
+        other => panic!("own log out of range: {other:?}"),
+    }
+}
+
+/// A run of k chaining batches is exactly one WAL batch on the replica
+/// (one append, one fsync — one group-commit cohort when grouping is
+/// on), its watermark is the last batch's `next_lsn`, and it leaves
+/// the same contents as k one-batch applies. Holds in both commit
+/// modes.
+#[test]
+fn grouped_apply_is_one_wal_batch_equal_to_k_single_applies() {
+    const K: usize = 12;
+    let shipped = shipped_batches("run-primary", K);
+    let last = shipped[K - 1].1.next_lsn;
+    for grouped in [true, false] {
+        let run_store = DurableStore::open(&tmpdir(&format!("run-grouped-{grouped}"))).unwrap();
+        let one_store = DurableStore::open(&tmpdir(&format!("run-single-{grouped}"))).unwrap();
+        for s in [&run_store, &one_store] {
+            s.set_group_commit(grouped, std::time::Duration::ZERO);
+        }
+
+        let groups_before = run_store.group_commit_stats().groups;
+        let lsn_before = run_store.durable_lsn();
+        let all: Vec<_> = shipped.iter().collect();
+        run_store.apply_replicated_run(&as_run(&all)).unwrap();
+        assert_eq!(
+            own_batches_since(&run_store, lsn_before),
+            1,
+            "grouped={grouped}"
+        );
+        let groups = run_store.group_commit_stats().groups - groups_before;
+        assert_eq!(
+            groups,
+            u64::from(grouped),
+            "one cohort per run (grouped={grouped})"
+        );
+        assert_eq!(run_store.replicated_applied_lsn().unwrap(), Some(last));
+
+        let lsn_before = one_store.durable_lsn();
+        for (prev, b) in &shipped {
+            one_store
+                .apply_replicated(&b.ops, *prev, b.next_lsn)
+                .unwrap();
+        }
+        assert_eq!(own_batches_since(&one_store, lsn_before), K);
+        assert_eq!(one_store.replicated_applied_lsn().unwrap(), Some(last));
+        assert_eq!(
+            contents(&run_store),
+            contents(&one_store),
+            "grouped={grouped}"
+        );
+        assert_eq!(contents(&run_store).len(), K + 1);
+
+        // The watermark survives reopen with the run's data.
+        let dir = tmpdir(&format!("run-reopen-{grouped}"));
+        let reopened = {
+            let s = DurableStore::open(&dir).unwrap();
+            s.apply_replicated_run(&as_run(&all)).unwrap();
+            drop(s);
+            DurableStore::open(&dir).unwrap()
+        };
+        assert_eq!(reopened.replicated_applied_lsn().unwrap(), Some(last));
+        assert_eq!(contents(&reopened), contents(&one_store));
+    }
+}
+
+/// A run whose j-th batch does not chain — skipped, replayed, or
+/// off by one — returns `ReplGap` naming the chain position it broke
+/// at, and commits nothing of the run, not even the chaining prefix:
+/// the watermark, the contents and the replica's own WAL all stay at
+/// the pre-run state. The correct run then applies cleanly.
+#[test]
+fn grouped_apply_gap_commits_nothing_of_the_run() {
+    const K: usize = 10;
+    const J: usize = 6;
+    let shipped = shipped_batches("run-gap-primary", K);
+    for grouped in [true, false] {
+        let b = DurableStore::open(&tmpdir(&format!("run-gap-replica-{grouped}"))).unwrap();
+        b.set_group_commit(grouped, std::time::Duration::ZERO);
+        // A first run establishes a non-empty pre-run state.
+        b.apply_replicated_run(&as_run(&[&shipped[0], &shipped[1]]))
+            .unwrap();
+        let watermark = shipped[1].1.next_lsn;
+        let before = contents(&b);
+        let lsn_before = b.durable_lsn();
+
+        let skipped: Vec<_> = shipped[2..J].iter().chain(&shipped[J + 1..]).collect();
+        let replayed: Vec<_> = shipped[2..J]
+            .iter()
+            .chain(std::iter::once(&shipped[J - 2]))
+            .chain(shipped[J..].iter())
+            .collect();
+        let mut off_by_one = as_run(&shipped[2..].iter().collect::<Vec<_>>());
+        off_by_one[J - 2].prev_lsn += 1;
+        let cases = [
+            (
+                "skipped",
+                as_run(&skipped),
+                shipped[J - 1].1.next_lsn,
+                shipped[J + 1].0,
+            ),
+            (
+                "replayed",
+                as_run(&replayed),
+                shipped[J - 1].1.next_lsn,
+                shipped[J - 2].0,
+            ),
+            (
+                "off by one",
+                off_by_one,
+                shipped[J - 1].1.next_lsn,
+                shipped[J].0 + 1,
+            ),
+            (
+                "first batch",
+                as_run(&[&shipped[3], &shipped[4]]),
+                watermark,
+                shipped[3].0,
+            ),
+        ];
+        for (what, run, want_expected, want_got) in cases {
+            match b.apply_replicated_run(&run).unwrap_err() {
+                HipacError::ReplGap { expected, got } => {
+                    assert_eq!((expected, got), (want_expected, want_got), "{what}");
+                }
+                other => panic!("{what}: expected ReplGap, got {other}"),
+            }
+            assert_eq!(
+                b.replicated_applied_lsn().unwrap(),
+                Some(watermark),
+                "{what}"
+            );
+            assert_eq!(
+                contents(&b),
+                before,
+                "{what}: the chaining prefix must not commit"
+            );
+            assert_eq!(
+                b.durable_lsn(),
+                lsn_before,
+                "{what}: nothing reached the WAL"
+            );
+        }
+
+        // The resubscribe re-ships the whole remainder as one run.
+        b.apply_replicated_run(&as_run(&shipped[2..].iter().collect::<Vec<_>>()))
+            .unwrap();
+        assert_eq!(
+            b.replicated_applied_lsn().unwrap(),
+            Some(shipped[K - 1].1.next_lsn)
+        );
+        assert_eq!(contents(&b).len(), K + 1);
+    }
 }
 
 /// A crash after `Wal::reset` persists the pending-truncate sidecar but

@@ -24,8 +24,8 @@ cargo test -q -p hipac-rules --test match_properties
 echo "==> match bench smoke (1k/10k rules, network vs naive dispatch)"
 cargo run --release -q -p hipac-bench --bin report -- --only match --smoke
 
-echo "==> crash matrix (deterministic, fixed seed), streaming-checkpoint and B+tree allocation counts, index atomicity"
-cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc
+echo "==> crash matrix (deterministic, fixed seed, grouped replica apply included), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, index atomicity"
+cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail
 cargo test -q -p hipac-object --test index_atomicity
 
 echo "==> serializability-checked stress suites"
@@ -37,8 +37,8 @@ cargo test -q -p hipac --test parallel_firing
 echo "==> fanout bench smoke (N=16, 1 iteration, both parallelism levels)"
 cargo run --release -q -p hipac-bench --bin report -- --only fanout --smoke
 
-echo "==> network chaos suite (fixed seed matrix 11/22/33, exactly-once torture)"
-cargo test -q -p hipac-net --test resilience
+echo "==> network chaos suite (fixed seed matrix 11/22/33, exactly-once torture, ack fold)"
+cargo test -q -p hipac-net --lib --test resilience
 
 echo "==> separate-mode firing recovery (deadlock retry + dead-letter)"
 cargo test -q -p hipac-rules --test rule_manager_tests separate
@@ -52,7 +52,7 @@ cargo test -q -p hipac-check --test restart_torture
 echo "==> restart bench cell (recovery time + journal replay hit rate)"
 cargo run --release -q -p hipac-bench --bin report -- --only restart --smoke --json restart
 
-echo "==> replication suite (WAL shipping, replica reads, promotion)"
+echo "==> replication suite (WAL shipping, grouped apply, mid-run gap, replica reads, promotion)"
 cargo test -q -p hipac-repl
 
 echo "==> failover torture (fixed seeds 101/202/303, exactly-once across promotion)"
