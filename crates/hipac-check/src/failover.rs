@@ -29,7 +29,7 @@
 //! pushes and the already-seen ones are acked without re-running.
 //!
 //! The report carries raw evidence; assertions live with the callers
-//! (`tests/failover_torture.rs` and the bench `repl` cell).
+//! (`tests/failover_torture.rs`).
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use crate::restart::{
@@ -90,8 +90,6 @@ impl FailoverTortureConfig {
 pub struct FailoverTortureReport {
     /// The seed the run used.
     pub seed: u64,
-    /// Acked commits observed when the kill fired.
-    pub killed_at_acks: usize,
     /// Committed `t.n` counts read from the promoted node.
     pub counts: HashMap<i64, usize>,
     /// Committed counts from an uncontended single-node run of the
@@ -109,9 +107,6 @@ pub struct FailoverTortureReport {
     /// Probes answered `Ok` — from the replicated journal, without
     /// re-execution.
     pub replay_hits: u64,
-    /// Time from killing the primary to the promoted server accepting
-    /// on the replica's (unchanged) address.
-    pub failover: Duration,
     /// Handler executions per push sequence number (each must be 1).
     pub push_deliveries: HashMap<u64, u64>,
     /// Pushes the replica fanned out before promotion (its gauge is
@@ -121,9 +116,6 @@ pub struct FailoverTortureReport {
     pub promotions: u64,
     /// Unacked pushes still retained when the run ended (must be 0).
     pub unacked_after: u64,
-    /// Replication lag samples (µs from commit ack to the replica
-    /// having applied the committing frontier) taken before the kill.
-    pub lag_samples_us: Vec<f64>,
 }
 
 /// The same workload with no chaos, no replica, no kill: the committed
@@ -247,9 +239,8 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         }));
     }
 
-    // Sample replication lag until the kill threshold is reached: the
-    // ack→applied distance at each observation of a new acked commit.
-    let mut lag_samples_us = Vec::new();
+    // Until the kill threshold is reached, let the replica catch up to
+    // the primary's durable frontier at each newly acked commit.
     let store1 = Arc::clone(db1.durable_store().expect("primary is durable"));
     let kill_wait = Instant::now() + cfg.budget / 2;
     let mut seen_acks = 0usize;
@@ -262,14 +253,12 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
             while node.applied_lsn() < frontier && t0.elapsed() < Duration::from_secs(1) {
                 std::thread::sleep(Duration::from_micros(50));
             }
-            lag_samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
         }
         if now_acked >= cfg.kill_after_acks {
             break;
         }
         std::thread::sleep(Duration::from_micros(200));
     }
-    let killed_at_acks = acked.lock().len();
 
     // Kill the primary abruptly — no drain. Sever the client path
     // first and point it at a closed port: a kill -9 destroys
@@ -278,7 +267,6 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
     // nothing may answer a keyed retry — a premature "not executed"
     // answer would make the client redo a commit the dead primary
     // already executed and shipped.
-    let failover_started = Instant::now();
     let hole_addr = {
         let hole = std::net::TcpListener::bind("127.0.0.1:0").expect("bind hole");
         hole.local_addr().expect("hole addr")
@@ -296,7 +284,6 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
     let (db2, server2) = node
         .promote(ServerConfig::default())
         .expect("promote replica");
-    let failover = failover_started.elapsed();
     proxy.retarget(server2.local_addr());
     proxy.break_connections();
 
@@ -355,7 +342,6 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
     let counts = committed_counts(&db2);
     let report = FailoverTortureReport {
         seed: cfg.seed,
-        killed_at_acks,
         counts,
         expected,
         acked: acked.lock().clone(),
@@ -363,12 +349,10 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         journal_entries,
         replay_probes,
         replay_hits,
-        failover,
         push_deliveries,
         replica_pushes,
         promotions: db2.repl_counters().promotions.load(Ordering::Relaxed),
         unacked_after: server2.unacked_pushes(),
-        lag_samples_us,
     };
     let mut server2 = server2;
     server2.shutdown();

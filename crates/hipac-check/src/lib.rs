@@ -1,10 +1,10 @@
 //! Serializability checking for the HiPAC active DBMS reproduction.
 //!
-//! The paper's correctness criterion (§3) is that a top-level
+//! The paper's correctness requirement (§3) is that a top-level
 //! transaction together with all of its rule-firing subtransactions —
 //! immediate and deferred — behaves as **one serializable unit**, and
 //! that separate-mode firings are ordinary top-level transactions that
-//! serialize with everything else. This crate checks that criterion on
+//! serialize with everything else. This crate checks that requirement on
 //! *actual executions* instead of trusting the lock manager:
 //!
 //! * [`ScheduleRecorder`] plugs into the transaction manager's existing
@@ -43,10 +43,10 @@
 //! mid-burst, promote its replica, and prove the same guarantees held
 //! by the *replicated* journal and outbox.
 
-//! [`tenants`] tortures the multi-tenant hardening layer (protocol
-//! v8): hostile peers asserting foreign identities, a noisy tenant
-//! flooding per-tenant admission budgets through chaos, and a
-//! calibrated crash sweep across the slow-subscriber eviction window
+//! [`tenants`] tortures the multi-tenant hardening layer: hostile
+//! peers asserting foreign identities, a noisy tenant flooding
+//! per-tenant admission budgets through chaos, and a calibrated crash
+//! sweep across the slow-subscriber eviction window
 //! proving the `SubscriberEvicted` signal fires user rules exactly
 //! once per eviction.
 

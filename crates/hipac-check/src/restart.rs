@@ -35,7 +35,7 @@
 //!
 //! The report deliberately contains raw evidence (per-value counts,
 //! per-seq delivery counts, journal probe results) so test assertions
-//! and bench cells stay outside the harness.
+//! stay outside the harness.
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use hipac::ActiveDatabase;
@@ -121,12 +121,8 @@ pub struct RestartTortureReport {
     pub replay_hits: u64,
     /// The restarted server's journal-replay gauge at the end.
     pub journal_replays: u64,
-    /// Time from killing the old server to the new one accepting.
-    pub recovery: Duration,
     /// Handler executions per push sequence number (each must be 1).
     pub push_deliveries: HashMap<u64, u64>,
-    /// The restarted server's redelivered-push gauge at the end.
-    pub pushes_redelivered: u64,
     /// Unacked pushes still retained when the run ended (must be 0).
     pub unacked_after: u64,
 }
@@ -490,7 +486,6 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
     }
     let crashed = faults.has_crashed();
     let mut server1 = server1;
-    let restart_started = Instant::now();
     server1.shutdown();
     drop(server1);
     drop(db1);
@@ -502,7 +497,6 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
             .expect("reopen torture db"),
     );
     let server2 = HipacServer::bind(Arc::clone(&db2), "127.0.0.1:0").expect("rebind torture server");
-    let recovery = restart_started.elapsed();
     proxy.retarget(server2.local_addr());
     proxy.break_connections();
 
@@ -572,9 +566,7 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         replay_probes,
         replay_hits,
         journal_replays: server2.journal_replays(),
-        recovery,
         push_deliveries,
-        pushes_redelivered: server2.pushes_redelivered(),
         unacked_after: server2.unacked_pushes(),
     };
     drop(server2);

@@ -26,7 +26,7 @@
 //! instead of blocking.
 //!
 //! Reports carry raw evidence; assertions live with the callers
-//! (`tests/splitbrain_torture.rs` and the bench `repl` cell).
+//! (`tests/splitbrain_torture.rs`).
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use crate::restart::{
@@ -613,16 +613,16 @@ fn wedged_subscriber(addr: &str, start_lsn: u64) -> std::io::Result<std::thread:
         },
     };
     stream.write_all(&ping.encode())?;
-    let version = loop {
+    loop {
         match Frame::read_from(&mut stream) {
             Ok(Some(Frame::Response {
                 id: 1,
-                reply: Reply::Pong { version },
-            })) => break version,
+                reply: Reply::Pong { .. },
+            })) => break,
             Ok(Some(_)) => continue,
             _ => return Err(wedge_err("handshake failed")),
         }
-    };
+    }
 
     let sub = Frame::Request {
         id: 2,
@@ -632,7 +632,7 @@ fn wedged_subscriber(addr: &str, start_lsn: u64) -> std::io::Result<std::thread:
             epoch: 0,
         },
     };
-    stream.write_all(&sub.encode_versioned(version))?;
+    stream.write_all(&sub.encode())?;
     loop {
         match Frame::read_from(&mut stream) {
             Ok(Some(Frame::Response { id: 2, reply })) => match reply {

@@ -1,6 +1,6 @@
-//! Tenant-isolation torture: the multi-tenant hardening layer
-//! (protocol v8) under hostile identities, noisy-neighbor floods, and
-//! crashes at the slow-subscriber eviction point.
+//! Tenant-isolation torture: the multi-tenant hardening layer under
+//! hostile identities, noisy-neighbor floods, and crashes at the
+//! slow-subscriber eviction point.
 //!
 //! Three phases, all driven from one seed:
 //!
@@ -31,7 +31,7 @@ use crate::restart::fresh_dir;
 use hipac::ActiveDatabase;
 use hipac_common::{Value, ValueType};
 use hipac_event::EventSpec;
-use hipac_net::proto::{Command, Frame, Reply, RequestMeta};
+use hipac_net::proto::{Command, Frame, Reply, RequestMeta, PROTOCOL_VERSION};
 use hipac_net::{ClientConfig, HipacClient, HipacServer, ServerConfig};
 use hipac_object::{AttrDef, Expr, Query};
 use hipac_rules::{Action, ActionOp, DbAction, RuleDef};
@@ -127,11 +127,16 @@ fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Co
     }
 }
 
-/// Open an authenticated v8 session: Ping, then a real token.
+/// Open an authenticated session: Ping, then a real token.
 fn authed_session(addr: std::net::SocketAddr, client_id: u64) -> TcpStream {
     let mut s = TcpStream::connect(addr).expect("connect");
-    match raw_roundtrip(&mut s, 1, RequestMeta::default(), Command::Ping { version: 8 }) {
-        Reply::Pong { version: 8 } => {}
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    match raw_roundtrip(&mut s, 1, RequestMeta::default(), ping) {
+        Reply::Pong {
+            version: PROTOCOL_VERSION,
+        } => {}
         other => panic!("ping produced {other:?}"),
     }
     let token = hipac_net::auth::session_token(SECRET, client_id).to_vec();

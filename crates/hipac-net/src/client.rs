@@ -24,7 +24,7 @@
 //! request metadata — the server bounds lock waits with them — and
 //! expire locally as [`WireError::Timeout`].
 //!
-//! Protocol v4 extends the guarantees across server restarts: push
+//! The guarantees extend across server restarts: push
 //! frames carry per-subscription sequence numbers which the reader
 //! thread acknowledges after the handler returns (redeliveries with an
 //! already-seen sequence are acked but not re-handled), and
@@ -38,7 +38,7 @@
 
 use crate::proto::{
     Command, Frame, PushEvent, Reply, RequestMeta, WireAttr, WireError, WireRow, WireStats,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use hipac_common::ROLE_PRIMARY;
 use hipac_common::{TxnId, Value};
@@ -62,8 +62,8 @@ type Pending = Mutex<HashMap<u64, crossbeam::channel::Sender<Reply>>>;
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Attempts beyond the first after a transport failure. Retries
-    /// re-send the same idempotency key, so they are exactly-once
-    /// against a v3 server. `0` fails fast.
+    /// re-send the same idempotency key, so they are exactly-once.
+    /// `0` fails fast.
     pub max_retries: u32,
     /// Base reconnect backoff; attempt `n` waits `backoff * 2^(n-1)`
     /// plus deterministic jitter, capped at one second.
@@ -92,14 +92,13 @@ pub struct ClientConfig {
     /// How long an open breaker refuses before allowing one half-open
     /// probe.
     pub breaker_cooldown: Duration,
-    /// Shared server secret for session authentication (protocol v8).
+    /// Shared server secret for session authentication.
     /// When set, every (re)connect handshake presents
     /// `HMAC-SHA256(secret, client_id)` via `Command::Auth` after the
     /// ping, binding the session to this client's identity — required
-    /// before a v8 server with auth enabled honors keyed requests,
-    /// journal replays, or push acks for that `client_id`. Against a
-    /// v≤7 server (which cannot understand `Auth`) the step is
-    /// skipped. `None` sends no token.
+    /// before a server with auth enabled honors keyed requests,
+    /// journal replays, or push acks for that `client_id`. `None`
+    /// sends no token.
     pub auth_secret: Option<Vec<u8>>,
     /// Run the *first* dial under the same `max_retries`/`backoff`
     /// policy as every later request (transport failures, plus
@@ -493,15 +492,10 @@ impl HipacClient {
             let ping = Command::Ping {
                 version: PROTOCOL_VERSION,
             };
-            let negotiated = match raw_request(&conn, id, RequestMeta::default(), ping, None)? {
-                // Additive negotiation: any version both ends speak is
-                // acceptable — the server answers with the minimum of
-                // the two, and v5 extensions degrade gracefully.
-                Reply::Pong { version }
-                    if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-                {
-                    version
-                }
+            match raw_request(&conn, id, RequestMeta::default(), ping, None)? {
+                Reply::Pong {
+                    version: PROTOCOL_VERSION,
+                } => {}
                 Reply::Pong { version } => {
                     return Err(WireError::Protocol(format!(
                         "server speaks protocol v{version}, client v{PROTOCOL_VERSION}"
@@ -509,25 +503,20 @@ impl HipacClient {
                 }
                 Reply::Err { kind, message } => return Err(WireError::Remote { kind, message }),
                 other => return Err(unexpected(other)),
-            };
+            }
             // Authenticate before re-subscribing: subscriptions bind to
-            // the proven identity on a v8 server with auth enabled, so
-            // the token must land first. A v≤7 server never sees the
-            // opcode (it could not decode it).
+            // the proven identity on a server with auth enabled, so the
+            // token must land first.
             if let Some(secret) = &self.config.auth_secret {
-                if negotiated >= 8 {
-                    let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                    let auth = Command::Auth {
-                        client_id: self.client_id,
-                        token: crate::auth::session_token(secret, self.client_id).to_vec(),
-                    };
-                    match raw_request(&conn, id, RequestMeta::default(), auth, None)? {
-                        Reply::Ok => {}
-                        Reply::Err { kind, message } => {
-                            return Err(WireError::Remote { kind, message })
-                        }
-                        other => return Err(unexpected(other)),
-                    }
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let auth = Command::Auth {
+                    client_id: self.client_id,
+                    token: crate::auth::session_token(secret, self.client_id).to_vec(),
+                };
+                match raw_request(&conn, id, RequestMeta::default(), auth, None)? {
+                    Reply::Ok => {}
+                    Reply::Err { kind, message } => return Err(WireError::Remote { kind, message }),
+                    other => return Err(unexpected(other)),
                 }
             }
             for handler in self.subscribed.lock().iter() {
@@ -1277,7 +1266,7 @@ fn read_loop(
                 // whose Ok the server still sends); drop the reply.
             }
             Ok(Some(Frame::Push(event))) => {
-                // seq 0 = pre-v4 unacked push: always deliver, no ack.
+                // seq 0 = unsequenced push: always deliver, no ack.
                 // Otherwise dedup on the per-handler high-water mark —
                 // redelivery after reconnect resends pushes the server
                 // never saw acked, including ones we already ran.

@@ -17,7 +17,7 @@
 //! * [`client`] — [`client::HipacClient`]: a blocking request/response
 //!   client with push-frame handler registration.
 //!
-//! Protocol v3 adds end-to-end failure resilience: every request
+//! The protocol carries end-to-end failure resilience: every request
 //! carries an idempotency key (stable client id + monotonic sequence)
 //! and an optional deadline. The server deduplicates retries through a
 //! bounded reply window, propagates deadlines into engine lock waits,
@@ -26,19 +26,19 @@
 //! re-subscribes its handlers, and retries transport failures
 //! exactly-once.
 //!
-//! Protocol v4 makes that contract survive a server crash: on a
+//! That contract survives a server crash: on a
 //! durable store, cached replies ride the WAL batch of the commit they
 //! acknowledge (the reply journal, reloaded on recovery, with evicted
 //! keys refused via a typed `ReplyEvicted`), and push frames carry a
 //! per-subscription sequence number backed by a durable outbox — the
 //! client acks each push after its handler runs ([`Command::AckPush`]),
 //! unacked frames are redelivered on resubscribe, and the client
-//! dedups redeliveries by sequence. v4 also adds adaptive shedding on
+//! dedups redeliveries by sequence. The server also sheds adaptively on
 //! a dispatch-delay EWMA and a client-side per-address circuit
 //! breaker. See DESIGN.md §7 and the `hipac-check::restart` torture
 //! for the proof obligations.
 //!
-//! Protocol v8 hardens the server for multiple tenants: sessions
+//! The server is hardened for multiple tenants: sessions
 //! authenticate with an HMAC token over a shared server secret
 //! ([`auth`], [`Command::Auth`]) binding the connection to its
 //! `client_id`, so journal replays, push redelivery, and acks are only

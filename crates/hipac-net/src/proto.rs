@@ -10,7 +10,7 @@
 //!                   uvarints, 0 = absent), opcode u8, command body
 //! kind 1  Response  uvarint id, status u8, reply body
 //! kind 2  Push      push body (server -> client, unsolicited)
-//! kind 3  Repl      replication stream message (v5, primary -> replica,
+//! kind 3  Repl      replication stream message (primary -> replica,
 //!                   unsolicited after ReplSubscribe)
 //! ```
 //!
@@ -39,42 +39,13 @@ use std::io::{Read, Write};
 /// allocation storm.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Protocol version carried in `Hello`. Bump on incompatible change.
-/// v2: Stats gained firings_parallel + pool_queue_depth.
-/// v3: Request frames carry idempotency metadata (client id, sequence,
-/// deadline); Stats gained the resilience counters.
-/// v4: Push frames carry a per-subscription sequence number, clients
-/// acknowledge them with `AckPush`, unacked pushes are redelivered on
-/// re-subscribe; Stats gained shed_adaptive, journal_replays and
-/// pushes_redelivered.
-/// v5: replication — the `Repl` frame kind (WAL batch / snapshot /
-/// heartbeat stream), `ReplSubscribe` + `ReplProgress` opcodes, and six
-/// replication gauges appended to Stats. Negotiated additively: both
-/// ends answer a `Ping { version: v }` with `min(v, own)` and speak the
-/// agreed version, so a v4 peer never sees a v5-only construct.
-/// v6: rule-matching gauges — five discrimination-network / memo
-/// counters appended to Stats (same additive presence-based decoding
-/// as the v5 block).
-/// v7: hot-path gauges — group-commit cohort counters and the reactor
-/// shard count appended to Stats (additive, presence-decoded).
-/// v8: multi-tenant hardening — the `Auth` opcode (HMAC session token
-/// binding the connection to its `client_id`), and seven tenancy /
-/// breaker gauges appended to Stats (additive, presence-decoded).
-/// v≤7 peers negotiate down, never see the new constructs, and are
-/// confined to the server's `unauthenticated` tenant class.
-/// v9: epoch-fenced replication — `ReplSubscribe` carries the
-/// subscriber's epoch, `ReplProgress` carries epoch + anti-entropy
-/// stream digest, `Batch`/`Heartbeat`/`SnapshotEnd` carry the
-/// primary's epoch, and nine fencing/quorum/digest gauges are appended
-/// to Stats. All fields are appended in terminal positions and decoded
-/// by presence, so v≤8 peers interoperate (they simply ride epoch 0,
-/// which never fences).
+/// The one protocol version this build speaks. A session opens with
+/// `Ping { version }`; a peer offering any other version is refused
+/// with a typed `Unsupported` error, so both ends always see the layout
+/// in this module: idempotency metadata on every request, sequenced
+/// and acknowledged pushes, the `Auth` opcode, the replication stream
+/// with its epoch and digest fields, and the full Stats body.
 pub const PROTOCOL_VERSION: u32 = 9;
-
-/// Oldest protocol version this build still speaks (the v5–v9
-/// additions are gated on the negotiated version, everything else is
-/// unchanged since v4).
-pub const MIN_PROTOCOL_VERSION: u32 = 4;
 
 // Frame kinds.
 const KIND_REQUEST: u8 = 0;
@@ -247,279 +218,106 @@ pub struct WireRow {
     pub values: Vec<Value>,
 }
 
-/// Engine statistics snapshot carried by the `Stats` reply. Mirrors
-/// `hipac::EngineStats`; kept as a separate wire struct so the protocol
-/// stays source-stable if the facade grows fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    pub signals_processed: u64,
-    pub rules_triggered: u64,
-    pub conditions_satisfied: u64,
-    pub actions_executed: u64,
-    pub store_evaluations: u64,
-    pub delta_evaluations: u64,
-    pub cache_hits: u64,
-    pub deferred_txns: u64,
-    pub deferred_firings: u64,
-    pub pool_outstanding: u64,
-    pub separate_errors: u64,
-    pub firings_parallel: u64,
-    pub pool_queue_depth: u64,
-    // ---- v3 resilience counters ----
-    pub active_connections: u64,
-    pub shed_requests: u64,
-    pub dedup_hits: u64,
-    pub separate_retries: u64,
-    pub separate_dead_letters: u64,
-    // ---- v4 durable exactly-once counters ----
-    pub shed_adaptive: u64,
-    pub journal_replays: u64,
-    pub pushes_redelivered: u64,
-    // ---- v5 replication gauges (encoded only to v5 peers; decoded
-    // by presence, so a v4 stats body reads them as zero) ----
-    pub repl_role: u64,
-    pub last_shipped_lsn: u64,
-    pub last_applied_lsn: u64,
-    pub repl_lag_bytes: u64,
-    pub replica_pushes: u64,
-    pub promotions: u64,
-    // ---- v6 rule-matching gauges (encoded only to v6 peers; decoded
-    // by presence like the v5 block) ----
-    pub match_index_nodes: u64,
-    pub match_probes: u64,
-    pub match_pruned: u64,
-    pub memo_hits: u64,
-    pub memo_invalidations: u64,
-    // ---- v7 hot-path gauges (encoded only to v7 peers; decoded by
-    // presence like the v5/v6 blocks) ----
-    pub group_commits: u64,
-    pub group_commit_txns: u64,
-    pub group_commit_largest: u64,
-    pub reactor_shards: u64,
-    // ---- v8 tenancy / breaker gauges (encoded only to v8 peers;
-    // decoded by presence like the earlier blocks). The server encodes
-    // breaker_trips / breaker_resets as zero — the client overlays its
-    // process-wide circuit-breaker registry in `HipacClient::stats`. ----
-    pub auth_failures: u64,
-    pub tenants_active: u64,
-    pub tenant_shed_requests: u64,
-    pub pushes_shed: u64,
-    pub subscribers_evicted: u64,
-    pub breaker_trips: u64,
-    pub breaker_resets: u64,
-    // ---- v9 epoch-fencing / quorum / anti-entropy gauges (encoded
-    // only to v9 peers; decoded by presence like the earlier blocks) ----
-    pub repl_epoch: u64,
-    pub repl_fence_prev: u64,
-    pub repl_fence_start: u64,
-    pub repl_peers: u64,
-    pub repl_min_peer_applied: u64,
-    pub repl_digest_ok_peers: u64,
-    pub repl_digest_mismatches: u64,
-    pub repl_quorum: u64,
-    pub repl_quorum_ok: u64,
+/// Declares [`WireStats`] from one field list: the struct's fields, and
+/// the Stats body encoder and decoder, which write and read every field
+/// as a uvarint in exactly this order.
+macro_rules! wire_stats {
+    ($($field:ident,)*) => {
+        /// Engine statistics snapshot carried by the `Stats` reply.
+        /// Mirrors `hipac::EngineStats`; kept as a separate wire struct
+        /// so the protocol stays source-stable if the facade grows
+        /// fields.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct WireStats {
+            $(pub $field: u64,)*
+        }
+
+        impl WireStats {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(put_uvarint(buf, self.$field);)*
+            }
+
+            /// Every field is required: a short body is a truncated
+            /// frame. (Struct fields evaluate in source order, so this
+            /// reads them in the encoder's order.)
+            fn decode(buf: &[u8], pos: &mut usize) -> Result<WireStats, WireError> {
+                Ok(WireStats {
+                    $($field: get_uvarint(buf, pos)?,)*
+                })
+            }
+        }
+    };
 }
 
-impl WireStats {
-    fn encode(&self, buf: &mut Vec<u8>, version: u32) {
-        for v in [
-            self.signals_processed,
-            self.rules_triggered,
-            self.conditions_satisfied,
-            self.actions_executed,
-            self.store_evaluations,
-            self.delta_evaluations,
-            self.cache_hits,
-            self.deferred_txns,
-            self.deferred_firings,
-            self.pool_outstanding,
-            self.separate_errors,
-            self.firings_parallel,
-            self.pool_queue_depth,
-            self.active_connections,
-            self.shed_requests,
-            self.dedup_hits,
-            self.separate_retries,
-            self.separate_dead_letters,
-            self.shed_adaptive,
-            self.journal_replays,
-            self.pushes_redelivered,
-        ] {
-            put_uvarint(buf, v);
-        }
-        if version >= 5 {
-            for v in [
-                self.repl_role,
-                self.last_shipped_lsn,
-                self.last_applied_lsn,
-                self.repl_lag_bytes,
-                self.replica_pushes,
-                self.promotions,
-            ] {
-                put_uvarint(buf, v);
-            }
-        }
-        if version >= 6 {
-            for v in [
-                self.match_index_nodes,
-                self.match_probes,
-                self.match_pruned,
-                self.memo_hits,
-                self.memo_invalidations,
-            ] {
-                put_uvarint(buf, v);
-            }
-        }
-        if version >= 7 {
-            for v in [
-                self.group_commits,
-                self.group_commit_txns,
-                self.group_commit_largest,
-                self.reactor_shards,
-            ] {
-                put_uvarint(buf, v);
-            }
-        }
-        if version >= 8 {
-            for v in [
-                self.auth_failures,
-                self.tenants_active,
-                self.tenant_shed_requests,
-                self.pushes_shed,
-                self.subscribers_evicted,
-                self.breaker_trips,
-                self.breaker_resets,
-            ] {
-                put_uvarint(buf, v);
-            }
-        }
-        if version >= 9 {
-            for v in [
-                self.repl_epoch,
-                self.repl_fence_prev,
-                self.repl_fence_start,
-                self.repl_peers,
-                self.repl_min_peer_applied,
-                self.repl_digest_ok_peers,
-                self.repl_digest_mismatches,
-                self.repl_quorum,
-                self.repl_quorum_ok,
-            ] {
-                put_uvarint(buf, v);
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<WireStats, WireError> {
-        let mut fields = [0u64; 21];
-        for f in &mut fields {
-            *f = get_uvarint(buf, pos)?;
-        }
-        // The stats body is terminal in its reply, so the v5 gauges are
-        // detected by presence: a v4 peer's 21-field body leaves them
-        // zero.
-        let mut repl = [0u64; 6];
-        if *pos < buf.len() {
-            for f in &mut repl {
-                *f = get_uvarint(buf, pos)?;
-            }
-        }
-        let [repl_role, last_shipped_lsn, last_applied_lsn, repl_lag_bytes, replica_pushes, promotions] =
-            repl;
-        let mut matching = [0u64; 5];
-        if *pos < buf.len() {
-            for f in &mut matching {
-                *f = get_uvarint(buf, pos)?;
-            }
-        }
-        let [match_index_nodes, match_probes, match_pruned, memo_hits, memo_invalidations] =
-            matching;
-        let mut hot = [0u64; 4];
-        if *pos < buf.len() {
-            for f in &mut hot {
-                *f = get_uvarint(buf, pos)?;
-            }
-        }
-        let [group_commits, group_commit_txns, group_commit_largest, reactor_shards] = hot;
-        let mut tenancy = [0u64; 7];
-        if *pos < buf.len() {
-            for f in &mut tenancy {
-                *f = get_uvarint(buf, pos)?;
-            }
-        }
-        let [auth_failures, tenants_active, tenant_shed_requests, pushes_shed, subscribers_evicted, breaker_trips, breaker_resets] =
-            tenancy;
-        let mut fencing = [0u64; 9];
-        if *pos < buf.len() {
-            for f in &mut fencing {
-                *f = get_uvarint(buf, pos)?;
-            }
-        }
-        let [repl_epoch, repl_fence_prev, repl_fence_start, repl_peers, repl_min_peer_applied, repl_digest_ok_peers, repl_digest_mismatches, repl_quorum, repl_quorum_ok] =
-            fencing;
-        let [signals_processed, rules_triggered, conditions_satisfied, actions_executed, store_evaluations, delta_evaluations, cache_hits, deferred_txns, deferred_firings, pool_outstanding, separate_errors, firings_parallel, pool_queue_depth, active_connections, shed_requests, dedup_hits, separate_retries, separate_dead_letters, shed_adaptive, journal_replays, pushes_redelivered] =
-            fields;
-        Ok(WireStats {
-            signals_processed,
-            rules_triggered,
-            conditions_satisfied,
-            actions_executed,
-            store_evaluations,
-            delta_evaluations,
-            cache_hits,
-            deferred_txns,
-            deferred_firings,
-            pool_outstanding,
-            separate_errors,
-            firings_parallel,
-            pool_queue_depth,
-            active_connections,
-            shed_requests,
-            dedup_hits,
-            separate_retries,
-            separate_dead_letters,
-            shed_adaptive,
-            journal_replays,
-            pushes_redelivered,
-            repl_role,
-            last_shipped_lsn,
-            last_applied_lsn,
-            repl_lag_bytes,
-            replica_pushes,
-            promotions,
-            match_index_nodes,
-            match_probes,
-            match_pruned,
-            memo_hits,
-            memo_invalidations,
-            group_commits,
-            group_commit_txns,
-            group_commit_largest,
-            reactor_shards,
-            auth_failures,
-            tenants_active,
-            tenant_shed_requests,
-            pushes_shed,
-            subscribers_evicted,
-            breaker_trips,
-            breaker_resets,
-            repl_epoch,
-            repl_fence_prev,
-            repl_fence_start,
-            repl_peers,
-            repl_min_peer_applied,
-            repl_digest_ok_peers,
-            repl_digest_mismatches,
-            repl_quorum,
-            repl_quorum_ok,
-        })
-    }
+wire_stats! {
+    // ---- rule processing and firing pool ----
+    signals_processed,
+    rules_triggered,
+    conditions_satisfied,
+    actions_executed,
+    store_evaluations,
+    delta_evaluations,
+    cache_hits,
+    deferred_txns,
+    deferred_firings,
+    pool_outstanding,
+    separate_errors,
+    firings_parallel,
+    pool_queue_depth,
+    // ---- resilience ----
+    active_connections,
+    shed_requests,
+    dedup_hits,
+    separate_retries,
+    separate_dead_letters,
+    // ---- durable exactly-once ----
+    shed_adaptive,
+    journal_replays,
+    pushes_redelivered,
+    // ---- replication ----
+    repl_role,
+    last_shipped_lsn,
+    last_applied_lsn,
+    repl_lag_bytes,
+    replica_pushes,
+    promotions,
+    // ---- rule matching ----
+    match_index_nodes,
+    match_probes,
+    match_pruned,
+    memo_hits,
+    memo_invalidations,
+    // ---- group commit and reactor ----
+    group_commits,
+    group_commit_txns,
+    group_commit_largest,
+    reactor_shards,
+    // ---- tenancy and breakers. The server encodes breaker_trips /
+    // breaker_resets as zero; the client overlays its process-wide
+    // circuit-breaker registry in `HipacClient::stats`. ----
+    auth_failures,
+    tenants_active,
+    tenant_shed_requests,
+    pushes_shed,
+    subscribers_evicted,
+    breaker_trips,
+    breaker_resets,
+    // ---- epoch fencing, quorum and anti-entropy ----
+    repl_epoch,
+    repl_fence_prev,
+    repl_fence_start,
+    repl_peers,
+    repl_min_peer_applied,
+    repl_digest_ok_peers,
+    repl_digest_mismatches,
+    repl_quorum,
+    repl_quorum_ok,
 }
 
 /// Client-to-server commands: the Figure 4.1 operation surface.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Liveness check / version negotiation.
+    /// Liveness check and version handshake.
     Ping { version: u32 },
     // ---- transaction operations ----
     Begin,
@@ -578,13 +376,13 @@ pub enum Command {
     AckPush { handler: String, seq: u64 },
     // ---- observability ----
     Stats,
-    // ---- replication (v5) ----
+    // ---- replication ----
     /// Register this connection as a replication follower. The server
     /// replies `Ok` and then streams [`ReplMsg`] frames on the same
     /// connection: batches from `start_lsn` (or a snapshot when that
     /// LSN is out of range) followed by the live tail.
     ///
-    /// `epoch` (v9) is the subscriber's replication epoch. A
+    /// `epoch` is the subscriber's replication epoch. A
     /// subscriber *behind* the primary's epoch gets a snapshot
     /// bootstrap regardless of `start_lsn` — LSN spaces are never
     /// comparable across epochs. A subscriber *ahead* of the primary
@@ -597,14 +395,14 @@ pub enum Command {
     /// semi-sync commit gate and its lag gauges (frame id 0 —
     /// fire-and-forget).
     ///
-    /// `epoch` (v9): the sender's replication epoch — a value newer
+    /// `epoch`: the sender's replication epoch — a value newer
     /// than the receiver's fences the receiver (this is also the heal
-    /// path's demote signal). `digest` (v9): the sender's anti-entropy
+    /// path's demote signal). `digest`: the sender's anti-entropy
     /// fold over every batch applied this subscription (see
     /// `hipac_storage::fold_digest`); the primary compares it against
     /// its per-peer shipped fold at `applied_lsn`.
     ReplProgress { applied_lsn: u64, epoch: u64, digest: u64 },
-    // ---- authentication (v8) ----
+    // ---- authentication ----
     /// Bind this connection to identity `client_id`. `token` is
     /// `HMAC-SHA256(server_secret, client_id.to_be_bytes())` (see
     /// `hipac_net::auth::session_token`). On a server with auth
@@ -640,7 +438,7 @@ const OP_REPL_PROGRESS: u8 = 21;
 const OP_AUTH: u8 = 22;
 
 impl Command {
-    fn encode(&self, buf: &mut Vec<u8>, version: u32) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Command::Ping { version } => {
                 buf.push(OP_PING);
@@ -773,11 +571,7 @@ impl Command {
             Command::ReplSubscribe { start_lsn, epoch } => {
                 buf.push(OP_REPL_SUBSCRIBE);
                 put_uvarint(buf, *start_lsn);
-                // Terminal in a Request frame, so a v9 peer decodes the
-                // epoch by presence; a v8 encoder simply omits it.
-                if version >= 9 {
-                    put_uvarint(buf, *epoch);
-                }
+                put_uvarint(buf, *epoch);
             }
             Command::ReplProgress {
                 applied_lsn,
@@ -786,10 +580,8 @@ impl Command {
             } => {
                 buf.push(OP_REPL_PROGRESS);
                 put_uvarint(buf, *applied_lsn);
-                if version >= 9 {
-                    put_uvarint(buf, *epoch);
-                    put_uvarint(buf, *digest);
-                }
+                put_uvarint(buf, *epoch);
+                put_uvarint(buf, *digest);
             }
             Command::Auth { client_id, token } => {
                 buf.push(OP_AUTH);
@@ -935,31 +727,15 @@ impl Command {
                 seq: get_uvarint(buf, pos)?,
             },
             OP_STATS => Command::Stats,
-            OP_REPL_SUBSCRIBE => {
-                let start_lsn = get_uvarint(buf, pos)?;
-                // v9 appends the subscriber epoch; a v8 body ends here
-                // and reads as epoch 0 (the never-fenced pre-failover
-                // world).
-                let epoch = if *pos < buf.len() {
-                    get_uvarint(buf, pos)?
-                } else {
-                    0
-                };
-                Command::ReplSubscribe { start_lsn, epoch }
-            }
-            OP_REPL_PROGRESS => {
-                let applied_lsn = get_uvarint(buf, pos)?;
-                let (epoch, digest) = if *pos < buf.len() {
-                    (get_uvarint(buf, pos)?, get_uvarint(buf, pos)?)
-                } else {
-                    (0, 0)
-                };
-                Command::ReplProgress {
-                    applied_lsn,
-                    epoch,
-                    digest,
-                }
-            }
+            OP_REPL_SUBSCRIBE => Command::ReplSubscribe {
+                start_lsn: get_uvarint(buf, pos)?,
+                epoch: get_uvarint(buf, pos)?,
+            },
+            OP_REPL_PROGRESS => Command::ReplProgress {
+                applied_lsn: get_uvarint(buf, pos)?,
+                epoch: get_uvarint(buf, pos)?,
+                digest: get_uvarint(buf, pos)?,
+            },
             OP_AUTH => Command::Auth {
                 client_id: get_uvarint(buf, pos)?,
                 token: get_bytes(buf, pos)?.to_vec(),
@@ -1001,7 +777,7 @@ const ST_STATS: u8 = 6;
 const ST_ERR: u8 = 7;
 
 impl Reply {
-    fn encode(&self, buf: &mut Vec<u8>, version: u32) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             Reply::Ok => buf.push(ST_OK),
             Reply::Pong { version } => {
@@ -1034,7 +810,7 @@ impl Reply {
             }
             Reply::Stats(s) => {
                 buf.push(ST_STATS);
-                s.encode(buf, version);
+                s.encode(buf);
             }
             Reply::Err { kind, message } => {
                 buf.push(ST_ERR);
@@ -1080,12 +856,10 @@ impl Reply {
     }
 
     /// Serialize standalone (no frame envelope). Used by the server's
-    /// reply journal, which persists cached replies by value (always in
-    /// the full current format — both ends of the journal are the same
-    /// disk).
+    /// reply journal, which persists cached replies by value.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(16);
-        self.encode(&mut buf, PROTOCOL_VERSION);
+        self.encode(&mut buf);
         buf
     }
 
@@ -1103,15 +877,29 @@ impl Reply {
     }
 }
 
+/// The answer to `Ping { version: offered }`: `Pong` when the peer
+/// speaks [`PROTOCOL_VERSION`], a typed `Unsupported` refusal otherwise.
+pub fn ping_reply(offered: u32) -> Reply {
+    if offered == PROTOCOL_VERSION {
+        Reply::Pong {
+            version: PROTOCOL_VERSION,
+        }
+    } else {
+        Reply::Err {
+            kind: "Unsupported".to_owned(),
+            message: format!("peer speaks protocol v{offered}; this node speaks v{PROTOCOL_VERSION}"),
+        }
+    }
+}
+
 /// Server-push payload: a rule action requested service from the
 /// application (§4.1 role reversal).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushEvent {
-    /// Per-subscription sequence number (v4). Starts at 1 and is
+    /// Per-subscription sequence number. Starts at 1 and is
     /// monotonic per handler; the client acks it with
     /// [`Command::AckPush`] and dedups redeliveries by it. `0` means
-    /// "unsequenced" (pre-v4 producer) and is neither acked nor
-    /// deduplicated.
+    /// "unsequenced" and is neither acked nor deduplicated.
     pub seq: u64,
     /// The handler name the rule action addressed.
     pub handler: String,
@@ -1121,9 +909,9 @@ pub struct PushEvent {
     pub args: HashMap<String, Value>,
 }
 
-/// Request metadata introduced in protocol v3: an idempotency key and
-/// a deadline. `0` means "absent" for every field, so plain fire-once
-/// requests pay three zero bytes.
+/// Request metadata: an idempotency key and a deadline. `0` means
+/// "absent" for every field, so plain fire-once requests pay three zero
+/// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RequestMeta {
     /// Stable identity of the sending client, surviving reconnects.
@@ -1140,7 +928,7 @@ pub struct RequestMeta {
     pub deadline_ms: u64,
 }
 
-/// One message on the v5 replication stream (frame kind 3, primary →
+/// One message on the replication stream (frame kind 3, primary →
 /// replica, unsolicited after `ReplSubscribe`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplMsg {
@@ -1156,7 +944,7 @@ pub enum ReplMsg {
     /// stream dropped or replayed a batch; the follower treats it as
     /// fatal and resubscribes from its durable watermark instead of
     /// silently diverging.
-    /// `epoch` (v9): the shipping primary's replication epoch. A
+    /// `epoch`: the shipping primary's replication epoch. A
     /// follower that has observed a newer epoch refuses the batch
     /// (`StaleEpoch`) instead of absorbing writes from a deposed
     /// primary; a follower on an older epoch adopts this one.
@@ -1171,14 +959,14 @@ pub enum ReplMsg {
     /// The follower's resume LSN fell out of the primary's retained
     /// log: a full state transfer follows as chunks, then an end
     /// marker. The follower buffers chunks and installs them
-    /// atomically on `SnapshotEnd` (whose `epoch` — v9 — the follower
+    /// atomically on `SnapshotEnd` (whose `epoch` the follower
     /// adopts at the same instant).
     SnapshotBegin { snapshot_lsn: u64 },
     SnapshotChunk { pairs: Vec<(Vec<u8>, Vec<u8>)> },
     SnapshotEnd { snapshot_lsn: u64, epoch: u64 },
     /// Idle keep-alive carrying the primary's durable frontier so the
     /// follower can compute byte lag even when nothing ships, plus
-    /// (v9) the primary's epoch — the anti-entropy exchange rides the
+    /// the primary's epoch — the anti-entropy exchange rides the
     /// progress replies these provoke.
     Heartbeat { durable_lsn: u64, epoch: u64 },
 }
@@ -1190,7 +978,7 @@ const RM_SNAP_END: u8 = 3;
 const RM_HEARTBEAT: u8 = 4;
 
 impl ReplMsg {
-    fn encode(&self, buf: &mut Vec<u8>, version: u32) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             ReplMsg::Batch {
                 prev_lsn,
@@ -1219,11 +1007,7 @@ impl ReplMsg {
                         }
                     }
                 }
-                // Terminal in a Repl frame: v9 peers decode the epoch
-                // by presence, v8 encoders never emit it.
-                if version >= 9 {
-                    put_uvarint(buf, *epoch);
-                }
+                put_uvarint(buf, *epoch);
             }
             ReplMsg::SnapshotBegin { snapshot_lsn } => {
                 buf.push(RM_SNAP_BEGIN);
@@ -1240,16 +1024,12 @@ impl ReplMsg {
             ReplMsg::SnapshotEnd { snapshot_lsn, epoch } => {
                 buf.push(RM_SNAP_END);
                 put_uvarint(buf, *snapshot_lsn);
-                if version >= 9 {
-                    put_uvarint(buf, *epoch);
-                }
+                put_uvarint(buf, *epoch);
             }
             ReplMsg::Heartbeat { durable_lsn, epoch } => {
                 buf.push(RM_HEARTBEAT);
                 put_uvarint(buf, *durable_lsn);
-                if version >= 9 {
-                    put_uvarint(buf, *epoch);
-                }
+                put_uvarint(buf, *epoch);
             }
         }
     }
@@ -1278,11 +1058,7 @@ impl ReplMsg {
                         }
                     });
                 }
-                let epoch = if *pos < buf.len() {
-                    get_uvarint(buf, pos)?
-                } else {
-                    0
-                };
+                let epoch = get_uvarint(buf, pos)?;
                 ReplMsg::Batch {
                     prev_lsn,
                     start_lsn,
@@ -1306,24 +1082,14 @@ impl ReplMsg {
                 }
                 ReplMsg::SnapshotChunk { pairs }
             }
-            RM_SNAP_END => {
-                let snapshot_lsn = get_uvarint(buf, pos)?;
-                let epoch = if *pos < buf.len() {
-                    get_uvarint(buf, pos)?
-                } else {
-                    0
-                };
-                ReplMsg::SnapshotEnd { snapshot_lsn, epoch }
-            }
-            RM_HEARTBEAT => {
-                let durable_lsn = get_uvarint(buf, pos)?;
-                let epoch = if *pos < buf.len() {
-                    get_uvarint(buf, pos)?
-                } else {
-                    0
-                };
-                ReplMsg::Heartbeat { durable_lsn, epoch }
-            }
+            RM_SNAP_END => ReplMsg::SnapshotEnd {
+                snapshot_lsn: get_uvarint(buf, pos)?,
+                epoch: get_uvarint(buf, pos)?,
+            },
+            RM_HEARTBEAT => ReplMsg::Heartbeat {
+                durable_lsn: get_uvarint(buf, pos)?,
+                epoch: get_uvarint(buf, pos)?,
+            },
             other => return Err(WireError::Protocol(format!("unknown repl msg {other}"))),
         })
     }
@@ -1339,21 +1105,13 @@ pub enum Frame {
     },
     Response { id: u64, reply: Reply },
     Push(PushEvent),
-    /// v5 replication stream message; never sent to a v4 peer.
+    /// Replication stream message.
     Repl(ReplMsg),
 }
 
 impl Frame {
-    /// Serialize including the length prefix, in the current protocol
-    /// version's format.
+    /// Serialize including the length prefix.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(PROTOCOL_VERSION)
-    }
-
-    /// Serialize for a peer speaking `version` (the negotiated minimum
-    /// of both ends). Only the Stats reply body differs between v4 and
-    /// v5; `Repl` frames must not be sent to a v4 peer at all.
-    pub fn encode_versioned(&self, version: u32) -> Vec<u8> {
         let mut payload = Vec::with_capacity(64);
         match self {
             Frame::Request { id, meta, command } => {
@@ -1362,12 +1120,12 @@ impl Frame {
                 put_uvarint(&mut payload, meta.client_id);
                 put_uvarint(&mut payload, meta.seq);
                 put_uvarint(&mut payload, meta.deadline_ms);
-                command.encode(&mut payload, version);
+                command.encode(&mut payload);
             }
             Frame::Response { id, reply } => {
                 payload.push(KIND_RESPONSE);
                 put_uvarint(&mut payload, *id);
-                reply.encode(&mut payload, version);
+                reply.encode(&mut payload);
             }
             Frame::Push(p) => {
                 payload.push(KIND_PUSH);
@@ -1377,9 +1135,8 @@ impl Frame {
                 put_kv_map(&mut payload, &p.args);
             }
             Frame::Repl(m) => {
-                debug_assert!(version >= 5, "Repl frames are v5-only");
                 payload.push(KIND_REPL);
-                m.encode(&mut payload, version);
+                m.encode(&mut payload);
             }
         }
         debug_assert!(payload.len() <= MAX_FRAME);
@@ -1389,9 +1146,19 @@ impl Frame {
         out
     }
 
-    /// Deserialize a payload (length prefix already stripped). Fails on
-    /// trailing garbage.
+    /// Deserialize a payload (length prefix already stripped). Fails
+    /// with [`WireError::Protocol`] on a truncated or malformed body and
+    /// on trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
+        Self::decode_body(payload).map_err(|e| match e {
+            // The body codec reports in `HipacError` terms; on a frame
+            // every such failure is a protocol error.
+            WireError::Remote { message, .. } => WireError::Protocol(message),
+            e => e,
+        })
+    }
+
+    fn decode_body(payload: &[u8]) -> Result<Frame, WireError> {
         let mut pos = 0;
         let frame = match next_byte(payload, &mut pos)? {
             KIND_REQUEST => {
@@ -1757,179 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn v8_peers_never_see_epoch_fields_and_v9_decodes_them_as_zero() {
-        // A v9 node encoding for a v8 peer omits every epoch field; the
-        // same bytes decoded by a v9 node read the epochs as zero (the
-        // never-fenced world), so mixed fleets interoperate.
-        let msgs = [
-            Frame::Repl(ReplMsg::Heartbeat {
-                durable_lsn: 9,
-                epoch: 4,
-            }),
-            Frame::Repl(ReplMsg::SnapshotEnd {
-                snapshot_lsn: 11,
-                epoch: 4,
-            }),
-            Frame::Repl(ReplMsg::Batch {
-                prev_lsn: 0,
-                start_lsn: 0,
-                next_lsn: 30,
-                txn: TxnId(1),
-                ops: vec![],
-                epoch: 4,
-            }),
-            Frame::Request {
-                id: 1,
-                meta: RequestMeta::default(),
-                command: Command::ReplSubscribe {
-                    start_lsn: 7,
-                    epoch: 4,
-                },
-            },
-            Frame::Request {
-                id: 0,
-                meta: RequestMeta::default(),
-                command: Command::ReplProgress {
-                    applied_lsn: 7,
-                    epoch: 4,
-                    digest: 99,
-                },
-            },
-        ];
-        for frame in msgs {
-            let v8_bytes = frame.encode_versioned(8);
-            let v9_bytes = frame.encode_versioned(9);
-            assert!(v9_bytes.len() > v8_bytes.len(), "epoch fields add bytes");
-            // v8 bytes decode cleanly (no trailing-garbage refusal) and
-            // every epoch/digest reads back zero.
-            let back = Frame::decode(&v8_bytes[4..]).unwrap();
-            match back {
-                Frame::Repl(ReplMsg::Heartbeat { epoch, .. })
-                | Frame::Repl(ReplMsg::SnapshotEnd { epoch, .. })
-                | Frame::Repl(ReplMsg::Batch { epoch, .. }) => assert_eq!(epoch, 0),
-                Frame::Request {
-                    command: Command::ReplSubscribe { start_lsn, epoch },
-                    ..
-                } => {
-                    assert_eq!(start_lsn, 7);
-                    assert_eq!(epoch, 0);
-                }
-                Frame::Request {
-                    command:
-                        Command::ReplProgress {
-                            applied_lsn,
-                            epoch,
-                            digest,
-                        },
-                    ..
-                } => {
-                    assert_eq!((applied_lsn, epoch, digest), (7, 0, 0));
-                }
-                other => panic!("unexpected frame {other:?}"),
-            }
-            // v9 bytes roundtrip exactly.
-            assert_eq!(Frame::decode(&v9_bytes[4..]).unwrap(), frame);
-        }
-    }
-
-    #[test]
-    fn stats_reply_negotiates_v4_and_v5_formats() {
-        let stats = WireStats {
-            signals_processed: 1,
-            repl_role: 1,
-            last_shipped_lsn: 77,
-            last_applied_lsn: 70,
-            repl_lag_bytes: 7,
-            replica_pushes: 3,
-            promotions: 1,
-            match_index_nodes: 12,
-            match_probes: 13,
-            match_pruned: 14,
-            memo_hits: 15,
-            memo_invalidations: 16,
-            group_commits: 21,
-            reactor_shards: 4,
-            auth_failures: 31,
-            tenant_shed_requests: 32,
-            subscribers_evicted: 33,
-            breaker_trips: 34,
-            ..WireStats::default()
-        };
-        let frame = Frame::Response {
-            id: 9,
-            reply: Reply::Stats(Box::new(stats)),
-        };
-        // A v4 peer gets the 21-field body and decodes the gauges as
-        // zero — exactly what a v4 build of this code would produce.
-        let v4_bytes = frame.encode_versioned(4);
-        let back = Frame::decode(&v4_bytes[4..]).unwrap();
-        let Frame::Response {
-            reply: Reply::Stats(s),
-            ..
-        } = back
-        else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.signals_processed, 1);
-        assert_eq!(s.repl_role, 0, "v4 body carries no repl gauges");
-        assert_eq!(s.last_shipped_lsn, 0);
-        // A v5 peer gets the repl gauges but not the matching gauges.
-        let v5_bytes = frame.encode_versioned(5);
-        assert!(v5_bytes.len() > v4_bytes.len());
-        let back = Frame::decode(&v5_bytes[4..]).unwrap();
-        let Frame::Response {
-            reply: Reply::Stats(s),
-            ..
-        } = back
-        else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.promotions, 1);
-        assert_eq!(s.match_index_nodes, 0, "v5 body carries no matching gauges");
-        assert_eq!(s.memo_hits, 0);
-        // A v6 peer gets the matching gauges but not the hot-path ones.
-        let v6_bytes = frame.encode_versioned(6);
-        assert!(v6_bytes.len() > v5_bytes.len());
-        let back = Frame::decode(&v6_bytes[4..]).unwrap();
-        let Frame::Response {
-            reply: Reply::Stats(s),
-            ..
-        } = back
-        else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.match_index_nodes, 12);
-        assert_eq!(s.group_commits, 0, "v6 body carries no hot-path gauges");
-        // A v7 peer gets the hot-path gauges but not the tenancy block.
-        let v7_bytes = frame.encode_versioned(7);
-        assert!(v7_bytes.len() > v6_bytes.len());
-        let back = Frame::decode(&v7_bytes[4..]).unwrap();
-        let Frame::Response {
-            reply: Reply::Stats(s),
-            ..
-        } = back
-        else {
-            panic!("expected stats response");
-        };
-        assert_eq!(s.group_commits, 21);
-        assert_eq!(s.reactor_shards, 4);
-        assert_eq!(s.auth_failures, 0, "v7 body carries no tenancy gauges");
-        assert_eq!(s.subscribers_evicted, 0);
-        // A v8 peer gets the full body.
-        let v8_bytes = frame.encode_versioned(8);
-        assert!(v8_bytes.len() > v7_bytes.len());
-        let back = Frame::decode(&v8_bytes[4..]).unwrap();
-        let Frame::Response {
-            reply: Reply::Stats(s),
-            ..
-        } = back
-        else {
-            panic!("expected stats response");
-        };
-        assert_eq!(*s, stats);
-    }
-
-    #[test]
     fn push_roundtrips() {
         let mut args = HashMap::new();
         args.insert("n".to_owned(), Value::Float(1.5));
@@ -1986,6 +1580,19 @@ mod tests {
         // would mean EOF; corrupt payload bytes instead).
         for cut in 5..full.len() {
             assert!(Frame::decode(&full[4..cut]).is_err());
+        }
+        // Every Stats field is required: a body cut short anywhere is a
+        // protocol error, not a reply with trailing zeros.
+        let stats = Frame::Response {
+            id: 3,
+            reply: Reply::Stats(Box::default()),
+        }
+        .encode();
+        for cut in 5..stats.len() {
+            assert!(matches!(
+                Frame::decode(&stats[4..cut]),
+                Err(WireError::Protocol(_))
+            ));
         }
         // Clean EOF at a frame boundary is None, not an error.
         let mut empty = std::io::Cursor::new(&[][..]);

@@ -24,8 +24,8 @@
 //! transactions aborted, so a crashed client cannot strand locks.
 
 use crate::proto::{
-    code_type, Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireError, WireStats,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    code_type, ping_reply, Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireError,
+    WireStats,
 };
 use hipac::{ActiveDatabase, EngineStats};
 use hipac_common::{HipacError, ObjectId, ReplCounters, Result as HipacResult, TxnId, Value};
@@ -94,18 +94,17 @@ pub struct ServerConfig {
     /// The batched fan-out writes every subscriber opportunistically
     /// first, so a slow subscriber only ever delays itself.
     pub push_write_timeout: Duration,
-    /// Shared secret for session authentication (v8). When set, a
+    /// Shared secret for session authentication. When set, a
     /// session must present `Command::Auth` with a valid
     /// `HMAC-SHA256(secret, client_id)` token before any keyed request
     /// naming that `client_id` is honored — which covers reply-journal
     /// replays, dedup probes, and the per-tenant admission identity.
     /// Push subscriptions bind to the first authenticated owner;
     /// `Subscribe`/`AckPush` from any other identity are refused with
-    /// `AuthFailed`. Unauthenticated sessions (including v≤7 peers,
-    /// which cannot send `Auth`) are confined to the shared
-    /// `unauthenticated` tenant class and unkeyed work. `None`
-    /// disables authentication: the asserted `client_id` is trusted,
-    /// as in earlier protocol versions.
+    /// `AuthFailed`. Sessions that never send `Auth` are confined to
+    /// the shared `unauthenticated` tenant class and unkeyed work.
+    /// `None` disables authentication: the asserted `client_id` is
+    /// trusted.
     pub auth_secret: Option<Vec<u8>>,
     /// Per-tenant admission budget: requests one tenant may have in
     /// dispatch concurrently. Beyond it that tenant's requests are
@@ -217,7 +216,7 @@ fn stripe_of_str(key: &str) -> usize {
 /// sees one proxy `ApplicationHandler` per name; the proxy fans out to
 /// the live subscribers at call time.
 ///
-/// v4 adds the push outbox: every delivered frame carries a
+/// The push outbox: every delivered frame carries a
 /// per-handler sequence number and is retained (durably, when the
 /// database is) until a client acks it, so a push lost between the
 /// socket write and the client handler is redelivered on the next
@@ -597,7 +596,7 @@ impl Subscriptions {
 
     /// Push `request` to every subscriber of `handler`.
     ///
-    /// v4 semantics: the frame is sequenced and enqueued in the outbox
+    /// The frame is sequenced and enqueued in the outbox
     /// (persisted *before* the socket write, so a crash between the
     /// two redelivers rather than loses) and delivery succeeds as soon
     /// as the frame is retained — even if every socket write fails, a
@@ -824,9 +823,6 @@ const DIGEST_LOG_CAP: usize = 256;
 struct ReplPeer {
     session: u64,
     writer: Arc<Mutex<TcpStream>>,
-    /// Protocol version this peer negotiated; epoch and digest fields
-    /// are encoded on its stream only for v9+ peers.
-    version: u32,
     /// Next LSN to ship to this peer (the WAL read resume point; it
     /// advances past checkpoint/abort markers).
     shipped: u64,
@@ -965,7 +961,6 @@ impl ReplHub {
         session: u64,
         writer: Arc<Mutex<TcpStream>>,
         start_lsn: u64,
-        version: u32,
         peer_epoch: u64,
     ) {
         // A wedged replica must not block the shipper forever: writes
@@ -974,18 +969,16 @@ impl ReplHub {
         // the replica resubscribes.
         //
         // Any peer that cannot prove it observed this node's epoch —
-        // including pre-v9 peers and v9 peers that slept through the
-        // promotion, both of which offer epoch 0 — gets a snapshot:
-        // their watermark may have been minted under a deposed
-        // primary's WAL. A never-promoted fleet has epoch 0 itself, so
-        // the v8 resume semantics there are unchanged.
+        // e.g. one that slept through the promotion and still offers
+        // epoch 0 — gets a snapshot: its watermark may have been minted
+        // under a deposed primary's WAL. A never-promoted fleet has
+        // epoch 0 itself, so peers there resume from their LSN.
         let force_snapshot = peer_epoch < self.epoch();
         let mut peers = self.peers.lock();
         peers.retain(|p| p.session != session);
         peers.push(ReplPeer {
             session,
             writer,
-            version,
             shipped: start_lsn,
             chained: start_lsn,
             progress: start_lsn,
@@ -1009,8 +1002,7 @@ impl ReplHub {
     }
 
     /// A replica reported durable application up to `applied_lsn`,
-    /// carrying its incremental stream digest (v9; pre-v9 peers report
-    /// no digest and are exempt from comparison). Folds the best
+    /// carrying its incremental stream digest. Folds the best
     /// progress across peers into the shared counters and compares the
     /// peer's digest against the primary-side fold at the same LSN.
     fn record_progress(&self, session: u64, applied_lsn: u64, digest: u64) {
@@ -1020,21 +1012,18 @@ impl ReplHub {
             for p in peers.iter_mut() {
                 if p.session == session {
                     p.progress = p.progress.max(applied_lsn);
-                    if p.version >= 9 {
-                        if let Some(&(_, expect)) =
-                            p.digest_log.iter().find(|(l, _)| *l == applied_lsn)
-                        {
-                            let ok = expect == digest;
-                            if !ok {
-                                self.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
-                            }
-                            p.digest_ok = ok;
+                    if let Some(&(_, expect)) = p.digest_log.iter().find(|(l, _)| *l == applied_lsn)
+                    {
+                        let ok = expect == digest;
+                        if !ok {
+                            self.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
                         }
-                        // Checkpoints at or before the report can never
-                        // be asked about again (progress is monotone).
-                        while p.digest_log.front().is_some_and(|(l, _)| *l < applied_lsn) {
-                            p.digest_log.pop_front();
-                        }
+                        p.digest_ok = ok;
+                    }
+                    // Checkpoints at or before the report can never be
+                    // asked about again (progress is monotone).
+                    while p.digest_log.front().is_some_and(|(l, _)| *l < applied_lsn) {
+                        p.digest_log.pop_front();
                     }
                 }
                 best = best.max(p.progress);
@@ -1083,7 +1072,6 @@ impl ReplHub {
             writer: Arc<Mutex<TcpStream>>,
             shipped: u64,
             chained: u64,
-            version: u32,
             fold: u64,
             force_snapshot: bool,
         }
@@ -1096,7 +1084,6 @@ impl ReplHub {
                 writer: Arc::clone(&p.writer),
                 shipped: p.shipped,
                 chained: p.chained,
-                version: p.version,
                 fold: p.fold,
                 force_snapshot: p.force_snapshot,
             })
@@ -1132,7 +1119,7 @@ impl ReplHub {
             if t.force_snapshot {
                 // Stale-epoch subscriber: its watermark is from a dead
                 // LSN space; bootstrap it with a snapshot immediately.
-                match Self::ship_snapshot(d, &t.writer, t.version, epoch) {
+                match Self::ship_snapshot(d, &t.writer, epoch) {
                     Some(snapshot_lsn) => {
                         shipped = snapshot_lsn;
                         chained = snapshot_lsn;
@@ -1157,7 +1144,7 @@ impl ReplHub {
                                     ops: b.ops.clone(),
                                     epoch,
                                 })
-                                .encode_versioned(t.version);
+                                .encode();
                                 if crate::reactor::write_all_timeout(
                                     &mut w,
                                     &frame,
@@ -1185,7 +1172,7 @@ impl ReplHub {
                         // The peer's resume point predates the oldest
                         // retained WAL (checkpoint truncation) or is
                         // misaligned: re-seed it with a full snapshot.
-                        match Self::ship_snapshot(d, &t.writer, t.version, epoch) {
+                        match Self::ship_snapshot(d, &t.writer, epoch) {
                             Some(snapshot_lsn) => {
                                 shipped = snapshot_lsn;
                                 chained = snapshot_lsn;
@@ -1258,7 +1245,6 @@ impl ReplHub {
     fn ship_snapshot(
         d: &Arc<DurableStore>,
         writer: &Mutex<TcpStream>,
-        version: u32,
         epoch: u64,
     ) -> Option<u64> {
         let (snapshot_lsn, pairs) = d.snapshot_for_repl().ok()?;
@@ -1266,7 +1252,7 @@ impl ReplHub {
         let send = |w: &mut TcpStream, frame: &[u8]| {
             crate::reactor::write_all_timeout(w, frame, REPL_WRITE_TIMEOUT).is_ok()
         };
-        let begin = Frame::Repl(ReplMsg::SnapshotBegin { snapshot_lsn }).encode_versioned(version);
+        let begin = Frame::Repl(ReplMsg::SnapshotBegin { snapshot_lsn }).encode();
         if !send(&mut w, &begin) {
             return None;
         }
@@ -1280,7 +1266,7 @@ impl ReplHub {
                 let frame = Frame::Repl(ReplMsg::SnapshotChunk {
                     pairs: std::mem::take(&mut chunk),
                 })
-                .encode_versioned(version);
+                .encode();
                 chunk_bytes = 0;
                 if !send(&mut w, &frame) {
                     return None;
@@ -1288,8 +1274,7 @@ impl ReplHub {
             }
         }
         if !chunk.is_empty() {
-            let frame =
-                Frame::Repl(ReplMsg::SnapshotChunk { pairs: chunk }).encode_versioned(version);
+            let frame = Frame::Repl(ReplMsg::SnapshotChunk { pairs: chunk }).encode();
             if !send(&mut w, &frame) {
                 return None;
             }
@@ -1298,7 +1283,7 @@ impl ReplHub {
             snapshot_lsn,
             epoch,
         })
-        .encode_versioned(version);
+        .encode();
         if !send(&mut w, &end) {
             return None;
         }
@@ -1312,16 +1297,15 @@ impl ReplHub {
         let Some(d) = &self.durable else { return };
         let durable_lsn = d.durable_lsn();
         let epoch = d.repl_epoch();
-        let writers: Vec<(u64, Arc<Mutex<TcpStream>>, u32)> = self
+        let writers: Vec<(u64, Arc<Mutex<TcpStream>>)> = self
             .peers
             .lock()
             .iter()
-            .map(|p| (p.session, Arc::clone(&p.writer), p.version))
+            .map(|p| (p.session, Arc::clone(&p.writer)))
             .collect();
+        let frame = Frame::Repl(ReplMsg::Heartbeat { durable_lsn, epoch }).encode();
         let mut dead = Vec::new();
-        for (session, w, version) in writers {
-            let frame =
-                Frame::Repl(ReplMsg::Heartbeat { durable_lsn, epoch }).encode_versioned(version);
+        for (session, w) in writers {
             if crate::reactor::write_all_timeout(&mut w.lock(), &frame, REPL_WRITE_TIMEOUT).is_err()
             {
                 dead.push(session);
@@ -1657,13 +1641,8 @@ struct ConnQueue {
 
 /// Session state mutated by workers (one at a time, by construction).
 struct SessionCore {
-    /// Protocol version negotiated by the last `Ping` — the minimum of
-    /// both ends, governing version-dependent reply encodings. Until a
-    /// ping arrives the session conservatively speaks the oldest
-    /// supported version.
-    negotiated: u32,
-    /// The tenant identity this session has proven with `Command::Auth`
-    /// (v8); `None` until a valid token arrives. With an `auth_secret`
+    /// The tenant identity this session has proven with `Command::Auth`;
+    /// `None` until a valid token arrives. With an `auth_secret`
     /// configured, keyed requests are honored only when their asserted
     /// `client_id` equals this — which is what stops a hostile peer
     /// from replaying another tenant's journal or acking its pushes.
@@ -2500,7 +2479,6 @@ fn adopt(
         shard: shard_idx,
         writer: Arc::new(Mutex::new(writer)),
         core: Mutex::new(SessionCore {
-            negotiated: MIN_PROTOCOL_VERSION,
             auth: None,
             open_txns: HashSet::new(),
             pending_repl: None,
@@ -2573,8 +2551,7 @@ fn process_frame(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, payload: Vec<u8>)
     match Frame::decode(&payload) {
         Ok(Frame::Request { id, meta, command }) => {
             let reply = handle(ctx, conn, meta, command);
-            let negotiated = conn.core.lock().negotiated;
-            let bytes = Frame::Response { id, reply }.encode_versioned(negotiated);
+            let bytes = Frame::Response { id, reply }.encode();
             let sent = crate::reactor::write_all_timeout(
                 &mut conn.writer.lock(),
                 &bytes,
@@ -2585,13 +2562,10 @@ fn process_frame(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, payload: Vec<u8>)
                 mark_dead(ctx, conn);
                 return;
             }
-            let (pending, version) = {
-                let mut core = conn.core.lock();
-                (core.pending_repl.take(), core.negotiated)
-            };
+            let pending = conn.core.lock().pending_repl.take();
             if let Some((start_lsn, peer_epoch)) = pending {
                 ctx.repl
-                    .subscribe(conn.id, Arc::clone(&conn.writer), start_lsn, version, peer_epoch);
+                    .subscribe(conn.id, Arc::clone(&conn.writer), start_lsn, peer_epoch);
             }
         }
         // Clients never send responses or pushes; treat as a protocol
@@ -2635,7 +2609,7 @@ fn teardown(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>) {
 /// the recovered journal can answer the retry truthfully.
 fn handle(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, meta: RequestMeta, command: Command) -> Reply {
     let keyed = meta.client_id != 0 && meta.seq != 0;
-    // Identity gate (v8): with auth enabled, a keyed request is honored
+    // Identity gate: with auth enabled, a keyed request is honored
     // only for the session's proven identity. Refusing *before* the
     // dedup probe and before any window/journal insert is what stops a
     // hostile peer asserting a foreign `client_id` from reading that
@@ -2687,9 +2661,8 @@ fn handle(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, meta: RequestMeta, comma
         };
     }
     // Tenant identity for admission control: the *proven* identity
-    // when auth is on (unauthenticated sessions — including v≤7 peers,
-    // which cannot send `Auth` — share class 0), the asserted one
-    // otherwise.
+    // when auth is on (sessions that never sent `Auth` share class 0),
+    // the asserted one otherwise.
     let tenant_id = if ctx.cfg.auth_secret.is_some() {
         conn.core.lock().auth.unwrap_or(0)
     } else {
@@ -2872,22 +2845,9 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
         });
     }
     Ok(match command {
-        Command::Ping { version } => {
-            // Additive negotiation: both ends settle on the lower
-            // version. A v4 client gets Pong{4} and a session that
-            // never encodes v5-only material; an older-than-v4
-            // client is clamped up and will refuse us on its side.
-            let v = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-            conn.core.lock().negotiated = v;
-            Reply::Pong { version: v }
-        }
+        Command::Ping { version } => ping_reply(version),
         Command::Auth { client_id, token } => {
-            if conn.core.lock().negotiated < 8 {
-                Reply::Err {
-                    kind: "Unsupported".to_owned(),
-                    message: "session authentication requires protocol v8".to_owned(),
-                }
-            } else if client_id == 0 {
+            if client_id == 0 {
                 ctx.shared.auth_failures.fetch_add(1, Ordering::Relaxed);
                 Reply::Err {
                     kind: "AuthFailed".to_owned(),
@@ -3076,12 +3036,7 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
             Reply::Ok
         }
         Command::ReplSubscribe { start_lsn, epoch } => {
-            if conn.core.lock().negotiated < 5 {
-                Reply::Err {
-                    kind: "Unsupported".to_owned(),
-                    message: "replication requires protocol v5".to_owned(),
-                }
-            } else if ctx.repl.durable.is_none() {
+            if ctx.repl.durable.is_none() {
                 Reply::Err {
                     kind: "Unsupported".to_owned(),
                     message: "in-memory databases cannot be replicated".to_owned(),

@@ -140,8 +140,8 @@ fn oversized_length_prefixes_are_rejected_up_front() {
     }
 }
 
-/// Unknown opcodes (23..=255, past v8's Auth) and unknown frame
-/// kinds (4..=255, past v5's repl stream kind) must error cleanly
+/// Unknown opcodes (23..=255, past `Auth`) and unknown frame kinds
+/// (4..=255, past the repl stream kind) must error cleanly
 /// whatever bytes follow them.
 #[test]
 fn garbage_opcodes_and_kinds_error() {

@@ -7,7 +7,7 @@ use hipac::ActiveDatabase;
 use hipac_check::{ChaosConfig, ChaosProxy};
 use hipac_common::{TxnId, Value, ValueType};
 use hipac_event::EventSpec;
-use hipac_net::proto::{Command, Frame, Reply, RequestMeta};
+use hipac_net::proto::{Command, Frame, Reply, RequestMeta, PROTOCOL_VERSION};
 use hipac_net::{ClientConfig, HipacClient, HipacServer, ServerConfig, WireError};
 use hipac_object::{AttrDef, Expr};
 use hipac_rules::{Action, ActionOp, RuleDef};
@@ -776,8 +776,8 @@ fn adaptive_shed_refuses_when_queueing_delay_over_budget() {
     }
 }
 
-/// Raw request/response roundtrip helper for version-negotiation
-/// tests: one frame out, matching response back, pushes skipped.
+/// Raw request/response roundtrip helper for handshake tests: one
+/// frame out, matching response back, pushes skipped.
 fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Command) -> Reply {
     stream
         .write_all(&Frame::Request { id, meta, command }.encode())
@@ -791,117 +791,92 @@ fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Co
     }
 }
 
-/// Version negotiation is a clamp to the server's supported range:
-/// in-range offers echo back, newer offers settle on v9, ancient
-/// offers are clamped up to v4 (the client refuses on its side).
+/// The server speaks exactly one protocol version: any other offer is
+/// refused with a typed `Unsupported` error, and the session stays
+/// usable for a correct retry.
 #[test]
-fn ping_negotiation_clamps_to_supported_range() {
+fn ping_refuses_other_protocol_versions() {
     let server = server();
-    for (offered, want) in [(1u32, 4u32), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8), (9, 9), (99, 9)] {
-        let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-        match raw_roundtrip(
-            &mut conn,
-            1,
-            RequestMeta::default(),
-            Command::Ping { version: offered },
-        ) {
-            Reply::Pong { version } => {
-                assert_eq!(version, want, "offer {offered} negotiated {version}")
-            }
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    for (id, offered) in [(1, 1u32), (2, 8), (3, 99)] {
+        match raw_roundtrip(&mut conn, id, RequestMeta::default(), Command::Ping { version: offered }) {
+            Reply::Err { kind, message } => assert_eq!(kind, "Unsupported", "{message}"),
             other => panic!("ping {offered} produced {other:?}"),
         }
     }
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    assert_eq!(
+        raw_roundtrip(&mut conn, 4, RequestMeta::default(), ping),
+        Reply::Pong {
+            version: PROTOCOL_VERSION
+        }
+    );
 }
 
-/// A pre-v8 peer against an auth-enabled server: `Auth` is refused
-/// `Unsupported`, keyed requests are refused `AuthFailed`, but unkeyed
-/// traffic still works — the session is confined to the
-/// unauthenticated tenant class instead of being cut off.
+/// A session that never sends `Ping` still gets the one Stats body,
+/// every field present: here a failed `Auth` (also sent without a
+/// `Ping`) and the reactor shard count both show up.
 #[test]
-fn pre_v8_peer_lands_in_unauthenticated_class() {
+fn stats_without_ping_carry_every_field() {
     let server = server_with(ServerConfig {
-        auth_secret: Some(b"mixed-version-secret".to_vec()),
+        auth_secret: Some(b"one-version-secret".to_vec()),
         ..ServerConfig::default()
     });
     let mut conn = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut conn, 1, RequestMeta::default(), Command::Ping { version: 7 }) {
-        Reply::Pong { version } => assert_eq!(version, 7),
-        other => panic!("ping produced {other:?}"),
-    }
-    // The v7 session cannot even present a token...
-    let token = hipac_net::auth::session_token(b"mixed-version-secret", 42).to_vec();
     match raw_roundtrip(
         &mut conn,
-        2,
+        1,
         RequestMeta::default(),
-        Command::Auth { client_id: 42, token },
+        Command::Auth { client_id: 42, token: vec![0u8; 32] },
     ) {
-        Reply::Err { kind, message } => {
-            assert_eq!(kind, "Unsupported", "{message}");
-            assert!(message.contains("v8"), "{message}");
-        }
-        other => panic!("pre-v8 auth produced {other:?}"),
+        Reply::Err { kind, message } => assert_eq!(kind, "AuthFailed", "{message}"),
+        other => panic!("bad token produced {other:?}"),
     }
-    // ...so its keyed requests are refused per the identity gate...
+    match raw_roundtrip(&mut conn, 2, RequestMeta::default(), Command::Stats) {
+        Reply::Stats(s) => {
+            assert!(s.auth_failures >= 1, "tenancy gauges present");
+            assert!(s.reactor_shards >= 1, "hot-path gauges present");
+        }
+        other => panic!("stats produced {other:?}"),
+    }
+}
+
+/// A session that skips `Auth` against an auth-enabled server: keyed
+/// requests are refused `AuthFailed`, but unkeyed traffic still works —
+/// the session is confined to the unauthenticated tenant class instead
+/// of being cut off.
+#[test]
+fn unauthenticated_session_lands_in_unauthenticated_class() {
+    let server = server_with(ServerConfig {
+        auth_secret: Some(b"one-version-secret".to_vec()),
+        ..ServerConfig::default()
+    });
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    match raw_roundtrip(&mut conn, 1, RequestMeta::default(), ping) {
+        Reply::Pong { version } => assert_eq!(version, PROTOCOL_VERSION),
+        other => panic!("ping produced {other:?}"),
+    }
+    // No `Auth`: keyed requests are refused per the identity gate...
     let keyed = RequestMeta {
         client_id: 42,
         seq: 1,
         deadline_ms: 0,
     };
-    match raw_roundtrip(&mut conn, 3, keyed, Command::Begin) {
+    match raw_roundtrip(&mut conn, 2, keyed, Command::Begin) {
         Reply::Err { kind, message } => assert_eq!(kind, "AuthFailed", "{message}"),
-        other => panic!("keyed pre-v8 begin produced {other:?}"),
+        other => panic!("keyed unauthenticated begin produced {other:?}"),
     }
     // ...but unkeyed traffic is served from the unauthenticated class.
-    match raw_roundtrip(&mut conn, 4, RequestMeta::default(), Command::Begin) {
+    match raw_roundtrip(&mut conn, 3, RequestMeta::default(), Command::Begin) {
         Reply::Txn(t) => {
-            assert_eq!(raw_roundtrip(&mut conn, 5, RequestMeta::default(), Command::Abort { txn: t }), Reply::Ok)
+            assert_eq!(raw_roundtrip(&mut conn, 4, RequestMeta::default(), Command::Abort { txn: t }), Reply::Ok)
         }
-        other => panic!("unkeyed pre-v8 begin produced {other:?}"),
-    }
-}
-
-/// An old peer must never see v8-only material: with nonzero v8
-/// counters on the server, a v4 session's `Stats` reply decodes with
-/// those fields absent (zero) while a v8 session sees them.
-#[test]
-fn old_peer_stats_carry_no_v8_fields() {
-    let server = server_with(ServerConfig {
-        auth_secret: Some(b"mixed-version-secret".to_vec()),
-        ..ServerConfig::default()
-    });
-    // Drive auth_failures nonzero from a v8 session with a bad token.
-    let mut v8 = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut v8, 1, RequestMeta::default(), Command::Ping { version: 8 }) {
-        Reply::Pong { version } => assert_eq!(version, 8),
-        other => panic!("ping produced {other:?}"),
-    }
-    match raw_roundtrip(
-        &mut v8,
-        2,
-        RequestMeta::default(),
-        Command::Auth { client_id: 42, token: vec![0u8; 32] },
-    ) {
-        Reply::Err { kind, .. } => assert_eq!(kind, "AuthFailed"),
-        other => panic!("bad token produced {other:?}"),
-    }
-    match raw_roundtrip(&mut v8, 3, RequestMeta::default(), Command::Stats) {
-        Reply::Stats(s) => assert!(s.auth_failures >= 1, "v8 peer sees live counter"),
-        other => panic!("stats produced {other:?}"),
-    }
-
-    let mut v4 = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut v4, 1, RequestMeta::default(), Command::Ping { version: 4 }) {
-        Reply::Pong { version } => assert_eq!(version, 4),
-        other => panic!("ping produced {other:?}"),
-    }
-    match raw_roundtrip(&mut v4, 2, RequestMeta::default(), Command::Stats) {
-        Reply::Stats(s) => {
-            assert_eq!(s.auth_failures, 0, "v8 field leaked into a v4 reply");
-            assert_eq!(s.tenants_active, 0);
-            assert_eq!(s.tenant_shed_requests, 0);
-        }
-        other => panic!("stats produced {other:?}"),
+        other => panic!("unkeyed unauthenticated begin produced {other:?}"),
     }
 }
 

@@ -7,7 +7,7 @@
 use hipac::ActiveDatabase;
 use hipac_common::{Value, ValueType};
 use hipac_event::EventSpec;
-use hipac_net::proto::{Command, Frame, Reply, RequestMeta};
+use hipac_net::proto::{Command, Frame, Reply, RequestMeta, PROTOCOL_VERSION};
 use hipac_net::{ClientConfig, HipacClient, HipacServer, ServerConfig, WireError};
 use hipac_object::{AttrDef, Expr, Query};
 use hipac_rules::{Action, ActionOp, DbAction, RuleDef};
@@ -149,8 +149,11 @@ fn hostile_peer_cannot_poison_foreign_dedup_state() {
     // client_id on a keyed request with a sequence the victim has not
     // used yet.
     let mut hostile = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut hostile, 1, RequestMeta::default(), Command::Ping { version: 8 }) {
-        Reply::Pong { version } => assert_eq!(version, 8),
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    match raw_roundtrip(&mut hostile, 1, RequestMeta::default(), ping) {
+        Reply::Pong { version } => assert_eq!(version, PROTOCOL_VERSION),
         other => panic!("ping produced {other:?}"),
     }
     let token = hipac_net::auth::session_token(SECRET, 6666).to_vec();
@@ -176,8 +179,11 @@ fn hostile_peer_cannot_poison_foreign_dedup_state() {
     // Victim: the same (client_id, seq) now executes for real — a Txn
     // reply, not a cached AuthFailed refusal.
     let mut victim = TcpStream::connect(server.local_addr()).unwrap();
-    match raw_roundtrip(&mut victim, 1, RequestMeta::default(), Command::Ping { version: 8 }) {
-        Reply::Pong { version } => assert_eq!(version, 8),
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    match raw_roundtrip(&mut victim, 1, RequestMeta::default(), ping) {
+        Reply::Pong { version } => assert_eq!(version, PROTOCOL_VERSION),
         other => panic!("ping produced {other:?}"),
     }
     let token = hipac_net::auth::session_token(SECRET, victim_id).to_vec();

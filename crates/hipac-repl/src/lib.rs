@@ -4,7 +4,7 @@
 //! management on one node, but nothing in the model requires *reads*
 //! or the §4.1 role-reversal push channel to originate there. This
 //! crate adds a WAL-shipping replication subsystem on top of the
-//! storage layer's batch-iterator API and wire-protocol v5:
+//! storage layer's batch-iterator API and the wire protocol's `Repl` frames:
 //!
 //! * The **primary** (an ordinary `hipac-net` server on a durable
 //!   store) tails its own WAL and streams committed batches to any

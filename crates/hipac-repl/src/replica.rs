@@ -4,7 +4,7 @@
 //! A [`ReplicaNode`] maintains two socket roles at once:
 //!
 //! * **Follower** — one outbound connection to the primary. It
-//!   negotiates protocol v5 and sends `ReplSubscribe` from its durable
+//!   pings the primary and sends `ReplSubscribe` from its durable
 //!   watermark. It reads the socket a burst at a time: every
 //!   consecutive [`ReplMsg::Batch`] already received forms one run,
 //!   applied through [`DurableStore::apply_replicated_run`] (the
@@ -43,8 +43,8 @@ use std::time::{Duration, Instant};
 use hipac::ActiveDatabase;
 use hipac_common::{HipacError, ReplCounters, Result, TxnId, ROLE_REPLICA};
 use hipac_net::proto::{
-    Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats, MAX_FRAME,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    ping_reply, Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
 use hipac_net::{HipacServer, ServerConfig};
 use hipac_storage::{
@@ -204,10 +204,6 @@ struct Shared {
     /// Primary's durable frontier, from batches and heartbeats.
     primary_durable: AtomicU64,
     connected: AtomicBool,
-    /// Protocol version negotiated on the live upstream connection;
-    /// forwarded requests must be encoded at it (a v8 primary treats
-    /// trailing v9 epoch bytes as frame garbage).
-    upstream_version: AtomicU64,
 }
 
 impl Shared {
@@ -219,7 +215,6 @@ impl Shared {
     /// primary's `Ok` reply lands in the follower read loop and is
     /// dropped there.
     fn send_upstream(&self, command: Command) {
-        let version = self.upstream_version.load(Ordering::Relaxed) as u32;
         let frame = Frame::Request {
             id: 0,
             meta: RequestMeta::default(),
@@ -227,7 +222,7 @@ impl Shared {
         };
         let mut guard = self.upstream.lock();
         if let Some(stream) = guard.as_mut() {
-            if stream.write_all(&frame.encode_versioned(version)).is_err() {
+            if stream.write_all(&frame.encode()).is_err() {
                 *guard = None; // follower loop will reconnect
             }
         }
@@ -312,7 +307,6 @@ impl ReplicaNode {
             subs: Mutex::new(SubState::default()),
             primary_durable: AtomicU64::new(applied),
             connected: AtomicBool::new(false),
-            upstream_version: AtomicU64::new(u64::from(PROTOCOL_VERSION)),
         });
 
         let sessions: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -587,8 +581,8 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     };
     let mut reader = FrameReader::new();
 
-    // Handshake: negotiate v5 (a v4 primary cannot ship), then
-    // subscribe from our durable watermark.
+    // Handshake: ping (a primary speaking another protocol version is
+    // refused), then subscribe from our durable watermark.
     let ping = Frame::Request {
         id: 1,
         meta: RequestMeta::default(),
@@ -604,13 +598,12 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     // server defers peer registration until its Ok is on the wire, so
     // nothing *should* precede the ack; this is defense in depth.)
     let mut deferred: Vec<Frame> = Vec::new();
-    let negotiated = match wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred) {
-        Some(Reply::Pong { version }) if version >= 5 => version,
-        _ => return FollowEnd::Disconnected,
+    let Some(Reply::Pong {
+        version: PROTOCOL_VERSION,
+    }) = wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred)
+    else {
+        return FollowEnd::Disconnected;
     };
-    shared
-        .upstream_version
-        .store(u64::from(negotiated), Ordering::Relaxed);
     let start_lsn = store.replicated_applied_lsn().ok().flatten().unwrap_or(0);
     let sub = Frame::Request {
         id: 2,
@@ -620,7 +613,7 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
             epoch: store.repl_epoch(),
         },
     };
-    if stream.write_all(&sub.encode_versioned(negotiated)).is_err() {
+    if stream.write_all(&sub.encode()).is_err() {
         return FollowEnd::Disconnected;
     }
     match wait_reply(shared, &mut reader, &mut stream, 2, &mut deferred) {
@@ -759,7 +752,7 @@ impl ReplApply {
 /// Observe the epoch stamped on a replication message. Newer epochs
 /// are adopted (persisted first, so the observation can never be
 /// rolled back by a crash); an older one marks the sender as a deposed
-/// primary whose stream must not be applied. Epoch 0 is the pre-v9 /
+/// primary whose stream must not be applied. Epoch 0 is the
 /// never-promoted world and always passes.
 fn observe_epoch(shared: &Arc<Shared>, store: &Arc<DurableStore>, wire_epoch: u64) -> ReplApply {
     if wire_epoch == 0 {
@@ -987,7 +980,6 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
     };
     let writer = Arc::new(Mutex::new(writer_stream));
     let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-    let mut negotiated = MIN_PROTOCOL_VERSION;
     let mut reader = FrameReader::new();
 
     while !shared.stop.load(Ordering::SeqCst) {
@@ -996,13 +988,9 @@ fn session_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok(None) => continue,
             _ => break,
         };
-        let reply = execute(shared, session, &writer, &mut negotiated, command);
+        let reply = execute(shared, session, &writer, command);
         let frame = Frame::Response { id, reply };
-        if writer
-            .lock()
-            .write_all(&frame.encode_versioned(negotiated))
-            .is_err()
-        {
+        if writer.lock().write_all(&frame.encode()).is_err() {
             break;
         }
     }
@@ -1019,16 +1007,10 @@ fn execute(
     shared: &Arc<Shared>,
     session: u64,
     writer: &Arc<Mutex<TcpStream>>,
-    negotiated: &mut u32,
     command: Command,
 ) -> Reply {
     match command {
-        Command::Ping { version } => {
-            *negotiated = version.clamp(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION);
-            Reply::Pong {
-                version: *negotiated,
-            }
-        }
+        Command::Ping { version } => ping_reply(version),
         Command::Stats => {
             let c = &shared.counters;
             Reply::Stats(Box::new(WireStats {
@@ -1156,14 +1138,11 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
     stream
         .write_all(&ping.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
-    let version = match wait_reply_raw(&mut reader, &mut stream, 1)? {
-        Reply::Pong { version } => version,
+    match wait_reply_raw(&mut reader, &mut stream, 1)? {
+        Reply::Pong {
+            version: PROTOCOL_VERSION,
+        } => {}
         other => return Err(HipacError::Io(format!("unexpected handshake reply: {other:?}"))),
-    };
-    if version < 9 {
-        return Err(HipacError::Io(
-            "peer predates epoch fencing (protocol < 9): cannot fence".into(),
-        ));
     }
 
     let fence = Frame::Request {
@@ -1176,7 +1155,7 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
         },
     };
     stream
-        .write_all(&fence.encode_versioned(version))
+        .write_all(&fence.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
     match wait_reply_raw(&mut reader, &mut stream, 2)? {
         // `Ok`: the peer was at (or already past) this epoch.

@@ -6,7 +6,7 @@
 use hipac::ActiveDatabase;
 use hipac_common::{TxnId, Value, ValueType, ROLE_PRIMARY, ROLE_REPLICA};
 use hipac_event::EventSpec;
-use hipac_net::proto::{Command, Frame, ReplMsg, Reply, PROTOCOL_VERSION};
+use hipac_net::proto::{ping_reply, Command, Frame, ReplMsg, Reply};
 use hipac_net::{ClientConfig, FleetClient, HipacClient, HipacServer, ServerConfig, WireError};
 use hipac_object::{AttrDef, Expr, Query};
 use hipac_repl::ReplicaNode;
@@ -225,9 +225,7 @@ fn fake_primary_read(conn: &mut std::net::TcpStream) -> Option<Command> {
         return None;
     };
     let reply = match &command {
-        Command::Ping { version } => Reply::Pong {
-            version: (*version).min(PROTOCOL_VERSION),
-        },
+        Command::Ping { version } => ping_reply(*version),
         _ => Reply::Ok,
     };
     if id != 0 {

@@ -452,6 +452,37 @@ fn abort_heavy_schedules_match() {
     }
 }
 
+/// Guarded rules whose threshold no update reaches: the naive oracle
+/// triggers (and rejects) every one, the network prunes every one
+/// before it triggers, and neither satisfies a condition.
+#[test]
+fn unreachable_thresholds_are_pruned_before_triggering() {
+    const RULES: u64 = 16;
+    for mode in [Matching::Naive, Matching::Network] {
+        let mut h = build(mode, None, None).unwrap();
+        h.seed_data().unwrap();
+        h.db.run_top(|t| {
+            for i in 0..RULES {
+                let rule = RuleDef::new(format!("threshold-{i}"))
+                    .on(EventSpec::on_update("stock"))
+                    .when(Query::parse(&format!("from stock where new.price >= {}.0", 1_000_000 + i))?)
+                    .then(Action::none());
+                h.db.rules().create_rule(t, rule)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        h.db.run_top(|t| h.db.store().update(t, h.oids[0], &[("price", Value::from(50.0))]))
+            .unwrap();
+        let rules = h.db.rules();
+        match mode {
+            Matching::Naive => assert!(rules.stats.rules_triggered.load(Ordering::Relaxed) >= RULES),
+            Matching::Network => assert!(rules.match_pruned() >= RULES, "pruned {}", rules.match_pruned()),
+        }
+        assert_eq!(h.satisfied(), 0, "{mode:?}: an unreachable threshold was satisfied");
+    }
+}
+
 /// Persisted rules and guard records reload into either mode: run half
 /// the schedule durably, reopen each directory under the *opposite*
 /// mode, run the rest, and compare everything.
