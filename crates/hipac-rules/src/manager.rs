@@ -959,10 +959,14 @@ impl RuleManager {
         let probed;
         let listed;
         let rule_ids: &[RuleId] = match self.matching {
-            // O(matches) candidates from the discrimination network;
-            // the per-rule visibility/enabled/guard-residual checks
-            // below are unchanged, so extra candidates are harmless.
-            Matching::Network => match self.network.probe(event, &self.store, signal) {
+            // O(matches) candidates from the discrimination network,
+            // which reads each bucket member's guard chain in place from
+            // the committed rules; the per-rule visibility/enabled/
+            // condition checks below are unchanged, so extra candidates
+            // are harmless.
+            Matching::Network => match self.network.probe(event, &self.store, signal, &|rid, f| {
+                self.rules.with_committed(&rid, f)
+            }) {
                 Some(ids) => {
                     probed = ids;
                     &probed

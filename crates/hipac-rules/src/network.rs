@@ -11,15 +11,20 @@
 //! * **Type nodes** — one per (shared) event definition, mirroring the
 //!   event→rules wiring. Event-type discrimination itself is the event
 //!   registry's spec sharing; a type node refines *within* one event.
-//! * **Attribute discrimination** — rules whose first condition query
-//!   is delta-answerable and whose leftmost conjunct compares an
-//!   `old.x`/`new.x` attribute against a literal are bucketed by that
-//!   guard: equality guards in a hash map keyed by the literal (exact,
-//!   because [`Value`]'s `Eq`/`Hash` are consistent with its total
-//!   order, Int/Float cross-comparison included), interval guards in
-//!   two ordered maps (lower bounds `>=`/`>`, upper bounds `<=`/`<`).
-//!   One probe with the event's attribute value then yields exactly
-//!   the rules whose guard passes — O(matches), not O(rules).
+//! * **Attribute discrimination** — a rule's *guard chain* is the run
+//!   of literal comparisons (`old.x`/`new.x ⟨=,<,<=,>,>=⟩ literal`,
+//!   either orientation) its first condition query opens with, when
+//!   that query is delta-answerable; the chain stops at the first
+//!   conjunct of any other shape. The first link is the indexed key:
+//!   equality links in a hash map keyed by the literal (exact, because
+//!   [`Value`]'s `Eq`/`Hash` are consistent with its total order,
+//!   Int/Float cross-comparison included), interval links in two
+//!   ordered maps (lower bounds `>=`/`>`, upper bounds `<=`/`<`). One
+//!   probe with the event's attribute value yields the rules whose
+//!   first link passes — O(matches), not O(rules) — and each of them
+//!   then has its later links checked against the event's images,
+//!   read in place from the rule's committed definition, before it
+//!   becomes a candidate.
 //! * **Residual set** — rules the network cannot discriminate (store
 //!   conditions, disjunctions, `!=`, non-literal comparands, empty
 //!   conditions). Always candidates; evaluated exactly as today.
@@ -33,15 +38,22 @@
 //!
 //! **Prune safety.** A rule may be dropped from the candidate set only
 //! when the naive path would *provably* find its condition unsatisfied
-//! without error. The guard is the leftmost conjunct, which the
-//! evaluator's left-to-right short-circuit evaluates first; comparisons
-//! never error (null compares false), so a false guard means the whole
-//! predicate is false. Everything uncertain falls back to "keep as
-//! candidate": no event delta, the query's class not in the event's
-//! lineage (the naive delta path would not apply), any referenced
-//! attribute that does not resolve against the event's class (the
-//! naive path resolves the whole predicate eagerly and errors), the
-//! guard's image missing or the attribute slot out of range (ditto).
+//! without error. The guard chain is a prefix of the first query's
+//! conjuncts, which the evaluator's left-to-right short-circuit `and`
+//! evaluates in order; comparisons never error (null compares false),
+//! so the first false link — indexed or checked — means the whole
+//! predicate is false, and the first query's empty result ends the
+//! condition. Everything uncertain falls back to "keep as candidate":
+//! no event delta, the query's class not in the event's lineage (the
+//! naive delta path would not apply), any referenced attribute that
+//! does not resolve against the event's class (the naive path resolves
+//! the whole predicate eagerly and errors), a link's image missing or
+//! its attribute slot out of range before any link failed (ditto), or
+//! no committed definition to read the chain from. Only rules taken
+//! from a guard bucket are chain-checked; residual and unstable rules
+//! are candidates as they are. A stable rule's committed definition
+//! is the one the naive path reads, because a rule with an uncommitted
+//! change sits in the unstable set until its placement is redone.
 //! Candidate sets are therefore a superset of the satisfied rules and
 //! a subset of the naive candidate list, and every candidate flows
 //! through the unchanged per-rule visibility/enablement/evaluation
@@ -62,10 +74,10 @@
 
 use crate::rule::RuleDef;
 use hipac_common::{EventId, ObjectId, RuleId, TxnId, Value};
-use hipac_event::EventSignal;
+use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
 use hipac_object::query::{Query, QueryResult};
-use hipac_object::ObjectStore;
+use hipac_object::{ObjectStore, Schema};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
@@ -117,7 +129,7 @@ pub enum GuardOp {
 pub enum GuardSpec {
     /// Not discriminable: always a candidate within its type node.
     Residual,
-    /// First-conjunct attribute guard.
+    /// The first link of the rule's guard chain (the indexed key).
     Guarded {
         /// Class of the rule's first condition query.
         class: String,
@@ -134,41 +146,52 @@ pub enum GuardSpec {
     },
 }
 
-/// Derive a rule's guard spec from its definition. The guard comes
-/// from the first condition query when it (a) has the delta-answerable
-/// shape, and (b) opens with `old.x ⟨cmp⟩ literal` / `new.x ⟨cmp⟩
-/// literal` (either orientation). Pre-resolved slot forms are *not*
-/// guarded: their stored index could disagree with name resolution at
-/// evaluation time.
-pub fn derive_guard(def: &RuleDef) -> GuardSpec {
-    let Some(q0) = def.condition.first() else {
-        return GuardSpec::Residual;
-    };
-    if !crate::condition::ConditionEvaluator::delta_answerable_shape(q0) {
-        return GuardSpec::Residual;
-    }
-    let conjuncts = q0.predicate.conjuncts();
-    let Some(Expr::Binary(op, l, r)) = conjuncts.first().copied() else {
-        return GuardSpec::Residual;
-    };
-    let attr_side = |e: &Expr| -> Option<(ImageRef, String)> {
-        match e {
-            Expr::OldAttr(n) => Some((ImageRef::Old, n.clone())),
-            Expr::NewAttr(n) => Some((ImageRef::New, n.clone())),
-            _ => None,
+/// One literal link of a guard chain, read as `image.attr ⟨op⟩ value`
+/// (a literal-first comparison is flipped into this orientation).
+struct Link<'a> {
+    image: ImageRef,
+    attr: &'a str,
+    op: GuardOp,
+    value: &'a Value,
+}
+
+impl Link<'_> {
+    /// The evaluator's verdict on this link for the image value `v`:
+    /// null compares false, anything else by [`Value`]'s total order.
+    fn holds(&self, v: &Value) -> bool {
+        if v.is_null() || self.value.is_null() {
+            return false;
         }
+        let ord = v.cmp(self.value);
+        match self.op {
+            GuardOp::Eq => ord.is_eq(),
+            GuardOp::Lt => ord.is_lt(),
+            GuardOp::Le => ord.is_le(),
+            GuardOp::Gt => ord.is_gt(),
+            GuardOp::Ge => ord.is_ge(),
+        }
+    }
+}
+
+/// Parse one conjunct as a literal link: `old.x ⟨cmp⟩ literal` /
+/// `new.x ⟨cmp⟩ literal` in either orientation, `cmp` one of `=`, `<`,
+/// `<=`, `>`, `>=`. This is the one definition of what counts as a
+/// guard. Pre-resolved slot forms are *not* links: their stored index
+/// could disagree with name resolution at evaluation time.
+fn literal_link(e: &Expr) -> Option<Link<'_>> {
+    let Expr::Binary(op, l, r) = e else {
+        return None;
     };
-    let direct = match (attr_side(l), r.as_ref()) {
-        (Some(side), Expr::Literal(v)) => Some((side, *op, v.clone())),
-        _ => None,
-    };
-    let flipped = match (attr_side(r), l.as_ref()) {
+    let (side, op, value) = match (l.as_ref(), r.as_ref()) {
+        (side, Expr::Literal(v)) => (side, *op, v),
         // `literal ⟨op⟩ attr` reads as `attr ⟨flipped op⟩ literal`.
-        (Some(side), Expr::Literal(v)) => Some((side, flip(*op), v.clone())),
-        _ => None,
+        (Expr::Literal(v), side) => (side, flip(*op), v),
+        _ => return None,
     };
-    let Some(((image, attr), op, value)) = direct.or(flipped) else {
-        return GuardSpec::Residual;
+    let (image, attr) = match side {
+        Expr::OldAttr(n) => (ImageRef::Old, n.as_str()),
+        Expr::NewAttr(n) => (ImageRef::New, n.as_str()),
+        _ => return None,
     };
     let op = match op {
         BinOp::Eq => GuardOp::Eq,
@@ -176,7 +199,36 @@ pub fn derive_guard(def: &RuleDef) -> GuardSpec {
         BinOp::Le => GuardOp::Le,
         BinOp::Gt => GuardOp::Gt,
         BinOp::Ge => GuardOp::Ge,
-        _ => return GuardSpec::Residual,
+        _ => return None,
+    };
+    Some(Link {
+        image,
+        attr,
+        op,
+        value,
+    })
+}
+
+/// A rule's guard chain: its first condition query, when that has the
+/// delta-answerable shape, and the literal links its predicate opens
+/// with, left to right up to the first conjunct of any other shape.
+fn guard_chain(def: &RuleDef) -> Option<(&Query, impl Iterator<Item = Link<'_>>)> {
+    let q0 = def.condition.first()?;
+    if !crate::condition::ConditionEvaluator::delta_answerable_shape(q0) {
+        return None;
+    }
+    let links = q0.predicate.conjuncts().into_iter().map_while(literal_link);
+    Some((q0, links))
+}
+
+/// Derive a rule's guard spec from its definition: the first link of
+/// its guard chain, or [`GuardSpec::Residual`] when the chain is empty.
+pub fn derive_guard(def: &RuleDef) -> GuardSpec {
+    let Some((q0, mut chain)) = guard_chain(def) else {
+        return GuardSpec::Residual;
+    };
+    let Some(first) = chain.next() else {
+        return GuardSpec::Residual;
     };
     let mut ref_attrs = Vec::new();
     collect_attr_names(&q0.predicate, &mut ref_attrs);
@@ -184,10 +236,10 @@ pub fn derive_guard(def: &RuleDef) -> GuardSpec {
     ref_attrs.dedup();
     GuardSpec::Guarded {
         class: q0.class.clone(),
-        image,
-        attr,
-        op,
-        value,
+        image: first.image,
+        attr: first.attr.to_owned(),
+        op: first.op,
+        value: first.value.clone(),
         ref_attrs,
     }
 }
@@ -453,13 +505,17 @@ impl MatchNetwork {
     }
 
     /// Resolve the candidate set for one signal: residual ∪ unstable ∪
-    /// guard matches, ascending by rule id (the naive list's order).
-    /// Returns `None` when no rules are wired to the event.
+    /// the bucket members whose whole guard chain passes, ascending by
+    /// rule id (the naive list's order). `defs` reads a rule's committed
+    /// definition in place (see [`DefLookup`]); it is called with the
+    /// network's read lock held, so the lock order is network → rule
+    /// store. Returns `None` when no rules are wired to the event.
     pub fn probe(
         &self,
         event: EventId,
         store: &ObjectStore,
         signal: &EventSignal,
+        defs: DefLookup<'_>,
     ) -> Option<Vec<RuleId>> {
         let inner = self.inner.read();
         let node = inner.nodes.get(&event)?;
@@ -474,6 +530,11 @@ impl MatchNetwork {
             return Some(node.all_rules());
         }
         let schema = store.schema(txn);
+        let chain = ChainTest {
+            schema: &schema,
+            db,
+            defs,
+        };
         let mut out: Vec<RuleId> = node.residual.iter().copied().collect();
         out.extend(node.unstable.keys().copied());
         for ((class, image, attr), group) in &node.groups {
@@ -517,20 +578,20 @@ impl MatchNetwork {
                 continue;
             }
             if let Some(rules) = group.eq.get(v) {
-                out.extend_from_slice(rules);
+                chain.take(rules, &mut out);
             }
             for (key, b) in group.lower.range::<Value, _>((Bound::Unbounded, Bound::Included(v)))
             {
-                out.extend_from_slice(&b.inclusive);
+                chain.take(&b.inclusive, &mut out);
                 if key != v {
-                    out.extend_from_slice(&b.strict);
+                    chain.take(&b.strict, &mut out);
                 }
             }
             for (key, b) in group.upper.range::<Value, _>((Bound::Included(v), Bound::Unbounded))
             {
-                out.extend_from_slice(&b.inclusive);
+                chain.take(&b.inclusive, &mut out);
                 if key != v {
-                    out.extend_from_slice(&b.strict);
+                    chain.take(&b.strict, &mut out);
                 }
             }
         }
@@ -726,6 +787,61 @@ impl MatchNetwork {
         if delta != 0 {
             self.stats.index_nodes.fetch_sub(delta, Ordering::Relaxed);
         }
+    }
+}
+
+/// Borrow a rule's committed definition in place: `defs(rid, f)` calls
+/// `f` on it and returns `f`'s answer, or `None` when the rule has no
+/// committed definition. The Rule Manager answers from its rule store
+/// ([`hipac_txn::VersionStore::with_committed`]), so the network keeps
+/// no copy of any rule's chain and clones no definition to test one.
+pub type DefLookup<'a> = &'a dyn Fn(RuleId, &mut dyn FnMut(&RuleDef) -> bool) -> Option<bool>;
+
+/// The guard-chain test of one probe: the signal's schema and delta,
+/// and the rule store the chains are read from.
+struct ChainTest<'a> {
+    schema: &'a Schema,
+    db: &'a DbEventData,
+    defs: DefLookup<'a>,
+}
+
+impl ChainTest<'_> {
+    /// Append the members of a passing guard bucket, minus those whose
+    /// guard chain fails on this event.
+    fn take(&self, rules: &[RuleId], out: &mut Vec<RuleId>) {
+        out.extend(rules.iter().copied().filter(|&rid| !self.rejects(rid)));
+    }
+
+    fn rejects(&self, rid: RuleId) -> bool {
+        (self.defs)(rid, &mut |def| self.chain_fails(def)).unwrap_or(false)
+    }
+
+    /// Does naive evaluation provably find `def`'s first query false,
+    /// without error? Walk the chain in the evaluator's left-to-right
+    /// order: a false link decides it (every link before it was a true
+    /// comparison, and `and` short-circuits); a link whose image, slot
+    /// or attribute is missing is one the evaluator would error on, so
+    /// the rule is kept; a chain that passes leaves the decision to the
+    /// evaluator.
+    fn chain_fails(&self, def: &RuleDef) -> bool {
+        let Some((_, links)) = guard_chain(def) else {
+            return false;
+        };
+        for link in links {
+            let img = match link.image {
+                ImageRef::Old => self.db.old.as_deref(),
+                ImageRef::New => self.db.new.as_deref(),
+            };
+            let Some(img) = img else { return false };
+            let Ok((slot, _)) = self.schema.resolve_attr(self.db.class, link.attr) else {
+                return false;
+            };
+            let Some(v) = img.get(slot) else { return false };
+            if !link.holds(v) {
+                return true;
+            }
+        }
+        false
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The core soundness claim: the network's candidate set for a signal
 //! is a *superset* of the rules the naive oracle would find satisfied
-//! (or error on), and every pruned rule is one the naive Condition
-//! Evaluator provably rejects — pruning changes cost, never outcome.
+//! (or error on), and every pruned rule — by its indexed first link or
+//! by a later link of its guard chain — is one the naive Condition
+//! Evaluator provably rejects: pruning changes cost, never outcome.
 //! Counterexamples print the offending rule in its DSL rendering.
 
 use hipac_common::{EventId, ObjectId, RuleId, Value, ValueType};
@@ -11,7 +12,9 @@ use hipac_event::spec::DbEventKind;
 use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
 use hipac_object::{AttrDef, ObjectStore, Query};
-use hipac_rules::{derive_guard, ConditionEvaluator, GuardSpec, MatchNetwork, MemoTable, RuleDef};
+use hipac_rules::{
+    derive_guard, ConditionEvaluator, DefLookup, GuardSpec, MatchNetwork, MemoTable, RuleDef,
+};
 use hipac_txn::TransactionManager;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -99,7 +102,12 @@ fn arb_value(attr: AttrPick) -> BoxedStrategy<Value> {
             Just(Value::Null),
         ]
         .boxed(),
-        AttrPick::Qty => prop_oneof![(0i64..12).prop_map(Value::Int), Just(Value::Null)].boxed(),
+        AttrPick::Qty => prop_oneof![
+            (0i64..12).prop_map(Value::Int),
+            (0u64..12).prop_map(|k| Value::Float(k as f64 + 0.5)),
+            Just(Value::Null),
+        ]
+        .boxed(),
         AttrPick::Sym => prop_oneof![
             Just(Value::Str("a".into())),
             Just(Value::Str("b".into())),
@@ -117,32 +125,98 @@ fn attr_name(a: AttrPick) -> &'static str {
     }
 }
 
+/// The comparisons a guard-chain link may use (`!=` is not one).
+fn arb_link_cmp() -> impl Strategy<Value = BinOp> {
+    prop_oneof![
+        Just(BinOp::Eq),
+        Just(BinOp::Lt),
+        Just(BinOp::Le),
+        Just(BinOp::Gt),
+        Just(BinOp::Ge),
+    ]
+}
+
 /// One comparison leaf: `new.X op lit`, `old.X op lit`, or the
 /// flipped literal-first form (exercises guard-side normalization).
 fn arb_leaf() -> impl Strategy<Value = Expr> {
-    (arb_attr(), arb_cmp(), any::<bool>(), any::<bool>()).prop_flat_map(
-        |(attr, op, use_new, flip)| {
-            arb_value(attr).prop_map(move |v| {
-                let name = attr_name(attr).to_owned();
-                let image = if use_new {
-                    Expr::NewAttr(name)
-                } else {
-                    Expr::OldAttr(name)
-                };
-                if flip {
-                    Expr::Binary(op, Box::new(Expr::Literal(v)), Box::new(image))
-                } else {
-                    Expr::Binary(op, Box::new(image), Box::new(Expr::Literal(v)))
-                }
-            })
-        },
-    )
+    arb_comparison(arb_cmp())
 }
 
-/// Predicates: single leaf, conjunctions (guardable when the first
-/// conjunct qualifies) and disjunctions (always residual).
+fn arb_comparison(cmp: impl Strategy<Value = BinOp>) -> impl Strategy<Value = Expr> {
+    (arb_attr(), cmp, any::<bool>(), any::<bool>()).prop_flat_map(|(attr, op, use_new, flip)| {
+        arb_value(attr).prop_map(move |v| {
+            let name = attr_name(attr).to_owned();
+            let image = if use_new {
+                Expr::NewAttr(name)
+            } else {
+                Expr::OldAttr(name)
+            };
+            if flip {
+                Expr::Binary(op, Box::new(Expr::Literal(v)), Box::new(image))
+            } else {
+                Expr::Binary(op, Box::new(image), Box::new(Expr::Literal(v)))
+            }
+        })
+    })
+}
+
+/// A conjunct that is not a literal link and so ends a guard chain:
+/// `!=`, an arithmetic side (which errors on a null `qty`), or an
+/// image-against-image comparison.
+fn arb_chain_break() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        arb_comparison(Just(BinOp::Ne)),
+        (0i64..12).prop_map(|k| Expr::Binary(
+            BinOp::Gt,
+            Box::new(Expr::Binary(
+                BinOp::Add,
+                Box::new(Expr::NewAttr("qty".into())),
+                Box::new(Expr::Literal(Value::Int(1))),
+            )),
+            Box::new(Expr::Literal(Value::Int(k))),
+        )),
+        Just(Expr::Binary(
+            BinOp::Ge,
+            Box::new(Expr::NewAttr("price".into())),
+            Box::new(Expr::OldAttr("price".into())),
+        )),
+    ]
+}
+
+/// A guard chain of 2–4 literal links over both images, the nullable
+/// `qty` and Int/Float cross comparisons, sometimes interrupted by a
+/// non-literal conjunct, nested either way round.
+fn arb_chain() -> impl Strategy<Value = Expr> {
+    (
+        proptest::collection::vec(arb_comparison(arb_link_cmp()), 2..5),
+        any::<bool>(),
+        0usize..4,
+        arb_chain_break(),
+        any::<bool>(),
+    )
+        .prop_map(|(mut conjuncts, interrupt, at, brk, right_nested)| {
+            if interrupt {
+                let at = 1 + at % (conjuncts.len() - 1);
+                conjuncts.insert(at, brk);
+            }
+            let and = |a: Expr, b: Expr| Expr::Binary(BinOp::And, Box::new(a), Box::new(b));
+            if right_nested {
+                let mut rev = conjuncts.into_iter().rev();
+                let last = rev.next().expect("two links at least");
+                rev.fold(last, |acc, c| and(c, acc))
+            } else {
+                let mut it = conjuncts.into_iter();
+                let first = it.next().expect("two links at least");
+                it.fold(first, and)
+            }
+        })
+}
+
+/// Predicates: single leaves and guard chains, conjunctions (guardable
+/// when the first conjunct qualifies) and disjunctions (always
+/// residual).
 fn arb_predicate() -> impl Strategy<Value = Expr> {
-    let leaf = arb_leaf();
+    let leaf = prop_oneof![arb_leaf(), arb_chain()];
     leaf.prop_recursive(3, 8, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone())
@@ -153,7 +227,9 @@ fn arb_predicate() -> impl Strategy<Value = Expr> {
     })
 }
 
-fn arb_delta() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
+/// An update's old and new images; one signal in four carries no old
+/// image, so a chain link on `old.*` is one naive evaluation errors on.
+fn arb_delta() -> impl Strategy<Value = (Option<Vec<Value>>, Vec<Value>)> {
     let row = |sym: &'static str| {
         (
             prop_oneof![Just(sym)],
@@ -162,7 +238,7 @@ fn arb_delta() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
         )
             .prop_map(|(s, p, q)| vec![Value::Str(s.into()), Value::Float(p as f64), q])
     };
-    (row("a"), row("a"))
+    (row("a"), row("a"), 0u8..4).prop_map(|(old, new, k)| ((k > 0).then_some(old), new))
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +248,8 @@ fn arb_delta() -> impl Strategy<Value = (Vec<Value>, Vec<Value>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Soundness: a rule the network prunes is one the naive oracle
+    /// Soundness: a rule the network prunes — on its indexed link or a
+    /// later link of its guard chain — is one the naive oracle
     /// evaluates to *unsatisfied without error*. Equivalently the
     /// candidate set contains every true match and every would-error
     /// rule, so routing only candidates through the unchanged per-rule
@@ -208,14 +285,16 @@ proptest! {
                 class,
                 class_lineage: vec!["stock".into()],
                 oid: Some(fx.oid),
-                old: Some(old_row.clone()),
+                old: old_row.clone(),
                 new: Some(new_row.clone()),
             }),
             ..EventSignal::at(0)
         };
 
         let candidates = network
-            .probe(event, &fx.store, &signal)
+            .probe(event, &fx.store, &signal, &|rid, f| {
+                rules.get(rid.0 as usize).map(f)
+            })
             .expect("rules are wired");
         let evaluator = ConditionEvaluator::new(Arc::clone(&fx.store));
         for (i, def) in rules.iter().enumerate() {
@@ -255,16 +334,37 @@ proptest! {
             network.place_committed(event, RuleId(i as u64), derive_guard(&def));
         }
         let bare = EventSignal::at(0);
-        let all = network.probe(event, &fx.store, &bare).unwrap();
+        let all = network.probe(event, &fx.store, &bare, &|_, _| None).unwrap();
         prop_assert_eq!(all.len(), preds.len());
         prop_assert!(all.windows(2).all(|w| w[0] < w[1]), "candidates sorted by rid");
     }
 
     /// Guard derivation is stable and structural: residual guards stay
-    /// residual under re-derivation, and guarded specs reference only
-    /// attributes the predicate mentions.
+    /// residual under re-derivation, guarded specs reference only
+    /// attributes the predicate mentions, and a guard chain is indexed
+    /// on its first link.
     #[test]
-    fn derived_guards_are_consistent(pred in arb_predicate()) {
+    fn derived_guards_are_consistent(pred in arb_predicate(), chain in arb_chain()) {
+        let chained = RuleDef::new("c")
+            .on(hipac_event::EventSpec::on_update("stock"))
+            .when(Query::filtered("stock", chain.clone()));
+        let g = derive_guard(&chained);
+        prop_assert_eq!(&g, &derive_guard(&chained), "derivation must be deterministic for {}", chained);
+        let first = chain.conjuncts()[0].clone();
+        let alone = RuleDef::new("c")
+            .on(hipac_event::EventSpec::on_update("stock"))
+            .when(Query::filtered("stock", first));
+        match (&g, derive_guard(&alone)) {
+            (
+                GuardSpec::Guarded { class, image, attr, op, value, .. },
+                GuardSpec::Guarded { class: c1, image: i1, attr: a1, op: o1, value: v1, .. },
+            ) => prop_assert!(
+                (class, image, attr, op, value) == (&c1, &i1, &a1, &o1, &v1),
+                "chain {} is not indexed on its first link",
+                chained
+            ),
+            (g, alone) => prop_assert!(false, "chain {chained} derived {g:?} / {alone:?}"),
+        }
         let def = RuleDef::new("g")
             .on(hipac_event::EventSpec::on_update("stock"))
             .when(Query::filtered("stock", pred));
@@ -419,6 +519,7 @@ fn uncommitted_changes_stay_candidates() {
         .on(hipac_event::EventSpec::on_update("stock"))
         .when(Query::parse("from stock where new.price >= 1000000.0").unwrap());
     network.place_committed(event, RuleId(1), derive_guard(&def));
+    let defs: DefLookup<'_> = &|_, f| Some(f(&def));
 
     let t = fx.tm.begin();
     let schema = fx.store.schema(t);
@@ -436,16 +537,22 @@ fn uncommitted_changes_stay_candidates() {
         ..EventSignal::at(0)
     };
     // Guarded at 1e6, the update to 2.0 prunes the rule…
-    assert!(network.probe(event, &fx.store, &signal).unwrap().is_empty());
+    assert!(network
+        .probe(event, &fx.store, &signal, defs)
+        .unwrap()
+        .is_empty());
     // …but once a transaction marks it changed, it must stay a
     // candidate until that top resolves.
     network.mark_pending(event, RuleId(1), t);
     assert_eq!(
-        network.probe(event, &fx.store, &signal).unwrap(),
+        network.probe(event, &fx.store, &signal, defs).unwrap(),
         vec![RuleId(1)]
     );
     // Abort clears the mark and re-placement resumes pruning.
     network.clear_top(t);
-    assert!(network.probe(event, &fx.store, &signal).unwrap().is_empty());
+    assert!(network
+        .probe(event, &fx.store, &signal, defs)
+        .unwrap()
+        .is_empty());
     fx.tm.abort(t).unwrap();
 }

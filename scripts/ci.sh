@@ -18,8 +18,9 @@ echo "==> matching differential suite (naive vs network, both default modes)"
 cargo test -q -p hipac --test matching_diff
 HIPAC_MATCHING=naive cargo test -q -p hipac --test matching_diff
 
-echo "==> discrimination-network property suite (prune exactness, memo staleness)"
+echo "==> discrimination-network property suite (guard-chain prune soundness, memo staleness) and the chain prune count"
 cargo test -q -p hipac-rules --test match_properties
+cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later_link_fails
 
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply included), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail

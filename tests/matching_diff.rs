@@ -3,9 +3,10 @@
 //! naive full-list oracle ([`Matching::Naive`]) — the same multiset of
 //! fired rules in every transaction, same satisfied-condition counts,
 //! same committed state — across randomized rule sets (equality / range
-//! / compound / residual conditions), data churn, rule churn (create /
-//! alter / drop / enable / disable), abort-heavy schedules, durable
-//! restarts (in either mode) and injected storage crashes.
+//! / compound / guard-chain / residual conditions; immediate, deferred
+//! and separate coupling), data churn, rule churn (create / alter /
+//! drop / enable / disable), abort-heavy schedules, durable restarts
+//! (in either mode) and injected storage crashes.
 //!
 //! Firings are compared per transaction as multisets, not as one
 //! ordered log: the rules a transaction triggers fire as concurrent
@@ -74,8 +75,9 @@ struct Step {
 /// same id always produces the same definition, so generator and
 /// replayer agree without shipping `RuleDef` through the schedule.
 fn make_rule(name: &str, def_id: u64) -> RuleDef {
-    let kind = def_id % 9;
-    let k = (def_id / 9) % 20; // threshold drawn from the price domain
+    let kind = def_id % KINDS;
+    let k = (def_id / KINDS) % 20; // threshold drawn from the price domain
+    let j = (def_id / 7) % 20; // a chain's second literal
     let q = |s: String| Query::parse(&s).unwrap();
     let base = RuleDef::new(name).then(Action::single(ActionOp::AppRequest {
         handler: "audit".into(),
@@ -118,12 +120,47 @@ fn make_rule(name: &str, def_id: u64) -> RuleDef {
         ))),
         // Store-path condition (exercises the memo) with a derived
         // event (insert|update|delete on the class).
-        7 => base.when(q(format!("from stock where price > {k}.0"))),
+        STORE_KIND => base.when(q(format!("from stock where price > {k}.0"))),
         // Insert-triggered equality guard.
-        _ => base
+        8 => base
             .on(EventSpec::db(DbEventKind::Insert, Some("stock")))
             .when(q(format!("from stock where new.price = {k}.0"))),
+        // Guard chain over two attributes, the second nullable.
+        9 => base.on(EventSpec::on_update("stock")).when(q(format!(
+            "from stock where new.price >= {k}.0 and new.qty < {j}"
+        ))),
+        // Chain interrupted by a non-literal conjunct (which errors on
+        // a null qty): only the first link may prune.
+        10 => base.on(EventSpec::on_update("stock")).when(q(format!(
+            "from stock where new.price = {k}.0 and new.qty + 1 > {j}"
+        ))),
+        // Literal-on-the-left second link on the other image.
+        _ => base.on(EventSpec::on_update("stock")).when(q(format!(
+            "from stock where new.price >= {k}.0 and {}.0 > old.price",
+            k + 1 + j % 5
+        ))),
     }
+}
+
+/// Rule shapes [`make_rule`] draws from.
+const KINDS: u64 = 12;
+/// The one shape whose condition reads the store, not the event delta.
+const STORE_KIND: u64 = 7;
+
+/// Standing separate-coupled rules, one per delta-answerable shape,
+/// committed before a schedule runs and never changed by it: a
+/// detached firing reads its rule in a new top-level transaction, so
+/// only a rule no schedule step touches fires deterministically. The
+/// network prunes these before a pool job exists; the naive oracle
+/// spawns one per triggered rule.
+fn standing_rules(seed: u64) -> Vec<RuleDef> {
+    (0..KINDS)
+        .filter(|&kind| kind != STORE_KIND)
+        .map(|kind| {
+            let def_id = kind + KINDS * ((seed * 7 + kind * 3) % 80);
+            make_rule(&format!("s{kind}"), def_id).detached()
+        })
+        .collect()
 }
 
 /// Generate a schedule. The generator tracks which rules survive
@@ -388,8 +425,10 @@ impl Harness {
     }
 
     /// The rules fired since the last call — one schedule step's worth
-    /// when called after every [`Harness::apply`] — as a sorted multiset.
+    /// when called after every [`Harness::apply`] — as a sorted multiset,
+    /// once every separate firing the step spawned has run.
     fn fired(&self) -> Vec<String> {
+        self.db.quiesce();
         let mut fired = std::mem::take(&mut *self.log.lock().unwrap());
         fired.sort();
         fired
@@ -416,8 +455,16 @@ fn run_diff(seed: u64, steps: usize, abort_pct: u64) {
     let schedule = make_schedule(seed, steps, abort_pct);
     let mut naive = build(Matching::Naive, None, None).unwrap();
     let mut network = build(Matching::Network, None, None).unwrap();
-    naive.seed_data().unwrap();
-    network.seed_data().unwrap();
+    for h in [&mut naive, &mut network] {
+        h.seed_data().unwrap();
+        h.db.run_top(|t| {
+            for rule in standing_rules(seed) {
+                h.db.rules().create_rule(t, rule)?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    }
     for (i, step) in schedule.iter().enumerate() {
         naive.apply(step).unwrap();
         network.apply(step).unwrap();
@@ -480,6 +527,105 @@ fn unreachable_thresholds_are_pruned_before_triggering() {
             Matching::Network => assert!(rules.match_pruned() >= RULES, "pruned {}", rules.match_pruned()),
         }
         assert_eq!(h.satisfied(), 0, "{mode:?}: an unreachable threshold was satisfied");
+    }
+}
+
+/// The `rule_wall` shape on one symbol: eight rules `new.symbol = "S"
+/// and new.level = j % 4`, four immediate and four detached. An update
+/// to level 1 satisfies rules 1 and 5. The network indexes the symbol
+/// link and checks the level link in place, so only those two trigger;
+/// the other six are pruned before any condition transaction or
+/// separate firing exists. The naive oracle still triggers all eight.
+#[test]
+fn guard_chain_prunes_rules_whose_later_link_fails() {
+    use std::sync::atomic::AtomicU64;
+    for mode in [Matching::Naive, Matching::Network] {
+        let db = ActiveDatabase::builder()
+            .matching(mode)
+            .workers(1)
+            .build()
+            .unwrap();
+        let handled = Arc::new(AtomicU64::new(0));
+        {
+            let handled = Arc::clone(&handled);
+            db.register_handler("desk", move |_req: &str, _args: &Args| {
+                handled.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            });
+        }
+        let oid = db
+            .run_top(|t| {
+                db.store().create_class(
+                    t,
+                    "wall",
+                    None,
+                    vec![
+                        AttrDef::new("symbol", ValueType::Str).indexed(),
+                        AttrDef::new("level", ValueType::Int),
+                    ],
+                )?;
+                db.store()
+                    .insert(t, "wall", vec![Value::from("S"), Value::from(-1i64)])
+            })
+            .unwrap();
+        db.run_top(|t| {
+            for j in 0..8 {
+                let rule = RuleDef::new(format!("S-{j}"))
+                    .on(EventSpec::on_update("wall"))
+                    .when(Query::parse(&format!(
+                        "from wall where new.symbol = \"S\" and new.level = {}",
+                        j % 4
+                    ))?)
+                    .then(Action::single(ActionOp::AppRequest {
+                        handler: "desk".into(),
+                        request: format!("S-{j}"),
+                        args: vec![],
+                    }));
+                db.rules()
+                    .create_rule(t, if j < 4 { rule } else { rule.detached() })?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        let rules = db.rules();
+        let counts = || {
+            let s = &rules.stats;
+            [
+                s.rules_triggered.load(Ordering::Relaxed),
+                s.conditions_satisfied.load(Ordering::Relaxed),
+                s.actions_executed.load(Ordering::Relaxed),
+                rules.match_pruned(),
+            ]
+        };
+        let before = counts();
+        rules.tracer.set_enabled(true);
+        db.run_top(|t| db.store().update(t, oid, &[("level", Value::from(1i64))]))
+            .unwrap();
+        db.quiesce();
+        let after = counts();
+        let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        let separate_runs = rules
+            .tracer
+            .take()
+            .iter()
+            .filter(|f| f.ec_coupling == CouplingMode::Separate)
+            .count();
+        assert_eq!(
+            handled.load(Ordering::Relaxed),
+            2,
+            "{mode:?}: actions handled"
+        );
+        match mode {
+            // triggered, satisfied, actions, pruned
+            Matching::Network => {
+                assert_eq!(delta, [2, 2, 2, 6], "{mode:?}");
+                assert_eq!(separate_runs, 1, "{mode:?}: separate firing runs");
+            }
+            Matching::Naive => {
+                assert_eq!(delta, [8, 2, 2, 0], "{mode:?}");
+                assert_eq!(separate_runs, 4, "{mode:?}: separate firing runs");
+            }
+        }
     }
 }
 
