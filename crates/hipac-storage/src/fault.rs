@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the storage I/O path.
 //!
-//! Every mutating step on the durability path — WAL appends and syncs,
-//! page writes and allocations, file/directory syncs, batch applies,
+//! Every mutating step on the durability path — WAL appends, fills and
+//! syncs, page writes and allocations, file/directory syncs, batch applies,
 //! the checkpoint rename — calls into a shared [`FaultPolicy`] before
 //! touching the file system. The default policy ([`FaultPolicy::none`])
 //! is a no-op; test harnesses substitute:
@@ -10,15 +10,17 @@
 //!   workload crosses, which is how the crash-matrix suite *enumerates*
 //!   its crash schedule;
 //! * [`FaultPolicy::crash_at`] — simulate a process crash at the `n`-th
-//!   fault point. WAL appends may additionally be *torn*: a
-//!   seed-derived prefix of the frame bytes reaches the file before the
-//!   "crash", exercising the torn-tail truncation path in
-//!   [`crate::wal::Wal::open`].
+//!   fault point. WAL appends and fills may additionally be *torn*: a
+//!   seed-derived prefix of the frame bytes (or of the fill's zeros)
+//!   reaches the file before the "crash", exercising the torn-tail
+//!   truncation path in [`crate::wal::Wal::open`].
 //!
 //! A fired crash is sticky: every subsequent fault-point hit on the
 //! same policy also errors, so a "dead" store cannot keep mutating
 //! disk state — exactly like a killed process. Recovery is then tested
-//! by reopening the store with a fresh (no-op) policy.
+//! by reopening the store with a fresh (no-op) policy. A crashed
+//! policy also stops [`crate::wal::Wal`]'s drop from trimming its fill,
+//! so the reopen sees the zero-tailed log a real crash leaves.
 //!
 //! Page writes are never torn (crash-before or crash-after only): the
 //! shadow-checkpoint design makes data-file writes meaningful only
@@ -33,9 +35,13 @@ use std::sync::Arc;
 /// A named point on the storage I/O path where a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// `Wal::append_all`, before the frame bytes are written. The only
-    /// point that can produce a *torn* (partial) write.
+    /// `Wal::append_all`, before the frame bytes are written. Can
+    /// produce a *torn* (partial) write.
     WalAppend,
+    /// `Wal::append_all`, when the frames do not fit in the zero-filled
+    /// region: crossed before the fill's zeros are written (a *torn*
+    /// write, like [`FaultPoint::WalAppend`]) and again before its sync.
+    WalFill,
     /// `Wal::sync`, before `fsync`.
     WalSync,
     /// `Wal::reset`, before the log is truncated.
@@ -112,7 +118,7 @@ impl FaultPolicy {
 
     /// Simulate a crash at hit index `n` (0-based, counted across all
     /// fault points). `seed` drives the torn-write prefix length for
-    /// [`FaultPoint::WalAppend`] crashes.
+    /// [`FaultPoint::WalAppend`] and [`FaultPoint::WalFill`] crashes.
     pub fn crash_at(n: u64, seed: u64) -> Arc<FaultPolicy> {
         Self::new(Plan::CrashAt(n), true, seed)
     }

@@ -7,7 +7,10 @@
 //!   reach the store, as an atomic batch of [`StoreOp`]s. A batch is
 //!   appended to the WAL (`Begin … Commit`) and fsynced *before* being
 //!   applied to the heap/index, so a crash at any point loses nothing
-//!   committed and applies nothing uncommitted.
+//!   committed and applies nothing uncommitted. The append writes into
+//!   zeros the log has already allocated ahead of its end (see
+//!   [`crate::wal`]), so that fsync writes data blocks only, not the
+//!   file's size and extents.
 //! * **No-steal buffering.** The buffer pool never evicts dirty pages
 //!   ([`EvictionPolicy::CleanOnly`]), so the data file always holds
 //!   exactly the last checkpoint's state.

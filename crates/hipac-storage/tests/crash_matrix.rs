@@ -1,12 +1,16 @@
 //! Crash-matrix torture suite.
 //!
 //! For a recorded workload, the suite first *enumerates* every fault
-//! point the workload crosses (WAL appends/syncs/resets, page writes
-//! and allocations, file and directory syncs, batch applies, the
+//! point the workload crosses (WAL appends/fills/syncs/resets, page
+//! writes and allocations, file and directory syncs, batch applies, the
 //! checkpoint rename) with a counting [`FaultPolicy`], then replays the
 //! workload once per point with a policy that simulates a process crash
-//! exactly there — including seed-driven *torn* WAL appends where only
-//! a prefix of the frame reaches the file.
+//! exactly there — including seed-driven *torn* WAL appends and fills
+//! where only a prefix of the bytes reaches the file.
+//!
+//! A crashed store does not trim the WAL's zero-filled region when it
+//! is dropped, so every case after the first fill recovers from a
+//! zero-tailed log, as after a real crash.
 //!
 //! After each simulated crash the store is reopened with a no-op policy
 //! and must recover to **exactly one of the two legal states**: the
@@ -20,7 +24,7 @@
 //! recorded order.
 
 use hipac_common::{HipacError, TxnId};
-use hipac_storage::{DurableStore, FaultPolicy, ReplBatch, StoreOp, REPL_APPLIED_KEY};
+use hipac_storage::{DurableStore, FaultPoint, FaultPolicy, ReplBatch, StoreOp, REPL_APPLIED_KEY};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::path::PathBuf;
@@ -150,6 +154,10 @@ fn crash_matrix(name: &str, steps: &[Step]) {
     let expected_final = dump(&store);
     drop(store);
     let total = counter.hits();
+    assert!(
+        counter.log().contains(&FaultPoint::WalFill),
+        "the first commit fills the log, so crashes mid-fill are enumerated"
+    );
     assert!(
         total > steps.len() as u64,
         "the workload must cross at least one fault point per step, got {total}"
@@ -335,8 +343,6 @@ fn enumeration_is_deterministic() {
 /// can simply run again.
 #[test]
 fn crash_mid_shadow_with_stolen_pages_on_disk() {
-    use hipac_storage::FaultPoint;
-
     let steps = vec![
         Step::Batch(
             (0..600u32)

@@ -6,7 +6,8 @@
 
 use hipac_common::{HipacError, TxnId};
 use hipac_storage::{
-    DurableStore, ReplBatch, StoreOp, TailRead, Wal, WalBatch, WalRecord, REPL_APPLIED_KEY,
+    DurableStore, ReplBatch, StoreOp, TailRead, TailTruncate, Wal, WalBatch, WalRecord,
+    REPL_APPLIED_KEY,
 };
 use std::io::Write;
 use std::ops::Bound;
@@ -741,4 +742,180 @@ fn gap_refusal_and_watermark_resume_under_group_commit() {
     }
     assert_eq!(chain, a.durable_lsn());
     assert_eq!(contents(&a), contents(&b));
+}
+
+fn file_len(path: &std::path::Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// Commits write into the zero-filled region ahead of the log's end
+/// instead of appending: once the first commit has filled, further
+/// small commits leave the file's length (and so its size metadata)
+/// unchanged, while the logical size grows. A clean close trims the
+/// fill back to the last frame.
+#[test]
+fn commits_inside_the_fill_leave_the_file_length_unchanged() {
+    let dir = tmpdir("fill-length");
+    let path = dir.join("wal.log");
+    let (wal, _) = Wal::open(&path).unwrap();
+    wal.append_all(&batch_records(1, &[put(b"k", b"v")])).unwrap();
+    wal.sync().unwrap();
+    let filled = file_len(&path);
+    let first = wal.size().unwrap();
+    assert!(filled > first, "the first commit fills ahead of the log's end");
+    for t in 2..=50 {
+        wal.append_all(&batch_records(t, &[put(b"k", b"v")])).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(file_len(&path), filled, "commit {t} grew the file");
+    }
+    let size = wal.size().unwrap();
+    assert_eq!(size, 50 * first);
+    assert_eq!(wal.durable_lsn(), size);
+    drop(wal);
+    assert_eq!(file_len(&path), size, "a clean close trims the fill");
+    let (_wal, recovered) = Wal::open(&path).unwrap();
+    assert_eq!(recovered.len(), 150);
+}
+
+/// A crash image taken while the log is open — a torn last frame
+/// followed by the fill's zeros, next to the `.base` sidecar of an
+/// earlier reset — recovers exactly the valid frame prefix; the next
+/// append lands at the cut, and a reopen replays it.
+#[test]
+fn zero_tailed_crash_image_recovers_the_valid_prefix() {
+    let dir = tmpdir("zero-tail");
+    let path = dir.join("wal.log");
+    let (wal, _) = Wal::open(&path).unwrap();
+    wal.append_all(&batch_records(1, &[put(b"old", b"0")])).unwrap();
+    wal.sync().unwrap();
+    wal.reset().unwrap();
+    let base = wal.start_lsn();
+    assert!(base > 0);
+    wal.append_all(&batch_records(2, &[put(b"a", b"1")])).unwrap();
+    wal.append_all(&batch_records(3, &[put(b"b", b"2")])).unwrap();
+    wal.sync().unwrap();
+    wal.append(&WalRecord::Begin { txn: TxnId(4) }).unwrap();
+    let cut = wal.size().unwrap();
+    wal.append_all(&batch_records(4, &[put(b"c", &[0xcc; 300])])[1..]).unwrap();
+    let end = wal.size().unwrap();
+
+    // The image: copy the files under the open log, then tear the last
+    // batch's Put frame in half, as a crash mid-write would leave it.
+    let image = tmpdir("zero-tail-image");
+    let image_path = image.join("wal.log");
+    std::fs::copy(dir.join("wal.log.base"), image.join("wal.log.base")).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert!(bytes.len() as u64 > end, "the open log has a fill");
+    assert!(bytes[end as usize..].iter().all(|b| *b == 0));
+    let tear = (cut + (end - cut) / 2) as usize;
+    bytes[tear..end as usize].fill(0);
+    std::fs::write(&image_path, &bytes).unwrap();
+    drop(wal);
+
+    let mut expected = batch_records(2, &[put(b"a", b"1")]);
+    expected.extend(batch_records(3, &[put(b"b", b"2")]));
+    expected.push(WalRecord::Begin { txn: TxnId(4) });
+    let (wal, recovered) = Wal::open(&image_path).unwrap();
+    assert_eq!(recovered, expected, "exactly the valid frame prefix");
+    assert_eq!(wal.start_lsn(), base);
+    assert_eq!(wal.size().unwrap(), cut);
+    assert_eq!(wal.durable_lsn(), base + cut);
+    assert_eq!(file_len(&image_path), cut, "open cuts the torn frame and the zeros");
+
+    wal.append_all(&batch_records(5, &[put(b"d", b"4")])).unwrap();
+    wal.sync().unwrap();
+    let TailRead::Batches { batches, next_lsn, durable_lsn } =
+        wal.read_batches_from(base, 1 << 20).unwrap()
+    else {
+        panic!("in range");
+    };
+    let txns: Vec<TxnId> = batches.iter().map(|b| b.txn).collect();
+    assert_eq!(txns, vec![TxnId(2), TxnId(3), TxnId(5)]);
+    assert_eq!(batches[2].start_lsn, base + cut, "the next append lands at the cut");
+    assert_eq!(next_lsn, durable_lsn);
+    drop(wal);
+    let (_wal, replayed) = Wal::open(&image_path).unwrap();
+    expected.extend(batch_records(5, &[put(b"d", b"4")]));
+    assert_eq!(replayed, expected);
+}
+
+/// The fill changes no LSN. Every batch below is 35 bytes of frames
+/// (`Begin` 10, `Put` of a 1-byte key and 2-byte value 15, `Commit`
+/// 10), and the tail, the durable frontier, tail truncation and reset
+/// report exactly the offsets that frame arithmetic gives, with the
+/// fill on disk the whole time.
+#[test]
+fn lsns_are_frame_arithmetic_with_a_fill_on_disk() {
+    const BATCH: u64 = 35;
+    let dir = tmpdir("fill-lsns");
+    let path = dir.join("wal.log");
+    let (wal, _) = Wal::open(&path).unwrap();
+    for t in 1..=3 {
+        wal.append_all(&batch_records(t, &[put(b"k", b"vv")])).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.durable_lsn(), t * BATCH);
+    }
+    assert!(file_len(&path) > 3 * BATCH, "the fill is on disk");
+    let TailRead::Batches { batches, next_lsn, durable_lsn } =
+        wal.read_batches_from(BATCH, 1 << 20).unwrap()
+    else {
+        panic!("in range");
+    };
+    let spans: Vec<(u64, u64)> = batches.iter().map(|b| (b.start_lsn, b.next_lsn)).collect();
+    assert_eq!(spans, vec![(BATCH, 2 * BATCH), (2 * BATCH, 3 * BATCH)]);
+    assert_eq!((next_lsn, durable_lsn), (3 * BATCH, 3 * BATCH));
+
+    assert_eq!(wal.truncate_tail(2 * BATCH).unwrap(), TailTruncate::Done);
+    assert_eq!(wal.durable_lsn(), 2 * BATCH);
+    assert_eq!(wal.size().unwrap(), 2 * BATCH);
+    wal.append_all(&batch_records(4, &[put(b"k", b"vv")])).unwrap();
+    wal.sync().unwrap();
+    assert_eq!(wal.durable_lsn(), 3 * BATCH);
+    assert!(file_len(&path) > 3 * BATCH, "the fill is back after the cut");
+
+    wal.reset().unwrap();
+    assert_eq!((wal.start_lsn(), wal.durable_lsn()), (3 * BATCH, 3 * BATCH));
+    wal.append_all(&batch_records(5, &[put(b"k", b"vv")])).unwrap();
+    wal.sync().unwrap();
+    assert_eq!(wal.durable_lsn(), 4 * BATCH);
+    assert!(file_len(&path) > BATCH, "the fill is back after the reset");
+    let TailRead::Batches { batches, .. } = wal.read_batches_from(3 * BATCH, 1 << 20).unwrap()
+    else {
+        panic!("in range");
+    };
+    assert_eq!((batches[0].start_lsn, batches[0].next_lsn), (3 * BATCH, 4 * BATCH));
+    drop(wal);
+    let (wal, recovered) = Wal::open(&path).unwrap();
+    assert_eq!(recovered.len(), 3);
+    assert_eq!((wal.start_lsn(), wal.durable_lsn()), (3 * BATCH, 4 * BATCH));
+}
+
+/// A batch larger than one fill step fills far enough to hold it in
+/// one go; the commit after it still lands inside the fill, and the
+/// store replays both on reopen. This is `store_rw`'s set-up commit.
+#[test]
+fn a_batch_larger_than_one_fill_step() {
+    use hipac_storage::wal::FILL_STEP;
+    let dir = tmpdir("fill-big");
+    let rows: Vec<StoreOp> = (0..3_000u32)
+        .map(|i| put(&i.to_be_bytes(), &[i as u8; 1_000]))
+        .collect();
+    {
+        let store = DurableStore::open(&dir).unwrap();
+        store.commit(TxnId(1), &rows).unwrap();
+        let size = store.wal_size().unwrap();
+        assert!(size > 2 * FILL_STEP, "the batch spans steps: {size}");
+        let filled = file_len(&dir.join("wal.log"));
+        assert_eq!(filled, size.div_ceil(FILL_STEP) * FILL_STEP);
+        store.commit(TxnId(2), &[put(b"after", b"1")]).unwrap();
+        assert_eq!(file_len(&dir.join("wal.log")), filled);
+        let TailRead::Batches { batches, .. } = store.read_batches_from(0, 1024).unwrap() else {
+            panic!("in range");
+        };
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0].ops, rows);
+    }
+    let store = DurableStore::open(&dir).unwrap();
+    assert_eq!(contents(&store).len(), rows.len() + 1);
+    assert_eq!(store.get(b"after").unwrap(), Some(b"1".to_vec()));
 }

@@ -22,7 +22,7 @@ echo "==> discrimination-network property suite (guard-chain prune soundness, me
 cargo test -q -p hipac-rules --test match_properties
 cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later_link_fails
 
-echo "==> crash matrix (deterministic, fixed seed, grouped replica apply included), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, index atomicity"
+echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail
 cargo test -q -p hipac-object --test index_atomicity
 
@@ -54,8 +54,7 @@ echo "==> ReplGap resubscribe under group commit (cohort batch boundaries)"
 cargo test -q -p hipac-check --test repl_gap
 cargo test -q -p hipac-storage --test wal_tail gap
 
-echo "==> group commit: tier-1 engine suites in both commit modes"
-HIPAC_GROUP_COMMIT=on cargo test -q -p hipac -p hipac-storage
+echo "==> group commit off: tier-1 engine suites in the non-default commit mode (on ran above)"
 HIPAC_GROUP_COMMIT=off cargo test -q -p hipac -p hipac-storage
 
 echo "==> group commit differential suite (on vs off, both matching modes, crash sweep)"
