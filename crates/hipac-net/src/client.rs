@@ -40,6 +40,7 @@ use crate::proto::{
     Command, Frame, PushEvent, Reply, RequestMeta, WireAttr, WireError, WireRow, WireStats,
     PROTOCOL_VERSION,
 };
+use crate::reader::FrameReader;
 use hipac_common::ROLE_PRIMARY;
 use hipac_common::{TxnId, Value};
 use hipac_object::AttrDef;
@@ -1255,8 +1256,9 @@ fn read_loop(
     writer: &Mutex<TcpStream>,
     dead: &AtomicBool,
 ) {
+    let mut reader = FrameReader::new();
     loop {
-        match Frame::read_from(&mut stream) {
+        match reader.poll(&mut stream) {
             Ok(Some(Frame::Response { id, reply })) => {
                 if let Some(tx) = pending.lock().remove(&id) {
                     let _ = tx.send(reply);
@@ -1307,10 +1309,12 @@ fn read_loop(
                     }
                 }
             }
+            // A burst ended inside a frame: read on.
+            Ok(None) => {}
             // Servers never send requests to plain clients, and repl
             // stream frames only flow to a subscribed replica (see
-            // `hipac-repl`); a malformed stream is fatal.
-            Ok(Some(Frame::Request { .. })) | Ok(Some(Frame::Repl(_))) | Err(_) | Ok(None) => break,
+            // `hipac-repl`); a malformed stream or EOF is fatal.
+            Ok(Some(Frame::Request { .. })) | Ok(Some(Frame::Repl(_))) | Err(_) => break,
         }
     }
     dead.store(true, Ordering::Release);

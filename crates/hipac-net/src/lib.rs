@@ -9,11 +9,16 @@
 //! * [`proto`] — a length-prefixed binary wire protocol encoding
 //!   requests, responses, and server-push frames, built on the
 //!   self-describing value codec from `hipac-common`.
-//! * [`server`] — [`server::HipacServer`]: a concurrent TCP server
-//!   wrapping an `ActiveDatabase`, session-per-connection on a bounded
-//!   worker pool, per-session transaction tables, and delivery of
-//!   rule-action application requests as push frames to subscribed
-//!   clients.
+//! * [`reader`] — [`reader::FrameReader`]: the one incremental frame
+//!   reader (a burst per `read`, frames decoded in place) behind every
+//!   socket read in the workspace.
+//! * [`server`] — [`server::HipacServer`]: a TCP server wrapping an
+//!   `ActiveDatabase`. A few reactor shards multiplex every connection
+//!   and queue its frames on a bounded worker pool; sessions keep
+//!   per-session transaction tables, and rule-action application
+//!   requests are delivered as push frames to subscribed clients.
+//! * [`reactor`] — the epoll facade and bounded non-blocking writes
+//!   the shards are built on.
 //! * [`client`] — [`client::HipacClient`]: a blocking request/response
 //!   client with push-frame handler registration.
 //!
@@ -43,9 +48,10 @@
 //! ([`auth`], [`Command::Auth`]) binding the connection to its
 //! `client_id`, so journal replays, push redelivery, and acks are only
 //! honored for the proven identity; admission control is hung off the
-//! tenant (per-tenant inflight caps and dispatch-delay EWMAs replace
-//! the single global gate); and a slow subscriber whose durable outbox
-//! exceeds a byte/age budget is dead-lettered with a typed
+//! tenant (a per-tenant in-flight cap, and a dispatch-delay signal
+//! that sheds only tenants already holding work in flight); and a slow
+//! subscriber whose durable outbox exceeds a byte budget is
+//! dead-lettered with a typed
 //! `SubscriberEvicted` engine event that user rules can fire on. See
 //! DESIGN.md §9.
 
@@ -53,8 +59,10 @@ pub mod auth;
 pub mod client;
 pub mod proto;
 pub mod reactor;
+pub mod reader;
 pub mod server;
 
 pub use client::{ClientConfig, FleetClient, FleetMember, HipacClient};
 pub use proto::{Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireError};
+pub use reader::FrameReader;
 pub use server::{HipacServer, ServerConfig};

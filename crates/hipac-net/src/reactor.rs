@@ -230,24 +230,14 @@ pub fn write_all_timeout(
     buf: &[u8],
     timeout: Duration,
 ) -> io::Result<()> {
-    let mut off = 0usize;
     let deadline = Instant::now() + timeout;
+    let mut off = try_write_prefix(stream, buf)?;
     while off < buf.len() {
-        match stream.write(&buf[off..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if Instant::now() >= deadline {
-                    return Err(io::ErrorKind::TimedOut.into());
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+        if Instant::now() >= deadline {
+            return Err(io::ErrorKind::TimedOut.into());
         }
+        std::thread::sleep(Duration::from_micros(200));
+        off += try_write_prefix(stream, &buf[off..])?;
     }
     Ok(())
 }

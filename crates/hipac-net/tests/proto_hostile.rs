@@ -9,9 +9,10 @@
 
 use hipac_common::{TxnId, Value};
 use hipac_net::proto::{Command, Frame, PushEvent, Reply, RequestMeta, WireError, MAX_FRAME};
+use hipac_net::FrameReader;
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 
 /// Representative valid frames covering all three frame kinds and a
 /// spread of command/reply shapes.
@@ -161,6 +162,90 @@ fn garbage_opcodes_and_kinds_error() {
             other => panic!("frame kind {kind} produced {other:?}"),
         }
     }
+}
+
+/// Every frame `FrameReader` yields from `src`, and the error that
+/// ends the stream. Between reads the bytes are parked and unparked,
+/// as a reactor shard does between its turns on a connection.
+fn read_through(mut src: impl Read) -> (Vec<Frame>, WireError) {
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::new();
+    loop {
+        match reader.poll(&mut src) {
+            Ok(Some(frame)) => frames.push(frame),
+            Ok(None) => {}
+            Err(e) => return (frames, e),
+        }
+        let rest = reader.park();
+        reader.unpark(rest);
+    }
+}
+
+/// Every sample frame, and a burst of all of them, split into two reads
+/// at every byte boundary: the reader yields exactly the frames sent,
+/// in order, then reports EOF at a frame boundary.
+#[test]
+fn frame_reader_reassembles_every_split() {
+    let frames = sample_frames();
+    let burst: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+    let mut cases: Vec<(Vec<u8>, Vec<Frame>)> =
+        frames.iter().map(|f| (f.encode(), vec![f.clone()])).collect();
+    cases.push((burst, frames));
+    for (wire, want) in cases {
+        for cut in 0..=wire.len() {
+            let (got, end) = read_through((&wire[..cut]).chain(&wire[cut..]));
+            assert_eq!(got, want, "split at {cut}");
+            assert!(matches!(end, WireError::Io(_)), "split at {cut}: {end:?}");
+        }
+    }
+}
+
+/// EOF inside a length prefix or a payload is a protocol error, never
+/// a frame and never the clean EOF reported at a frame boundary.
+#[test]
+fn frame_reader_eof_inside_a_frame_errors() {
+    let first = sample_frames()[0].encode();
+    for frame in sample_frames() {
+        let wire = frame.encode();
+        for cut in 1..wire.len() {
+            let (got, end) = read_through((&first[..]).chain(&wire[..cut]));
+            assert_eq!(got.len(), 1, "cut at {cut}: only the whole frame");
+            assert!(matches!(end, WireError::Protocol(_)), "cut at {cut}: {end:?}");
+        }
+    }
+}
+
+/// An oversize prefix is refused before any payload is read.
+#[test]
+fn frame_reader_refuses_an_oversize_prefix() {
+    let mut wire = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
+    wire.extend_from_slice(&[0u8; 16]);
+    match read_through(&wire[..]) {
+        (got, WireError::Protocol(msg)) if got.is_empty() => {
+            assert!(msg.contains("exceeds cap"), "wrong rejection: {msg}")
+        }
+        other => panic!("oversize prefix produced {other:?}"),
+    }
+}
+
+/// A frame larger than the reader's 64 KiB buffer is reassembled
+/// whole, and the frame behind it still reads.
+#[test]
+fn frame_reader_grows_for_a_frame_larger_than_its_buffer() {
+    let big = Frame::Request {
+        id: 1,
+        meta: RequestMeta::default(),
+        command: Command::Insert {
+            txn: TxnId(1),
+            class: "blob".into(),
+            values: vec![Value::from("x".repeat(200 * 1024))],
+        },
+    };
+    let small = sample_frames()[0].clone();
+    let wire: Vec<u8> = [big.encode(), small.encode()].concat();
+    let (got, end) = read_through(&wire[..]);
+    assert_eq!(got, vec![big, small]);
+    assert!(matches!(end, WireError::Io(_)), "{end:?}");
 }
 
 proptest! {

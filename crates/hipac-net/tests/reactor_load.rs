@@ -359,3 +359,44 @@ fn dedup_survives_reconnect_across_shards() {
     assert_eq!(count, 1, "keyed commit applied more than once");
     drop(server);
 }
+
+/// One `write` carrying far more pipelined requests than a connection
+/// may queue (`PENDING_CAP` is 64): the shard reads them in one burst,
+/// pauses the connection with complete frames still buffered, and must
+/// queue those frames itself on resume — epoll never reports bytes
+/// that already left the kernel. Every ping is answered, in order.
+#[test]
+fn burst_past_the_pending_cap_is_answered_in_order() {
+    let _serial = serial();
+    let server = server_with(ServerConfig {
+        workers: 1,
+        reactor_shards: 1,
+        ..ServerConfig::default()
+    });
+    const N: u64 = 200;
+    let burst: Vec<u8> = (1..=N)
+        .flat_map(|id| {
+            Frame::Request {
+                id,
+                meta: RequestMeta::default(),
+                command: Command::Ping {
+                    version: hipac_net::proto::PROTOCOL_VERSION,
+                },
+            }
+            .encode()
+        })
+        .collect();
+    let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    conn.write_all(&burst).unwrap();
+    for want in 1..=N {
+        match Frame::read_from(&mut conn) {
+            Ok(Some(Frame::Response { id, reply })) => {
+                assert_eq!(id, want, "responses out of order");
+                assert!(matches!(reply, Reply::Pong { .. }), "{reply:?}");
+            }
+            other => panic!("ping {want} of {N} unanswered: {other:?}"),
+        }
+    }
+    drop(server);
+}

@@ -32,7 +32,7 @@
 //! same read address clients already know.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -44,9 +44,9 @@ use hipac::ActiveDatabase;
 use hipac_common::{HipacError, ReplCounters, Result, TxnId, ROLE_REPLICA};
 use hipac_net::proto::{
     ping_reply, Command, Frame, PushEvent, Reply, ReplMsg, RequestMeta, WireRow, WireStats,
-    MAX_FRAME, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
-use hipac_net::{HipacServer, ServerConfig};
+use hipac_net::{FrameReader, HipacServer, ServerConfig};
 use hipac_storage::{
     batch_digest, fold_digest, DurableStore, ReplBatch, StoreOp, TailTruncate,
     REPL_SNAPSHOT_SENTINEL,
@@ -64,118 +64,6 @@ const RECONNECT_BACKOFF: Duration = Duration::from_millis(50);
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-
-/// Read buffer a [`FrameReader`] starts with (and shrinks back to once
-/// an oversized frame has been consumed).
-const READ_BUF: usize = 64 * 1024;
-
-/// Buffered frame reader over a socket with a short read timeout. One
-/// `read` takes whatever the kernel holds — a whole burst of frames —
-/// and complete frames are decoded straight out of the buffer. Partial
-/// frames park across ticks, never desynchronizing the stream.
-struct FrameReader {
-    buf: Vec<u8>,
-    /// Start of the bytes not yet decoded.
-    start: usize,
-    /// End of the bytes read so far.
-    end: usize,
-}
-
-impl FrameReader {
-    fn new() -> FrameReader {
-        FrameReader {
-            buf: vec![0u8; READ_BUF],
-            start: 0,
-            end: 0,
-        }
-    }
-
-    /// Length prefix of the frame at the head of the buffer, once its
-    /// four bytes are in.
-    fn head_len(&self) -> std::io::Result<Option<usize>> {
-        let Some(prefix) = self.buf[self.start..self.end].get(..4) else {
-            return Ok(None);
-        };
-        let len = u32::from_be_bytes(prefix.try_into().expect("a 4-byte slice")) as usize;
-        if len > MAX_FRAME {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("frame of {len} bytes exceeds cap"),
-            ));
-        }
-        Ok(Some(len))
-    }
-
-    /// The next complete frame already in the buffer, if any. `Err` on
-    /// an oversize or undecodable frame.
-    fn next_frame(&mut self) -> std::io::Result<Option<Frame>> {
-        let Some(len) = self.head_len()? else {
-            return Ok(None);
-        };
-        if self.end - self.start < 4 + len {
-            return Ok(None);
-        }
-        let payload = &self.buf[self.start + 4..self.start + 4 + len];
-        let frame = Frame::decode(payload)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        self.start += 4 + len;
-        Ok(Some(frame))
-    }
-
-    /// One `read` from `stream` into the buffer. `Ok(false)` when the
-    /// read tick expired first; `Err` on EOF or a transport error.
-    fn fill(&mut self, stream: &mut TcpStream) -> std::io::Result<bool> {
-        // What is left undecoded is at most a partial frame: move it to
-        // the front so the read has the rest of the buffer.
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.end == 0 && self.buf.len() > READ_BUF {
-            self.buf = vec![0u8; READ_BUF];
-        }
-        if self.end == self.buf.len() {
-            // A frame larger than the buffer: grow to hold it.
-            let need = 4 + self.head_len()?.unwrap_or(0);
-            self.buf.resize(need.max(self.buf.len() + READ_BUF), 0);
-        }
-        loop {
-            match stream.read(&mut self.buf[self.end..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed",
-                    ))
-                }
-                Ok(n) => {
-                    self.end += n;
-                    return Ok(true);
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(false)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The next frame, reading the socket once if none is buffered.
-    /// `Ok(None)` when no complete frame arrived within the read tick.
-    fn poll(&mut self, stream: &mut TcpStream) -> std::io::Result<Option<Frame>> {
-        if let Some(frame) = self.next_frame()? {
-            return Ok(Some(frame));
-        }
-        if !self.fill(stream)? {
-            return Ok(None);
-        }
-        self.next_frame()
-    }
-}
 
 /// One live subscriber connection: session id plus its shared writer.
 type SubWriter = (u64, Arc<Mutex<TcpStream>>);
@@ -598,9 +486,9 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     // server defers peer registration until its Ok is on the wire, so
     // nothing *should* precede the ack; this is defense in depth.)
     let mut deferred: Vec<Frame> = Vec::new();
-    let Some(Reply::Pong {
+    let Ok(Reply::Pong {
         version: PROTOCOL_VERSION,
-    }) = wait_reply(shared, &mut reader, &mut stream, 1, &mut deferred)
+    }) = wait_reply(&mut reader, &mut stream, 1, &shared.stop, &mut deferred)
     else {
         return FollowEnd::Disconnected;
     };
@@ -616,8 +504,8 @@ fn follow_once(shared: &Arc<Shared>, primary_addr: &str) -> FollowEnd {
     if stream.write_all(&sub.encode()).is_err() {
         return FollowEnd::Disconnected;
     }
-    match wait_reply(shared, &mut reader, &mut stream, 2, &mut deferred) {
-        Some(Reply::Ok) => {}
+    match wait_reply(&mut reader, &mut stream, 2, &shared.stop, &mut deferred) {
+        Ok(Reply::Ok) => {}
         // A typed `StaleEpoch` refusal means *this* node carries the
         // newer epoch and the addressed primary just fenced itself;
         // reconnecting will keep failing until the operator repoints
@@ -920,28 +808,29 @@ fn apply_repl(
     ReplApply::Applied
 }
 
-/// Read frames until the response with `id` arrives (handshake only).
+/// Read frames until the response with `id` arrives (handshakes and the
+/// fence probe), until `stop` is set, or until [`HANDSHAKE_TIMEOUT`].
 /// Any other frame that turns up — a Repl batch or a Push racing the
 /// ack onto the shared writer — is parked in `deferred` for the steady
 /// loop, never dropped: a discarded batch here would silently vanish
 /// from the replica while the primary's shipped cursor moves past it.
 fn wait_reply(
-    shared: &Arc<Shared>,
     reader: &mut FrameReader,
     stream: &mut TcpStream,
     id: u64,
+    stop: &AtomicBool,
     deferred: &mut Vec<Frame>,
-) -> Option<Reply> {
+) -> Result<Reply> {
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    while Instant::now() < deadline && !shared.stop.load(Ordering::SeqCst) {
+    while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
         match reader.poll(stream) {
-            Ok(Some(Frame::Response { id: got, reply })) if got == id => return Some(reply),
+            Ok(Some(Frame::Response { id: got, reply })) if got == id => return Ok(reply),
             Ok(Some(f)) => deferred.push(f),
             Ok(None) => {}
-            Err(_) => return None,
+            Err(e) => return Err(HipacError::Io(e.to_string())),
         }
     }
-    None
+    Err(HipacError::Io("no reply within the handshake timeout".into()))
 }
 
 // ---------------------------------------------------------------------
@@ -1138,7 +1027,8 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
     stream
         .write_all(&ping.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
-    match wait_reply_raw(&mut reader, &mut stream, 1)? {
+    let (stop, mut ignored) = (AtomicBool::new(false), Vec::new());
+    match wait_reply(&mut reader, &mut stream, 1, &stop, &mut ignored)? {
         Reply::Pong {
             version: PROTOCOL_VERSION,
         } => {}
@@ -1157,7 +1047,7 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
     stream
         .write_all(&fence.encode())
         .map_err(|e| HipacError::Io(e.to_string()))?;
-    match wait_reply_raw(&mut reader, &mut stream, 2)? {
+    match wait_reply(&mut reader, &mut stream, 2, &stop, &mut ignored)? {
         // `Ok`: the peer was at (or already past) this epoch.
         // `StaleEpoch`: the peer just fenced itself against our newer
         // epoch and refused the frame — exactly the intended effect.
@@ -1165,18 +1055,4 @@ pub fn fence_stale_primary(addr: &str, epoch: u64) -> Result<()> {
         Reply::Err { ref kind, .. } if kind == "StaleEpoch" => Ok(()),
         other => Err(HipacError::Io(format!("fence frame refused: {other:?}"))),
     }
-}
-
-/// Blocking read until the response with `id` arrives (probe
-/// connections only — anything else on the wire is irrelevant here).
-fn wait_reply_raw(reader: &mut FrameReader, stream: &mut TcpStream, id: u64) -> Result<Reply> {
-    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    while Instant::now() < deadline {
-        match reader.poll(stream) {
-            Ok(Some(Frame::Response { id: got, reply })) if got == id => return Ok(reply),
-            Ok(_) => {}
-            Err(e) => return Err(HipacError::Io(e.to_string())),
-        }
-    }
-    Err(HipacError::Io("probe timed out".into()))
 }

@@ -499,9 +499,9 @@ impl RuleManager {
     /// [`RuleManager::with_durability`] with an explicit firing
     /// parallelism: the number of immediate/deferred sibling action
     /// subtransactions of one group that may execute concurrently
-    /// (`1` = sequential, the pre-pool behavior). The matching mode
-    /// comes from `HIPAC_MATCHING` (default: network); see
-    /// [`RuleManager::with_matching`] for an explicit choice.
+    /// (`1` = sequential, the pre-pool behavior), matching through the
+    /// discrimination network; see [`RuleManager::with_matching`] for
+    /// an explicit choice.
     pub fn with_config(
         tm: Arc<TransactionManager>,
         store: Arc<ObjectStore>,
@@ -516,7 +516,7 @@ impl RuleManager {
             events,
             workers,
             firing_parallelism,
-            Matching::from_env(),
+            Matching::Network,
             durable,
         )
     }

@@ -93,17 +93,6 @@ pub enum Matching {
     Network,
 }
 
-impl Matching {
-    /// Resolve the mode from `HIPAC_MATCHING` (`naive` | `network`),
-    /// defaulting to [`Matching::Network`].
-    pub fn from_env() -> Matching {
-        match std::env::var("HIPAC_MATCHING").as_deref() {
-            Ok("naive") => Matching::Naive,
-            _ => Matching::Network,
-        }
-    }
-}
-
 /// Which event image a guard probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ImageRef {

@@ -318,10 +318,6 @@ struct Inner {
 /// Snapshot of the group-commit counters (diagnostics / wire stats).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GroupCommitStats {
-    /// Whether commits currently funnel through the group path.
-    pub enabled: bool,
-    /// Straggler window a leader waits for late committers (µs).
-    pub window_us: u64,
     /// Cohort flushes performed (each is one WAL fsync).
     pub groups: u64,
     /// Transactions committed through cohorts. `grouped_txns / groups`
@@ -364,18 +360,11 @@ struct GroupCommit {
 }
 
 impl GroupCommit {
-    fn from_env() -> GroupCommit {
-        let enabled = !matches!(
-            std::env::var("HIPAC_GROUP_COMMIT").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        let window_us = std::env::var("HIPAC_GROUP_COMMIT_WINDOW_US")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+    /// On, with a zero straggler window (pure piggyback batching).
+    fn new() -> GroupCommit {
         GroupCommit {
-            enabled: AtomicBool::new(enabled),
-            window_us: AtomicU64::new(window_us),
+            enabled: AtomicBool::new(true),
+            window_us: AtomicU64::new(0),
             queue: StdMutex::new(Vec::new()),
             flush: StdMutex::new(()),
             committers: AtomicUsize::new(0),
@@ -501,7 +490,7 @@ impl DurableStore {
                 checkpoint_threshold,
                 faults,
             }),
-            group: GroupCommit::from_env(),
+            group: GroupCommit::new(),
             repl_epoch: AtomicU64::new(epoch),
             repl_fence_prev: AtomicU64::new(fence_prev),
             repl_fence_start: AtomicU64::new(fence_start),
@@ -510,8 +499,7 @@ impl DurableStore {
         })
     }
 
-    /// Override the group-commit mode set from the environment at open
-    /// (`HIPAC_GROUP_COMMIT=on|off`, `HIPAC_GROUP_COMMIT_WINDOW_US`).
+    /// Set the group-commit mode (on, with a zero window, at open).
     /// `window` bounds how long a flush leader waits for stragglers;
     /// `Duration::ZERO` means pure piggyback batching (whoever queued
     /// while the previous fsync ran forms the next cohort).
@@ -525,8 +513,6 @@ impl DurableStore {
     /// Current group-commit configuration and counters.
     pub fn group_commit_stats(&self) -> GroupCommitStats {
         GroupCommitStats {
-            enabled: self.group.enabled.load(Ordering::Relaxed),
-            window_us: self.group.window_us.load(Ordering::Relaxed),
             groups: self.group.groups.load(Ordering::Relaxed),
             grouped_txns: self.group.grouped_txns.load(Ordering::Relaxed),
             largest_group: self.group.largest_group.load(Ordering::Relaxed),
@@ -567,7 +553,7 @@ impl DurableStore {
 
     /// The pre-group path: one WAL append + fsync per commit, under the
     /// store lock. Kept verbatim as the differential baseline
-    /// (`HIPAC_GROUP_COMMIT=off`).
+    /// (`set_group_commit(false, _)`).
     fn commit_immediate(&self, txn: TxnId, batch: &[StoreOp]) -> Result<()> {
         let mut inner = self.inner.lock();
         Self::log_batch(&inner.wal, txn, batch)?;

@@ -38,8 +38,8 @@ pub struct Builder {
     storage_faults: Option<Arc<FaultPolicy>>,
     separate_retry_limit: usize,
     matching: Matching,
-    group_commit: Option<bool>,
-    group_commit_window: Option<Duration>,
+    group_commit: bool,
+    group_commit_window: Duration,
 }
 
 impl Default for Builder {
@@ -54,9 +54,9 @@ impl Default for Builder {
             clock: ClockMode::Virtual,
             storage_faults: None,
             separate_retry_limit: 3,
-            matching: Matching::from_env(),
-            group_commit: None,
-            group_commit_window: None,
+            matching: Matching::Network,
+            group_commit: true,
+            group_commit_window: Duration::ZERO,
         }
     }
 }
@@ -115,11 +115,11 @@ impl Builder {
         self
     }
 
-    /// Force WAL group commit on or off for the durable store,
-    /// overriding the `HIPAC_GROUP_COMMIT` environment default (on).
+    /// Turn WAL group commit on (the default) or off for the durable
+    /// store; off is the one-fsync-per-commit differential baseline.
     /// Only meaningful together with [`Builder::durable`].
     pub fn group_commit(mut self, enabled: bool) -> Self {
-        self.group_commit = Some(enabled);
+        self.group_commit = enabled;
         self
     }
 
@@ -129,15 +129,14 @@ impl Builder {
     /// the previous fsync runs form the next cohort, and a lone
     /// committer pays no added latency (degenerate-to-immediate).
     pub fn group_commit_window(mut self, window: Duration) -> Self {
-        self.group_commit_window = Some(window);
+        self.group_commit_window = window;
         self
     }
 
     /// How signals resolve candidate rules: [`Matching::Network`] (the
     /// default) probes the discrimination network, O(matches) per
     /// signal; [`Matching::Naive`] walks the full event→rules list —
-    /// the differential-testing oracle. Overridable per process via
-    /// `HIPAC_MATCHING=naive|network`.
+    /// the differential-testing oracle.
     pub fn matching(mut self, mode: Matching) -> Self {
         self.matching = mode;
         self
@@ -155,14 +154,7 @@ impl Builder {
                     hipac_storage::store::DEFAULT_CHECKPOINT_THRESHOLD,
                     faults,
                 )?);
-                if self.group_commit.is_some() || self.group_commit_window.is_some() {
-                    let cur = d.group_commit_stats();
-                    d.set_group_commit(
-                        self.group_commit.unwrap_or(cur.enabled),
-                        self.group_commit_window
-                            .unwrap_or(Duration::from_micros(cur.window_us)),
-                    );
-                }
+                d.set_group_commit(self.group_commit, self.group_commit_window);
                 Some(d)
             }
             None => None,

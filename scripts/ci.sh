@@ -7,16 +7,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q --no-fail-fast (full workspace, network matching — the default)"
+echo "==> cargo test -q --no-fail-fast (full workspace)"
 # --no-fail-fast: one red suite must not hide the suites scheduled after it.
 cargo test -q --no-fail-fast
 
-echo "==> cargo test -q (naive matching: engine-level suites under the oracle dispatch path)"
-HIPAC_MATCHING=naive cargo test -q -p hipac -p hipac-rules
-
-echo "==> matching differential suite (naive vs network, both default modes)"
+echo "==> matching differential suite (naive vs network)"
 cargo test -q -p hipac --test matching_diff
-HIPAC_MATCHING=naive cargo test -q -p hipac --test matching_diff
 
 echo "==> discrimination-network property suite (guard-chain prune soundness, memo staleness) and the chain prune count"
 cargo test -q -p hipac-rules --test match_properties
@@ -53,9 +49,6 @@ cargo test -q -p hipac-check --test splitbrain_torture
 echo "==> ReplGap resubscribe under group commit (cohort batch boundaries)"
 cargo test -q -p hipac-check --test repl_gap
 cargo test -q -p hipac-storage --test wal_tail gap
-
-echo "==> group commit off: tier-1 engine suites in the non-default commit mode (on ran above)"
-HIPAC_GROUP_COMMIT=off cargo test -q -p hipac -p hipac-storage
 
 echo "==> group commit differential suite (on vs off, both matching modes, crash sweep)"
 cargo test -q -p hipac-check --test group_commit_diff
