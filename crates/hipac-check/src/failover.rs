@@ -33,8 +33,8 @@
 
 use crate::netchaos::{ChaosConfig, ChaosProxy};
 use crate::restart::{
-    committed_counts, fresh_dir, land_value, land_values, raw_replay_probe, setup_schema, tally,
-    torture_client, AuditSubscriber,
+    committed_counts, delivery_counts, fresh_dir, land_value, land_values, raw_replay_probe,
+    setup_schema, tally, torture_client, AuditSubscriber,
 };
 use hipac::ActiveDatabase;
 use hipac_net::{HipacServer, ServerConfig};
@@ -109,6 +109,9 @@ pub struct FailoverTortureReport {
     pub replay_hits: u64,
     /// Handler executions per push sequence number (each must be 1).
     pub push_deliveries: HashMap<u64, u64>,
+    /// Push sequence numbers in the order the handler ran them (must be
+    /// contiguous and increasing: a gap is a push the client dropped).
+    pub push_order: Vec<u64>,
     /// Pushes the replica fanned out before promotion (its gauge is
     /// carried into the promoted counters).
     pub replica_pushes: u64,
@@ -315,7 +318,7 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
     while server2.unacked_pushes() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(50));
     }
-    let push_deliveries = subscriber.finish();
+    let push_order = subscriber.finish();
 
     // Journal evidence: the promoted node's journal was *replicated*,
     // never written by a local client session — raw keyed duplicates
@@ -349,7 +352,8 @@ pub fn run_failover_torture(cfg: &FailoverTortureConfig) -> FailoverTortureRepor
         journal_entries,
         replay_probes,
         replay_hits,
-        push_deliveries,
+        push_deliveries: delivery_counts(&push_order),
+        push_order,
         replica_pushes,
         promotions: db2.repl_counters().promotions.load(Ordering::Relaxed),
         unacked_after: server2.unacked_pushes(),

@@ -123,6 +123,9 @@ pub struct RestartTortureReport {
     pub journal_replays: u64,
     /// Handler executions per push sequence number (each must be 1).
     pub push_deliveries: HashMap<u64, u64>,
+    /// Push sequence numbers in the order the handler ran them (must be
+    /// contiguous and increasing: a gap is a push the client dropped).
+    pub push_order: Vec<u64>,
     /// Unacked pushes still retained when the run ended (must be 0).
     pub unacked_after: u64,
 }
@@ -298,26 +301,24 @@ pub(crate) fn tally<'a>(
     }
 }
 
-/// A torture's push subscriber: counts `audit` handler executions per
-/// push seq, and keeps a request flowing so that reconnects
-/// re-subscribe (which is what triggers outbox redelivery). If it
-/// cannot connect or subscribe it counts nothing, and the report shows
-/// every push undelivered.
+/// A torture's push subscriber: records the `audit` handler's push seqs
+/// in the order it runs them, and keeps a request flowing so that
+/// reconnects re-subscribe (which is what triggers outbox redelivery).
+/// If it cannot connect or subscribe it records nothing, and the report
+/// shows every push undelivered.
 pub(crate) struct AuditSubscriber {
-    deliveries: Arc<Mutex<HashMap<u64, u64>>>,
+    handled: Arc<Mutex<Vec<u64>>>,
     stop: Arc<AtomicBool>,
     poll: Option<std::thread::JoinHandle<()>>,
 }
 
 impl AuditSubscriber {
     pub(crate) fn start(addr: String, seed: u64, salt: u64) -> AuditSubscriber {
-        let deliveries: Arc<Mutex<HashMap<u64, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+        let handled: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let stop = Arc::new(AtomicBool::new(false));
-        let counted = Arc::clone(&deliveries);
+        let recorded = Arc::clone(&handled);
         let subscribed = torture_client(addr, seed, salt).and_then(|client| {
-            client.subscribe("audit", move |event| {
-                *counted.lock().entry(event.seq).or_insert(0) += 1;
-            })?;
+            client.subscribe("audit", move |event| recorded.lock().push(event.seq))?;
             Ok(client)
         });
         let poll = subscribed.ok().map(|client| {
@@ -330,21 +331,31 @@ impl AuditSubscriber {
             })
         });
         AuditSubscriber {
-            deliveries,
+            handled,
             stop,
             poll,
         }
     }
 
-    /// Stop polling and return the handler executions per push seq.
-    pub(crate) fn finish(self) -> HashMap<u64, u64> {
+    /// Stop polling and return the push seqs in the order the handler
+    /// ran them.
+    pub(crate) fn finish(self) -> Vec<u64> {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(poll) = self.poll {
             poll.join().expect("join subscriber poll");
         }
-        let deliveries = self.deliveries.lock().clone();
-        deliveries
+        let handled = self.handled.lock().clone();
+        handled
     }
+}
+
+/// Handler executions per push seq, from the order they ran in.
+pub(crate) fn delivery_counts(order: &[u64]) -> HashMap<u64, u64> {
+    let mut counts = HashMap::new();
+    for seq in order {
+        *counts.entry(*seq).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Send a raw keyed duplicate straight at `addr` and report whether it
@@ -529,7 +540,7 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
             proxy.break_connections();
         }
     }
-    let push_deliveries = subscriber.finish();
+    let push_order = subscriber.finish();
 
     // Journal evidence: enumerate surviving entries and fire raw keyed
     // duplicates at the restarted server — `Ok` without a live session
@@ -566,7 +577,8 @@ pub fn run_restart_torture(cfg: &RestartTortureConfig) -> RestartTortureReport {
         replay_probes,
         replay_hits,
         journal_replays: server2.journal_replays(),
-        push_deliveries,
+        push_deliveries: delivery_counts(&push_order),
+        push_order,
         unacked_after: server2.unacked_pushes(),
     };
     drop(server2);

@@ -63,6 +63,11 @@ fn restart_torture_keeps_exactly_once_across_seeds() {
                 "seed {seed}: push seq {seq} ran the handler {n} times"
             );
         }
+        assert!(
+            report.push_order.windows(2).all(|w| w[1] == w[0] + 1),
+            "seed {seed}: handled push seqs not contiguous and increasing: {:?}",
+            report.push_order
+        );
         assert_eq!(
             report.unacked_after, 0,
             "seed {seed}: outbox still retains unacked pushes"

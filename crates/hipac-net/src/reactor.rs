@@ -1,27 +1,38 @@
 //! Reactor plumbing for the sharded server: a minimal epoll facade and
-//! a bounded non-blocking write helper.
+//! the wake pipe.
 //!
 //! The offline toolchain has no `mio`/`libc`, so on Linux/x86_64 the
 //! [`Poller`] drives `epoll` through raw syscalls (the same shim
 //! approach the workspace uses for third-party crates). Elsewhere it
 //! degrades to a level-triggered scan: `wait` sleeps one tick and
-//! reports every registered token as readable, and the shard's
-//! non-blocking reads turn the over-approximation into correctness
-//! (they simply observe `WouldBlock`). The facade is deliberately tiny
-//! — readable-interest only, one `u64` token per fd — because that is
-//! all the shard loop needs: writes go through [`write_all_timeout`]
-//! from whatever thread produced them.
+//! reports every registered token as ready for whatever it is armed
+//! for, and the shard's non-blocking reads and writes turn the
+//! over-approximation into correctness (they simply observe
+//! `WouldBlock`). The facade is deliberately tiny — one `u64` token per
+//! fd and one interest setter, [`Poller::set_interest`] — because that
+//! is all the shard loop needs.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::os::fd::RawFd;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Readable event bit (matches `EPOLLIN`).
 pub const EV_IN: u32 = 0x1;
-/// Peer hung up / error bits folded into readability by the shard (a
-/// read on such an fd returns EOF or the error).
-pub const EV_CLOSED: u32 = 0x8 | 0x10 | 0x2000; // ERR | HUP | RDHUP
+/// Writable event bit (matches `EPOLLOUT`).
+pub const EV_OUT: u32 = 0x4;
+/// Error and hang-up bits (`ERR | HUP`), reported whatever the interest.
+const EV_ERR_HUP: u32 = 0x8 | 0x10;
+/// The peer's half-close (`RDHUP`): news only to a reader (its next
+/// read returns EOF), so it is armed with reads.
+const EV_RDHUP: u32 = 0x2000;
+
+/// The event mask for the given interest.
+fn mask(read: bool, write: bool) -> u32 {
+    let read = if read { EV_IN | EV_RDHUP } else { 0 };
+    let write = if write { EV_OUT } else { 0 };
+    EV_ERR_HUP | read | write
+}
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
@@ -72,7 +83,7 @@ mod sys {
         }
     }
 
-    /// Readable-interest epoll instance.
+    /// An epoll instance (level-triggered).
     pub struct Poller {
         epfd: RawFd,
     }
@@ -97,16 +108,15 @@ mod sys {
             Ok(())
         }
 
+        /// Register `fd` with read interest.
         pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, EV_IN | EV_CLOSED)
+            self.ctl(EPOLL_CTL_ADD, fd, token, mask(true, false))
         }
 
-        /// Re-arm or disarm readable interest (used to pause a
-        /// connection whose dispatch queue is full, without the
-        /// level-triggered instance spinning on its unread bytes).
-        pub fn set_readable(&self, fd: RawFd, token: u64, armed: bool) -> io::Result<()> {
-            let events = if armed { EV_IN | EV_CLOSED } else { EV_CLOSED };
-            self.ctl(EPOLL_CTL_MOD, fd, token, events)
+        /// Set what `fd` is watched for: readable (disarmed to pause a
+        /// connection) and writable (armed while its outbound queue waits).
+        pub fn set_interest(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, mask(read, write))
         }
 
         pub fn del(&self, fd: RawFd) -> io::Result<()> {
@@ -149,10 +159,11 @@ mod sys {
     use std::sync::Mutex;
 
     /// Portable fallback: no kernel poller, so `wait` sleeps one short
-    /// tick and reports every registered token as readable. The shard's
-    /// non-blocking reads absorb the over-approximation.
+    /// tick and reports every registered token as ready for what it is
+    /// armed for. The shard's non-blocking reads and writes absorb the
+    /// over-approximation.
     pub struct Poller {
-        tokens: Mutex<HashMap<RawFd, (u64, bool)>>,
+        tokens: Mutex<HashMap<RawFd, (u64, u32)>>,
     }
 
     impl Poller {
@@ -163,12 +174,12 @@ mod sys {
         }
 
         pub fn add(&self, fd: RawFd, token: u64) -> io::Result<()> {
-            self.tokens.lock().unwrap().insert(fd, (token, true));
+            self.tokens.lock().unwrap().insert(fd, (token, mask(true, false)));
             Ok(())
         }
 
-        pub fn set_readable(&self, fd: RawFd, token: u64, armed: bool) -> io::Result<()> {
-            self.tokens.lock().unwrap().insert(fd, (token, armed));
+        pub fn set_interest(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            self.tokens.lock().unwrap().insert(fd, (token, mask(read, write)));
             Ok(())
         }
 
@@ -180,9 +191,10 @@ mod sys {
         pub fn wait(&self, out: &mut Vec<(u64, u32)>, timeout: Duration) -> io::Result<usize> {
             std::thread::sleep(timeout.min(Duration::from_millis(5)));
             let tokens = self.tokens.lock().unwrap();
-            for (token, armed) in tokens.values() {
-                if *armed {
-                    out.push((*token, EV_IN));
+            for (token, events) in tokens.values() {
+                let ready = events & (EV_IN | EV_OUT);
+                if ready != 0 {
+                    out.push((*token, ready));
                 }
             }
             Ok(out.len())
@@ -220,58 +232,12 @@ pub fn signal_wake(stream: &mut impl Write) {
     let _ = stream.write(&[1]);
 }
 
-/// `write_all` for non-blocking sockets: retries `WouldBlock` with a
-/// short backoff until `timeout` elapses. Partial progress extends the
-/// deadline only in the sense that the clock keeps running — a peer
-/// draining slowly but steadily still completes, a wedged one fails
-/// with `TimedOut`.
-pub fn write_all_timeout(
-    stream: &mut TcpStream,
-    buf: &[u8],
-    timeout: Duration,
-) -> io::Result<()> {
-    let deadline = Instant::now() + timeout;
-    let mut off = try_write_prefix(stream, buf)?;
-    while off < buf.len() {
-        if Instant::now() >= deadline {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        std::thread::sleep(Duration::from_micros(200));
-        off += try_write_prefix(stream, &buf[off..])?;
-    }
-    Ok(())
-}
-
-/// Write as much of `buf` as the socket accepts without waiting.
-/// Returns the bytes written (`== buf.len()` on a full write); the
-/// caller must finish any remainder with [`write_all_timeout`] on
-/// `&buf[n..]` — a half-written frame left dangling would desynchronize
-/// the stream. Used by the batched push fan-out so one slow subscriber
-/// cannot delay its peers' first-pass writes.
-pub fn try_write_prefix(stream: &mut TcpStream, buf: &[u8]) -> io::Result<usize> {
-    let mut off = 0usize;
-    while off < buf.len() {
-        match stream.write(&buf[off..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => off += n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(off);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(off)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
+    use std::time::Instant;
 
     #[test]
     fn poller_reports_readable() {
@@ -316,43 +282,16 @@ mod tests {
         poller.add(server.as_raw_fd(), 9).unwrap();
         client.write_all(b"pending").unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        poller.set_readable(server.as_raw_fd(), 9, false).unwrap();
+        poller.set_interest(server.as_raw_fd(), 9, false, false).unwrap();
         let mut events = Vec::new();
         poller.wait(&mut events, Duration::from_millis(30)).unwrap();
         assert!(
             !events.iter().any(|(_, ev)| ev & EV_IN != 0),
             "disarmed fd must not report readable"
         );
-        poller.set_readable(server.as_raw_fd(), 9, true).unwrap();
+        poller.set_interest(server.as_raw_fd(), 9, true, false).unwrap();
         events.clear();
         poller.wait(&mut events, Duration::from_millis(100)).unwrap();
         assert!(events.iter().any(|(t, ev)| *t == 9 && ev & EV_IN != 0));
-    }
-
-    #[test]
-    fn write_all_timeout_times_out_on_full_buffer() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        server.set_nonblocking(true).unwrap();
-        // Nobody reads `client`; keep writing until the kernel buffers
-        // fill, then expect TimedOut rather than a hang.
-        let chunk = vec![0u8; 1 << 20];
-        let start = Instant::now();
-        let mut saw_timeout = false;
-        for _ in 0..64 {
-            match write_all_timeout(&mut server, &chunk, Duration::from_millis(50)) {
-                Ok(()) => continue,
-                Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                    saw_timeout = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(saw_timeout, "blocked write never timed out");
-        assert!(start.elapsed() < Duration::from_secs(30));
-        drop(client);
     }
 }

@@ -405,11 +405,9 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
             // An authorized re-subscribe revives a dead-lettered
             // handler (its preserved sequence counter resumes).
             ctx.subs.resurrect(&handler);
-            ctx.subs
-                .subscribe(&ctx.db, &handler, conn.id, Arc::clone(&conn.writer));
-            // Catch the new subscriber up on unacked pushes; its
+            // Register and catch up on unacked pushes in one step; the
             // client dedups redeliveries by sequence.
-            let n = ctx.subs.redeliver(&handler, &conn.writer);
+            let n = ctx.subs.subscribe(&ctx.db, &handler, conn);
             if n > 0 {
                 ctx.shared.pushes_redelivered.fetch_add(n, Ordering::Relaxed);
             }

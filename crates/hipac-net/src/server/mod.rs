@@ -9,17 +9,18 @@
 //! pool of `workers` threads; a per-connection queue keeps each
 //! session's requests strictly ordered, and a full queue pauses that
 //! connection's reads (per-connection backpressure) until a worker
-//! drains it. The server admits at most `workers + max_pending`
-//! concurrent connections; beyond that it refuses with an error frame
-//! instead of queueing unboundedly.
+//! drains it. Every byte sent to a connection — replies, pushes, the
+//! replication stream — goes through its one ordered outbound queue
+//! (`ConnShared::send` in `shard.rs`). The server admits at most
+//! `workers + max_pending` concurrent connections; beyond that it
+//! refuses with an error frame instead of queueing unboundedly.
 //!
 //! The paper's §4.1 role reversal — the DBMS calling the application —
 //! crosses the network through subscriptions: a client that sends
 //! `Subscribe { handler }` becomes the application server for that
 //! handler name, and every rule action addressed to it is delivered to
-//! the client as a push frame, synchronously from the firing's thread
-//! (immediate/deferred firings block the triggering transaction on the
-//! socket write; separate firings block a pool worker).
+//! the client as a push frame, queued in sequence order on every
+//! subscriber's connection (`Subscriptions::deliver`).
 //!
 //! Sessions own the transactions they begin: a connection that drops —
 //! idle timeout, protocol error, or plain disconnect — has its open
@@ -38,7 +39,6 @@ mod subscriptions;
 use crate::proto::{Frame, Reply, WireError};
 use admission::{load_reply_journal, ServerShared};
 use hipac::ActiveDatabase;
-use parking_lot::Mutex;
 use repl_hub::ReplHub;
 use shard::{shard_loop, worker_loop, ConnShared, ShardHandle};
 use std::io::Write;
@@ -98,11 +98,6 @@ pub struct ServerConfig {
     /// parallelism. Idle connections cost one registered fd each — no
     /// stack, no thread.
     pub reactor_shards: usize,
-    /// Bound on one push-frame write to a slow subscriber before it is
-    /// culled (its unacked pushes stay in the outbox for redelivery).
-    /// The batched fan-out writes every subscriber opportunistically
-    /// first, so a slow subscriber only ever delays itself.
-    pub push_write_timeout: Duration,
     /// Shared secret for session authentication. When set, a
     /// session must present `Command::Auth` with a valid
     /// `HMAC-SHA256(secret, client_id)` token before any keyed request
@@ -153,7 +148,6 @@ impl Default for ServerConfig {
             tenant_max_inflight: 0,
             outbox_evict_bytes: 0,
             reactor_shards: 0,
-            push_write_timeout: Duration::from_secs(5),
             sync_repl: false,
             sync_repl_timeout: Duration::from_millis(250),
         }
@@ -237,12 +231,8 @@ impl HipacServer {
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let durable = db.durable_store().cloned();
-        let subscriptions = Subscriptions::new(
-            config.outbox_cap,
-            config.push_write_timeout,
-            config.outbox_evict_bytes,
-            durable.clone(),
-        );
+        let subscriptions =
+            Subscriptions::new(config.outbox_cap, config.outbox_evict_bytes, durable.clone());
         let shared = ServerShared::new(config.dedup_window);
         if let Some(d) = &durable {
             load_reply_journal(d, &shared, config.dedup_window);
@@ -253,12 +243,8 @@ impl HipacServer {
         let mut shard_handles = Vec::with_capacity(n_shards);
         let mut wake_readers = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let (read_end, write_end) = crate::reactor::wake_pair()?;
-            shard_handles.push(Arc::new(ShardHandle {
-                inbox: Mutex::new(Vec::new()),
-                resume: Mutex::new(Vec::new()),
-                wake: Mutex::new(write_end),
-            }));
+            let (handle, read_end) = ShardHandle::new()?;
+            shard_handles.push(handle);
             wake_readers.push(read_end);
         }
         let evict_thread = subscriptions::spawn_housekeeper(&subscriptions, &db, &shutdown);
@@ -294,7 +280,7 @@ impl HipacServer {
             shard_threads.push(
                 std::thread::Builder::new()
                     .name(format!("hipac-net-shard-{idx}"))
-                    .spawn(move || shard_loop(idx, handle, wake_rx, ctx, jobs, stop))
+                    .spawn(move || shard_loop(handle, wake_rx, ctx, jobs, stop))
                     .expect("spawn shard thread"),
             );
         }
@@ -339,7 +325,7 @@ impl HipacServer {
                                 let sh = &ctx.shards[rr % ctx.shards.len()];
                                 rr = rr.wrapping_add(1);
                                 sh.inbox.lock().push(stream);
-                                crate::reactor::signal_wake(&mut *sh.wake.lock());
+                                sh.wake();
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                                 backlog_events.clear();
@@ -449,7 +435,7 @@ impl HipacServer {
         // enqueues a Teardown for every connection it owns on its way
         // out (running after any frames already dispatched).
         for sh in &self.ctx.shards {
-            crate::reactor::signal_wake(&mut *sh.wake.lock());
+            sh.wake();
         }
         for t in self.shard_threads.drain(..) {
             let _ = t.join();

@@ -3,12 +3,12 @@
 //! lives in `hipac-repl`, which depends on this crate, so the hub
 //! stays here.
 
+use super::shard::ConnShared;
 use crate::proto::{Frame, ReplMsg};
 use hipac_common::ReplCounters;
-use hipac_storage::{DurableStore, TailRead};
+use hipac_storage::{DurableStore, TailRead, WalBatch};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::net::TcpStream;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// waiting for traffic).
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(50);
 
-/// Bytes of WAL tail read per shipping round per replica.
+/// Bytes of WAL tail (or snapshot pairs) per shipping round per replica.
 const SHIP_WINDOW: usize = 256 * 1024;
 
 /// Per-peer `(lsn, fold)` digest checkpoints retained for anti-entropy
@@ -31,8 +31,7 @@ const DIGEST_LOG_CAP: usize = 256;
 
 /// One replica connection registered via `ReplSubscribe`.
 struct ReplPeer {
-    session: u64,
-    writer: Arc<Mutex<TcpStream>>,
+    conn: Arc<ConnShared>,
     /// Next LSN to ship to this peer (the WAL read resume point; it
     /// advances past checkpoint/abort markers).
     shipped: u64,
@@ -57,6 +56,91 @@ struct ReplPeer {
     /// from an older epoch, so its watermark lives in a dead LSN space
     /// and must not be used as a WAL resume point.
     force_snapshot: bool,
+    /// A snapshot being sent, a chunk per round.
+    snapshot: Option<SnapshotCursor>,
+}
+
+/// A snapshot's frontier LSN and the pairs not yet sent.
+type SnapshotCursor = (u64, std::vec::IntoIter<(Vec<u8>, Vec<u8>)>);
+
+/// What a peer is due this round: its next WAL window, or a snapshot.
+enum Due {
+    Batches(Vec<WalBatch>, u64),
+    Snapshot(u64, Vec<(Vec<u8>, Vec<u8>)>),
+}
+
+impl ReplPeer {
+    /// Send this peer what it is due, or else the next chunk of its
+    /// snapshot. Returns whether the peer moved, or `None` once its
+    /// connection is closed (the peer is culled; it resubscribes).
+    fn ship(&mut self, due: Option<Due>, epoch: u64) -> Option<bool> {
+        let send = |msg| self.conn.send(&Frame::Repl(msg).encode());
+        match due {
+            Some(Due::Batches(batches, next_lsn)) => {
+                for b in &batches {
+                    let batch = ReplMsg::Batch {
+                        prev_lsn: self.chained,
+                        start_lsn: b.start_lsn,
+                        next_lsn: b.next_lsn,
+                        txn: b.txn,
+                        ops: b.ops.clone(),
+                        epoch,
+                    };
+                    if !send(batch) {
+                        return None;
+                    }
+                    self.chained = b.next_lsn;
+                    self.fold = hipac_storage::fold_digest(
+                        self.fold,
+                        hipac_storage::batch_digest(b.next_lsn, b.txn, &b.ops),
+                    );
+                    self.digest_log.push_back((b.next_lsn, self.fold));
+                }
+                while self.digest_log.len() > DIGEST_LOG_CAP {
+                    self.digest_log.pop_front();
+                }
+                let moved = next_lsn > self.shipped;
+                self.shipped = self.shipped.max(next_lsn);
+                return Some(moved);
+            }
+            Some(Due::Snapshot(snapshot_lsn, pairs)) => {
+                if !send(ReplMsg::SnapshotBegin { snapshot_lsn }) {
+                    return None;
+                }
+                self.snapshot = Some((snapshot_lsn, pairs.into_iter()));
+            }
+            None => {}
+        }
+        let Some((snapshot_lsn, pairs)) = self.snapshot.as_mut() else {
+            return Some(false);
+        };
+        let snapshot_lsn = *snapshot_lsn;
+        // Chunk by payload volume so no frame approaches the cap.
+        let mut chunk = Vec::new();
+        let mut chunk_bytes = 0usize;
+        while chunk_bytes < SHIP_WINDOW {
+            let Some((k, v)) = pairs.next() else { break };
+            chunk_bytes += k.len() + v.len() + 16;
+            chunk.push((k, v));
+        }
+        let done = pairs.len() == 0;
+        if !chunk.is_empty() && !send(ReplMsg::SnapshotChunk { pairs: chunk }) {
+            return None;
+        }
+        if done {
+            if !send(ReplMsg::SnapshotEnd { snapshot_lsn, epoch }) {
+                return None;
+            }
+            self.snapshot = None;
+            self.force_snapshot = false;
+            self.shipped = snapshot_lsn;
+            self.chained = snapshot_lsn;
+            self.fold = 0;
+            self.digest_log = VecDeque::from([(snapshot_lsn, 0)]);
+            self.digest_ok = true;
+        }
+        Some(true)
+    }
 }
 
 /// Replica acks required to release a semi-sync commit: a majority of
@@ -72,16 +156,12 @@ fn quorum_of(n_peers: u64) -> u64 {
     }
 }
 
-/// How long a blocked write to a replica socket may stall the shipper
-/// before the peer is declared dead and culled (it will reconnect and
-/// resubscribe from its durable watermark).
-const REPL_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
-
 /// Primary-side replication hub: the registry of subscribed replica
 /// connections plus the single shipper thread that streams committed
 /// WAL batches to each of them — or a full snapshot when a replica's
 /// resume LSN has been truncated away by a checkpoint
-/// (`TailRead::OutOfRange`).
+/// (`TailRead::OutOfRange`). The shipper queues a replica its next
+/// window only once its connection's queue is empty.
 ///
 /// The hub also carries the semi-sync gate: sessions and the drain
 /// path call [`ReplHub::wait_caught_up`] to hold an ack (or the
@@ -153,29 +233,18 @@ impl ReplHub {
         self.counters.epoch.fetch_max(new_epoch, Ordering::Relaxed);
     }
 
-    /// Register (or re-register) `session`'s connection as a replica
-    /// resuming from `start_lsn`. The shipper validates the LSN lazily:
-    /// an unusable resume point simply produces a snapshot. A peer
-    /// subscribing from an older epoch gets an unconditional snapshot —
-    /// its LSNs belong to a superseded primary's WAL and must never be
-    /// interpreted in this one.
+    /// Register (or re-register) `conn` as a replica resuming from
+    /// `start_lsn`. The shipper validates the LSN lazily: an unusable
+    /// resume point simply produces a snapshot. A peer subscribing from
+    /// an older epoch gets an unconditional snapshot — its LSNs belong
+    /// to a superseded primary's WAL and must never be interpreted in
+    /// this one.
     ///
     /// Callers must invoke this only *after* the `ReplSubscribe` Ok
-    /// response frame has been written to the socket — registering
-    /// earlier lets the shipper interleave repl frames ahead of the
-    /// Ok, which the replica's handshake would have to reorder.
-    pub(super) fn subscribe(
-        &self,
-        session: u64,
-        writer: Arc<Mutex<TcpStream>>,
-        start_lsn: u64,
-        peer_epoch: u64,
-    ) {
-        // A wedged replica must not block the shipper forever: writes
-        // go through `write_all_timeout(REPL_WRITE_TIMEOUT)` (sockets
-        // are non-blocking under the reactor), the peer is culled, and
-        // the replica resubscribes.
-        //
+    /// response frame is queued — registering earlier lets the shipper
+    /// queue repl frames ahead of the Ok, which the replica's handshake
+    /// would have to reorder.
+    pub(super) fn subscribe(&self, conn: Arc<ConnShared>, start_lsn: u64, peer_epoch: u64) {
         // Any peer that cannot prove it observed this node's epoch —
         // e.g. one that slept through the promotion and still offers
         // epoch 0 — gets a snapshot: its watermark may have been minted
@@ -183,10 +252,9 @@ impl ReplHub {
         // epoch 0 itself, so peers there resume from their LSN.
         let force_snapshot = peer_epoch < self.epoch();
         let mut peers = self.peers.lock();
-        peers.retain(|p| p.session != session);
+        peers.retain(|p| p.conn.id != conn.id);
         peers.push(ReplPeer {
-            session,
-            writer,
+            conn,
             shipped: start_lsn,
             chained: start_lsn,
             progress: start_lsn,
@@ -194,13 +262,14 @@ impl ReplHub {
             digest_log: VecDeque::from([(start_lsn, 0)]),
             digest_ok: true,
             force_snapshot,
+            snapshot: None,
         });
         drop(peers);
         self.refresh_gauges();
     }
 
     pub(super) fn drop_session(&self, session: u64) {
-        self.peers.lock().retain(|p| p.session != session);
+        self.peers.lock().retain(|p| p.conn.id != session);
         self.refresh_gauges();
     }
 
@@ -213,7 +282,7 @@ impl ReplHub {
             let mut peers = self.peers.lock();
             let mut best = 0u64;
             for p in peers.iter_mut() {
-                if p.session == session {
+                if p.conn.id == session {
                     p.progress = p.progress.max(applied_lsn);
                     if let Some(&(_, expect)) = p.digest_log.iter().find(|(l, _)| *l == applied_lsn)
                     {
@@ -259,147 +328,65 @@ impl ReplHub {
             .store(if self.sync { quorum_of(n) } else { 0 }, Ordering::Relaxed);
     }
 
-    /// One shipping round over all peers. Returns whether any bytes
-    /// moved (the shipper thread sleeps when nothing did).
-    ///
-    /// The peers mutex is held only to snapshot the peer list and to
-    /// commit results afterwards — never across socket I/O — so
-    /// progress reports, (re)subscribes, session teardown and the
-    /// semi-sync gate can never stall behind a slow replica's socket
-    /// (writes additionally carry [`REPL_WRITE_TIMEOUT`], bounding how
-    /// long the shipper itself can wedge on one peer).
+    /// One shipping round: each peer with an empty outbound queue gets
+    /// its next WAL window or snapshot chunk. Returns whether any peer
+    /// moved (the shipper sleeps when none did). The store is read
+    /// outside the peers lock, since a commit's fsync or a checkpoint
+    /// holds it; sends never wait, so they happen under the lock.
     fn ship_once(&self) -> bool {
         let Some(d) = &self.durable else { return false };
-        /// One peer's shipping round: its cursors as snapshotted under
-        /// the peers lock, advanced outside it, then committed.
-        struct Round {
-            session: u64,
-            writer: Arc<Mutex<TcpStream>>,
-            /// `shipped` at the snapshot (the commit's staleness check).
-            pre_shipped: u64,
-            shipped: u64,
-            chained: u64,
-            fold: u64,
-            force_snapshot: bool,
-            /// New `(lsn, fold)` digest checkpoints from this round;
-            /// `reseed` replaces the peer's log instead of appending
-            /// (snapshot: the stream fold restarts from zero).
-            log: Vec<(u64, u64)>,
-            reseed: bool,
-            dead: bool,
-        }
-        let mut rounds: Vec<Round> = self
+        let epoch = d.repl_epoch();
+        let idle: Vec<(u64, u64, bool)> = self
             .peers
             .lock()
             .iter()
-            .map(|p| Round {
-                session: p.session,
-                writer: Arc::clone(&p.writer),
-                pre_shipped: p.shipped,
-                shipped: p.shipped,
-                chained: p.chained,
-                fold: p.fold,
-                force_snapshot: p.force_snapshot,
-                log: Vec::new(),
-                reseed: false,
-                dead: false,
-            })
+            .filter(|p| p.snapshot.is_none() && !p.conn.backlogged())
+            .map(|p| (p.conn.id, p.shipped, p.force_snapshot))
             .collect();
-        if rounds.is_empty() {
-            return false;
+        let mut due = HashMap::new();
+        let mut durable_lsn = None;
+        for (id, shipped, force_snapshot) in idle {
+            if !force_snapshot && shipped >= *durable_lsn.get_or_insert_with(|| d.durable_lsn()) {
+                continue;
+            }
+            let tail = if force_snapshot {
+                None
+            } else {
+                match d.read_batches_from(shipped, SHIP_WINDOW as u64) {
+                    Ok(tail) => Some(tail),
+                    Err(_) => continue,
+                }
+            };
+            // A stale-epoch subscriber (its watermark is from a dead LSN
+            // space), or a resume point that predates the oldest
+            // retained WAL (checkpoint truncation) or is misaligned:
+            // re-seed the peer with a consistent full snapshot.
+            let next = match tail {
+                Some(TailRead::Batches { batches, next_lsn, .. }) => Due::Batches(batches, next_lsn),
+                _ => match d.snapshot_for_repl() {
+                    Ok((snapshot_lsn, pairs)) => Due::Snapshot(snapshot_lsn, pairs),
+                    Err(_) => continue,
+                },
+            };
+            due.insert(id, (shipped, next));
         }
-        let epoch = d.repl_epoch();
         let mut worked = false;
-        for r in &mut rounds {
-            let durable_lsn = d.durable_lsn();
-            let mut snapshot = r.force_snapshot;
-            if !snapshot && r.shipped < durable_lsn {
-                match d.read_batches_from(r.shipped, SHIP_WINDOW as u64) {
-                    Ok(TailRead::Batches { batches, next_lsn, .. }) => {
-                        if next_lsn > r.shipped || !batches.is_empty() {
-                            let mut w = r.writer.lock();
-                            for b in &batches {
-                                let frame = Frame::Repl(ReplMsg::Batch {
-                                    prev_lsn: r.chained,
-                                    start_lsn: b.start_lsn,
-                                    next_lsn: b.next_lsn,
-                                    txn: b.txn,
-                                    ops: b.ops.clone(),
-                                    epoch,
-                                })
-                                .encode();
-                                if crate::reactor::write_all_timeout(
-                                    &mut w,
-                                    &frame,
-                                    REPL_WRITE_TIMEOUT,
-                                )
-                                .is_err()
-                                {
-                                    r.dead = true;
-                                    break;
-                                }
-                                r.chained = b.next_lsn;
-                                r.fold = hipac_storage::fold_digest(
-                                    r.fold,
-                                    hipac_storage::batch_digest(b.next_lsn, b.txn, &b.ops),
-                                );
-                                r.log.push((b.next_lsn, r.fold));
-                            }
-                            if !r.dead && next_lsn > r.shipped {
-                                r.shipped = next_lsn;
-                                worked = true;
-                            }
-                        }
-                    }
-                    Ok(TailRead::OutOfRange { .. }) => snapshot = true,
-                    Err(_) => {}
-                }
-            }
-            if snapshot {
-                // A stale-epoch subscriber (its watermark is from a dead
-                // LSN space), or a resume point that predates the oldest
-                // retained WAL (checkpoint truncation) or is misaligned:
-                // re-seed the peer with a full snapshot.
-                match Self::ship_snapshot(d, &r.writer, epoch) {
-                    Some(snapshot_lsn) => {
-                        r.shipped = snapshot_lsn;
-                        r.chained = snapshot_lsn;
-                        r.fold = 0;
-                        r.log = vec![(snapshot_lsn, 0)];
-                        r.reseed = true;
-                    }
-                    None => r.dead = true,
-                }
-                worked = true;
-            }
-        }
         let mut peers = self.peers.lock();
-        for o in rounds {
-            if o.dead {
-                // A socket write failed: cull the peer; it resubscribes.
-                peers.retain(|p| p.session != o.session);
-            } else if let Some(p) = peers
-                .iter_mut()
-                .find(|p| p.session == o.session && p.shipped == o.pre_shipped)
-            {
-                // Unchanged since the snapshot: commit the round. (A
-                // concurrent resubscribe rewinds `shipped`; its fresh
-                // resume point must win over this stale round's.)
-                p.shipped = o.shipped;
-                p.chained = o.chained;
-                p.fold = o.fold;
-                if o.reseed {
-                    p.digest_log = o.log.into_iter().collect();
-                    p.digest_ok = true;
-                    p.force_snapshot = false;
-                } else {
-                    p.digest_log.extend(o.log);
-                    while p.digest_log.len() > DIGEST_LOG_CAP {
-                        p.digest_log.pop_front();
-                    }
-                }
+        peers.retain_mut(|p| {
+            // A resubscribe since the read moved `shipped`: its fresh
+            // resume point wins over what was read for the old one.
+            let due = due.remove(&p.conn.id).filter(|(shipped, _)| *shipped == p.shipped);
+            if due.is_none() && (p.snapshot.is_none() || p.conn.backlogged()) {
+                return true;
             }
-        }
+            match p.ship(due.map(|(_, next)| next), epoch) {
+                Some(moved) => {
+                    worked |= moved;
+                    true
+                }
+                None => false,
+            }
+        });
         let best_shipped = peers.iter().map(|p| p.shipped).max().unwrap_or(0);
         drop(peers);
         if best_shipped > 0 {
@@ -410,81 +397,18 @@ impl ReplHub {
         worked
     }
 
-    /// Stream a consistent full-state snapshot to `writer`. Returns
-    /// the snapshot frontier LSN — the peer's new resume point — or
-    /// `None` on a socket failure.
-    fn ship_snapshot(
-        d: &Arc<DurableStore>,
-        writer: &Mutex<TcpStream>,
-        epoch: u64,
-    ) -> Option<u64> {
-        let (snapshot_lsn, pairs) = d.snapshot_for_repl().ok()?;
-        let mut w = writer.lock();
-        let send = |w: &mut TcpStream, frame: &[u8]| {
-            crate::reactor::write_all_timeout(w, frame, REPL_WRITE_TIMEOUT).is_ok()
-        };
-        let begin = Frame::Repl(ReplMsg::SnapshotBegin { snapshot_lsn }).encode();
-        if !send(&mut w, &begin) {
-            return None;
-        }
-        // Chunk by payload volume so no frame approaches the cap.
-        let mut chunk: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut chunk_bytes = 0usize;
-        for (k, v) in pairs {
-            chunk_bytes += k.len() + v.len() + 16;
-            chunk.push((k, v));
-            if chunk_bytes >= SHIP_WINDOW {
-                let frame = Frame::Repl(ReplMsg::SnapshotChunk {
-                    pairs: std::mem::take(&mut chunk),
-                })
-                .encode();
-                chunk_bytes = 0;
-                if !send(&mut w, &frame) {
-                    return None;
-                }
-            }
-        }
-        if !chunk.is_empty() {
-            let frame = Frame::Repl(ReplMsg::SnapshotChunk { pairs: chunk }).encode();
-            if !send(&mut w, &frame) {
-                return None;
-            }
-        }
-        let end = Frame::Repl(ReplMsg::SnapshotEnd {
-            snapshot_lsn,
-            epoch,
-        })
-        .encode();
-        if !send(&mut w, &end) {
-            return None;
-        }
-        Some(snapshot_lsn)
-    }
-
-    /// Advertise the durable frontier to idle peers. As with
-    /// [`ReplHub::ship_once`], socket writes happen outside the peers
-    /// lock.
+    /// Advertise the durable frontier to peers with nothing queued and
+    /// no snapshot under way.
     fn heartbeat(&self) {
         let Some(d) = &self.durable else { return };
-        let durable_lsn = d.durable_lsn();
-        let epoch = d.repl_epoch();
-        let writers: Vec<(u64, Arc<Mutex<TcpStream>>)> = self
-            .peers
+        let frame = Frame::Repl(ReplMsg::Heartbeat {
+            durable_lsn: d.durable_lsn(),
+            epoch: d.repl_epoch(),
+        })
+        .encode();
+        self.peers
             .lock()
-            .iter()
-            .map(|p| (p.session, Arc::clone(&p.writer)))
-            .collect();
-        let frame = Frame::Repl(ReplMsg::Heartbeat { durable_lsn, epoch }).encode();
-        let mut dead = Vec::new();
-        for (session, w) in writers {
-            if crate::reactor::write_all_timeout(&mut w.lock(), &frame, REPL_WRITE_TIMEOUT).is_err()
-            {
-                dead.push(session);
-            }
-        }
-        if !dead.is_empty() {
-            self.peers.lock().retain(|p| !dead.contains(&p.session));
-        }
+            .retain(|p| p.snapshot.is_some() || p.conn.backlogged() || p.conn.send(&frame));
         self.refresh_gauges();
     }
 

@@ -3,6 +3,7 @@
 //! push exactly-once per subscription, and the slow-subscriber policy
 //! that dead-letters a handler whose outbox outgrows its byte budget.
 
+use super::shard::ConnShared;
 use super::{stripe_of_str, STATE_STRIPES};
 use crate::proto::{Frame, PushEvent};
 use hipac::ActiveDatabase;
@@ -11,7 +12,6 @@ use hipac_storage::journal;
 use hipac_storage::{DurableStore, StoreOp};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -21,7 +21,7 @@ use std::time::Duration;
 /// ack deletes no outbox write has carried yet.
 const ACK_FLUSH_EVERY: Duration = Duration::from_millis(2);
 
-/// Subscription table: handler name -> sessions serving it. The engine
+/// Subscription table: handler name -> connections serving it. The engine
 /// sees one proxy `ApplicationHandler` per name; the proxy fans out to
 /// the live subscribers at call time.
 ///
@@ -38,12 +38,9 @@ const ACK_FLUSH_EVERY: Duration = Duration::from_millis(2);
 /// dispatch pool, and one global lock here would serialize unrelated
 /// handlers' pushes across all of them.
 pub(super) struct Subscriptions {
-    by_handler: Vec<RwLock<HashMap<String, Vec<Subscriber>>>>,
+    by_handler: Vec<RwLock<HashMap<String, Vec<Arc<ConnShared>>>>>,
     outbox: Vec<Mutex<HashMap<String, HandlerOutbox>>>,
     outbox_cap: usize,
-    /// Bound on one push write to a lagging subscriber (second phase of
-    /// the fan-out; the first phase never waits).
-    push_write_timeout: Duration,
     /// Slow-subscriber byte budget (`0` disables): an outbox past it
     /// is dead-lettered instead of backpressured forever.
     evict_bytes: usize,
@@ -147,16 +144,9 @@ fn push_seq_value(next_seq: u64, owner: Option<u64>) -> Vec<u8> {
     v
 }
 
-#[derive(Clone)]
-struct Subscriber {
-    session: u64,
-    writer: Arc<Mutex<TcpStream>>,
-}
-
 impl Subscriptions {
     pub(super) fn new(
         outbox_cap: usize,
-        push_write_timeout: Duration,
         evict_bytes: usize,
         durable: Option<Arc<DurableStore>>,
     ) -> Arc<Subscriptions> {
@@ -164,7 +154,6 @@ impl Subscriptions {
             by_handler: (0..STATE_STRIPES).map(|_| RwLock::new(HashMap::new())).collect(),
             outbox: (0..STATE_STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
             outbox_cap: outbox_cap.max(1),
-            push_write_timeout,
             evict_bytes,
             evict_queue: Mutex::new(Vec::new()),
             pushes_shed: AtomicU64::new(0),
@@ -176,7 +165,7 @@ impl Subscriptions {
         Arc::new(subs)
     }
 
-    fn handlers(&self, handler: &str) -> &RwLock<HashMap<String, Vec<Subscriber>>> {
+    fn handlers(&self, handler: &str) -> &RwLock<HashMap<String, Vec<Arc<ConnShared>>>> {
         &self.by_handler[stripe_of_str(handler)]
     }
 
@@ -343,27 +332,34 @@ impl Subscriptions {
         true
     }
 
-    /// Add `session` as a server for `handler`. Registers the engine
-    /// proxy on the first subscriber.
+    /// Add `conn` as a server for `handler` and queue it every unacked
+    /// frame, under the outbox lock [`Subscriptions::deliver`] holds: no
+    /// live push gets ahead of the catch-up (the client would drop the
+    /// older frame as a duplicate, and ack it). Registers the engine
+    /// proxy on the first subscriber. Returns the frames queued.
     pub(super) fn subscribe(
         self: &Arc<Self>,
         db: &ActiveDatabase,
         handler: &str,
-        session: u64,
-        writer: Arc<Mutex<TcpStream>>,
-    ) {
-        let mut map = self.handlers(handler).write();
-        let subs = map.entry(handler.to_owned()).or_default();
-        if !subs.iter().any(|s| s.session == session) {
-            subs.push(Subscriber { session, writer });
+        conn: &Arc<ConnShared>,
+    ) -> u64 {
+        let ob = self.outbox_stripe(handler).lock();
+        {
+            let mut map = self.handlers(handler).write();
+            let subs = map.entry(handler.to_owned()).or_default();
+            if !subs.iter().any(|s| s.id == conn.id) {
+                subs.push(Arc::clone(conn));
+            }
+            if subs.len() == 1 {
+                let me = Arc::clone(self);
+                let name = handler.to_owned();
+                db.register_handler(handler, move |request, args| {
+                    me.deliver(&name, request, args)
+                });
+            }
         }
-        if subs.len() == 1 {
-            let me = Arc::clone(self);
-            let name = handler.to_owned();
-            db.register_handler(handler, move |request, args| {
-                me.deliver(&name, request, args)
-            });
-        }
+        let Some(h) = ob.get(handler) else { return 0 };
+        h.unacked.values().take_while(|frame| conn.send(frame)).count() as u64
     }
 
     /// Remove `session` from `handler`'s subscribers; unregisters the
@@ -371,7 +367,7 @@ impl Subscriptions {
     pub(super) fn unsubscribe(&self, db: &ActiveDatabase, handler: &str, session: u64) {
         let mut map = self.handlers(handler).write();
         if let Some(subs) = map.get_mut(handler) {
-            subs.retain(|s| s.session != session);
+            subs.retain(|s| s.id != session);
             if subs.is_empty() {
                 map.remove(handler);
                 db.unregister_handler(handler);
@@ -384,7 +380,7 @@ impl Subscriptions {
         for stripe in &self.by_handler {
             let mut map = stripe.write();
             map.retain(|handler, subs| {
-                subs.retain(|s| s.session != session);
+                subs.retain(|s| s.id != session);
                 if subs.is_empty() {
                     db.unregister_handler(handler);
                     false
@@ -397,35 +393,26 @@ impl Subscriptions {
 
     /// Push `request` to every subscriber of `handler`.
     ///
-    /// The frame is sequenced and enqueued in the outbox
-    /// (persisted *before* the socket write, so a crash between the
-    /// two redelivers rather than loses) and delivery succeeds as soon
-    /// as the frame is retained — even if every socket write fails, a
-    /// reconnecting subscriber picks it up on re-subscribe. Delivery
-    /// fails only when nobody subscribes to the handler at all or the
-    /// outbox is full (backpressure into the triggering rule action).
-    /// Batched fan-out: the frame is encoded **once** and written to
-    /// every subscriber in two phases. Phase 1 writes opportunistically
-    /// (non-blocking — a subscriber whose socket has room costs one
-    /// syscall and never waits on its peers); phase 2 finishes the
-    /// stragglers with a bounded blocking write, so one wedged
-    /// subscriber delays only itself, up to `push_write_timeout`, and
-    /// is then culled. Its unacked frames stay in the outbox for
-    /// redelivery — per-subscriber backpressure without loss.
+    /// The frame is encoded once, sequenced and retained in the outbox
+    /// (persisted *before* it is sent, so a crash between the two
+    /// redelivers rather than loses), then queued on every subscriber's
+    /// connection, all under the handler's outbox lock: `seq N` is
+    /// queued ahead of `N + 1` everywhere, whichever firing thread
+    /// delivers first. A subscriber that stops reading delays only
+    /// itself. Delivery succeeds once the frame is retained; it fails
+    /// only when nobody subscribes to the handler or the outbox is full
+    /// (backpressure into the triggering rule action).
     fn deliver(
         &self,
         handler: &str,
         request: &str,
         args: &HashMap<String, Value>,
     ) -> HipacResult<()> {
-        let subscribers: Vec<Subscriber> = match self.handlers(handler).read().get(handler) {
-            Some(subs) => subs.clone(),
-            None => Vec::new(),
-        };
-        if subscribers.is_empty() {
+        if self.handlers(handler).read().get(handler).map_or(true, Vec::is_empty) {
             return Err(HipacError::NoApplicationHandler(handler.to_owned()));
         }
-        let frame = {
+        let mut dead = Vec::new();
+        {
             let mut ob = self.outbox_stripe(handler).lock();
             let h = ob.entry(handler.to_owned()).or_default();
             if h.evicted {
@@ -490,35 +477,20 @@ impl Subscriptions {
                     return Err(e);
                 }
             }
+            // The subscriber list is read under the outbox lock, which
+            // `subscribe` holds while it registers and catches up.
+            for conn in self.handlers(handler).read().get(handler).into_iter().flatten() {
+                if !conn.send(&frame) {
+                    dead.push(conn.id);
+                }
+            }
             h.bytes += frame.len() as u64;
-            h.unacked.insert(seq, frame.clone());
-            frame
-        };
-        // Phase 1: one opportunistic pass over everyone.
-        let mut pending: Vec<(usize, usize)> = Vec::new(); // (subscriber, bytes already written)
-        let mut dead = Vec::new();
-        for (i, sub) in subscribers.iter().enumerate() {
-            let mut w = sub.writer.lock();
-            match crate::reactor::try_write_prefix(&mut w, &frame) {
-                Ok(n) if n == frame.len() => {}
-                Ok(n) => pending.push((i, n)),
-                Err(_) => dead.push(sub.session),
-            }
-        }
-        // Phase 2: bounded blocking finish for the backed-up sockets.
-        for (i, off) in pending {
-            let sub = &subscribers[i];
-            let mut w = sub.writer.lock();
-            if crate::reactor::write_all_timeout(&mut w, &frame[off..], self.push_write_timeout)
-                .is_err()
-            {
-                dead.push(sub.session);
-            }
+            h.unacked.insert(seq, frame);
         }
         if !dead.is_empty() {
             let mut map = self.handlers(handler).write();
             if let Some(subs) = map.get_mut(handler) {
-                subs.retain(|s| !dead.contains(&s.session));
+                subs.retain(|s| !dead.contains(&s.id));
             }
         }
         Ok(())
@@ -563,28 +535,6 @@ impl Subscriptions {
         if !ops.is_empty() {
             let _ = d.commit(TxnId(0), &ops);
         }
-    }
-
-    /// Write every unacked frame of `handler` to `writer` in sequence
-    /// order (a freshly subscribed session catching up). Returns how
-    /// many frames were redelivered.
-    pub(super) fn redeliver(&self, handler: &str, writer: &Arc<Mutex<TcpStream>>) -> u64 {
-        let frames: Vec<Vec<u8>> = {
-            let ob = self.outbox_stripe(handler).lock();
-            match ob.get(handler) {
-                Some(h) => h.unacked.values().cloned().collect(),
-                None => Vec::new(),
-            }
-        };
-        let mut n = 0u64;
-        let mut w = writer.lock();
-        for frame in &frames {
-            if crate::reactor::write_all_timeout(&mut w, frame, self.push_write_timeout).is_err() {
-                break;
-            }
-            n += 1;
-        }
-        n
     }
 
     /// Total unacked push frames across all handlers (test/ops gauge).
@@ -719,8 +669,9 @@ pub(super) fn spawn_housekeeper(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use super::super::shard::ShardHandle;
     use hipac_storage::TailRead;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
 
     /// An ack takes its frame out of memory at once but only queues the
     /// `'q'` delete: no WAL batch is written until the next outbox write
@@ -731,22 +682,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hipac-net-ack-fold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(DurableStore::open(&dir).unwrap());
-        let subs = Subscriptions::new(
-            16,
-            Duration::from_secs(1),
-            0,
-            Some(Arc::clone(&store)),
-        );
+        let subs = Subscriptions::new(16, 0, Some(Arc::clone(&store)));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let _reader = listener.accept().unwrap();
-        subs.handlers("h").write().insert(
-            "h".to_owned(),
-            vec![Subscriber {
-                session: 1,
-                writer: Arc::new(Mutex::new(writer)),
-            }],
-        );
+        let (shard, _wake) = ShardHandle::new().unwrap();
+        subs.handlers("h")
+            .write()
+            .insert("h".to_owned(), vec![Arc::new(ConnShared::new(1, writer, shard))]);
         let row = |seq| store.get(&journal::outbox_key("h", seq)).unwrap();
         let batches_since = |lsn| match store.read_batches_from(lsn, 1 << 20).unwrap() {
             TailRead::Batches { batches, .. } => batches,

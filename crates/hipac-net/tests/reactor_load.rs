@@ -1,8 +1,10 @@
 //! Reactor-server load coverage: connection scale is paid in file
 //! descriptors, not threads or stacks; a slow subscriber cannot stall
-//! the batched push fan-out; and the dedup window keeps exactly-once
-//! across reactor shards when a client reconnects onto a different
-//! shard.
+//! the push fan-out; pushes reach every subscriber in sequence order,
+//! under concurrent firings and across a resubscribe; a client that
+//! never reads its replies is paused, then retired; and the dedup
+//! window keeps exactly-once across reactor shards when a client
+//! reconnects onto a different shard.
 //!
 //! The thousands-of-subscribers test uses raw `TcpStream` frames
 //! rather than `HipacClient` — the client spawns a reader thread per
@@ -18,7 +20,7 @@ use hipac_object::AttrDef;
 use hipac_rules::{Action, ActionOp, RuleDef};
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -46,23 +48,30 @@ fn server_with(config: ServerConfig) -> HipacServer {
 /// Create class `p(n: Int)` and a rule pushing every insert to
 /// `handler` with the given request payload.
 fn setup_push_schema(server: &HipacServer, handler: &str, request: &str) {
+    setup_push_rule(server, push_rule(handler, request));
+}
+
+/// The rule behind [`setup_push_schema`]: push every insert into `p`.
+fn push_rule(handler: &str, request: &str) -> RuleDef {
+    RuleDef::new("push-insert")
+        .on(EventSpec::db(
+            hipac_event::spec::DbEventKind::Insert,
+            Some("p"),
+        ))
+        .then(Action::single(ActionOp::AppRequest {
+            handler: handler.into(),
+            request: request.into(),
+            args: vec![],
+        }))
+}
+
+/// Create class `p(n: Int)` and `rule`.
+fn setup_push_rule(server: &HipacServer, rule: RuleDef) {
     let db = server.db();
     db.run_top(|t| {
         db.store()
             .create_class(t, "p", None, vec![AttrDef::new("n", ValueType::Int)])?;
-        db.rules().create_rule(
-            t,
-            RuleDef::new("push-insert")
-                .on(EventSpec::db(
-                    hipac_event::spec::DbEventKind::Insert,
-                    Some("p"),
-                ))
-                .then(Action::single(ActionOp::AppRequest {
-                    handler: handler.into(),
-                    request: request.into(),
-                    args: vec![],
-                })),
-        )?;
+        db.rules().create_rule(t, rule)?;
         Ok(())
     })
     .unwrap();
@@ -113,9 +122,10 @@ fn fd_soft_limit() -> u64 {
 /// pool, and one committed insert still fans out to every socket.
 ///
 /// Both connection ends live in this process, so each subscriber costs
-/// three fds (client end, server end, and the server's cloned push
-/// writer); the count targets 10k and degrades to what the rlimit
-/// allows. `HORDE_N` overrides the target for quick local runs.
+/// two fds (client end and server end); the budget divides the rlimit
+/// by three to keep headroom. The count targets 10k and degrades to
+/// what the rlimit allows. `HORDE_N` overrides the target for quick
+/// local runs.
 #[test]
 fn idle_subscriber_horde_costs_fds_not_threads() {
     let _serial = serial();
@@ -197,17 +207,15 @@ fn idle_subscriber_horde_costs_fds_not_threads() {
 }
 
 /// A subscriber that stops reading fills its socket and must be cut
-/// loose by the bounded phase-2 write, without stalling delivery to
-/// healthy subscribers: the fast client sees every push, the slow one
-/// misses the tail (writes to it stopped at the cull), and the burst
-/// completes in a fraction of `pushes x push_write_timeout`.
+/// loose once its oldest queued push has waited out the 5 s outbound
+/// bound, without stalling delivery to healthy subscribers: the fast
+/// client sees every push, the burst completes in 2.4 s, and the slow
+/// one misses the tail (what was queued for it went with the cull).
 #[test]
 fn slow_subscriber_is_culled_without_stalling_fanout() {
     let _serial = serial();
     const PUSHES: usize = 64;
-    let timeout = Duration::from_millis(150);
     let server = server_with(ServerConfig {
-        push_write_timeout: timeout,
         idle_timeout: Duration::from_secs(600),
         outbox_cap: PUSHES + 8,
         ..ServerConfig::default()
@@ -259,16 +267,21 @@ fn slow_subscriber_is_culled_without_stalling_fanout() {
         PUSHES as u64,
         "healthy subscriber missed pushes behind a slow peer"
     );
-    // The slow subscriber stalls the burst at most ~once before the
-    // cull; a fan-out serialized on it would need PUSHES x timeout.
+    // No push waits on the slow subscriber's socket.
     assert!(
-        elapsed < timeout * (PUSHES as u32) / 4,
+        elapsed < Duration::from_millis(2400),
         "fan-out appears serialized on the slow subscriber: {elapsed:?}"
     );
 
-    // The cull is real: drain what the socket buffered — it must be a
-    // strict prefix of the burst, because deliveries to the slow
-    // subscriber stopped when it was cut loose.
+    // The cull is real: once the 5 s bound (plus a 100 ms sweep) has
+    // passed, the slow session is gone, and what its socket buffered is
+    // a strict prefix of the burst — the rest was still queued for it
+    // when it was cut loose.
+    let culled = Instant::now() + Duration::from_secs(7);
+    while server.active_connections() > 2 && Instant::now() < culled {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(server.active_connections(), 2, "the slow subscriber was never culled");
     slow.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
     let mut slow_got = 0usize;
     loop {
@@ -399,4 +412,271 @@ fn burst_past_the_pending_cap_is_answered_in_order() {
         }
     }
     drop(server);
+}
+
+/// A server whose engine runs detached firings on four workers, with
+/// room for `outbox_cap` unacked pushes and a detached rule pushing
+/// every insert into `p` to handler `seq`.
+fn detached_push_server(outbox_cap: usize) -> HipacServer {
+    let db = Arc::new(
+        ActiveDatabase::builder()
+            .workers(4)
+            .lock_timeout(Duration::from_secs(3))
+            .build()
+            .unwrap(),
+    );
+    let config = ServerConfig {
+        outbox_cap,
+        idle_timeout: Duration::from_secs(600),
+        ..ServerConfig::default()
+    };
+    let server = HipacServer::bind_with(db, "127.0.0.1:0", config).unwrap();
+    setup_push_rule(&server, push_rule("seq", "seq").detached());
+    server
+}
+
+fn subscribe_frame() -> Vec<u8> {
+    Frame::Request {
+        id: 1,
+        meta: RequestMeta::default(),
+        command: Command::Subscribe {
+            handler: "seq".into(),
+        },
+    }
+    .encode()
+}
+
+/// Commit inserts into `p`, one per transaction, until `more` says stop.
+fn commit_inserts(server: &HipacServer, mut more: impl FnMut(i64) -> bool) {
+    let client = HipacClient::connect(server.local_addr().to_string()).unwrap();
+    let mut i = 0;
+    while more(i) {
+        let t = client.begin().unwrap();
+        client.insert(t, "p", vec![Value::from(i)]).unwrap();
+        client.commit(t).unwrap();
+        i += 1;
+    }
+}
+
+/// Pushes that concurrent firings sequence reach a subscriber in
+/// sequence order: `deliver` queues each frame on every subscriber's
+/// connection under the handler's outbox lock. (Written after that lock
+/// is released, two firing workers can put `seq N + 1` on the wire
+/// ahead of `N`, and a client drops `N` as a duplicate.)
+#[test]
+fn pushes_from_concurrent_firings_arrive_in_seq_order() {
+    let _serial = serial();
+    const COMMITTERS: i64 = 4;
+    const PER_COMMITTER: i64 = 1250;
+    let commits = (COMMITTERS * PER_COMMITTER) as u64;
+    let server = detached_push_server(commits as usize);
+    let mut sub = TcpStream::connect(server.local_addr()).unwrap();
+    sub.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    sub.write_all(&subscribe_frame()).unwrap();
+    assert!(matches!(
+        Frame::read_from(&mut sub),
+        Ok(Some(Frame::Response { reply: Reply::Ok, .. }))
+    ));
+
+    std::thread::scope(|s| {
+        for _ in 0..COMMITTERS {
+            s.spawn(|| commit_inserts(&server, |i| i < PER_COMMITTER));
+        }
+        let mut last = 0u64;
+        while last < commits {
+            match Frame::read_from(&mut sub) {
+                Ok(Some(Frame::Push(p))) => {
+                    assert_eq!(p.seq, last + 1, "push seq {} arrived after seq {last}", p.seq);
+                    last = p.seq;
+                }
+                other => panic!("{last} of {commits} pushes arrived, then {other:?}"),
+            }
+        }
+    });
+    sub.set_read_timeout(Some(Duration::from_millis(200))).unwrap();
+    assert!(
+        Frame::read_from(&mut sub).is_err(),
+        "more pushes than commits"
+    );
+}
+
+/// Subscribe and catch-up are one step: a connection that subscribes
+/// while a committer keeps pushing receives every unacked push and then
+/// the live ones, each seq once and in order — no live push gets ahead
+/// of the catch-up (a client would drop the older frame as a
+/// duplicate, and ack it).
+#[test]
+fn resubscribe_under_live_pushes_catches_up_in_seq_order() {
+    let _serial = serial();
+    const ROUNDS: usize = 30;
+    let server = detached_push_server(100_000);
+    let stop = AtomicBool::new(false);
+    /// Stops the committers however the rounds end, so a failed round
+    /// reports instead of waiting on them forever.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| commit_inserts(&server, |_| !stop.load(Ordering::Acquire)));
+        }
+        let _stop = StopOnDrop(&stop);
+        for round in 0..ROUNDS {
+            let mut conn = TcpStream::connect(server.local_addr()).unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            conn.write_all(&subscribe_frame()).unwrap();
+            // Nothing is ever acked, so every subscriber's stream is
+            // 1, 2, 3, …: the catch-up, then live pushes.
+            let (mut last, mut live, mut subscribed) = (0u64, 0, false);
+            while live < 10 {
+                match Frame::read_from(&mut conn) {
+                    Ok(Some(Frame::Push(p))) => {
+                        assert_eq!(p.seq, last + 1, "round {round}: seq {} after {last}", p.seq);
+                        last = p.seq;
+                        live += usize::from(subscribed);
+                    }
+                    Ok(Some(Frame::Response { reply, .. })) => {
+                        assert_eq!(reply, Reply::Ok);
+                        subscribed = true;
+                    }
+                    other => panic!("round {round}: after seq {last}, {other:?}"),
+                }
+            }
+        }
+    });
+}
+
+/// The kernel's ceiling on a socket's send buffer (the third field of
+/// `tcp_wmem`; 4 MiB, the usual default, where it cannot be read).
+fn send_buffer_max() -> u64 {
+    std::fs::read_to_string("/proc/sys/net/ipv4/tcp_wmem")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(2)?.parse().ok())
+        .unwrap_or(4 << 20)
+}
+
+/// A client that pipelines requests and never reads its replies stops
+/// being served. Once a reply waits in its outbound queue, its reads
+/// pause, so at most `PENDING_CAP` (64) requests already dispatched run
+/// on and queue their replies; another client's round trips are
+/// unaffected, even with one worker, because nobody waits on the
+/// socket; and the connection is retired once its oldest queued reply
+/// has waited 5 s (plus at most one 100 ms sweep).
+#[test]
+fn client_that_never_reads_replies_is_paused_then_retired() {
+    let _serial = serial();
+    const PENDING_CAP: u64 = 64;
+    const REPLY: u64 = 16 * 1024;
+    let server = server_with(ServerConfig {
+        workers: 1,
+        reactor_shards: 1,
+        idle_timeout: Duration::from_secs(600),
+        ..ServerConfig::default()
+    });
+    let db = server.db();
+    db.define_event("tick", &[]).unwrap();
+    db.run_top(|t| {
+        let blob = AttrDef::new("s", ValueType::Str);
+        db.store().create_class(t, "blob", None, vec![blob])?;
+        db.store()
+            .insert(t, "blob", vec![Value::from("x".repeat(REPLY as usize))])?;
+        Ok(())
+    })
+    .unwrap();
+    let request = |id, command| Frame::Request {
+        id,
+        meta: RequestMeta::default(),
+        command,
+    };
+
+    let mut other = TcpStream::connect(server.local_addr()).unwrap();
+    other.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut hog = TcpStream::connect(server.local_addr()).unwrap();
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let Reply::Txn(txn) = roundtrip(&mut hog, 1, RequestMeta::default(), Command::Begin) else {
+        panic!("begin refused");
+    };
+
+    // Pipeline (signal, query) pairs — a countable side effect, then a
+    // 16 KiB reply. Once the server stops reading, the kernel may not
+    // take them all; the write then gives up, and what it took is
+    // enough.
+    const PAIRS: u64 = 5_000;
+    let pipeline: Vec<u8> = (1..=PAIRS)
+        .flat_map(|i| {
+            let signal = Command::SignalEvent {
+                name: "tick".into(),
+                args: Default::default(),
+                txn: None,
+            };
+            let query = Command::Query {
+                txn,
+                text: "from blob".into(),
+                params: Default::default(),
+            };
+            [request(2 * i, signal).encode(), request(2 * i + 1, query).encode()].concat()
+        })
+        .collect();
+    let executed = || db.stats().signals_processed;
+    let before = executed();
+    let t0 = Instant::now();
+    hog.set_write_timeout(Some(Duration::from_secs(1))).unwrap();
+    let _ = hog.write_all(&pipeline);
+
+    // The server stops reading: the count of executed pairs settles far
+    // below what was sent, with the session still alive.
+    let mut settled = executed();
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = executed();
+        if now == settled {
+            break;
+        }
+        settled = now;
+    }
+    let ran = settled - before;
+    assert!(ran < PAIRS, "the server kept reading a client that reads nothing");
+    assert_eq!(server.active_connections(), 2, "reads paused, session alive");
+
+    // Another client is served as usual until the hog is retired.
+    let (mut worst, mut id) = (Duration::ZERO, 100);
+    while server.active_connections() == 2 && t0.elapsed() < Duration::from_secs(8) {
+        let start = Instant::now();
+        let ping = Command::Ping {
+            version: hipac_net::proto::PROTOCOL_VERSION,
+        };
+        let reply = roundtrip(&mut other, id, RequestMeta::default(), ping);
+        assert!(matches!(reply, Reply::Pong { .. }), "{reply:?}");
+        worst = worst.max(start.elapsed());
+        id += 1;
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let retired = t0.elapsed();
+    assert_eq!(server.active_connections(), 1, "the hog was never retired");
+    assert!(
+        retired >= Duration::from_secs(5) && retired < Duration::from_millis(5_500),
+        "retired {retired:?} after pipelining began; the bound is 5 s plus a 100 ms sweep"
+    );
+    assert!(worst < Duration::from_millis(250), "another client's round trip took {worst:?}");
+
+    // What reached the hog's socket before the cull is readable; the
+    // replies still queued (or in the server's send buffer) are not.
+    // Beyond those, at most the dispatched requests ran.
+    hog.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut delivered = 0u64;
+    while let Ok(Some(frame)) = Frame::read_from(&mut hog) {
+        if let Frame::Response { reply: Reply::Rows(_), .. } = frame {
+            delivered += 1;
+        }
+    }
+    let in_kernel = send_buffer_max() / REPLY;
+    assert_eq!(executed(), settled, "a paused connection's requests ran on");
+    assert!(
+        ran <= delivered + in_kernel + PENDING_CAP + 2,
+        "{ran} pairs ran, {delivered} replies arrived: more than {PENDING_CAP} \
+         replies queued for a client that reads nothing"
+    );
 }

@@ -57,7 +57,7 @@ echo "==> group crash matrix (pre-fsync / post-fsync-pre-wake) + interleaving pr
 cargo test -q -p hipac-check --test restart_torture group_commit_crash_matrix
 cargo test -q -p hipac-storage --test proptests group_commit_interleavings
 
-echo "==> reactor load suite (idle horde, slow subscriber, cross-shard dedup)"
+echo "==> reactor load suite (idle horde, slow subscriber, push seq order under concurrent firings and resubscribe, unread replies paused then retired, cross-shard dedup)"
 HORDE_N=2000 cargo test -q -p hipac-net --test reactor_load
 
 echo "==> multi-tenant suite (auth sessions, tenant caps, slow-subscriber eviction)"
