@@ -7,7 +7,6 @@
 //! varints + length-prefixed strings); like the other on-disk formats,
 //! tags are append-only.
 
-use crate::network::{GuardOp, GuardSpec, ImageRef};
 use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 use hipac_common::codec::{get_bytes, get_uvarint, get_value, put_bytes, put_uvarint, put_value};
 use hipac_common::{HipacError, Result};
@@ -597,114 +596,6 @@ pub fn decode_rule(buf: &[u8]) -> Result<RuleDef> {
     })
 }
 
-// ---- guard specs (discrimination-network index metadata) ----------------
-
-fn guard_op_tag(op: GuardOp) -> u8 {
-    match op {
-        GuardOp::Eq => 0,
-        GuardOp::Lt => 1,
-        GuardOp::Le => 2,
-        GuardOp::Gt => 3,
-        GuardOp::Ge => 4,
-    }
-}
-
-fn untag_guard_op(t: u8) -> Result<GuardOp> {
-    Ok(match t {
-        0 => GuardOp::Eq,
-        1 => GuardOp::Lt,
-        2 => GuardOp::Le,
-        3 => GuardOp::Gt,
-        4 => GuardOp::Ge,
-        other => {
-            return Err(HipacError::Corruption(format!(
-                "bad guard op tag {other}"
-            )))
-        }
-    })
-}
-
-/// Serialize a rule's discrimination-network guard (persisted under
-/// the `g` key prefix alongside the rule, so reopening rebuilds the
-/// network without re-deriving guards from every definition).
-pub fn encode_guard(g: &GuardSpec) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    match g {
-        GuardSpec::Residual => buf.push(0),
-        GuardSpec::Guarded {
-            class,
-            image,
-            attr,
-            op,
-            value,
-            ref_attrs,
-        } => {
-            buf.push(1);
-            put_str(&mut buf, class);
-            buf.push(match image {
-                ImageRef::Old => 0,
-                ImageRef::New => 1,
-            });
-            put_str(&mut buf, attr);
-            buf.push(guard_op_tag(*op));
-            put_value(&mut buf, value);
-            put_uvarint(&mut buf, ref_attrs.len() as u64);
-            for a in ref_attrs {
-                put_str(&mut buf, a);
-            }
-        }
-    }
-    buf
-}
-
-/// Inverse of [`encode_guard`].
-pub fn decode_guard(buf: &[u8]) -> Result<GuardSpec> {
-    let mut pos = 0usize;
-    let guard = match get_u8(buf, &mut pos)? {
-        0 => GuardSpec::Residual,
-        1 => {
-            let class = get_str(buf, &mut pos)?;
-            let image = match get_u8(buf, &mut pos)? {
-                0 => ImageRef::Old,
-                1 => ImageRef::New,
-                other => {
-                    return Err(HipacError::Corruption(format!(
-                        "bad image tag {other}"
-                    )))
-                }
-            };
-            let attr = get_str(buf, &mut pos)?;
-            let op = untag_guard_op(get_u8(buf, &mut pos)?)?;
-            let value = get_value(buf, &mut pos)?;
-            let n = get_uvarint(buf, &mut pos)? as usize;
-            if n > buf.len().saturating_sub(pos) {
-                return Err(HipacError::Corruption(
-                    "ref-attr count exceeds input".into(),
-                ));
-            }
-            let mut ref_attrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                ref_attrs.push(get_str(buf, &mut pos)?);
-            }
-            GuardSpec::Guarded {
-                class,
-                image,
-                attr,
-                op,
-                value,
-                ref_attrs,
-            }
-        }
-        other => return Err(HipacError::Corruption(format!("bad guard tag {other}"))),
-    };
-    if pos != buf.len() {
-        return Err(HipacError::Corruption(
-            "trailing bytes after guard spec".into(),
-        ));
-    }
-    Ok(guard)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,29 +682,6 @@ mod tests {
         let mut enc = encode_rule(&sample_rules()[0]);
         enc.push(0);
         assert!(decode_rule(&enc).is_err());
-    }
-
-    #[test]
-    fn guard_roundtrip_and_truncation() {
-        let guards: Vec<GuardSpec> = sample_rules()
-            .iter()
-            .map(crate::network::derive_guard)
-            .chain(std::iter::once(GuardSpec::Guarded {
-                class: "stock".into(),
-                image: ImageRef::New,
-                attr: "price".into(),
-                op: GuardOp::Ge,
-                value: hipac_common::Value::from(50.0),
-                ref_attrs: vec!["price".into(), "symbol".into()],
-            }))
-            .collect();
-        for g in guards {
-            let enc = encode_guard(&g);
-            assert_eq!(decode_guard(&enc).unwrap(), g);
-            for cut in 0..enc.len() {
-                assert!(decode_guard(&enc[..cut]).is_err(), "cut {cut}");
-            }
-        }
     }
 
     #[test]

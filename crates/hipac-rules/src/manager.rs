@@ -29,7 +29,7 @@
 //! runs each satisfied rule's action in its own subtransaction.
 
 use crate::condition::{ConditionEvaluator, EvalStats};
-use crate::network::{derive_guard, GuardSpec, MatchNetwork, Matching, MemoTable};
+use crate::network::{MatchNetwork, Matching, MemoTable};
 use crate::pool::{FiringPool, WorkerPool};
 use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 use hipac_common::id::IdAllocator;
@@ -166,21 +166,10 @@ pub struct RuleManager {
 }
 
 const RULE_KEY_PREFIX: u8 = b'r';
-/// Persisted discrimination-network guard metadata rides next to the
-/// rule under its own prefix (written in the same durable batch as the
-/// rule itself, in both matching modes, so the records never go stale).
-const GUARD_KEY_PREFIX: u8 = b'g';
 
 fn rule_key(rid: RuleId) -> Vec<u8> {
     let mut k = Vec::with_capacity(9);
     k.push(RULE_KEY_PREFIX);
-    k.extend_from_slice(&rid.raw().to_be_bytes());
-    k
-}
-
-fn guard_key(rid: RuleId) -> Vec<u8> {
-    let mut k = Vec::with_capacity(9);
-    k.push(GUARD_KEY_PREFIX);
     k.extend_from_slice(&rid.raw().to_be_bytes());
     k
 }
@@ -357,39 +346,24 @@ impl ResourceManager for RuleManager {
         let changes = self.rules.commit_top(txn);
         self.rule_names.commit_top(txn);
         if let Some(d) = &self.durable {
-            let mut ops = Vec::with_capacity(changes.len() * 2);
-            for (rid, _, new) in &changes {
-                match new {
-                    Some(def) => {
-                        ops.push(hipac_storage::StoreOp::Put {
-                            key: rule_key(*rid),
-                            value: crate::codec::encode_rule(def),
-                        });
-                        // Index metadata commits in the same batch as
-                        // the rule, whatever the matching mode, so a
-                        // later network-mode open never reads a guard
-                        // that disagrees with its rule.
-                        ops.push(hipac_storage::StoreOp::Put {
-                            key: guard_key(*rid),
-                            value: crate::codec::encode_guard(&derive_guard(def)),
-                        });
-                    }
-                    None => {
-                        ops.push(hipac_storage::StoreOp::Delete {
-                            key: rule_key(*rid),
-                        });
-                        ops.push(hipac_storage::StoreOp::Delete {
-                            key: guard_key(*rid),
-                        });
-                    }
-                }
-            }
+            let ops: Vec<_> = changes
+                .iter()
+                .map(|(rid, _, new)| match new {
+                    Some(def) => hipac_storage::StoreOp::Put {
+                        key: rule_key(*rid),
+                        value: crate::codec::encode_rule(def),
+                    },
+                    None => hipac_storage::StoreOp::Delete {
+                        key: rule_key(*rid),
+                    },
+                })
+                .collect();
             if !ops.is_empty() {
                 d.commit(txn, &ops)?;
             }
         }
         let mut catalog = self.catalog.write();
-        for (rid, _, new) in &changes {
+        for (rid, old, new) in &changes {
             match new {
                 Some(def) => {
                     // Rewire a modified rule's event mapping (the spec
@@ -425,8 +399,13 @@ impl ResourceManager for RuleManager {
                             // Re-place per the committed definition
                             // (clears the rule's unstable mark).
                             let placed_event = new_event.unwrap_or(old_event);
-                            self.network
-                                .commit_change(old_event, placed_event, *rid, Some(def));
+                            self.network.commit_change(
+                                old_event,
+                                placed_event,
+                                *rid,
+                                old.as_ref(),
+                                Some(def),
+                            );
                         }
                     }
                 }
@@ -436,8 +415,13 @@ impl ResourceManager for RuleManager {
                     if let Some(entry) = catalog.remove(rid) {
                         self.unlink_rule_event(entry.event, *rid);
                         if self.matching == Matching::Network {
-                            self.network
-                                .commit_change(entry.event, entry.event, *rid, None);
+                            self.network.commit_change(
+                                entry.event,
+                                entry.event,
+                                *rid,
+                                old.as_ref(),
+                                None,
+                            );
                         }
                     }
                 }
@@ -449,8 +433,9 @@ impl ResourceManager for RuleManager {
         self.created_index.lock().remove(&txn);
         if self.matching == Matching::Network {
             // Marks owned by this top whose rules were NOT in the
-            // change set (a child made the change, then aborted): the
-            // committed placement is already right — just unmark.
+            // change set (a child made the change, then aborted; or the
+            // top created the rule and dropped it again): the committed
+            // placement is already right — just unmark.
             self.network.clear_top(txn);
         }
         Ok(())
@@ -590,25 +575,14 @@ impl RuleManager {
         Ok(mgr)
     }
 
-    /// Reload persisted rules into the committed state.
+    /// Reload persisted rules into the committed state, placing each in
+    /// the discrimination network from its decoded definition. Stores
+    /// written by older builds may also hold `g`-prefixed guard rows;
+    /// nothing reads them.
     fn load_durable(&self) -> Result<()> {
         let Some(d) = &self.durable else {
             return Ok(());
         };
-        // Persisted guard specs (written by every mode — see
-        // `on_commit_top`) spare re-deriving guards per rule; fall
-        // back to derivation for records written before guards were
-        // persisted.
-        let mut guards: HashMap<RuleId, GuardSpec> = HashMap::new();
-        if self.matching == Matching::Network {
-            for (key, bytes) in d.scan_prefix(&[GUARD_KEY_PREFIX])? {
-                if key.len() != 9 {
-                    return Err(HipacError::Corruption("bad guard key length".into()));
-                }
-                let rid = RuleId(u64::from_be_bytes(key[1..9].try_into().unwrap()));
-                guards.insert(rid, crate::codec::decode_guard(&bytes)?);
-            }
-        }
         for (key, bytes) in d.scan_prefix(&[RULE_KEY_PREFIX])? {
             if key.len() != 9 {
                 return Err(HipacError::Corruption("bad rule key length".into()));
@@ -640,10 +614,7 @@ impl RuleManager {
             );
             self.link_rule_event(event, rid);
             if self.matching == Matching::Network {
-                let guard = guards
-                    .remove(&rid)
-                    .unwrap_or_else(|| derive_guard(&def));
-                self.network.place_committed(event, rid, guard);
+                self.network.place_committed(event, rid, &def);
             }
             self.rule_names.put_committed(def.name.clone(), rid);
             self.rules.put_committed(rid, def);
@@ -959,14 +930,10 @@ impl RuleManager {
         let probed;
         let listed;
         let rule_ids: &[RuleId] = match self.matching {
-            // O(matches) candidates from the discrimination network,
-            // which reads each bucket member's guard chain in place from
-            // the committed rules; the per-rule visibility/enabled/
-            // condition checks below are unchanged, so extra candidates
-            // are harmless.
-            Matching::Network => match self.network.probe(event, &self.store, signal, &|rid, f| {
-                self.rules.with_committed(&rid, f)
-            }) {
+            // O(matches) candidates from the discrimination network;
+            // the per-rule visibility/enabled/condition checks below
+            // are unchanged, so extra candidates are harmless.
+            Matching::Network => match self.network.probe(event, &self.store, signal) {
                 Some(ids) => {
                     probed = ids;
                     &probed
@@ -1684,6 +1651,16 @@ impl RuleManager {
             .ok_or_else(|| HipacError::UnknownRule(name.to_owned()))
     }
 
+    /// The candidates the discrimination network resolves for `signal`
+    /// on `event` (diagnostics and tests; counts as a probe). `None` in
+    /// naive mode or when no rule is wired to the event.
+    pub fn match_candidates(&self, event: EventId, signal: &EventSignal) -> Option<Vec<RuleId>> {
+        if self.matching != Matching::Network {
+            return None;
+        }
+        self.network.probe(event, &self.store, signal)
+    }
+
     /// Live discrimination-network node count (0 in naive mode).
     pub fn match_index_nodes(&self) -> u64 {
         self.network.stats().index_nodes.load(Ordering::Relaxed)
@@ -1714,7 +1691,8 @@ impl RuleManager {
     }
 
     /// Static analysis of a rule (§7 tooling): its effective event,
-    /// how each condition query will be evaluated, and its couplings.
+    /// where the discrimination network places it, how each condition
+    /// query will be evaluated, and its couplings.
     pub fn explain_rule(&self, txn: TxnId, name: &str) -> Result<crate::trace::RuleExplanation> {
         let rid = self.rule_id(txn, name)?;
         let def = self
@@ -1749,6 +1727,7 @@ impl RuleManager {
             enabled: def.enabled,
             event,
             event_derived,
+            placement: crate::network::placement(&def).to_string(),
             condition_strategies,
             ec_coupling: def.ec_coupling,
             ca_coupling: def.ca_coupling,

@@ -20,11 +20,12 @@
 //!   [`Value`]'s `Eq`/`Hash` are consistent with its total order,
 //!   Int/Float cross-comparison included), interval links in two
 //!   ordered maps (lower bounds `>=`/`>`, upper bounds `<=`/`<`). One
-//!   probe with the event's attribute value yields the rules whose
-//!   first link passes — O(matches), not O(rules) — and each of them
-//!   then has its later links checked against the event's images,
-//!   read in place from the rule's committed definition, before it
-//!   becomes a candidate.
+//!   probe with the event's attribute value yields the bucket entries
+//!   whose first link passes — O(matches), not O(rules). Each entry
+//!   carries its rule's *later* links in compiled form (image,
+//!   attribute, operator, literal), and they are checked against the
+//!   event's images straight from the bucket before the rule becomes a
+//!   candidate: a probe reads no rule definition.
 //! * **Residual set** — rules the network cannot discriminate (store
 //!   conditions, disjunctions, `!=`, non-literal comparands, empty
 //!   conditions). Always candidates; evaluated exactly as today.
@@ -35,6 +36,16 @@
 //!   probing transaction's visibility, so the outcome per candidate is
 //!   identical to the naive path's, and an aborted definition change
 //!   leaves the committed placement untouched.
+//!
+//! **Placement.** Where a rule goes is a function of its definition
+//! alone ([`placement`]), parsed by the one literal-link parser. The
+//! network compiles a rule's later links into its bucket entry when it
+//! places the rule from its committed definition, and keeps nothing
+//! else about it: a type node knows only *which* rules it placed.
+//! Removal re-derives the old placement from the old committed
+//! definition, which the rule store's top-level commit hands back in
+//! its change set. Nothing about a placement is persisted; reopening a
+//! database places each rule from the definition it decodes.
 //!
 //! **Prune safety.** A rule may be dropped from the candidate set only
 //! when the naive path would *provably* find its condition unsatisfied
@@ -47,16 +58,15 @@
 //! no event delta, the query's class not in the event's lineage (the
 //! naive delta path would not apply), any referenced attribute that
 //! does not resolve against the event's class (the naive path resolves
-//! the whole predicate eagerly and errors), a link's image missing or
-//! its attribute slot out of range before any link failed (ditto), or
-//! no committed definition to read the chain from. Only rules taken
-//! from a guard bucket are chain-checked; residual and unstable rules
-//! are candidates as they are. A stable rule's committed definition
-//! is the one the naive path reads, because a rule with an uncommitted
-//! change sits in the unstable set until its placement is redone.
-//! Candidate sets are therefore a superset of the satisfied rules and
-//! a subset of the naive candidate list, and every candidate flows
-//! through the unchanged per-rule visibility/enablement/evaluation
+//! the whole predicate eagerly and errors), or a link's image missing
+//! or its attribute slot out of range before any link failed (ditto).
+//! Only rules taken from a guard bucket are chain-checked; residual and
+//! unstable rules are candidates as they are. A stable rule's compiled
+//! chain is the one the naive path reads, because a rule with an
+//! uncommitted change sits in the unstable set until its placement is
+//! redone. Candidate sets are therefore a superset of the satisfied
+//! rules and a subset of the naive candidate list, and every candidate
+//! flows through the unchanged per-rule visibility/enablement/evaluation
 //! path — the differential harness in `tests/matching_diff.rs` and the
 //! property suite hold both modes to identical outcomes.
 //!
@@ -77,11 +87,13 @@ use hipac_common::{EventId, ObjectId, RuleId, TxnId, Value};
 use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
 use hipac_object::query::{Query, QueryResult};
-use hipac_object::{ObjectStore, Schema};
+use hipac_object::ObjectStore;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How the Rule Manager resolves a signal's candidate rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,55 +122,95 @@ pub enum GuardOp {
     Ge,
 }
 
-/// The index metadata of one rule: how the network discriminates it.
-/// Derived deterministically from the rule definition; persisted
-/// alongside the rule (codec `g` records) so a reopened database
-/// rebuilds the same network without re-deriving.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GuardSpec {
-    /// Not discriminable: always a candidate within its type node.
-    Residual,
-    /// The first link of the rule's guard chain (the indexed key).
-    Guarded {
-        /// Class of the rule's first condition query.
-        class: String,
-        image: ImageRef,
-        attr: String,
-        op: GuardOp,
-        value: Value,
-        /// Union of `old.*`/`new.*` attribute names referenced by the
-        /// whole first-query predicate: the naive delta path resolves
-        /// them all eagerly, so if any fails to resolve against the
-        /// event's class the rule must stay a candidate (to reproduce
-        /// the naive error).
-        ref_attrs: Vec<String>,
-    },
+/// The evaluator's verdict on `v ⟨op⟩ literal`: null compares false,
+/// anything else by [`Value`]'s total order.
+fn compare(v: &Value, op: GuardOp, literal: &Value) -> bool {
+    if v.is_null() || literal.is_null() {
+        return false;
+    }
+    let ord = v.cmp(literal);
+    match op {
+        GuardOp::Eq => ord.is_eq(),
+        GuardOp::Lt => ord.is_lt(),
+        GuardOp::Le => ord.is_le(),
+        GuardOp::Gt => ord.is_gt(),
+        GuardOp::Ge => ord.is_ge(),
+    }
 }
 
 /// One literal link of a guard chain, read as `image.attr ⟨op⟩ value`
-/// (a literal-first comparison is flipped into this orientation).
-struct Link<'a> {
-    image: ImageRef,
-    attr: &'a str,
-    op: GuardOp,
-    value: &'a Value,
+/// (a literal-first comparison is flipped into this orientation),
+/// borrowed from the rule definition it was parsed from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link<'a> {
+    pub image: ImageRef,
+    pub attr: &'a str,
+    pub op: GuardOp,
+    pub value: &'a Value,
 }
 
 impl Link<'_> {
-    /// The evaluator's verdict on this link for the image value `v`:
-    /// null compares false, anything else by [`Value`]'s total order.
-    fn holds(&self, v: &Value) -> bool {
-        if v.is_null() || self.value.is_null() {
-            return false;
+    /// The evaluator's verdict on this link for the image value `v`.
+    pub fn holds(&self, v: &Value) -> bool {
+        compare(v, self.op, self.value)
+    }
+}
+
+impl fmt::Display for Link<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let image = match self.image {
+            ImageRef::Old => "old",
+            ImageRef::New => "new",
+        };
+        let op = match self.op {
+            GuardOp::Eq => "=",
+            GuardOp::Lt => "<",
+            GuardOp::Le => "<=",
+            GuardOp::Gt => ">",
+            GuardOp::Ge => ">=",
+        };
+        write!(f, "{image}.{} {op} {}", self.attr, self.value)
+    }
+}
+
+/// Where the network places a rule, derived from its definition alone.
+#[derive(Debug, PartialEq)]
+pub enum Placement<'a> {
+    /// Not discriminable: always a candidate within its type node.
+    Residual,
+    /// Indexed on the first link of the rule's guard chain; the later
+    /// links are checked against the event's images.
+    Guarded {
+        /// Class of the rule's first condition query.
+        class: &'a str,
+        indexed: Link<'a>,
+        checked: Vec<Link<'a>>,
+        /// `old.*`/`new.*` attribute names the whole first-query
+        /// predicate references, sorted and deduplicated: the naive
+        /// delta path resolves them all eagerly, so if any fails to
+        /// resolve against the event's class the rule must stay a
+        /// candidate (to reproduce the naive error).
+        ref_attrs: Vec<&'a str>,
+    },
+}
+
+impl fmt::Display for Placement<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Placement::Guarded {
+            class,
+            indexed,
+            checked,
+            ..
+        } = self
+        else {
+            return f.write_str("residual (a candidate for every signal)");
+        };
+        write!(f, "{class}: indexed on {indexed}")?;
+        for (i, link) in checked.iter().enumerate() {
+            f.write_str(if i == 0 { "; checks " } else { " and " })?;
+            write!(f, "{link}")?;
         }
-        let ord = v.cmp(self.value);
-        match self.op {
-            GuardOp::Eq => ord.is_eq(),
-            GuardOp::Lt => ord.is_lt(),
-            GuardOp::Le => ord.is_le(),
-            GuardOp::Gt => ord.is_gt(),
-            GuardOp::Ge => ord.is_ge(),
-        }
+        Ok(())
     }
 }
 
@@ -210,25 +262,26 @@ fn guard_chain(def: &RuleDef) -> Option<(&Query, impl Iterator<Item = Link<'_>>)
     Some((q0, links))
 }
 
-/// Derive a rule's guard spec from its definition: the first link of
-/// its guard chain, or [`GuardSpec::Residual`] when the chain is empty.
-pub fn derive_guard(def: &RuleDef) -> GuardSpec {
+/// Derive a rule's placement from its definition: indexed on the first
+/// link of its guard chain, or [`Placement::Residual`] when the chain
+/// is empty. Deterministic, so placing and removing a rule derive the
+/// same answer from the same definition.
+pub fn placement(def: &RuleDef) -> Placement<'_> {
     let Some((q0, mut chain)) = guard_chain(def) else {
-        return GuardSpec::Residual;
+        return Placement::Residual;
     };
-    let Some(first) = chain.next() else {
-        return GuardSpec::Residual;
+    let Some(indexed) = chain.next() else {
+        return Placement::Residual;
     };
+    let checked = chain.collect();
     let mut ref_attrs = Vec::new();
     collect_attr_names(&q0.predicate, &mut ref_attrs);
-    ref_attrs.sort();
+    ref_attrs.sort_unstable();
     ref_attrs.dedup();
-    GuardSpec::Guarded {
-        class: q0.class.clone(),
-        image: first.image,
-        attr: first.attr.to_owned(),
-        op: first.op,
-        value: first.value.clone(),
+    Placement::Guarded {
+        class: &q0.class,
+        indexed,
+        checked,
         ref_attrs,
     }
 }
@@ -243,9 +296,9 @@ fn flip(op: BinOp) -> BinOp {
     }
 }
 
-fn collect_attr_names(e: &Expr, out: &mut Vec<String>) {
+fn collect_attr_names<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
     match e {
-        Expr::OldAttr(n) | Expr::NewAttr(n) => out.push(n.clone()),
+        Expr::OldAttr(n) | Expr::NewAttr(n) => out.push(n),
         Expr::Unary(_, x) => collect_attr_names(x, out),
         Expr::Binary(_, l, r) => {
             collect_attr_names(l, out);
@@ -273,32 +326,78 @@ enum Mark {
 
 type GroupKey = (String, ImageRef, String);
 
+/// A later chain link compiled into its bucket entry. The attribute
+/// name is the group's interned copy, so a probe finds its slot by
+/// pointer among the group's resolved attributes.
+struct Check {
+    image: ImageRef,
+    op: GuardOp,
+    attr: Arc<str>,
+    value: Value,
+}
+
+/// One bucket entry: a rule and its later links, in chain order.
+struct Member {
+    rid: RuleId,
+    checks: Box<[Check]>,
+}
+
 #[derive(Default)]
 struct Bounds {
     /// Rules matching inclusively at this key (`>=` / `<=`).
-    inclusive: Vec<RuleId>,
+    inclusive: Vec<Member>,
     /// Rules matching strictly (`>` / `<`).
-    strict: Vec<RuleId>,
+    strict: Vec<Member>,
 }
 
 impl Bounds {
     fn is_empty(&self) -> bool {
         self.inclusive.is_empty() && self.strict.is_empty()
     }
+
+    fn list(&mut self, inclusive: bool) -> &mut Vec<Member> {
+        if inclusive {
+            &mut self.inclusive
+        } else {
+            &mut self.strict
+        }
+    }
+}
+
+/// Which map of a group a first link indexes into, and whether it
+/// matches inclusively. A null literal never holds, so it is keyed as
+/// an equality on null, which no probe reaches (a null probe value
+/// prunes the whole group).
+enum Side {
+    Eq,
+    Lower(bool),
+    Upper(bool),
+}
+
+fn side(link: &Link<'_>) -> Side {
+    match link.op {
+        _ if link.value.is_null() => Side::Eq,
+        GuardOp::Eq => Side::Eq,
+        GuardOp::Ge => Side::Lower(true),
+        GuardOp::Gt => Side::Lower(false),
+        GuardOp::Le => Side::Upper(true),
+        GuardOp::Lt => Side::Upper(false),
+    }
 }
 
 /// Shared discrimination node for one (class, image, attribute).
 #[derive(Default)]
 struct AttrDisc {
-    eq: HashMap<Value, Vec<RuleId>>,
+    eq: HashMap<Value, Vec<Member>>,
     /// Lower bounds: guards `attr >= key` / `attr > key`.
     lower: BTreeMap<Value, Bounds>,
     /// Upper bounds: guards `attr <= key` / `attr < key`.
     upper: BTreeMap<Value, Bounds>,
     /// Refcounted union of referenced attribute names across member
-    /// rules. If any fails to resolve at probe time, the whole group
-    /// stays candidates (conservative, see module docs).
-    ref_attrs: HashMap<String, usize>,
+    /// rules, interned for the members' checks. If any fails to resolve
+    /// at probe time, the whole group stays candidates (conservative,
+    /// see module docs).
+    attrs: HashMap<Arc<str>, usize>,
     rules: usize,
 }
 
@@ -309,8 +408,8 @@ struct TypeNode {
     residual: BTreeSet<RuleId>,
     /// Always-candidates with uncommitted definition changes.
     unstable: HashMap<RuleId, Mark>,
-    /// Committed placement of every placed rule, for O(1) removal.
-    placed: HashMap<RuleId, GuardSpec>,
+    /// Every rule placed from its committed definition.
+    placed: HashSet<RuleId>,
 }
 
 impl TypeNode {
@@ -321,7 +420,7 @@ impl TypeNode {
     /// All rules wired to this node, ascending (the full-candidate
     /// fallback; equals the naive list's sorted order).
     fn all_rules(&self) -> Vec<RuleId> {
-        let mut out: Vec<RuleId> = self.placed.keys().copied().collect();
+        let mut out: Vec<RuleId> = self.placed.iter().copied().collect();
         out.extend(self.unstable.keys().copied());
         out.sort_unstable();
         out.dedup();
@@ -332,7 +431,7 @@ impl TypeNode {
         let extra = self
             .unstable
             .keys()
-            .filter(|rid| !self.placed.contains_key(rid))
+            .filter(|rid| !self.placed.contains(rid))
             .count();
         self.placed.len() + extra
     }
@@ -411,28 +510,13 @@ impl MatchNetwork {
         inner.created.entry(parent).or_default().extend(entries);
     }
 
-    /// Unlink rules created by an aborted transaction (mirrors
-    /// `retract_created_by`).
+    /// Unlink the rules `txn` created that are still marked as its own:
+    /// all of them when it aborts (mirrors `retract_created_by`), and
+    /// after a top-level commit, the ones it also dropped.
     pub fn retract_created(&self, txn: TxnId) {
         let mut inner = self.inner.write();
-        let Some(entries) = inner.created.remove(&txn) else {
-            return;
-        };
-        for (event, rid) in entries {
-            let remove_node = match inner.nodes.get_mut(&event) {
-                Some(node) => {
-                    if node.unstable.get(&rid) == Some(&Mark::Created(txn)) {
-                        node.unstable.remove(&rid);
-                    }
-                    node.is_empty()
-                }
-                None => false,
-            };
-            if remove_node {
-                inner.nodes.remove(&event);
-                self.stats.index_nodes.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        let entries = inner.created.remove(&txn).unwrap_or_default();
+        self.unmark(&mut inner.nodes, entries, Mark::Created(txn));
     }
 
     /// An existing rule gained a pending definition change (alter /
@@ -446,65 +530,54 @@ impl MatchNetwork {
         inner.pending.entry(top).or_default().push((event, rid));
     }
 
-    /// A definition change committed at top level: re-place the rule
-    /// per its committed definition (`None` = deleted). `old_event` /
-    /// `new_event` come from the catalog rewiring.
+    /// A definition change committed at top level: take the rule out
+    /// of the placement its `old` committed definition derives (`None`
+    /// = it had none), then place it per its `new` one (`None` =
+    /// deleted). `old_event` / `new_event` come from the catalog
+    /// rewiring.
     pub fn commit_change(
         &self,
         old_event: EventId,
         new_event: EventId,
         rid: RuleId,
-        def: Option<&RuleDef>,
+        old: Option<&RuleDef>,
+        new: Option<&RuleDef>,
     ) {
         let mut inner = self.inner.write();
-        self.remove_rule(&mut inner.nodes, old_event, rid);
-        if let Some(def) = def {
-            let guard = derive_guard(def);
-            self.place_rule(&mut inner.nodes, new_event, rid, guard);
+        self.remove_rule(&mut inner.nodes, old_event, rid, old);
+        if let Some(def) = new {
+            self.place_rule(&mut inner.nodes, new_event, rid, def);
         }
     }
 
-    /// Drop the unstable marks owned by a finished top transaction
-    /// whose rules were *not* re-placed (child-aborted changes, or a
-    /// top abort): their committed placement is already correct.
+    /// Drop the marks owned by a finished top transaction that no
+    /// re-placement cleared: pending marks of child-aborted changes or
+    /// of a top abort (their committed placement is already correct),
+    /// and rules it created and dropped again.
     pub fn clear_top(&self, top: TxnId) {
         let mut inner = self.inner.write();
-        for (event, rid) in inner.pending.remove(&top).unwrap_or_default() {
-            let remove_node = match inner.nodes.get_mut(&event) {
-                Some(node) => {
-                    if node.unstable.get(&rid) == Some(&Mark::Pending(top)) {
-                        node.unstable.remove(&rid);
-                    }
-                    node.is_empty()
-                }
-                None => false,
-            };
-            if remove_node {
-                inner.nodes.remove(&event);
-                self.stats.index_nodes.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
+        let created = inner.created.remove(&top).unwrap_or_default();
+        let pending = inner.pending.remove(&top).unwrap_or_default();
+        self.unmark(&mut inner.nodes, created, Mark::Created(top));
+        self.unmark(&mut inner.nodes, pending, Mark::Pending(top));
     }
 
     /// Place a committed rule (durable reload and commit-time
     /// placement share this path).
-    pub fn place_committed(&self, event: EventId, rid: RuleId, guard: GuardSpec) {
+    pub fn place_committed(&self, event: EventId, rid: RuleId, def: &RuleDef) {
         let mut inner = self.inner.write();
-        self.place_rule(&mut inner.nodes, event, rid, guard);
+        self.place_rule(&mut inner.nodes, event, rid, def);
     }
 
     /// Resolve the candidate set for one signal: residual ∪ unstable ∪
     /// the bucket members whose whole guard chain passes, ascending by
-    /// rule id (the naive list's order). `defs` reads a rule's committed
-    /// definition in place (see [`DefLookup`]); it is called with the
-    /// network's read lock held, so the lock order is network → rule
-    /// store. Returns `None` when no rules are wired to the event.
+    /// rule id (the naive list's order). Returns `None` when no rules
+    /// are wired to the event.
     pub fn probe(
         &self,
         event: EventId,
         store: &ObjectStore,
         signal: &EventSignal,
-        defs: DefLookup<'_>,
     ) -> Option<Vec<RuleId>> {
         let inner = self.inner.read();
         let node = inner.nodes.get(&event)?;
@@ -519,14 +592,11 @@ impl MatchNetwork {
             return Some(node.all_rules());
         }
         let schema = store.schema(txn);
-        let chain = ChainTest {
-            schema: &schema,
-            db,
-            defs,
-        };
         let mut out: Vec<RuleId> = node.residual.iter().copied().collect();
         out.extend(node.unstable.keys().copied());
-        for ((class, image, attr), group) in &node.groups {
+        // The slot of each of a group's attributes in the event's class.
+        let mut slots: Vec<(&Arc<str>, usize)> = Vec::new();
+        'groups: for ((class, image, attr), group) in &node.groups {
             // The naive delta path applies only when the query's class
             // is in the event's lineage; otherwise the store path's
             // eager delta folding errors — keep the group.
@@ -536,27 +606,24 @@ impl MatchNetwork {
             }
             // Every referenced attribute must resolve against the
             // event's class, or naive's eager resolve errors.
-            if group
-                .ref_attrs
-                .keys()
-                .any(|n| schema.resolve_attr(db.class, n).is_err())
-            {
-                all_of(group, &mut out);
-                continue;
+            slots.clear();
+            for name in group.attrs.keys() {
+                let Ok((slot, _)) = schema.resolve_attr(db.class, name) else {
+                    all_of(group, &mut out);
+                    continue 'groups;
+                };
+                slots.push((name, slot));
             }
-            let img = match image {
-                ImageRef::Old => db.old.as_deref(),
-                ImageRef::New => db.new.as_deref(),
-            };
             // Missing image or out-of-range slot: naive errors — keep.
-            let Some(img) = img else {
+            let Some(img) = image_of(db, *image) else {
                 all_of(group, &mut out);
                 continue;
             };
-            let slot = schema
-                .resolve_attr(db.class, attr)
-                .map(|(s, _)| s)
-                .expect("checked by the ref_attrs union");
+            let slot = slots
+                .iter()
+                .find(|(name, _)| &***name == attr.as_str())
+                .map(|&(_, slot)| slot)
+                .expect("a group's attributes include its key");
             let Some(v) = img.get(slot) else {
                 all_of(group, &mut out);
                 continue;
@@ -566,21 +633,29 @@ impl MatchNetwork {
                 // false for every rule in the group — prune them all.
                 continue;
             }
-            if let Some(rules) = group.eq.get(v) {
-                chain.take(rules, &mut out);
+            let mut take = |members: &[Member]| {
+                out.extend(
+                    members
+                        .iter()
+                        .filter(|m| !chain_fails(&m.checks, db, &slots))
+                        .map(|m| m.rid),
+                );
+            };
+            if let Some(members) = group.eq.get(v) {
+                take(members);
             }
             for (key, b) in group.lower.range::<Value, _>((Bound::Unbounded, Bound::Included(v)))
             {
-                chain.take(&b.inclusive, &mut out);
+                take(&b.inclusive);
                 if key != v {
-                    chain.take(&b.strict, &mut out);
+                    take(&b.strict);
                 }
             }
             for (key, b) in group.upper.range::<Value, _>((Bound::Included(v), Bound::Unbounded))
             {
-                chain.take(&b.inclusive, &mut out);
+                take(&b.inclusive);
                 if key != v {
-                    chain.take(&b.strict, &mut out);
+                    take(&b.strict);
                 }
             }
         }
@@ -614,157 +689,179 @@ impl MatchNetwork {
         })
     }
 
+    /// Remove the given rules' unstable marks where they still read
+    /// `mark`, and any type node left empty.
+    fn unmark(
+        &self,
+        nodes: &mut HashMap<EventId, TypeNode>,
+        entries: Vec<(EventId, RuleId)>,
+        mark: Mark,
+    ) {
+        for (event, rid) in entries {
+            let Some(node) = nodes.get_mut(&event) else {
+                continue;
+            };
+            if node.unstable.get(&rid) == Some(&mark) {
+                node.unstable.remove(&rid);
+            }
+            if node.is_empty() {
+                nodes.remove(&event);
+                self.stats.index_nodes.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
     fn place_rule(
         &self,
         nodes: &mut HashMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
-        guard: GuardSpec,
+        def: &RuleDef,
     ) {
-        let mut delta: i64 = 0;
+        let mut delta: u64 = 0;
         let node = self.node_mut(nodes, event);
         node.unstable.remove(&rid);
-        match &guard {
-            GuardSpec::Residual => {
-                node.residual.insert(rid);
+        node.placed.insert(rid);
+        let Placement::Guarded {
+            class,
+            indexed,
+            checked,
+            ref_attrs,
+        } = placement(def)
+        else {
+            node.residual.insert(rid);
+            return;
+        };
+        let key = (class.to_owned(), indexed.image, indexed.attr.to_owned());
+        let group = node.groups.entry(key).or_insert_with(|| {
+            delta += 1;
+            AttrDisc::default()
+        });
+        for a in ref_attrs {
+            match group.attrs.get_mut(a) {
+                Some(count) => *count += 1,
+                None => {
+                    group.attrs.insert(Arc::from(a), 1);
+                }
             }
-            GuardSpec::Guarded {
-                class,
-                image,
-                attr,
-                op,
-                value,
-                ref_attrs,
-            } => {
-                let key = (class.clone(), *image, attr.clone());
-                let group = node.groups.entry(key).or_insert_with(|| {
+        }
+        group.rules += 1;
+        let checks = checked
+            .iter()
+            .map(|link| Check {
+                image: link.image,
+                op: link.op,
+                attr: Arc::clone(
+                    group
+                        .attrs
+                        .get_key_value(link.attr)
+                        .expect("a rule's links are among its referenced attributes")
+                        .0,
+                ),
+                value: link.value.clone(),
+            })
+            .collect();
+        let value = indexed.value.clone();
+        let list = match side(&indexed) {
+            Side::Eq => group.eq.entry(value).or_insert_with(|| {
+                delta += 1;
+                Vec::new()
+            }),
+            Side::Lower(inclusive) => group
+                .lower
+                .entry(value)
+                .or_insert_with(|| {
                     delta += 1;
-                    AttrDisc::default()
-                });
-                for a in ref_attrs {
-                    *group.ref_attrs.entry(a.clone()).or_insert(0) += 1;
-                }
-                group.rules += 1;
-                match op {
-                    GuardOp::Eq => {
-                        let bucket = group.eq.entry(value.clone()).or_insert_with(|| {
-                            delta += 1;
-                            Vec::new()
-                        });
-                        insert_sorted(bucket, rid);
-                    }
-                    GuardOp::Ge | GuardOp::Gt => {
-                        let b = group.lower.entry(value.clone()).or_insert_with(|| {
-                            delta += 1;
-                            Bounds::default()
-                        });
-                        let list = if *op == GuardOp::Ge {
-                            &mut b.inclusive
-                        } else {
-                            &mut b.strict
-                        };
-                        insert_sorted(list, rid);
-                    }
-                    GuardOp::Le | GuardOp::Lt => {
-                        let b = group.upper.entry(value.clone()).or_insert_with(|| {
-                            delta += 1;
-                            Bounds::default()
-                        });
-                        let list = if *op == GuardOp::Le {
-                            &mut b.inclusive
-                        } else {
-                            &mut b.strict
-                        };
-                        insert_sorted(list, rid);
-                    }
-                }
-            }
+                    Bounds::default()
+                })
+                .list(inclusive),
+            Side::Upper(inclusive) => group
+                .upper
+                .entry(value)
+                .or_insert_with(|| {
+                    delta += 1;
+                    Bounds::default()
+                })
+                .list(inclusive),
+        };
+        if let Err(pos) = list.binary_search_by_key(&rid, |m| m.rid) {
+            list.insert(pos, Member { rid, checks });
         }
-        node.placed.insert(rid, guard);
-        if delta != 0 {
-            self.stats
-                .index_nodes
-                .fetch_add(delta as u64, Ordering::Relaxed);
-        }
+        self.stats.index_nodes.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Take `rid` out of `event`'s node: its unstable mark, and the
+    /// placement its committed definition `def` derives, if it was
+    /// placed.
     fn remove_rule(
         &self,
         nodes: &mut HashMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
+        def: Option<&RuleDef>,
     ) {
         let Some(node) = nodes.get_mut(&event) else {
             return;
         };
         let mut delta: u64 = 0;
         node.unstable.remove(&rid);
-        match node.placed.remove(&rid) {
-            None => {}
-            Some(GuardSpec::Residual) => {
-                node.residual.remove(&rid);
-            }
-            Some(GuardSpec::Guarded {
-                class,
-                image,
-                attr,
-                op,
-                value,
-                ref_attrs,
-            }) => {
-                let key = (class, image, attr);
-                if let Some(group) = node.groups.get_mut(&key) {
-                    for a in &ref_attrs {
-                        if let Some(c) = group.ref_attrs.get_mut(a) {
-                            *c -= 1;
-                            if *c == 0 {
-                                group.ref_attrs.remove(a);
-                            }
-                        }
-                    }
-                    group.rules = group.rules.saturating_sub(1);
-                    match op {
-                        GuardOp::Eq => {
-                            if let Some(bucket) = group.eq.get_mut(&value) {
-                                bucket.retain(|r| *r != rid);
-                                if bucket.is_empty() {
-                                    group.eq.remove(&value);
-                                    delta += 1;
+        if let (true, Some(def)) = (node.placed.remove(&rid), def) {
+            match placement(def) {
+                Placement::Residual => {
+                    node.residual.remove(&rid);
+                }
+                Placement::Guarded {
+                    class,
+                    indexed,
+                    ref_attrs,
+                    ..
+                } => {
+                    let key = (class.to_owned(), indexed.image, indexed.attr.to_owned());
+                    if let Some(group) = node.groups.get_mut(&key) {
+                        for a in ref_attrs {
+                            if let Some(count) = group.attrs.get_mut(a) {
+                                *count -= 1;
+                                if *count == 0 {
+                                    group.attrs.remove(a);
                                 }
                             }
                         }
-                        GuardOp::Ge | GuardOp::Gt => {
-                            if let Some(b) = group.lower.get_mut(&value) {
-                                let list = if op == GuardOp::Ge {
-                                    &mut b.inclusive
-                                } else {
-                                    &mut b.strict
-                                };
-                                list.retain(|r| *r != rid);
-                                if b.is_empty() {
-                                    group.lower.remove(&value);
-                                    delta += 1;
+                        group.rules = group.rules.saturating_sub(1);
+                        let value = indexed.value;
+                        let unlist = |list: &mut Vec<Member>| list.retain(|m| m.rid != rid);
+                        match side(&indexed) {
+                            Side::Eq => {
+                                if let Some(list) = group.eq.get_mut(value) {
+                                    unlist(list);
+                                    if list.is_empty() {
+                                        group.eq.remove(value);
+                                        delta += 1;
+                                    }
+                                }
+                            }
+                            Side::Lower(inclusive) => {
+                                if let Some(b) = group.lower.get_mut(value) {
+                                    unlist(b.list(inclusive));
+                                    if b.is_empty() {
+                                        group.lower.remove(value);
+                                        delta += 1;
+                                    }
+                                }
+                            }
+                            Side::Upper(inclusive) => {
+                                if let Some(b) = group.upper.get_mut(value) {
+                                    unlist(b.list(inclusive));
+                                    if b.is_empty() {
+                                        group.upper.remove(value);
+                                        delta += 1;
+                                    }
                                 }
                             }
                         }
-                        GuardOp::Le | GuardOp::Lt => {
-                            if let Some(b) = group.upper.get_mut(&value) {
-                                let list = if op == GuardOp::Le {
-                                    &mut b.inclusive
-                                } else {
-                                    &mut b.strict
-                                };
-                                list.retain(|r| *r != rid);
-                                if b.is_empty() {
-                                    group.upper.remove(&value);
-                                    delta += 1;
-                                }
-                            }
+                        if group.rules == 0 {
+                            node.groups.remove(&key);
+                            delta += 1;
                         }
-                    }
-                    if group.rules == 0 {
-                        node.groups.remove(&key);
-                        delta += 1;
                     }
                 }
             }
@@ -773,81 +870,48 @@ impl MatchNetwork {
             nodes.remove(&event);
             delta += 1;
         }
-        if delta != 0 {
-            self.stats.index_nodes.fetch_sub(delta, Ordering::Relaxed);
-        }
+        self.stats.index_nodes.fetch_sub(delta, Ordering::Relaxed);
     }
 }
 
-/// Borrow a rule's committed definition in place: `defs(rid, f)` calls
-/// `f` on it and returns `f`'s answer, or `None` when the rule has no
-/// committed definition. The Rule Manager answers from its rule store
-/// ([`hipac_txn::VersionStore::with_committed`]), so the network keeps
-/// no copy of any rule's chain and clones no definition to test one.
-pub type DefLookup<'a> = &'a dyn Fn(RuleId, &mut dyn FnMut(&RuleDef) -> bool) -> Option<bool>;
-
-/// The guard-chain test of one probe: the signal's schema and delta,
-/// and the rule store the chains are read from.
-struct ChainTest<'a> {
-    schema: &'a Schema,
-    db: &'a DbEventData,
-    defs: DefLookup<'a>,
+fn image_of(db: &DbEventData, image: ImageRef) -> Option<&[Value]> {
+    match image {
+        ImageRef::Old => db.old.as_deref(),
+        ImageRef::New => db.new.as_deref(),
+    }
 }
 
-impl ChainTest<'_> {
-    /// Append the members of a passing guard bucket, minus those whose
-    /// guard chain fails on this event.
-    fn take(&self, rules: &[RuleId], out: &mut Vec<RuleId>) {
-        out.extend(rules.iter().copied().filter(|&rid| !self.rejects(rid)));
-    }
-
-    fn rejects(&self, rid: RuleId) -> bool {
-        (self.defs)(rid, &mut |def| self.chain_fails(def)).unwrap_or(false)
-    }
-
-    /// Does naive evaluation provably find `def`'s first query false,
-    /// without error? Walk the chain in the evaluator's left-to-right
-    /// order: a false link decides it (every link before it was a true
-    /// comparison, and `and` short-circuits); a link whose image, slot
-    /// or attribute is missing is one the evaluator would error on, so
-    /// the rule is kept; a chain that passes leaves the decision to the
-    /// evaluator.
-    fn chain_fails(&self, def: &RuleDef) -> bool {
-        let Some((_, links)) = guard_chain(def) else {
+/// Does naive evaluation provably find a bucket member's first query
+/// false, without error? Its first link held (the bucket was reached),
+/// so walk the later links in the evaluator's left-to-right order: a
+/// false link decides it (every link before it was a true comparison,
+/// and `and` short-circuits); a link whose image or slot is missing is
+/// one the evaluator would error on, so the rule is kept; a chain that
+/// passes leaves the decision to the evaluator. `slots` maps the
+/// group's interned attribute names to their slots in the event's class.
+fn chain_fails(checks: &[Check], db: &DbEventData, slots: &[(&Arc<str>, usize)]) -> bool {
+    for check in checks {
+        let Some(img) = image_of(db, check.image) else {
             return false;
         };
-        for link in links {
-            let img = match link.image {
-                ImageRef::Old => self.db.old.as_deref(),
-                ImageRef::New => self.db.new.as_deref(),
-            };
-            let Some(img) = img else { return false };
-            let Ok((slot, _)) = self.schema.resolve_attr(self.db.class, link.attr) else {
-                return false;
-            };
-            let Some(v) = img.get(slot) else { return false };
-            if !link.holds(v) {
-                return true;
-            }
+        let Some(&(_, slot)) = slots.iter().find(|(name, _)| Arc::ptr_eq(name, &check.attr)) else {
+            return false;
+        };
+        let Some(v) = img.get(slot) else { return false };
+        if !compare(v, check.op, &check.value) {
+            return true;
         }
-        false
     }
+    false
 }
 
 fn all_of(group: &AttrDisc, out: &mut Vec<RuleId>) {
-    for rules in group.eq.values() {
-        out.extend_from_slice(rules);
-    }
-    for b in group.lower.values().chain(group.upper.values()) {
-        out.extend_from_slice(&b.inclusive);
-        out.extend_from_slice(&b.strict);
-    }
-}
-
-fn insert_sorted(list: &mut Vec<RuleId>, rid: RuleId) {
-    if let Err(pos) = list.binary_search(&rid) {
-        list.insert(pos, rid);
-    }
+    let lists = group.lower.values().chain(group.upper.values());
+    let members = group
+        .eq
+        .values()
+        .chain(lists.flat_map(|b| [&b.inclusive, &b.strict]));
+    out.extend(members.flatten().map(|m| m.rid));
 }
 
 // ---------------------------------------------------------------------

@@ -125,6 +125,10 @@ pub struct RuleExplanation {
     pub event: hipac_event::EventSpec,
     /// True when the event was derived rather than declared.
     pub event_derived: bool,
+    /// Where the discrimination network places the rule, as
+    /// `Placement` renders it: residual, or the indexed link plus the
+    /// links checked against the event's images.
+    pub placement: String,
     /// Evaluation strategy per condition query, in order. `Delta`
     /// assumes the triggering event carries images of the query's
     /// class; mixed triggers fall back to the index/scan strategy.
@@ -149,6 +153,7 @@ impl std::fmt::Display for RuleExplanation {
             if self.event_derived { " (derived)" } else { "" },
             self.event
         )?;
+        writeln!(f, "  placement: {}", self.placement)?;
         for (i, s) in self.condition_strategies.iter().enumerate() {
             writeln!(f, "  condition[{i}]: {s:?}")?;
         }
@@ -212,6 +217,7 @@ mod tests {
             enabled: true,
             event: hipac_event::EventSpec::on_update("stock"),
             event_derived: true,
+            placement: "residual (a candidate for every signal)".into(),
             condition_strategies: vec![QueryStrategy::Delta, QueryStrategy::Scan],
             ec_coupling: CouplingMode::Deferred,
             ca_coupling: CouplingMode::Immediate,
@@ -219,6 +225,7 @@ mod tests {
         };
         let text = ex.to_string();
         assert!(text.contains("derived"));
+        assert!(text.contains("placement: residual"));
         assert!(text.contains("condition[1]: Scan"));
         assert!(text.contains("Deferred"));
     }

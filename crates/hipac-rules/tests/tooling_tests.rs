@@ -234,3 +234,45 @@ fn manual_fire_respects_rule_locking(){
     assert_eq!(traces[0].txn, Some(TxnId(t.raw())));
     assert!(traces[0].satisfied, "empty condition is always satisfied");
 }
+
+#[test]
+fn explain_reports_network_placement() {
+    let (tm, _store, rules) = engine();
+    let rule = |name: &str, text: &str| {
+        RuleDef::new(name)
+            .on(EventSpec::on_update("stock"))
+            .when(Query::parse(text).unwrap())
+            .then(Action::none())
+    };
+    tm.run_top(|t| {
+        rules.create_rule(
+            t,
+            rule(
+                "chain",
+                "from stock where new.symbol = \"XRX\" and 50.0 <= new.price and old.price < 50.0 and new.price != old.price",
+            ),
+        )?;
+        rules.create_rule(t, rule("single", "from stock where new.price > 10.0"))?;
+        rules.create_rule(t, rule("either", "from stock where new.price > 10.0 or new.symbol = \"IBM\""))?;
+        Ok(())
+    })
+    .unwrap();
+    tm.run_top(|t| {
+        let ex = rules.explain_rule(t, "chain")?;
+        assert_eq!(
+            ex.placement,
+            "stock: indexed on new.symbol = \"XRX\"; checks new.price >= 50.0 and old.price < 50.0"
+        );
+        assert!(ex.to_string().contains("  placement: stock: indexed on new.symbol"));
+        assert_eq!(
+            rules.explain_rule(t, "single")?.placement,
+            "stock: indexed on new.price > 10.0"
+        );
+        assert_eq!(
+            rules.explain_rule(t, "either")?.placement,
+            "residual (a candidate for every signal)"
+        );
+        Ok(())
+    })
+    .unwrap();
+}

@@ -78,14 +78,7 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
 
     /// Read the committed version of `key`, ignoring all transactions.
     pub fn get_committed(&self, key: &K) -> Option<V> {
-        self.with_committed(key, V::clone)
-    }
-
-    /// Apply `f` to the committed version of `key`, borrowed in place
-    /// under the store's read lock (no clone). `f` must not call back
-    /// into this store.
-    pub fn with_committed<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.inner.read().committed.get(key).map(f)
+        self.inner.read().committed.get(key).cloned()
     }
 
     /// Record a pending put for `txn`. The caller must hold the write
@@ -281,8 +274,7 @@ mod tests {
         vs.delete(t, "x");
         assert_eq!(vs.get(t, &"x"), None);
         assert_eq!(vs.get_committed(&"x"), Some(10));
-        assert_eq!(vs.with_committed(&"x", |v| v + 1), Some(11));
-        assert_eq!(vs.with_committed(&"y", |v| v + 1), None);
+        assert_eq!(vs.get_committed(&"y"), None);
         let changes = vs.commit_top(t);
         assert_eq!(changes, vec![("x", Some(10), None)]);
         assert_eq!(vs.get_committed(&"x"), None);

@@ -14,9 +14,13 @@ cargo test -q --no-fail-fast
 echo "==> matching differential suite (naive vs network)"
 cargo test -q -p hipac --test matching_diff
 
-echo "==> discrimination-network property suite (guard-chain prune soundness, memo staleness) and the chain prune count"
+echo "==> discrimination-network property suite (guard-chain prune soundness, compiled probe against the definition oracle, removal by derivation, memo staleness), the chain prune count, durable reopen and explained placement"
+# match_properties includes compiled_probe_matches_the_definition_oracle
+# and removal_derives_from_the_old_definition.
 cargo test -q -p hipac-rules --test match_properties
 cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later_link_fails
+cargo test -q -p hipac --test matching_diff durable_reopen_rebuilds_the_same_network
+cargo test -q -p hipac-rules --test tooling_tests explain_reports_network_placement
 
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail

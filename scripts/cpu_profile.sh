@@ -1,0 +1,237 @@
+#!/usr/bin/env bash
+# Sample where one benchmark workload spends its CPU, for runners that
+# have no `perf`.
+#
+#   scripts/cpu_profile.sh <workload> <seed> <seconds> [top-n]
+#
+# Builds bench/ with frame pointers and debug info into a target
+# directory of its own (target/cpu-profile/build; bench/ is not
+# touched), runs the workload under a small LD_PRELOAD sampler that
+# records, on every SIGPROF, the interrupted RIP, the frame-pointer
+# chain above it and the thread's name, then symbolizes the samples
+# with addr2line and prints self and inclusive top-N functions and the
+# split by thread. Samples and the run's JSON land in
+# target/cpu-profile/.
+#
+# Pitfalls:
+#  - A sample's address is turned into a file offset through its
+#    /proc/self/maps line, and that file offset into the virtual
+#    address addr2line wants by the delta (VirtAddr - Offset) of the
+#    binary's executable LOAD segment: 0x1000 for this binary, read
+#    from `readelf -lW` rather than assumed.
+#  - libc (and Rust's prebuilt std) keep no frame pointers, so a sample
+#    that lands in libc loses its callers: those samples are reported
+#    by thread, not by caller.
+#  - CPU-time timers fire at the kernel's tick rate, about 100 Hz on a
+#    typical VM, whatever interval is asked for, so use runs of 60 s or
+#    more for a usable sample count.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage="usage: scripts/cpu_profile.sh <workload> <seed> <seconds> [top-n]"
+workload=${1:?$usage}
+seed=${2:?$usage}
+seconds=${3:?$usage}
+top=${4:-25}
+work=target/cpu-profile
+mkdir -p "$work/data"
+
+echo "==> building bench/ with frame pointers into $work/build" >&2
+RUSTFLAGS="-C force-frame-pointers=yes -g" CARGO_TARGET_DIR="$work/build" \
+    cargo build --release --offline --manifest-path bench/Cargo.toml >&2
+bin="$work/build/release/hipac-perf"
+
+cat > "$work/sampler.c" <<'EOF'
+/* SIGPROF sampler, loaded with LD_PRELOAD. Each sample is one write():
+ * a frame count, the thread name and the RIP plus return addresses. */
+#define _GNU_SOURCE
+#include <dlfcn.h>
+#include <errno.h>
+#include <fcntl.h>
+#include <pthread.h>
+#include <signal.h>
+#include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <sys/prctl.h>
+#include <sys/time.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#define MAX_FRAMES 64
+struct rec { uint32_t n; char name[16]; uintptr_t pc[MAX_FRAMES]; };
+static int out_fd = -1;
+/* The frame chain is only followed inside this thread's own stack. */
+static __thread uintptr_t stack_lo, stack_hi;
+
+static void note_stack(void) {
+    pthread_attr_t a; void *base; size_t size;
+    if (pthread_getattr_np(pthread_self(), &a) != 0) return;
+    if (pthread_attr_getstack(&a, &base, &size) == 0) {
+        stack_lo = (uintptr_t)base;
+        stack_hi = stack_lo + size;
+    }
+    pthread_attr_destroy(&a);
+}
+
+static void on_prof(int sig, siginfo_t *si, void *ctx) {
+    (void)sig; (void)si;
+    int saved = errno;
+    const greg_t *g = ((ucontext_t *)ctx)->uc_mcontext.gregs;
+    struct rec r = { .n = 0 };
+    prctl(PR_GET_NAME, r.name, 0, 0, 0);
+    r.pc[r.n++] = (uintptr_t)g[REG_RIP];
+    uintptr_t fp = (uintptr_t)g[REG_RBP], sp = (uintptr_t)g[REG_RSP];
+    while (r.n < MAX_FRAMES && fp >= sp && fp >= stack_lo && fp + 16 <= stack_hi && !(fp & 7)) {
+        uintptr_t next = ((uintptr_t *)fp)[0], ret = ((uintptr_t *)fp)[1];
+        if (!ret) break;
+        r.pc[r.n++] = ret;
+        if (next <= fp) break;
+        fp = next;
+    }
+    ssize_t ignored = write(out_fd, &r, offsetof(struct rec, pc) + r.n * sizeof(uintptr_t));
+    (void)ignored;
+    errno = saved;
+}
+
+struct start { void *(*fn)(void *); void *arg; };
+static void *trampoline(void *p) {
+    struct start s = *(struct start *)p;
+    free(p);
+    note_stack();
+    return s.fn(s.arg);
+}
+int pthread_create(pthread_t *t, const pthread_attr_t *a, void *(*fn)(void *), void *arg) {
+    static int (*real)(pthread_t *, const pthread_attr_t *, void *(*)(void *), void *);
+    if (!real) *(void **)&real = dlsym(RTLD_NEXT, "pthread_create");
+    struct start *s = malloc(sizeof *s);
+    if (!s) return real(t, a, fn, arg);
+    s->fn = fn; s->arg = arg;
+    return real(t, a, trampoline, s);
+}
+
+__attribute__((constructor)) static void start_sampling(void) {
+    const char *path = getenv("CPU_PROFILE_OUT");
+    if (!path) return;
+    out_fd = open(path, O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
+    /* The mappings are final once preloading runs: keep a copy. */
+    char maps[4096], buf[65536];
+    snprintf(maps, sizeof maps, "%s.maps", path);
+    int in = open("/proc/self/maps", O_RDONLY), out = open(maps, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    for (ssize_t n; in >= 0 && out >= 0 && (n = read(in, buf, sizeof buf)) > 0;)
+        if (write(out, buf, n) != n) break;
+    close(in); close(out);
+    unsetenv("LD_PRELOAD"); /* child processes are not sampled */
+    note_stack();
+    struct sigaction sa = { .sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART };
+    sigemptyset(&sa.sa_mask);
+    sigaction(SIGPROF, &sa, NULL);
+    struct itimerval it = { { 0, 1000 }, { 0, 1000 } };
+    setitimer(ITIMER_PROF, &it, NULL);
+}
+EOF
+gcc -O2 -shared -fPIC -ftls-model=initial-exec \
+    -o "$work/sampler.so" "$work/sampler.c" -ldl -lpthread
+
+samples="$work/$workload-$seed.samples"
+echo "==> running $workload (seed $seed, $seconds s) under the sampler" >&2
+CPU_PROFILE_OUT="$samples" LD_PRELOAD="$PWD/$work/sampler.so" HIPAC_BENCH_DIR="$PWD/$work/data" \
+    "$bin" --out "$work/out" --benchmark-json BENCHMARK.json --workload "$workload" \
+    --seed "$seed" --seconds "$seconds" --trace 0 | tail -1 > "$work/$workload-$seed.json"
+cat "$work/$workload-$seed.json"
+
+python3 - "$samples" "$bin" "$top" <<'EOF'
+import collections, os, re, struct, subprocess, sys
+
+samples_path, binary, top = sys.argv[1], os.path.realpath(sys.argv[2]), int(sys.argv[3])
+maps = []
+for line in open(samples_path + ".maps"):
+    parts = line.split()
+    if len(parts) >= 6 and "x" in parts[1]:
+        lo, hi = (int(x, 16) for x in parts[0].split("-"))
+        maps.append((lo, hi, int(parts[2], 16), parts[5]))
+
+data = open(samples_path, "rb").read()
+stacks, pos = [], 0
+while pos + 24 <= len(data):
+    n, = struct.unpack_from("<I", data, pos)
+    thread = data[pos + 4:pos + 20].split(b"\0")[0].decode(errors="replace")
+    stacks.append((re.sub(r"-\d+$", "-N", thread), struct.unpack_from("<%dQ" % n, data, pos + 24)))
+    pos += 24 + 8 * n
+
+# The file offset -> virtual address delta: VirtAddr - Offset of the
+# binary's executable ("R E") LOAD segment.
+delta = next(int(f[2], 16) - int(f[1], 16)
+             for line in subprocess.run(["readelf", "-lW", binary], capture_output=True,
+                                        text=True, check=True).stdout.splitlines()
+             for f in [line.split()] if f[:1] == ["LOAD"] and " R E " in line)
+
+# A frame is the binary's virtual address, or the name of the object it
+# fell in: libc and the vDSO are not symbolized, since without DWARF
+# addr2line names their static functions after the nearest exported
+# symbol, which misleads. Return addresses point past the call
+# instruction: look up the call itself.
+frames = []
+for thread, pcs in stacks:
+    fr = []
+    for i, pc in enumerate(pcs):
+        pc = pc if i == 0 else pc - 1
+        obj = next(((path, pc - lo + off) for lo, hi, off, path in maps if lo <= pc < hi), None)
+        if obj is not None and obj[0] == binary:
+            fr.append(obj[1] + delta)
+        else:
+            fr.append("[%s]" % os.path.basename(obj[0] if obj else "unknown"))
+    frames.append((thread, fr))
+
+# Per address, addr2line -a -f -i prints its "0x..." line, then
+# function / location pairs, innermost inlined function first.
+wanted = sorted({f for _, fr in frames for f in fr if isinstance(f, int)})
+out = subprocess.run(["addr2line", "-a", "-f", "-i", "-C", "-e", binary],
+                     input="\n".join("%x" % a for a in wanted),
+                     capture_output=True, text=True, check=True).stdout.splitlines()
+names, cur, expect_name = {}, None, False
+for line in out:
+    if line.startswith("0x"):
+        cur, expect_name = int(line, 16), True
+        names[cur] = []
+    elif expect_name:
+        names[cur].append(re.sub(r"::h[0-9a-f]{16}$", "", line))
+        expect_name = False
+    else:
+        expect_name = True
+
+def chain(frame):
+    """Function names for a frame, innermost inlined first."""
+    if isinstance(frame, str):
+        return [frame]
+    return [n for n in names.get(frame, []) if n != "??"] or ["0x%x" % frame]
+
+self_c, incl_c, thread_c = collections.Counter(), collections.Counter(), collections.Counter()
+outside = collections.Counter()
+thread_self = collections.defaultdict(collections.Counter)
+for thread, fr in frames:
+    thread_c[thread] += 1
+    leaf = chain(fr[0])[0]
+    self_c[leaf] += 1
+    thread_self[thread][leaf] += 1
+    if isinstance(fr[0], str):
+        outside[thread, leaf] += 1
+    # Inclusive: the binary's own frames, plus the leaf wherever it is.
+    incl_c.update({leaf} | {f for fm in fr if isinstance(fm, int) for f in chain(fm)})
+
+total = len(frames) or 1
+def table(title, counter, n):
+    print("\n== %s ==" % title)
+    for key, c in counter.most_common(n):
+        print("%6.1f%% %7d  %s" % (100.0 * c / total, c, key if isinstance(key, str) else " / ".join(key)))
+
+print("\n%d samples (about %.0f s of CPU at 100 Hz), %d thread names" % (len(frames), len(frames) / 100.0, len(thread_c)))
+table("by thread (thread names with their trailing number folded)", thread_c, top)
+table("self, top %d" % top, self_c, top)
+table("inclusive, top %d" % top, incl_c, top)
+table("samples outside the binary, by thread (their callers are lost: no frame pointers there)", outside, top)
+for thread, c in thread_c.most_common():
+    if c * 50 >= total:
+        table("self on thread %s" % thread, thread_self[thread], 8)
+EOF

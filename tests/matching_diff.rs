@@ -629,7 +629,7 @@ fn guard_chain_prunes_rules_whose_later_link_fails() {
     }
 }
 
-/// Persisted rules and guard records reload into either mode: run half
+/// Persisted rules reload into either mode: run half
 /// the schedule durably, reopen each directory under the *opposite*
 /// mode, run the rest, and compare everything.
 #[test]
@@ -659,8 +659,8 @@ fn durable_restart_crosses_modes() {
     drop(b);
 
     // Swap modes on reopen: the naive store loads into a network
-    // engine (guard records persisted by naive-mode commits must be
-    // fresh) and vice versa.
+    // engine (which places each rule from its definition) and vice
+    // versa.
     let mut a = build(Matching::Network, Some(&dir_a), None).unwrap();
     let mut b = build(Matching::Naive, Some(&dir_b), None).unwrap();
     a.next_rule = next_rule;
@@ -677,11 +677,115 @@ fn durable_restart_crosses_modes() {
     assert_eq!(a.state(), b.state(), "post-restart states diverged");
 }
 
+/// The network's node count and, for every live rule's event, its
+/// candidates under a fixed set of update probes.
+#[allow(clippy::type_complexity)]
+fn network_snapshot(h: &Harness) -> (u64, Vec<(RuleId, Vec<Option<Vec<RuleId>>>)>) {
+    let rules = h.db.rules();
+    let t = h.db.begin();
+    let class = h.db.store().schema(t).class_by_name("stock").unwrap().id;
+    let row = |sym: &str, price: f64, qty: Option<i64>| {
+        vec![
+            Value::from(sym),
+            Value::from(price),
+            qty.map_or(Value::Null, Value::Int),
+        ]
+    };
+    let probes = [
+        (Some(row("a", 0.0, Some(0))), row("a", 3.0, Some(3))),
+        (Some(row("b", 9.0, Some(2))), row("b", 12.0, None)),
+        (None, row("c", 17.0, Some(7))),
+        (Some(row("d", 5.0, None)), row("d", 5.0, Some(11))),
+    ];
+    let mut per_rule = Vec::new();
+    for i in 0..h.next_rule {
+        let name = format!("r{i}");
+        let (Ok(rid), Ok(event)) = (rules.rule_id(t, &name), rules.rule_event(t, &name)) else {
+            continue; // dropped
+        };
+        let candidates = probes
+            .iter()
+            .map(|(old, new)| {
+                let signal = EventSignal {
+                    txn: Some(t),
+                    db: Some(hipac_event::DbEventData {
+                        kind: DbEventKind::Update,
+                        class,
+                        class_lineage: vec!["stock".into()],
+                        oid: None,
+                        old: old.clone(),
+                        new: Some(new.clone()),
+                    }),
+                    ..EventSignal::at(0)
+                };
+                rules.match_candidates(event, &signal)
+            })
+            .collect();
+        per_rule.push((rid, candidates));
+    }
+    h.db.abort(t).unwrap();
+    (rules.match_index_nodes(), per_rule)
+}
+
+/// Placement derives from each rule's definition when a durable
+/// database opens, so a network-mode reopen rebuilds the network the
+/// store was written with — whichever mode wrote it — and `'g'` rows
+/// (the guard records older builds persisted next to each rule) are
+/// ignored: rows claiming every rule is residual change nothing.
+#[test]
+fn durable_reopen_rebuilds_the_same_network() {
+    let schedule = make_schedule(61, 30, 15);
+    let mut reference = None;
+    for (writer, stray) in [
+        (Matching::Network, false),
+        (Matching::Naive, false),
+        (Matching::Network, true),
+    ] {
+        let dir = tmpdir(&format!("reopen-{writer:?}-{stray}"));
+        let mut h = build(writer, Some(&dir), None).unwrap();
+        h.seed_data().unwrap();
+        for step in &schedule {
+            h.apply(step).unwrap();
+        }
+        let next_rule = h.next_rule;
+        if writer == Matching::Network {
+            let before = network_snapshot(&h);
+            assert!(
+                before.1.iter().any(|(rid, candidates)| candidates
+                    .iter()
+                    .any(|c| !c.as_ref().unwrap().contains(rid))),
+                "some probe prunes a rule, so residual placements would show"
+            );
+            let reference = reference.get_or_insert(before);
+            assert_eq!(&network_snapshot(&h), reference);
+        }
+        if stray {
+            let residual_in_old_format = (0..next_rule)
+                .map(|rid| hipac_storage::StoreOp::Put {
+                    key: [&[b'g'][..], &rid.to_be_bytes()].concat(),
+                    value: vec![0],
+                })
+                .collect::<Vec<_>>();
+            h.db.durable_store()
+                .unwrap()
+                .commit(TxnId(0), &residual_in_old_format)
+                .unwrap();
+        }
+        drop(h);
+        let mut h = build(Matching::Network, Some(&dir), None).unwrap();
+        h.next_rule = next_rule;
+        assert_eq!(
+            Some(network_snapshot(&h)),
+            reference,
+            "reopen of a store written in {writer:?} mode (stray 'g' rows: {stray})"
+        );
+    }
+}
+
 /// Crash the durable layer at the same fault point under each mode:
 /// both engines must fail at the same step and recover to identical
-/// committed states. (Both modes write identical durable batches —
-/// guard records are persisted unconditionally — so fault points line
-/// up across modes.)
+/// committed states. (Both modes write identical durable batches — the
+/// rule records alone — so fault points line up across modes.)
 #[test]
 fn storage_faults_match() {
     let seed = 99;
