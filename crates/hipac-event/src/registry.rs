@@ -300,20 +300,20 @@ impl EventRegistry {
     /// Report a database operation (called by the Object Manager's and
     /// Transaction Manager's detectors).
     pub fn report_db(&self, txn: Option<TxnId>, data: DbEventData) -> Result<()> {
-        let mut signal = EventSignal {
-            time: self.clock.now(),
-            txn,
-            params: HashMap::new(),
-            db: Some(data.clone()),
-        };
+        let mut params = HashMap::new();
         if let Some(first) = data.class_lineage.first() {
-            signal
-                .params
-                .insert("class".to_owned(), Value::Str(first.clone()));
+            params.insert("class".to_owned(), Value::Str(first.clone()));
         }
         if let Some(oid) = data.oid {
-            signal.params.insert("oid".to_owned(), Value::Ref(oid));
+            params.insert("oid".to_owned(), Value::Ref(oid));
         }
+        let data = Arc::new(data);
+        let signal = EventSignal {
+            time: self.clock.now(),
+            txn,
+            params,
+            db: Some(Arc::clone(&data)),
+        };
         let fired = {
             let mut inner = self.inner.lock();
             let mut fired = Vec::new();

@@ -3,6 +3,7 @@
 use crate::spec::DbEventKind;
 use hipac_common::{ClassId, ObjectId, Timestamp, TxnId, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Payload of a database-operation event: "the operation and its actual
 /// arguments (e.g., the object instances being modified, and the old
@@ -32,8 +33,10 @@ pub struct EventSignal {
     /// events bound to actual arguments, plus convenience bindings for
     /// database events.
     pub params: HashMap<String, Value>,
-    /// Database-operation payload, when applicable.
-    pub db: Option<DbEventData>,
+    /// Database-operation payload, when applicable. Shared: the
+    /// automaton's inject, every triggered rule's signal and a detached
+    /// firing's job hold the one payload the operation reported.
+    pub db: Option<Arc<DbEventData>>,
 }
 
 impl EventSignal {
@@ -111,14 +114,14 @@ mod tests {
     #[test]
     fn merge_keeps_later_db_payload() {
         let with_db = EventSignal {
-            db: Some(DbEventData {
+            db: Some(Arc::new(DbEventData {
                 kind: DbEventKind::Update,
                 class: ClassId(1),
                 class_lineage: vec!["stock".into(), "security".into()],
                 oid: Some(ObjectId(5)),
                 old: Some(vec![Value::Int(1)]),
                 new: Some(vec![Value::Int(2)]),
-            }),
+            })),
             ..EventSignal::at(5)
         };
         let without = EventSignal::at(9);

@@ -4,6 +4,13 @@
 //! typed attributes and single inheritance. A subclass inherits all of
 //! its ancestors' attributes; its instances appear in superclass
 //! extents ("polymorphic scan").
+//!
+//! A [`Schema`] is an immutable snapshot of the catalog. The object
+//! store builds one per committed catalog generation and shares it by
+//! `Arc` with every reader whose transaction has no DDL pending, so
+//! [`Schema::new`] runs once per catalog change. It resolves each
+//! class's full layout then, into a slot table; attribute resolution
+//! and row checks walk that table and allocate nothing.
 
 use hipac_common::{ClassId, HipacError, Result, ValueType};
 
@@ -184,13 +191,54 @@ fn untag_type(b: u8) -> Result<ValueType> {
 /// handed to the planner/executor.
 #[derive(Debug, Clone, Default)]
 pub struct Schema {
+    /// Ascending by id.
     classes: Vec<ClassDef>,
+    /// Parallel to `classes`: each class's full layout as
+    /// `(class position, attribute position)` pairs, ancestors' slots
+    /// first — or why it has none (an unknown superclass, a cycle).
+    layouts: Vec<Result<Vec<(usize, usize)>>>,
 }
 
 impl Schema {
-    /// Build from a list of class definitions.
-    pub fn new(classes: Vec<ClassDef>) -> Self {
-        Schema { classes }
+    /// Build from a list of class definitions, resolving every class's
+    /// layout once.
+    pub fn new(mut classes: Vec<ClassDef>) -> Self {
+        classes.sort_by_key(|c| c.id);
+        let mut schema = Schema {
+            classes,
+            layouts: Vec::new(),
+        };
+        schema.layouts = (0..schema.classes.len())
+            .map(|pos| schema.resolve_layout(pos))
+            .collect();
+        schema
+    }
+
+    /// Walk `pos`'s superclass chain into its layout table.
+    fn resolve_layout(&self, pos: usize) -> Result<Vec<(usize, usize)>> {
+        let mut chain = Vec::new();
+        let mut cur = Some(pos);
+        while let Some(p) = cur {
+            chain.push(p);
+            if chain.len() > self.classes.len() {
+                return Err(HipacError::Corruption("class hierarchy cycle".into()));
+            }
+            cur = self.classes[p]
+                .superclass
+                .map(|sup| self.position(sup))
+                .transpose()?;
+        }
+        Ok(chain
+            .into_iter()
+            .rev()
+            .flat_map(|p| (0..self.classes[p].attrs.len()).map(move |a| (p, a)))
+            .collect())
+    }
+
+    fn position(&self, id: ClassId) -> Result<usize> {
+        self.classes
+            .binary_search_by_key(&id, |c| c.id)
+            .map_err(|_| HipacError::UnknownClass(id.to_string()))
     }
 
     /// Look up a class by name.
@@ -203,39 +251,27 @@ impl Schema {
 
     /// Look up a class by id.
     pub fn class(&self, id: ClassId) -> Result<&ClassDef> {
-        self.classes
-            .iter()
-            .find(|c| c.id == id)
-            .ok_or_else(|| HipacError::UnknownClass(id.to_string()))
+        Ok(&self.classes[self.position(id)?])
     }
 
-    /// All classes.
+    /// All classes, ascending by id.
     pub fn classes(&self) -> &[ClassDef] {
         &self.classes
     }
 
     /// Full attribute layout of `id`: ancestors' attributes (root
-    /// first), then own. Instances store one value per layout slot.
-    pub fn layout(&self, id: ClassId) -> Result<Vec<&AttrDef>> {
-        let mut chain = Vec::new();
-        let mut cur = Some(id);
-        while let Some(cid) = cur {
-            let def = self.class(cid)?;
-            chain.push(def);
-            cur = def.superclass;
-            if chain.len() > self.classes.len() {
-                return Err(HipacError::Corruption("class hierarchy cycle".into()));
-            }
-        }
-        chain.reverse();
-        Ok(chain.iter().flat_map(|c| c.attrs.iter()).collect())
+    /// first), then own, one per slot. Instances store one value per
+    /// layout slot.
+    pub fn layout(&self, id: ClassId) -> Result<impl ExactSizeIterator<Item = &AttrDef> + '_> {
+        let table = self.layouts[self.position(id)?]
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok(table.iter().map(|&(c, a)| &self.classes[c].attrs[a]))
     }
 
     /// Position and definition of attribute `name` in `class`'s layout.
     pub fn resolve_attr(&self, class: ClassId, name: &str) -> Result<(usize, &AttrDef)> {
-        let layout = self.layout(class)?;
-        layout
-            .into_iter()
+        self.layout(class)?
             .enumerate()
             .find(|(_, a)| a.name == name)
             .ok_or_else(|| HipacError::UnknownAttribute(format!("{name} (in {class})")))
@@ -278,7 +314,7 @@ impl Schema {
                 values.len()
             )));
         }
-        for (attr, value) in layout.iter().zip(values) {
+        for (attr, value) in layout.zip(values) {
             if value.is_null() {
                 if !attr.nullable {
                     return Err(HipacError::ConstraintViolation(format!(
@@ -346,8 +382,11 @@ mod tests {
     #[test]
     fn layout_concatenates_inherited_attributes() {
         let s = sample();
-        let layout = s.layout(ClassId(2)).unwrap();
-        let names: Vec<&str> = layout.iter().map(|a| a.name.as_str()).collect();
+        let names: Vec<&str> = s
+            .layout(ClassId(2))
+            .unwrap()
+            .map(|a| a.name.as_str())
+            .collect();
         assert_eq!(names, vec!["symbol", "price", "exchange"]);
         let (pos, def) = s.resolve_attr(ClassId(2), "price").unwrap();
         assert_eq!(pos, 1);
@@ -355,6 +394,33 @@ mod tests {
         let (pos, _) = s.resolve_attr(ClassId(2), "exchange").unwrap();
         assert_eq!(pos, 2);
         assert!(s.resolve_attr(ClassId(1), "exchange").is_err());
+    }
+
+    #[test]
+    fn broken_hierarchies_have_no_layout() {
+        let class = |id: u64, superclass: Option<u64>| ClassDef {
+            id: ClassId(id),
+            name: format!("c{id}"),
+            superclass: superclass.map(ClassId),
+            attrs: vec![AttrDef::new(format!("a{id}"), ValueType::Int)],
+            system: false,
+        };
+        // Out of id order on purpose: the table sorts by id.
+        let s = Schema::new(vec![
+            class(3, Some(9)),
+            class(2, Some(1)),
+            class(1, Some(2)),
+        ]);
+        assert!(matches!(
+            s.layout(ClassId(3)),
+            Err(HipacError::UnknownClass(_))
+        ));
+        assert!(matches!(
+            s.layout(ClassId(1)),
+            Err(HipacError::Corruption(_))
+        ));
+        assert!(s.resolve_attr(ClassId(2), "a2").is_err());
+        assert_eq!(s.classes()[0].id, ClassId(1));
     }
 
     #[test]

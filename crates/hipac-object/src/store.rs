@@ -25,6 +25,10 @@
 //!
 //! Both the object population and the schema catalog live in
 //! nested-transaction [`VersionStore`]s, so DDL is transactional too.
+//! Readers get the catalog as an `Arc<Schema>`: one snapshot per
+//! committed catalog generation, shared by every transaction with no
+//! DDL pending on its chain and rebuilt only when a commit changed the
+//! catalog. A transaction with pending DDL builds its own.
 //! Secondary indexes cover committed data only; queries union index
 //! hits with the transaction chain's pending writes and re-check
 //! predicates on the visible version.
@@ -123,16 +127,17 @@ pub struct ObjectStore {
     /// layout slot).
     indexes: RwLock<HashMap<(ClassId, usize), SecondaryIndex>>,
     durable: Option<Arc<DurableStore>>,
+    /// The committed catalog's snapshot and the catalog generation it
+    /// was built from.
+    catalog: RwLock<(u64, Arc<Schema>)>,
     /// Committed-data version counters, one per class *name* (the
-    /// schema epoch disambiguates name reuse across drop/recreate). A
+    /// catalog generation disambiguates name reuse across drop/recreate). A
     /// top-level commit bumps the counter of every class it wrote —
     /// including superclasses of written classes, so a reader keyed on
     /// a query's root class observes subclass writes. Consumers (the
     /// rules layer's match memo) validate cached committed-data results
     /// against these stamps.
     data_gens: Mutex<HashMap<String, u64>>,
-    /// Bumped whenever a top-level commit publishes schema changes.
-    schema_epoch: AtomicU64,
     /// Count of top-level commits currently publishing (between the
     /// in-memory publish and the data-gen bump). While non-zero,
     /// [`ObjectStore::data_stamp`] refuses to hand out stamps: a reader
@@ -158,11 +163,15 @@ struct FamilyWrites {
 /// RAII window around a top-level commit's publish: opened before the
 /// version stores publish, closed (bumping the data-version counters)
 /// after — on every path out, including durability errors, so a failed
-/// publish can never leave stale stamps behind.
+/// publish can never leave stale stamps behind. The catalog generation
+/// needs no bump here: the catalog store's own publish bumps it inside
+/// the window.
 struct PublishWindow<'a> {
     store: &'a ObjectStore,
-    touched: HashSet<String>,
-    schema_changed: bool,
+    /// Classes whose committed extent changed, superclasses included,
+    /// named through `catalog`.
+    touched: Vec<ClassId>,
+    catalog: Option<Arc<Schema>>,
 }
 
 impl<'a> PublishWindow<'a> {
@@ -170,22 +179,28 @@ impl<'a> PublishWindow<'a> {
         store.publish_in_flight.fetch_add(1, Ordering::SeqCst);
         PublishWindow {
             store,
-            touched: HashSet::new(),
-            schema_changed: false,
+            touched: Vec::new(),
+            catalog: None,
         }
     }
 }
 
 impl Drop for PublishWindow<'_> {
     fn drop(&mut self) {
-        if !self.touched.is_empty() {
+        if let Some(catalog) = self.catalog.as_ref().filter(|_| !self.touched.is_empty()) {
             let mut gens = self.store.data_gens.lock();
-            for name in &self.touched {
-                *gens.entry(name.clone()).or_insert(0) += 1;
+            for def in self
+                .touched
+                .iter()
+                .filter_map(|&cid| catalog.class(cid).ok())
+            {
+                match gens.get_mut(def.name.as_str()) {
+                    Some(gen) => *gen += 1,
+                    None => {
+                        gens.insert(def.name.clone(), 1);
+                    }
+                }
             }
-        }
-        if self.schema_changed {
-            self.store.schema_epoch.fetch_add(1, Ordering::SeqCst);
         }
         self.store.publish_in_flight.fetch_sub(1, Ordering::SeqCst);
     }
@@ -236,8 +251,8 @@ impl ObjectStore {
             listeners: RwLock::new(Vec::new()),
             indexes: RwLock::new(HashMap::new()),
             durable,
+            catalog: RwLock::new((0, Arc::new(Schema::default()))),
             data_gens: Mutex::new(HashMap::new()),
-            schema_epoch: AtomicU64::new(0),
             publish_in_flight: AtomicU64::new(0),
             track_writes: AtomicBool::new(false),
             family_writes: Mutex::new(HashMap::new()),
@@ -257,6 +272,7 @@ impl ObjectStore {
             self.class_alloc.bump_to(def.id.raw());
             self.classes.put_committed(def.id, def);
         }
+        let catalog = self.committed_schema();
         for (key, bytes) in d.scan_prefix(&[KEY_OBJECT])? {
             if key.len() != 9 {
                 return Err(HipacError::Corruption("bad object key length".into()));
@@ -264,7 +280,7 @@ impl ObjectStore {
             let oid = ObjectId(u64::from_be_bytes(key[1..9].try_into().unwrap()));
             let rec = ObjectRecord::decode(&bytes)?;
             self.oid_alloc.bump_to(oid.raw());
-            self.reindex(oid, None, Some(&rec))?;
+            self.reindex(&catalog, oid, None, Some(&rec));
             self.objects.put_committed(oid, rec);
         }
         Ok(())
@@ -307,7 +323,7 @@ impl ObjectStore {
     }
 
     /// The committed-data version stamp of `class`:
-    /// `(schema_epoch, data_gen)`. Returns `None` while any top-level
+    /// `(catalog generation, data_gen)`. Returns `None` while any top-level
     /// commit is publishing (its counters may not be bumped yet), or
     /// when tracking is off. Two equal stamps for the same class name
     /// bracket a window in which no commit changed the class's extent
@@ -320,13 +336,13 @@ impl ObjectStore {
             return None;
         }
         let gen = self.data_gens.lock().get(class).copied().unwrap_or(0);
-        let epoch = self.schema_epoch.load(Ordering::SeqCst);
+        let catalog = self.catalog_generation();
         // Re-check: a publish that started after the gen read would
         // otherwise slip between the loads.
         if self.publish_in_flight.load(Ordering::SeqCst) > 0 {
             return None;
         }
-        Some((epoch, gen))
+        Some((catalog, gen))
     }
 
     /// Does `txn`'s transaction family have pending (uncommitted)
@@ -353,20 +369,16 @@ impl ObjectStore {
             return;
         }
         let top = self.tm.tree().top_ancestor(txn);
-        let mut names = Vec::new();
-        let mut cur = Some(class);
-        while let Some(cid) = cur {
-            match self.classes.get(txn, &cid) {
-                Some(def) => {
-                    names.push(def.name.clone());
-                    cur = def.superclass;
-                }
-                None => break,
-            }
-        }
+        let schema = self.schema(txn);
         let mut fams = self.family_writes.lock();
         let fw = fams.entry(top).or_default();
-        fw.classes.extend(names);
+        let mut cur = Some(class);
+        while let Some(def) = cur.and_then(|cid| schema.class(cid).ok()) {
+            if !fw.classes.contains(def.name.as_str()) {
+                fw.classes.insert(def.name.clone());
+            }
+            cur = def.superclass;
+        }
     }
 
     /// Record a family schema change (create/drop class). No-op while
@@ -396,14 +408,49 @@ impl ObjectStore {
         Ok(())
     }
 
-    /// Snapshot of the schema as `txn` sees it.
-    pub fn schema(&self, txn: TxnId) -> Schema {
-        let mut classes = Vec::new();
-        self.classes.for_each_visible(txn, |_, def| {
-            classes.push(def.clone());
-        });
-        classes.sort_by_key(|c| c.id);
-        Schema::new(classes)
+    /// The schema as `txn` sees it. With no DDL pending on `txn`'s
+    /// chain this is the shared committed snapshot, and reading it
+    /// allocates nothing; otherwise `txn` gets a schema of its own.
+    pub fn schema(&self, txn: TxnId) -> Arc<Schema> {
+        match self.classes.committed_generation(txn) {
+            Some(generation) => self.snapshot(generation),
+            None => {
+                let mut classes = Vec::new();
+                self.classes
+                    .for_each_visible(txn, |_, def| classes.push(def.clone()));
+                Arc::new(Schema::new(classes))
+            }
+        }
+    }
+
+    /// The committed catalog's generation: it moves with every commit
+    /// that changes a class definition.
+    pub fn catalog_generation(&self) -> u64 {
+        self.classes.generation()
+    }
+
+    /// The committed schema, whatever any transaction has pending.
+    fn committed_schema(&self) -> Arc<Schema> {
+        self.snapshot(self.classes.generation())
+    }
+
+    /// The committed snapshot of `generation` or a later one: the
+    /// cached one when it is current, else one built from the committed
+    /// catalog (and cached, unless a newer one got there first).
+    fn snapshot(&self, generation: u64) -> Arc<Schema> {
+        {
+            let (cached, schema) = &*self.catalog.read();
+            if *cached == generation {
+                return Arc::clone(schema);
+            }
+        }
+        let (generation, classes) = self.classes.committed_values();
+        let schema = Arc::new(Schema::new(classes));
+        let mut catalog = self.catalog.write();
+        if generation > catalog.0 {
+            *catalog = (generation, Arc::clone(&schema));
+        }
+        schema
     }
 
     // ------------------------------------------------------------------
@@ -840,47 +887,25 @@ impl ObjectStore {
     // Index maintenance (committed data only)
     // ------------------------------------------------------------------
 
-    fn indexed_slots(&self, class: ClassId) -> Result<Vec<usize>> {
-        // Committed schema: index maintenance happens at top-level
-        // commit, when the class definitions involved are committed.
-        let mut chain = Vec::new();
-        let mut cur = Some(class);
-        while let Some(cid) = cur {
-            match self.classes.get_committed(&cid) {
-                Some(def) => {
-                    cur = def.superclass;
-                    chain.push(def);
-                }
-                None => return Ok(Vec::new()), // class dropped
-            }
-        }
-        chain.reverse();
-        let mut slots = Vec::new();
-        let mut pos = 0;
-        for def in chain {
-            for a in &def.attrs {
-                if a.indexed {
-                    slots.push(pos);
-                }
-                pos += 1;
-            }
-        }
-        Ok(slots)
-    }
-
-    /// The `((class, slot), value)` index entries `rec` occupies.
+    /// The `((class, slot), value)` index entries `rec` occupies under
+    /// the committed `catalog` (index maintenance happens at top-level
+    /// commit, when the class definitions involved are committed). A
+    /// dropped class has none.
     fn index_entries<'a>(
-        &self,
+        catalog: &Schema,
         rec: Option<&'a ObjectRecord>,
-    ) -> Result<Vec<((ClassId, usize), &'a Value)>> {
+    ) -> Vec<((ClassId, usize), &'a Value)> {
         let Some(rec) = rec else {
-            return Ok(Vec::new());
+            return Vec::new();
         };
-        Ok(self
-            .indexed_slots(rec.class)?
-            .into_iter()
-            .filter_map(|slot| Some(((rec.class, slot), rec.values.get(slot)?)))
-            .collect())
+        let Ok(slots) = catalog.layout(rec.class) else {
+            return Vec::new();
+        };
+        slots
+            .enumerate()
+            .filter(|(_, attr)| attr.indexed)
+            .filter_map(|(slot, _)| Some(((rec.class, slot), rec.values.get(slot)?)))
+            .collect()
     }
 
     /// Move `oid` from the index entries of its `old` committed version
@@ -890,12 +915,13 @@ impl ObjectStore {
     /// under neither.
     fn reindex(
         &self,
+        catalog: &Schema,
         oid: ObjectId,
         old: Option<&ObjectRecord>,
         new: Option<&ObjectRecord>,
-    ) -> Result<()> {
-        let mut stale = self.index_entries(old)?;
-        let mut fresh = self.index_entries(new)?;
+    ) {
+        let mut stale = Self::index_entries(catalog, old);
+        let mut fresh = Self::index_entries(catalog, new);
         stale.retain(|entry| match fresh.iter().position(|f| f == entry) {
             Some(kept) => {
                 fresh.swap_remove(kept);
@@ -904,7 +930,7 @@ impl ObjectStore {
             None => true,
         });
         if stale.is_empty() && fresh.is_empty() {
-            return Ok(());
+            return;
         }
         let mut indexes = self.indexes.write();
         for (key, value) in stale {
@@ -925,7 +951,6 @@ impl ObjectStore {
                 .or_default()
                 .insert(oid);
         }
-        Ok(())
     }
 }
 
@@ -948,28 +973,26 @@ impl ResourceManager for ObjectStore {
             .then(|| PublishWindow::open(self));
         let class_changes = self.classes.commit_top(txn);
         let object_changes = self.objects.commit_top(txn);
+        let catalog = self.committed_schema();
         if let Some(publish) = publish.as_mut() {
-            publish.schema_changed = !class_changes.is_empty();
             for (_, old, new) in &object_changes {
                 for rec in [old, new].into_iter().flatten() {
                     // Expand to superclass ancestors: a query rooted at
                     // any ancestor sees this row.
                     let mut cur = Some(rec.class);
-                    while let Some(cid) = cur {
-                        match self.classes.get_committed(&cid) {
-                            Some(def) => {
-                                cur = def.superclass;
-                                publish.touched.insert(def.name);
-                            }
-                            None => break,
+                    while let Some(def) = cur.and_then(|cid| catalog.class(cid).ok()) {
+                        if !publish.touched.contains(&def.id) {
+                            publish.touched.push(def.id);
                         }
+                        cur = def.superclass;
                     }
                 }
             }
+            publish.catalog = Some(Arc::clone(&catalog));
         }
         // Index maintenance.
         for (oid, old, new) in &object_changes {
-            self.reindex(*oid, old.as_ref(), new.as_ref())?;
+            self.reindex(&catalog, *oid, old.as_ref(), new.as_ref());
         }
         // Durability: one atomic batch per top-level commit.
         if let Some(d) = &self.durable {

@@ -165,8 +165,8 @@ proptest! {
         for level in 1..depth {
             let sup = ClassId(level as u64);
             let sub = ClassId(level as u64 + 1);
-            let sup_layout = schema.layout(sup).unwrap();
-            let sub_layout = schema.layout(sub).unwrap();
+            let sup_layout: Vec<_> = schema.layout(sup).unwrap().collect();
+            let sub_layout: Vec<_> = schema.layout(sub).unwrap().collect();
             prop_assert_eq!(sub_layout.len(), sup_layout.len() + attrs);
             for (i, a) in sup_layout.iter().enumerate() {
                 prop_assert_eq!(&sub_layout[i].name, &a.name);

@@ -614,3 +614,218 @@ fn deadlock_between_two_top_level_transactions() {
     })
     .unwrap();
 }
+
+// ----------------------------------------------------------------------
+// The catalog snapshot: one shared `Arc<Schema>` per committed catalog
+// generation, and a private schema for a chain with DDL pending.
+// ----------------------------------------------------------------------
+
+fn has_class(store: &ObjectStore, txn: TxnId, name: &str) -> bool {
+    store.schema(txn).class_by_name(name).is_ok()
+}
+
+#[test]
+fn pending_ddl_is_seen_by_its_own_chain_only() {
+    let (tm, store) = setup();
+    tm.run_top(|t| store.create_class(t, "standing", None, vec![]))
+        .unwrap();
+    let t = tm.begin();
+    let stranger = tm.begin();
+    store.create_class(t, "fresh", None, vec![]).unwrap();
+    store.drop_class(t, "standing").unwrap();
+    let child = tm.begin_child(t).unwrap();
+    assert!(has_class(&store, t, "fresh") && !has_class(&store, t, "standing"));
+    assert!(
+        has_class(&store, child, "fresh") && !has_class(&store, child, "standing"),
+        "a child sees its parent's pending DDL"
+    );
+    assert!(
+        !has_class(&store, stranger, "fresh") && has_class(&store, stranger, "standing"),
+        "another transaction sees the committed catalog"
+    );
+    // The child's own DDL is hidden from its parent.
+    store.create_class(child, "inner", None, vec![]).unwrap();
+    assert!(has_class(&store, child, "inner"));
+    assert!(!has_class(&store, t, "inner"));
+    tm.abort(child).unwrap();
+    tm.abort(t).unwrap();
+    assert!(!has_class(&store, stranger, "fresh") && has_class(&store, stranger, "standing"));
+    tm.commit(stranger).unwrap();
+}
+
+#[test]
+fn clean_reads_share_one_snapshot() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let a = tm.begin();
+    let b = tm.begin();
+    let child = tm.begin_child(b).unwrap();
+    // Pending data, not DDL: still the committed catalog.
+    store
+        .insert(
+            child,
+            "security",
+            vec![Value::from("GOLD"), Value::from(1.0)],
+        )
+        .unwrap();
+    let first = store.schema(a);
+    assert!(
+        Arc::ptr_eq(&first, &store.schema(a)),
+        "same reader, same Arc"
+    );
+    assert!(
+        Arc::ptr_eq(&first, &store.schema(b)),
+        "another reader, same Arc"
+    );
+    assert!(
+        Arc::ptr_eq(&first, &store.schema(child)),
+        "pending DML shares it"
+    );
+    tm.commit(child).unwrap();
+    // Pending DDL gets a schema of its own.
+    store.create_class(b, "own", None, vec![]).unwrap();
+    assert!(!Arc::ptr_eq(&first, &store.schema(b)));
+    assert!(Arc::ptr_eq(&first, &store.schema(a)));
+    tm.abort(b).unwrap();
+    tm.commit(a).unwrap();
+}
+
+#[test]
+fn child_ddl_folds_into_parent_on_commit_and_vanishes_on_abort() {
+    let (tm, store) = setup();
+    let t = tm.begin();
+    let kept = tm.begin_child(t).unwrap();
+    store.create_class(kept, "kept", None, vec![]).unwrap();
+    tm.commit(kept).unwrap();
+    assert!(has_class(&store, t, "kept"), "folded into the parent");
+    let lost = tm.begin_child(t).unwrap();
+    store.create_class(lost, "lost", None, vec![]).unwrap();
+    store.drop_class(lost, "kept").unwrap();
+    tm.abort(lost).unwrap();
+    assert!(has_class(&store, t, "kept") && !has_class(&store, t, "lost"));
+    let before = store.catalog_generation();
+    tm.commit(t).unwrap();
+    assert!(store.catalog_generation() > before);
+    tm.run_top(|x| {
+        assert!(has_class(&store, x, "kept") && !has_class(&store, x, "lost"));
+        Ok(())
+    })
+    .unwrap();
+}
+
+#[test]
+fn top_commit_makes_the_next_read_a_new_snapshot() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let reader = tm.begin();
+    let old = store.schema(reader);
+    let old_generation = store.catalog_generation();
+    tm.run_top(|t| store.create_class(t, "bond", Some("security"), vec![]))
+        .unwrap();
+    assert!(store.catalog_generation() > old_generation);
+    let new = store.schema(reader);
+    assert!(!Arc::ptr_eq(&old, &new));
+    assert!(new.class_by_name("bond").is_ok());
+    assert!(
+        old.class_by_name("bond").is_err(),
+        "a snapshot never changes"
+    );
+    assert_eq!(
+        new.resolve_attr(new.class_by_name("bond").unwrap().id, "price")
+            .unwrap()
+            .0,
+        1
+    );
+    // DML commits leave the catalog, and so the snapshot, alone.
+    tm.run_top(|t| store.insert(t, "security", vec![Value::from("ZZ"), Value::from(2.0)]))
+        .unwrap();
+    assert!(Arc::ptr_eq(&new, &store.schema(reader)));
+    tm.commit(reader).unwrap();
+}
+
+#[test]
+fn durable_reopen_yields_the_same_schema() {
+    let dir = std::env::temp_dir().join(format!("hipac-object-catalog-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || {
+        let tm = Arc::new(TransactionManager::new());
+        let durable = Arc::new(hipac_storage::DurableStore::open(&dir).unwrap());
+        let store = ObjectStore::new(Arc::clone(&tm), Some(durable)).unwrap();
+        (tm, store)
+    };
+    let before = {
+        let (tm, store) = open();
+        seed(&tm, &store);
+        tm.run_top(|t| {
+            store.create_class(t, "gone", None, vec![])?;
+            store.create_class(t, "bond", Some("security"), vec![])
+        })
+        .unwrap();
+        tm.run_top(|t| store.drop_class(t, "gone")).unwrap();
+        tm.run_top(|t| Ok(store.schema(t))).unwrap()
+    };
+    let (tm, store) = open();
+    let after = tm.run_top(|t| Ok(store.schema(t))).unwrap();
+    assert_eq!(before.classes(), after.classes());
+    let stock = after.class_by_name("stock").unwrap().id;
+    let names: Vec<&str> = after
+        .layout(stock)
+        .unwrap()
+        .map(|a| a.name.as_str())
+        .collect();
+    assert_eq!(names, ["symbol", "price", "exchange"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn catalog_reader_racing_ddl_commits_never_goes_back() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
+    const ROUNDS: usize = 100; // one create and one drop commit each
+    let (tm, store) = setup();
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let reads = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (tm, store) = (Arc::clone(&tm), Arc::clone(&store));
+        let (dropped, reads, done) = (Arc::clone(&dropped), Arc::clone(&reads), Arc::clone(&done));
+        std::thread::spawn(move || {
+            let mut last_generation = 0;
+            while !done.load(SeqCst) {
+                let dropped_before = dropped.load(SeqCst);
+                let generation = store.catalog_generation();
+                assert!(generation >= last_generation, "generation went backwards");
+                last_generation = generation;
+                let t = tm.begin();
+                let schema = store.schema(t);
+                for i in 0..dropped_before {
+                    assert!(
+                        schema.class_by_name(&format!("c{i}")).is_err(),
+                        "c{i} seen after its drop committed"
+                    );
+                }
+                tm.commit(t).unwrap();
+                reads.fetch_add(1, SeqCst);
+            }
+        })
+    };
+    for i in 0..ROUNDS {
+        // At least one read lands between consecutive rounds.
+        let seen = reads.load(SeqCst);
+        while reads.load(SeqCst) == seen && !reader.is_finished() {
+            std::thread::yield_now();
+        }
+        let name = format!("c{i}");
+        tm.run_top(|t| store.create_class(t, &name, None, vec![AttrDef::new("x", ValueType::Int)]))
+            .unwrap();
+        tm.run_top(|t| store.drop_class(t, &name)).unwrap();
+        dropped.store(i + 1, SeqCst);
+    }
+    done.store(true, SeqCst);
+    reader.join().unwrap();
+    assert!(reads.load(SeqCst) >= ROUNDS as u64);
+    tm.run_top(|t| {
+        assert!(store.schema(t).classes().is_empty());
+        Ok(())
+    })
+    .unwrap();
+}

@@ -360,14 +360,14 @@ mod tests {
             time: 1,
             txn: Some(txn),
             params: HashMap::new(),
-            db: Some(DbEventData {
+            db: Some(Arc::new(DbEventData {
                 kind: DbEventKind::Update,
                 class: ClassId(1),
                 class_lineage: vec!["stock".into()],
                 oid: Some(ObjectId(1)),
                 old: Some(vec![Value::from("XRX"), Value::from(49.0)]),
                 new: Some(vec![Value::from("XRX"), Value::from(50.0)]),
-            }),
+            })),
         };
         (txn, signal)
     }

@@ -104,7 +104,9 @@ pub struct RuleManager {
     /// Scoped pool firing immediate/deferred sibling subtransactions
     /// concurrently (§3's execution model).
     firing: FiringPool,
-    rules: VersionStore<RuleId, RuleDef>,
+    /// Rule definitions, shared: a firing carries the stored `Arc`, and
+    /// a change installs a new definition rather than editing one.
+    rules: VersionStore<RuleId, Arc<RuleDef>>,
     rule_names: VersionStore<String, RuleId>,
     ids: IdAllocator,
     catalog: RwLock<HashMap<RuleId, CatalogEntry>>,
@@ -172,6 +174,14 @@ fn rule_key(rid: RuleId) -> Vec<u8> {
     k.push(RULE_KEY_PREFIX);
     k.extend_from_slice(&rid.raw().to_be_bytes());
     k
+}
+
+/// A definition as the rule store keeps it: shared, and compact. A deep
+/// clone allocates every `Vec` and `String` at its length, so the spare
+/// capacity a builder leaves (`RuleDef::when` gives a one-query
+/// condition room for four) is not held for the rule's life.
+fn stored(def: RuleDef) -> Arc<RuleDef> {
+    Arc::new(def.clone())
 }
 
 /// Bridges Object Manager operations into event signals (the database
@@ -403,7 +413,7 @@ impl ResourceManager for RuleManager {
                                 old_event,
                                 placed_event,
                                 *rid,
-                                old.as_ref(),
+                                old.as_deref(),
                                 Some(def),
                             );
                         }
@@ -419,7 +429,7 @@ impl ResourceManager for RuleManager {
                                 entry.event,
                                 entry.event,
                                 *rid,
-                                old.as_ref(),
+                                old.as_deref(),
                                 None,
                             );
                         }
@@ -617,7 +627,7 @@ impl RuleManager {
                 self.network.place_committed(event, rid, &def);
             }
             self.rule_names.put_committed(def.name.clone(), rid);
-            self.rules.put_committed(rid, def);
+            self.rules.put_committed(rid, stored(def));
         }
         Ok(())
     }
@@ -767,7 +777,7 @@ impl RuleManager {
             self.network.link_created(event, rid, txn);
         }
         self.rule_names.put(txn, def.name.clone(), rid);
-        self.rules.put(txn, rid, def);
+        self.rules.put(txn, rid, stored(def));
         Ok(rid)
     }
 
@@ -819,7 +829,7 @@ impl RuleManager {
         for ext in spec.external_refs() {
             self.events.external_id(&ext)?;
         }
-        self.rules.put(txn, rid, def);
+        self.rules.put(txn, rid, stored(def));
         self.note_rule_change(txn, rid);
         Ok(rid)
     }
@@ -885,7 +895,7 @@ impl RuleManager {
             .rules
             .get(txn, &rid)
             .ok_or_else(|| HipacError::UnknownRule(name.to_owned()))?;
-        def.enabled = enabled;
+        Arc::make_mut(&mut def).enabled = enabled;
         self.rules.put(txn, rid, def);
         self.note_rule_change(txn, rid);
         Ok(())
@@ -988,7 +998,7 @@ impl RuleManager {
         if !immediate.is_empty() {
             // All immediate firings share the triggering transaction.
             let parent = immediate[0].0;
-            let group: Vec<(RuleId, RuleDef, EventSignal)> = immediate
+            let group: Vec<(RuleId, Arc<RuleDef>, EventSignal)> = immediate
                 .into_iter()
                 .map(|(_, rid, def)| (rid, def, signal.clone()))
                 .collect();
@@ -1003,7 +1013,7 @@ impl RuleManager {
     fn fire_group(
         &self,
         parent: TxnId,
-        group: Vec<(RuleId, RuleDef, EventSignal)>,
+        group: Vec<(RuleId, Arc<RuleDef>, EventSignal)>,
     ) -> Result<()> {
         if group.is_empty() {
             return Ok(());
@@ -1097,13 +1107,12 @@ impl RuleManager {
         &self,
         parent: TxnId,
         depth: usize,
-        group: Vec<(RuleId, RuleDef, EventSignal)>,
+        group: Vec<(RuleId, Arc<RuleDef>, EventSignal)>,
         outcomes: Vec<crate::condition::ConditionOutcome>,
         cond_us: u64,
         tracing: bool,
     ) -> Result<()> {
-        let mut sync: Vec<(usize, RuleId, RuleDef, EventSignal, Vec<QueryResult>)> =
-            Vec::new();
+        let mut sync = Vec::new();
         for (idx, ((rid, def, signal), outcome)) in
             group.into_iter().zip(outcomes).enumerate()
         {
@@ -1209,7 +1218,7 @@ impl RuleManager {
         parent: TxnId,
         depth: usize,
         rid: RuleId,
-        def: RuleDef,
+        def: Arc<RuleDef>,
         signal: EventSignal,
         rows: Vec<QueryResult>,
         cond_us: u64,
@@ -1272,7 +1281,7 @@ impl RuleManager {
     fn submit_separate_action(
         &self,
         rid: RuleId,
-        def: RuleDef,
+        def: Arc<RuleDef>,
         signal: EventSignal,
         rows: Vec<QueryResult>,
     ) {
@@ -1367,7 +1376,7 @@ impl RuleManager {
         let name = self
             .rules
             .get_committed(&rid)
-            .map(|d| d.name)
+            .map(|d| d.name.clone())
             .unwrap_or_default();
         self.tracer.record(crate::trace::FiringTrace {
             rule: rid,

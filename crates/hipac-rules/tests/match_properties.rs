@@ -254,14 +254,14 @@ fn update_signal(
     let class = fx.store.schema(txn).class_by_name("stock").unwrap().id;
     EventSignal {
         txn: Some(txn),
-        db: Some(DbEventData {
+        db: Some(Arc::new(DbEventData {
             kind: DbEventKind::Update,
             class,
             class_lineage: vec!["stock".into()],
             oid: Some(fx.oid),
             old,
             new: Some(new),
-        }),
+        })),
         ..EventSignal::at(0)
     }
 }

@@ -300,10 +300,12 @@ impl TxnTree {
 
     /// Top-level ancestor of `txn` (itself if top-level).
     pub fn top_ancestor(&self, txn: TxnId) -> TxnId {
-        *self
-            .ancestors_inclusive(txn)
-            .last()
-            .expect("chain contains at least txn itself")
+        let txns = self.txns.read();
+        let mut cur = txn;
+        while let Some(parent) = txns.get(&cur).and_then(|m| m.parent) {
+            cur = parent;
+        }
+        cur
     }
 
     /// Remove the whole terminated tree rooted at top-level `top`.

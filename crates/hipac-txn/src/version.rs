@@ -15,6 +15,15 @@
 //! by the suspension rule); top-level commit publishes into the
 //! committed map and reports the change set so the caller can make it
 //! durable and signal events. Abort simply drops the layer.
+//!
+//! The committed map carries a generation: a counter bumped by every
+//! change to it (a top-level commit of a non-empty layer, or a
+//! bootstrap `put_committed`). A caller that derives something from
+//! the committed state — the object store's catalog snapshot — keys it
+//! on the generation and rebuilds only when the generation moved.
+//! [`VersionStore::committed_generation`] hands the generation to a
+//! transaction only when nothing on its ancestor chain is pending, so
+//! the committed state is exactly what that transaction sees.
 
 use crate::tree::TxnTree;
 use hipac_common::{Result, TxnId};
@@ -32,6 +41,8 @@ enum Pending<V> {
 
 struct Inner<K, V> {
     committed: HashMap<K, V>,
+    /// Bumped by every change to `committed`.
+    generation: u64,
     pending: HashMap<TxnId, HashMap<K, Pending<V>>>,
 }
 
@@ -48,6 +59,7 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
             tree,
             inner: RwLock::new(Inner {
                 committed: HashMap::new(),
+                generation: 0,
                 pending: HashMap::new(),
             }),
         }
@@ -74,6 +86,38 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
             Some(Pending::Delete) => None,
             None => inner.committed.get(key).cloned(),
         }
+    }
+
+    /// The committed map's generation: equal generations bracket a
+    /// window in which no commit changed it.
+    pub fn generation(&self) -> u64 {
+        self.inner.read().generation
+    }
+
+    /// The committed generation, when no transaction on `txn`'s
+    /// ancestor chain has a pending version: `txn` then sees exactly
+    /// the committed state of that generation. `None` otherwise.
+    pub fn committed_generation(&self, txn: TxnId) -> Option<u64> {
+        let inner = self.inner.read();
+        if !inner.pending.is_empty()
+            && self
+                .tree
+                .find_in_chain(txn, |t| inner.pending.contains_key(&t).then_some(()))
+                .is_some()
+        {
+            return None;
+        }
+        Some(inner.generation)
+    }
+
+    /// Every committed value, with the generation they belong to (read
+    /// under one lock, so the pair is consistent).
+    pub fn committed_values(&self) -> (u64, Vec<V>) {
+        let inner = self.inner.read();
+        (
+            inner.generation,
+            inner.committed.values().cloned().collect(),
+        )
     }
 
     /// Read the committed version of `key`, ignoring all transactions.
@@ -105,7 +149,9 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
 
     /// Install a committed version directly (bootstrap/recovery only).
     pub fn put_committed(&self, key: K, value: V) {
-        self.inner.write().committed.insert(key, value);
+        let mut inner = self.inner.write();
+        inner.committed.insert(key, value);
+        inner.generation += 1;
     }
 
     /// Fold `txn`'s pending layer into `parent`'s (subtransaction
@@ -129,6 +175,7 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
         let mut inner = self.inner.write();
         let mut changes = Vec::new();
         if let Some(layer) = inner.pending.remove(&txn) {
+            inner.generation += 1;
             for (k, v) in layer {
                 match v {
                     Pending::Put(v) => {
@@ -357,6 +404,35 @@ mod tests {
         let s = tree.begin_top();
         assert_eq!(vs.len_visible(s), 2);
         assert_eq!(vs.len_committed(), 2);
+    }
+
+    #[test]
+    fn generation_moves_with_the_committed_map_only() {
+        let (tree, vs) = setup();
+        let g0 = vs.generation();
+        vs.put_committed("x", 1);
+        let g1 = vs.generation();
+        assert!(g1 > g0);
+        let t = tree.begin_top();
+        let c = tree.begin_child(t).unwrap();
+        let stranger = tree.begin_top();
+        assert_eq!(vs.committed_generation(c), Some(g1));
+        vs.put(t, "x", 2);
+        assert_eq!(vs.committed_generation(t), None, "own pending layer");
+        assert_eq!(vs.committed_generation(c), None, "ancestor's pending layer");
+        assert_eq!(vs.committed_generation(stranger), Some(g1));
+        assert_eq!(vs.generation(), g1, "pending writes leave it alone");
+        vs.commit_top(t);
+        let g2 = vs.generation();
+        assert!(g2 > g1);
+        assert_eq!(vs.committed_generation(stranger), Some(g2));
+        assert_eq!(vs.committed_values(), (g2, vec![2]));
+        let u = tree.begin_top();
+        vs.put(u, "y", 3);
+        vs.abort(u);
+        assert_eq!(vs.generation(), g2, "an abort changes nothing committed");
+        vs.commit_top(tree.begin_top());
+        assert_eq!(vs.generation(), g2, "an empty commit changes nothing");
     }
 
     #[test]

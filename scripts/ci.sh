@@ -22,6 +22,14 @@ cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later
 cargo test -q -p hipac --test matching_diff durable_reopen_rebuilds_the_same_network
 cargo test -q -p hipac-rules --test tooling_tests explain_reports_network_placement
 
+echo "==> firing-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read) and the catalog snapshot tests"
+# firing_alloc counts with a global allocator: it is the only test in
+# its binary. The snapshot tests in store_tests are pending_ddl_*,
+# clean_reads_*, child_ddl_*, top_commit_*, durable_reopen_yields_*
+# and catalog_reader_racing_ddl_commits_never_goes_back.
+cargo test -q -p hipac --test firing_alloc
+cargo test -q -p hipac-object --test store_tests
+
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail
 cargo test -q -p hipac-object --test index_atomicity

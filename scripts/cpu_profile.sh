@@ -22,6 +22,16 @@
 #  - libc (and Rust's prebuilt std) keep no frame pointers, so a sample
 #    that lands in libc loses its callers: those samples are reported
 #    by thread, not by caller.
+#  - A last table names what the libc samples were doing: each is
+#    classed by the nearest exported symbol at or below it in libc's
+#    dynamic symbol table (allocator, memcpy-like, syscall wrappers,
+#    other). libc ships no debug info, so static functions have no
+#    names. Two kinds are placed anyway: the string functions libc
+#    picked for this CPU, which the sampler names through dlsym, and
+#    static code just before an allocator entry point, which is
+#    malloc.c's own (`_int_malloc`, `_int_free`). Any other static
+#    function counts under the exported symbol just before it: treat
+#    that table as approximate.
 #  - CPU-time timers fire at the kernel's tick rate, about 100 Hz on a
 #    typical VM, whatever interval is asked for, so use runs of 60 s or
 #    more for a usable sample count.
@@ -122,6 +132,17 @@ __attribute__((constructor)) static void start_sampling(void) {
     for (ssize_t n; in >= 0 && out >= 0 && (n = read(in, buf, sizeof buf)) > 0;)
         if (write(out, buf, n) != n) break;
     close(in); close(out);
+    /* The string functions libc picked at load time (its IFUNCs) are
+     * hidden symbols; dlsym resolves the IFUNC, so name them here. */
+    snprintf(maps, sizeof maps, "%s.ifunc", path);
+    FILE *ifuncs = fopen(maps, "w");
+    static const char *const names[] = { "memcpy", "memmove", "memset", "memcmp",
+                                         "bcmp", "memchr", "strlen", "strcmp" };
+    for (size_t i = 0; ifuncs && i < sizeof names / sizeof *names; i++) {
+        void *p = dlsym(RTLD_DEFAULT, names[i]);
+        if (p) fprintf(ifuncs, "%s %lx\n", names[i], (unsigned long)(uintptr_t)p);
+    }
+    if (ifuncs) fclose(ifuncs);
     unsetenv("LD_PRELOAD"); /* child processes are not sampled */
     note_stack();
     struct sigaction sa = { .sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART };
@@ -142,7 +163,7 @@ CPU_PROFILE_OUT="$samples" LD_PRELOAD="$PWD/$work/sampler.so" HIPAC_BENCH_DIR="$
 cat "$work/$workload-$seed.json"
 
 python3 - "$samples" "$bin" "$top" <<'EOF'
-import collections, os, re, struct, subprocess, sys
+import bisect, collections, os, re, struct, subprocess, sys
 
 samples_path, binary, top = sys.argv[1], os.path.realpath(sys.argv[2]), int(sys.argv[3])
 maps = []
@@ -168,20 +189,26 @@ delta = next(int(f[2], 16) - int(f[1], 16)
              for f in [line.split()] if f[:1] == ["LOAD"] and " R E " in line)
 
 # A frame is the binary's virtual address, or the name of the object it
-# fell in: libc and the vDSO are not symbolized, since without DWARF
+# fell in: libc and the vDSO are not symbolized here, since without DWARF
 # addr2line names their static functions after the nearest exported
-# symbol, which misleads. Return addresses point past the call
-# instruction: look up the call itself.
-frames = []
+# symbol, which misleads (the libc table below does that on purpose,
+# and says so). Return addresses point past the call instruction: look
+# up the call itself.
+def file_offset(pc):
+    return next(((path, pc - lo + off) for lo, hi, off, path in maps if lo <= pc < hi), None)
+
+frames, libc_leaves = [], []
 for thread, pcs in stacks:
     fr = []
     for i, pc in enumerate(pcs):
         pc = pc if i == 0 else pc - 1
-        obj = next(((path, pc - lo + off) for lo, hi, off, path in maps if lo <= pc < hi), None)
+        obj = file_offset(pc)
         if obj is not None and obj[0] == binary:
             fr.append(obj[1] + delta)
         else:
             fr.append("[%s]" % os.path.basename(obj[0] if obj else "unknown"))
+            if i == 0 and obj is not None and os.path.basename(obj[0]).startswith("libc.so"):
+                libc_leaves.append(obj)
     frames.append((thread, fr))
 
 # Per address, addr2line -a -f -i prints its "0x..." line, then
@@ -234,4 +261,55 @@ table("samples outside the binary, by thread (their callers are lost: no frame p
 for thread, c in thread_c.most_common():
     if c * 50 >= total:
         table("self on thread %s" % thread, thread_self[thread], 8)
+
+# libc samples by the nearest exported symbol at or below each one.
+def libc_class(sym):
+    if re.fullmatch(r"(__libc_)?(malloc|free|cfree|realloc|calloc|reallocarray|memalign"
+                    r"|posix_memalign|aligned_alloc|valloc|pvalloc)", sym):
+        return "allocator"
+    if re.match(r"_*(mem|wmem|str|stp|bcopy|bzero)", sym):
+        return "memcpy-like"
+    if re.fullmatch(r"_*(send|sendto|sendmsg|recv|recvfrom|recvmsg|fdatasync|fsync|syscall"
+                    r"|read|write|pread64|pwrite64|epoll_wait|poll|nanosleep|clock_nanosleep)", sym):
+        return "syscall wrappers"
+    return "other"
+
+if libc_leaves:
+    libc_path = libc_leaves[0][0]
+    elf = subprocess.run(["readelf", "-lW", "--dyn-syms", libc_path], capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    libc_delta = next(int(f[2], 16) - int(f[1], 16) for line in elf
+                      for f in [line.split()] if f[:1] == ["LOAD"] and " R E " in line)
+    # (start, size, name); an IFUNC's chosen implementation has no size.
+    syms = {(int(f[1], 16), int(f[2], 0), f[7].split("@")[0]) for line in elf
+            for f in [line.split()] if len(f) >= 8 and f[0].endswith(":")
+            and f[3] in ("FUNC", "IFUNC") and f[6] != "UND" and int(f[1], 16) > 0}
+    if os.path.exists(samples_path + ".ifunc"):
+        for line in open(samples_path + ".ifunc"):
+            name, addr = line.split()
+            obj = file_offset(int(addr, 16))
+            if obj is not None and obj[0] == libc_path:
+                syms.add((obj[1] + libc_delta, None, name))
+    syms = sorted(syms)
+    starts = [a for a, _, _ in syms]
+    by_class = collections.Counter()
+    by_sym = collections.defaultdict(collections.Counter)
+    for _, offset in libc_leaves:
+        addr = offset + libc_delta
+        i = bisect.bisect_right(starts, addr) - 1
+        start, size, sym = syms[i] if i >= 0 else (0, None, "?")
+        cls = libc_class(sym)
+        if size is not None and addr >= start + size:
+            # Static code: malloc.c's sits just before its entry points.
+            after = syms[i + 1][2] if i + 1 < len(syms) else "?"
+            if libc_class(after) == "allocator":
+                sym, cls = "static before " + after, "allocator"
+            else:
+                sym = "static after " + sym
+        by_class[cls] += 1
+        by_sym[cls][sym] += 1
+    print("\n== libc samples by nearest exported symbol (approximate: see this script's header) ==")
+    for cls, c in by_class.most_common():
+        named = ", ".join("%s %.1f%%" % (s, 100.0 * n / total) for s, n in by_sym[cls].most_common(4))
+        print("%6.1f%% %7d  %s (%s)" % (100.0 * c / total, c, cls, named))
 EOF

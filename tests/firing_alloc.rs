@@ -1,0 +1,275 @@
+//! The firing path counted, not timed: a counting global allocator
+//! bounds the heap allocations of one `rule_wall`-shaped update, the
+//! live heap a loaded rule holds, and the allocations of reading the
+//! catalog.
+//!
+//! The wall is 2 000 rules, eight per symbol, `new.symbol = S and
+//! new.level = j`. An update of `S` leaves eight candidates in the
+//! discrimination network and satisfies two of them: one immediate rule
+//! whose action is an `UpdateWhere` in a subtransaction, and one
+//! detached rule whose action is an application request run on a pool
+//! thread. The counter is global, not per thread, so the detached
+//! firing's allocations count too; each measured window ends with
+//! `quiesce`. Keep this the only test in its binary: a test running
+//! beside it would count into the same counter.
+//!
+//! Recorded before the catalog, the rule store and the event payload
+//! were shared by reference count: 564.0 allocations per update, 1 657
+//! live heap bytes per loaded rule, and one `Schema` of cloned class
+//! definitions built on every `ObjectStore::schema` call.
+
+use hipac::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+/// Allocations made by every thread of the process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given, so `Counting` upholds exactly the contracts `System` does; the
+// only additions are two atomic counters that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; the caller upholds `alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; `ptr` came from `System` via this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; `ptr` came from `System` via this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const SYMBOLS: usize = 250;
+const RULES_PER_SYMBOL: usize = 8;
+const LEVELS: usize = 4;
+const RULES: usize = SYMBOLS * RULES_PER_SYMBOL;
+const WARM: u64 = 500;
+const MEASURED: u64 = 2_000;
+
+/// Allocations per update allowed (564.0 before sharing).
+const ALLOCS_PER_UPDATE_MAX: f64 = 240.0;
+/// Live heap bytes per loaded rule allowed (1 657 before sharing).
+const LIVE_BYTES_PER_RULE_MAX: i64 = 1_657;
+
+fn symbol(i: usize) -> String {
+    format!("W{i:04}")
+}
+
+/// The wall's classes and one `stock` and one `tally` row per symbol.
+fn schema_and_rows(db: &ActiveDatabase) -> Vec<ObjectId> {
+    db.run_top(|t| {
+        db.store().create_class(
+            t,
+            "stock",
+            None,
+            vec![
+                AttrDef::new("symbol", ValueType::Str).indexed(),
+                AttrDef::new("level", ValueType::Int),
+                AttrDef::new("n", ValueType::Int),
+                AttrDef::new("stamp", ValueType::Int),
+            ],
+        )?;
+        db.store().create_class(
+            t,
+            "tally",
+            None,
+            vec![
+                AttrDef::new("symbol", ValueType::Str).indexed(),
+                AttrDef::new("hits", ValueType::Int),
+                AttrDef::new("last", ValueType::Int),
+            ],
+        )?;
+        let mut oids = Vec::with_capacity(SYMBOLS);
+        for i in 0..SYMBOLS {
+            let s = symbol(i);
+            oids.push(db.store().insert(
+                t,
+                "stock",
+                vec![
+                    s.as_str().into(),
+                    (-1i64).into(),
+                    (-1i64).into(),
+                    0i64.into(),
+                ],
+            )?);
+            db.store().insert(
+                t,
+                "tally",
+                vec![s.as_str().into(), 0i64.into(), (-1i64).into()],
+            )?;
+        }
+        Ok(oids)
+    })
+    .unwrap()
+}
+
+/// Rule `j` of a symbol holds when `new.level = j % LEVELS`: the first
+/// `LEVELS` rules update the symbol's tally immediately, the rest send
+/// the desk a detached request.
+fn wall() -> Vec<RuleDef> {
+    let mut defs = Vec::with_capacity(RULES);
+    for i in 0..SYMBOLS {
+        let sym = symbol(i);
+        for j in 0..RULES_PER_SYMBOL {
+            let level = j % LEVELS;
+            let rule = RuleDef::new(format!("{sym}-{j}"))
+                .on(EventSpec::on_update("stock"))
+                .when(
+                    Query::parse(&format!(
+                        "from stock where new.symbol = \"{sym}\" and new.level = {level}"
+                    ))
+                    .unwrap(),
+                );
+            defs.push(if j < LEVELS {
+                rule.then(Action::single(ActionOp::Db(DbAction::UpdateWhere {
+                    query: Query::parse(&format!("from tally where symbol = \"{sym}\"")).unwrap(),
+                    assignments: vec![
+                        (
+                            "hits".into(),
+                            Expr::attr("hits").bin(BinOp::Add, Expr::lit(1)),
+                        ),
+                        ("last".into(), Expr::NewAttr("n".into())),
+                    ],
+                })))
+            } else {
+                rule.then(Action::single(ActionOp::AppRequest {
+                    handler: "desk".into(),
+                    request: "alert".into(),
+                    args: vec![
+                        ("n".into(), Expr::NewAttr("n".into())),
+                        ("stamp".into(), Expr::NewAttr("stamp".into())),
+                    ],
+                }))
+                .detached()
+            });
+        }
+    }
+    defs
+}
+
+/// Update `n`: a stock row and a level, both spread over the wall.
+fn update(db: &ActiveDatabase, oids: &[ObjectId], n: u64) {
+    let row = (n as usize * 7) % SYMBOLS;
+    let level = (n as usize / SYMBOLS) % LEVELS;
+    let t = db.begin();
+    db.store()
+        .update(
+            t,
+            oids[row],
+            &[
+                ("level", (level as i64).into()),
+                ("n", (n as i64).into()),
+                ("stamp", (n as i64 * 1_000).into()),
+            ],
+        )
+        .unwrap();
+    db.commit(t).unwrap();
+}
+
+#[test]
+fn firing_path_allocations_are_bounded() {
+    let db = ActiveDatabase::builder()
+        .workers(2)
+        .firing_parallelism(1)
+        .build()
+        .unwrap();
+    let alerts = Arc::new(AtomicU64::new(0));
+    {
+        let alerts = Arc::clone(&alerts);
+        db.register_handler("desk", move |_request: &str, _args: &Args| {
+            alerts.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        });
+    }
+    let oids = schema_and_rows(&db);
+
+    // Live heap of the loaded rule base, its definitions included.
+    db.quiesce();
+    let live_before = LIVE.load(Ordering::SeqCst);
+    db.run_top(|t| {
+        for def in wall() {
+            db.rules().create_rule(t, def)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.quiesce();
+    let per_rule = (LIVE.load(Ordering::SeqCst) - live_before) / RULES as i64;
+
+    // Allocations per update, the detached firings included.
+    for n in 0..WARM {
+        update(&db, &oids, n);
+    }
+    db.quiesce();
+    let before = db.stats();
+    let allocs_before = ALLOCS.load(Ordering::SeqCst);
+    for n in WARM..WARM + MEASURED {
+        update(&db, &oids, n);
+    }
+    db.quiesce();
+    let per_update = (ALLOCS.load(Ordering::SeqCst) - allocs_before) as f64 / MEASURED as f64;
+    let after = db.stats();
+    assert_eq!(
+        after.rules_triggered - before.rules_triggered,
+        2 * MEASURED,
+        "two rules trigger per update"
+    );
+    assert_eq!(
+        after.actions_executed - before.actions_executed,
+        2 * MEASURED,
+        "two actions run per update"
+    );
+    assert_eq!(alerts.load(Ordering::SeqCst), WARM + MEASURED);
+
+    // Reading the catalog with no DDL pending.
+    let t = db.begin();
+    let first = db.store().schema(t);
+    let reads_before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..100 {
+        let schema = db.store().schema(t);
+        assert!(schema.class_by_name("stock").is_ok());
+    }
+    let schema_allocs = ALLOCS.load(Ordering::SeqCst) - reads_before;
+    drop(first);
+    db.commit(t).unwrap();
+
+    eprintln!(
+        "{per_update:.1} allocations per update, {per_rule} live bytes per rule, \
+         {schema_allocs} allocations in 100 clean schema reads"
+    );
+    assert!(
+        per_update <= ALLOCS_PER_UPDATE_MAX,
+        "{per_update:.1} allocations per update"
+    );
+    assert!(
+        per_rule <= LIVE_BYTES_PER_RULE_MAX,
+        "{per_rule} live heap bytes per loaded rule"
+    );
+    assert_eq!(schema_allocs, 0, "a clean schema read allocated");
+}

@@ -708,14 +708,14 @@ fn network_snapshot(h: &Harness) -> (u64, Vec<(RuleId, Vec<Option<Vec<RuleId>>>)
             .map(|(old, new)| {
                 let signal = EventSignal {
                     txn: Some(t),
-                    db: Some(hipac_event::DbEventData {
+                    db: Some(Arc::new(hipac_event::DbEventData {
                         kind: DbEventKind::Update,
                         class,
                         class_lineage: vec!["stock".into()],
                         oid: None,
                         old: old.clone(),
                         new: Some(new.clone()),
-                    }),
+                    })),
                     ..EventSignal::at(0)
                 };
                 rules.match_candidates(event, &signal)
