@@ -127,6 +127,25 @@ fn raw_roundtrip(stream: &mut TcpStream, id: u64, meta: RequestMeta, command: Co
     }
 }
 
+/// One flood request: `None` once chaos broke the connection.
+fn flood_roundtrip(
+    stream: &mut TcpStream,
+    id: u64,
+    meta: RequestMeta,
+    command: Command,
+) -> Option<Reply> {
+    stream
+        .write_all(&Frame::Request { id, meta, command }.encode())
+        .ok()?;
+    loop {
+        match Frame::read_from(stream) {
+            Ok(Some(Frame::Response { id: rid, reply })) if rid == id => return Some(reply),
+            Ok(Some(_)) => continue,
+            _ => return None,
+        }
+    }
+}
+
 /// Open an authenticated session: Ping, then a real token.
 fn authed_session(addr: std::net::SocketAddr, client_id: u64) -> TcpStream {
     let mut s = TcpStream::connect(addr).expect("connect");
@@ -317,12 +336,24 @@ fn run_noisy_phase(cfg: &TenantTortureConfig) -> NoisyPhase {
             .build()
             .expect("open db"),
     );
-    db.run_top(|t| {
-        db.store()
-            .create_class(t, "quiet", None, vec![AttrDef::new("n", ValueType::Int)])?;
-        Ok(())
-    })
-    .expect("schema");
+    let hot = db
+        .run_top(|t| {
+            db.store()
+                .create_class(t, "quiet", None, vec![AttrDef::new("n", ValueType::Int)])?;
+            db.store()
+                .create_class(t, "hot", None, vec![AttrDef::new("n", ValueType::Int)])?;
+            db.store().insert(t, "hot", vec![Value::Int(0)])
+        })
+        .expect("schema");
+    // The flood's overlap is lock-driven, not statistical: this
+    // transaction holds the write lock on the one `hot` row, and every
+    // flood transaction updates that row before its abort. Flood
+    // requests therefore wait in the lock manager while they count
+    // against the tenant's budget, so a third one is always shed.
+    let holder = db.begin();
+    db.store()
+        .update(holder, hot, &[("n", Value::Int(1))])
+        .expect("hold the hot row");
     let server = HipacServer::bind_with(
         Arc::clone(&db),
         "127.0.0.1:0",
@@ -347,7 +378,8 @@ fn run_noisy_phase(cfg: &TenantTortureConfig) -> NoisyPhase {
 
     // Noisy flood: raw connections all asserting the same tenant with
     // unkeyed requests (no dedup interference), reconnecting through
-    // chaos resets until stopped.
+    // chaos resets until stopped. Each transaction waits on the held
+    // `hot` row, then aborts.
     let stop = Arc::new(AtomicBool::new(false));
     let mut flood = Vec::new();
     for _ in 0..cfg.noisy_workers {
@@ -363,44 +395,24 @@ fn run_noisy_phase(cfg: &TenantTortureConfig) -> NoisyPhase {
                     seq: 0,
                     deadline_ms: 0,
                 };
-                let mut id = 1u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let frame = Frame::Request {
-                        id,
-                        meta,
-                        command: Command::Begin,
-                    };
-                    if s.write_all(&frame.encode()).is_err() {
-                        break;
-                    }
-                    let reply = loop {
-                        match Frame::read_from(&mut s) {
-                            Ok(Some(Frame::Response { id: rid, reply })) if rid == id => {
-                                break Some(reply)
-                            }
-                            Ok(Some(_)) => continue,
-                            _ => break None,
-                        }
-                    };
-                    let Some(reply) = reply else { break };
+                let mut id = 0u64;
+                let mut request = |command: Command| {
                     id += 1;
-                    if let Reply::Txn(t) = reply {
-                        let frame = Frame::Request {
-                            id,
-                            meta,
-                            command: Command::Abort { txn: t },
+                    flood_roundtrip(&mut s, id, meta, command)
+                };
+                while !stop.load(Ordering::Relaxed) {
+                    let Some(reply) = request(Command::Begin) else {
+                        break;
+                    };
+                    if let Reply::Txn(txn) = reply {
+                        let update = Command::Update {
+                            txn,
+                            oid: hot.raw(),
+                            assignments: vec![("n".into(), Value::Int(2))],
                         };
-                        if s.write_all(&frame.encode()).is_err() {
+                        if request(update).is_none() || request(Command::Abort { txn }).is_none() {
                             break;
                         }
-                        loop {
-                            match Frame::read_from(&mut s) {
-                                Ok(Some(Frame::Response { id: rid, .. })) if rid == id => break,
-                                Ok(Some(_)) => continue,
-                                _ => break,
-                            }
-                        }
-                        id += 1;
                     }
                 }
             }
@@ -433,12 +445,15 @@ fn run_noisy_phase(cfg: &TenantTortureConfig) -> NoisyPhase {
         }
     }
     // Let the flood keep hammering until the per-tenant budget has
-    // demonstrably shed at least once (overlap of >2 noisy requests is
-    // a statistical certainty, not a per-iteration one).
+    // demonstrably shed at least once (two flood requests parked on
+    // the hot row fill the budget, so the next one is shed).
     while server.tenant_shed_requests() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
 
+    // Release the hot row before the flood stops, so no flood request
+    // is left waiting out the lock timeout.
+    db.abort(holder).expect("abort the hot-row holder");
     stop.store(true, Ordering::Relaxed);
     proxy.break_connections();
     for t in flood {

@@ -17,7 +17,7 @@ use crate::automaton::{Automaton, LeafSub, TimerRequest};
 use crate::signal::{DbEventData, EventSignal};
 use crate::spec::{EventSpec, TemporalSpec};
 use hipac_common::id::IdAllocator;
-use hipac_common::{Clock, EventId, HipacError, Result, Timestamp, TxnId, Value};
+use hipac_common::{Clock, EventId, HipacError, IdMap, Result, Timestamp, TxnId, Value};
 use parking_lot::{Mutex, RwLock};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -61,7 +61,7 @@ impl PartialOrd for TimerEntry {
 }
 
 struct Inner {
-    defs: HashMap<EventId, EventDef>,
+    defs: IdMap<EventId, EventDef>,
     by_name: HashMap<String, EventId>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
@@ -82,7 +82,7 @@ impl EventRegistry {
             clock,
             ids: IdAllocator::new(1),
             inner: Mutex::new(Inner {
-                defs: HashMap::new(),
+                defs: IdMap::default(),
                 by_name: HashMap::new(),
                 timers: BinaryHeap::new(),
                 timer_seq: 0,

@@ -38,16 +38,23 @@ use crate::object::ObjectRecord;
 use crate::query::{Plan, Query, QueryResult, Row};
 use crate::schema::{AttrDef, ClassDef, Schema};
 use hipac_common::id::IdAllocator;
-use hipac_common::{ClassId, HipacError, ObjectId, Result, TxnId, Value};
+use hipac_common::idhash::name_digest;
+use hipac_common::{ClassId, HipacError, IdMap, IdSet, ObjectId, Result, TxnId, Value};
 use hipac_storage::{DurableStore, StoreOp};
 use hipac_txn::{LockManager, LockMode, ResourceManager, TransactionManager, VersionStore};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Everything the lock manager can lock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// The lock table hashes keys with the id hasher
+/// ([`hipac_common::idhash`]), so `Hash` is written by hand: an id
+/// variant writes its tag and its id; a name variant writes its tag and
+/// the keyed [`name_digest`] of the name, never the name's bytes.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockKey {
     Object(ObjectId),
     Class(ClassId),
@@ -58,6 +65,20 @@ pub enum LockKey {
     Rule(u64),
     /// Serializes concurrent creation of a rule with the same name.
     RuleName(String),
+}
+
+impl Hash for LockKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (tag, word) = match self {
+            LockKey::Object(oid) => (0u8, oid.raw()),
+            LockKey::Class(cid) => (1, cid.raw()),
+            LockKey::ClassName(name) => (2, name_digest(name)),
+            LockKey::Rule(rid) => (3, *rid),
+            LockKey::RuleName(name) => (4, name_digest(name)),
+        };
+        state.write_u8(tag);
+        state.write_u64(word);
+    }
 }
 
 /// A database operation, as reported to event listeners. Carries the
@@ -112,7 +133,7 @@ pub trait OpListener: Send + Sync {
     fn on_operation(&self, txn: TxnId, op: &DbOperation) -> Result<()>;
 }
 
-type SecondaryIndex = BTreeMap<Value, HashSet<ObjectId>>;
+type SecondaryIndex = BTreeMap<Value, IdSet<ObjectId>>;
 
 /// The Object Manager.
 pub struct ObjectStore {
@@ -125,7 +146,7 @@ pub struct ObjectStore {
     listeners: RwLock<Vec<Arc<dyn OpListener>>>,
     /// Committed-data secondary indexes, keyed by (concrete class,
     /// layout slot).
-    indexes: RwLock<HashMap<(ClassId, usize), SecondaryIndex>>,
+    indexes: RwLock<IdMap<(ClassId, usize), SecondaryIndex>>,
     durable: Option<Arc<DurableStore>>,
     /// The committed catalog's snapshot and the catalog generation it
     /// was built from.
@@ -151,7 +172,7 @@ pub struct ObjectStore {
     /// family (ancestors included), plus a schema-dirty flag. Cached
     /// committed-data results must not serve a family that has pending
     /// writes on the cached query's class tree.
-    family_writes: Mutex<HashMap<TxnId, FamilyWrites>>,
+    family_writes: Mutex<IdMap<TxnId, FamilyWrites>>,
 }
 
 #[derive(Default)]
@@ -249,13 +270,13 @@ impl ObjectStore {
             oid_alloc: IdAllocator::new(1),
             class_alloc: IdAllocator::new(1),
             listeners: RwLock::new(Vec::new()),
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::new(IdMap::default()),
             durable,
             catalog: RwLock::new((0, Arc::new(Schema::default()))),
             data_gens: Mutex::new(HashMap::new()),
             publish_in_flight: AtomicU64::new(0),
             track_writes: AtomicBool::new(false),
-            family_writes: Mutex::new(HashMap::new()),
+            family_writes: Mutex::new(IdMap::default()),
             tm: Arc::clone(&tm),
         });
         store.load_durable()?;
@@ -738,11 +759,11 @@ impl ObjectStore {
         let root = def.id;
         self.locks
             .acquire(txn, LockKey::Class(root), LockMode::Read)?;
-        let member_classes: HashSet<ClassId> =
+        let member_classes: IdSet<ClassId> =
             schema.subclasses_inclusive(root).into_iter().collect();
 
         // Per-concrete-class resolved predicate cache.
-        let mut resolved: HashMap<ClassId, crate::expr::Expr> = HashMap::new();
+        let mut resolved: IdMap<ClassId, crate::expr::Expr> = IdMap::default();
         let plan = self.plan(&schema, query)?;
 
         let candidates: Vec<ObjectId> = match &plan {
@@ -750,7 +771,7 @@ impl ObjectStore {
                 let probe = self.index_probe_value(query, attr, params)?;
                 let (slot, _) = schema.resolve_attr(root, attr)?;
                 let mut set: Vec<ObjectId> = Vec::new();
-                let mut dedup = HashSet::new();
+                let mut dedup = IdSet::default();
                 {
                     let indexes = self.indexes.read();
                     for cid in &member_classes {
@@ -1042,5 +1063,76 @@ impl ResourceManager for ObjectStore {
         }
         self.locks.release_all(txn);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hipac_common::idhash::IdBuildHasher;
+    use std::hash::BuildHasher;
+
+    fn hash_of(key: &LockKey) -> u64 {
+        IdBuildHasher::default().hash_one(key)
+    }
+
+    /// What the id hasher makes of a tag and a word.
+    fn tagged(tag: u8, word: u64) -> u64 {
+        let mut h = IdBuildHasher::default().build_hasher();
+        h.write_u8(tag);
+        h.write_u64(word);
+        h.finish()
+    }
+
+    #[test]
+    fn lock_key_equal_keys_hash_equal() {
+        let pairs = [
+            (LockKey::Object(ObjectId(9)), LockKey::Object(ObjectId(9))),
+            (LockKey::Class(ClassId(3)), LockKey::Class(ClassId(3))),
+            (LockKey::Rule(4), LockKey::Rule(4)),
+            (
+                LockKey::ClassName("stock".into()),
+                LockKey::ClassName(String::from("stock")),
+            ),
+            (
+                LockKey::RuleName("alert".into()),
+                LockKey::RuleName(String::from("alert")),
+            ),
+        ];
+        for (a, b) in &pairs {
+            assert_eq!(a, b);
+            assert_eq!(hash_of(a), hash_of(b), "{a:?}");
+        }
+        // The tag keeps variants over the same id apart.
+        assert_ne!(
+            hash_of(&LockKey::Object(ObjectId(4))),
+            hash_of(&LockKey::Rule(4))
+        );
+        assert_ne!(
+            hash_of(&LockKey::ClassName("x".into())),
+            hash_of(&LockKey::RuleName("x".into()))
+        );
+    }
+
+    #[test]
+    fn lock_key_id_variants_write_tag_and_id() {
+        assert_eq!(hash_of(&LockKey::Object(ObjectId(77))), tagged(0, 77));
+        assert_eq!(hash_of(&LockKey::Class(ClassId(77))), tagged(1, 77));
+        assert_eq!(hash_of(&LockKey::Rule(77)), tagged(3, 77));
+    }
+
+    #[test]
+    fn lock_key_names_hash_through_the_keyed_digest() {
+        for name in ["", "stock", "a name longer than one word"] {
+            let class = hash_of(&LockKey::ClassName(name.into()));
+            let rule = hash_of(&LockKey::RuleName(name.into()));
+            assert_eq!(class, tagged(2, name_digest(name)));
+            assert_eq!(rule, tagged(4, name_digest(name)));
+            // Not the id hasher over the name's bytes.
+            let mut raw = IdBuildHasher::default().build_hasher();
+            raw.write_u8(2);
+            name.hash(&mut raw);
+            assert_ne!(class, raw.finish(), "{name:?}");
+        }
     }
 }

@@ -33,7 +33,7 @@ use crate::network::{MatchNetwork, Matching, MemoTable};
 use crate::pool::{FiringPool, WorkerPool};
 use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 use hipac_common::id::IdAllocator;
-use hipac_common::{EventId, HipacError, ObjectId, Result, RuleId, TxnId, Value};
+use hipac_common::{EventId, HipacError, IdMap, IdSet, ObjectId, Result, RuleId, TxnId, Value};
 use hipac_event::spec::DbEventKind;
 use hipac_event::{DbEventData, EventRegistry, EventSignal, EventSpec, SignalSink};
 use hipac_object::expr::Bindings;
@@ -42,6 +42,7 @@ use hipac_object::store::{DbOperation, LockKey, OpListener};
 use hipac_object::ObjectStore;
 use hipac_txn::{LockMode, ResourceManager, TransactionManager, TxnHook, VersionStore};
 use parking_lot::{Mutex, RwLock};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -107,21 +108,22 @@ pub struct RuleManager {
     /// Rule definitions, shared: a firing carries the stored `Arc`, and
     /// a change installs a new definition rather than editing one.
     rules: VersionStore<RuleId, Arc<RuleDef>>,
-    rule_names: VersionStore<String, RuleId>,
+    /// Keyed by names a tenant picks, so on `RandomState`.
+    rule_names: VersionStore<String, RuleId, RandomState>,
     ids: IdAllocator,
-    catalog: RwLock<HashMap<RuleId, CatalogEntry>>,
+    catalog: RwLock<IdMap<RuleId, CatalogEntry>>,
     /// Rules created by each still-uncommitted transaction — the
     /// inverse of `CatalogEntry::created_by`. Child commits and aborts
     /// re-attribute or retract only their own creations through this
     /// index instead of scanning the whole catalog, which would be
     /// O(total rules) on every immediate-coupled firing (each fires in
     /// a child transaction).
-    created_index: Mutex<HashMap<TxnId, Vec<RuleId>>>,
+    created_index: Mutex<IdMap<TxnId, Vec<RuleId>>>,
     /// Event → rules, ascending by rule id. The rule lists are shared
     /// (`Arc`) so signal dispatch clones a handle, not the list — the
     /// per-signal work under this lock is O(1) regardless of how many
     /// rules an event has.
-    event_map: RwLock<HashMap<EventId, Arc<Vec<RuleId>>>>,
+    event_map: RwLock<IdMap<EventId, Arc<Vec<RuleId>>>>,
     /// How signals resolve their candidate rules (fixed at
     /// construction): walk the full event list, or probe the
     /// discrimination network.
@@ -137,13 +139,13 @@ pub struct RuleManager {
     /// event→rules mapping of §5.4 many-to-one and lets one signal
     /// carry a whole batch of rules into the Condition Evaluator.
     spec_index: RwLock<HashMap<EventSpec, EventId>>,
-    deferred: Mutex<HashMap<TxnId, Vec<(RuleId, EventSignal)>>>,
+    deferred: Mutex<IdMap<TxnId, Vec<(RuleId, EventSignal)>>>,
     /// Top-level transactions spawned by the Rule Manager itself
     /// (separate-mode firings). These do not emit transaction-control
     /// events, or commit-triggered rules would re-trigger themselves
     /// forever — the rule-interaction hazard the paper's §7 flags as
     /// future work; we close this one structurally.
-    internal_txns: Mutex<std::collections::HashSet<TxnId>>,
+    internal_txns: Mutex<IdSet<TxnId>>,
     handlers: RwLock<HashMap<String, Arc<dyn ApplicationHandler>>>,
     separate_errors: Mutex<Vec<(RuleId, HipacError)>>,
     /// Retry budget for separate-mode firings aborted by a
@@ -551,12 +553,12 @@ impl RuleManager {
             rules: VersionStore::new(Arc::clone(&tree)),
             rule_names: VersionStore::new(tree),
             ids: IdAllocator::new(1),
-            catalog: RwLock::new(HashMap::new()),
-            created_index: Mutex::new(HashMap::new()),
-            event_map: RwLock::new(HashMap::new()),
+            catalog: RwLock::new(IdMap::default()),
+            created_index: Mutex::new(IdMap::default()),
+            event_map: RwLock::new(IdMap::default()),
             spec_index: RwLock::new(HashMap::new()),
-            deferred: Mutex::new(HashMap::new()),
-            internal_txns: Mutex::new(std::collections::HashSet::new()),
+            deferred: Mutex::new(IdMap::default()),
+            internal_txns: Mutex::new(IdSet::default()),
             handlers: RwLock::new(HashMap::new()),
             separate_errors: Mutex::new(Vec::new()),
             separate_retry_limit: std::sync::atomic::AtomicUsize::new(3),

@@ -83,13 +83,13 @@
 //! invalidate (nor pollute) the memo.
 
 use crate::rule::RuleDef;
-use hipac_common::{EventId, ObjectId, RuleId, TxnId, Value};
+use hipac_common::{EventId, IdMap, IdSet, ObjectId, RuleId, TxnId, Value};
 use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
 use hipac_object::query::{Query, QueryResult};
 use hipac_object::ObjectStore;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -407,9 +407,9 @@ struct TypeNode {
     groups: HashMap<GroupKey, AttrDisc>,
     residual: BTreeSet<RuleId>,
     /// Always-candidates with uncommitted definition changes.
-    unstable: HashMap<RuleId, Mark>,
+    unstable: IdMap<RuleId, Mark>,
     /// Every rule placed from its committed definition.
-    placed: HashSet<RuleId>,
+    placed: IdSet<RuleId>,
 }
 
 impl TypeNode {
@@ -451,11 +451,11 @@ pub struct NetStats {
 
 #[derive(Default)]
 struct Inner {
-    nodes: HashMap<EventId, TypeNode>,
+    nodes: IdMap<EventId, TypeNode>,
     /// txn → rules it created (for promotion/retraction).
-    created: HashMap<TxnId, Vec<(EventId, RuleId)>>,
+    created: IdMap<TxnId, Vec<(EventId, RuleId)>>,
     /// top txn → rules it has pending definition changes on.
-    pending: HashMap<TxnId, Vec<(EventId, RuleId)>>,
+    pending: IdMap<TxnId, Vec<(EventId, RuleId)>>,
 }
 
 /// The discrimination network.
@@ -680,7 +680,7 @@ impl MatchNetwork {
 
     fn node_mut<'a>(
         &self,
-        nodes: &'a mut HashMap<EventId, TypeNode>,
+        nodes: &'a mut IdMap<EventId, TypeNode>,
         event: EventId,
     ) -> &'a mut TypeNode {
         nodes.entry(event).or_insert_with(|| {
@@ -693,7 +693,7 @@ impl MatchNetwork {
     /// `mark`, and any type node left empty.
     fn unmark(
         &self,
-        nodes: &mut HashMap<EventId, TypeNode>,
+        nodes: &mut IdMap<EventId, TypeNode>,
         entries: Vec<(EventId, RuleId)>,
         mark: Mark,
     ) {
@@ -713,7 +713,7 @@ impl MatchNetwork {
 
     fn place_rule(
         &self,
-        nodes: &mut HashMap<EventId, TypeNode>,
+        nodes: &mut IdMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
         def: &RuleDef,
@@ -795,7 +795,7 @@ impl MatchNetwork {
     /// placed.
     fn remove_rule(
         &self,
-        nodes: &mut HashMap<EventId, TypeNode>,
+        nodes: &mut IdMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
         def: Option<&RuleDef>,

@@ -16,12 +16,26 @@
 //! thread would race with its work; having the closer of the cycle die
 //! is the classic textbook resolution and guarantees progress). A wait
 //! timeout bounds worst-case blocking.
+//!
+//! # Representation
+//!
+//! The table is flat. A key's holders are a `Vec<(TxnId, LockMode)>`,
+//! not a map: every workload puts one or two holders on a key (a
+//! transaction and perhaps an ancestor that inherited it), so a linear
+//! scan beats hashing. The reverse index `holdings` lists each
+//! transaction's keys in a `Vec`; a key is pushed exactly once, when
+//! the transaction first becomes one of its holders (by a grant, or by
+//! inheriting it from a committed child), so the two indexes always
+//! describe the same pairs. Every map in the table is keyed on the id
+//! hasher ([`hipac_common::idhash`]); `K` must hash cheaply and, if it
+//! carries names, through a keyed digest (the object layer's lock key
+//! does).
 
 use crate::tree::{TxnState, TxnTree};
-use hipac_common::{HipacError, Result, TxnId};
+use hipac_common::{HipacError, IdMap, IdSet, Result, TxnId};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,12 +57,28 @@ impl LockMode {
 }
 
 struct LockState<K> {
-    /// Per-key holder sets.
-    locks: HashMap<K, HashMap<TxnId, LockMode>>,
-    /// Reverse index: keys held by each transaction.
-    holdings: HashMap<TxnId, HashSet<K>>,
+    /// Per-key holders, each transaction at most once.
+    locks: IdMap<K, Vec<(TxnId, LockMode)>>,
+    /// Reverse index: keys held by each transaction, each key once.
+    holdings: IdMap<TxnId, Vec<K>>,
     /// Wait-for graph: blocked requester → current blockers.
-    waits_for: HashMap<TxnId, HashSet<TxnId>>,
+    waits_for: IdMap<TxnId, IdSet<TxnId>>,
+}
+
+impl<K: Eq + Hash + Clone> LockState<K> {
+    /// Record `txn` as a holder of `key` in at least `mode`.
+    fn grant(&mut self, txn: TxnId, key: &K, mode: LockMode) {
+        if let Some(holders) = self.locks.get_mut(key) {
+            if let Some((_, held)) = holders.iter_mut().find(|(t, _)| *t == txn) {
+                *held = held.max(mode);
+                return;
+            }
+            holders.push((txn, mode));
+        } else {
+            self.locks.insert(key.clone(), vec![(txn, mode)]);
+        }
+        self.holdings.entry(txn).or_default().push(key.clone());
+    }
 }
 
 /// Observer invoked after every successful lock grant with the
@@ -70,6 +100,10 @@ pub struct LockManager<K: Eq + Hash + Clone> {
     cv: Condvar,
     timeout: Duration,
     tracer: Mutex<Option<LockTracer<K>>>,
+    /// Whether `tracer` is set: grants skip the tracer mutex when not.
+    /// Stored (`Release`) under the tracer mutex; a grant that loads it
+    /// set (`Acquire`) still reads the tracer through the mutex.
+    tracing: AtomicBool,
 }
 
 impl<K: Eq + Hash + Clone> LockManager<K> {
@@ -84,22 +118,28 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
         LockManager {
             tree,
             state: Mutex::new(LockState {
-                locks: HashMap::new(),
-                holdings: HashMap::new(),
-                waits_for: HashMap::new(),
+                locks: IdMap::default(),
+                holdings: IdMap::default(),
+                waits_for: IdMap::default(),
             }),
             cv: Condvar::new(),
             timeout,
             tracer: Mutex::new(None),
+            tracing: AtomicBool::new(false),
         }
     }
 
     /// Install (or clear) the grant tracer. See [`LockTracer`].
     pub fn set_tracer(&self, tracer: Option<LockTracer<K>>) {
-        *self.tracer.lock() = tracer;
+        let mut slot = self.tracer.lock();
+        self.tracing.store(tracer.is_some(), Ordering::Release);
+        *slot = tracer;
     }
 
     fn trace_grant(&self, txn: TxnId, key: &K, mode: LockMode) {
+        if !self.tracing.load(Ordering::Acquire) {
+            return;
+        }
         let tracer = self.tracer.lock().clone();
         if let Some(t) = tracer {
             t(txn, key, mode);
@@ -114,19 +154,19 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
         txn: TxnId,
         key: &K,
         mode: LockMode,
-    ) -> HashSet<TxnId> {
+    ) -> IdSet<TxnId> {
         let Some(holders) = state.locks.get(key) else {
-            return HashSet::new();
+            return IdSet::default();
         };
         holders
             .iter()
             .filter(|(h, m)| {
-                **h != txn
+                *h != txn
                     && match mode {
-                        LockMode::Read => **m == LockMode::Write,
+                        LockMode::Read => *m == LockMode::Write,
                         LockMode::Write => true,
                     }
-                    && !self.tree.is_ancestor_or_self(**h, txn)
+                    && !self.tree.is_ancestor_or_self(*h, txn)
             })
             .map(|(h, _)| *h)
             .collect()
@@ -137,10 +177,10 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     fn closes_cycle(
         state: &LockState<K>,
         from: TxnId,
-        seeds: &HashSet<TxnId>,
+        seeds: &IdSet<TxnId>,
     ) -> bool {
         let mut stack: Vec<TxnId> = seeds.iter().copied().collect();
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         while let Some(t) = stack.pop() {
             if t == from {
                 return true;
@@ -177,10 +217,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             }
             let blockers = self.blockers(&state, txn, &key, mode);
             if blockers.is_empty() {
-                let holders = state.locks.entry(key.clone()).or_default();
-                let entry = holders.entry(txn).or_insert(mode);
-                *entry = entry.max(mode);
-                state.holdings.entry(txn).or_default().insert(key.clone());
+                state.grant(txn, &key, mode);
                 state.waits_for.remove(&txn);
                 drop(state);
                 self.trace_grant(txn, &key, mode);
@@ -231,10 +268,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
         if !blockers.is_empty() {
             return Ok(false);
         }
-        let holders = state.locks.entry(key.clone()).or_default();
-        let entry = holders.entry(txn).or_insert(mode);
-        *entry = entry.max(mode);
-        state.holdings.entry(txn).or_default().insert(key.clone());
+        state.grant(txn, &key, mode);
         drop(state);
         self.trace_grant(txn, &key, mode);
         Ok(true)
@@ -247,8 +281,8 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             .lock()
             .locks
             .get(key)
-            .and_then(|h| h.get(&txn))
-            .copied()
+            .and_then(|h| h.iter().find(|(t, _)| *t == txn))
+            .map(|(_, m)| *m)
     }
 
     /// Release everything `txn` holds (abort path, or top-level
@@ -258,7 +292,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
         if let Some(keys) = state.holdings.remove(&txn) {
             for key in keys {
                 if let Some(holders) = state.locks.get_mut(&key) {
-                    holders.remove(&txn);
+                    holders.retain(|(t, _)| *t != txn);
                     if holders.is_empty() {
                         state.locks.remove(&key);
                     }
@@ -273,19 +307,25 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     /// commit). The parent retains the stronger mode where both held.
     pub fn inherit_to_parent(&self, txn: TxnId, parent: TxnId) {
         let mut state = self.state.lock();
-        if let Some(keys) = state.holdings.remove(&txn) {
+        let LockState {
+            locks, holdings, ..
+        } = &mut *state;
+        if let Some(keys) = holdings.remove(&txn) {
             for key in keys {
-                if let Some(holders) = state.locks.get_mut(&key) {
-                    if let Some(mode) = holders.remove(&txn) {
-                        let entry = holders.entry(parent).or_insert(mode);
-                        *entry = entry.max(mode);
+                let Some(holders) = locks.get_mut(&key) else {
+                    continue;
+                };
+                let Some(at) = holders.iter().position(|(t, _)| *t == txn) else {
+                    continue;
+                };
+                let (_, mode) = holders.swap_remove(at);
+                match holders.iter_mut().find(|(t, _)| *t == parent) {
+                    Some((_, held)) => *held = held.max(mode),
+                    None => {
+                        holders.push((parent, mode));
+                        holdings.entry(parent).or_default().push(key);
                     }
                 }
-                state
-                    .holdings
-                    .entry(parent)
-                    .or_default()
-                    .insert(key);
             }
         }
         state.waits_for.remove(&txn);

@@ -53,7 +53,9 @@ pub trait TxnHook: Send + Sync {
 /// The Transaction Manager.
 pub struct TransactionManager {
     tree: Arc<TxnTree>,
-    resources: RwLock<Vec<Arc<dyn ResourceManager>>>,
+    /// Copied on write by registration, so commit and abort take the
+    /// list with one refcount bump instead of copying it.
+    resources: RwLock<Arc<Vec<Arc<dyn ResourceManager>>>>,
     hooks: RwLock<Vec<Arc<dyn TxnHook>>>,
 }
 
@@ -62,7 +64,7 @@ impl TransactionManager {
     pub fn new() -> Self {
         TransactionManager {
             tree: Arc::new(TxnTree::new()),
-            resources: RwLock::new(Vec::new()),
+            resources: RwLock::new(Arc::new(Vec::new())),
             hooks: RwLock::new(Vec::new()),
         }
     }
@@ -76,7 +78,7 @@ impl TransactionManager {
     /// Register a resource manager. Registration order is the commit
     /// processing order.
     pub fn register_resource(&self, rm: Arc<dyn ResourceManager>) {
-        self.resources.write().push(rm);
+        Arc::make_mut(&mut *self.resources.write()).push(rm);
     }
 
     /// Register a lifecycle hook.
@@ -106,7 +108,8 @@ impl TransactionManager {
     /// parent-suspended rule: a transaction with active children cannot
     /// operate.
     pub fn check_operable(&self, txn: TxnId) -> Result<()> {
-        match self.tree.state(txn)? {
+        let (state, suspended) = self.tree.state_and_suspended(txn)?;
+        match state {
             TxnState::Active => {}
             TxnState::Committing => {
                 return Err(HipacError::InvalidTxnState {
@@ -122,7 +125,7 @@ impl TransactionManager {
             }
             TxnState::Aborted => return Err(HipacError::TxnAborted(txn)),
         }
-        if !self.tree.active_children(txn)?.is_empty() {
+        if suspended {
             return Err(HipacError::InvalidTxnState {
                 txn,
                 state: "suspended (has active subtransactions)",
@@ -180,16 +183,16 @@ impl TransactionManager {
             ));
         }
         let parent = self.tree.parent(txn)?;
-        let resources = self.resources.read().clone();
+        let resources = Arc::clone(&self.resources.read());
         let result: Result<()> = (|| {
             match parent {
                 Some(p) => {
-                    for rm in &resources {
+                    for rm in resources.iter() {
                         rm.on_commit_child(txn, p)?;
                     }
                 }
                 None => {
-                    for rm in &resources {
+                    for rm in resources.iter() {
                         rm.on_commit_top(txn)?;
                     }
                 }
@@ -256,8 +259,8 @@ impl TransactionManager {
         for child in self.tree.active_children(txn)? {
             self.abort_impl(child, true)?;
         }
-        let resources = self.resources.read().clone();
-        for rm in &resources {
+        let resources = Arc::clone(&self.resources.read());
+        for rm in resources.iter() {
             rm.on_abort(txn)?;
         }
         let top = self.tree.parent(txn)?.is_none();

@@ -1,9 +1,8 @@
 //! The transaction forest: parent/child structure and state tracking.
 
 use hipac_common::id::IdAllocator;
-use hipac_common::{HipacError, Result, TxnId};
+use hipac_common::{HipacError, IdMap, Result, TxnId};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Lifecycle state of a transaction.
@@ -44,13 +43,21 @@ struct TxnMeta {
     deadline: Option<Instant>,
 }
 
+/// Is `txn` known and still `Active` or `Committing`?
+fn is_live(txns: &IdMap<TxnId, TxnMeta>, txn: TxnId) -> bool {
+    matches!(
+        txns.get(&txn).map(|m| m.state),
+        Some(TxnState::Active) | Some(TxnState::Committing)
+    )
+}
+
 /// The shared registry of all transactions.
 ///
 /// Terminated transactions are retained until their whole tree
 /// terminates, then pruned, so memory does not grow with history.
 #[derive(Default)]
 pub struct TxnTree {
-    txns: RwLock<HashMap<TxnId, TxnMeta>>,
+    txns: RwLock<IdMap<TxnId, TxnMeta>>,
     ids: IdAllocator,
     seqs: IdAllocator,
 }
@@ -59,7 +66,7 @@ impl TxnTree {
     /// An empty forest.
     pub fn new() -> Self {
         TxnTree {
-            txns: RwLock::new(HashMap::new()),
+            txns: RwLock::new(IdMap::default()),
             ids: IdAllocator::new(1),
             seqs: IdAllocator::new(1),
         }
@@ -190,13 +197,16 @@ impl TxnTree {
             .children
             .iter()
             .copied()
-            .filter(|c| {
-                matches!(
-                    txns.get(c).map(|m| m.state),
-                    Some(TxnState::Active) | Some(TxnState::Committing)
-                )
-            })
+            .filter(|c| is_live(&txns, *c))
             .collect())
+    }
+
+    /// `txn`'s state, and whether it is suspended (has a child that is
+    /// still `Active` or `Committing`), read under one lock.
+    pub fn state_and_suspended(&self, txn: TxnId) -> Result<(TxnState, bool)> {
+        let txns = self.txns.read();
+        let meta = txns.get(&txn).ok_or(HipacError::UnknownTxn(txn))?;
+        Ok((meta.state, meta.children.iter().any(|c| is_live(&txns, *c))))
     }
 
     /// Nesting depth (0 = top-level).

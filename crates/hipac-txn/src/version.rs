@@ -24,12 +24,18 @@
 //! [`VersionStore::committed_generation`] hands the generation to a
 //! transaction only when nothing on its ancestor chain is pending, so
 //! the committed state is exactly what that transaction sees.
+//!
+//! The pending layers are found by transaction id, on the id hasher
+//! ([`hipac_common::idhash`]). The key maps (the committed map and each
+//! layer) take their hasher as the type parameter `S`, which defaults
+//! to the id hasher; a store keyed by names passes `RandomState`.
 
 use crate::tree::TxnTree;
-use hipac_common::{Result, TxnId};
+use hipac_common::idhash::IdBuildHasher;
+use hipac_common::{IdMap, Result, TxnId};
 use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// A pending (uncommitted) version.
@@ -39,28 +45,29 @@ enum Pending<V> {
     Delete,
 }
 
-struct Inner<K, V> {
-    committed: HashMap<K, V>,
+struct Inner<K, V, S> {
+    committed: HashMap<K, V, S>,
     /// Bumped by every change to `committed`.
     generation: u64,
-    pending: HashMap<TxnId, HashMap<K, Pending<V>>>,
+    pending: IdMap<TxnId, HashMap<K, Pending<V>, S>>,
 }
 
-/// The store. `K` is the object key, `V` the object payload.
-pub struct VersionStore<K: Eq + Hash + Clone, V: Clone> {
+/// The store. `K` is the object key, `V` the object payload, `S` the
+/// hasher of the key maps.
+pub struct VersionStore<K: Eq + Hash + Clone, V: Clone, S = IdBuildHasher> {
     tree: Arc<TxnTree>,
-    inner: RwLock<Inner<K, V>>,
+    inner: RwLock<Inner<K, V, S>>,
 }
 
-impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
+impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> VersionStore<K, V, S> {
     /// Create an empty store over the given transaction tree.
     pub fn new(tree: Arc<TxnTree>) -> Self {
         VersionStore {
             tree,
             inner: RwLock::new(Inner {
-                committed: HashMap::new(),
+                committed: HashMap::default(),
                 generation: 0,
-                pending: HashMap::new(),
+                pending: IdMap::default(),
             }),
         }
     }
@@ -204,7 +211,7 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
     pub fn for_each_visible(&self, txn: TxnId, mut f: impl FnMut(&K, &V)) {
         let inner = self.inner.read();
         // Nearest-ancestor-wins overlay.
-        let mut overlay: HashMap<&K, &Pending<V>> = HashMap::new();
+        let mut overlay: HashMap<&K, &Pending<V>, S> = HashMap::default();
         for t in self.tree.ancestors_inclusive(txn) {
             if let Some(layer) = inner.pending.get(&t) {
                 for (k, v) in layer {
@@ -261,7 +268,7 @@ impl<K: Eq + Hash + Clone, V: Clone> VersionStore<K, V> {
     pub fn pending_keys_for(&self, txn: TxnId) -> Vec<K> {
         let inner = self.inner.read();
         let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen: HashSet<K, S> = HashSet::default();
         for t in self.tree.ancestors_inclusive(txn) {
             if let Some(layer) = inner.pending.get(&t) {
                 for k in layer.keys() {

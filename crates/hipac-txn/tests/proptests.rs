@@ -3,13 +3,17 @@
 //! * The lock table maintains Moss's invariant under random operation
 //!   sequences: all simultaneous holders of conflicting modes on one
 //!   key lie on a single ancestor chain.
+//! * The flat lock table agrees with a model that keeps the map-of-maps
+//!   representation (holders per key in a map, holdings per transaction
+//!   in a set) under random acquire / try_acquire / inherit / release
+//!   schedules over a random transaction forest.
 //! * The version store agrees with a naive model database under random
 //!   nested schedules of put/delete/commit/abort.
 
 use hipac_common::TxnId;
 use hipac_txn::{LockManager, LockMode, TxnState, TxnTree, VersionStore};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,6 +42,101 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0usize..8, 0u8..4, any::<i64>()).prop_map(|(t, k, v)| Op::Put(t, k, v)),
         (0usize..8, 0u8..4).prop_map(|(t, k)| Op::Delete(t, k)),
     ]
+}
+
+/// The lock table as a map of maps plus holder sets: the
+/// representation the flat table replaced, kept as the oracle.
+#[derive(Default)]
+struct LockModel {
+    locks: HashMap<u8, HashMap<TxnId, LockMode>>,
+    holdings: HashMap<TxnId, HashSet<u8>>,
+}
+
+impl LockModel {
+    /// Would `txn` be granted `mode` on `key` without waiting?
+    fn grantable(&self, tree: &TxnTree, txn: TxnId, key: u8, mode: LockMode) -> bool {
+        self.locks.get(&key).map_or(true, |holders| {
+            holders.iter().all(|(h, m)| {
+                *h == txn
+                    || (mode == LockMode::Read && *m == LockMode::Read)
+                    || tree.is_ancestor_or_self(*h, txn)
+            })
+        })
+    }
+
+    fn grant(&mut self, txn: TxnId, key: u8, mode: LockMode) {
+        let held = self
+            .locks
+            .entry(key)
+            .or_default()
+            .entry(txn)
+            .or_insert(mode);
+        if mode == LockMode::Write {
+            *held = LockMode::Write;
+        }
+        self.holdings.entry(txn).or_default().insert(key);
+    }
+
+    fn release_all(&mut self, txn: TxnId) {
+        for key in self.holdings.remove(&txn).unwrap_or_default() {
+            let holders = self.locks.get_mut(&key).unwrap();
+            holders.remove(&txn);
+            if holders.is_empty() {
+                self.locks.remove(&key);
+            }
+        }
+    }
+
+    fn inherit_to_parent(&mut self, txn: TxnId, parent: TxnId) {
+        for key in self.holdings.remove(&txn).unwrap_or_default() {
+            let holders = self.locks.get_mut(&key).unwrap();
+            let mode = holders.remove(&txn).unwrap();
+            let held = holders.entry(parent).or_insert(mode);
+            if mode == LockMode::Write {
+                *held = LockMode::Write;
+            }
+            self.holdings.entry(parent).or_default().insert(key);
+        }
+    }
+
+    fn held(&self, txn: TxnId, key: u8) -> Option<LockMode> {
+        self.locks.get(&key).and_then(|h| h.get(&txn)).copied()
+    }
+}
+
+#[derive(Debug, Clone)]
+enum LockOp {
+    BeginTop,
+    /// Child of the i-th live transaction.
+    BeginChild(usize),
+    /// Blocking acquire, issued only when the model says it is granted
+    /// at once.
+    Acquire(usize, u8, bool),
+    TryAcquire(usize, u8, bool),
+    /// Commit into the parent (top-level transactions release instead).
+    Inherit(usize),
+    Release(usize),
+}
+
+fn arb_lock_op() -> impl Strategy<Value = LockOp> {
+    // `kind` weights the operations: lock requests outnumber the
+    // forest changes, releases are rarest.
+    (0u8..12, 0usize..16, 0u8..5, any::<bool>()).prop_map(|(kind, t, k, w)| match kind {
+        0 => LockOp::BeginTop,
+        1 | 2 => LockOp::BeginChild(t),
+        3..=5 => LockOp::Acquire(t, k, w),
+        6..=8 => LockOp::TryAcquire(t, k, w),
+        9 | 10 => LockOp::Inherit(t),
+        _ => LockOp::Release(t),
+    })
+}
+
+fn mode_of(write: bool) -> LockMode {
+    if write {
+        LockMode::Write
+    } else {
+        LockMode::Read
+    }
 }
 
 proptest! {
@@ -133,6 +232,89 @@ proptest! {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// The flat lock table against the map-of-maps model: after every
+    /// step, `held` agrees for every transaction ever begun and every
+    /// key, `try_acquire` gives the model's answer, and
+    /// `locked_key_count` matches.
+    #[test]
+    fn lock_table_matches_map_of_maps_model(
+        ops in proptest::collection::vec(arb_lock_op(), 1..120)
+    ) {
+        let tree = Arc::new(TxnTree::new());
+        let locks: LockManager<u8> =
+            LockManager::with_timeout(Arc::clone(&tree), Duration::from_millis(1));
+        let mut model = LockModel::default();
+        let mut live: Vec<TxnId> = Vec::new();
+        let mut all: Vec<TxnId> = Vec::new();
+        for op in ops {
+            let pick = |i: usize| live[i % live.len()];
+            match op {
+                LockOp::BeginTop => {
+                    let t = tree.begin_top();
+                    live.push(t);
+                    all.push(t);
+                }
+                LockOp::BeginChild(i) if !live.is_empty() => {
+                    let c = tree.begin_child(pick(i)).unwrap();
+                    live.push(c);
+                    all.push(c);
+                }
+                LockOp::Acquire(i, key, write) if !live.is_empty() => {
+                    let (txn, mode) = (pick(i), mode_of(write));
+                    if model.grantable(&tree, txn, key, mode) {
+                        prop_assert_eq!(locks.acquire(txn, key, mode), Ok(()));
+                        model.grant(txn, key, mode);
+                    }
+                }
+                LockOp::TryAcquire(i, key, write) if !live.is_empty() => {
+                    let (txn, mode) = (pick(i), mode_of(write));
+                    let expect = model.grantable(&tree, txn, key, mode);
+                    prop_assert_eq!(
+                        locks.try_acquire(txn, key, mode),
+                        Ok(expect),
+                        "{} {:?} on {}", txn, mode, key
+                    );
+                    if expect {
+                        model.grant(txn, key, mode);
+                    }
+                }
+                LockOp::Inherit(i) if !live.is_empty() => {
+                    let txn = pick(i);
+                    match tree.parent(txn).unwrap() {
+                        Some(p) => {
+                            locks.inherit_to_parent(txn, p);
+                            model.inherit_to_parent(txn, p);
+                        }
+                        None => {
+                            locks.release_all(txn);
+                            model.release_all(txn);
+                        }
+                    }
+                    tree.set_state(txn, TxnState::Committed).unwrap();
+                    live.retain(|t| *t != txn);
+                }
+                LockOp::Release(i) if !live.is_empty() => {
+                    let txn = pick(i);
+                    locks.release_all(txn);
+                    model.release_all(txn);
+                    tree.set_state(txn, TxnState::Aborted).unwrap();
+                    live.retain(|t| *t != txn);
+                }
+                _ => {}
+            }
+            for txn in &all {
+                for key in 0u8..5 {
+                    prop_assert_eq!(
+                        locks.held(*txn, &key),
+                        model.held(*txn, key),
+                        "{} on {}", txn, key
+                    );
+                }
+            }
+            prop_assert_eq!(locks.locked_key_count(), model.locks.len());
         }
     }
 

@@ -22,6 +22,11 @@ cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later
 cargo test -q -p hipac --test matching_diff durable_reopen_rebuilds_the_same_network
 cargo test -q -p hipac-rules --test tooling_tests explain_reports_network_placement
 
+echo "==> transaction substrate: lock-table differential (flat table against the map-of-maps model), id hasher spread and LockKey's keyed name digest"
+cargo test -q -p hipac-txn --test proptests lock_table_matches_map_of_maps_model
+cargo test -q -p hipac-common --lib idhash
+cargo test -q -p hipac-object --lib lock_key
+
 echo "==> firing-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read) and the catalog snapshot tests"
 # firing_alloc counts with a global allocator: it is the only test in
 # its binary. The snapshot tests in store_tests are pending_ddl_*,
@@ -75,7 +80,7 @@ HORDE_N=2000 cargo test -q -p hipac-net --test reactor_load
 echo "==> multi-tenant suite (auth sessions, tenant caps, slow-subscriber eviction)"
 cargo test -q -p hipac-net --test tenants
 
-echo "==> tenant-isolation torture (fixed seeds 101/202/303, eviction crash sweep)"
+echo "==> tenant-isolation torture (fixed seeds 101/202/303, lock-driven noisy-tenant shed, eviction crash sweep)"
 cargo test -q -p hipac-check --test tenant_torture
 
 # The offline toolchain may ship without clippy; lint hard when present.

@@ -8,9 +8,11 @@
 # directory of its own (target/cpu-profile/build; bench/ is not
 # touched), runs the workload under a small LD_PRELOAD sampler that
 # records, on every SIGPROF, the interrupted RIP, the frame-pointer
-# chain above it and the thread's name, then symbolizes the samples
-# with addr2line and prints self and inclusive top-N functions and the
-# split by thread. Samples and the run's JSON land in
+# chain above it and the thread's name and id, then symbolizes the
+# samples with addr2line and prints self and inclusive top-N functions
+# and the split by thread. A thread name that several threads share
+# (store_rw's writer and reader are both `hipac-perf`) is printed as
+# one `name/tid` row per thread. Samples and the run's JSON land in
 # target/cpu-profile/.
 #
 # Pitfalls:
@@ -53,7 +55,8 @@ bin="$work/build/release/hipac-perf"
 
 cat > "$work/sampler.c" <<'EOF'
 /* SIGPROF sampler, loaded with LD_PRELOAD. Each sample is one write():
- * a frame count, the thread name and the RIP plus return addresses. */
+ * a frame count, the thread name, the thread id and the RIP plus
+ * return addresses. */
 #define _GNU_SOURCE
 #include <dlfcn.h>
 #include <errno.h>
@@ -65,12 +68,13 @@ cat > "$work/sampler.c" <<'EOF'
 #include <stdio.h>
 #include <stdlib.h>
 #include <sys/prctl.h>
+#include <sys/syscall.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
 
 #define MAX_FRAMES 64
-struct rec { uint32_t n; char name[16]; uintptr_t pc[MAX_FRAMES]; };
+struct rec { uint32_t n; char name[16]; uint32_t tid; uintptr_t pc[MAX_FRAMES]; };
 static int out_fd = -1;
 /* The frame chain is only followed inside this thread's own stack. */
 static __thread uintptr_t stack_lo, stack_hi;
@@ -91,6 +95,7 @@ static void on_prof(int sig, siginfo_t *si, void *ctx) {
     const greg_t *g = ((ucontext_t *)ctx)->uc_mcontext.gregs;
     struct rec r = { .n = 0 };
     prctl(PR_GET_NAME, r.name, 0, 0, 0);
+    r.tid = (uint32_t)syscall(SYS_gettid);
     r.pc[r.n++] = (uintptr_t)g[REG_RIP];
     uintptr_t fp = (uintptr_t)g[REG_RBP], sp = (uintptr_t)g[REG_RSP];
     while (r.n < MAX_FRAMES && fp >= sp && fp >= stack_lo && fp + 16 <= stack_hi && !(fp & 7)) {
@@ -174,12 +179,22 @@ for line in open(samples_path + ".maps"):
         maps.append((lo, hi, int(parts[2], 16), parts[5]))
 
 data = open(samples_path, "rb").read()
-stacks, pos = [], 0
+raw, pos = [], 0
 while pos + 24 <= len(data):
     n, = struct.unpack_from("<I", data, pos)
-    thread = data[pos + 4:pos + 20].split(b"\0")[0].decode(errors="replace")
-    stacks.append((re.sub(r"-\d+$", "-N", thread), struct.unpack_from("<%dQ" % n, data, pos + 24)))
+    name = data[pos + 4:pos + 20].split(b"\0")[0].decode(errors="replace")
+    tid, = struct.unpack_from("<I", data, pos + 20)
+    raw.append((name, tid, struct.unpack_from("<%dQ" % n, data, pos + 24)))
     pos += 24 + 8 * n
+
+# A name several threads share gets one "name/tid" row per thread;
+# otherwise a trailing number is folded ("hipac-net-worker-N").
+tids = collections.defaultdict(set)
+for name, tid, _ in raw:
+    tids[name].add(tid)
+def label(name, tid):
+    return "%s/%d" % (name, tid) if len(tids[name]) > 1 else re.sub(r"-\d+$", "-N", name)
+stacks = [(label(name, tid), pcs) for name, tid, pcs in raw]
 
 # The file offset -> virtual address delta: VirtAddr - Offset of the
 # binary's executable ("R E") LOAD segment.
@@ -253,8 +268,9 @@ def table(title, counter, n):
     for key, c in counter.most_common(n):
         print("%6.1f%% %7d  %s" % (100.0 * c / total, c, key if isinstance(key, str) else " / ".join(key)))
 
-print("\n%d samples (about %.0f s of CPU at 100 Hz), %d thread names" % (len(frames), len(frames) / 100.0, len(thread_c)))
-table("by thread (thread names with their trailing number folded)", thread_c, top)
+print("\n%d samples (about %.0f s of CPU at 100 Hz), %d thread names, %d threads"
+      % (len(frames), len(frames) / 100.0, len(tids), len({t for _, t, _ in raw})))
+table("by thread (trailing numbers folded; a shared name split as name/tid)", thread_c, top)
 table("self, top %d" % top, self_c, top)
 table("inclusive, top %d" % top, incl_c, top)
 table("samples outside the binary, by thread (their callers are lost: no frame pointers there)", outside, top)
