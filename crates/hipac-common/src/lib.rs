@@ -5,7 +5,7 @@
 //! that object attributes and event arguments are made of, the error
 //! type, logical/virtual clocks used by the temporal event detector, a
 //! compact binary codec used by the storage engine, and the fast hasher
-//! that maps keyed by engine-allocated ids use ([`idhash`]).
+//! that maps keyed by ids use ([`idhash`]).
 //!
 //! Nothing in this crate knows about rules, events, transactions or
 //! objects; it is the bottom of the dependency graph.

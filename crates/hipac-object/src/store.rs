@@ -38,7 +38,7 @@ use crate::object::ObjectRecord;
 use crate::query::{Plan, Query, QueryResult, Row};
 use crate::schema::{AttrDef, ClassDef, Schema};
 use hipac_common::id::IdAllocator;
-use hipac_common::idhash::name_digest;
+use hipac_common::idhash::{name_digest, IdBuildHasher};
 use hipac_common::{ClassId, HipacError, IdMap, IdSet, ObjectId, Result, TxnId, Value};
 use hipac_storage::{DurableStore, StoreOp};
 use hipac_txn::{LockManager, LockMode, ResourceManager, TransactionManager, VersionStore};
@@ -50,10 +50,14 @@ use std::sync::Arc;
 
 /// Everything the lock manager can lock.
 ///
-/// The lock table hashes keys with the id hasher
+/// The lock table hashes keys with the keyed id hasher
 /// ([`hipac_common::idhash`]), so `Hash` is written by hand: an id
 /// variant writes its tag and its id; a name variant writes its tag and
-/// the keyed [`name_digest`] of the name, never the name's bytes.
+/// the keyed [`name_digest`] of the name, never the name's bytes. A
+/// client picks some of these keys: the wire's `Update` and `Delete`
+/// carry a raw object id whose lock is taken before the object is
+/// looked up. Each key is one fixed tag and one client-chosen word, so
+/// the hasher's per-process key decides which keys share a bucket.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockKey {
     Object(ObjectId),
@@ -139,8 +143,8 @@ type SecondaryIndex = BTreeMap<Value, IdSet<ObjectId>>;
 pub struct ObjectStore {
     tm: Arc<TransactionManager>,
     locks: Arc<LockManager<LockKey>>,
-    objects: VersionStore<ObjectId, ObjectRecord>,
-    classes: VersionStore<ClassId, ClassDef>,
+    objects: VersionStore<ObjectId, ObjectRecord, IdBuildHasher>,
+    classes: VersionStore<ClassId, ClassDef, IdBuildHasher>,
     oid_alloc: IdAllocator,
     class_alloc: IdAllocator,
     listeners: RwLock<Vec<Arc<dyn OpListener>>>,
@@ -1119,6 +1123,19 @@ mod tests {
         assert_eq!(hash_of(&LockKey::Object(ObjectId(77))), tagged(0, 77));
         assert_eq!(hash_of(&LockKey::Class(ClassId(77))), tagged(1, 77));
         assert_eq!(hash_of(&LockKey::Rule(77)), tagged(3, 77));
+    }
+
+    #[test]
+    fn lock_key_client_chosen_object_ids_spread_over_low_bucket_bits() {
+        // Object ids a client sends that differ only in bits >= 32 (or
+        // >= 52): they must not share hashbrown's start bucket.
+        for shift in [32, 52] {
+            let buckets: HashSet<u64> = (0..4096u64)
+                .map(|i| hash_of(&LockKey::Object(ObjectId(i << shift | 5))) & 4095)
+                .collect();
+            // Random placement reaches about 2 589 of 4 096 buckets.
+            assert!(buckets.len() >= 2400, "<< {shift}: {} buckets", buckets.len());
+        }
     }
 
     #[test]

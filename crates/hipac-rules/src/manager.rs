@@ -33,6 +33,7 @@ use crate::network::{MatchNetwork, Matching, MemoTable};
 use crate::pool::{FiringPool, WorkerPool};
 use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 use hipac_common::id::IdAllocator;
+use hipac_common::idhash::IdBuildHasher;
 use hipac_common::{EventId, HipacError, IdMap, IdSet, ObjectId, Result, RuleId, TxnId, Value};
 use hipac_event::spec::DbEventKind;
 use hipac_event::{DbEventData, EventRegistry, EventSignal, EventSpec, SignalSink};
@@ -107,7 +108,7 @@ pub struct RuleManager {
     firing: FiringPool,
     /// Rule definitions, shared: a firing carries the stored `Arc`, and
     /// a change installs a new definition rather than editing one.
-    rules: VersionStore<RuleId, Arc<RuleDef>>,
+    rules: VersionStore<RuleId, Arc<RuleDef>, IdBuildHasher>,
     /// Keyed by names a tenant picks, so on `RandomState`.
     rule_names: VersionStore<String, RuleId, RandomState>,
     ids: IdAllocator,

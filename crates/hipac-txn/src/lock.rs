@@ -20,16 +20,22 @@
 //! # Representation
 //!
 //! The table is flat. A key's holders are a `Vec<(TxnId, LockMode)>`,
-//! not a map: every workload puts one or two holders on a key (a
-//! transaction and perhaps an ancestor that inherited it), so a linear
-//! scan beats hashing. The reverse index `holdings` lists each
-//! transaction's keys in a `Vec`; a key is pushed exactly once, when
-//! the transaction first becomes one of its holders (by a grant, or by
-//! inheriting it from a committed child), so the two indexes always
-//! describe the same pairs. Every map in the table is keyed on the id
-//! hasher ([`hipac_common::idhash`]); `K` must hash cheaply and, if it
-//! carries names, through a keyed digest (the object layer's lock key
-//! does).
+//! not a map, and `grant`, `release_all` and `inherit_to_parent` scan
+//! it linearly, as `blockers` always has. Most keys have one or two
+//! holders (a transaction and perhaps an ancestor that inherited the
+//! lock). The object layer's class keys have more: every query
+//! read-locks its class until the top-level commit, so a popular
+//! class's list holds one entry per open transaction that read it, and
+//! the scans grow with the number of concurrent readers.
+//!
+//! The reverse index `holdings` lists each transaction's keys in a
+//! `Vec`; a key is pushed exactly once, when the transaction first
+//! becomes one of its holders (by a grant, or by inheriting it from a
+//! committed child), so the two indexes always describe the same pairs. Every map in the table is keyed on the
+//! keyed id hasher ([`hipac_common::idhash`]); `K` must hash cheaply,
+//! write at most one client-chosen word, and hash any name it carries
+//! through a keyed digest (the object layer's lock key does all three:
+//! clients pick object ids through the wire's `Update` and `Delete`).
 
 use crate::tree::{TxnState, TxnTree};
 use hipac_common::{HipacError, IdMap, IdSet, Result, TxnId};

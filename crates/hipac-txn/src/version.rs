@@ -27,11 +27,11 @@
 //!
 //! The pending layers are found by transaction id, on the id hasher
 //! ([`hipac_common::idhash`]). The key maps (the committed map and each
-//! layer) take their hasher as the type parameter `S`, which defaults
-//! to the id hasher; a store keyed by names passes `RandomState`.
+//! layer) take their hasher as the type parameter `S`, which has no
+//! default: a store keyed by ids names `IdBuildHasher`, one keyed by
+//! names or values `RandomState`.
 
 use crate::tree::TxnTree;
-use hipac_common::idhash::IdBuildHasher;
 use hipac_common::{IdMap, Result, TxnId};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
@@ -54,7 +54,7 @@ struct Inner<K, V, S> {
 
 /// The store. `K` is the object key, `V` the object payload, `S` the
 /// hasher of the key maps.
-pub struct VersionStore<K: Eq + Hash + Clone, V: Clone, S = IdBuildHasher> {
+pub struct VersionStore<K: Eq + Hash + Clone, V: Clone, S> {
     tree: Arc<TxnTree>,
     inner: RwLock<Inner<K, V, S>>,
 }
@@ -288,8 +288,9 @@ pub type VersionResult<T> = Result<T>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::RandomState;
 
-    fn setup() -> (Arc<TxnTree>, VersionStore<&'static str, i64>) {
+    fn setup() -> (Arc<TxnTree>, VersionStore<&'static str, i64, RandomState>) {
         let tree = Arc::new(TxnTree::new());
         let vs = VersionStore::new(Arc::clone(&tree));
         (tree, vs)

@@ -13,6 +13,7 @@
 use hipac_common::TxnId;
 use hipac_txn::{LockManager, LockMode, TxnState, TxnTree, VersionStore};
 use proptest::prelude::*;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
@@ -323,7 +324,7 @@ proptest! {
     #[test]
     fn version_store_matches_model(ops in proptest::collection::vec(arb_op(), 1..100)) {
         let tree = Arc::new(TxnTree::new());
-        let vs: VersionStore<u8, i64> = VersionStore::new(Arc::clone(&tree));
+        let vs: VersionStore<u8, i64, RandomState> = VersionStore::new(Arc::clone(&tree));
         let mut committed: HashMap<u8, i64> = HashMap::new();
         // model: per live txn, overlay of key -> Option<i64> (None =
         // tombstone)

@@ -22,7 +22,7 @@ cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later
 cargo test -q -p hipac --test matching_diff durable_reopen_rebuilds_the_same_network
 cargo test -q -p hipac-rules --test tooling_tests explain_reports_network_placement
 
-echo "==> transaction substrate: lock-table differential (flat table against the map-of-maps model), id hasher spread and LockKey's keyed name digest"
+echo "==> transaction substrate: lock-table differential (flat table against the map-of-maps model), keyed id hasher spread (high-bit-only ids and client-chosen object lock keys included) and LockKey's keyed name digest"
 cargo test -q -p hipac-txn --test proptests lock_table_matches_map_of_maps_model
 cargo test -q -p hipac-common --lib idhash
 cargo test -q -p hipac-object --lib lock_key
