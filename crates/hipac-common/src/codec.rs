@@ -1,17 +1,27 @@
-//! Compact binary codec for [`Value`]s and primitives.
+//! Compact binary codec: the primitives, and the one [`Wire`] trait that
+//! every wire frame and durable record is written with.
 //!
 //! Used by the storage engine to serialize object records into slotted
-//! pages and by the write-ahead log for before/after images. The format
-//! is self-describing (a one-byte tag per value) and length-prefixed, so
-//! records can be decoded without schema access — which is what recovery
-//! needs.
+//! pages, by the write-ahead log for before/after images, and through
+//! [`Wire`] by the network protocol, the rule record and the catalog
+//! record. The format is self-describing (a one-byte tag per value) and
+//! length-prefixed, so records can be decoded without schema access —
+//! which is what recovery needs.
 //!
 //! Integers use a zig-zag varint encoding so small values (the common
 //! case for ids and counters) take one byte.
+//!
+//! A struct's or enum's [`Wire`] impl is declared with
+//! [`wire_struct!`](crate::wire_struct) or
+//! [`wire_enum!`](crate::wire_enum): its field order and its variant
+//! tags are written once, and the encoder and decoder are generated
+//! from that one list. Tags are stable on the wire and on disk: never
+//! renumber, only append.
 
 use crate::error::{HipacError, Result};
 use crate::id::ObjectId;
 use crate::value::Value;
+use std::collections::HashMap;
 
 // Value tags. Stable on disk: never renumber, only append.
 const TAG_NULL: u8 = 0;
@@ -104,47 +114,13 @@ pub fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
     Ok(out)
 }
 
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Read a length-prefixed UTF-8 string, advancing `pos`.
-pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
-    let b = get_bytes(buf, pos)?;
-    std::str::from_utf8(b)
-        .map(str::to_owned)
-        .map_err(|_| HipacError::Corruption("invalid utf-8 in string".into()))
-}
-
-/// Append a string-keyed value map with a leading count. Entries are
-/// written in sorted key order so equal maps encode identically.
-pub fn put_kv_map(buf: &mut Vec<u8>, map: &std::collections::HashMap<String, Value>) {
-    put_uvarint(buf, map.len() as u64);
-    let mut keys: Vec<&String> = map.keys().collect();
-    keys.sort();
-    for k in keys {
-        put_str(buf, k);
-        put_value(buf, &map[k]);
-    }
-}
-
-/// Read a map written by [`put_kv_map`], advancing `pos`.
-pub fn get_kv_map(
-    buf: &[u8],
-    pos: &mut usize,
-) -> Result<std::collections::HashMap<String, Value>> {
-    let n = get_uvarint(buf, pos)? as usize;
-    if n > buf.len().saturating_sub(*pos) {
-        return Err(HipacError::Corruption("map length exceeds input".into()));
-    }
-    let mut map = std::collections::HashMap::with_capacity(n);
-    for _ in 0..n {
-        let k = get_str(buf, pos)?;
-        let v = get_value(buf, pos)?;
-        map.insert(k, v);
-    }
-    Ok(map)
+/// Read one byte (a tag or a flag byte), advancing `pos`.
+pub fn get_byte(buf: &[u8], pos: &mut usize) -> Result<u8> {
+    let b = *buf
+        .get(*pos)
+        .ok_or_else(|| HipacError::Corruption("truncated tag".into()))?;
+    *pos += 1;
+    Ok(b)
 }
 
 /// Append one [`Value`].
@@ -163,7 +139,7 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             buf.push(TAG_STR);
-            put_bytes(buf, s.as_bytes());
+            s.put(buf);
         }
         Value::Bytes(b) => {
             buf.push(TAG_BYTES);
@@ -171,7 +147,7 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::Ref(id) => {
             buf.push(TAG_REF);
-            put_uvarint(buf, id.raw());
+            id.put(buf);
         }
         Value::Timestamp(t) => {
             buf.push(TAG_TIMESTAMP);
@@ -179,21 +155,14 @@ pub fn put_value(buf: &mut Vec<u8>, v: &Value) {
         }
         Value::List(items) => {
             buf.push(TAG_LIST);
-            put_uvarint(buf, items.len() as u64);
-            for item in items {
-                put_value(buf, item);
-            }
+            items.put(buf);
         }
     }
 }
 
 /// Read one [`Value`], advancing `pos`.
 pub fn get_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
-    let tag = *buf
-        .get(*pos)
-        .ok_or_else(|| HipacError::Corruption("truncated value tag".into()))?;
-    *pos += 1;
-    match tag {
+    match get_byte(buf, pos)? {
         TAG_NULL => Ok(Value::Null),
         TAG_BOOL_FALSE => Ok(Value::Bool(false)),
         TAG_BOOL_TRUE => Ok(Value::Bool(true)),
@@ -208,27 +177,11 @@ pub fn get_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
             *pos = end;
             Ok(Value::Float(f64::from_bits(u64::from_le_bytes(raw))))
         }
-        TAG_STR => {
-            let b = get_bytes(buf, pos)?;
-            let s = std::str::from_utf8(b)
-                .map_err(|_| HipacError::Corruption("invalid utf-8 in string".into()))?;
-            Ok(Value::Str(s.to_owned()))
-        }
+        TAG_STR => Ok(Value::Str(String::get(buf, pos)?)),
         TAG_BYTES => Ok(Value::Bytes(get_bytes(buf, pos)?.to_vec())),
-        TAG_REF => Ok(Value::Ref(ObjectId(get_uvarint(buf, pos)?))),
+        TAG_REF => Ok(Value::Ref(ObjectId::get(buf, pos)?)),
         TAG_TIMESTAMP => Ok(Value::Timestamp(get_uvarint(buf, pos)?)),
-        TAG_LIST => {
-            let n = get_uvarint(buf, pos)? as usize;
-            // Guard against hostile lengths: each element takes >= 1 byte.
-            if n > buf.len().saturating_sub(*pos) {
-                return Err(HipacError::Corruption("list length exceeds input".into()));
-            }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(get_value(buf, pos)?);
-            }
-            Ok(Value::List(items))
-        }
+        TAG_LIST => Ok(Value::List(Vec::get(buf, pos)?)),
         other => Err(HipacError::Corruption(format!("unknown value tag {other}"))),
     }
 }
@@ -245,22 +198,327 @@ pub fn encode_row(values: &[Value]) -> Vec<u8> {
 
 /// Decode a row produced by [`encode_row`]. Fails on trailing garbage.
 pub fn decode_row(buf: &[u8]) -> Result<Vec<Value>> {
+    from_bytes(buf)
+}
+
+/// A type with one binary encoding. Decoding rejects what no `put`
+/// writes and a lax reader would misread: an integer that does not fit
+/// its type (instead of truncating it) and a flag byte other than 0 or
+/// 1 (instead of reading it as `false`).
+pub trait Wire: Sized {
+    /// Append the encoding of `self`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Read one value, advancing `pos`.
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self>;
+}
+
+/// Encode one value into a fresh buffer.
+pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    v.put(&mut buf);
+    buf
+}
+
+/// Decode one value that fills `buf` exactly; trailing bytes are
+/// corruption.
+pub fn from_bytes<T: Wire>(buf: &[u8]) -> Result<T> {
     let mut pos = 0;
-    let n = get_uvarint(buf, &mut pos)? as usize;
-    if n > buf.len().saturating_sub(pos) {
-        return Err(HipacError::Corruption("row arity exceeds input".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get_value(buf, &mut pos)?);
-    }
+    let v = T::get(buf, &mut pos)?;
     if pos != buf.len() {
         return Err(HipacError::Corruption(format!(
-            "trailing {} bytes after row",
+            "trailing {} bytes after record",
             buf.len() - pos
         )));
     }
-    Ok(out)
+    Ok(v)
+}
+
+/// A decoded element count, rejected before anything is allocated when
+/// it exceeds the input left: each element takes at least one byte.
+fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = get_uvarint(buf, pos)?;
+    if n > buf.len().saturating_sub(*pos) as u64 {
+        return Err(HipacError::Corruption("count exceeds input".into()));
+    }
+    Ok(n as usize)
+}
+
+/// Uvarint.
+impl Wire for u64 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_uvarint(buf, *self);
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        get_uvarint(buf, pos)
+    }
+}
+
+/// Uvarint; a value past `u32::MAX` is corruption, not truncated.
+impl Wire for u32 {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_uvarint(buf, u64::from(*self));
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        let v = get_uvarint(buf, pos)?;
+        u32::try_from(v).map_err(|_| HipacError::Corruption(format!("{v} overflows u32")))
+    }
+}
+
+/// Uvarint; a value past `usize::MAX` is corruption.
+impl Wire for usize {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_uvarint(buf, *self as u64);
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        let v = get_uvarint(buf, pos)?;
+        usize::try_from(v).map_err(|_| HipacError::Corruption(format!("{v} overflows usize")))
+    }
+}
+
+/// One byte, 0 or 1; any other byte is corruption.
+impl Wire for bool {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        match get_byte(buf, pos)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(HipacError::Corruption(format!("bad bool byte {other}"))),
+        }
+    }
+}
+
+/// Length-prefixed UTF-8.
+impl Wire for String {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        std::str::from_utf8(get_bytes(buf, pos)?)
+            .map(str::to_owned)
+            .map_err(|_| HipacError::Corruption("invalid utf-8 in string".into()))
+    }
+}
+
+/// Length-prefixed bytes.
+impl Wire for Vec<u8> {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self);
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        Ok(get_bytes(buf, pos)?.to_vec())
+    }
+}
+
+impl Wire for Value {
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_value(buf, self);
+    }
+    #[inline]
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        get_value(buf, pos)
+    }
+}
+
+/// A count, then the entries in sorted key order, so equal maps encode
+/// identically.
+impl Wire for HashMap<String, Value> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_uvarint(buf, self.len() as u64);
+        let mut keys: Vec<&String> = self.keys().collect();
+        keys.sort();
+        for k in keys {
+            k.put(buf);
+            put_value(buf, &self[k]);
+        }
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        let n = get_count(buf, pos)?;
+        let mut map = HashMap::with_capacity(n);
+        for _ in 0..n {
+            map.insert(String::get(buf, pos)?, get_value(buf, pos)?);
+        }
+        Ok(map)
+    }
+}
+
+/// A flag byte (0 absent, 1 present), then the value when present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(v) => {
+                buf.push(1);
+                v.put(buf);
+            }
+        }
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        match get_byte(buf, pos)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(buf, pos)?)),
+            other => Err(HipacError::Corruption(format!("bad option flag {other}"))),
+        }
+    }
+}
+
+/// A count, then the elements.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_uvarint(buf, self.len() as u64);
+        for v in self {
+            v.put(buf);
+        }
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        let n = get_count(buf, pos)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(buf, pos)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        Ok(Box::new(T::get(buf, pos)?))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        Ok((A::get(buf, pos)?, B::get(buf, pos)?))
+    }
+}
+
+/// True when no tag appears twice in `tags`.
+/// [`wire_enum!`](crate::wire_enum) asserts it at compile time.
+#[doc(hidden)]
+pub const fn distinct_tags(tags: &[(u8, &str)]) -> bool {
+    let mut i = 0;
+    while i < tags.len() {
+        let mut j = i + 1;
+        while j < tags.len() {
+            if tags[i].0 == tags[j].0 {
+                return false;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Declares a struct's [`Wire`](crate::codec::Wire) impl: its fields,
+/// in wire order, each written with its own impl. Two forms:
+///
+/// - `wire_struct! { Query { class, predicate, projection } }` for a
+///   struct defined elsewhere in the crate. Leaving a field out is a
+///   compile error.
+/// - `wire_struct! { #[derive(..)] pub struct S { pub a: u64, .. } }`
+///   defines the struct too, so its field list is written once.
+#[macro_export]
+macro_rules! wire_struct {
+    ($(#[$m:meta])* $vis:vis struct $name:ident {
+        $($(#[$fm:meta])* $fvis:vis $f:ident: $t:ty,)*
+    }) => {
+        $(#[$m])* $vis struct $name { $($(#[$fm])* $fvis $f: $t,)* }
+        $crate::wire_struct!($name { $($f),* });
+    };
+    ($name:ident { $($f:ident),* $(,)? }) => {
+        impl $crate::codec::Wire for $name {
+            fn put(&self, buf: &mut Vec<u8>) {
+                let $name { $($f),* } = self;
+                $($crate::codec::Wire::put($f, buf);)*
+            }
+            fn get(buf: &[u8], pos: &mut usize) -> $crate::Result<Self> {
+                $(let $f = $crate::codec::Wire::get(buf, pos)?;)*
+                ::core::result::Result::Ok($name { $($f),* })
+            }
+        }
+    };
+}
+
+/// Declares an enum's [`Wire`](crate::codec::Wire) impl: one row per
+/// variant, `tag => Variant,`, `tag => Variant { field, .. },` or
+/// `tag => Variant(a, ..),`, fields in wire order (each row ends with a
+/// comma). A variant writes its tag byte, then its fields. A variant without a row is a compile error (the encoder's
+/// match is exhaustive), and so is a tag used twice.
+///
+/// An optional last row `_ => Variant(Inner)` declares a variant whose
+/// payload is itself a tagged enum sharing this tag space: it writes
+/// `Inner`'s tag in place of its own, and every tag without a row of
+/// its own decodes as `Inner`.
+///
+/// Also emits `WIRE_TAGS`, the tag → variant-name table, which the
+/// golden-bytes test walks to require a sample of every tag.
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident {
+        $($tag:literal => $v:ident $({ $($sf:ident),* })? $(($($tf:ident),*))?,)*
+        $(_ => $dv:ident($dty:ty),)?
+    }) => {
+        impl $name {
+            /// Tag → variant name, in declaration order.
+            pub const WIRE_TAGS: &'static [(u8, &'static str)] = &[$(($tag, stringify!($v))),*];
+        }
+        const _: () = assert!($crate::codec::distinct_tags($name::WIRE_TAGS), "duplicate wire tag");
+        impl $crate::codec::Wire for $name {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($name::$v $({ $($sf),* })? $(($($tf),*))? => {
+                        buf.push($tag);
+                        $($($crate::codec::Wire::put($sf, buf);)*)?
+                        $($($crate::codec::Wire::put($tf, buf);)*)?
+                    })*
+                    $($name::$dv(inner) => $crate::codec::Wire::put(inner, buf),)?
+                }
+            }
+            fn get(buf: &[u8], pos: &mut usize) -> $crate::Result<Self> {
+                ::core::result::Result::Ok(match $crate::codec::get_byte(buf, pos)? {
+                    $($tag => {
+                        $($(let $sf = $crate::codec::Wire::get(buf, pos)?;)*)?
+                        $($(let $tf = $crate::codec::Wire::get(buf, pos)?;)*)?
+                        $name::$v $({ $($sf),* })? $(($($tf),*))?
+                    })*
+                    tag => $crate::wire_enum!(@other $name tag buf pos $($dv)?),
+                })
+            }
+        }
+    };
+    (@other $name:ident $tag:ident $buf:ident $pos:ident) => {
+        return ::core::result::Result::Err($crate::HipacError::Corruption(format!(
+            concat!("unknown ", stringify!($name), " tag {}"),
+            $tag
+        )))
+    };
+    (@other $name:ident $tag:ident $buf:ident $pos:ident $dv:ident) => {{
+        let _ = $tag;
+        *$pos -= 1;
+        $name::$dv($crate::codec::Wire::get($buf, $pos)?)
+    }};
 }
 
 #[cfg(test)]

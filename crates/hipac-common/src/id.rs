@@ -41,6 +41,18 @@ macro_rules! define_id {
                 $name(v)
             }
         }
+
+        /// Uvarint.
+        impl crate::codec::Wire for $name {
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                crate::codec::put_uvarint(buf, self.0);
+            }
+            #[inline]
+            fn get(buf: &[u8], pos: &mut usize) -> crate::Result<Self> {
+                crate::codec::get_uvarint(buf, pos).map($name)
+            }
+        }
     };
 }
 

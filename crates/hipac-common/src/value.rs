@@ -35,6 +35,20 @@ pub enum ValueType {
     List,
 }
 
+crate::wire_enum! {
+    ValueType {
+        0 => Null,
+        1 => Bool,
+        2 => Int,
+        3 => Float,
+        4 => Str,
+        5 => Bytes,
+        6 => Ref,
+        7 => Timestamp,
+        8 => List,
+    }
+}
+
 impl fmt::Display for ValueType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

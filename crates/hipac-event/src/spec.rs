@@ -1,6 +1,6 @@
 //! Event specifications: how rule events are described (§2.1).
 
-use hipac_common::Timestamp;
+use hipac_common::{wire_enum, Timestamp};
 
 /// Kinds of database operations that can be subscribed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,6 +16,19 @@ pub enum DbEventKind {
     TxnBegin,
     TxnCommit,
     TxnAbort,
+}
+
+wire_enum! {
+    DbEventKind {
+        0 => Insert,
+        1 => Update,
+        2 => Delete,
+        3 => CreateClass,
+        4 => DropClass,
+        5 => TxnBegin,
+        6 => TxnCommit,
+        7 => TxnAbort,
+    }
 }
 
 /// Temporal event descriptions (§2.1: absolute, relative, periodic).
@@ -34,6 +47,14 @@ pub enum TemporalSpec {
         period: u64,
         start: Option<Timestamp>,
     },
+}
+
+wire_enum! {
+    TemporalSpec {
+        0 => Absolute { at },
+        1 => Relative { baseline, offset },
+        2 => Periodic { period, start },
+    }
 }
 
 /// An event specification: a primitive event or a composition.
@@ -75,6 +96,18 @@ pub enum EventSpec {
     /// (the closure/count operator of later active-database event
     /// algebras). **Extension** beyond the paper's operators.
     Times(u32, Box<EventSpec>),
+}
+
+wire_enum! {
+    EventSpec {
+        0 => Database { kind, class },
+        1 => Temporal(spec),
+        2 => External { name },
+        3 => Disjunction(left, right),
+        4 => Sequence(left, right),
+        5 => Conjunction(left, right),
+        6 => Times(n, inner),
+    }
 }
 
 impl EventSpec {

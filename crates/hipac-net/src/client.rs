@@ -613,15 +613,7 @@ impl HipacClient {
         superclass: Option<&str>,
         attrs: Vec<AttrDef>,
     ) -> Result<u64, WireError> {
-        let attrs = attrs
-            .into_iter()
-            .map(|a| WireAttr {
-                name: a.name,
-                ty: crate::proto::type_code(a.ty),
-                nullable: a.nullable,
-                indexed: a.indexed,
-            })
-            .collect();
+        let attrs = attrs.into_iter().map(WireAttr::from).collect();
         match self.request(Command::CreateClass {
             txn,
             name: name.to_owned(),

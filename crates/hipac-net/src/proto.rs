@@ -24,12 +24,23 @@
 //!
 //! Frames are capped at [`MAX_FRAME`] bytes; both ends reject larger
 //! lengths before allocating.
+//!
+//! Every type here declares its encoding once, with the workspace
+//! codec's `wire_enum!`/`wire_struct!` (see `hipac_common::codec`): a
+//! variant's tag and its fields' wire order sit in one row, and the
+//! encoder and decoder are generated from it. Only [`WireAttr`] (two
+//! flags packed in one byte) is written by hand.
+//!
+//! **Adding a command** takes a variant on [`Command`], one row in its
+//! `wire_enum!` with the next unused opcode, a sample in
+//! `tests/golden/mod.rs` (the golden-bytes test fails until every
+//! opcode has one), and its handler in `server/dispatch.rs`. Opcodes,
+//! statuses and kinds are stable on the wire: never renumber, only
+//! append.
 
-use hipac_common::codec::{
-    get_bytes, get_kv_map, get_str, get_uvarint, get_value, put_bytes, put_kv_map, put_str,
-    put_uvarint, put_value,
-};
-use hipac_common::{HipacError, ObjectId, TxnId, Value};
+use hipac_common::codec::{self, get_byte, Wire};
+use hipac_common::{wire_enum, wire_struct, HipacError, ObjectId, TxnId, Value};
+use hipac_object::AttrDef;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
@@ -46,12 +57,6 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 /// and acknowledged pushes, the `Auth` opcode, the replication stream
 /// with its epoch and digest fields, and the full Stats body.
 pub const PROTOCOL_VERSION: u32 = 9;
-
-// Frame kinds.
-const KIND_REQUEST: u8 = 0;
-const KIND_RESPONSE: u8 = 1;
-const KIND_PUSH: u8 = 2;
-const KIND_REPL: u8 = 3;
 
 /// Errors surfaced by the protocol layer and the client.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,43 +176,64 @@ fn variant_name(e: &HipacError) -> &'static str {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireAttr {
     pub name: String,
-    /// `ValueType` discriminant, see [`type_code`].
+    /// `ValueType`'s wire tag. Kept a raw byte so an unknown type is
+    /// the command's `TypeError`, not a malformed frame.
     pub ty: u8,
     pub nullable: bool,
     pub indexed: bool,
 }
 
-/// Encode a `ValueType` as a stable wire byte.
-pub fn type_code(ty: hipac_common::ValueType) -> u8 {
-    use hipac_common::ValueType::*;
-    match ty {
-        Null => 0,
-        Bool => 1,
-        Int => 2,
-        Float => 3,
-        Str => 4,
-        Bytes => 5,
-        Ref => 6,
-        Timestamp => 7,
-        List => 8,
+/// Written by hand: `nullable` and `indexed` share one flag byte (bits
+/// 0 and 1); a flag byte with any other bit set is rejected.
+impl Wire for WireAttr {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.name.put(buf);
+        buf.push(self.ty);
+        buf.push(u8::from(self.nullable) | (u8::from(self.indexed) << 1));
+    }
+
+    fn get(buf: &[u8], pos: &mut usize) -> hipac_common::Result<Self> {
+        let name = String::get(buf, pos)?;
+        let ty = get_byte(buf, pos)?;
+        let flags = get_byte(buf, pos)?;
+        if flags > 0b11 {
+            return Err(HipacError::Corruption(format!(
+                "bad attribute flags {flags:#04x}"
+            )));
+        }
+        Ok(WireAttr {
+            name,
+            ty,
+            nullable: flags & 1 != 0,
+            indexed: flags & 2 != 0,
+        })
     }
 }
 
-/// Inverse of [`type_code`].
-pub fn code_type(code: u8) -> Result<hipac_common::ValueType, WireError> {
-    use hipac_common::ValueType::*;
-    Ok(match code {
-        0 => Null,
-        1 => Bool,
-        2 => Int,
-        3 => Float,
-        4 => Str,
-        5 => Bytes,
-        6 => Ref,
-        7 => Timestamp,
-        8 => List,
-        other => return Err(WireError::Protocol(format!("bad type code {other}"))),
-    })
+impl From<AttrDef> for WireAttr {
+    fn from(a: AttrDef) -> Self {
+        WireAttr {
+            name: a.name,
+            ty: codec::to_bytes(&a.ty)[0],
+            nullable: a.nullable,
+            indexed: a.indexed,
+        }
+    }
+}
+
+impl TryFrom<WireAttr> for AttrDef {
+    type Error = HipacError;
+
+    fn try_from(a: WireAttr) -> Result<Self, HipacError> {
+        let ty = codec::from_bytes(&[a.ty])
+            .map_err(|_| HipacError::TypeError(format!("bad type code {}", a.ty)))?;
+        Ok(AttrDef {
+            name: a.name,
+            ty,
+            nullable: a.nullable,
+            indexed: a.indexed,
+        })
+    }
 }
 
 /// A query result row on the wire.
@@ -218,100 +244,79 @@ pub struct WireRow {
     pub values: Vec<Value>,
 }
 
-/// Declares [`WireStats`] from one field list: the struct's fields, and
-/// the Stats body encoder and decoder, which write and read every field
-/// as a uvarint in exactly this order.
-macro_rules! wire_stats {
-    ($($field:ident,)*) => {
-        /// Engine statistics snapshot carried by the `Stats` reply.
-        /// Mirrors `hipac::EngineStats`; kept as a separate wire struct
-        /// so the protocol stays source-stable if the facade grows
-        /// fields.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct WireStats {
-            $(pub $field: u64,)*
-        }
+wire_struct! { WireRow { oid, class, values } }
 
-        impl WireStats {
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $(put_uvarint(buf, self.$field);)*
-            }
-
-            /// Every field is required: a short body is a truncated
-            /// frame. (Struct fields evaluate in source order, so this
-            /// reads them in the encoder's order.)
-            fn decode(buf: &[u8], pos: &mut usize) -> Result<WireStats, WireError> {
-                Ok(WireStats {
-                    $($field: get_uvarint(buf, pos)?,)*
-                })
-            }
-        }
-    };
-}
-
-wire_stats! {
-    // ---- rule processing and firing pool ----
-    signals_processed,
-    rules_triggered,
-    conditions_satisfied,
-    actions_executed,
-    store_evaluations,
-    delta_evaluations,
-    cache_hits,
-    deferred_txns,
-    deferred_firings,
-    pool_outstanding,
-    separate_errors,
-    firings_parallel,
-    pool_queue_depth,
-    // ---- resilience ----
-    active_connections,
-    shed_requests,
-    dedup_hits,
-    separate_retries,
-    separate_dead_letters,
-    // ---- durable exactly-once ----
-    shed_adaptive,
-    journal_replays,
-    pushes_redelivered,
-    // ---- replication ----
-    repl_role,
-    last_shipped_lsn,
-    last_applied_lsn,
-    repl_lag_bytes,
-    replica_pushes,
-    promotions,
-    // ---- rule matching ----
-    match_index_nodes,
-    match_probes,
-    match_pruned,
-    memo_hits,
-    memo_invalidations,
-    // ---- group commit and reactor ----
-    group_commits,
-    group_commit_txns,
-    group_commit_largest,
-    reactor_shards,
-    // ---- tenancy and breakers. The server encodes breaker_trips /
-    // breaker_resets as zero; the client overlays its process-wide
-    // circuit-breaker registry in `HipacClient::stats`. ----
-    auth_failures,
-    tenants_active,
-    tenant_shed_requests,
-    pushes_shed,
-    subscribers_evicted,
-    breaker_trips,
-    breaker_resets,
-    // ---- epoch fencing, quorum and anti-entropy ----
-    repl_epoch,
-    repl_fence_prev,
-    repl_fence_start,
-    repl_peers,
-    repl_min_peer_applied,
-    repl_digest_ok_peers,
-    repl_digest_mismatches,
-    repl_quorum,
-    repl_quorum_ok,
+wire_struct! {
+    /// Engine statistics snapshot carried by the `Stats` reply, every
+    /// field a uvarint in this order. Mirrors `hipac::EngineStats`;
+    /// kept as a separate wire struct so the protocol stays
+    /// source-stable if the facade grows fields. Every field is
+    /// required: a short body is a truncated frame.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WireStats {
+        // ---- rule processing and firing pool ----
+        pub signals_processed: u64,
+        pub rules_triggered: u64,
+        pub conditions_satisfied: u64,
+        pub actions_executed: u64,
+        pub store_evaluations: u64,
+        pub delta_evaluations: u64,
+        pub cache_hits: u64,
+        pub deferred_txns: u64,
+        pub deferred_firings: u64,
+        pub pool_outstanding: u64,
+        pub separate_errors: u64,
+        pub firings_parallel: u64,
+        pub pool_queue_depth: u64,
+        // ---- resilience ----
+        pub active_connections: u64,
+        pub shed_requests: u64,
+        pub dedup_hits: u64,
+        pub separate_retries: u64,
+        pub separate_dead_letters: u64,
+        // ---- durable exactly-once ----
+        pub shed_adaptive: u64,
+        pub journal_replays: u64,
+        pub pushes_redelivered: u64,
+        // ---- replication ----
+        pub repl_role: u64,
+        pub last_shipped_lsn: u64,
+        pub last_applied_lsn: u64,
+        pub repl_lag_bytes: u64,
+        pub replica_pushes: u64,
+        pub promotions: u64,
+        // ---- rule matching ----
+        pub match_index_nodes: u64,
+        pub match_probes: u64,
+        pub match_pruned: u64,
+        pub memo_hits: u64,
+        pub memo_invalidations: u64,
+        // ---- group commit and reactor ----
+        pub group_commits: u64,
+        pub group_commit_txns: u64,
+        pub group_commit_largest: u64,
+        pub reactor_shards: u64,
+        // ---- tenancy and breakers. The server encodes breaker_trips /
+        // breaker_resets as zero; the client overlays its process-wide
+        // circuit-breaker registry in `HipacClient::stats`. ----
+        pub auth_failures: u64,
+        pub tenants_active: u64,
+        pub tenant_shed_requests: u64,
+        pub pushes_shed: u64,
+        pub subscribers_evicted: u64,
+        pub breaker_trips: u64,
+        pub breaker_resets: u64,
+        // ---- epoch fencing, quorum and anti-entropy ----
+        pub repl_epoch: u64,
+        pub repl_fence_prev: u64,
+        pub repl_fence_start: u64,
+        pub repl_peers: u64,
+        pub repl_min_peer_applied: u64,
+        pub repl_digest_ok_peers: u64,
+        pub repl_digest_mismatches: u64,
+        pub repl_quorum: u64,
+        pub repl_quorum_ok: u64,
+    }
 }
 
 /// Client-to-server commands: the Figure 4.1 operation surface.
@@ -412,336 +417,31 @@ pub enum Command {
     Auth { client_id: u64, token: Vec<u8> },
 }
 
-// Command opcodes. Stable on the wire: never renumber, only append.
-const OP_PING: u8 = 0;
-const OP_BEGIN: u8 = 1;
-const OP_BEGIN_CHILD: u8 = 2;
-const OP_COMMIT: u8 = 3;
-const OP_ABORT: u8 = 4;
-const OP_CREATE_CLASS: u8 = 5;
-const OP_INSERT: u8 = 6;
-const OP_UPDATE: u8 = 7;
-const OP_DELETE: u8 = 8;
-const OP_QUERY: u8 = 9;
-const OP_DEFINE_EVENT: u8 = 10;
-const OP_SIGNAL_EVENT: u8 = 11;
-const OP_CREATE_RULE: u8 = 12;
-const OP_DROP_RULE: u8 = 13;
-const OP_ENABLE_RULE: u8 = 14;
-const OP_DISABLE_RULE: u8 = 15;
-const OP_SUBSCRIBE: u8 = 16;
-const OP_UNSUBSCRIBE: u8 = 17;
-const OP_STATS: u8 = 18;
-const OP_ACK_PUSH: u8 = 19;
-const OP_REPL_SUBSCRIBE: u8 = 20;
-const OP_REPL_PROGRESS: u8 = 21;
-const OP_AUTH: u8 = 22;
-
-impl Command {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Command::Ping { version } => {
-                buf.push(OP_PING);
-                put_uvarint(buf, u64::from(*version));
-            }
-            Command::Begin => buf.push(OP_BEGIN),
-            Command::BeginChild { parent } => {
-                buf.push(OP_BEGIN_CHILD);
-                put_uvarint(buf, parent.0);
-            }
-            Command::Commit { txn } => {
-                buf.push(OP_COMMIT);
-                put_uvarint(buf, txn.0);
-            }
-            Command::Abort { txn } => {
-                buf.push(OP_ABORT);
-                put_uvarint(buf, txn.0);
-            }
-            Command::CreateClass {
-                txn,
-                name,
-                superclass,
-                attrs,
-            } => {
-                buf.push(OP_CREATE_CLASS);
-                put_uvarint(buf, txn.0);
-                put_str(buf, name);
-                match superclass {
-                    None => buf.push(0),
-                    Some(s) => {
-                        buf.push(1);
-                        put_str(buf, s);
-                    }
-                }
-                put_uvarint(buf, attrs.len() as u64);
-                for a in attrs {
-                    put_str(buf, &a.name);
-                    buf.push(a.ty);
-                    buf.push(u8::from(a.nullable) | (u8::from(a.indexed) << 1));
-                }
-            }
-            Command::Insert { txn, class, values } => {
-                buf.push(OP_INSERT);
-                put_uvarint(buf, txn.0);
-                put_str(buf, class);
-                put_uvarint(buf, values.len() as u64);
-                for v in values {
-                    put_value(buf, v);
-                }
-            }
-            Command::Update {
-                txn,
-                oid,
-                assignments,
-            } => {
-                buf.push(OP_UPDATE);
-                put_uvarint(buf, txn.0);
-                put_uvarint(buf, *oid);
-                put_uvarint(buf, assignments.len() as u64);
-                for (name, v) in assignments {
-                    put_str(buf, name);
-                    put_value(buf, v);
-                }
-            }
-            Command::Delete { txn, oid } => {
-                buf.push(OP_DELETE);
-                put_uvarint(buf, txn.0);
-                put_uvarint(buf, *oid);
-            }
-            Command::Query { txn, text, params } => {
-                buf.push(OP_QUERY);
-                put_uvarint(buf, txn.0);
-                put_str(buf, text);
-                put_kv_map(buf, params);
-            }
-            Command::DefineEvent { name, params } => {
-                buf.push(OP_DEFINE_EVENT);
-                put_str(buf, name);
-                put_uvarint(buf, params.len() as u64);
-                for p in params {
-                    put_str(buf, p);
-                }
-            }
-            Command::SignalEvent { name, args, txn } => {
-                buf.push(OP_SIGNAL_EVENT);
-                put_str(buf, name);
-                put_kv_map(buf, args);
-                match txn {
-                    None => buf.push(0),
-                    Some(t) => {
-                        buf.push(1);
-                        put_uvarint(buf, t.0);
-                    }
-                }
-            }
-            Command::CreateRule { txn, rule } => {
-                buf.push(OP_CREATE_RULE);
-                put_uvarint(buf, txn.0);
-                put_bytes(buf, rule);
-            }
-            Command::DropRule { txn, name } => {
-                buf.push(OP_DROP_RULE);
-                put_uvarint(buf, txn.0);
-                put_str(buf, name);
-            }
-            Command::EnableRule { txn, name } => {
-                buf.push(OP_ENABLE_RULE);
-                put_uvarint(buf, txn.0);
-                put_str(buf, name);
-            }
-            Command::DisableRule { txn, name } => {
-                buf.push(OP_DISABLE_RULE);
-                put_uvarint(buf, txn.0);
-                put_str(buf, name);
-            }
-            Command::Subscribe { handler } => {
-                buf.push(OP_SUBSCRIBE);
-                put_str(buf, handler);
-            }
-            Command::Unsubscribe { handler } => {
-                buf.push(OP_UNSUBSCRIBE);
-                put_str(buf, handler);
-            }
-            Command::AckPush { handler, seq } => {
-                buf.push(OP_ACK_PUSH);
-                put_str(buf, handler);
-                put_uvarint(buf, *seq);
-            }
-            Command::Stats => buf.push(OP_STATS),
-            Command::ReplSubscribe { start_lsn, epoch } => {
-                buf.push(OP_REPL_SUBSCRIBE);
-                put_uvarint(buf, *start_lsn);
-                put_uvarint(buf, *epoch);
-            }
-            Command::ReplProgress {
-                applied_lsn,
-                epoch,
-                digest,
-            } => {
-                buf.push(OP_REPL_PROGRESS);
-                put_uvarint(buf, *applied_lsn);
-                put_uvarint(buf, *epoch);
-                put_uvarint(buf, *digest);
-            }
-            Command::Auth { client_id, token } => {
-                buf.push(OP_AUTH);
-                put_uvarint(buf, *client_id);
-                put_bytes(buf, token);
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Command, WireError> {
-        let op = *buf
-            .get(*pos)
-            .ok_or_else(|| WireError::Protocol("truncated opcode".into()))?;
-        *pos += 1;
-        Ok(match op {
-            OP_PING => Command::Ping {
-                version: get_uvarint(buf, pos)? as u32,
-            },
-            OP_BEGIN => Command::Begin,
-            OP_BEGIN_CHILD => Command::BeginChild {
-                parent: TxnId(get_uvarint(buf, pos)?),
-            },
-            OP_COMMIT => Command::Commit {
-                txn: TxnId(get_uvarint(buf, pos)?),
-            },
-            OP_ABORT => Command::Abort {
-                txn: TxnId(get_uvarint(buf, pos)?),
-            },
-            OP_CREATE_CLASS => {
-                let txn = TxnId(get_uvarint(buf, pos)?);
-                let name = get_str(buf, pos)?;
-                let superclass = match next_byte(buf, pos)? {
-                    0 => None,
-                    1 => Some(get_str(buf, pos)?),
-                    other => {
-                        return Err(WireError::Protocol(format!("bad option tag {other}")))
-                    }
-                };
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut attrs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(buf, pos)?;
-                    let ty = next_byte(buf, pos)?;
-                    let flags = next_byte(buf, pos)?;
-                    attrs.push(WireAttr {
-                        name,
-                        ty,
-                        nullable: flags & 1 != 0,
-                        indexed: flags & 2 != 0,
-                    });
-                }
-                Command::CreateClass {
-                    txn,
-                    name,
-                    superclass,
-                    attrs,
-                }
-            }
-            OP_INSERT => {
-                let txn = TxnId(get_uvarint(buf, pos)?);
-                let class = get_str(buf, pos)?;
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(get_value(buf, pos)?);
-                }
-                Command::Insert { txn, class, values }
-            }
-            OP_UPDATE => {
-                let txn = TxnId(get_uvarint(buf, pos)?);
-                let oid = get_uvarint(buf, pos)?;
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut assignments = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(buf, pos)?;
-                    let v = get_value(buf, pos)?;
-                    assignments.push((name, v));
-                }
-                Command::Update {
-                    txn,
-                    oid,
-                    assignments,
-                }
-            }
-            OP_DELETE => Command::Delete {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                oid: get_uvarint(buf, pos)?,
-            },
-            OP_QUERY => Command::Query {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                text: get_str(buf, pos)?,
-                params: get_kv_map(buf, pos)?,
-            },
-            OP_DEFINE_EVENT => {
-                let name = get_str(buf, pos)?;
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut params = Vec::with_capacity(n);
-                for _ in 0..n {
-                    params.push(get_str(buf, pos)?);
-                }
-                Command::DefineEvent { name, params }
-            }
-            OP_SIGNAL_EVENT => {
-                let name = get_str(buf, pos)?;
-                let args = get_kv_map(buf, pos)?;
-                let txn = match next_byte(buf, pos)? {
-                    0 => None,
-                    1 => Some(TxnId(get_uvarint(buf, pos)?)),
-                    other => {
-                        return Err(WireError::Protocol(format!("bad option tag {other}")))
-                    }
-                };
-                Command::SignalEvent { name, args, txn }
-            }
-            OP_CREATE_RULE => Command::CreateRule {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                rule: get_bytes(buf, pos)?.to_vec(),
-            },
-            OP_DROP_RULE => Command::DropRule {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                name: get_str(buf, pos)?,
-            },
-            OP_ENABLE_RULE => Command::EnableRule {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                name: get_str(buf, pos)?,
-            },
-            OP_DISABLE_RULE => Command::DisableRule {
-                txn: TxnId(get_uvarint(buf, pos)?),
-                name: get_str(buf, pos)?,
-            },
-            OP_SUBSCRIBE => Command::Subscribe {
-                handler: get_str(buf, pos)?,
-            },
-            OP_UNSUBSCRIBE => Command::Unsubscribe {
-                handler: get_str(buf, pos)?,
-            },
-            OP_ACK_PUSH => Command::AckPush {
-                handler: get_str(buf, pos)?,
-                seq: get_uvarint(buf, pos)?,
-            },
-            OP_STATS => Command::Stats,
-            OP_REPL_SUBSCRIBE => Command::ReplSubscribe {
-                start_lsn: get_uvarint(buf, pos)?,
-                epoch: get_uvarint(buf, pos)?,
-            },
-            OP_REPL_PROGRESS => Command::ReplProgress {
-                applied_lsn: get_uvarint(buf, pos)?,
-                epoch: get_uvarint(buf, pos)?,
-                digest: get_uvarint(buf, pos)?,
-            },
-            OP_AUTH => Command::Auth {
-                client_id: get_uvarint(buf, pos)?,
-                token: get_bytes(buf, pos)?.to_vec(),
-            },
-            other => return Err(WireError::Protocol(format!("unknown opcode {other}"))),
-        })
+wire_enum! {
+    Command {
+        0 => Ping { version },
+        1 => Begin,
+        2 => BeginChild { parent },
+        3 => Commit { txn },
+        4 => Abort { txn },
+        5 => CreateClass { txn, name, superclass, attrs },
+        6 => Insert { txn, class, values },
+        7 => Update { txn, oid, assignments },
+        8 => Delete { txn, oid },
+        9 => Query { txn, text, params },
+        10 => DefineEvent { name, params },
+        11 => SignalEvent { name, args, txn },
+        12 => CreateRule { txn, rule },
+        13 => DropRule { txn, name },
+        14 => EnableRule { txn, name },
+        15 => DisableRule { txn, name },
+        16 => Subscribe { handler },
+        17 => Unsubscribe { handler },
+        18 => Stats,
+        19 => AckPush { handler, seq },
+        20 => ReplSubscribe { start_lsn, epoch },
+        21 => ReplProgress { applied_lsn, epoch, digest },
+        22 => Auth { client_id, token },
     }
 }
 
@@ -767,113 +467,29 @@ pub enum Reply {
     Err { kind: String, message: String },
 }
 
-const ST_OK: u8 = 0;
-const ST_PONG: u8 = 1;
-const ST_TXN: u8 = 2;
-const ST_OBJECT: u8 = 3;
-const ST_ID: u8 = 4;
-const ST_ROWS: u8 = 5;
-const ST_STATS: u8 = 6;
-const ST_ERR: u8 = 7;
+wire_enum! {
+    Reply {
+        0 => Ok,
+        1 => Pong { version },
+        2 => Txn(txn),
+        3 => Object(oid),
+        4 => Id(id),
+        5 => Rows(rows),
+        6 => Stats(stats),
+        7 => Err { kind, message },
+    }
+}
 
 impl Reply {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            Reply::Ok => buf.push(ST_OK),
-            Reply::Pong { version } => {
-                buf.push(ST_PONG);
-                put_uvarint(buf, u64::from(*version));
-            }
-            Reply::Txn(t) => {
-                buf.push(ST_TXN);
-                put_uvarint(buf, t.0);
-            }
-            Reply::Object(o) => {
-                buf.push(ST_OBJECT);
-                put_uvarint(buf, o.raw());
-            }
-            Reply::Id(id) => {
-                buf.push(ST_ID);
-                put_uvarint(buf, *id);
-            }
-            Reply::Rows(rows) => {
-                buf.push(ST_ROWS);
-                put_uvarint(buf, rows.len() as u64);
-                for row in rows {
-                    put_uvarint(buf, row.oid);
-                    put_uvarint(buf, row.class);
-                    put_uvarint(buf, row.values.len() as u64);
-                    for v in &row.values {
-                        put_value(buf, v);
-                    }
-                }
-            }
-            Reply::Stats(s) => {
-                buf.push(ST_STATS);
-                s.encode(buf);
-            }
-            Reply::Err { kind, message } => {
-                buf.push(ST_ERR);
-                put_str(buf, kind);
-                put_str(buf, message);
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<Reply, WireError> {
-        Ok(match next_byte(buf, pos)? {
-            ST_OK => Reply::Ok,
-            ST_PONG => Reply::Pong {
-                version: get_uvarint(buf, pos)? as u32,
-            },
-            ST_TXN => Reply::Txn(TxnId(get_uvarint(buf, pos)?)),
-            ST_OBJECT => Reply::Object(ObjectId(get_uvarint(buf, pos)?)),
-            ST_ID => Reply::Id(get_uvarint(buf, pos)?),
-            ST_ROWS => {
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let oid = get_uvarint(buf, pos)?;
-                    let class = get_uvarint(buf, pos)?;
-                    let m = get_uvarint(buf, pos)? as usize;
-                    bounded(m, buf, *pos)?;
-                    let mut values = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        values.push(get_value(buf, pos)?);
-                    }
-                    rows.push(WireRow { oid, class, values });
-                }
-                Reply::Rows(rows)
-            }
-            ST_STATS => Reply::Stats(Box::new(WireStats::decode(buf, pos)?)),
-            ST_ERR => Reply::Err {
-                kind: get_str(buf, pos)?,
-                message: get_str(buf, pos)?,
-            },
-            other => return Err(WireError::Protocol(format!("unknown status {other}"))),
-        })
-    }
-
     /// Serialize standalone (no frame envelope). Used by the server's
     /// reply journal, which persists cached replies by value.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16);
-        self.encode(&mut buf);
-        buf
+        codec::to_bytes(self)
     }
 
     /// Inverse of [`Reply::to_bytes`]; rejects trailing garbage.
     pub fn from_bytes(buf: &[u8]) -> Result<Reply, WireError> {
-        let mut pos = 0;
-        let reply = Reply::decode(buf, &mut pos)?;
-        if pos != buf.len() {
-            return Err(WireError::Protocol(format!(
-                "trailing {} bytes after reply",
-                buf.len() - pos
-            )));
-        }
-        Ok(reply)
+        codec::from_bytes(buf).map_err(protocol)
     }
 }
 
@@ -909,6 +525,8 @@ pub struct PushEvent {
     pub args: HashMap<String, Value>,
 }
 
+wire_struct! { PushEvent { seq, handler, request, args } }
+
 /// Request metadata: an idempotency key and a deadline. `0` means
 /// "absent" for every field, so plain fire-once requests pay three zero
 /// bytes.
@@ -927,6 +545,8 @@ pub struct RequestMeta {
     /// abort with `DeadlineExceeded` instead of waiting on.
     pub deadline_ms: u64,
 }
+
+wire_struct! { RequestMeta { client_id, seq, deadline_ms } }
 
 /// One message on the replication stream (frame kind 3, primary →
 /// replica, unsolicited after `ReplSubscribe`).
@@ -971,127 +591,13 @@ pub enum ReplMsg {
     Heartbeat { durable_lsn: u64, epoch: u64 },
 }
 
-const RM_BATCH: u8 = 0;
-const RM_SNAP_BEGIN: u8 = 1;
-const RM_SNAP_CHUNK: u8 = 2;
-const RM_SNAP_END: u8 = 3;
-const RM_HEARTBEAT: u8 = 4;
-
-impl ReplMsg {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            ReplMsg::Batch {
-                prev_lsn,
-                start_lsn,
-                next_lsn,
-                txn,
-                ops,
-                epoch,
-            } => {
-                buf.push(RM_BATCH);
-                put_uvarint(buf, *prev_lsn);
-                put_uvarint(buf, *start_lsn);
-                put_uvarint(buf, *next_lsn);
-                put_uvarint(buf, txn.0);
-                put_uvarint(buf, ops.len() as u64);
-                for op in ops {
-                    match op {
-                        hipac_storage::StoreOp::Put { key, value } => {
-                            buf.push(0);
-                            put_bytes(buf, key);
-                            put_bytes(buf, value);
-                        }
-                        hipac_storage::StoreOp::Delete { key } => {
-                            buf.push(1);
-                            put_bytes(buf, key);
-                        }
-                    }
-                }
-                put_uvarint(buf, *epoch);
-            }
-            ReplMsg::SnapshotBegin { snapshot_lsn } => {
-                buf.push(RM_SNAP_BEGIN);
-                put_uvarint(buf, *snapshot_lsn);
-            }
-            ReplMsg::SnapshotChunk { pairs } => {
-                buf.push(RM_SNAP_CHUNK);
-                put_uvarint(buf, pairs.len() as u64);
-                for (k, v) in pairs {
-                    put_bytes(buf, k);
-                    put_bytes(buf, v);
-                }
-            }
-            ReplMsg::SnapshotEnd { snapshot_lsn, epoch } => {
-                buf.push(RM_SNAP_END);
-                put_uvarint(buf, *snapshot_lsn);
-                put_uvarint(buf, *epoch);
-            }
-            ReplMsg::Heartbeat { durable_lsn, epoch } => {
-                buf.push(RM_HEARTBEAT);
-                put_uvarint(buf, *durable_lsn);
-                put_uvarint(buf, *epoch);
-            }
-        }
-    }
-
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<ReplMsg, WireError> {
-        Ok(match next_byte(buf, pos)? {
-            RM_BATCH => {
-                let prev_lsn = get_uvarint(buf, pos)?;
-                let start_lsn = get_uvarint(buf, pos)?;
-                let next_lsn = get_uvarint(buf, pos)?;
-                let txn = TxnId(get_uvarint(buf, pos)?);
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ops.push(match next_byte(buf, pos)? {
-                        0 => hipac_storage::StoreOp::Put {
-                            key: get_bytes(buf, pos)?.to_vec(),
-                            value: get_bytes(buf, pos)?.to_vec(),
-                        },
-                        1 => hipac_storage::StoreOp::Delete {
-                            key: get_bytes(buf, pos)?.to_vec(),
-                        },
-                        other => {
-                            return Err(WireError::Protocol(format!("bad op tag {other}")))
-                        }
-                    });
-                }
-                let epoch = get_uvarint(buf, pos)?;
-                ReplMsg::Batch {
-                    prev_lsn,
-                    start_lsn,
-                    next_lsn,
-                    txn,
-                    ops,
-                    epoch,
-                }
-            }
-            RM_SNAP_BEGIN => ReplMsg::SnapshotBegin {
-                snapshot_lsn: get_uvarint(buf, pos)?,
-            },
-            RM_SNAP_CHUNK => {
-                let n = get_uvarint(buf, pos)? as usize;
-                bounded(n, buf, *pos)?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = get_bytes(buf, pos)?.to_vec();
-                    let v = get_bytes(buf, pos)?.to_vec();
-                    pairs.push((k, v));
-                }
-                ReplMsg::SnapshotChunk { pairs }
-            }
-            RM_SNAP_END => ReplMsg::SnapshotEnd {
-                snapshot_lsn: get_uvarint(buf, pos)?,
-                epoch: get_uvarint(buf, pos)?,
-            },
-            RM_HEARTBEAT => ReplMsg::Heartbeat {
-                durable_lsn: get_uvarint(buf, pos)?,
-                epoch: get_uvarint(buf, pos)?,
-            },
-            other => return Err(WireError::Protocol(format!("unknown repl msg {other}"))),
-        })
+wire_enum! {
+    ReplMsg {
+        0 => Batch { prev_lsn, start_lsn, next_lsn, txn, ops, epoch },
+        1 => SnapshotBegin { snapshot_lsn },
+        2 => SnapshotChunk { pairs },
+        3 => SnapshotEnd { snapshot_lsn, epoch },
+        4 => Heartbeat { durable_lsn, epoch },
     }
 }
 
@@ -1109,89 +615,34 @@ pub enum Frame {
     Repl(ReplMsg),
 }
 
+wire_enum! {
+    Frame {
+        0 => Request { id, meta, command },
+        1 => Response { id, reply },
+        2 => Push(push),
+        3 => Repl(msg),
+    }
+}
+
 impl Frame {
-    /// Serialize including the length prefix.
+    /// Serialize including the length prefix: the body is encoded
+    /// behind a reserved prefix, which is then patched, so a frame is
+    /// one buffer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(64);
-        match self {
-            Frame::Request { id, meta, command } => {
-                payload.push(KIND_REQUEST);
-                put_uvarint(&mut payload, *id);
-                put_uvarint(&mut payload, meta.client_id);
-                put_uvarint(&mut payload, meta.seq);
-                put_uvarint(&mut payload, meta.deadline_ms);
-                command.encode(&mut payload);
-            }
-            Frame::Response { id, reply } => {
-                payload.push(KIND_RESPONSE);
-                put_uvarint(&mut payload, *id);
-                reply.encode(&mut payload);
-            }
-            Frame::Push(p) => {
-                payload.push(KIND_PUSH);
-                put_uvarint(&mut payload, p.seq);
-                put_str(&mut payload, &p.handler);
-                put_str(&mut payload, &p.request);
-                put_kv_map(&mut payload, &p.args);
-            }
-            Frame::Repl(m) => {
-                payload.push(KIND_REPL);
-                m.encode(&mut payload);
-            }
-        }
-        debug_assert!(payload.len() <= MAX_FRAME);
-        let mut out = Vec::with_capacity(payload.len() + 4);
-        out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&[0; 4]);
+        self.put(&mut buf);
+        let len = buf.len() - 4;
+        debug_assert!(len <= MAX_FRAME);
+        buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+        buf
     }
 
     /// Deserialize a payload (length prefix already stripped). Fails
     /// with [`WireError::Protocol`] on a truncated or malformed body and
     /// on trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
-        Self::decode_body(payload).map_err(|e| match e {
-            // The body codec reports in `HipacError` terms; on a frame
-            // every such failure is a protocol error.
-            WireError::Remote { message, .. } => WireError::Protocol(message),
-            e => e,
-        })
-    }
-
-    fn decode_body(payload: &[u8]) -> Result<Frame, WireError> {
-        let mut pos = 0;
-        let frame = match next_byte(payload, &mut pos)? {
-            KIND_REQUEST => {
-                let id = get_uvarint(payload, &mut pos)?;
-                let meta = RequestMeta {
-                    client_id: get_uvarint(payload, &mut pos)?,
-                    seq: get_uvarint(payload, &mut pos)?,
-                    deadline_ms: get_uvarint(payload, &mut pos)?,
-                };
-                let command = Command::decode(payload, &mut pos)?;
-                Frame::Request { id, meta, command }
-            }
-            KIND_RESPONSE => {
-                let id = get_uvarint(payload, &mut pos)?;
-                let reply = Reply::decode(payload, &mut pos)?;
-                Frame::Response { id, reply }
-            }
-            KIND_PUSH => Frame::Push(PushEvent {
-                seq: get_uvarint(payload, &mut pos)?,
-                handler: get_str(payload, &mut pos)?,
-                request: get_str(payload, &mut pos)?,
-                args: get_kv_map(payload, &mut pos)?,
-            }),
-            KIND_REPL => Frame::Repl(ReplMsg::decode(payload, &mut pos)?),
-            other => return Err(WireError::Protocol(format!("unknown frame kind {other}"))),
-        };
-        if pos != payload.len() {
-            return Err(WireError::Protocol(format!(
-                "trailing {} bytes after frame",
-                payload.len() - pos
-            )));
-        }
-        Ok(frame)
+        codec::from_bytes(payload).map_err(protocol)
     }
 
     /// Write this frame to a stream.
@@ -1232,21 +683,12 @@ impl Frame {
     }
 }
 
-fn next_byte(buf: &[u8], pos: &mut usize) -> Result<u8, WireError> {
-    let b = *buf
-        .get(*pos)
-        .ok_or_else(|| WireError::Protocol("truncated frame".into()))?;
-    *pos += 1;
-    Ok(b)
-}
-
-/// Reject hostile element counts before allocating: each element needs
-/// at least one byte of remaining input.
-fn bounded(n: usize, buf: &[u8], pos: usize) -> Result<(), WireError> {
-    if n > buf.len().saturating_sub(pos) {
-        return Err(WireError::Protocol("count exceeds input".into()));
-    }
-    Ok(())
+/// A body that fails to decode is a protocol error.
+fn protocol(e: HipacError) -> WireError {
+    WireError::Protocol(match e {
+        HipacError::Corruption(msg) => msg,
+        e => e.to_string(),
+    })
 }
 
 impl From<HipacError> for Reply {

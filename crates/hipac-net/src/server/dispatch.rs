@@ -5,7 +5,7 @@
 use super::admission::DedupProbe;
 use super::shard::ConnShared;
 use super::ServerCtx;
-use crate::proto::{code_type, ping_reply, Command, Reply, RequestMeta, WireStats};
+use crate::proto::{ping_reply, Command, Reply, RequestMeta, WireStats};
 use hipac::EngineStats;
 use hipac_common::{HipacError, ObjectId, Result as HipacResult, TxnId, Value};
 use hipac_object::{AttrDef, Query};
@@ -312,16 +312,10 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
             superclass,
             attrs,
         } => {
-            let mut defs = Vec::with_capacity(attrs.len());
-            for a in attrs {
-                let ty = code_type(a.ty).map_err(|e| HipacError::TypeError(e.to_string()))?;
-                defs.push(AttrDef {
-                    name: a.name,
-                    ty,
-                    nullable: a.nullable,
-                    indexed: a.indexed,
-                });
-            }
+            let defs = attrs
+                .into_iter()
+                .map(AttrDef::try_from)
+                .collect::<Result<Vec<_>, _>>()?;
             let cid = ctx
                 .db
                 .store()

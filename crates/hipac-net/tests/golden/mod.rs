@@ -334,7 +334,7 @@ fn bin(op: BinOp, l: Expr, r: Expr) -> Expr {
 pub fn every_expr() -> Expr {
     use BinOp::*;
     let ops = [Or, And, Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod];
-    let leaves = vec![
+    let leaves = [
         Expr::Literal(Value::Float(50.0)),
         Expr::Attr("price".into()),
         Expr::OldAttr("price".into()),

@@ -7,73 +7,21 @@
 //! `Err` (or a clean `Ok`) but **never panic, hang, or allocate
 //! unboundedly**.
 
+mod golden;
+
+use hipac_common::codec::put_uvarint;
 use hipac_common::{TxnId, Value};
-use hipac_net::proto::{Command, Frame, PushEvent, Reply, RequestMeta, WireError, MAX_FRAME};
+use hipac_net::proto::{
+    Command, Frame, RequestMeta, WireAttr, WireError, MAX_FRAME, PROTOCOL_VERSION,
+};
 use hipac_net::FrameReader;
 use proptest::prelude::*;
-use std::collections::HashMap;
 use std::io::{Cursor, Read};
 
-/// Representative valid frames covering all three frame kinds and a
-/// spread of command/reply shapes.
+/// Every golden frame: each frame kind, command, reply and replication
+/// message (`tests/golden/mod.rs`).
 fn sample_frames() -> Vec<Frame> {
-    let mut args = HashMap::new();
-    args.insert("price".to_string(), Value::from(50.0));
-    vec![
-        Frame::Request {
-            id: 1,
-            meta: RequestMeta::default(),
-            command: Command::Ping { version: 1 },
-        },
-        Frame::Request {
-            id: u64::MAX,
-            meta: RequestMeta {
-                client_id: 0xDEAD_BEEF,
-                seq: 42,
-                deadline_ms: 1_500,
-            },
-            command: Command::Begin,
-        },
-        Frame::Request {
-            id: 7,
-            meta: RequestMeta::default(),
-            command: Command::Insert {
-                txn: TxnId(3),
-                class: "stock".into(),
-                values: vec![Value::from("XRX"), Value::from(48.0), Value::Null],
-            },
-        },
-        Frame::Request {
-            id: 8,
-            meta: RequestMeta {
-                client_id: 9,
-                seq: u64::MAX,
-                deadline_ms: 0,
-            },
-            command: Command::Query {
-                txn: TxnId(3),
-                text: "from stock where new.price >= 50.0".into(),
-                params: HashMap::from([("p".to_string(), Value::from(1))]),
-            },
-        },
-        Frame::Response {
-            id: 7,
-            reply: Reply::Object(hipac_common::ObjectId(42)),
-        },
-        Frame::Response {
-            id: 9,
-            reply: Reply::Err {
-                kind: "Deadlock".into(),
-                message: "txn#9 chosen as victim".into(),
-            },
-        },
-        Frame::Push(PushEvent {
-            seq: 3,
-            handler: "trader".into(),
-            request: "buy".into(),
-            args,
-        }),
-    ]
+    golden::golden_frames().into_iter().map(|(f, _)| f).collect()
 }
 
 /// Strip the 4-byte length prefix off an encoded frame.
@@ -141,12 +89,12 @@ fn oversized_length_prefixes_are_rejected_up_front() {
     }
 }
 
-/// Unknown opcodes (23..=255, past `Auth`) and unknown frame kinds
-/// (4..=255, past the repl stream kind) must error cleanly
-/// whatever bytes follow them.
+/// Unknown opcodes (past the last declared one, `Auth`) and unknown
+/// frame kinds (past the repl stream kind) must error cleanly whatever
+/// bytes follow them.
 #[test]
 fn garbage_opcodes_and_kinds_error() {
-    for op in 23..=255u8 {
+    for op in Command::WIRE_TAGS.len() as u8..=255 {
         // kind 0 (request), id 1, zeroed request meta, then the bad
         // opcode and some body.
         let payload = vec![0u8, 1, 0, 0, 0, op, 0xDE, 0xAD, 0xBE, 0xEF];
@@ -155,11 +103,67 @@ fn garbage_opcodes_and_kinds_error() {
             other => panic!("opcode {op} produced {other:?}"),
         }
     }
-    for kind in 4..=255u8 {
+    for kind in Frame::WIRE_TAGS.len() as u8..=255 {
         let payload = vec![kind, 1, 2, 3];
         match Frame::decode(&payload) {
             Err(WireError::Protocol(_)) => {}
             other => panic!("frame kind {kind} produced {other:?}"),
+        }
+    }
+}
+
+/// A request frame's payload: kind 0, id 1, zeroed metadata, then
+/// `body` (an opcode and its fields).
+fn request_payload(body: &[u8]) -> Vec<u8> {
+    [&[0u8, 1, 0, 0, 0][..], body].concat()
+}
+
+/// A `u32` field (`Ping.version`, `Pong.version`) past `u32::MAX` is a
+/// protocol error, not the value modulo 2^32: a `Ping` offering
+/// `2^32 + PROTOCOL_VERSION` must not read as this build's version.
+#[test]
+fn u32_fields_past_u32_max_are_rejected() {
+    let big = (1u64 << 32) + u64::from(PROTOCOL_VERSION);
+    let mut ping = vec![0u8]; // opcode Ping
+    put_uvarint(&mut ping, big);
+    let mut pong = vec![1u8, 1, 1]; // kind Response, id 1, status Pong
+    put_uvarint(&mut pong, big);
+    for payload in [request_payload(&ping), pong] {
+        match Frame::decode(&payload) {
+            Err(WireError::Protocol(_)) => {}
+            other => panic!("{payload:x?} produced {other:?}"),
+        }
+    }
+}
+
+/// `CreateClass` packs an attribute's `nullable` and `indexed` into bits
+/// 0 and 1 of one flag byte; a flag byte with any higher bit set is a
+/// protocol error, not a flag pair with the extra bits ignored.
+#[test]
+fn attribute_flag_bits_above_bit_1_are_rejected() {
+    let frame = Frame::Request {
+        id: 1,
+        meta: RequestMeta::default(),
+        command: Command::CreateClass {
+            txn: TxnId(1),
+            name: "c".into(),
+            superclass: None,
+            attrs: vec![WireAttr {
+                name: "a".into(),
+                ty: 2,
+                nullable: true,
+                indexed: true,
+            }],
+        },
+    };
+    // The payload ends with the attribute's flag byte.
+    let mut payload = payload_of(&frame);
+    assert_eq!(payload.last(), Some(&0b11));
+    for high in [0b100u8, 0x80] {
+        *payload.last_mut().unwrap() = 0b11 | high;
+        match Frame::decode(&payload) {
+            Err(WireError::Protocol(_)) => {}
+            other => panic!("flag byte {high:#x} produced {other:?}"),
         }
     }
 }
@@ -261,7 +265,7 @@ proptest! {
     /// bytes still never panics.
     #[test]
     fn random_bodies_under_valid_kinds_never_panic(
-        kind in 0u8..3,
+        kind in 0..Frame::WIRE_TAGS.len() as u8,
         body in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
         let mut payload = vec![kind];
@@ -279,30 +283,27 @@ proptest! {
 
     /// Bit-flip fuzzing: corrupting one byte of a valid payload either
     /// still decodes (the flip hit a don't-care bit such as a value in
-    /// an id) or errors — never a panic.
+    /// an id) or errors — never a panic. Every case flips a byte of
+    /// every sample frame.
     #[test]
-    fn single_byte_corruption_never_panics(
-        which in 0usize..7,
-        offset in any::<u16>(),
-        flip in 1u8..255,
-    ) {
-        let frames = sample_frames();
-        let mut payload = payload_of(&frames[which % frames.len()]);
-        if !payload.is_empty() {
+    fn single_byte_corruption_never_panics(offset in any::<u16>(), flip in 1u8..255) {
+        for frame in sample_frames() {
+            let mut payload = payload_of(&frame);
             let at = offset as usize % payload.len();
             payload[at] ^= flip;
             let _ = Frame::decode(&payload);
         }
     }
 
-    /// Truncation fuzzing across random cut points of random sample
-    /// frames (denser than the exhaustive loop for wire-level reads).
+    /// Truncation fuzzing across random cut points of every sample
+    /// frame (denser than the exhaustive loop for wire-level reads).
     #[test]
-    fn random_truncations_never_panic(which in 0usize..7, cut in any::<u16>()) {
-        let frames = sample_frames();
-        let wire = frames[which % frames.len()].encode();
-        let cut = cut as usize % wire.len();
-        let mut cursor = Cursor::new(wire[..cut].to_vec());
-        let _ = Frame::read_from(&mut cursor);
+    fn random_truncations_never_panic(cut in any::<u16>()) {
+        for frame in sample_frames() {
+            let wire = frame.encode();
+            let cut = cut as usize % wire.len();
+            let mut cursor = Cursor::new(wire[..cut].to_vec());
+            let _ = Frame::read_from(&mut cursor);
+        }
     }
 }

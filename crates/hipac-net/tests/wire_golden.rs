@@ -10,12 +10,16 @@
 mod golden;
 
 use golden::*;
-use hipac_common::TxnId;
-use hipac_net::proto::{Frame, Reply};
-use hipac_object::expr::Expr;
+use hipac_common::codec::{self, Wire};
+use hipac_common::{TxnId, ValueType};
+use hipac_event::{DbEventKind, EventSpec, TemporalSpec};
+use hipac_net::proto::{Command, Frame, ReplMsg, Reply};
+use hipac_object::expr::{BinOp, Expr, UnOp};
 use hipac_object::{ClassDef, Query};
 use hipac_rules::codec::{decode_rule, encode_rule};
-use hipac_rules::RuleDef;
+use hipac_rules::{ActionOp, CouplingMode, DbAction, RuleDef};
+use hipac_storage::StoreOp;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 
 fn hex(bytes: &[u8]) -> String {
@@ -114,4 +118,156 @@ fn every_class_record_has_its_golden_bytes() {
     check_all("class", &golden_classes(), ClassDef::encode, |b| {
         ClassDef::decode(b).unwrap()
     });
+}
+
+/// The first tag of `v`'s encoding: its own variant tag.
+fn tag<T: Wire>(v: &T) -> u8 {
+    codec::to_bytes(v)[0]
+}
+
+/// The tags each tagged type's samples use, by type name.
+#[derive(Default)]
+struct Seen(BTreeMap<&'static str, BTreeSet<u8>>);
+
+impl Seen {
+    fn add<T: Wire>(&mut self, ty: &'static str, v: &T) {
+        self.0.entry(ty).or_default().insert(tag(v));
+    }
+
+    fn expr(&mut self, e: &Expr) {
+        self.add("Expr", e);
+        match e {
+            Expr::Unary(op, x) => {
+                self.add("UnOp", op);
+                self.expr(x);
+            }
+            Expr::Binary(op, l, r) => {
+                self.add("BinOp", op);
+                self.expr(l);
+                self.expr(r);
+            }
+            Expr::Call(_, args) => args.iter().for_each(|a| self.expr(a)),
+            _ => {}
+        }
+    }
+
+    fn event(&mut self, e: &EventSpec) {
+        self.add("EventSpec", e);
+        match e {
+            EventSpec::Database { kind, .. } => self.add("DbEventKind", kind),
+            EventSpec::Temporal(t) => {
+                self.add("TemporalSpec", t);
+                if let TemporalSpec::Relative { baseline, .. } = t {
+                    self.event(baseline);
+                }
+            }
+            EventSpec::Disjunction(l, r)
+            | EventSpec::Sequence(l, r)
+            | EventSpec::Conjunction(l, r) => {
+                self.event(l);
+                self.event(r);
+            }
+            EventSpec::Times(_, inner) => self.event(inner),
+            EventSpec::External { .. } => {}
+        }
+    }
+
+    fn args(&mut self, args: &[(String, Expr)]) {
+        args.iter().for_each(|(_, e)| self.expr(e));
+    }
+
+    /// A database op's tag is its `DbAction`'s (see `hipac_rules::codec`).
+    fn op(&mut self, op: &ActionOp) {
+        match op {
+            ActionOp::Db(d) => {
+                self.add("DbAction", d);
+                match d {
+                    DbAction::Insert { values, .. } => values.iter().for_each(|e| self.expr(e)),
+                    DbAction::UpdateWhere { query, assignments } => {
+                        self.expr(&query.predicate);
+                        self.args(assignments);
+                    }
+                    DbAction::DeleteWhere { query } => self.expr(&query.predicate),
+                }
+            }
+            other => {
+                self.add("ActionOp", other);
+                match other {
+                    ActionOp::AppRequest { args, .. } | ActionOp::SignalEvent { args, .. } => {
+                        self.args(args)
+                    }
+                    ActionOp::ForEachRow { ops, .. } => ops.iter().for_each(|o| self.op(o)),
+                    _ => {}
+                }
+            }
+        }
+    }
+}
+
+/// Every tag that a `wire_enum!` declares (and `Expr`'s hand-written
+/// table) has a golden sample, so a variant added without one fails
+/// here.
+#[test]
+fn every_declared_tag_has_a_golden_sample() {
+    let mut seen = Seen::default();
+    for (frame, _) in golden_frames() {
+        seen.add("Frame", &frame);
+    }
+    for (command, _) in commands() {
+        seen.add("Command", &command);
+    }
+    for (reply, _) in replies() {
+        seen.add("Reply", &reply);
+    }
+    for (msg, _) in repl_msgs() {
+        seen.add("ReplMsg", &msg);
+        if let ReplMsg::Batch { ops, .. } = &msg {
+            ops.iter().for_each(|op| seen.add("StoreOp", op));
+        }
+    }
+    for (rule, _) in golden_rules() {
+        if let Some(event) = &rule.event {
+            seen.event(event);
+        }
+        rule.condition.iter().for_each(|q| seen.expr(&q.predicate));
+        rule.action.ops.iter().for_each(|op| seen.op(op));
+        seen.add("CouplingMode", &rule.ec_coupling);
+        seen.add("CouplingMode", &rule.ca_coupling);
+    }
+    for (class, _) in golden_classes() {
+        class
+            .attrs
+            .iter()
+            .for_each(|a| seen.add("ValueType", &a.ty));
+    }
+    let declared: [(&str, &[(u8, &str)]); 15] = [
+        ("Frame", Frame::WIRE_TAGS),
+        ("Command", Command::WIRE_TAGS),
+        ("Reply", Reply::WIRE_TAGS),
+        ("ReplMsg", ReplMsg::WIRE_TAGS),
+        ("StoreOp", StoreOp::WIRE_TAGS),
+        ("Expr", Expr::WIRE_TAGS),
+        ("UnOp", UnOp::WIRE_TAGS),
+        ("BinOp", BinOp::WIRE_TAGS),
+        ("EventSpec", EventSpec::WIRE_TAGS),
+        ("TemporalSpec", TemporalSpec::WIRE_TAGS),
+        ("DbEventKind", DbEventKind::WIRE_TAGS),
+        ("ActionOp", ActionOp::WIRE_TAGS),
+        ("DbAction", DbAction::WIRE_TAGS),
+        ("CouplingMode", CouplingMode::WIRE_TAGS),
+        ("ValueType", ValueType::WIRE_TAGS),
+    ];
+    let mut missing = Vec::new();
+    for (ty, tags) in declared {
+        for (tag, variant) in tags {
+            if !seen.0.get(ty).is_some_and(|s| s.contains(tag)) {
+                missing.push(format!("{ty}::{variant} (tag {tag})"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "no golden sample for: {}",
+        missing.join(", ")
+    );
 }

@@ -19,7 +19,8 @@
 //! be shared across rules in the Condition Evaluator's condition graph
 //! (§5.5).
 
-use hipac_common::{HipacError, Result, Value};
+use hipac_common::codec::{get_byte, Wire};
+use hipac_common::{wire_enum, HipacError, Result, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -28,6 +29,13 @@ use std::fmt;
 pub enum UnOp {
     Not,
     Neg,
+}
+
+wire_enum! {
+    UnOp {
+        0 => Not,
+        1 => Neg,
+    }
 }
 
 /// Binary operators, in increasing binding strength groups:
@@ -47,6 +55,24 @@ pub enum BinOp {
     Mul,
     Div,
     Mod,
+}
+
+wire_enum! {
+    BinOp {
+        0 => Or,
+        1 => And,
+        2 => Eq,
+        3 => Ne,
+        4 => Lt,
+        5 => Le,
+        6 => Gt,
+        7 => Ge,
+        8 => Add,
+        9 => Sub,
+        10 => Mul,
+        11 => Div,
+        12 => Mod,
+    }
 }
 
 impl BinOp {
@@ -100,6 +126,84 @@ pub enum Expr {
     Binary(BinOp, Box<Expr>, Box<Expr>),
     /// Built-in function call.
     Call(String, Vec<Expr>),
+}
+
+impl Expr {
+    /// Tag → variant name, as `wire_enum!` would emit it.
+    pub const WIRE_TAGS: &'static [(u8, &'static str)] = &[
+        (0, "Literal"),
+        (1, "Attr"),
+        (2, "OldAttr"),
+        (3, "NewAttr"),
+        (4, "Param"),
+        (5, "Unary"),
+        (6, "Binary"),
+        (7, "Call"),
+    ];
+}
+
+/// Written by hand rather than by `wire_enum!`: a resolved slot persists
+/// as its attribute name (`Slot` writes `Attr`'s tag, and so on), since
+/// slots re-resolve against the schema at evaluation time.
+impl Wire for Expr {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Expr::Literal(v) => {
+                buf.push(0);
+                v.put(buf);
+            }
+            Expr::Attr(n) | Expr::Slot(_, n) => {
+                buf.push(1);
+                n.put(buf);
+            }
+            Expr::OldAttr(n) | Expr::OldSlot(_, n) => {
+                buf.push(2);
+                n.put(buf);
+            }
+            Expr::NewAttr(n) | Expr::NewSlot(_, n) => {
+                buf.push(3);
+                n.put(buf);
+            }
+            Expr::Param(n) => {
+                buf.push(4);
+                n.put(buf);
+            }
+            Expr::Unary(op, x) => {
+                buf.push(5);
+                op.put(buf);
+                x.put(buf);
+            }
+            Expr::Binary(op, l, r) => {
+                buf.push(6);
+                op.put(buf);
+                l.put(buf);
+                r.put(buf);
+            }
+            Expr::Call(f, args) => {
+                buf.push(7);
+                f.put(buf);
+                args.put(buf);
+            }
+        }
+    }
+
+    fn get(buf: &[u8], pos: &mut usize) -> Result<Self> {
+        Ok(match get_byte(buf, pos)? {
+            0 => Expr::Literal(Wire::get(buf, pos)?),
+            1 => Expr::Attr(Wire::get(buf, pos)?),
+            2 => Expr::OldAttr(Wire::get(buf, pos)?),
+            3 => Expr::NewAttr(Wire::get(buf, pos)?),
+            4 => Expr::Param(Wire::get(buf, pos)?),
+            5 => Expr::Unary(Wire::get(buf, pos)?, Wire::get(buf, pos)?),
+            6 => Expr::Binary(
+                Wire::get(buf, pos)?,
+                Wire::get(buf, pos)?,
+                Wire::get(buf, pos)?,
+            ),
+            7 => Expr::Call(Wire::get(buf, pos)?, Wire::get(buf, pos)?),
+            other => return Err(HipacError::Corruption(format!("unknown Expr tag {other}"))),
+        })
+    }
 }
 
 /// Evaluation context: the current row (if scanning), the old/new

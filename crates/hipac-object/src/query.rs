@@ -20,6 +20,8 @@ pub struct Query {
     pub projection: Option<Vec<String>>,
 }
 
+hipac_common::wire_struct! { Query { class, predicate, projection } }
+
 impl Query {
     /// Query returning every instance of `class`.
     pub fn all(class: impl Into<String>) -> Query {

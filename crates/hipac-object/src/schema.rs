@@ -12,7 +12,7 @@
 //! class's full layout then, into a slot table; attribute resolution
 //! and row checks walk that table and allocate nothing.
 
-use hipac_common::{ClassId, HipacError, Result, ValueType};
+use hipac_common::{codec, ClassId, HipacError, Result, ValueType};
 
 /// Definition of one attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,125 +65,19 @@ pub struct ClassDef {
     pub system: bool,
 }
 
+hipac_common::wire_struct! { AttrDef { name, ty, nullable, indexed } }
+hipac_common::wire_struct! { ClassDef { id, name, superclass, system, attrs } }
+
 impl ClassDef {
     /// Serialize for the durable store.
     pub fn encode(&self) -> Vec<u8> {
-        use hipac_common::codec::{put_bytes, put_uvarint};
-        let mut buf = Vec::with_capacity(64);
-        put_uvarint(&mut buf, self.id.raw());
-        put_bytes(&mut buf, self.name.as_bytes());
-        match self.superclass {
-            Some(s) => {
-                buf.push(1);
-                put_uvarint(&mut buf, s.raw());
-            }
-            None => buf.push(0),
-        }
-        buf.push(u8::from(self.system));
-        put_uvarint(&mut buf, self.attrs.len() as u64);
-        for a in &self.attrs {
-            put_bytes(&mut buf, a.name.as_bytes());
-            buf.push(type_tag(a.ty));
-            buf.push(u8::from(a.nullable));
-            buf.push(u8::from(a.indexed));
-        }
-        buf
+        codec::to_bytes(self)
     }
 
     /// Inverse of [`ClassDef::encode`].
     pub fn decode(buf: &[u8]) -> Result<ClassDef> {
-        use hipac_common::codec::{get_bytes, get_uvarint};
-        let mut pos = 0;
-        let id = ClassId(get_uvarint(buf, &mut pos)?);
-        let name = std::str::from_utf8(get_bytes(buf, &mut pos)?)
-            .map_err(|_| HipacError::Corruption("class name not utf-8".into()))?
-            .to_owned();
-        let superclass = match buf.get(pos) {
-            Some(0) => {
-                pos += 1;
-                None
-            }
-            Some(1) => {
-                pos += 1;
-                Some(ClassId(get_uvarint(buf, &mut pos)?))
-            }
-            _ => return Err(HipacError::Corruption("bad superclass flag".into())),
-        };
-        let system = match buf.get(pos) {
-            Some(&b) if b <= 1 => {
-                pos += 1;
-                b == 1
-            }
-            _ => return Err(HipacError::Corruption("bad system flag".into())),
-        };
-        let n = get_uvarint(buf, &mut pos)? as usize;
-        if n > buf.len().saturating_sub(pos) {
-            return Err(HipacError::Corruption("attr count exceeds input".into()));
-        }
-        let mut attrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let aname = std::str::from_utf8(get_bytes(buf, &mut pos)?)
-                .map_err(|_| HipacError::Corruption("attr name not utf-8".into()))?
-                .to_owned();
-            let ty = untag_type(*buf.get(pos).ok_or_else(|| {
-                HipacError::Corruption("truncated attr type".into())
-            })?)?;
-            pos += 1;
-            let nullable = buf.get(pos) == Some(&1);
-            pos += 1;
-            let indexed = buf.get(pos) == Some(&1);
-            pos += 1;
-            if pos > buf.len() {
-                return Err(HipacError::Corruption("truncated attr flags".into()));
-            }
-            attrs.push(AttrDef {
-                name: aname,
-                ty,
-                nullable,
-                indexed,
-            });
-        }
-        Ok(ClassDef {
-            id,
-            name,
-            superclass,
-            attrs,
-            system,
-        })
+        codec::from_bytes(buf)
     }
-}
-
-fn type_tag(t: ValueType) -> u8 {
-    match t {
-        ValueType::Null => 0,
-        ValueType::Bool => 1,
-        ValueType::Int => 2,
-        ValueType::Float => 3,
-        ValueType::Str => 4,
-        ValueType::Bytes => 5,
-        ValueType::Ref => 6,
-        ValueType::Timestamp => 7,
-        ValueType::List => 8,
-    }
-}
-
-fn untag_type(b: u8) -> Result<ValueType> {
-    Ok(match b {
-        0 => ValueType::Null,
-        1 => ValueType::Bool,
-        2 => ValueType::Int,
-        3 => ValueType::Float,
-        4 => ValueType::Str,
-        5 => ValueType::Bytes,
-        6 => ValueType::Ref,
-        7 => ValueType::Timestamp,
-        8 => ValueType::List,
-        other => {
-            return Err(HipacError::Corruption(format!(
-                "unknown attribute type tag {other}"
-            )))
-        }
-    })
 }
 
 /// A resolved, immutable view of the class hierarchy as one transaction
@@ -453,6 +347,32 @@ mod tests {
             system: true,
         };
         assert_eq!(ClassDef::decode(&sys.encode()).unwrap(), sys);
+    }
+
+    /// `nullable` and `indexed` are written as 0 or 1; any other byte is
+    /// corruption, not `false`.
+    #[test]
+    fn classdef_codec_rejects_flag_bytes_other_than_0_and_1() {
+        let def = ClassDef {
+            id: ClassId(5),
+            name: "c".into(),
+            superclass: None,
+            attrs: vec![AttrDef::new("a", ValueType::Int)],
+            system: false,
+        };
+        let enc = def.encode();
+        // The record ends with the attribute's nullable and indexed bytes.
+        let (nullable, indexed) = (enc.len() - 2, enc.len() - 1);
+        for at in [nullable, indexed] {
+            let mut bad = enc.clone();
+            bad[at] = 2;
+            assert!(
+                ClassDef::decode(&bad).is_err(),
+                "flag byte 2 at {at} accepted"
+            );
+            bad[at] = 1;
+            assert!(ClassDef::decode(&bad).is_ok());
+        }
     }
 
     #[test]

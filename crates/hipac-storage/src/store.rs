@@ -140,6 +140,13 @@ pub enum StoreOp {
     Delete { key: Vec<u8> },
 }
 
+hipac_common::wire_enum! {
+    StoreOp {
+        0 => Put { key, value },
+        1 => Delete { key },
+    }
+}
+
 struct Engine {
     heap: HeapFile,
     index: BTree,

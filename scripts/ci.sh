@@ -27,6 +27,15 @@ cargo test -q -p hipac-txn --test proptests lock_table_matches_map_of_maps_model
 cargo test -q -p hipac-common --lib idhash
 cargo test -q -p hipac-object --lib lock_key
 
+echo "==> wire and record codecs: golden bytes, hostile decode, rule and catalog codecs"
+# wire_golden pins the bytes of every frame, reply-journal, rule and
+# catalog record and requires a sample of every declared tag;
+# proto_hostile fuzzes the same frames. The lib filters pick the rule
+# record's and ClassDef's codec tests (strict decoding included).
+cargo test -q -p hipac-net --test wire_golden --test proto_hostile
+cargo test -q -p hipac-rules --lib codec
+cargo test -q -p hipac-object --lib classdef_codec
+
 echo "==> firing-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read) and the catalog snapshot tests"
 # firing_alloc counts with a global allocator: it is the only test in
 # its binary. The snapshot tests in store_tests are pending_ddl_*,
