@@ -519,8 +519,8 @@ mod tests {
             class: ClassId(1),
             class_lineage: lineage.iter().map(|s| s.to_string()).collect(),
             oid: Some(ObjectId(7)),
-            old: Some(vec![Value::Int(1)]),
-            new: Some(vec![Value::Int(2)]),
+            old: Some(vec![Value::Int(1)].into()),
+            new: Some(vec![Value::Int(2)].into()),
         }
     }
 

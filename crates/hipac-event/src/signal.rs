@@ -17,8 +17,10 @@ pub struct DbEventData {
     /// on a superclass fires for subclass instances.
     pub class_lineage: Vec<String>,
     pub oid: Option<ObjectId>,
-    pub old: Option<Vec<Value>>,
-    pub new: Option<Vec<Value>>,
+    /// The old and new row images: the versions the Object Manager
+    /// reported, shared, not copies.
+    pub old: Option<Arc<[Value]>>,
+    pub new: Option<Arc<[Value]>>,
 }
 
 /// An event occurrence as delivered to the Rule Manager.
@@ -119,8 +121,8 @@ mod tests {
                 class: ClassId(1),
                 class_lineage: vec!["stock".into(), "security".into()],
                 oid: Some(ObjectId(5)),
-                old: Some(vec![Value::Int(1)]),
-                new: Some(vec![Value::Int(2)]),
+                old: Some(vec![Value::Int(1)].into()),
+                new: Some(vec![Value::Int(2)].into()),
             })),
             ..EventSignal::at(5)
         };

@@ -351,7 +351,9 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
                     .map(|r| crate::proto::WireRow {
                         oid: r.oid.raw(),
                         class: r.class.raw(),
-                        values: r.values,
+                        // The reply owns its values: the one copy of
+                        // a shared row version a remote query makes.
+                        values: r.values.to_vec(),
                     })
                     .collect(),
             )

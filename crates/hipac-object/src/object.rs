@@ -2,19 +2,28 @@
 
 use hipac_common::codec::{get_uvarint, get_value, put_uvarint, put_value};
 use hipac_common::{ClassId, HipacError, Result, Value};
+use std::sync::Arc;
 
 /// One object instance: its concrete class plus one value per slot of
 /// that class's full attribute layout.
+///
+/// A row version is immutable and shared: the version store, every
+/// reader and the operation and event payloads hold the same
+/// allocation, so cloning a record bumps a reference count. A new
+/// version is a new allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectRecord {
     pub class: ClassId,
-    pub values: Vec<Value>,
+    pub values: Arc<[Value]>,
 }
 
 impl ObjectRecord {
     /// Construct a record.
-    pub fn new(class: ClassId, values: Vec<Value>) -> Self {
-        ObjectRecord { class, values }
+    pub fn new(class: ClassId, values: impl Into<Arc<[Value]>>) -> Self {
+        ObjectRecord {
+            class,
+            values: values.into(),
+        }
     }
 
     /// Serialize for the durable store.
@@ -22,7 +31,7 @@ impl ObjectRecord {
         let mut buf = Vec::with_capacity(8 + 16 * self.values.len());
         put_uvarint(&mut buf, self.class.raw());
         put_uvarint(&mut buf, self.values.len() as u64);
-        for v in &self.values {
+        for v in self.values.iter() {
             put_value(&mut buf, v);
         }
         buf
@@ -45,7 +54,7 @@ impl ObjectRecord {
                 "trailing bytes after object record".into(),
             ));
         }
-        Ok(ObjectRecord { class, values })
+        Ok(ObjectRecord::new(class, values))
     }
 }
 

@@ -8,6 +8,7 @@
 use crate::expr::Expr;
 use crate::parser::parse_expr;
 use hipac_common::{ClassId, HipacError, ObjectId, Result, Value};
+use std::sync::Arc;
 
 /// A query: scan the (polymorphic) extent of `class`, keep rows
 /// satisfying `predicate`, optionally projecting `projection`
@@ -130,7 +131,10 @@ pub struct Row {
     /// Concrete class of the instance (may be a subclass of the queried
     /// class).
     pub class: ClassId,
-    pub values: Vec<Value>,
+    /// The row version itself when the query has no projection (shared
+    /// with the store, see [`crate::ObjectRecord`]); a fresh row of the
+    /// projected attributes otherwise.
+    pub values: Arc<[Value]>,
 }
 
 /// Result of a query.

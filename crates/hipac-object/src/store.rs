@@ -87,7 +87,8 @@ impl Hash for LockKey {
 
 /// A database operation, as reported to event listeners. Carries the
 /// paper-specified signal payload: the instances being modified and the
-/// old and new values of their attributes.
+/// old and new values of their attributes. The images are the row
+/// versions themselves, shared with the version store.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbOperation {
     CreateClass {
@@ -101,18 +102,18 @@ pub enum DbOperation {
     Insert {
         class: ClassId,
         oid: ObjectId,
-        new: Vec<Value>,
+        new: Arc<[Value]>,
     },
     Update {
         class: ClassId,
         oid: ObjectId,
-        old: Vec<Value>,
-        new: Vec<Value>,
+        old: Arc<[Value]>,
+        new: Arc<[Value]>,
     },
     Delete {
         class: ClassId,
         oid: ObjectId,
-        old: Vec<Value>,
+        old: Arc<[Value]>,
     },
 }
 
@@ -614,15 +615,16 @@ impl ObjectStore {
         self.locks
             .acquire(txn, LockKey::Object(oid), LockMode::Write)?;
         let class_id = def.id;
-        self.objects
-            .put(txn, oid, ObjectRecord::new(class_id, values.clone()));
+        let rec = ObjectRecord::new(class_id, values);
+        let new = Arc::clone(&rec.values);
+        self.objects.put(txn, oid, rec);
         self.note_family_write(txn, class_id);
         self.emit(
             txn,
             &DbOperation::Insert {
                 class: class_id,
                 oid,
-                new: values,
+                new,
             },
         )?;
         Ok(oid)
@@ -661,7 +663,7 @@ impl ObjectStore {
             .get(txn, &oid)
             .ok_or(HipacError::UnknownObject(oid))?;
         let schema = self.schema(txn);
-        let mut new_values = rec.values.clone();
+        let mut slots = Vec::with_capacity(assignments.len());
         for (name, value) in assignments {
             let (slot, def) = schema.resolve_attr(rec.class, name)?;
             if value.is_null() {
@@ -677,10 +679,27 @@ impl ObjectStore {
                     value.value_type()
                 )));
             }
-            new_values[slot] = value.clone();
+            slots.push((slot, value));
         }
-        self.objects
-            .put(txn, oid, ObjectRecord::new(rec.class, new_values.clone()));
+        // The one copy an update makes, built straight into the new
+        // version (a later assignment to a slot wins); the old version
+        // stays intact for every reader that holds it.
+        let new_values: Arc<[Value]> = rec
+            .values
+            .iter()
+            .enumerate()
+            .map(
+                |(i, old)| match slots.iter().rev().find(|(slot, _)| *slot == i) {
+                    Some((_, value)) => (*value).clone(),
+                    None => old.clone(),
+                },
+            )
+            .collect();
+        self.objects.put(
+            txn,
+            oid,
+            ObjectRecord::new(rec.class, Arc::clone(&new_values)),
+        );
         self.note_family_write(txn, rec.class);
         self.emit(
             txn,
@@ -781,6 +800,8 @@ impl ObjectStore {
                     for cid in &member_classes {
                         if let Some(idx) = indexes.get(&(*cid, slot)) {
                             if let Some(oids) = idx.get(&probe) {
+                                set.reserve(oids.len());
+                                dedup.reserve(oids.len());
                                 for oid in oids {
                                     if dedup.insert(*oid) {
                                         set.push(*oid);
@@ -836,7 +857,7 @@ impl ObjectStore {
         // then reads them again, because the unlocked read may have
         // raced a concurrent committer.
         let lock_first = matches!(plan, Plan::IndexEq { .. });
-        let mut rows = Vec::new();
+        let mut rows = Vec::with_capacity(if lock_first { candidates.len() } else { 0 });
         for oid in candidates {
             if lock_first {
                 self.locks
@@ -861,7 +882,7 @@ impl ObjectStore {
                         let (slot, _) = schema.resolve_attr(rec.class, a)?;
                         out.push(rec.values[slot].clone());
                     }
-                    out
+                    out.into()
                 }
             };
             rows.push(Row {

@@ -829,3 +829,155 @@ fn catalog_reader_racing_ddl_commits_never_goes_back() {
     })
     .unwrap();
 }
+
+// ----------------------------------------------------------------------
+// Row versions are shared, immutable snapshots
+// ----------------------------------------------------------------------
+
+/// The oid of the seeded `XRX` stock row (price 48.0).
+fn xrx(tm: &TransactionManager, store: &ObjectStore) -> hipac_common::ObjectId {
+    tm.run_top(|t| {
+        let rows = store.query(t, &Query::parse("from stock where symbol = \"XRX\"")?, None)?;
+        Ok(rows[0].oid)
+    })
+    .unwrap()
+}
+
+/// A row image as a listener sees it.
+type Image = Arc<[Value]>;
+
+/// Keeps the old and new images of every update it sees.
+#[derive(Default)]
+struct Images {
+    updates: Mutex<Vec<(Image, Image)>>,
+}
+
+impl OpListener for Images {
+    fn on_operation(&self, _txn: TxnId, op: &DbOperation) -> hipac_common::Result<()> {
+        if let DbOperation::Update { old, new, .. } = op {
+            self.updates.lock().push((Arc::clone(old), Arc::clone(new)));
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_row_read_before_an_update_keeps_its_old_values() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let oid = xrx(&tm, &store);
+    let price = |values: &[Value]| values[1].clone();
+    let xrx_query = Query::parse("from stock where symbol = \"XRX\"").unwrap();
+
+    // The same transaction reads, then updates.
+    let t = tm.begin();
+    let got = store.get(t, oid).unwrap();
+    let queried = store.query(t, &xrx_query, None).unwrap();
+    store
+        .update(t, oid, &[("price", Value::from(50.5))])
+        .unwrap();
+    assert_eq!(price(&got.values), Value::from(48.0));
+    assert_eq!(price(&queried[0].values), Value::from(48.0));
+    assert_eq!(price(&store.get(t, oid).unwrap().values), Value::from(50.5));
+    tm.commit(t).unwrap();
+
+    // A row read by a finished transaction outlives a later committed
+    // update.
+    let held = tm.run_top(|t| store.get(t, oid)).unwrap();
+    tm.run_top(|t| store.update(t, oid, &[("price", Value::from(51.0))]))
+        .unwrap();
+    assert_eq!(price(&held.values), Value::from(50.5));
+    let now = tm.run_top(|t| store.get(t, oid)).unwrap();
+    assert_eq!(price(&now.values), Value::from(51.0));
+}
+
+#[test]
+fn reads_of_an_unchanged_row_share_one_allocation() {
+    let (tm, store) = setup();
+    let images = Arc::new(Images::default());
+    store.register_listener(images.clone());
+    seed(&tm, &store);
+    let oid = xrx(&tm, &store);
+    let a = tm.begin();
+    let b = tm.begin();
+    let first = store.get(a, oid).unwrap();
+    assert!(Arc::ptr_eq(
+        &first.values,
+        &store.get(a, oid).unwrap().values
+    ));
+    assert!(Arc::ptr_eq(
+        &first.values,
+        &store.get(b, oid).unwrap().values
+    ));
+    let rows = store.query(b, &Query::all("stock"), None).unwrap();
+    let row = rows.iter().find(|r| r.oid == oid).unwrap();
+    assert!(
+        Arc::ptr_eq(&first.values, &row.values),
+        "a query row is the version"
+    );
+    // A projection is a row of its own.
+    let projected = store
+        .query(b, &Query::all("stock").select(vec!["price".into()]), None)
+        .unwrap();
+    assert_eq!(&projected[0].values[..], &[row.values[1].clone()]);
+    tm.commit(a).unwrap();
+    tm.commit(b).unwrap();
+
+    // An update reports the version it replaced and the one it made,
+    // and the store keeps that one allocation.
+    tm.run_top(|t| store.update(t, oid, &[("price", Value::from(50.5))]))
+        .unwrap();
+    let (old, new) = images.updates.lock()[0].clone();
+    assert!(Arc::ptr_eq(&old, &first.values));
+    let after = tm.run_top(|t| store.get(t, oid)).unwrap();
+    assert!(Arc::ptr_eq(&new, &after.values));
+}
+
+#[test]
+fn aborts_and_child_commits_leave_the_committed_version_in_place() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let oid = xrx(&tm, &store);
+    let read = || tm.run_top(|t| store.get(t, oid)).unwrap().values;
+    let committed = read();
+
+    // An aborted top-level update.
+    let t = tm.begin();
+    store
+        .update(t, oid, &[("price", Value::from(1.0))])
+        .unwrap();
+    tm.abort(t).unwrap();
+    assert!(Arc::ptr_eq(&committed, &read()));
+
+    // An aborted child, then a committed child, under one parent.
+    let t = tm.begin();
+    let child = tm.begin_child(t).unwrap();
+    store
+        .update(child, oid, &[("price", Value::from(2.0))])
+        .unwrap();
+    tm.abort(child).unwrap();
+    assert!(Arc::ptr_eq(&committed, &store.get(t, oid).unwrap().values));
+    let child = tm.begin_child(t).unwrap();
+    store
+        .update(child, oid, &[("price", Value::from(3.0))])
+        .unwrap();
+    let pending = store.get(child, oid).unwrap().values;
+    tm.commit(child).unwrap();
+    // The child's version moved up as is; the committed one is untouched.
+    assert!(Arc::ptr_eq(&pending, &store.get(t, oid).unwrap().values));
+    assert_eq!(committed[1], Value::from(48.0));
+    tm.abort(t).unwrap();
+    assert!(Arc::ptr_eq(&committed, &read()));
+
+    // A committed chain publishes the child's version itself.
+    let t = tm.begin();
+    let child = tm.begin_child(t).unwrap();
+    store
+        .update(child, oid, &[("price", Value::from(4.0))])
+        .unwrap();
+    let pending = store.get(child, oid).unwrap().values;
+    tm.commit(child).unwrap();
+    tm.commit(t).unwrap();
+    assert!(Arc::ptr_eq(&pending, &read()));
+    assert_eq!(committed[1], Value::from(48.0));
+}

@@ -928,7 +928,7 @@ fn execute(
                         .map(|r| WireRow {
                             oid: r.oid.raw(),
                             class: r.class.raw(),
-                            values: r.values,
+                            values: r.values.to_vec(),
                         })
                         .collect(),
                 ),

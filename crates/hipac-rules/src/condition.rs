@@ -134,7 +134,7 @@ impl ConditionEvaluator {
         if resolved.eval_bool(&ctx)? {
             // Produce the affected instance as the single result row,
             // projecting from the newest image available.
-            let image = db.new.clone().or_else(|| db.old.clone()).unwrap_or_default();
+            let image = db.new.clone().or_else(|| db.old.clone()).unwrap_or_else(|| Arc::from([]));
             let values = match &query.projection {
                 None => image,
                 Some(attrs) => {
@@ -143,7 +143,7 @@ impl ConditionEvaluator {
                         let (slot, _) = schema.resolve_attr(db.class, a)?;
                         out.push(image.get(slot).cloned().unwrap_or(Value::Null));
                     }
-                    out
+                    out.into()
                 }
             };
             Ok(vec![Row {
@@ -365,8 +365,8 @@ mod tests {
                 class: ClassId(1),
                 class_lineage: vec!["stock".into()],
                 oid: Some(ObjectId(1)),
-                old: Some(vec![Value::from("XRX"), Value::from(49.0)]),
-                new: Some(vec![Value::from("XRX"), Value::from(50.0)]),
+                old: Some(vec![Value::from("XRX"), Value::from(49.0)].into()),
+                new: Some(vec![Value::from("XRX"), Value::from(50.0)].into()),
             })),
         };
         (txn, signal)

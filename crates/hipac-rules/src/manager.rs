@@ -285,7 +285,7 @@ impl TxnHook for RuleTxnHook {
                         class_lineage: Vec::new(),
                         oid: None,
                         old: None,
-                        new: Some(vec![Value::Int(txn.raw() as i64)]),
+                        new: Some(Arc::from([Value::Int(txn.raw() as i64)])),
                     },
                 );
             }
@@ -314,7 +314,7 @@ impl TxnHook for RuleTxnHook {
                         class_lineage: Vec::new(),
                         oid: None,
                         old: None,
-                        new: Some(vec![Value::Int(txn.raw() as i64)]),
+                        new: Some(Arc::from([Value::Int(txn.raw() as i64)])),
                     },
                 );
             }
@@ -1520,7 +1520,7 @@ impl RuleManager {
             },
         )?;
         let ctx = Bindings {
-            row: row_ctx.map(|r| r.values.as_slice()),
+            row: row_ctx.map(|r| &r.values[..]),
             old: signal.db.as_ref().and_then(|d| d.old.as_deref()),
             new: signal.db.as_ref().and_then(|d| d.new.as_deref()),
             params: Some(&signal.params),

@@ -259,8 +259,8 @@ fn update_signal(
             class,
             class_lineage: vec!["stock".into()],
             oid: Some(fx.oid),
-            old,
-            new: Some(new),
+            old: old.map(Into::into),
+            new: Some(new.into()),
         })),
         ..EventSignal::at(0)
     }

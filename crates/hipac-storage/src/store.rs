@@ -673,7 +673,7 @@ impl DurableStore {
             cohort.iter().map(|_| Err(e.clone())).collect()
         };
         for req in cohort {
-            if let Err(e) = Self::append_batch(&inner.wal, req.txn, &req.ops) {
+            if let Err(e) = inner.wal.append_batch(req.txn, &req.ops) {
                 return all_err(e);
             }
         }
@@ -715,26 +715,6 @@ impl DurableStore {
         results
     }
 
-    fn append_batch(wal: &Wal, txn: TxnId, ops: &[StoreOp]) -> Result<()> {
-        let mut records = Vec::with_capacity(ops.len() + 2);
-        records.push(WalRecord::Begin { txn });
-        for op in ops {
-            records.push(match op {
-                StoreOp::Put { key, value } => WalRecord::Put {
-                    txn,
-                    key: key.clone(),
-                    value: value.clone(),
-                },
-                StoreOp::Delete { key } => WalRecord::Delete {
-                    txn,
-                    key: key.clone(),
-                },
-            });
-        }
-        records.push(WalRecord::Commit { txn });
-        wal.append_all(&records)
-    }
-
     /// Failpoint for crash testing: durably log the batch but "crash"
     /// before applying it to the data structures. A subsequent
     /// [`DurableStore::open`] must recover the batch from the WAL.
@@ -744,7 +724,7 @@ impl DurableStore {
     }
 
     fn log_batch(wal: &Wal, txn: TxnId, ops: &[StoreOp]) -> Result<()> {
-        Self::append_batch(wal, txn, ops)?;
+        wal.append_batch(txn, ops)?;
         wal.sync()
     }
 

@@ -112,36 +112,54 @@ const T_COMMIT: u8 = 4;
 const T_ABORT: u8 = 5;
 const T_CHECKPOINT: u8 = 6;
 
+/// The payload of a record that carries only its transaction.
+fn encode_txn(buf: &mut Vec<u8>, tag: u8, txn: TxnId) {
+    buf.push(tag);
+    put_uvarint(buf, txn.raw());
+}
+
+/// The payload of a `Put` or `Delete` record: the one encoding of an
+/// operation, whether it arrives as a [`WalRecord`] or a [`StoreOp`].
+fn encode_op(buf: &mut Vec<u8>, txn: TxnId, op: &StoreOp) {
+    match op {
+        StoreOp::Put { key, value } => encode_put(buf, txn, key, value),
+        StoreOp::Delete { key } => encode_delete(buf, txn, key),
+    }
+}
+
+fn encode_put(buf: &mut Vec<u8>, txn: TxnId, key: &[u8], value: &[u8]) {
+    encode_txn(buf, T_PUT, txn);
+    put_bytes(buf, key);
+    put_bytes(buf, value);
+}
+
+fn encode_delete(buf: &mut Vec<u8>, txn: TxnId, key: &[u8]) {
+    encode_txn(buf, T_DELETE, txn);
+    put_bytes(buf, key);
+}
+
+/// Append one frame to `buf`: reserve its header, let `payload` write
+/// the payload behind it, then patch in the length and the CRC.
+fn push_frame(buf: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    payload(buf);
+    let len = (buf.len() - start - 8) as u32;
+    let crc = crc32(&buf[start + 8..]);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            WalRecord::Begin { txn } => {
-                buf.push(T_BEGIN);
-                put_uvarint(&mut buf, txn.raw());
-            }
-            WalRecord::Put { txn, key, value } => {
-                buf.push(T_PUT);
-                put_uvarint(&mut buf, txn.raw());
-                put_bytes(&mut buf, key);
-                put_bytes(&mut buf, value);
-            }
-            WalRecord::Delete { txn, key } => {
-                buf.push(T_DELETE);
-                put_uvarint(&mut buf, txn.raw());
-                put_bytes(&mut buf, key);
-            }
-            WalRecord::Commit { txn } => {
-                buf.push(T_COMMIT);
-                put_uvarint(&mut buf, txn.raw());
-            }
-            WalRecord::Abort { txn } => {
-                buf.push(T_ABORT);
-                put_uvarint(&mut buf, txn.raw());
-            }
+            WalRecord::Begin { txn } => encode_txn(buf, T_BEGIN, *txn),
+            WalRecord::Put { txn, key, value } => encode_put(buf, *txn, key, value),
+            WalRecord::Delete { txn, key } => encode_delete(buf, *txn, key),
+            WalRecord::Commit { txn } => encode_txn(buf, T_COMMIT, *txn),
+            WalRecord::Abort { txn } => encode_txn(buf, T_ABORT, *txn),
             WalRecord::Checkpoint => buf.push(T_CHECKPOINT),
         }
-        buf
     }
 
     fn decode(buf: &[u8]) -> Result<WalRecord> {
@@ -431,13 +449,41 @@ impl Wal {
     /// batch contiguous in the file. The frames overwrite the fill at
     /// the logical end, extending it first when they do not fit.
     pub fn append_all(&self, recs: &[WalRecord]) -> Result<()> {
-        let mut frame = Vec::new();
+        let mut frames = Vec::new();
         for rec in recs {
-            let payload = rec.encode();
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-            frame.extend_from_slice(&payload);
+            push_frame(&mut frames, |buf| rec.encode_into(buf));
         }
+        self.write_frames(&frames)
+    }
+
+    /// Append `txn`'s committed batch: `Begin`, one `Put` or `Delete`
+    /// per operation, `Commit`. Each operation is encoded straight
+    /// into the one frame buffer, which is sized for the batch up
+    /// front; the same bytes as [`Wal::append_all`] of the records.
+    pub fn append_batch(&self, txn: TxnId, ops: &[StoreOp]) -> Result<()> {
+        // Per frame: an 8-byte header, a tag and a txn varint; per
+        // operation also two length varints.
+        const FRAME: usize = 8 + 1 + 10;
+        let bytes: usize = ops
+            .iter()
+            .map(|op| match op {
+                StoreOp::Put { key, value } => FRAME + 10 + key.len() + value.len(),
+                StoreOp::Delete { key } => FRAME + 5 + key.len(),
+            })
+            .sum();
+        let mut frames = Vec::with_capacity(bytes + 2 * FRAME);
+        push_frame(&mut frames, |buf| encode_txn(buf, T_BEGIN, txn));
+        for op in ops {
+            push_frame(&mut frames, |buf| encode_op(buf, txn, op));
+        }
+        push_frame(&mut frames, |buf| encode_txn(buf, T_COMMIT, txn));
+        self.write_frames(&frames)
+    }
+
+    /// Write encoded frames at the logical end, overwriting the fill
+    /// (extended first when they do not fit), under one lock
+    /// acquisition, so a batch stays contiguous in the file.
+    fn write_frames(&self, frame: &[u8]) -> Result<()> {
         let mut inner = self.inner.lock();
         let end = inner.len + frame.len() as u64;
         if end > inner.filled {
@@ -446,7 +492,7 @@ impl Wal {
         let at = inner.len;
         match self.faults.on_write(FaultPoint::WalAppend, frame.len())? {
             None => {
-                inner.file.write_all_at(&frame, at)?;
+                inner.file.write_all_at(frame, at)?;
                 inner.len = end;
             }
             Some(torn) => {
@@ -720,6 +766,12 @@ mod tests {
         p
     }
 
+    fn encode(rec: &WalRecord) -> Vec<u8> {
+        let mut buf = Vec::new();
+        rec.encode_into(&mut buf);
+        buf
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Begin { txn: TxnId(1) },
@@ -848,13 +900,13 @@ mod tests {
             key: vec![],
             value: vec![],
         };
-        let enc = rec.encode();
+        let enc = encode(&rec);
         assert_eq!(WalRecord::decode(&enc).unwrap(), rec);
     }
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let mut enc = WalRecord::Checkpoint.encode();
+        let mut enc = encode(&WalRecord::Checkpoint);
         enc.push(0);
         assert!(WalRecord::decode(&enc).is_err());
     }

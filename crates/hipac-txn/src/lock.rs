@@ -31,7 +31,11 @@
 //! The reverse index `holdings` lists each transaction's keys in a
 //! `Vec`; a key is pushed exactly once, when the transaction first
 //! becomes one of its holders (by a grant, or by inheriting it from a
-//! committed child), so the two indexes always describe the same pairs. Every map in the table is keyed on the
+//! committed child), so the two indexes always describe the same pairs.
+//! A released key's emptied holder list, and a finished transaction's
+//! emptied key list, go to a bounded spare pool that later grants take
+//! from, so a steady stream of short transactions (a query locks every
+//! row it returns) allocates no list per lock. Every map in the table is keyed on the
 //! keyed id hasher ([`hipac_common::idhash`]); `K` must hash cheaply,
 //! write at most one client-chosen word, and hash any name it carries
 //! through a keyed digest (the object layer's lock key does all three:
@@ -62,13 +66,27 @@ impl LockMode {
     }
 }
 
+type Holders = Vec<(TxnId, LockMode)>;
+
+/// Emptied holder lists kept for reuse, at most: enough for a few
+/// concurrent transactions of a hundred-odd locks each.
+const SPARE_HOLDERS: usize = 256;
+/// Emptied key lists kept for reuse, at most, and the largest capacity
+/// one may keep: a 100-row read's list fits; a scan's is not worth
+/// holding on to.
+const SPARE_HOLDINGS: usize = 8;
+const SPARE_HOLDING_CAPACITY: usize = 128;
+
 struct LockState<K> {
     /// Per-key holders, each transaction at most once.
-    locks: IdMap<K, Vec<(TxnId, LockMode)>>,
+    locks: IdMap<K, Holders>,
     /// Reverse index: keys held by each transaction, each key once.
     holdings: IdMap<TxnId, Vec<K>>,
     /// Wait-for graph: blocked requester → current blockers.
     waits_for: IdMap<TxnId, IdSet<TxnId>>,
+    /// Empty lists for the next new key and the next new holder.
+    spare_holders: Vec<Holders>,
+    spare_holdings: Vec<Vec<K>>,
 }
 
 impl<K: Eq + Hash + Clone> LockState<K> {
@@ -81,9 +99,43 @@ impl<K: Eq + Hash + Clone> LockState<K> {
             }
             holders.push((txn, mode));
         } else {
-            self.locks.insert(key.clone(), vec![(txn, mode)]);
+            let mut holders = self.spare_holders.pop().unwrap_or_default();
+            holders.push((txn, mode));
+            self.locks.insert(key.clone(), holders);
         }
-        self.holdings.entry(txn).or_default().push(key.clone());
+        self.hold(txn, key.clone());
+    }
+
+    /// Add `key` to `txn`'s key list.
+    fn hold(&mut self, txn: TxnId, key: K) {
+        let spare = &mut self.spare_holdings;
+        self.holdings
+            .entry(txn)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push(key);
+    }
+
+    /// Drop `txn` from `key`'s holders, unlocking the key when it was
+    /// the last.
+    fn unhold(&mut self, txn: TxnId, key: &K) {
+        let Some(holders) = self.locks.get_mut(key) else {
+            return;
+        };
+        holders.retain(|(t, _)| *t != txn);
+        if holders.is_empty() {
+            let holders = self.locks.remove(key).expect("present");
+            if self.spare_holders.len() < SPARE_HOLDERS {
+                self.spare_holders.push(holders);
+            }
+        }
+    }
+
+    /// Keep `txn`'s emptied key list for reuse.
+    fn recycle_holdings(&mut self, mut keys: Vec<K>) {
+        if self.spare_holdings.len() < SPARE_HOLDINGS && keys.capacity() <= SPARE_HOLDING_CAPACITY {
+            keys.clear();
+            self.spare_holdings.push(keys);
+        }
     }
 }
 
@@ -127,6 +179,8 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 locks: IdMap::default(),
                 holdings: IdMap::default(),
                 waits_for: IdMap::default(),
+                spare_holders: Vec::new(),
+                spare_holdings: Vec::new(),
             }),
             cv: Condvar::new(),
             timeout,
@@ -295,15 +349,11 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     /// commit).
     pub fn release_all(&self, txn: TxnId) {
         let mut state = self.state.lock();
-        if let Some(keys) = state.holdings.remove(&txn) {
-            for key in keys {
-                if let Some(holders) = state.locks.get_mut(&key) {
-                    holders.retain(|(t, _)| *t != txn);
-                    if holders.is_empty() {
-                        state.locks.remove(&key);
-                    }
-                }
+        if let Some(mut keys) = state.holdings.remove(&txn) {
+            for key in keys.drain(..) {
+                state.unhold(txn, &key);
             }
+            state.recycle_holdings(keys);
         }
         state.waits_for.remove(&txn);
         self.cv.notify_all();
@@ -313,12 +363,9 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     /// commit). The parent retains the stronger mode where both held.
     pub fn inherit_to_parent(&self, txn: TxnId, parent: TxnId) {
         let mut state = self.state.lock();
-        let LockState {
-            locks, holdings, ..
-        } = &mut *state;
-        if let Some(keys) = holdings.remove(&txn) {
-            for key in keys {
-                let Some(holders) = locks.get_mut(&key) else {
+        if let Some(mut keys) = state.holdings.remove(&txn) {
+            for key in keys.drain(..) {
+                let Some(holders) = state.locks.get_mut(&key) else {
                     continue;
                 };
                 let Some(at) = holders.iter().position(|(t, _)| *t == txn) else {
@@ -329,10 +376,11 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                     Some((_, held)) => *held = held.max(mode),
                     None => {
                         holders.push((parent, mode));
-                        holdings.entry(parent).or_default().push(key);
+                        state.hold(parent, key);
                     }
                 }
             }
+            state.recycle_holdings(keys);
         }
         state.waits_for.remove(&txn);
         self.cv.notify_all();

@@ -5,10 +5,17 @@
 //! cloneable, so this is a small queue + condvar implementation).
 //! Only the API surface the workspace uses is present: `unbounded`,
 //! `bounded`, `send`, `recv`, `try_recv`, `recv_timeout`.
+//!
+//! A condvar notify is a futex syscall whether or not anyone waits, so
+//! each side counts its parked threads under the mutex and the other
+//! side notifies only when that count is non-zero. A thread is counted
+//! from before its `wait` (which releases the mutex atomically) until
+//! it holds the mutex again, so a notifier that sees zero cannot miss a
+//! waiter.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
     use std::time::{Duration, Instant};
 
     struct Shared<T> {
@@ -24,6 +31,19 @@ pub mod channel {
         items: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers parked on `not_empty`.
+        parked_receivers: usize,
+        /// Senders parked on `not_full`.
+        parked_senders: usize,
+    }
+
+    impl<T> State<T> {
+        /// Pop the next item; the flag says whether a parked sender
+        /// must be woken for the room it frees.
+        fn pop(&mut self) -> Option<(T, bool)> {
+            let v = self.items.pop_front()?;
+            Some((v, self.parked_senders > 0))
+        }
     }
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
@@ -96,6 +116,8 @@ pub mod channel {
                 items: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked_receivers: 0,
+                parked_senders: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -120,20 +142,30 @@ pub mod channel {
                 }
                 match self.shared.capacity {
                     Some(cap) if state.items.len() >= cap => {
+                        state.parked_senders += 1;
                         state = self.shared.not_full.wait(state).unwrap();
+                        state.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
-            state.items.push_back(value);
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.push(state, value);
             Ok(())
+        }
+
+        /// Queue `value` and wake one parked receiver, if any.
+        fn push(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+            state.items.push_back(value);
+            let wake = state.parked_receivers > 0;
+            drop(state);
+            if wake {
+                self.shared.not_empty.notify_one();
+            }
         }
 
         /// Queue the value only if room is available right now.
         pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
-            let mut state = self.shared.queue.lock().unwrap();
+            let state = self.shared.queue.lock().unwrap();
             if state.receivers == 0 {
                 return Err(TrySendError::Disconnected(value));
             }
@@ -142,9 +174,7 @@ pub mod channel {
                     return Err(TrySendError::Full(value));
                 }
             }
-            state.items.push_back(value);
-            drop(state);
-            self.shared.not_empty.notify_one();
+            self.push(state, value);
             Ok(())
         }
 
@@ -188,7 +218,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.shared.queue.lock().unwrap();
             state.senders -= 1;
-            if state.senders == 0 {
+            if state.senders == 0 && state.parked_receivers > 0 {
                 drop(state);
                 self.shared.not_empty.notify_all();
             }
@@ -201,23 +231,33 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.queue.lock().unwrap();
             loop {
-                if let Some(v) = state.items.pop_front() {
+                if let Some((v, wake)) = state.pop() {
                     drop(state);
-                    self.shared.not_full.notify_one();
+                    self.wake_sender(wake);
                     return Ok(v);
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self.shared.not_empty.wait(state).unwrap();
+                state.parked_receivers -= 1;
+            }
+        }
+
+        /// Wake one parked sender for the room a pop freed, if `wake`
+        /// says one is parked.
+        fn wake_sender(&self, wake: bool) {
+            if wake {
+                self.shared.not_full.notify_one();
             }
         }
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.queue.lock().unwrap();
-            if let Some(v) = state.items.pop_front() {
+            if let Some((v, wake)) = state.pop() {
                 drop(state);
-                self.shared.not_full.notify_one();
+                self.wake_sender(wake);
                 return Ok(v);
             }
             if state.senders == 0 {
@@ -231,9 +271,9 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.queue.lock().unwrap();
             loop {
-                if let Some(v) = state.items.pop_front() {
+                if let Some((v, wake)) = state.pop() {
                     drop(state);
-                    self.shared.not_full.notify_one();
+                    self.wake_sender(wake);
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -243,12 +283,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                state.parked_receivers += 1;
                 let (s, _) = self
                     .shared
                     .not_empty
                     .wait_timeout(state, deadline - now)
                     .unwrap();
                 state = s;
+                state.parked_receivers -= 1;
             }
         }
 
@@ -274,7 +316,7 @@ pub mod channel {
         fn drop(&mut self) {
             let mut state = self.shared.queue.lock().unwrap();
             state.receivers -= 1;
-            if state.receivers == 0 {
+            if state.receivers == 0 && state.parked_senders > 0 {
                 drop(state);
                 self.shared.not_full.notify_all();
             }
@@ -343,6 +385,78 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
             );
+            assert_eq!(
+                parked(&rx.shared),
+                (0, 0),
+                "the timed-out wait is uncounted"
+            );
+        }
+
+        /// `(parked receivers, parked senders)`.
+        fn parked<T>(shared: &Shared<T>) -> (usize, usize) {
+            let state = shared.queue.lock().unwrap();
+            (state.parked_receivers, state.parked_senders)
+        }
+
+        /// Spin until `shared` has the given parked counts.
+        fn await_parked<T>(shared: &Shared<T>, want: (usize, usize)) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while parked(shared) != want {
+                assert!(
+                    Instant::now() < deadline,
+                    "never parked: {:?}",
+                    parked(shared)
+                );
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn full_bounded_send_blocks_until_a_recv_frees_room() {
+            let (tx, rx) = bounded::<u8>(1);
+            tx.send(1).unwrap();
+            let sent = Arc::new(AtomicUsize::new(0));
+            let t = {
+                let (tx, sent) = (tx.clone(), Arc::clone(&sent));
+                std::thread::spawn(move || {
+                    tx.send(2).unwrap();
+                    sent.store(1, Ordering::SeqCst);
+                })
+            };
+            await_parked(&rx.shared, (0, 1));
+            assert_eq!(sent.load(Ordering::SeqCst), 0, "a full channel took a send");
+            assert_eq!(rx.recv(), Ok(1));
+            t.join().unwrap();
+            assert_eq!(sent.load(Ordering::SeqCst), 1);
+            assert_eq!(parked(&rx.shared), (0, 0));
+            assert_eq!(rx.recv(), Ok(2));
+        }
+
+        #[test]
+        fn last_sender_drop_wakes_a_parked_receiver() {
+            let (tx, rx) = unbounded::<u8>();
+            let second = tx.clone();
+            let (shared, blocking, timed) = (Arc::clone(&rx.shared), rx.clone(), rx.clone());
+            let a = std::thread::spawn(move || blocking.recv());
+            let b = std::thread::spawn(move || timed.recv_timeout(Duration::from_secs(60)));
+            await_parked(&shared, (2, 0));
+            drop(tx);
+            // One sender is left: nobody wakes.
+            assert_eq!(parked(&shared), (2, 0));
+            drop(second);
+            assert_eq!(a.join().unwrap(), Err(RecvError));
+            assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
+            assert_eq!(parked(&shared), (0, 0));
+        }
+
+        #[test]
+        fn send_wakes_a_parked_receiver() {
+            let (tx, rx) = unbounded::<u8>();
+            let shared = Arc::clone(&rx.shared);
+            let t = std::thread::spawn(move || rx.recv());
+            await_parked(&shared, (1, 0));
+            tx.send(7).unwrap();
+            assert_eq!(t.join().unwrap(), Ok(7));
         }
 
         #[test]

@@ -713,8 +713,8 @@ fn network_snapshot(h: &Harness) -> (u64, Vec<(RuleId, Vec<Option<Vec<RuleId>>>)
                         class,
                         class_lineage: vec!["stock".into()],
                         oid: None,
-                        old: old.clone(),
-                        new: Some(new.clone()),
+                        old: old.clone().map(Into::into),
+                        new: Some(new.clone().into()),
                     })),
                     ..EventSignal::at(0)
                 };
