@@ -35,11 +35,13 @@
 //! A released key's emptied holder list, and a finished transaction's
 //! emptied key list, go to a bounded spare pool that later grants take
 //! from, so a steady stream of short transactions (a query locks every
-//! row it returns) allocates no list per lock. Every map in the table is keyed on the
-//! keyed id hasher ([`hipac_common::idhash`]); `K` must hash cheaply,
-//! write at most one client-chosen word, and hash any name it carries
-//! through a keyed digest (the object layer's lock key does all three:
-//! clients pick object ids through the wire's `Update` and `Delete`).
+//! row it returns) allocates no list per lock.
+//!
+//! Every map in the table is keyed on the keyed id hasher
+//! ([`hipac_common::idhash`]); `K` must hash cheaply, write at most one
+//! client-chosen word, and hash any name it carries through a keyed
+//! digest (the object layer's lock key does all three: clients pick
+//! object ids through the wire's `Update` and `Delete`).
 
 use crate::tree::{TxnState, TxnTree};
 use hipac_common::{HipacError, IdMap, IdSet, Result, TxnId};

@@ -27,21 +27,27 @@ cargo test -q -p hipac-txn --test proptests lock_table_matches_map_of_maps_model
 cargo test -q -p hipac-common --lib idhash
 cargo test -q -p hipac-object --lib lock_key
 
-echo "==> wire and record codecs: golden bytes, hostile decode, rule and catalog codecs"
+echo "==> wire and record codecs: golden bytes, hostile decode, rule and catalog codecs, the WAL frame"
 # wire_golden pins the bytes of every frame, reply-journal, rule and
 # catalog record and requires a sample of every declared tag;
 # proto_hostile fuzzes the same frames. The lib filters pick the rule
 # record's and ClassDef's codec tests (strict decoding included).
+# wal_golden pins one committed batch's WAL frames, CRCs included.
 cargo test -q -p hipac-net --test wire_golden --test proto_hostile
+cargo test -q -p hipac-storage --test wal_golden
 cargo test -q -p hipac-rules --lib codec
 cargo test -q -p hipac-object --lib classdef_codec
 
-echo "==> firing-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read) and the catalog snapshot tests"
-# firing_alloc counts with a global allocator: it is the only test in
-# its binary. The snapshot tests in store_tests are pending_ddl_*,
-# clean_reads_*, child_ddl_*, top_commit_*, durable_reopen_yields_*
-# and catalog_reader_racing_ddl_commits_never_goes_back.
+echo "==> firing-path and read-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read; a store_rw-shaped read: none per row), the catalog and row snapshot tests"
+# firing_alloc and read_alloc count with a global allocator: each is
+# the only test in its binary. The snapshot tests in store_tests are
+# pending_ddl_*, clean_reads_*, child_ddl_*, top_commit_*,
+# durable_reopen_yields_*, catalog_reader_racing_ddl_commits_never_goes_back
+# (the catalog) and a_row_read_before_an_update_keeps_its_old_values,
+# reads_of_an_unchanged_row_share_one_allocation,
+# aborts_and_child_commits_leave_the_committed_version_in_place (rows).
 cargo test -q -p hipac --test firing_alloc
+cargo test -q -p hipac --test read_alloc
 cargo test -q -p hipac-object --test store_tests
 
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"

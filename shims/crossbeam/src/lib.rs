@@ -37,15 +37,6 @@ pub mod channel {
         parked_senders: usize,
     }
 
-    impl<T> State<T> {
-        /// Pop the next item; the flag says whether a parked sender
-        /// must be woken for the room it frees.
-        fn pop(&mut self) -> Option<(T, bool)> {
-            let v = self.items.pop_front()?;
-            Some((v, self.parked_senders > 0))
-        }
-    }
-
     /// Error returned by [`Sender::send`] when all receivers are gone.
     /// Debug is implemented for any `T` (as in the real crate), so
     /// `send(..).expect(..)` works with non-Debug payloads.
@@ -231,9 +222,8 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.queue.lock().unwrap();
             loop {
-                if let Some((v, wake)) = state.pop() {
-                    drop(state);
-                    self.wake_sender(wake);
+                if let Some(v) = state.items.pop_front() {
+                    self.freed_room(state);
                     return Ok(v);
                 }
                 if state.senders == 0 {
@@ -245,9 +235,11 @@ pub mod channel {
             }
         }
 
-        /// Wake one parked sender for the room a pop freed, if `wake`
-        /// says one is parked.
-        fn wake_sender(&self, wake: bool) {
+        /// After a pop: wake one parked sender, if any, for the room
+        /// it freed.
+        fn freed_room(&self, state: MutexGuard<'_, State<T>>) {
+            let wake = state.parked_senders > 0;
+            drop(state);
             if wake {
                 self.shared.not_full.notify_one();
             }
@@ -255,9 +247,8 @@ pub mod channel {
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.queue.lock().unwrap();
-            if let Some((v, wake)) = state.pop() {
-                drop(state);
-                self.wake_sender(wake);
+            if let Some(v) = state.items.pop_front() {
+                self.freed_room(state);
                 return Ok(v);
             }
             if state.senders == 0 {
@@ -271,9 +262,8 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.queue.lock().unwrap();
             loop {
-                if let Some((v, wake)) = state.pop() {
-                    drop(state);
-                    self.wake_sender(wake);
+                if let Some(v) = state.items.pop_front() {
+                    self.freed_room(state);
                     return Ok(v);
                 }
                 if state.senders == 0 {
