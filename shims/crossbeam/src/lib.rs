@@ -401,23 +401,36 @@ pub mod channel {
             }
         }
 
+        /// Run `f` on a thread of its own. A wake-up the code under test
+        /// misses shows as a failed [`woken`], not as a hung test.
+        fn spawn_result<R: Send + 'static>(
+            f: impl FnOnce() -> R + Send + 'static,
+        ) -> std::sync::mpsc::Receiver<R> {
+            let (done, result) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done.send(f()).unwrap());
+            result
+        }
+
+        /// The result of a [`spawn_result`] thread that must be woken
+        /// by now.
+        fn woken<R>(result: &std::sync::mpsc::Receiver<R>) -> R {
+            result
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a parked thread was never woken")
+        }
+
         #[test]
         fn full_bounded_send_blocks_until_a_recv_frees_room() {
             let (tx, rx) = bounded::<u8>(1);
             tx.send(1).unwrap();
-            let sent = Arc::new(AtomicUsize::new(0));
-            let t = {
-                let (tx, sent) = (tx.clone(), Arc::clone(&sent));
-                std::thread::spawn(move || {
-                    tx.send(2).unwrap();
-                    sent.store(1, Ordering::SeqCst);
-                })
+            let sent = {
+                let tx = tx.clone();
+                spawn_result(move || tx.send(2))
             };
             await_parked(&rx.shared, (0, 1));
-            assert_eq!(sent.load(Ordering::SeqCst), 0, "a full channel took a send");
+            assert!(sent.try_recv().is_err(), "a full channel took a send");
             assert_eq!(rx.recv(), Ok(1));
-            t.join().unwrap();
-            assert_eq!(sent.load(Ordering::SeqCst), 1);
+            assert_eq!(woken(&sent), Ok(()));
             assert_eq!(parked(&rx.shared), (0, 0));
             assert_eq!(rx.recv(), Ok(2));
         }
@@ -426,27 +439,28 @@ pub mod channel {
         fn last_sender_drop_wakes_a_parked_receiver() {
             let (tx, rx) = unbounded::<u8>();
             let second = tx.clone();
-            let (shared, blocking, timed) = (Arc::clone(&rx.shared), rx.clone(), rx.clone());
-            let a = std::thread::spawn(move || blocking.recv());
-            let b = std::thread::spawn(move || timed.recv_timeout(Duration::from_secs(60)));
-            await_parked(&shared, (2, 0));
+            let (blocking, timed) = (rx.clone(), rx.clone());
+            let a = spawn_result(move || blocking.recv());
+            // Past the test's own wait: only a wake-up returns it in time.
+            let b = spawn_result(move || timed.recv_timeout(Duration::from_secs(60)));
+            await_parked(&rx.shared, (2, 0));
             drop(tx);
             // One sender is left: nobody wakes.
-            assert_eq!(parked(&shared), (2, 0));
+            assert_eq!(parked(&rx.shared), (2, 0));
             drop(second);
-            assert_eq!(a.join().unwrap(), Err(RecvError));
-            assert_eq!(b.join().unwrap(), Err(RecvTimeoutError::Disconnected));
-            assert_eq!(parked(&shared), (0, 0));
+            assert_eq!(woken(&a), Err(RecvError));
+            assert_eq!(woken(&b), Err(RecvTimeoutError::Disconnected));
+            assert_eq!(parked(&rx.shared), (0, 0));
         }
 
         #[test]
         fn send_wakes_a_parked_receiver() {
             let (tx, rx) = unbounded::<u8>();
             let shared = Arc::clone(&rx.shared);
-            let t = std::thread::spawn(move || rx.recv());
+            let got = spawn_result(move || rx.recv());
             await_parked(&shared, (1, 0));
             tx.send(7).unwrap();
-            assert_eq!(t.join().unwrap(), Ok(7));
+            assert_eq!(woken(&got), Ok(7));
         }
 
         #[test]
