@@ -877,12 +877,15 @@ impl ObjectStore {
             let values = match &query.projection {
                 None => rec.values,
                 Some(attrs) => {
-                    let mut out = Vec::with_capacity(attrs.len());
-                    for a in attrs {
+                    // Sized up front, so the row is one allocation.
+                    let mut out: Arc<[Value]> =
+                        std::iter::repeat(Value::Null).take(attrs.len()).collect();
+                    let slots = Arc::get_mut(&mut out).expect("not shared yet");
+                    for (to, a) in slots.iter_mut().zip(attrs) {
                         let (slot, _) = schema.resolve_attr(rec.class, a)?;
-                        out.push(rec.values[slot].clone());
+                        *to = rec.values[slot].clone();
                     }
-                    out.into()
+                    out
                 }
             };
             rows.push(Row {

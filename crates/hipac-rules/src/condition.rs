@@ -138,12 +138,15 @@ impl ConditionEvaluator {
             let values = match &query.projection {
                 None => image,
                 Some(attrs) => {
-                    let mut out = Vec::with_capacity(attrs.len());
-                    for a in attrs {
+                    // Sized up front, so the row is one allocation.
+                    let mut out: Arc<[Value]> =
+                        std::iter::repeat(Value::Null).take(attrs.len()).collect();
+                    let slots = Arc::get_mut(&mut out).expect("not shared yet");
+                    for (to, a) in slots.iter_mut().zip(attrs) {
                         let (slot, _) = schema.resolve_attr(db.class, a)?;
-                        out.push(image.get(slot).cloned().unwrap_or(Value::Null));
+                        *to = image.get(slot).cloned().unwrap_or(Value::Null);
                     }
-                    out.into()
+                    out
                 }
             };
             Ok(vec![Row {

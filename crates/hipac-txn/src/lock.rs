@@ -19,11 +19,14 @@
 //!
 //! # Representation
 //!
-//! The table is flat. A key's holders are a `Vec<(TxnId, LockMode)>`,
-//! not a map, and `grant`, `release_all` and `inherit_to_parent` scan
-//! it linearly, as `blockers` always has. Most keys have one or two
-//! holders (a transaction and perhaps an ancestor that inherited the
-//! lock). The object layer's class keys have more: every query
+//! The table is flat. A key's holders are a short list of
+//! `(TxnId, LockMode)`, not a map, and `grant`, `release_all` and
+//! `inherit_to_parent` scan it linearly, as `blockers` always has. Most
+//! keys have one holder (a row is locked by the one transaction that
+//! touched it), which [`Holders`] keeps inline, so a query that locks
+//! every row it returns allocates nothing per row; a second holder (an
+//! ancestor that inherited the lock, or another reader) moves them into
+//! a `Vec`. The object layer's class keys have more: every query
 //! read-locks its class until the top-level commit, so a popular
 //! class's list holds one entry per open transaction that read it, and
 //! the scans grow with the number of concurrent readers.
@@ -32,10 +35,6 @@
 //! `Vec`; a key is pushed exactly once, when the transaction first
 //! becomes one of its holders (by a grant, or by inheriting it from a
 //! committed child), so the two indexes always describe the same pairs.
-//! A released key's emptied holder list, and a finished transaction's
-//! emptied key list, go to a bounded spare pool that later grants take
-//! from, so a steady stream of short transactions (a query locks every
-//! row it returns) allocates no list per lock.
 //!
 //! Every map in the table is keyed on the keyed id hasher
 //! ([`hipac_common::idhash`]); `K` must hash cheaply, write at most one
@@ -68,16 +67,49 @@ impl LockMode {
     }
 }
 
-type Holders = Vec<(TxnId, LockMode)>;
+/// A key's holders, each transaction at most once: one inline, more in
+/// a list. An emptied list is empty, never `One`.
+enum Holders {
+    One([(TxnId, LockMode); 1]),
+    Many(Vec<(TxnId, LockMode)>),
+}
 
-/// Emptied holder lists kept for reuse, at most: enough for a few
-/// concurrent transactions of a hundred-odd locks each.
-const SPARE_HOLDERS: usize = 256;
-/// Emptied key lists kept for reuse, at most, and the largest capacity
-/// one may keep: a 100-row read's list fits; a scan's is not worth
-/// holding on to.
-const SPARE_HOLDINGS: usize = 8;
-const SPARE_HOLDING_CAPACITY: usize = 128;
+impl Holders {
+    fn as_slice(&self) -> &[(TxnId, LockMode)] {
+        match self {
+            Holders::One(one) => one,
+            Holders::Many(many) => many,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(TxnId, LockMode)] {
+        match self {
+            Holders::One(one) => one,
+            Holders::Many(many) => many,
+        }
+    }
+
+    fn push(&mut self, holder: (TxnId, LockMode)) {
+        match self {
+            Holders::One([first]) => *self = Holders::Many(vec![*first, holder]),
+            Holders::Many(many) if many.is_empty() => *self = Holders::One([holder]),
+            Holders::Many(many) => many.push(holder),
+        }
+    }
+
+    /// Drop `txn`, returning the mode it held.
+    fn remove(&mut self, txn: TxnId) -> Option<LockMode> {
+        let at = self.as_slice().iter().position(|(t, _)| *t == txn)?;
+        match self {
+            Holders::One([(_, mode)]) => {
+                let mode = *mode;
+                *self = Holders::Many(Vec::new());
+                Some(mode)
+            }
+            Holders::Many(many) => Some(many.swap_remove(at).1),
+        }
+    }
+}
 
 struct LockState<K> {
     /// Per-key holders, each transaction at most once.
@@ -86,58 +118,22 @@ struct LockState<K> {
     holdings: IdMap<TxnId, Vec<K>>,
     /// Wait-for graph: blocked requester → current blockers.
     waits_for: IdMap<TxnId, IdSet<TxnId>>,
-    /// Empty lists for the next new key and the next new holder.
-    spare_holders: Vec<Holders>,
-    spare_holdings: Vec<Vec<K>>,
 }
 
 impl<K: Eq + Hash + Clone> LockState<K> {
     /// Record `txn` as a holder of `key` in at least `mode`.
     fn grant(&mut self, txn: TxnId, key: &K, mode: LockMode) {
         if let Some(holders) = self.locks.get_mut(key) {
-            if let Some((_, held)) = holders.iter_mut().find(|(t, _)| *t == txn) {
+            let mine = holders.as_mut_slice().iter_mut().find(|(t, _)| *t == txn);
+            if let Some((_, held)) = mine {
                 *held = held.max(mode);
                 return;
             }
             holders.push((txn, mode));
         } else {
-            let mut holders = self.spare_holders.pop().unwrap_or_default();
-            holders.push((txn, mode));
-            self.locks.insert(key.clone(), holders);
+            self.locks.insert(key.clone(), Holders::One([(txn, mode)]));
         }
-        self.hold(txn, key.clone());
-    }
-
-    /// Add `key` to `txn`'s key list.
-    fn hold(&mut self, txn: TxnId, key: K) {
-        let spare = &mut self.spare_holdings;
-        self.holdings
-            .entry(txn)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push(key);
-    }
-
-    /// Drop `txn` from `key`'s holders, unlocking the key when it was
-    /// the last.
-    fn unhold(&mut self, txn: TxnId, key: &K) {
-        let Some(holders) = self.locks.get_mut(key) else {
-            return;
-        };
-        holders.retain(|(t, _)| *t != txn);
-        if holders.is_empty() {
-            let holders = self.locks.remove(key).expect("present");
-            if self.spare_holders.len() < SPARE_HOLDERS {
-                self.spare_holders.push(holders);
-            }
-        }
-    }
-
-    /// Keep `txn`'s emptied key list for reuse.
-    fn recycle_holdings(&mut self, mut keys: Vec<K>) {
-        if self.spare_holdings.len() < SPARE_HOLDINGS && keys.capacity() <= SPARE_HOLDING_CAPACITY {
-            keys.clear();
-            self.spare_holdings.push(keys);
-        }
+        self.holdings.entry(txn).or_default().push(key.clone());
     }
 }
 
@@ -181,8 +177,6 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 locks: IdMap::default(),
                 holdings: IdMap::default(),
                 waits_for: IdMap::default(),
-                spare_holders: Vec::new(),
-                spare_holdings: Vec::new(),
             }),
             cv: Condvar::new(),
             timeout,
@@ -221,6 +215,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             return IdSet::default();
         };
         holders
+            .as_slice()
             .iter()
             .filter(|(h, m)| {
                 *h != txn
@@ -343,7 +338,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             .lock()
             .locks
             .get(key)
-            .and_then(|h| h.iter().find(|(t, _)| *t == txn))
+            .and_then(|h| h.as_slice().iter().find(|(t, _)| *t == txn))
             .map(|(_, m)| *m)
     }
 
@@ -351,11 +346,15 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     /// commit).
     pub fn release_all(&self, txn: TxnId) {
         let mut state = self.state.lock();
-        if let Some(mut keys) = state.holdings.remove(&txn) {
-            for key in keys.drain(..) {
-                state.unhold(txn, &key);
+        if let Some(keys) = state.holdings.remove(&txn) {
+            for key in keys {
+                if let Some(holders) = state.locks.get_mut(&key) {
+                    holders.remove(txn);
+                    if holders.as_slice().is_empty() {
+                        state.locks.remove(&key);
+                    }
+                }
             }
-            state.recycle_holdings(keys);
         }
         state.waits_for.remove(&txn);
         self.cv.notify_all();
@@ -365,24 +364,25 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
     /// commit). The parent retains the stronger mode where both held.
     pub fn inherit_to_parent(&self, txn: TxnId, parent: TxnId) {
         let mut state = self.state.lock();
-        if let Some(mut keys) = state.holdings.remove(&txn) {
-            for key in keys.drain(..) {
-                let Some(holders) = state.locks.get_mut(&key) else {
+        let LockState {
+            locks, holdings, ..
+        } = &mut *state;
+        if let Some(keys) = holdings.remove(&txn) {
+            for key in keys {
+                let Some(holders) = locks.get_mut(&key) else {
                     continue;
                 };
-                let Some(at) = holders.iter().position(|(t, _)| *t == txn) else {
+                let Some(mode) = holders.remove(txn) else {
                     continue;
                 };
-                let (_, mode) = holders.swap_remove(at);
-                match holders.iter_mut().find(|(t, _)| *t == parent) {
+                match holders.as_mut_slice().iter_mut().find(|(t, _)| *t == parent) {
                     Some((_, held)) => *held = held.max(mode),
                     None => {
                         holders.push((parent, mode));
-                        state.hold(parent, key);
+                        holdings.entry(parent).or_default().push(key);
                     }
                 }
             }
-            state.recycle_holdings(keys);
         }
         state.waits_for.remove(&txn);
         self.cv.notify_all();
@@ -418,6 +418,34 @@ mod tests {
         lm.release_all(a);
         assert!(lm.try_acquire(b, "x", LockMode::Write).unwrap());
         assert_eq!(lm.held(b, &"x"), Some(LockMode::Write));
+    }
+
+    #[test]
+    fn holders_move_between_inline_and_list() {
+        let (tree, lm) = setup();
+        let a = tree.begin_top();
+        let b = tree.begin_top();
+        let c = tree.begin_child(a).unwrap();
+        // One holder, then two, then one, then none.
+        lm.acquire(a, "x", LockMode::Read).unwrap();
+        lm.acquire(b, "x", LockMode::Read).unwrap();
+        lm.release_all(a);
+        assert_eq!(lm.held(b, &"x"), Some(LockMode::Read));
+        lm.release_all(b);
+        assert_eq!(lm.locked_key_count(), 0);
+        // A child's only hold passes to its parent; a hold both share
+        // keeps the stronger mode.
+        lm.acquire(c, "y", LockMode::Write).unwrap();
+        lm.acquire(a, "z", LockMode::Read).unwrap();
+        lm.acquire(c, "z", LockMode::Write).unwrap();
+        lm.inherit_to_parent(c, a);
+        assert_eq!(lm.held(a, &"y"), Some(LockMode::Write));
+        assert_eq!(lm.held(a, &"z"), Some(LockMode::Write));
+        assert_eq!((lm.held(c, &"y"), lm.held(c, &"z")), (None, None));
+        assert!(!lm.try_acquire(b, "y", LockMode::Read).unwrap());
+        lm.release_all(a);
+        assert_eq!(lm.locked_key_count(), 0);
+        assert!(lm.try_acquire(b, "z", LockMode::Write).unwrap());
     }
 
     #[test]
