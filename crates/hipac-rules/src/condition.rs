@@ -134,7 +134,11 @@ impl ConditionEvaluator {
         if resolved.eval_bool(&ctx)? {
             // Produce the affected instance as the single result row,
             // projecting from the newest image available.
-            let image = db.new.clone().or_else(|| db.old.clone()).unwrap_or_else(|| Arc::from([]));
+            let image = db
+                .new
+                .clone()
+                .or_else(|| db.old.clone())
+                .unwrap_or_else(|| Arc::from([]));
             let values = match &query.projection {
                 None => image,
                 Some(attrs) => {

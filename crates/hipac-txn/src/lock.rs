@@ -375,7 +375,11 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 let Some(mode) = holders.remove(txn) else {
                     continue;
                 };
-                match holders.as_mut_slice().iter_mut().find(|(t, _)| *t == parent) {
+                match holders
+                    .as_mut_slice()
+                    .iter_mut()
+                    .find(|(t, _)| *t == parent)
+                {
                     Some((_, held)) => *held = held.max(mode),
                     None => {
                         holders.push((parent, mode));

@@ -38,7 +38,7 @@ cargo test -q -p hipac-storage --test wal_golden
 cargo test -q -p hipac-rules --lib codec
 cargo test -q -p hipac-object --lib classdef_codec
 
-echo "==> firing-path and read-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read; a store_rw-shaped read: none per row), the catalog and row snapshot tests"
+echo "==> firing-path and read-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read; a store_rw-shaped read: none per row, one per projected row), the catalog and row snapshot tests"
 # firing_alloc and read_alloc count with a global allocator: each is
 # the only test in its binary. The snapshot tests in store_tests are
 # pending_ddl_*, clean_reads_*, child_ddl_*, top_commit_*,
