@@ -672,7 +672,7 @@ fn group_burst(
             while faults.hits() == hits_before {
                 std::thread::yield_now();
             }
-            store.commit(TxnId(1000 + i as u64), &ops)
+            store.commit(TxnId(1000 + i as u64), ops)
         }));
     }
     let plug = {
@@ -691,7 +691,7 @@ fn group_burst(
                 })
                 .collect();
             barrier.wait();
-            store.commit(TxnId(999), &ops)
+            store.commit(TxnId(999), ops)
         })
     };
     let plug_result = plug.join().expect("plug committer panicked");

@@ -289,6 +289,8 @@ wire_struct! {
         pub match_index_nodes: u64,
         pub match_probes: u64,
         pub match_pruned: u64,
+        // Always 0: no match memo counts them. Kept so the frame's
+        // layout stays fixed.
         pub memo_hits: u64,
         pub memo_invalidations: u64,
         // ---- group commit and reactor ----

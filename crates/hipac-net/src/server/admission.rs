@@ -275,6 +275,6 @@ pub(super) fn load_reply_journal(d: &Arc<DurableStore>, shared: &Arc<ServerShare
             .into_iter()
             .map(|key| StoreOp::Delete { key })
             .collect();
-        let _ = d.commit(TxnId(0), &ops);
+        let _ = d.commit(TxnId(0), ops);
     }
 }

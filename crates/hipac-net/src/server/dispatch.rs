@@ -163,7 +163,7 @@ pub(super) fn handle(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, meta: Request
             // annotation (error outcomes are not journaled).
             if reply == Reply::Ok {
                 if let Some(d) = durable {
-                    let _ = d.commit(TxnId(0), &ops);
+                    let _ = d.commit(TxnId(0), ops);
                 }
             }
         }
@@ -554,7 +554,8 @@ fn command_txn(c: &Command) -> Option<TxnId> {
 
 /// Convert the facade snapshot into its wire representation. The
 /// connection-layer gauges are zero here; the `Stats` command fills
-/// them in from the server's admission state.
+/// them in from the server's admission state. The memo counters stay
+/// zero.
 fn stats_to_wire(s: EngineStats) -> WireStats {
     WireStats {
         signals_processed: s.signals_processed,
@@ -581,8 +582,6 @@ fn stats_to_wire(s: EngineStats) -> WireStats {
         match_index_nodes: s.match_index_nodes,
         match_probes: s.match_probes,
         match_pruned: s.match_pruned,
-        memo_hits: s.memo_hits,
-        memo_invalidations: s.memo_invalidations,
         group_commits: s.group_commits,
         group_commit_txns: s.group_commit_txns,
         group_commit_largest: s.group_commit_largest,

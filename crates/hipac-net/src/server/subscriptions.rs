@@ -279,7 +279,7 @@ impl Subscriptions {
         if let Some(d) = &self.durable {
             let _ = d.commit(
                 TxnId(0),
-                &[StoreOp::Put {
+                [StoreOp::Put {
                     key: journal::push_seq_key(handler),
                     value: journal::seal(&push_seq_value(next_seq, Some(claimed))),
                 }],
@@ -318,7 +318,7 @@ impl Subscriptions {
         if let Some(d) = &self.durable {
             let _ = d.commit(
                 TxnId(0),
-                &[
+                [
                     StoreOp::Put {
                         key: journal::push_seq_key(handler),
                         value: journal::seal(&push_seq_value(next_seq, owner)),
@@ -471,9 +471,12 @@ impl Subscriptions {
                     key: journal::push_seq_key(handler),
                     value: journal::seal(&push_seq_value(h.next_seq, h.owner)),
                 });
-                if let Err(e) = d.commit(TxnId(0), &ops) {
-                    ops.truncate(n_acked);
-                    self.acked.lock().extend(ops);
+                // A failed commit leaves the acked deletes queued for
+                // the next batch: keep them (keys only) before the batch
+                // is handed over.
+                let acked = ops[..n_acked].to_vec();
+                if let Err(e) = d.commit(TxnId(0), ops) {
+                    self.acked.lock().extend(acked);
                     return Err(e);
                 }
             }
@@ -533,7 +536,7 @@ impl Subscriptions {
         let Some(d) = &self.durable else { return };
         let ops = std::mem::take(&mut *self.acked.lock());
         if !ops.is_empty() {
-            let _ = d.commit(TxnId(0), &ops);
+            let _ = d.commit(TxnId(0), ops);
         }
     }
 
@@ -589,7 +592,7 @@ impl Subscriptions {
             ops.push(StoreOp::Delete {
                 key: journal::push_seq_key(&n.handler),
             });
-            let _ = d.commit(TxnId(0), &ops);
+            let _ = d.commit(TxnId(0), ops);
         }
         {
             let mut ob = self.outbox_stripe(&n.handler).lock();
@@ -622,7 +625,7 @@ impl Subscriptions {
             // aborted): persist the done marker standalone so the
             // tombstone cannot re-fire forever.
             if let Some(d) = &self.durable {
-                let _ = d.commit(TxnId(0), &ops);
+                let _ = d.commit(TxnId(0), ops);
             }
         }
         self.subscribers_evicted.fetch_add(1, Ordering::Relaxed);

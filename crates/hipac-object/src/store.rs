@@ -42,10 +42,9 @@ use hipac_common::idhash::{name_digest, IdBuildHasher};
 use hipac_common::{ClassId, HipacError, IdMap, IdSet, ObjectId, Result, TxnId, Value};
 use hipac_storage::{DurableStore, StoreOp};
 use hipac_txn::{LockManager, LockMode, ResourceManager, TransactionManager, VersionStore};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Everything the lock manager can lock.
@@ -156,80 +155,6 @@ pub struct ObjectStore {
     /// The committed catalog's snapshot and the catalog generation it
     /// was built from.
     catalog: RwLock<(u64, Arc<Schema>)>,
-    /// Committed-data version counters, one per class *name* (the
-    /// catalog generation disambiguates name reuse across drop/recreate). A
-    /// top-level commit bumps the counter of every class it wrote —
-    /// including superclasses of written classes, so a reader keyed on
-    /// a query's root class observes subclass writes. Consumers (the
-    /// rules layer's match memo) validate cached committed-data results
-    /// against these stamps.
-    data_gens: Mutex<HashMap<String, u64>>,
-    /// Count of top-level commits currently publishing (between the
-    /// in-memory publish and the data-gen bump). While non-zero,
-    /// [`ObjectStore::data_stamp`] refuses to hand out stamps: a reader
-    /// could otherwise validate a cache entry against a not-yet-bumped
-    /// counter after the data already changed.
-    publish_in_flight: AtomicU64,
-    /// Whether the stamp/family-write machinery is live. Off (the
-    /// default) it costs one relaxed atomic load per operation.
-    track_writes: AtomicBool,
-    /// Class names written by each in-flight top-level transaction
-    /// family (ancestors included), plus a schema-dirty flag. Cached
-    /// committed-data results must not serve a family that has pending
-    /// writes on the cached query's class tree.
-    family_writes: Mutex<IdMap<TxnId, FamilyWrites>>,
-}
-
-#[derive(Default)]
-struct FamilyWrites {
-    classes: HashSet<String>,
-    schema_dirty: bool,
-}
-
-/// RAII window around a top-level commit's publish: opened before the
-/// version stores publish, closed (bumping the data-version counters)
-/// after — on every path out, including durability errors, so a failed
-/// publish can never leave stale stamps behind. The catalog generation
-/// needs no bump here: the catalog store's own publish bumps it inside
-/// the window.
-struct PublishWindow<'a> {
-    store: &'a ObjectStore,
-    /// Classes whose committed extent changed, superclasses included,
-    /// named through `catalog`.
-    touched: Vec<ClassId>,
-    catalog: Option<Arc<Schema>>,
-}
-
-impl<'a> PublishWindow<'a> {
-    fn open(store: &'a ObjectStore) -> PublishWindow<'a> {
-        store.publish_in_flight.fetch_add(1, Ordering::SeqCst);
-        PublishWindow {
-            store,
-            touched: Vec::new(),
-            catalog: None,
-        }
-    }
-}
-
-impl Drop for PublishWindow<'_> {
-    fn drop(&mut self) {
-        if let Some(catalog) = self.catalog.as_ref().filter(|_| !self.touched.is_empty()) {
-            let mut gens = self.store.data_gens.lock();
-            for def in self
-                .touched
-                .iter()
-                .filter_map(|&cid| catalog.class(cid).ok())
-            {
-                match gens.get_mut(def.name.as_str()) {
-                    Some(gen) => *gen += 1,
-                    None => {
-                        gens.insert(def.name.clone(), 1);
-                    }
-                }
-            }
-        }
-        self.store.publish_in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 const KEY_OBJECT: u8 = b'o';
@@ -278,10 +203,6 @@ impl ObjectStore {
             indexes: RwLock::new(IdMap::default()),
             durable,
             catalog: RwLock::new((0, Arc::new(Schema::default()))),
-            data_gens: Mutex::new(HashMap::new()),
-            publish_in_flight: AtomicU64::new(0),
-            track_writes: AtomicBool::new(false),
-            family_writes: Mutex::new(IdMap::default()),
             tm: Arc::clone(&tm),
         });
         store.load_durable()?;
@@ -333,103 +254,6 @@ impl ObjectStore {
         let listeners = self.listeners.read().clone();
         for l in &listeners {
             l.on_operation(txn, op)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Committed-data version stamps (match-memo support)
-    // ------------------------------------------------------------------
-
-    /// Turn the committed-data stamp and family-write tracking on or
-    /// off. Off (the default), [`ObjectStore::data_stamp`] always
-    /// returns `None` and write paths pay one atomic load.
-    pub fn set_write_tracking(&self, on: bool) {
-        self.track_writes.store(on, Ordering::SeqCst);
-    }
-
-    /// The committed-data version stamp of `class`:
-    /// `(catalog generation, data_gen)`. Returns `None` while any top-level
-    /// commit is publishing (its counters may not be bumped yet), or
-    /// when tracking is off. Two equal stamps for the same class name
-    /// bracket a window in which no commit changed the class's extent
-    /// (including subclass extents) or the schema.
-    pub fn data_stamp(&self, class: &str) -> Option<(u64, u64)> {
-        if !self.track_writes.load(Ordering::Relaxed) {
-            return None;
-        }
-        if self.publish_in_flight.load(Ordering::SeqCst) > 0 {
-            return None;
-        }
-        let gen = self.data_gens.lock().get(class).copied().unwrap_or(0);
-        let catalog = self.catalog_generation();
-        // Re-check: a publish that started after the gen read would
-        // otherwise slip between the loads.
-        if self.publish_in_flight.load(Ordering::SeqCst) > 0 {
-            return None;
-        }
-        Some((catalog, gen))
-    }
-
-    /// Does `txn`'s transaction family have pending (uncommitted)
-    /// writes touching `class` (or a subclass), or pending schema
-    /// changes? Conservative: unknown means `true`. Committed-data
-    /// caches must not answer queries for such a family — the family
-    /// sees its own pending writes.
-    pub fn family_dirty(&self, txn: TxnId, class: &str) -> bool {
-        if !self.track_writes.load(Ordering::Relaxed) {
-            return true;
-        }
-        let top = self.tm.tree().top_ancestor(txn);
-        match self.family_writes.lock().get(&top) {
-            Some(fw) => fw.schema_dirty || fw.classes.contains(class),
-            None => false,
-        }
-    }
-
-    /// Record a family write of `class` (and its superclasses, so a
-    /// reader keyed on any ancestor observes it). No-op while tracking
-    /// is off.
-    fn note_family_write(&self, txn: TxnId, class: ClassId) {
-        if !self.track_writes.load(Ordering::Relaxed) {
-            return;
-        }
-        let top = self.tm.tree().top_ancestor(txn);
-        let schema = self.schema(txn);
-        let mut fams = self.family_writes.lock();
-        let fw = fams.entry(top).or_default();
-        let mut cur = Some(class);
-        while let Some(def) = cur.and_then(|cid| schema.class(cid).ok()) {
-            if !fw.classes.contains(def.name.as_str()) {
-                fw.classes.insert(def.name.clone());
-            }
-            cur = def.superclass;
-        }
-    }
-
-    /// Record a family schema change (create/drop class). No-op while
-    /// tracking is off.
-    fn note_family_schema_write(&self, txn: TxnId) {
-        if !self.track_writes.load(Ordering::Relaxed) {
-            return;
-        }
-        let top = self.tm.tree().top_ancestor(txn);
-        self.family_writes.lock().entry(top).or_default().schema_dirty = true;
-    }
-
-    /// Acquire the same read locks a [`ObjectStore::query`] on `class`
-    /// returning exactly `oids` would hold: a read lock on the class
-    /// and one on each row. Used by committed-data caches so a cache
-    /// hit has the query's locking footprint (repeatable reads).
-    pub fn lock_rows_read(&self, txn: TxnId, class: &str, oids: &[ObjectId]) -> Result<()> {
-        self.tm.check_operable(txn)?;
-        let schema = self.schema(txn);
-        let def = schema.class_by_name(class)?;
-        self.locks
-            .acquire(txn, LockKey::Class(def.id), LockMode::Read)?;
-        for oid in oids {
-            self.locks
-                .acquire(txn, LockKey::Object(*oid), LockMode::Read)?;
         }
         Ok(())
     }
@@ -549,7 +373,6 @@ impl ObjectStore {
             system,
         };
         self.classes.put(txn, id, def);
-        self.note_family_schema_write(txn);
         self.emit(
             txn,
             &DbOperation::CreateClass {
@@ -587,7 +410,6 @@ impl ObjectStore {
             return Err(HipacError::InUse(format!("{name} has instances")));
         }
         self.classes.delete(txn, def.id);
-        self.note_family_schema_write(txn);
         self.emit(
             txn,
             &DbOperation::DropClass {
@@ -618,7 +440,6 @@ impl ObjectStore {
         let rec = ObjectRecord::new(class_id, values);
         let new = Arc::clone(&rec.values);
         self.objects.put(txn, oid, rec);
-        self.note_family_write(txn, class_id);
         self.emit(
             txn,
             &DbOperation::Insert {
@@ -700,7 +521,6 @@ impl ObjectStore {
             oid,
             ObjectRecord::new(rec.class, Arc::clone(&new_values)),
         );
-        self.note_family_write(txn, rec.class);
         self.emit(
             txn,
             &DbOperation::Update {
@@ -725,7 +545,6 @@ impl ObjectStore {
         self.locks
             .acquire(txn, LockKey::Class(rec.class), LockMode::Write)?;
         self.objects.delete(txn, oid);
-        self.note_family_write(txn, rec.class);
         self.emit(
             txn,
             &DbOperation::Delete {
@@ -1012,33 +831,9 @@ impl ResourceManager for ObjectStore {
     }
 
     fn on_commit_top(&self, txn: TxnId) -> Result<()> {
-        // Open the publish window *before* the version stores publish:
-        // while it is open, data_stamp refuses to validate cached
-        // committed-data results, and its close (on every exit path)
-        // bumps the data-version counters of the touched classes. Both
-        // happen before the locks release below, so no reader can see
-        // the new data under an old stamp.
-        let mut publish = (self.track_writes.load(Ordering::Relaxed))
-            .then(|| PublishWindow::open(self));
         let class_changes = self.classes.commit_top(txn);
         let object_changes = self.objects.commit_top(txn);
         let catalog = self.committed_schema();
-        if let Some(publish) = publish.as_mut() {
-            for (_, old, new) in &object_changes {
-                for rec in [old, new].into_iter().flatten() {
-                    // Expand to superclass ancestors: a query rooted at
-                    // any ancestor sees this row.
-                    let mut cur = Some(rec.class);
-                    while let Some(def) = cur.and_then(|cid| catalog.class(cid).ok()) {
-                        if !publish.touched.contains(&def.id) {
-                            publish.touched.push(def.id);
-                        }
-                        cur = def.superclass;
-                    }
-                }
-            }
-            publish.catalog = Some(Arc::clone(&catalog));
-        }
         // Index maintenance.
         for (oid, old, new) in &object_changes {
             self.reindex(&catalog, *oid, old.as_ref(), new.as_ref());
@@ -1069,14 +864,9 @@ impl ResourceManager for ObjectStore {
                 });
             }
             if !ops.is_empty() {
-                d.commit(txn, &ops)?;
+                d.commit(txn, ops)?;
             }
         }
-        // Close the window (bumping the counters) before the locks go:
-        // a reader that only wakes once our write locks release must
-        // already see the bumped stamps.
-        drop(publish);
-        self.family_writes.lock().remove(&txn);
         self.locks.release_all(txn);
         Ok(())
     }
@@ -1084,11 +874,6 @@ impl ResourceManager for ObjectStore {
     fn on_abort(&self, txn: TxnId) -> Result<()> {
         self.objects.abort(txn);
         self.classes.abort(txn);
-        // Aborted *top* transactions drop their family-write record
-        // (child aborts leave it: conservative, cleaned at top end).
-        if self.tm.tree().top_ancestor(txn) == txn {
-            self.family_writes.lock().remove(&txn);
-        }
         self.locks.release_all(txn);
         Ok(())
     }

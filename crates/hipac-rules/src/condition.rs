@@ -55,26 +55,12 @@ pub struct EvalStats {
 /// The Condition Evaluator.
 pub struct ConditionEvaluator {
     store: Arc<ObjectStore>,
-    /// Cross-batch memo for pure committed-data queries (the
-    /// discrimination network's shared subexpression nodes); `None`
-    /// under naive matching.
-    memo: Option<Arc<crate::network::MemoTable>>,
 }
 
 impl ConditionEvaluator {
     /// Create an evaluator over the Object Manager.
     pub fn new(store: Arc<ObjectStore>) -> Self {
-        ConditionEvaluator { store, memo: None }
-    }
-
-    /// Evaluator with a committed-data query memo. The caller must
-    /// have enabled the store's write tracking
-    /// ([`ObjectStore::set_write_tracking`]) or every lookup misses.
-    pub fn with_memo(store: Arc<ObjectStore>, memo: Arc<crate::network::MemoTable>) -> Self {
-        ConditionEvaluator {
-            store,
-            memo: Some(memo),
-        }
+        ConditionEvaluator { store }
     }
 
     /// Does `query`'s predicate reference only `old.*`/`new.*` images,
@@ -270,31 +256,8 @@ impl ConditionEvaluator {
                         // references) run against the store with the
                         // delta constant-folded into the predicate.
                         let folded = self.fold_delta(txn, q, signal)?;
-                        // Pure committed-data queries (post-folding: no
-                        // delta refs, no params) may be served from the
-                        // stamp-validated memo instead of the store.
-                        let memo = self
-                            .memo
-                            .as_ref()
-                            .filter(|_| crate::network::MemoTable::eligible(&folded));
-                        let memo_rows = match memo {
-                            Some(m) => m.lookup(&self.store, txn, &folded)?,
-                            None => None,
-                        };
-                        match memo_rows {
-                            Some(rows) => rows,
-                            None => {
-                                stats.store_evaluations += 1;
-                                let stamp =
-                                    memo.and_then(|_| self.store.data_stamp(&folded.class));
-                                let rows =
-                                    self.store.query(txn, &folded, Some(&signal.params))?;
-                                if let Some(m) = memo {
-                                    m.fill(&self.store, txn, &folded, stamp, &rows);
-                                }
-                                rows
-                            }
-                        }
+                        stats.store_evaluations += 1;
+                        self.store.query(txn, &folded, Some(&signal.params))?
                     };
                     cache.insert(q, r.clone());
                     r

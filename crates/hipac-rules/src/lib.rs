@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use condition::ConditionEvaluator;
 pub use manager::{ApplicationHandler, RuleManager};
-pub use network::{placement, GuardOp, ImageRef, Link, MatchNetwork, Matching, MemoTable, Placement};
+pub use network::{placement, GuardOp, ImageRef, Link, MatchNetwork, Matching, Placement};
 pub use pool::FiringPool;
 pub use rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 pub use trace::{FiringTrace, QueryStrategy, RuleExplanation, RuleTracer};

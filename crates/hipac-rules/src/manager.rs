@@ -29,7 +29,7 @@
 //! runs each satisfied rule's action in its own subtransaction.
 
 use crate::condition::{ConditionEvaluator, EvalStats};
-use crate::network::{MatchNetwork, Matching, MemoTable};
+use crate::network::{MatchNetwork, Matching};
 use crate::pool::{FiringPool, WorkerPool};
 use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
 use hipac_common::id::IdAllocator;
@@ -132,9 +132,6 @@ pub struct RuleManager {
     /// The discrimination network (maintained only under
     /// [`Matching::Network`]; naive mode keeps the oracle path pure).
     network: MatchNetwork,
-    /// Committed-data query memo shared with the Condition Evaluator
-    /// (network mode only).
-    memo: Option<Arc<MemoTable>>,
     /// Structurally identical event specifications share one event
     /// definition (and one detection automaton): this is what makes the
     /// event→rules mapping of §5.4 many-to-one and lets one signal
@@ -372,7 +369,7 @@ impl ResourceManager for RuleManager {
                 })
                 .collect();
             if !ops.is_empty() {
-                d.commit(txn, &ops)?;
+                d.commit(txn, ops)?;
             }
         }
         let mut catalog = self.catalog.write();
@@ -533,22 +530,10 @@ impl RuleManager {
         durable: Option<Arc<hipac_storage::DurableStore>>,
     ) -> Result<Arc<RuleManager>> {
         let tree = Arc::clone(tm.tree());
-        let memo = (matching == Matching::Network)
-            .then(|| Arc::new(MemoTable::new(4096)));
-        if matching == Matching::Network {
-            // The memo validates against committed-data version
-            // stamps; the store only maintains them when asked.
-            store.set_write_tracking(true);
-        }
-        let evaluator = match &memo {
-            Some(m) => ConditionEvaluator::with_memo(Arc::clone(&store), Arc::clone(m)),
-            None => ConditionEvaluator::new(Arc::clone(&store)),
-        };
         let mgr = Arc::new(RuleManager {
-            evaluator,
+            evaluator: ConditionEvaluator::new(Arc::clone(&store)),
             matching,
             network: MatchNetwork::new(),
-            memo,
             pool: WorkerPool::new(workers),
             firing: FiringPool::new(firing_parallelism),
             rules: VersionStore::new(Arc::clone(&tree)),
@@ -1686,20 +1671,6 @@ impl RuleManager {
     /// Rules excluded from candidate sets across all probes.
     pub fn match_pruned(&self) -> u64 {
         self.network.stats().candidates_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Memoized partial-match hits (0 in naive mode).
-    pub fn memo_hits(&self) -> u64 {
-        self.memo
-            .as_ref()
-            .map_or(0, |m| m.stats().hits.load(Ordering::Relaxed))
-    }
-
-    /// Memo entries invalidated (stale stamp or evicted).
-    pub fn memo_invalidations(&self) -> u64 {
-        self.memo
-            .as_ref()
-            .map_or(0, |m| m.stats().invalidations.load(Ordering::Relaxed))
     }
 
     /// Static analysis of a rule (§7 tooling): its effective event,

@@ -69,26 +69,14 @@
 //! flows through the unchanged per-rule visibility/enablement/evaluation
 //! path — the differential harness in `tests/matching_diff.rs` and the
 //! property suite hold both modes to identical outcomes.
-//!
-//! **Memoized partial matches.** Store-path condition queries (the
-//! shared subexpression nodes of the condition graph) are memoized in
-//! a [`MemoTable`] validated against the Object Manager's
-//! committed-data version stamps. Invalidation is transactional: the
-//! stamp counters bump inside the committing transaction's publish
-//! window — before its locks release — so no reader can validate a
-//! stale entry against already-published data, and a probing
-//! transaction whose own family has pending writes on the query's
-//! class tree skips the memo entirely (it must see its own writes).
-//! Aborted data changes never touch the counters, so they never
-//! invalidate (nor pollute) the memo.
 
 use crate::rule::RuleDef;
-use hipac_common::{EventId, IdMap, IdSet, ObjectId, RuleId, TxnId, Value};
+use hipac_common::{EventId, IdMap, IdSet, RuleId, TxnId, Value};
 use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
-use hipac_object::query::{Query, QueryResult};
+use hipac_object::query::Query;
 use hipac_object::ObjectStore;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Bound;
@@ -912,175 +900,4 @@ fn all_of(group: &AttrDisc, out: &mut Vec<RuleId>) {
         .values()
         .chain(lists.flat_map(|b| [&b.inclusive, &b.strict]));
     out.extend(members.flatten().map(|m| m.rid));
-}
-
-// ---------------------------------------------------------------------
-// Memoized partial matches
-// ---------------------------------------------------------------------
-
-/// One memoized store-path query result.
-struct MemoEntry {
-    /// The Object Manager's committed-data stamp of the query's class
-    /// at fill time.
-    stamp: (u64, u64),
-    oids: Vec<ObjectId>,
-    rows: QueryResult,
-}
-
-/// Memo counters.
-#[derive(Debug, Default)]
-pub struct MemoStats {
-    pub hits: AtomicU64,
-    pub fills: AtomicU64,
-    /// Entries found stale (stamp mismatch) or evicted.
-    pub invalidations: AtomicU64,
-}
-
-/// Committed-data query memo: the network's shared subexpression
-/// nodes. Entries validate against [`ObjectStore::data_stamp`]; a hit
-/// re-acquires the query's locking footprint (class + row read locks)
-/// and re-validates, so a hit is indistinguishable — locks included —
-/// from re-running the query.
-pub struct MemoTable {
-    entries: Mutex<HashMap<Query, MemoEntry>>,
-    capacity: usize,
-    stats: MemoStats,
-}
-
-impl MemoTable {
-    pub fn new(capacity: usize) -> MemoTable {
-        MemoTable {
-            entries: Mutex::new(HashMap::new()),
-            capacity: capacity.max(1),
-            stats: MemoStats::default(),
-        }
-    }
-
-    pub fn stats(&self) -> &MemoStats {
-        &self.stats
-    }
-
-    /// Number of live entries (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Is `query` memoizable? Only pure committed-data queries: no
-    /// delta references (the caller memoizes *folded* queries, where
-    /// deltas became literals) and no parameters (results would depend
-    /// on bindings outside the key).
-    pub fn eligible(query: &Query) -> bool {
-        fn pure(e: &Expr) -> bool {
-            match e {
-                Expr::Literal(_) | Expr::Attr(_) | Expr::Slot(..) => true,
-                Expr::Param(_)
-                | Expr::OldAttr(_)
-                | Expr::OldSlot(..)
-                | Expr::NewAttr(_)
-                | Expr::NewSlot(..) => false,
-                Expr::Unary(_, x) => pure(x),
-                Expr::Binary(_, l, r) => pure(l) && pure(r),
-                Expr::Call(_, args) => args.iter().all(pure),
-            }
-        }
-        pure(&query.predicate)
-    }
-
-    /// Try to answer `query` from the memo. `Ok(None)` means "run the
-    /// real query" (no entry, stale entry, unstable stamp, or the
-    /// probing family has pending writes on the class tree).
-    pub fn lookup(
-        &self,
-        store: &ObjectStore,
-        txn: TxnId,
-        query: &Query,
-    ) -> hipac_common::Result<Option<QueryResult>> {
-        if store.family_dirty(txn, &query.class) {
-            return Ok(None);
-        }
-        let Some(stamp) = store.data_stamp(&query.class) else {
-            return Ok(None);
-        };
-        let (entry_stamp, oids, rows) = {
-            let mut entries = self.entries.lock();
-            let Some(entry) = entries.get(query) else {
-                return Ok(None);
-            };
-            if entry.stamp != stamp {
-                entries.remove(query);
-                self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-                return Ok(None);
-            }
-            (entry.stamp, entry.oids.clone(), entry.rows.clone())
-        };
-        // Same locking footprint as the query itself; may block on a
-        // concurrent writer — in which case the re-validation below
-        // catches whatever it published.
-        store.lock_rows_read(txn, &query.class, &oids)?;
-        if store.data_stamp(&query.class) != Some(entry_stamp) {
-            self.stats.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.entries.lock().remove(query);
-            return Ok(None);
-        }
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(rows))
-    }
-
-    /// Record a query result computed against a stable committed
-    /// stamp. `stamp_before` is the class stamp taken *before* the
-    /// query ran; the entry is kept only if the stamp still holds (no
-    /// commit published meanwhile) and the family is clean (the result
-    /// reflects committed data only).
-    pub fn fill(
-        &self,
-        store: &ObjectStore,
-        txn: TxnId,
-        query: &Query,
-        stamp_before: Option<(u64, u64)>,
-        rows: &QueryResult,
-    ) {
-        let Some(stamp) = stamp_before else { return };
-        if store.family_dirty(txn, &query.class) {
-            return;
-        }
-        if store.data_stamp(&query.class) != Some(stamp) {
-            return;
-        }
-        let mut entries = self.entries.lock();
-        if entries.len() >= self.capacity && !entries.contains_key(query) {
-            // Evict stale entries first; if none, drop an arbitrary one.
-            let stale: Vec<Query> = entries
-                .iter()
-                .filter(|(q, e)| store.data_stamp(&q.class) != Some(e.stamp))
-                .map(|(q, _)| q.clone())
-                .take(16)
-                .collect();
-            let evicted = stale.len().max(1);
-            if stale.is_empty() {
-                if let Some(q) = entries.keys().next().cloned() {
-                    entries.remove(&q);
-                }
-            } else {
-                for q in stale {
-                    entries.remove(&q);
-                }
-            }
-            self.stats
-                .invalidations
-                .fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        self.stats.fills.fetch_add(1, Ordering::Relaxed);
-        entries.insert(
-            query.clone(),
-            MemoEntry {
-                stamp,
-                oids: rows.iter().map(|r| r.oid).collect(),
-                rows: rows.clone(),
-            },
-        );
-    }
 }

@@ -16,7 +16,7 @@ use hipac_event::{DbEventData, EventSignal};
 use hipac_object::expr::{BinOp, Expr};
 use hipac_object::{AttrDef, ObjectStore, Query, Schema};
 use hipac_rules::{
-    placement, ConditionEvaluator, ImageRef, Link, MatchNetwork, MemoTable, Placement, RuleDef,
+    placement, ConditionEvaluator, ImageRef, Link, MatchNetwork, Placement, RuleDef,
 };
 use hipac_txn::TransactionManager;
 use proptest::prelude::*;
@@ -506,71 +506,6 @@ proptest! {
                 );
             }
             prop_assert!(ref_attrs.windows(2).all(|w| w[0] < w[1]), "ref_attrs sorted");
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Memo: hits must be indistinguishable from re-running the query.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Interleave committed writes with memoized queries: every lookup
-    /// that hits must return exactly what the store would.
-    #[test]
-    fn memo_never_serves_stale_rows(
-        script in proptest::collection::vec((0u8..4, 0u64..12), 1..24),
-    ) {
-        let fx = fixture();
-        fx.store.set_write_tracking(true);
-        let memo = MemoTable::new(16);
-        let queries: Vec<Query> = (0..4)
-            .map(|k| Query::parse(&format!("from stock where price >= {k}.0")).unwrap())
-            .collect();
-        for (kind, arg) in script {
-            match kind {
-                // Committed write: must invalidate affected entries.
-                0 => {
-                    fx.tm
-                        .run_top(|t| {
-                            fx.store
-                                .update(t, fx.oid, &[("price", Value::Float(arg as f64))])
-                                .map(|_| ())
-                        })
-                        .unwrap();
-                }
-                // Aborted write: must NOT poison future lookups with
-                // uncommitted rows (nothing to assert beyond the
-                // comparisons below).
-                1 => {
-                    let t = fx.tm.begin();
-                    let _ = fx.store.update(t, fx.oid, &[("price", Value::Float(99.0))]);
-                    fx.tm.abort(t).unwrap();
-                }
-                // Memoized read: lookup-or-fill, then compare to a
-                // fresh store query in the same transaction.
-                _ => {
-                    let q = &queries[(arg % 4) as usize];
-                    fx.tm
-                        .run_top(|t| {
-                            let memoed = match memo.lookup(&fx.store, t, q)? {
-                                Some(rows) => rows,
-                                None => {
-                                    let stamp = fx.store.data_stamp(&q.class);
-                                    let rows = fx.store.query(t, q, None)?;
-                                    memo.fill(&fx.store, t, q, stamp, &rows);
-                                    rows
-                                }
-                            };
-                            let fresh = fx.store.query(t, q, None)?;
-                            assert_eq!(memoed, fresh, "memo diverged from store for {q:?}");
-                            Ok(())
-                        })
-                        .unwrap();
-                }
-            }
         }
     }
 }

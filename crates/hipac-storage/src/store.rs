@@ -536,22 +536,20 @@ impl DurableStore {
     /// no crash point can separate the two. Metadata batches
     /// (`TxnId(0)`) leave the annotation alone — they can be flushed
     /// mid-dispatch (push outbox writes) before the data batch exists.
-    pub fn commit(&self, txn: TxnId, ops: &[StoreOp]) -> Result<()> {
+    ///
+    /// The batch is taken by value: a caller that owns its batch (every
+    /// commit path in the engine) hands it over uncopied, and a caller
+    /// holding a slice pays for the one copy itself.
+    pub fn commit(&self, txn: TxnId, ops: impl Into<Vec<StoreOp>>) -> Result<()> {
+        let mut batch = ops.into();
         // The journal annotation is a *thread-local*: it must be
         // consumed here, on the caller's thread, before the batch can
         // be handed to a group leader running on some other thread.
-        let mut batch = ops.to_vec();
         if txn != TxnId(0) {
             if let Some(extra) = crate::journal::take_pending_ops() {
                 batch.extend(extra);
             }
         }
-        self.commit_owned(txn, batch)
-    }
-
-    /// Commit a batch the caller already owns, exactly as given (no
-    /// reply-journal annotation is merged here).
-    fn commit_owned(&self, txn: TxnId, batch: Vec<StoreOp>) -> Result<()> {
         if !self.group.enabled.load(Ordering::Relaxed) {
             return self.commit_immediate(txn, &batch);
         }
@@ -927,7 +925,7 @@ impl DurableStore {
         });
         // TxnId(0): metadata-style batch — never merges a reply-journal
         // annotation from this thread.
-        self.commit_owned(TxnId(0), batch)
+        self.commit(TxnId(0), batch)
     }
 
     /// Replica side: replace the whole store contents with a primary
@@ -961,7 +959,7 @@ impl DurableStore {
             key: REPL_APPLIED_KEY.to_vec(),
             value: snapshot_lsn.to_le_bytes().to_vec(),
         });
-        self.commit(TxnId(0), &batch)
+        self.commit(TxnId(0), batch)
     }
 
     /// The primary LSN this (replica) store reflects, if it has ever

@@ -191,7 +191,7 @@ fn checkpoint_page_io_per_key_does_not_grow_with_the_store() {
                     value: vec![*i as u8; 100],
                 })
                 .collect();
-            store.commit(TxnId(txn as u64 + 1), &ops).unwrap();
+            store.commit(TxnId(txn as u64 + 1), ops).unwrap();
         }
         let before = faults.log().len();
         store.checkpoint().unwrap();

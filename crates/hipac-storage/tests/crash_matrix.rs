@@ -116,7 +116,7 @@ fn dump(store: &DurableStore) -> Model {
 fn run(store: &DurableStore, steps: &[Step], from: usize) -> Result<(), (usize, HipacError)> {
     for (i, step) in steps.iter().enumerate().skip(from) {
         let r = match step {
-            Step::Batch(ops) => store.commit(TxnId(i as u64 + 1), ops),
+            Step::Batch(ops) => store.commit(TxnId(i as u64 + 1), ops.to_vec()),
             Step::Checkpoint => store.checkpoint(),
             Step::Run { from, batches } => {
                 let run: Vec<ReplBatch<'_>> = (*from..)

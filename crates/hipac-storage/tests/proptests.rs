@@ -354,7 +354,7 @@ proptest! {
             let applied_cut = batches.len().saturating_sub(crash_tail);
             for (i, ops) in batches.iter().enumerate() {
                 if i < applied_cut {
-                    store.commit(TxnId(i as u64 + 1), ops).unwrap();
+                    store.commit(TxnId(i as u64 + 1), ops.to_vec()).unwrap();
                 } else {
                     // Simulate a crash window: the tail batches reach
                     // only the WAL.
@@ -464,7 +464,7 @@ proptest! {
                                 let mut ok = 0usize;
                                 for t in 0..plan.txns_per_thread {
                                     let txn = TxnId(1 + (w * plan.txns_per_thread + t) as u64);
-                                    match store.commit(txn, &group_txn_ops(plan, w, t)) {
+                                    match store.commit(txn, group_txn_ops(plan, w, t)) {
                                         Ok(()) => ok += 1,
                                         Err(_) => break,
                                     }

@@ -97,7 +97,7 @@ fn a_committed_batch_writes_the_golden_frames() {
     let dir = tmpdir("store");
     let store = DurableStore::open(&dir).unwrap();
     let lsn0 = store.durable_lsn();
-    store.commit(TxnId(300), &ops()).unwrap();
+    store.commit(TxnId(300), ops()).unwrap();
     let end = store.wal_size().unwrap() as usize;
     let bytes = std::fs::read(dir.join("wal.log")).unwrap();
     assert_eq!(hex(&bytes[lsn0 as usize..end]), hex(&golden()));

@@ -409,7 +409,7 @@ fn shipped_batches(name: &str, k: usize) -> Vec<(u64, WalBatch)> {
             put(key.as_bytes(), &[i as u8; 24]),
             put(b"last", key.as_bytes()),
         ];
-        a.commit(TxnId(i as u64 + 1), &ops).unwrap();
+        a.commit(TxnId(i as u64 + 1), ops).unwrap();
     }
     let TailRead::Batches { batches, .. } = a.read_batches_from(0, 1 << 20).unwrap() else {
         panic!("in range");
@@ -902,7 +902,7 @@ fn a_batch_larger_than_one_fill_step() {
         .collect();
     {
         let store = DurableStore::open(&dir).unwrap();
-        store.commit(TxnId(1), &rows).unwrap();
+        store.commit(TxnId(1), rows.clone()).unwrap();
         let size = store.wal_size().unwrap();
         assert!(size > 2 * FILL_STEP, "the batch spans steps: {size}");
         let filled = file_len(&dir.join("wal.log"));

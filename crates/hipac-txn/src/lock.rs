@@ -9,8 +9,10 @@
 //! * on commit, a subtransaction's locks are **inherited** by its
 //!   parent; a top-level commit (or any abort) releases them.
 //!
-//! Blocked requests park on a condition variable. Every blocked request
-//! maintains its edges in a wait-for graph; if adding them closes a
+//! Blocked requests park on a condition variable, which is notified
+//! only while some request is parked on it (`LockState::parked`), so a
+//! commit that nobody waits for makes no wake syscall. Every blocked
+//! request maintains its edges in a wait-for graph; if adding them closes a
 //! cycle the *requester* is chosen as the deadlock victim and receives
 //! [`HipacError::Deadlock`] (aborting a transaction running on another
 //! thread would race with its work; having the closer of the cycle die
@@ -118,6 +120,11 @@ struct LockState<K> {
     holdings: IdMap<TxnId, Vec<K>>,
     /// Wait-for graph: blocked requester → current blockers.
     waits_for: IdMap<TxnId, IdSet<TxnId>>,
+    /// Requests parked on the condition variable: one more just before
+    /// a request waits, one fewer once its wait returns, both under the
+    /// table mutex. A change to the table notifies only when it is
+    /// non-zero.
+    parked: usize,
 }
 
 impl<K: Eq + Hash + Clone> LockState<K> {
@@ -177,6 +184,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 locks: IdMap::default(),
                 holdings: IdMap::default(),
                 waits_for: IdMap::default(),
+                parked: 0,
             }),
             cv: Condvar::new(),
             timeout,
@@ -282,7 +290,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             }
             if Self::closes_cycle(&state, txn, &blockers) {
                 state.waits_for.remove(&txn);
-                self.cv.notify_all();
+                self.wake_parked(&state);
                 return Err(HipacError::Deadlock(txn));
             }
             // A request deadline (inherited from any ancestor) clamps
@@ -294,7 +302,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                     let now = std::time::Instant::now();
                     if now >= d {
                         state.waits_for.remove(&txn);
-                        self.cv.notify_all();
+                        self.wake_parked(&state);
                         return Err(HipacError::DeadlineExceeded(txn));
                     }
                     self.timeout.min(d - now)
@@ -302,10 +310,13 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 None => self.timeout,
             };
             state.waits_for.insert(txn, blockers);
-            if self.cv.wait_for(&mut state, wait).timed_out() {
+            state.parked += 1;
+            let timed_out = self.cv.wait_for(&mut state, wait).timed_out();
+            state.parked -= 1;
+            if timed_out {
                 if deadline.is_some_and(|d| std::time::Instant::now() >= d) {
                     state.waits_for.remove(&txn);
-                    self.cv.notify_all();
+                    self.wake_parked(&state);
                     return Err(HipacError::DeadlineExceeded(txn));
                 }
                 if wait >= self.timeout {
@@ -315,6 +326,16 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
                 // Deadline-clamped wait elapsed but the clock has not
                 // quite reached the deadline: loop and re-check.
             }
+        }
+    }
+
+    /// Wake every parked request to re-check the table, if any is
+    /// parked. The caller holds the table mutex, so a request that is
+    /// about to park has either counted itself already or will see
+    /// the change before it parks.
+    fn wake_parked(&self, state: &LockState<K>) {
+        if state.parked > 0 {
+            self.cv.notify_all();
         }
     }
 
@@ -357,7 +378,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             }
         }
         state.waits_for.remove(&txn);
-        self.cv.notify_all();
+        self.wake_parked(&state);
     }
 
     /// Transfer all of `txn`'s locks to `parent` (subtransaction
@@ -389,7 +410,7 @@ impl<K: Eq + Hash + Clone> LockManager<K> {
             }
         }
         state.waits_for.remove(&txn);
-        self.cv.notify_all();
+        self.wake_parked(&state);
     }
 
     /// Number of keys currently locked (diagnostics).
@@ -639,6 +660,85 @@ mod tests {
         lm.release_all(TxnId(999_999)); // no-op release still notifies
         let (r, _) = hb.join().unwrap();
         assert_eq!(r.unwrap_err(), HipacError::TxnAborted(b));
+    }
+
+    /// Start `txn`'s request for `key` on a thread of its own, and
+    /// return once it is parked.
+    fn park(
+        lm: &Arc<Lm>,
+        txn: TxnId,
+        key: &'static str,
+        mode: LockMode,
+    ) -> thread::JoinHandle<Result<()>> {
+        let before = lm.state.lock().parked;
+        let lm2 = Arc::clone(lm);
+        let handle = thread::spawn(move || lm2.acquire(txn, key, mode));
+        let start = std::time::Instant::now();
+        while lm.state.lock().parked == before {
+            assert!(
+                start.elapsed() < Duration::from_secs(10),
+                "{txn:?} never parked"
+            );
+            thread::yield_now();
+        }
+        handle
+    }
+
+    #[test]
+    fn parked_count_returns_to_zero_on_every_exit() {
+        let (tree, lm) = setup(); // 400 ms lock timeout
+        let lm = Arc::new(lm);
+        let parked = || lm.state.lock().parked;
+        let a = tree.begin_top();
+        let b = tree.begin_top();
+        lm.acquire(a, "x", LockMode::Write).unwrap();
+
+        // Grant: the holder's release wakes the parked request.
+        let waiter = park(&lm, b, "x", LockMode::Write);
+        lm.release_all(a);
+        waiter.join().unwrap().unwrap();
+        assert_eq!(parked(), 0, "after a grant");
+
+        // Timeout: the wait runs out.
+        let c = tree.begin_top();
+        let waiter = park(&lm, c, "x", LockMode::Read);
+        assert_eq!(waiter.join().unwrap(), Err(HipacError::LockTimeout(c)));
+        assert_eq!(parked(), 0, "after a timeout");
+
+        // Deadline: the wait is clamped to it and ends there.
+        let d = tree.begin_top();
+        tree.set_deadline(
+            d,
+            Some(std::time::Instant::now() + Duration::from_millis(300)),
+        )
+        .unwrap();
+        let waiter = park(&lm, d, "x", LockMode::Read);
+        assert_eq!(waiter.join().unwrap(), Err(HipacError::DeadlineExceeded(d)));
+        assert_eq!(parked(), 0, "after a deadline");
+
+        // Deadlock: e parks on y, held by b; b's request for z, held by
+        // e, closes the cycle. The victim never parks, and e parks
+        // again after the victim's wake until b's locks go.
+        let e = tree.begin_top();
+        lm.acquire(b, "y", LockMode::Write).unwrap();
+        lm.acquire(e, "z", LockMode::Write).unwrap();
+        let waiter = park(&lm, e, "y", LockMode::Write);
+        assert_eq!(
+            lm.acquire(b, "z", LockMode::Write),
+            Err(HipacError::Deadlock(b))
+        );
+        assert_eq!(parked(), 1, "only e is parked");
+        lm.release_all(b);
+        waiter.join().unwrap().unwrap();
+        assert_eq!(parked(), 0, "after a deadlock");
+
+        // Abort while parked: any notify makes the waiter re-check.
+        let f = tree.begin_top();
+        let waiter = park(&lm, f, "y", LockMode::Read);
+        tree.set_state(f, TxnState::Aborted).unwrap();
+        lm.release_all(TxnId(999_999));
+        assert_eq!(waiter.join().unwrap(), Err(HipacError::TxnAborted(f)));
+        assert_eq!(parked(), 0, "after an abort");
     }
 
     #[test]

@@ -271,10 +271,9 @@ pub struct EngineStats {
     pub match_probes: u64,
     /// Rules excluded from candidate sets across all network probes.
     pub match_pruned: u64,
-    /// Memoized partial-match (shared subexpression) hits.
+    /// Always 0: no match memo counts it. Kept for readers that still
+    /// report it.
     pub memo_hits: u64,
-    /// Memo entries invalidated by committed writes (or evicted).
-    pub memo_invalidations: u64,
     /// WAL group-commit cohort flushes (each is one fsync); 0 when the
     /// store is in-memory or group commit is off.
     pub group_commits: u64,
@@ -433,7 +432,7 @@ impl ActiveDatabase {
             d.commit(
                 // TxnId(0) labels non-transactional metadata writes.
                 TxnId(0),
-                &[hipac_storage::StoreOp::Put {
+                [hipac_storage::StoreOp::Put {
                     key,
                     value: hipac_common::codec::encode_row(&row),
                 }],
@@ -504,8 +503,7 @@ impl ActiveDatabase {
             match_index_nodes: self.rules.match_index_nodes(),
             match_probes: self.rules.match_probes(),
             match_pruned: self.rules.match_pruned(),
-            memo_hits: self.rules.memo_hits(),
-            memo_invalidations: self.rules.memo_invalidations(),
+            memo_hits: 0,
             group_commits: gc.map(|g| g.groups).unwrap_or(0),
             group_commit_txns: gc.map(|g| g.grouped_txns).unwrap_or(0),
             group_commit_largest: gc.map(|g| g.largest_group).unwrap_or(0),

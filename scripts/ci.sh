@@ -14,7 +14,7 @@ cargo test -q --no-fail-fast
 echo "==> matching differential suite (naive vs network)"
 cargo test -q -p hipac --test matching_diff
 
-echo "==> discrimination-network property suite (guard-chain prune soundness, compiled probe against the definition oracle, removal by derivation, memo staleness), the chain prune count, durable reopen and explained placement"
+echo "==> discrimination-network property suite (guard-chain prune soundness, compiled probe against the definition oracle, removal by derivation), the chain prune count, durable reopen and explained placement"
 # match_properties includes compiled_probe_matches_the_definition_oracle
 # and removal_derives_from_the_old_definition.
 cargo test -q -p hipac-rules --test match_properties
@@ -22,8 +22,11 @@ cargo test -q -p hipac --test matching_diff guard_chain_prunes_rules_whose_later
 cargo test -q -p hipac --test matching_diff durable_reopen_rebuilds_the_same_network
 cargo test -q -p hipac-rules --test tooling_tests explain_reports_network_placement
 
-echo "==> transaction substrate: lock-table differential (flat table against the map-of-maps model), keyed id hasher spread (high-bit-only ids and client-chosen object lock keys included) and LockKey's keyed name digest"
+echo "==> transaction substrate: lock-table differential (flat table against the map-of-maps model), the parked-request count behind the lock manager's wake (back to 0 after grant, timeout, deadline, deadlock and abort), lock torture, the channel shim's wake of a parked sender (fails in 10 s instead of hanging), keyed id hasher spread (high-bit-only ids and client-chosen object lock keys included) and LockKey's keyed name digest"
 cargo test -q -p hipac-txn --test proptests lock_table_matches_map_of_maps_model
+cargo test -q -p hipac-txn --lib parked_count_returns_to_zero_on_every_exit
+cargo test -q -p hipac-txn --test lock_torture
+cargo test -q -p crossbeam --lib full_bounded_send_blocks_until_a_recv_frees_room
 cargo test -q -p hipac-common --lib idhash
 cargo test -q -p hipac-object --lib lock_key
 
@@ -38,9 +41,9 @@ cargo test -q -p hipac-storage --test wal_golden
 cargo test -q -p hipac-rules --lib codec
 cargo test -q -p hipac-object --lib classdef_codec
 
-echo "==> firing-path and read-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read; a store_rw-shaped read: none per row, one per projected row), the catalog and row snapshot tests"
-# firing_alloc and read_alloc count with a global allocator: each is
-# the only test in its binary. The snapshot tests in store_tests are
+echo "==> firing-, read- and write-path allocation counts (2 000-rule wall: allocations per update, live heap per rule, zero for a clean schema read; a store_rw-shaped read: none per row, one per projected row; a store_rw-shaped durable update), the catalog and row snapshot tests"
+# firing_alloc, read_alloc and write_alloc count with a global
+# allocator: each is the only test in its binary. The snapshot tests in store_tests are
 # pending_ddl_*, clean_reads_*, child_ddl_*, top_commit_*,
 # durable_reopen_yields_*, catalog_reader_racing_ddl_commits_never_goes_back
 # (the catalog) and a_row_read_before_an_update_keeps_its_old_values,
@@ -48,6 +51,7 @@ echo "==> firing-path and read-path allocation counts (2 000-rule wall: allocati
 # aborts_and_child_commits_leave_the_committed_version_in_place (rows).
 cargo test -q -p hipac --test firing_alloc
 cargo test -q -p hipac --test read_alloc
+cargo test -q -p hipac --test write_alloc
 cargo test -q -p hipac-object --test store_tests
 
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"

@@ -118,8 +118,8 @@ fn make_rule(name: &str, def_id: u64) -> RuleDef {
         6 => base.on(EventSpec::on_update("stock")).when(q(format!(
             "from stock where new.price = {k}.0 or old.price = {k}.0"
         ))),
-        // Store-path condition (exercises the memo) with a derived
-        // event (insert|update|delete on the class).
+        // Store-path condition with a derived event
+        // (insert|update|delete on the class).
         STORE_KIND => base.when(q(format!("from stock where price > {k}.0"))),
         // Insert-triggered equality guard.
         8 => base
@@ -768,7 +768,7 @@ fn durable_reopen_rebuilds_the_same_network() {
                 .collect::<Vec<_>>();
             h.db.durable_store()
                 .unwrap()
-                .commit(TxnId(0), &residual_in_old_format)
+                .commit(TxnId(0), residual_in_old_format)
                 .unwrap();
         }
         drop(h);
