@@ -15,7 +15,7 @@
 
 use crate::automaton::{Automaton, LeafSub, TimerRequest};
 use crate::signal::{DbEventData, EventSignal};
-use crate::spec::{EventSpec, TemporalSpec};
+use crate::spec::{DbEventKind, EventSpec, TemporalSpec};
 use hipac_common::id::IdAllocator;
 use hipac_common::{Clock, EventId, HipacError, IdMap, Result, Timestamp, TxnId, Value};
 use parking_lot::{Mutex, RwLock};
@@ -28,12 +28,22 @@ pub trait SignalSink: Send + Sync {
     /// An event fired. The error return lets the sink veto the
     /// triggering operation (immediate rules enforcing constraints).
     fn signal(&self, event: EventId, signal: &EventSignal) -> Result<()>;
+
+    /// [`SignalSink::signal`], handed the registry's shared signal: a
+    /// sink that keeps the signal beyond the call holds this one
+    /// instead of copying it.
+    fn signal_shared(&self, event: EventId, signal: &Arc<EventSignal>) -> Result<()> {
+        self.signal(event, signal)
+    }
 }
 
 struct EventDef {
     name: Option<String>,
     spec: EventSpec,
     auto: Automaton,
+    /// The automaton's leaf subscriptions, listed once at definition:
+    /// detection walks them on every occurrence.
+    subs: Box<[LeafSub]>,
     enabled: bool,
     /// Formal parameter names for externally-defined events.
     formals: Vec<String>,
@@ -62,9 +72,47 @@ impl PartialOrd for TimerEntry {
 
 struct Inner {
     defs: IdMap<EventId, EventDef>,
+    /// Per database event kind, the definitions with a leaf of it.
+    db_kinds: [usize; DB_KINDS],
     by_name: HashMap<String, EventId>,
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
+}
+
+/// Number of [`DbEventKind`]s.
+const DB_KINDS: usize = 8;
+
+impl Inner {
+    fn insert(&mut self, id: EventId, def: EventDef) {
+        for kind in db_kinds_of(&def.subs) {
+            self.db_kinds[kind as usize] += 1;
+        }
+        self.defs.insert(id, def);
+    }
+
+    fn remove(&mut self, id: EventId) -> Option<EventDef> {
+        let def = self.defs.remove(&id)?;
+        for kind in db_kinds_of(&def.subs) {
+            self.db_kinds[kind as usize] -= 1;
+        }
+        Some(def)
+    }
+}
+
+/// The database event kinds `subs` has a leaf of, each once.
+fn db_kinds_of(subs: &[LeafSub]) -> impl Iterator<Item = DbEventKind> + '_ {
+    subs.iter()
+        .enumerate()
+        .filter_map(move |(i, sub)| match sub {
+            LeafSub::Db { kind, .. }
+                if !subs[..i]
+                    .iter()
+                    .any(|s| matches!(s, LeafSub::Db { kind: k, .. } if k == kind)) =>
+            {
+                Some(*kind)
+            }
+            _ => None,
+        })
 }
 
 /// The registry of defined events and their detectors.
@@ -72,7 +120,9 @@ pub struct EventRegistry {
     clock: Arc<dyn Clock>,
     ids: IdAllocator,
     inner: Mutex<Inner>,
-    sinks: RwLock<Vec<Arc<dyn SignalSink>>>,
+    /// Replaced, not edited, on registration: a dispatch holds the
+    /// list by reference count, not under the lock.
+    sinks: RwLock<Arc<[Arc<dyn SignalSink>]>>,
 }
 
 impl EventRegistry {
@@ -83,11 +133,12 @@ impl EventRegistry {
             ids: IdAllocator::new(1),
             inner: Mutex::new(Inner {
                 defs: IdMap::default(),
+                db_kinds: [0; DB_KINDS],
                 by_name: HashMap::new(),
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
             }),
-            sinks: RwLock::new(Vec::new()),
+            sinks: RwLock::new(Arc::new([])),
         }
     }
 
@@ -98,7 +149,8 @@ impl EventRegistry {
 
     /// Register an occurrence sink (the Rule Manager).
     pub fn register_sink(&self, sink: Arc<dyn SignalSink>) {
-        self.sinks.write().push(sink);
+        let mut sinks = self.sinks.write();
+        *sinks = sinks.iter().cloned().chain([sink]).collect();
     }
 
     /// Define an application-specific event with formal parameters
@@ -114,11 +166,13 @@ impl EventRegistry {
         let spec = EventSpec::External {
             name: name.to_owned(),
         };
-        inner.defs.insert(
+        let auto = Automaton::compile(&spec);
+        inner.insert(
             id,
             EventDef {
                 name: Some(name.to_owned()),
-                auto: Automaton::compile(&spec),
+                subs: auto.subscriptions().into(),
+                auto,
                 spec,
                 enabled: true,
                 formals,
@@ -141,16 +195,18 @@ impl EventRegistry {
         }
         let id = EventId(self.ids.alloc());
         let auto = Automaton::compile(&spec);
+        let subs: Box<[LeafSub]> = auto.subscriptions().into();
         let now = self.clock.now();
-        for sub in auto.subscriptions() {
+        for sub in subs.iter() {
             if let LeafSub::Timer { idx, spec } = sub {
-                Self::arm_timer(&mut inner, id, idx, &spec, now);
+                Self::arm_timer(&mut inner, id, *idx, spec, now);
             }
         }
-        inner.defs.insert(
+        inner.insert(
             id,
             EventDef {
                 name: None,
+                subs,
                 auto,
                 spec,
                 enabled: true,
@@ -189,8 +245,7 @@ impl EventRegistry {
     pub fn delete_event(&self, id: EventId) -> Result<()> {
         let mut inner = self.inner.lock();
         let def = inner
-            .defs
-            .remove(&id)
+            .remove(id)
             .ok_or_else(|| HipacError::UnknownEvent(id.to_string()))?;
         if let Some(name) = def.name {
             inner.by_name.remove(&name);
@@ -225,8 +280,8 @@ impl EventRegistry {
             return Ok(());
         }
         def.enabled = true;
-        let subs = def.auto.subscriptions();
-        for sub in subs {
+        let subs = def.subs.clone();
+        for sub in subs.into_vec() {
             if let LeafSub::Timer { idx, spec } = sub {
                 match &spec {
                     TemporalSpec::Absolute { at } if *at <= now => {}
@@ -288,6 +343,22 @@ impl EventRegistry {
         self.inner.lock().defs.len()
     }
 
+    /// Would a database operation of `kind` on a class whose lineage
+    /// `in_lineage` tests reach some enabled event's leaf? A detector
+    /// asks first and builds its report ([`EventRegistry::report_db`])
+    /// only when it would.
+    pub fn watches_db(&self, kind: DbEventKind, in_lineage: impl Fn(&str) -> bool) -> bool {
+        let inner = self.inner.lock();
+        inner.db_kinds[kind as usize] > 0
+            && inner.defs.values().any(|def| {
+                def.enabled
+                    && def.subs.iter().any(|sub| {
+                        matches!(sub, LeafSub::Db { kind: k, class, .. }
+                            if *k == kind && class.as_deref().map_or(true, &in_lineage))
+                    })
+            })
+    }
+
     /// True when no events are defined.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -314,40 +385,50 @@ impl EventRegistry {
             params,
             db: Some(Arc::clone(&data)),
         };
-        let fired = {
-            let mut inner = self.inner.lock();
-            let mut fired = Vec::new();
-            let ids: Vec<EventId> = inner.defs.keys().copied().collect();
-            for id in ids {
-                let def = inner.defs.get_mut(&id).expect("id from keys");
-                if !def.enabled {
-                    continue;
-                }
-                let mut targets = Vec::new();
-                for sub in def.auto.subscriptions() {
-                    if let LeafSub::Db { idx, kind, class } = sub {
-                        let class_ok = match &class {
-                            None => true,
-                            Some(c) => data.class_lineage.iter().any(|l| l == c),
-                        };
-                        if kind == data.kind && class_ok {
-                            targets.push(idx);
-                        }
-                    }
-                }
-                if targets.is_empty() {
-                    continue;
-                }
-                let mut timers = Vec::new();
-                let def = inner.defs.get_mut(&id).expect("still present");
-                if let Some(out) = def.auto.inject(&targets, &signal, &mut timers) {
-                    fired.push((id, out));
-                }
-                Self::queue_timers(&mut inner, id, timers);
+        let fired = self.detect(&signal, |sub| match sub {
+            LeafSub::Db { idx, kind, class } => {
+                let class_ok = match class {
+                    None => true,
+                    Some(c) => data.class_lineage.iter().any(|l| l == c),
+                };
+                (*kind == data.kind && class_ok).then_some(*idx)
             }
-            fired
-        };
+            _ => None,
+        });
         self.dispatch(fired)
+    }
+
+    /// Inject `signal` into every enabled definition at the leaves
+    /// `target` selects, queueing the timers that arms; the events that
+    /// fired, with their merged signals.
+    fn detect(
+        &self,
+        signal: &EventSignal,
+        target: impl Fn(&LeafSub) -> Option<usize>,
+    ) -> Vec<(EventId, EventSignal)> {
+        let mut inner = self.inner.lock();
+        let mut fired = Vec::new();
+        let mut armed = Vec::new();
+        for (&id, def) in inner.defs.iter_mut() {
+            if !def.enabled {
+                continue;
+            }
+            let targets: Vec<usize> = def.subs.iter().filter_map(&target).collect();
+            if targets.is_empty() {
+                continue;
+            }
+            let mut timers = Vec::new();
+            if let Some(out) = def.auto.inject(&targets, signal, &mut timers) {
+                fired.push((id, out));
+            }
+            if !timers.is_empty() {
+                armed.push((id, timers));
+            }
+        }
+        for (id, timers) in armed {
+            Self::queue_timers(&mut inner, id, timers);
+        }
+        fired
     }
 
     /// Raise an application-defined event (§4.1 *signal*). `args` must
@@ -358,8 +439,8 @@ impl EventRegistry {
         args: HashMap<String, Value>,
         txn: Option<TxnId>,
     ) -> Result<()> {
-        let fired = {
-            let mut inner = self.inner.lock();
+        let signal = {
+            let inner = self.inner.lock();
             let base_id = *inner
                 .by_name
                 .get(name)
@@ -379,39 +460,17 @@ impl EventRegistry {
                     )));
                 }
             }
-            let signal = EventSignal {
+            EventSignal {
                 time: self.clock.now(),
                 txn,
                 params: args,
                 db: None,
-            };
-            let mut fired = Vec::new();
-            let ids: Vec<EventId> = inner.defs.keys().copied().collect();
-            for id in ids {
-                let def = inner.defs.get_mut(&id).expect("id from keys");
-                if !def.enabled {
-                    continue;
-                }
-                let mut targets = Vec::new();
-                for sub in def.auto.subscriptions() {
-                    if let LeafSub::External { idx, name: n } = sub {
-                        if n == name {
-                            targets.push(idx);
-                        }
-                    }
-                }
-                if targets.is_empty() {
-                    continue;
-                }
-                let mut timers = Vec::new();
-                let def = inner.defs.get_mut(&id).expect("still present");
-                if let Some(out) = def.auto.inject(&targets, &signal, &mut timers) {
-                    fired.push((id, out));
-                }
-                Self::queue_timers(&mut inner, id, timers);
             }
-            fired
         };
+        let fired = self.detect(&signal, |sub| match sub {
+            LeafSub::External { idx, name: n } if n == name => Some(*idx),
+            _ => None,
+        });
         self.dispatch(fired)
     }
 
@@ -480,10 +539,11 @@ impl EventRegistry {
             return Ok(());
         }
         fired.sort_by_key(|(id, _)| *id);
-        let sinks = self.sinks.read().clone();
+        let sinks = Arc::clone(&self.sinks.read());
         for (id, signal) in fired {
-            for sink in &sinks {
-                sink.signal(id, &signal)?;
+            let signal = Arc::new(signal);
+            for sink in sinks.iter() {
+                sink.signal_shared(id, &signal)?;
             }
         }
         Ok(())

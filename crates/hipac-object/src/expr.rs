@@ -15,14 +15,18 @@
 //! `is_null(x)` to test for nulls explicitly. Boolean operators are
 //! strict (both sides evaluated, must be booleans).
 //!
-//! The AST derives `Eq`/`Hash` so structurally identical predicates can
-//! be shared across rules in the Condition Evaluator's condition graph
-//! (§5.5).
+//! A reference is resolved to a row slot once, when a query is prepared
+//! or a rule compiled; the slot node keeps its name. Equality, hashing,
+//! printing and the wire all read a slot node as that name, so a
+//! resolved expression compares, hashes and encodes as the one it was
+//! resolved from, and structurally identical predicates can be shared
+//! across rules in the Condition Evaluator's condition graph (§5.5).
 
 use hipac_common::codec::{get_byte, Wire};
 use hipac_common::{wire_enum, HipacError, Result, Value};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Unary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,7 +111,7 @@ impl BinOp {
 }
 
 /// Expression AST.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone)]
 pub enum Expr {
     Literal(Value),
     /// Unresolved attribute reference (name).
@@ -140,6 +144,84 @@ impl Expr {
         (6, "Binary"),
         (7, "Call"),
     ];
+}
+
+/// A slot node equals the named reference it was resolved from.
+impl PartialEq for Expr {
+    fn eq(&self, other: &Expr) -> bool {
+        use Expr::*;
+        match (self, other) {
+            (Literal(a), Literal(b)) => a == b,
+            (Attr(a) | Slot(_, a), Attr(b) | Slot(_, b))
+            | (OldAttr(a) | OldSlot(_, a), OldAttr(b) | OldSlot(_, b))
+            | (NewAttr(a) | NewSlot(_, a), NewAttr(b) | NewSlot(_, b))
+            | (Param(a), Param(b)) => a == b,
+            (Unary(o, a), Unary(p, b)) => o == p && a == b,
+            (Binary(o, al, ar), Binary(p, bl, br)) => o == p && al == bl && ar == br,
+            (Call(f, a), Call(g, b)) => f == g && a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Expr {}
+
+/// Hashes a slot node as its name, consistent with `PartialEq`.
+impl Hash for Expr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            Expr::Literal(v) => {
+                state.write_u8(0);
+                v.hash(state);
+            }
+            Expr::Attr(n) | Expr::Slot(_, n) => {
+                state.write_u8(1);
+                n.hash(state);
+            }
+            Expr::OldAttr(n) | Expr::OldSlot(_, n) => {
+                state.write_u8(2);
+                n.hash(state);
+            }
+            Expr::NewAttr(n) | Expr::NewSlot(_, n) => {
+                state.write_u8(3);
+                n.hash(state);
+            }
+            Expr::Param(n) => {
+                state.write_u8(4);
+                n.hash(state);
+            }
+            Expr::Unary(op, x) => {
+                state.write_u8(5);
+                op.hash(state);
+                x.hash(state);
+            }
+            Expr::Binary(op, l, r) => {
+                state.write_u8(6);
+                op.hash(state);
+                l.hash(state);
+                r.hash(state);
+            }
+            Expr::Call(f, args) => {
+                state.write_u8(7);
+                f.hash(state);
+                args.hash(state);
+            }
+        }
+    }
+}
+
+/// A reference resolver for [`Expr::resolve_refs`]: given a reference's
+/// kind, name and current slot, the slot to resolve it to (`None`: leave
+/// it named).
+pub type RefResolver<'a> = dyn FnMut(RefKind, &str, Option<usize>) -> Result<Option<usize>> + 'a;
+
+/// Which layout a reference reads: the current row's, or the event's
+/// old or new image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefKind {
+    Attr,
+    Old,
+    New,
 }
 
 /// Written by hand rather than by `wire_enum!`: a resolved slot persists
@@ -248,8 +330,8 @@ impl Expr {
         self.bin(BinOp::Or, other)
     }
 
-    /// Resolve `Attr`/`OldAttr`/`NewAttr` names to row slots using
-    /// `resolver`, producing an executable expression.
+    /// Resolve every reference to a row slot using `resolver`,
+    /// producing an executable expression.
     pub fn resolve(&self, resolver: &dyn Fn(&str) -> Result<usize>) -> Result<Expr> {
         self.resolve_split(resolver, resolver)
     }
@@ -263,47 +345,117 @@ impl Expr {
         attr: &dyn Fn(&str) -> Result<usize>,
         delta: &dyn Fn(&str) -> Result<usize>,
     ) -> Result<Expr> {
+        self.resolve_refs(&mut |kind, name, _| match kind {
+            RefKind::Attr => attr(name).map(Some),
+            RefKind::Old | RefKind::New => delta(name).map(Some),
+        })
+    }
+
+    /// Resolve references selectively. `f(kind, name, slot)` is asked
+    /// for every reference in tree order, with its current slot if it
+    /// has one: `Some(slot)` resolves it to that slot, `None` leaves it
+    /// a named reference, and an error stops the walk. So a slot node
+    /// can be re-resolved by its name against another layout, or kept
+    /// by returning the slot it has.
+    pub fn resolve_refs(
+        &self,
+        f: &mut RefResolver<'_>,
+    ) -> Result<Expr> {
         Ok(match self {
-            Expr::Attr(name) => Expr::Slot(attr(name)?, name.clone()),
-            Expr::OldAttr(name) => Expr::OldSlot(delta(name)?, name.clone()),
-            Expr::NewAttr(name) => Expr::NewSlot(delta(name)?, name.clone()),
-            Expr::Literal(_) | Expr::Param(_) | Expr::Slot(..) | Expr::OldSlot(..)
-            | Expr::NewSlot(..) => self.clone(),
-            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.resolve_split(attr, delta)?)),
-            Expr::Binary(op, l, r) => Expr::Binary(
-                *op,
-                Box::new(l.resolve_split(attr, delta)?),
-                Box::new(r.resolve_split(attr, delta)?),
-            ),
-            Expr::Call(f, args) => Expr::Call(
-                f.clone(),
+            Expr::Attr(name) | Expr::Slot(_, name) => match f(RefKind::Attr, name, self.slot())? {
+                Some(slot) => Expr::Slot(slot, name.clone()),
+                None => Expr::Attr(name.clone()),
+            },
+            Expr::OldAttr(name) | Expr::OldSlot(_, name) => {
+                match f(RefKind::Old, name, self.slot())? {
+                    Some(slot) => Expr::OldSlot(slot, name.clone()),
+                    None => Expr::OldAttr(name.clone()),
+                }
+            }
+            Expr::NewAttr(name) | Expr::NewSlot(_, name) => {
+                match f(RefKind::New, name, self.slot())? {
+                    Some(slot) => Expr::NewSlot(slot, name.clone()),
+                    None => Expr::NewAttr(name.clone()),
+                }
+            }
+            Expr::Literal(_) | Expr::Param(_) => self.clone(),
+            Expr::Unary(op, e) => Expr::Unary(*op, Box::new(e.resolve_refs(f)?)),
+            Expr::Binary(op, l, r) => {
+                let l = l.resolve_refs(f)?;
+                Expr::Binary(*op, Box::new(l), Box::new(r.resolve_refs(f)?))
+            }
+            Expr::Call(name, args) => Expr::Call(
+                name.clone(),
                 args.iter()
-                    .map(|a| a.resolve_split(attr, delta))
+                    .map(|a| a.resolve_refs(f))
                     .collect::<Result<_>>()?,
             ),
         })
     }
 
-    /// Collect the attribute names referenced (plain, old and new) —
-    /// used for event derivation (§2.1) and index planning.
-    pub fn referenced_attrs(&self, out: &mut Vec<String>) {
+    /// The slot of a resolved reference node.
+    fn slot(&self) -> Option<usize> {
         match self {
-            Expr::Attr(n) | Expr::OldAttr(n) | Expr::NewAttr(n) => out.push(n.clone()),
-            Expr::Slot(_, n) | Expr::OldSlot(_, n) | Expr::NewSlot(_, n) => {
-                out.push(n.clone())
-            }
-            Expr::Unary(_, e) => e.referenced_attrs(out),
+            Expr::Slot(slot, _) | Expr::OldSlot(slot, _) | Expr::NewSlot(slot, _) => Some(*slot),
+            _ => None,
+        }
+    }
+
+    /// Visit every reference in tree order as `(kind, name, slot)`,
+    /// `slot` being `None` for a named (unresolved) reference.
+    pub fn for_each_ref(&self, f: &mut dyn FnMut(RefKind, &str, Option<usize>)) {
+        match self {
+            Expr::Attr(n) | Expr::Slot(_, n) => f(RefKind::Attr, n, self.slot()),
+            Expr::OldAttr(n) | Expr::OldSlot(_, n) => f(RefKind::Old, n, self.slot()),
+            Expr::NewAttr(n) | Expr::NewSlot(_, n) => f(RefKind::New, n, self.slot()),
+            Expr::Literal(_) | Expr::Param(_) => {}
+            Expr::Unary(_, e) => e.for_each_ref(f),
             Expr::Binary(_, l, r) => {
-                l.referenced_attrs(out);
-                r.referenced_attrs(out);
+                l.for_each_ref(f);
+                r.for_each_ref(f);
             }
             Expr::Call(_, args) => {
                 for a in args {
-                    a.referenced_attrs(out);
+                    a.for_each_ref(f);
                 }
             }
-            Expr::Literal(_) | Expr::Param(_) => {}
         }
+    }
+
+    /// Is every reference resolved to a slot?
+    pub fn is_resolved(&self) -> bool {
+        let mut all = true;
+        self.for_each_ref(&mut |_, _, slot| all &= slot.is_some());
+        all
+    }
+
+    /// Does the expression read the event's old or new image?
+    pub fn reads_delta(&self) -> bool {
+        let mut any = false;
+        self.for_each_ref(&mut |kind, _, _| any |= kind != RefKind::Attr);
+        any
+    }
+
+    /// The `index`-th top-level conjunct, counted as
+    /// [`Expr::conjuncts`] lists them, without collecting them.
+    pub fn conjunct(&self, index: usize) -> Option<&Expr> {
+        fn walk<'a>(e: &'a Expr, index: &mut usize) -> Option<&'a Expr> {
+            if let Expr::Binary(BinOp::And, l, r) = e {
+                return walk(l, index).or_else(|| walk(r, index));
+            }
+            if *index == 0 {
+                return Some(e);
+            }
+            *index -= 1;
+            None
+        }
+        walk(self, &mut { index })
+    }
+
+    /// Collect the attribute names referenced (plain, old and new) —
+    /// used for event derivation (§2.1) and index planning.
+    pub fn referenced_attrs(&self, out: &mut Vec<String>) {
+        self.for_each_ref(&mut |_, name, _| out.push(name.to_owned()));
     }
 
     /// Collect referenced parameter names.

@@ -12,6 +12,8 @@
 //! * [`parser`] — a small text syntax for expressions, so rules can be
 //!   written as strings;
 //! * [`query`] — select-project queries with an index-vs-scan planner;
+//! * [`prepared`] — a query prepared once against a catalog generation:
+//!   its plan, index slot, probe source and slot-resolved predicate;
 //! * [`store`] — [`store::ObjectStore`], the Object Manager proper:
 //!   transactional DML/DDL over the nested-transaction version store,
 //!   Moss locking, secondary indexes, database-operation event
@@ -24,12 +26,14 @@
 pub mod expr;
 pub mod object;
 pub mod parser;
+pub mod prepared;
 pub mod query;
 pub mod schema;
 pub mod store;
 
-pub use expr::{BinOp, Bindings, Expr, UnOp};
+pub use expr::{BinOp, Bindings, Expr, RefKind, UnOp};
 pub use object::ObjectRecord;
+pub use prepared::PreparedQuery;
 pub use query::{Query, QueryResult, Row};
 pub use schema::{AttrDef, ClassDef, Schema};
 pub use store::{DbOperation, LockKey, ObjectStore, OpListener};

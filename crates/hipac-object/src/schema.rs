@@ -91,6 +91,9 @@ pub struct Schema {
     /// `(class position, attribute position)` pairs, ancestors' slots
     /// first — or why it has none (an unknown superclass, a cycle).
     layouts: Vec<Result<Vec<(usize, usize)>>>,
+    /// Parallel to `classes`: each class and its (transitive)
+    /// subclasses, ascending by id — a query's member classes.
+    members: Vec<Vec<ClassId>>,
 }
 
 impl Schema {
@@ -101,9 +104,22 @@ impl Schema {
         let mut schema = Schema {
             classes,
             layouts: Vec::new(),
+            members: Vec::new(),
         };
         schema.layouts = (0..schema.classes.len())
             .map(|pos| schema.resolve_layout(pos))
+            .collect();
+        schema.members = schema
+            .classes
+            .iter()
+            .map(|sup| {
+                schema
+                    .classes
+                    .iter()
+                    .filter(|c| schema.is_subclass_or_self(c.id, sup.id))
+                    .map(|c| c.id)
+                    .collect()
+            })
             .collect();
         schema
     }
@@ -190,11 +206,15 @@ impl Schema {
 
     /// Ids of `sup` and all of its (transitive) subclasses.
     pub fn subclasses_inclusive(&self, sup: ClassId) -> Vec<ClassId> {
-        self.classes
-            .iter()
-            .filter(|c| self.is_subclass_or_self(c.id, sup))
-            .map(|c| c.id)
-            .collect()
+        self.members(sup)
+            .map(<[ClassId]>::to_vec)
+            .unwrap_or_default()
+    }
+
+    /// `sup` and its (transitive) subclasses, ascending by id, as
+    /// resolved when the schema was built.
+    pub fn members(&self, sup: ClassId) -> Result<&[ClassId]> {
+        Ok(&self.members[self.position(sup)?])
     }
 
     /// Validate a row of attribute values against the layout of

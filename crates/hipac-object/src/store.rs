@@ -35,6 +35,7 @@
 
 use crate::expr::Bindings;
 use crate::object::ObjectRecord;
+use crate::prepared::{Access, PreparedQuery};
 use crate::query::{Plan, Query, QueryResult, Row};
 use crate::schema::{AttrDef, ClassDef, Schema};
 use hipac_common::id::IdAllocator;
@@ -147,7 +148,9 @@ pub struct ObjectStore {
     classes: VersionStore<ClassId, ClassDef, IdBuildHasher>,
     oid_alloc: IdAllocator,
     class_alloc: IdAllocator,
-    listeners: RwLock<Vec<Arc<dyn OpListener>>>,
+    /// Replaced, not edited, on registration: an operation holds the
+    /// list by reference count, not under the lock.
+    listeners: RwLock<Arc<[Arc<dyn OpListener>]>>,
     /// Committed-data secondary indexes, keyed by (concrete class,
     /// layout slot).
     indexes: RwLock<IdMap<(ClassId, usize), SecondaryIndex>>,
@@ -199,7 +202,7 @@ impl ObjectStore {
             classes: VersionStore::new(tree),
             oid_alloc: IdAllocator::new(1),
             class_alloc: IdAllocator::new(1),
-            listeners: RwLock::new(Vec::new()),
+            listeners: RwLock::new(Arc::new([])),
             indexes: RwLock::new(IdMap::default()),
             durable,
             catalog: RwLock::new((0, Arc::new(Schema::default()))),
@@ -219,7 +222,7 @@ impl ObjectStore {
             self.class_alloc.bump_to(def.id.raw());
             self.classes.put_committed(def.id, def);
         }
-        let catalog = self.committed_schema();
+        let catalog = self.committed_catalog().1;
         for (key, bytes) in d.scan_prefix(&[KEY_OBJECT])? {
             if key.len() != 9 {
                 return Err(HipacError::Corruption("bad object key length".into()));
@@ -247,12 +250,13 @@ impl ObjectStore {
     /// Register a database-operation listener (the Rule Manager's event
     /// detector hook, §5.1).
     pub fn register_listener(&self, l: Arc<dyn OpListener>) {
-        self.listeners.write().push(l);
+        let mut listeners = self.listeners.write();
+        *listeners = listeners.iter().cloned().chain([l]).collect();
     }
 
     fn emit(&self, txn: TxnId, op: &DbOperation) -> Result<()> {
-        let listeners = self.listeners.read().clone();
-        for l in &listeners {
+        let listeners = Arc::clone(&self.listeners.read());
+        for l in listeners.iter() {
             l.on_operation(txn, op)?;
         }
         Ok(())
@@ -262,15 +266,38 @@ impl ObjectStore {
     /// chain this is the shared committed snapshot, and reading it
     /// allocates nothing; otherwise `txn` gets a schema of its own.
     pub fn schema(&self, txn: TxnId) -> Arc<Schema> {
+        self.catalog(txn).1
+    }
+
+    /// The catalog as `txn` sees it, with its committed generation when
+    /// no DDL is pending on `txn`'s chain (`None` otherwise: the schema
+    /// is then `txn`'s own). Prepared queries and compiled rules are
+    /// stamped with the generation and rebuilt when it moves.
+    pub fn catalog(&self, txn: TxnId) -> (Option<u64>, Arc<Schema>) {
         match self.classes.committed_generation(txn) {
-            Some(generation) => self.snapshot(generation),
+            Some(generation) => {
+                let (generation, schema) = self.snapshot(generation);
+                (Some(generation), schema)
+            }
             None => {
                 let mut classes = Vec::new();
                 self.classes
                     .for_each_visible(txn, |_, def| classes.push(def.clone()));
-                Arc::new(Schema::new(classes))
+                (None, Arc::new(Schema::new(classes)))
             }
         }
+    }
+
+    /// The catalog generation `txn` sees: the committed one when no DDL
+    /// is pending on its chain, `None` otherwise.
+    pub fn catalog_generation_for(&self, txn: TxnId) -> Option<u64> {
+        self.classes.committed_generation(txn)
+    }
+
+    /// The committed catalog and its generation, whatever any
+    /// transaction has pending.
+    pub fn committed_catalog(&self) -> (u64, Arc<Schema>) {
+        self.snapshot(self.classes.generation())
     }
 
     /// The committed catalog's generation: it moves with every commit
@@ -279,19 +306,15 @@ impl ObjectStore {
         self.classes.generation()
     }
 
-    /// The committed schema, whatever any transaction has pending.
-    fn committed_schema(&self) -> Arc<Schema> {
-        self.snapshot(self.classes.generation())
-    }
-
-    /// The committed snapshot of `generation` or a later one: the
-    /// cached one when it is current, else one built from the committed
-    /// catalog (and cached, unless a newer one got there first).
-    fn snapshot(&self, generation: u64) -> Arc<Schema> {
+    /// The committed snapshot of `generation` or a later one, with the
+    /// generation it is: the cached one when it is current, else one
+    /// built from the committed catalog (and cached, unless a newer one
+    /// got there first).
+    fn snapshot(&self, generation: u64) -> (u64, Arc<Schema>) {
         {
             let (cached, schema) = &*self.catalog.read();
             if *cached == generation {
-                return Arc::clone(schema);
+                return (generation, Arc::clone(schema));
             }
         }
         let (generation, classes) = self.classes.committed_values();
@@ -300,7 +323,7 @@ impl ObjectStore {
         if generation > catalog.0 {
             *catalog = (generation, Arc::clone(&schema));
         }
-        schema
+        (generation, schema)
     }
 
     // ------------------------------------------------------------------
@@ -562,33 +585,56 @@ impl ObjectStore {
 
     /// Choose the execution plan for `query` under `schema`.
     pub fn plan(&self, schema: &Schema, query: &Query) -> Result<Plan> {
-        let def = schema.class_by_name(&query.class)?;
-        // Look for an `attr = <literal|param>` conjunct over an indexed
-        // attribute.
-        for conjunct in query.predicate.conjuncts() {
-            if let crate::expr::Expr::Binary(crate::expr::BinOp::Eq, l, r) = conjunct {
-                for (a, b) in [(l, r), (r, l)] {
-                    if let crate::expr::Expr::Attr(name) = a.as_ref() {
-                        let is_probe_value = matches!(
-                            b.as_ref(),
-                            crate::expr::Expr::Literal(_) | crate::expr::Expr::Param(_)
-                        );
-                        if is_probe_value {
-                            if let Ok((_, attr)) = schema.resolve_attr(def.id, name) {
-                                if attr.indexed {
-                                    return Ok(Plan::IndexEq { attr: name.clone() });
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        Ok(PreparedQuery::new(schema, None, query, None)?.plan(schema))
+    }
+
+    /// Prepare `query` as `txn` sees the catalog (§5.1: the same
+    /// prepared form serves applications and the Condition Evaluator).
+    pub fn prepare(&self, txn: TxnId, query: &Query) -> Result<PreparedQuery> {
+        let (generation, schema) = self.catalog(txn);
+        PreparedQuery::new(&schema, generation, query, None)
+    }
+
+    /// Prepare `query` for a rule fired by events on `event_class` (or
+    /// its subclasses, which share its layout's prefix): its `old.x` and
+    /// `new.x` references read that class's images.
+    pub fn prepare_for_event(
+        &self,
+        txn: TxnId,
+        query: &Query,
+        event_class: ClassId,
+    ) -> Result<PreparedQuery> {
+        let (generation, schema) = self.catalog(txn);
+        PreparedQuery::new(&schema, generation, query, Some(event_class))
+    }
+
+    /// Execute a prepared query as `txn`, with `bindings` supplying the
+    /// parameters and the event's old and new images (its `row` is
+    /// ignored). A query prepared for another catalog generation than
+    /// the one `txn` sees, or under DDL pending on a chain, is prepared
+    /// again first.
+    pub fn execute(
+        &self,
+        txn: TxnId,
+        prepared: &PreparedQuery,
+        bindings: Bindings<'_>,
+    ) -> Result<QueryResult> {
+        self.tm.check_operable(txn)?;
+        let (generation, schema) = self.catalog(txn);
+        if generation.is_some() && generation == prepared.generation() {
+            return self.run(txn, &schema, prepared, bindings);
         }
-        Ok(Plan::Scan)
+        let fresh = PreparedQuery::new(
+            &schema,
+            generation,
+            prepared.query(),
+            prepared.delta_class(),
+        )?;
+        self.run(txn, &schema, &fresh, bindings)
     }
 
     /// Execute a query as `txn` (§5.1: used by applications and by the
-    /// Condition Evaluator).
+    /// Condition Evaluator): prepare it, then execute it.
     pub fn query(
         &self,
         txn: TxnId,
@@ -596,28 +642,40 @@ impl ObjectStore {
         params: Option<&HashMap<String, Value>>,
     ) -> Result<QueryResult> {
         self.tm.check_operable(txn)?;
-        let schema = self.schema(txn);
-        let def = schema.class_by_name(&query.class)?;
-        let root = def.id;
+        let (generation, schema) = self.catalog(txn);
+        let prepared = PreparedQuery::new(&schema, generation, query, None)?;
+        let bindings = Bindings {
+            params,
+            ..Default::default()
+        };
+        self.run(txn, &schema, &prepared, bindings)
+    }
+
+    /// Run `prepared`, which was prepared against `schema`.
+    fn run(
+        &self,
+        txn: TxnId,
+        schema: &Schema,
+        prepared: &PreparedQuery,
+        bindings: Bindings<'_>,
+    ) -> Result<QueryResult> {
+        let root = prepared.class();
         self.locks
             .acquire(txn, LockKey::Class(root), LockMode::Read)?;
-        let member_classes: IdSet<ClassId> =
-            schema.subclasses_inclusive(root).into_iter().collect();
+        let members = schema.members(root)?;
 
-        // Per-concrete-class resolved predicate cache.
-        let mut resolved: IdMap<ClassId, crate::expr::Expr> = IdMap::default();
-        let plan = self.plan(&schema, query)?;
-
-        let candidates: Vec<ObjectId> = match &plan {
-            Plan::IndexEq { attr } => {
-                let probe = self.index_probe_value(query, attr, params)?;
-                let (slot, _) = schema.resolve_attr(root, attr)?;
+        let candidates: Vec<ObjectId> = match prepared.access {
+            Access::IndexEq { slot, .. } => {
+                let probe = prepared
+                    .probe()
+                    .ok_or_else(|| HipacError::internal("index plan without a probe"))?
+                    .eval(&bindings)?;
                 let mut set: Vec<ObjectId> = Vec::new();
                 let mut dedup = IdSet::default();
                 {
                     let indexes = self.indexes.read();
-                    for cid in &member_classes {
-                        if let Some(idx) = indexes.get(&(*cid, slot)) {
+                    for cid in members {
+                        if let Some(idx) = indexes.get(&(*cid, slot as usize)) {
                             if let Some(oids) = idx.get(&probe) {
                                 set.reserve(oids.len());
                                 dedup.reserve(oids.len());
@@ -638,35 +696,27 @@ impl ObjectStore {
                 }
                 set
             }
-            Plan::Scan => self.objects.visible_keys(txn),
+            Access::Scan => self.objects.visible_keys(txn),
         };
 
         // The visible version of `oid`, if it belongs to the queried
         // classes and satisfies the predicate.
-        let mut matching = |oid: ObjectId| -> Result<Option<ObjectRecord>> {
+        let matching = |oid: ObjectId| -> Result<Option<ObjectRecord>> {
             // Candidate sets may include deleted or invisible objects.
             let Some(rec) = self.objects.get(txn, &oid) else {
                 return Ok(None);
             };
-            if !member_classes.contains(&rec.class) {
+            if members.binary_search(&rec.class).is_err() {
                 return Ok(None);
             }
-            let pred = match resolved.get(&rec.class) {
-                Some(p) => p,
-                None => {
-                    let class = rec.class;
-                    let p = query.predicate.resolve(&|name| {
-                        schema.resolve_attr(class, name).map(|(slot, _)| slot)
-                    })?;
-                    resolved.entry(class).or_insert(p)
-                }
-            };
             let ctx = Bindings {
                 row: Some(&rec.values),
-                params,
-                ..Default::default()
+                ..bindings
             };
-            Ok(pred.eval_bool(&ctx)?.then_some(rec))
+            Ok(prepared
+                .predicate_for(rec.class)?
+                .eval_bool(&ctx)?
+                .then_some(rec))
         };
 
         // Result rows are read-locked for repeatable reads. An index
@@ -675,7 +725,7 @@ impl ObjectStore {
         // whole extent, so it locks only the rows a pre-check selects and
         // then reads them again, because the unlocked read may have
         // raced a concurrent committer.
-        let lock_first = matches!(plan, Plan::IndexEq { .. });
+        let lock_first = matches!(prepared.access, Access::IndexEq { .. });
         let mut rows = Vec::with_capacity(if lock_first { candidates.len() } else { 0 });
         for oid in candidates {
             if lock_first {
@@ -693,19 +743,11 @@ impl ObjectStore {
                     None => continue,
                 }
             }
-            let values = match &query.projection {
+            let values = match prepared.projection_for(rec.class)? {
                 None => rec.values,
-                Some(attrs) => {
-                    // Sized up front, so the row is one allocation.
-                    let mut out: Arc<[Value]> =
-                        std::iter::repeat(Value::Null).take(attrs.len()).collect();
-                    let slots = Arc::get_mut(&mut out).expect("not shared yet");
-                    for (to, a) in slots.iter_mut().zip(attrs) {
-                        let (slot, _) = schema.resolve_attr(rec.class, a)?;
-                        *to = rec.values[slot].clone();
-                    }
-                    out
-                }
+                // Collected from an exact-size iterator, so the row is
+                // one allocation.
+                Some(slots) => slots.iter().map(|&slot| rec.values[slot].clone()).collect(),
             };
             rows.push(Row {
                 oid,
@@ -715,35 +757,6 @@ impl ObjectStore {
         }
         rows.sort_by_key(|r| r.oid);
         Ok(rows)
-    }
-
-    fn index_probe_value(
-        &self,
-        query: &Query,
-        attr: &str,
-        params: Option<&HashMap<String, Value>>,
-    ) -> Result<Value> {
-        for conjunct in query.predicate.conjuncts() {
-            if let crate::expr::Expr::Binary(crate::expr::BinOp::Eq, l, r) = conjunct {
-                for (a, b) in [(l, r), (r, l)] {
-                    if matches!(a.as_ref(), crate::expr::Expr::Attr(n) if n == attr) {
-                        match b.as_ref() {
-                            crate::expr::Expr::Literal(v) => return Ok(v.clone()),
-                            crate::expr::Expr::Param(p) => {
-                                return params
-                                    .and_then(|m| m.get(p))
-                                    .cloned()
-                                    .ok_or_else(|| HipacError::UnboundParameter(p.clone()))
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        Err(HipacError::internal(format!(
-            "no probe value for indexed attribute {attr}"
-        )))
     }
 
     /// Number of objects visible to `txn` (diagnostics/tests).
@@ -833,7 +846,7 @@ impl ResourceManager for ObjectStore {
     fn on_commit_top(&self, txn: TxnId) -> Result<()> {
         let class_changes = self.classes.commit_top(txn);
         let object_changes = self.objects.commit_top(txn);
-        let catalog = self.committed_schema();
+        let catalog = self.committed_catalog().1;
         // Index maintenance.
         for (oid, old, new) in &object_changes {
             self.reindex(&catalog, *oid, old.as_ref(), new.as_ref());

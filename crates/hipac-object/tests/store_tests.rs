@@ -981,3 +981,65 @@ fn aborts_and_child_commits_leave_the_committed_version_in_place() {
     assert!(Arc::ptr_eq(&pending, &read()));
     assert_eq!(committed[1], Value::from(48.0));
 }
+
+#[test]
+fn empty_child_commit_leaves_state_and_generation_unchanged() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let generation = store.catalog_generation();
+    let t = tm.begin();
+    let before = store.count_visible(t);
+    let child = tm.begin_child(t).unwrap();
+    tm.commit(child).unwrap();
+    assert_eq!(store.count_visible(t), before);
+    assert_eq!(store.catalog_generation_for(t), Some(generation));
+    let child = tm.begin_child(t).unwrap();
+    tm.abort(child).unwrap();
+    tm.commit(t).unwrap();
+    assert_eq!(store.catalog_generation(), generation);
+    assert_eq!(store.count_visible(tm.begin()), before);
+}
+
+#[test]
+fn prepared_query_reprepares_after_ddl() {
+    let (tm, store) = setup();
+    seed(&tm, &store);
+    let q = Query::parse("from security where symbol = :s select price").unwrap();
+    let params = HashMap::from([("s".to_string(), Value::from("XRX"))]);
+    let bindings = |params| hipac_object::Bindings {
+        params: Some(params),
+        ..Default::default()
+    };
+    let prepared = tm.run_top(|t| store.prepare(t, &q)).unwrap();
+    let rows = tm
+        .run_top(|t| store.execute(t, &prepared, bindings(&params)))
+        .unwrap();
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0].values[..], [Value::from(48.0)]);
+    // A committed catalog change moves the generation: the prepared
+    // query is prepared again, and still answers.
+    tm.run_top(|t| {
+        store
+            .create_class(t, "bond", Some("security"), vec![])
+            .map(|_| ())
+    })
+    .unwrap();
+    assert_ne!(
+        Some(store.catalog_generation()),
+        prepared.generation(),
+        "the catalog moved"
+    );
+    let rows = tm
+        .run_top(|t| store.execute(t, &prepared, bindings(&params)))
+        .unwrap();
+    assert_eq!(rows[0].values[..], [Value::from(48.0)]);
+    // Under DDL pending on the chain, too.
+    tm.run_top(|t| {
+        store.create_class(t, "option", Some("security"), vec![])?;
+        store.insert(t, "option", vec![Value::from("XRX"), Value::from(1.0)])?;
+        let rows = store.execute(t, &prepared, bindings(&params))?;
+        assert_eq!(rows.len(), 2, "the pending subclass's row is a member");
+        Ok(())
+    })
+    .unwrap();
+}

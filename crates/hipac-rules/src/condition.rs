@@ -16,16 +16,20 @@
 //!   50" — is evaluated directly against the delta carried by the
 //!   event signal, without touching the object store at all.
 //!
+//! Queries arrive compiled (the crate's `compile` module): a delta-shaped
+//! predicate is already resolved against its class, and any other query
+//! is prepared for the store, so evaluation resolves and plans nothing.
 //! The evaluator is stateless across events (the graph is rebuilt per
-//! batch); the sharing matters because one event commonly triggers many
-//! rules with overlapping conditions (benchmark E5 quantifies this).
+//! batch, keyed by compiled-query identity); the sharing matters because
+//! one event commonly triggers many rules with overlapping conditions
+//! (benchmark E5 quantifies this).
 
-use hipac_common::{Result, TxnId, Value};
-use hipac_event::EventSignal;
-use hipac_object::expr::{Bindings, Expr};
+use crate::compile::{self, CompiledQuery};
+use hipac_common::{HipacError, IdMap, Result, TxnId, Value};
+use hipac_event::{DbEventData, EventSignal};
+use hipac_object::expr::{Bindings, RefKind};
 use hipac_object::query::{Query, QueryResult, Row};
 use hipac_object::ObjectStore;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Outcome of evaluating one rule's condition.
@@ -65,201 +69,189 @@ impl ConditionEvaluator {
 
     /// Does `query`'s predicate reference only `old.*`/`new.*` images,
     /// parameters and literals (the shape that can be answered from an
-    /// event delta without touching the store)?
+    /// event delta without touching the store)? Projections are fine:
+    /// with a delta row available they project from the new (or old)
+    /// image.
     pub fn delta_answerable_shape(query: &Query) -> bool {
-        // Projections need a row from the store only if they project
-        // plain attributes — with a delta row available we can project
-        // from the new (or old) image, so projection is fine.
-        fn only_delta_refs(e: &Expr) -> bool {
-            match e {
-                Expr::Attr(_) | Expr::Slot(..) => false,
-                Expr::Literal(_) | Expr::Param(_) => true,
-                Expr::OldAttr(_) | Expr::OldSlot(..) | Expr::NewAttr(_) | Expr::NewSlot(..) => {
-                    true
-                }
-                Expr::Unary(_, e) => only_delta_refs(e),
-                Expr::Binary(_, l, r) => only_delta_refs(l) && only_delta_refs(r),
-                Expr::Call(_, args) => args.iter().all(only_delta_refs),
-            }
-        }
-        only_delta_refs(&query.predicate)
+        let mut only_delta = true;
+        query
+            .predicate
+            .for_each_ref(&mut |kind, _, _| only_delta &= kind != RefKind::Attr);
+        only_delta
     }
 
     /// Can `query` be answered from the event delta alone? True when
     /// the event carries a db payload whose class is (a subclass of)
     /// the query's class and the predicate has the delta-answerable
     /// shape.
-    fn delta_answerable(query: &Query, signal: &EventSignal) -> bool {
-        let Some(db) = &signal.db else {
-            return false;
-        };
-        if !db.class_lineage.contains(&query.class) {
-            return false;
-        }
-        Self::delta_answerable_shape(query)
+    fn delta_answerable<'s>(
+        query: &CompiledQuery,
+        signal: &'s EventSignal,
+    ) -> Option<&'s DbEventData> {
+        let db = signal.db.as_deref()?;
+        (query.delta_shape && db.class_lineage.contains(&query.query().class)).then_some(db)
     }
 
     /// Evaluate `query` against the delta only.
     fn eval_delta(
         &self,
         txn: TxnId,
-        query: &Query,
+        query: &CompiledQuery,
+        db: &DbEventData,
         signal: &EventSignal,
     ) -> Result<QueryResult> {
-        let db = signal.db.as_ref().expect("checked by delta_answerable");
-        let schema = self.store.schema(txn);
-        let resolved = query
-            .predicate
-            .resolve(&|name| schema.resolve_attr(db.class, name).map(|(s, _)| s))?;
         let ctx = Bindings {
             row: None,
             old: db.old.as_deref(),
             new: db.new.as_deref(),
             params: Some(&signal.params),
         };
-        if resolved.eval_bool(&ctx)? {
-            // Produce the affected instance as the single result row,
-            // projecting from the newest image available.
-            let image = db
-                .new
-                .clone()
-                .or_else(|| db.old.clone())
-                .unwrap_or_else(|| Arc::from([]));
-            let values = match &query.projection {
-                None => image,
-                Some(attrs) => {
-                    // Sized up front, so the row is one allocation.
-                    let mut out: Arc<[Value]> =
-                        std::iter::repeat(Value::Null).take(attrs.len()).collect();
-                    let slots = Arc::get_mut(&mut out).expect("not shared yet");
-                    for (to, a) in slots.iter_mut().zip(attrs) {
-                        let (slot, _) = schema.resolve_attr(db.class, a)?;
-                        *to = image.get(slot).cloned().unwrap_or(Value::Null);
-                    }
-                    out
-                }
-            };
-            Ok(vec![Row {
-                oid: db.oid.unwrap_or(hipac_common::ObjectId(0)),
-                class: db.class,
-                values,
-            }])
-        } else {
-            Ok(Vec::new())
+        // The compiled form; or, when it could not be resolved, the
+        // query resolved against the event's class now.
+        let fresh;
+        let (predicate, projection) = match query.delta_form_parts() {
+            Some(parts) => parts,
+            None => {
+                fresh = compile::resolve_for_event(query, &self.store.schema(txn), db.class)?;
+                (&fresh, None)
+            }
+        };
+        if !predicate.eval_bool(&ctx)? {
+            return Ok(Vec::new());
         }
+        // Produce the affected instance as the single result row,
+        // projecting from the newest image available.
+        let image = db
+            .new
+            .clone()
+            .or_else(|| db.old.clone())
+            .unwrap_or_else(|| Arc::from([]));
+        let pick = |slot: usize| image.get(slot).cloned().unwrap_or(Value::Null);
+        let values = match (&query.query().projection, projection) {
+            (None, _) => image.clone(),
+            // Collected from an exact-size iterator: one allocation.
+            (Some(_), Some(slots)) => slots.iter().map(|&s| pick(s)).collect(),
+            (Some(attrs), None) => {
+                let schema = self.store.schema(txn);
+                attrs
+                    .iter()
+                    .map(|a| schema.resolve_attr(db.class, a).map(|(s, _)| pick(s)))
+                    .collect::<Result<_>>()?
+            }
+        };
+        Ok(vec![Row {
+            oid: db.oid.unwrap_or(hipac_common::ObjectId(0)),
+            class: db.class,
+            values,
+        }])
     }
 
-    /// Replace `old.x` / `new.x` references in `query`'s predicate with
-    /// literal values from the event's delta, so the store's executor
-    /// (which has no delta context) can evaluate it. Errors if the
-    /// predicate references an image the event does not carry. Also
-    /// used by the Rule Manager for action queries (`UpdateWhere`,
-    /// `DeleteWhere`) whose predicates mention the delta.
-    pub fn fold_delta(&self, txn: TxnId, query: &Query, signal: &EventSignal) -> Result<Query> {
-        fn has_delta_refs(e: &Expr) -> bool {
-            match e {
-                Expr::OldAttr(_) | Expr::OldSlot(..) | Expr::NewAttr(_) | Expr::NewSlot(..) => {
-                    true
-                }
-                Expr::Unary(_, e) => has_delta_refs(e),
-                Expr::Binary(_, l, r) => has_delta_refs(l) || has_delta_refs(r),
-                Expr::Call(_, args) => args.iter().any(has_delta_refs),
-                _ => false,
-            }
+    /// Run `query` against the store, its `old.x`/`new.x` references
+    /// bound to the event's images. The Rule Manager runs its action
+    /// queries (`UpdateWhere`, `DeleteWhere`) through this too.
+    ///
+    /// A query that reads an image fails, before it runs, when the event
+    /// carries no delta or not that image, or when the event's class
+    /// lacks a referenced attribute: the first such reference in the
+    /// predicate names the error.
+    pub(crate) fn run_query(
+        &self,
+        txn: TxnId,
+        query: &CompiledQuery,
+        signal: &EventSignal,
+    ) -> Result<QueryResult> {
+        let db = signal.db.as_deref();
+        let bindings = Bindings {
+            row: None,
+            old: db.and_then(|d| d.old.as_deref()),
+            new: db.and_then(|d| d.new.as_deref()),
+            params: Some(&signal.params),
+        };
+        if !query.reads_delta() {
+            return match query.prepared() {
+                Some(prepared) => self.store.execute(txn, prepared, bindings),
+                None => self.store.query(txn, query.query(), Some(&signal.params)),
+            };
         }
-        if !has_delta_refs(&query.predicate) {
-            return Ok(query.clone());
-        }
-        let db = signal.db.as_ref().ok_or_else(|| {
-            hipac_common::HipacError::EvalError(
+        let db = db.ok_or_else(|| {
+            HipacError::EvalError(
                 "condition references old/new but the event carries no delta".into(),
             )
         })?;
-        let schema = self.store.schema(txn);
-        fn fold(
-            e: &Expr,
-            schema: &hipac_object::Schema,
-            class: hipac_common::ClassId,
-            old: Option<&[Value]>,
-            new: Option<&[Value]>,
-        ) -> Result<Expr> {
-            let image = |img: Option<&[Value]>, which: &str, name: &str| -> Result<Expr> {
-                let img = img.ok_or_else(|| {
-                    hipac_common::HipacError::EvalError(format!(
-                        "no {which} image for {which}.{name}"
-                    ))
-                })?;
-                let (slot, _) = schema.resolve_attr(class, name)?;
-                Ok(Expr::Literal(img.get(slot).cloned().unwrap_or(Value::Null)))
+        if let Some(prepared) = query.prepared() {
+            let covered = || {
+                let class = prepared.delta_class().expect("prepared for an event class");
+                class == db.class || self.store.schema(txn).is_subclass_or_self(db.class, class)
             };
-            Ok(match e {
-                Expr::OldAttr(n) | Expr::OldSlot(_, n) => image(old, "old", n)?,
-                Expr::NewAttr(n) | Expr::NewSlot(_, n) => image(new, "new", n)?,
-                Expr::Unary(op, x) => {
-                    Expr::Unary(*op, Box::new(fold(x, schema, class, old, new)?))
-                }
-                Expr::Binary(op, l, r) => Expr::Binary(
-                    *op,
-                    Box::new(fold(l, schema, class, old, new)?),
-                    Box::new(fold(r, schema, class, old, new)?),
-                ),
-                Expr::Call(f, args) => Expr::Call(
-                    f.clone(),
-                    args.iter()
-                        .map(|a| fold(a, schema, class, old, new))
-                        .collect::<Result<_>>()?,
-                ),
-                other => other.clone(),
-            })
+            if query.images_present(db) && covered() {
+                return self.store.execute(txn, prepared, bindings);
+            }
         }
-        Ok(Query {
-            class: query.class.clone(),
-            predicate: fold(
-                &query.predicate,
-                &schema,
-                db.class,
-                db.old.as_deref(),
-                db.new.as_deref(),
-            )?,
-            projection: query.projection.clone(),
-        })
+        self.check_delta(txn, query.query(), db)?;
+        let prepared = self.store.prepare_for_event(txn, query.query(), db.class)?;
+        self.store.execute(txn, &prepared, bindings)
+    }
+
+    /// The event must carry every image `query` reads, and its class
+    /// every attribute the predicate reads of them: check each
+    /// reference in predicate order.
+    fn check_delta(&self, txn: TxnId, query: &Query, db: &DbEventData) -> Result<()> {
+        let schema = self.store.schema(txn);
+        let mut result = Ok(());
+        query.predicate.for_each_ref(&mut |kind, name, _| {
+            let (present, which) = match kind {
+                RefKind::Attr => return,
+                RefKind::Old => (db.old.is_some(), "old"),
+                RefKind::New => (db.new.is_some(), "new"),
+            };
+            if result.is_ok() {
+                result = if present {
+                    schema.resolve_attr(db.class, name).map(|_| ())
+                } else {
+                    Err(HipacError::EvalError(format!(
+                        "no {which} image for {which}.{name}"
+                    )))
+                };
+            }
+        });
+        result
     }
 
     /// Evaluate the conditions of a batch of rules triggered by one
-    /// event. `conditions[i]` is the i-th rule's query collection.
-    /// Returns one outcome per rule plus batch statistics.
-    pub fn evaluate_batch(
+    /// event. `conditions[i]` is the i-th rule's query collection,
+    /// compiled for the catalog `txn` sees.
+    pub(crate) fn evaluate(
         &self,
         txn: TxnId,
-        conditions: &[&[Query]],
+        conditions: &[&[Arc<CompiledQuery>]],
         signal: &EventSignal,
     ) -> Result<(Vec<ConditionOutcome>, EvalStats)> {
         let mut stats = EvalStats::default();
-        // The condition graph: structurally identical queries share one
-        // node, evaluated at most once.
-        let mut cache: HashMap<&Query, QueryResult> = HashMap::new();
+        // The condition graph: structurally identical queries are one
+        // compiled query, keyed by its address, evaluated at most once.
+        let mut cache: IdMap<usize, QueryResult> = IdMap::default();
         let mut outcomes = Vec::with_capacity(conditions.len());
         for queries in conditions {
             let mut satisfied = true;
             let mut rows = Vec::with_capacity(queries.len());
             for q in *queries {
                 stats.queries_seen += 1;
-                let result: QueryResult = if let Some(hit) = cache.get(q) {
+                let id = Arc::as_ptr(q) as usize;
+                let result: QueryResult = if let Some(hit) = cache.get(&id) {
                     stats.cache_hits += 1;
                     hit.clone()
                 } else {
-                    let r = if Self::delta_answerable(q, signal) {
-                        stats.delta_evaluations += 1;
-                        self.eval_delta(txn, q, signal)?
-                    } else {
-                        // Mixed predicates (plain attributes AND delta
-                        // references) run against the store with the
-                        // delta constant-folded into the predicate.
-                        let folded = self.fold_delta(txn, q, signal)?;
-                        stats.store_evaluations += 1;
-                        self.store.query(txn, &folded, Some(&signal.params))?
+                    let r = match Self::delta_answerable(q, signal) {
+                        Some(db) => {
+                            stats.delta_evaluations += 1;
+                            self.eval_delta(txn, q, db, signal)?
+                        }
+                        None => {
+                            stats.store_evaluations += 1;
+                            self.run_query(txn, q, signal)?
+                        }
                     };
-                    cache.insert(q, r.clone());
+                    cache.insert(id, r.clone());
                     r
                 };
                 let empty = result.is_empty();
@@ -280,6 +272,23 @@ impl ConditionEvaluator {
         Ok((outcomes, stats))
     }
 
+    /// Evaluate the conditions of a batch of rules given as queries:
+    /// they are compiled for the catalog `txn` sees (structurally
+    /// identical ones to one node), then evaluated as a firing's
+    /// compiled conditions are.
+    pub fn evaluate_batch(
+        &self,
+        txn: TxnId,
+        conditions: &[&[Query]],
+        signal: &EventSignal,
+    ) -> Result<(Vec<ConditionOutcome>, EvalStats)> {
+        let (generation, schema) = self.store.catalog(txn);
+        let event_class = signal.db.as_ref().map(|d| d.class);
+        let compiled = compile::compile_conditions(conditions, &schema, generation, event_class);
+        let refs: Vec<&[Arc<CompiledQuery>]> = compiled.iter().map(Vec::as_slice).collect();
+        self.evaluate(txn, &refs, signal)
+    }
+
     /// Evaluate a single rule's condition (manual `fire`, §2.2).
     pub fn evaluate_one(
         &self,
@@ -297,10 +306,10 @@ mod tests {
     use super::*;
     use hipac_common::{ClassId, ObjectId, ValueType};
     use hipac_event::spec::DbEventKind;
-    use hipac_event::DbEventData;
-    use hipac_object::expr::BinOp;
+    use hipac_object::expr::{BinOp, Expr};
     use hipac_object::AttrDef;
     use hipac_txn::TransactionManager;
+    use std::collections::HashMap;
 
     fn setup() -> (Arc<TransactionManager>, Arc<ObjectStore>, ConditionEvaluator) {
         let tm = Arc::new(TransactionManager::new());

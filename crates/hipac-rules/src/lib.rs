@@ -25,6 +25,8 @@
 //! Modules:
 //!
 //! * [`rule`] — rule definitions, actions, coupling modes;
+//! * `compile` — rules compiled once against a catalog generation: the
+//!   form the rule store keeps;
 //! * [`condition`] — the Condition Evaluator: per-event condition graph
 //!   with common-subexpression sharing and delta-based incremental
 //!   evaluation;
@@ -34,6 +36,7 @@
 //!   scheduling, deferred sets, cascading firings, rule operations.
 
 pub mod codec;
+mod compile;
 pub mod condition;
 pub mod manager;
 pub mod network;

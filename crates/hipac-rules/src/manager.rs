@@ -28,17 +28,17 @@
 //! in §5.5, and a legal serial schedule of the paper's siblings), then
 //! runs each satisfied rule's action in its own subtransaction.
 
+use crate::compile::{CompiledQuery, CompiledRule, Op, QueryTable};
 use crate::condition::{ConditionEvaluator, EvalStats};
 use crate::network::{MatchNetwork, Matching};
 use crate::pool::{FiringPool, WorkerPool};
-use crate::rule::{Action, ActionOp, CouplingMode, DbAction, RuleDef};
+use crate::rule::{CouplingMode, RuleDef};
 use hipac_common::id::IdAllocator;
 use hipac_common::idhash::IdBuildHasher;
-use hipac_common::{EventId, HipacError, IdMap, IdSet, ObjectId, Result, RuleId, TxnId, Value};
+use hipac_common::{EventId, HipacError, IdMap, IdSet, Result, RuleId, TxnId, Value};
 use hipac_event::spec::DbEventKind;
 use hipac_event::{DbEventData, EventRegistry, EventSignal, EventSpec, SignalSink};
-use hipac_object::expr::Bindings;
-use hipac_object::query::QueryResult;
+use hipac_object::query::{Query, QueryResult, Row};
 use hipac_object::store::{DbOperation, LockKey, OpListener};
 use hipac_object::ObjectStore;
 use hipac_txn::{LockMode, ResourceManager, TransactionManager, TxnHook, VersionStore};
@@ -106,9 +106,13 @@ pub struct RuleManager {
     /// Scoped pool firing immediate/deferred sibling subtransactions
     /// concurrently (§3's execution model).
     firing: FiringPool,
-    /// Rule definitions, shared: a firing carries the stored `Arc`, and
-    /// a change installs a new definition rather than editing one.
-    rules: VersionStore<RuleId, Arc<RuleDef>, IdBuildHasher>,
+    /// Rules, compiled and shared: a firing carries the stored `Arc`,
+    /// and a change installs a new compiled rule rather than editing
+    /// one.
+    rules: VersionStore<RuleId, Arc<CompiledRule>, IdBuildHasher>,
+    /// The compiled queries of the stored rules, one per structurally
+    /// distinct query and catalog generation.
+    queries: QueryTable,
     /// Keyed by names a tenant picks, so on `RandomState`.
     rule_names: VersionStore<String, RuleId, RandomState>,
     ids: IdAllocator,
@@ -137,7 +141,7 @@ pub struct RuleManager {
     /// event→rules mapping of §5.4 many-to-one and lets one signal
     /// carry a whole batch of rules into the Condition Evaluator.
     spec_index: RwLock<HashMap<EventSpec, EventId>>,
-    deferred: Mutex<IdMap<TxnId, Vec<(RuleId, EventSignal)>>>,
+    deferred: Mutex<IdMap<TxnId, Vec<Deferred>>>,
     /// Top-level transactions spawned by the Rule Manager itself
     /// (separate-mode firings). These do not emit transaction-control
     /// events, or commit-triggered rules would re-trigger themselves
@@ -176,13 +180,12 @@ fn rule_key(rid: RuleId) -> Vec<u8> {
     k
 }
 
-/// A definition as the rule store keeps it: shared, and compact. A deep
-/// clone allocates every `Vec` and `String` at its length, so the spare
-/// capacity a builder leaves (`RuleDef::when` gives a one-query
-/// condition room for four) is not held for the rule's life.
-fn stored(def: RuleDef) -> Arc<RuleDef> {
-    Arc::new(def.clone())
-}
+/// A rule fired with its signal, shared by every rule the signal
+/// triggered.
+type Firing = (RuleId, Arc<CompiledRule>, Arc<EventSignal>);
+
+/// A deferred firing: the rule and its shared signal.
+type Deferred = (RuleId, Arc<EventSignal>);
 
 /// Bridges Object Manager operations into event signals (the database
 /// event detector half that lives in the Object Manager, §5.1).
@@ -196,37 +199,29 @@ impl OpListener for DbEventBridge {
             return Ok(());
         };
         let schema = mgr.store.schema(txn);
-        let mut lineage = Vec::new();
-        let mut cur = Some(op.class());
-        while let Some(cid) = cur {
-            match schema.class(cid) {
-                Ok(def) => {
-                    lineage.push(def.name.clone());
-                    cur = def.superclass;
-                }
-                Err(_) => break,
-            }
+        // The class names from the operation's class up.
+        let names = || {
+            std::iter::successors(schema.class(op.class()).ok(), |def| {
+                def.superclass.and_then(|sup| schema.class(sup).ok())
+            })
+            .map(|def| def.name.as_str())
+        };
+        if !mgr.events.watches_db(db_kind(op), |c| names().any(|n| n == c)) {
+            return Ok(());
         }
-        let (kind, oid, old, new) = match op {
-            DbOperation::CreateClass { .. } => (DbEventKind::CreateClass, None, None, None),
-            DbOperation::DropClass { .. } => (DbEventKind::DropClass, None, None, None),
-            DbOperation::Insert { oid, new, .. } => {
-                (DbEventKind::Insert, Some(*oid), None, Some(new.clone()))
+        let lineage = names().map(str::to_owned).collect();
+        let (oid, old, new) = match op {
+            DbOperation::CreateClass { .. } | DbOperation::DropClass { .. } => (None, None, None),
+            DbOperation::Insert { oid, new, .. } => (Some(*oid), None, Some(new.clone())),
+            DbOperation::Update { oid, old, new, .. } => {
+                (Some(*oid), Some(old.clone()), Some(new.clone()))
             }
-            DbOperation::Update { oid, old, new, .. } => (
-                DbEventKind::Update,
-                Some(*oid),
-                Some(old.clone()),
-                Some(new.clone()),
-            ),
-            DbOperation::Delete { oid, old, .. } => {
-                (DbEventKind::Delete, Some(*oid), Some(old.clone()), None)
-            }
+            DbOperation::Delete { oid, old, .. } => (Some(*oid), Some(old.clone()), None),
         };
         mgr.events.report_db(
             Some(txn),
             DbEventData {
-                kind,
+                kind: db_kind(op),
                 class: op.class(),
                 class_lineage: lineage,
                 oid,
@@ -237,6 +232,17 @@ impl OpListener for DbEventBridge {
     }
 }
 
+/// The event kind a database operation reports.
+fn db_kind(op: &DbOperation) -> DbEventKind {
+    match op {
+        DbOperation::CreateClass { .. } => DbEventKind::CreateClass,
+        DbOperation::DropClass { .. } => DbEventKind::DropClass,
+        DbOperation::Insert { .. } => DbEventKind::Insert,
+        DbOperation::Update { .. } => DbEventKind::Update,
+        DbOperation::Delete { .. } => DbEventKind::Delete,
+    }
+}
+
 /// Adapter: the Rule Manager's single *signal event* operation (§5.4).
 struct RuleSink {
     mgr: Weak<RuleManager>,
@@ -244,6 +250,10 @@ struct RuleSink {
 
 impl SignalSink for RuleSink {
     fn signal(&self, event: EventId, signal: &EventSignal) -> Result<()> {
+        self.signal_shared(event, &Arc::new(signal.clone()))
+    }
+
+    fn signal_shared(&self, event: EventId, signal: &Arc<EventSignal>) -> Result<()> {
         match self.mgr.upgrade() {
             Some(mgr) => mgr.signal_event(event, signal),
             None => Ok(()),
@@ -271,20 +281,7 @@ impl TxnHook for RuleTxnHook {
                 return;
             }
             if top {
-                // Transaction-control events (§2.1). Reported without a
-                // transaction context: the transaction is gone, so
-                // immediate coupling degrades to separate.
-                let _ = mgr.events.report_db(
-                    None,
-                    DbEventData {
-                        kind: DbEventKind::TxnCommit,
-                        class: hipac_common::ClassId(0),
-                        class_lineage: Vec::new(),
-                        oid: None,
-                        old: None,
-                        new: Some(Arc::from([Value::Int(txn.raw() as i64)])),
-                    },
-                );
+                mgr.report_txn_end(DbEventKind::TxnCommit, txn);
             }
         }
     }
@@ -303,17 +300,7 @@ impl TxnHook for RuleTxnHook {
                 return;
             }
             if top {
-                let _ = mgr.events.report_db(
-                    None,
-                    DbEventData {
-                        kind: DbEventKind::TxnAbort,
-                        class: hipac_common::ClassId(0),
-                        class_lineage: Vec::new(),
-                        oid: None,
-                        old: None,
-                        new: Some(Arc::from([Value::Int(txn.raw() as i64)])),
-                    },
-                );
+                mgr.report_txn_end(DbEventKind::TxnAbort, txn);
             }
         }
     }
@@ -342,9 +329,11 @@ impl ResourceManager for RuleManager {
                 .entry(parent)
                 .or_default()
                 .extend(rids);
-        }
-        if self.matching == Matching::Network {
-            self.network.promote_created(txn, parent);
+            // The network's creation marks follow the same index: a
+            // child that created no rule leaves them alone.
+            if self.matching == Matching::Network {
+                self.network.promote_created(txn, parent);
+            }
         }
         // Deferred firings registered under the child move to the
         // parent? No: they were processed at the child's commit
@@ -355,13 +344,21 @@ impl ResourceManager for RuleManager {
     fn on_commit_top(&self, txn: TxnId) -> Result<()> {
         let changes = self.rules.commit_top(txn);
         self.rule_names.commit_top(txn);
+        if changes.is_empty()
+            && !self.created_index.lock().contains_key(&txn)
+            && !(self.matching == Matching::Network && self.network.owns_marks(txn))
+        {
+            // The transaction changed no rule: nothing to persist,
+            // rewire or unmark.
+            return Ok(());
+        }
         if let Some(d) = &self.durable {
             let ops: Vec<_> = changes
                 .iter()
                 .map(|(rid, _, new)| match new {
-                    Some(def) => hipac_storage::StoreOp::Put {
+                    Some(rule) => hipac_storage::StoreOp::Put {
                         key: rule_key(*rid),
-                        value: crate::codec::encode_rule(def),
+                        value: crate::codec::encode_rule(&rule.def()),
                     },
                     None => hipac_storage::StoreOp::Delete {
                         key: rule_key(*rid),
@@ -378,7 +375,9 @@ impl ResourceManager for RuleManager {
                 Some(def) => {
                     // Rewire a modified rule's event mapping (the spec
                     // was validated at alter time).
-                    let new_event = Self::effective_spec(def).and_then(|spec| {
+                    let condition = def.condition.iter().map(|q| q.query());
+                    let spec = Self::effective_spec(def.event.as_ref(), condition);
+                    let new_event = spec.and_then(|spec| {
                         let existing = self.spec_index.read().get(&spec).copied();
                         match existing {
                             Some(id) => Some(id),
@@ -413,8 +412,8 @@ impl ResourceManager for RuleManager {
                                 old_event,
                                 placed_event,
                                 *rid,
-                                old.as_deref(),
-                                Some(def),
+                                old.as_ref().map(|r| r.first_condition()),
+                                Some(def.first_condition()),
                             );
                         }
                     }
@@ -429,7 +428,7 @@ impl ResourceManager for RuleManager {
                                 entry.event,
                                 entry.event,
                                 *rid,
-                                old.as_deref(),
+                                old.as_ref().map(|r| r.first_condition()),
                                 None,
                             );
                         }
@@ -537,6 +536,7 @@ impl RuleManager {
             pool: WorkerPool::new(workers),
             firing: FiringPool::new(firing_parallelism),
             rules: VersionStore::new(Arc::clone(&tree)),
+            queries: QueryTable::new(),
             rule_names: VersionStore::new(tree),
             ids: IdAllocator::new(1),
             catalog: RwLock::new(IdMap::default()),
@@ -588,10 +588,8 @@ impl RuleManager {
             let rid = RuleId(u64::from_be_bytes(key[1..9].try_into().unwrap()));
             let def = crate::codec::decode_rule(&bytes)?;
             self.ids.bump_to(rid.raw());
-            let spec = match &def.event {
-                Some(spec) => spec.clone(),
-                None => Self::derive_event(&def).ok_or(HipacError::NoDerivableEvent(rid))?,
-            };
+            let spec = Self::effective_spec(def.event.as_ref(), def.condition.iter())
+                .ok_or(HipacError::NoDerivableEvent(rid))?;
             let event = {
                 let existing = self.spec_index.read().get(&spec).copied();
                 match existing {
@@ -615,9 +613,32 @@ impl RuleManager {
                 self.network.place_committed(event, rid, &def);
             }
             self.rule_names.put_committed(def.name.clone(), rid);
-            self.rules.put_committed(rid, stored(def));
+            let (generation, schema) = self.store.committed_catalog();
+            let rule = CompiledRule::compile(&def, &schema, Some(generation), &self.queries);
+            self.rules.put_committed(rid, Arc::new(rule));
         }
         Ok(())
+    }
+
+    /// Report a top-level transaction's end (§2.1 transaction-control
+    /// events) when some event watches for it. Reported without a
+    /// transaction context: the transaction is gone, so immediate
+    /// coupling degrades to separate.
+    fn report_txn_end(&self, kind: DbEventKind, txn: TxnId) {
+        if !self.events.watches_db(kind, |_| false) {
+            return;
+        }
+        let _ = self.events.report_db(
+            None,
+            DbEventData {
+                kind,
+                class: hipac_common::ClassId(0),
+                class_lineage: Vec::new(),
+                oid: None,
+                old: None,
+                new: Some(Arc::from([Value::Int(txn.raw() as i64)])),
+            },
+        );
     }
 
     /// The event registry (define/signal external events through it).
@@ -733,10 +754,8 @@ impl RuleManager {
         self.store
             .locks()
             .acquire(txn, LockKey::Rule(rid.raw()), LockMode::Write)?;
-        let spec = match &def.event {
-            Some(spec) => spec.clone(),
-            None => Self::derive_event(&def).ok_or(HipacError::NoDerivableEvent(rid))?,
-        };
+        let spec = Self::effective_spec(def.event.as_ref(), def.condition.iter())
+            .ok_or(HipacError::NoDerivableEvent(rid))?;
         // Reuse the event definition of a structurally identical spec.
         let event = {
             let existing = self.spec_index.read().get(&spec).copied();
@@ -765,17 +784,25 @@ impl RuleManager {
             self.network.link_created(event, rid, txn);
         }
         self.rule_names.put(txn, def.name.clone(), rid);
-        self.rules.put(txn, rid, stored(def));
+        self.rules.put(txn, rid, self.compile(txn, &def));
         Ok(rid)
+    }
+
+    /// Compile `def` for the catalog `txn` sees: the form the rule
+    /// store keeps.
+    fn compile(&self, txn: TxnId, def: &RuleDef) -> Arc<CompiledRule> {
+        let (generation, schema) = self.store.catalog(txn);
+        let rule = CompiledRule::compile(def, &schema, generation, &self.queries);
+        Arc::new(rule)
     }
 
     /// §2.1: "the event specification can also be omitted … HiPAC
     /// derives the event specification from the condition": subscribe
     /// to every operation that can change the result of any condition
     /// query.
-    fn derive_event(def: &RuleDef) -> Option<EventSpec> {
+    fn derive_event<'a>(condition: impl Iterator<Item = &'a Query>) -> Option<EventSpec> {
         let mut spec: Option<EventSpec> = None;
-        for q in &def.condition {
+        for q in condition {
             for kind in [DbEventKind::Insert, DbEventKind::Update, DbEventKind::Delete] {
                 let leaf = EventSpec::db(kind, Some(&q.class));
                 spec = Some(match spec {
@@ -810,14 +837,12 @@ impl RuleManager {
         def.name = name.to_owned();
         // Validate eagerly what commit-time rewiring will need: the
         // event must be specifiable and external references defined.
-        let spec = match &def.event {
-            Some(spec) => spec.clone(),
-            None => Self::derive_event(&def).ok_or(HipacError::NoDerivableEvent(rid))?,
-        };
+        let spec = Self::effective_spec(def.event.as_ref(), def.condition.iter())
+            .ok_or(HipacError::NoDerivableEvent(rid))?;
         for ext in spec.external_refs() {
             self.events.external_id(&ext)?;
         }
-        self.rules.put(txn, rid, stored(def));
+        self.rules.put(txn, rid, self.compile(txn, &def));
         self.note_rule_change(txn, rid);
         Ok(rid)
     }
@@ -840,11 +865,15 @@ impl RuleManager {
         self.network.mark_pending(event, rid, top);
     }
 
-    /// Effective event spec of a rule definition (declared or derived).
-    fn effective_spec(def: &RuleDef) -> Option<EventSpec> {
-        match &def.event {
+    /// Effective event spec of a rule (declared, or derived from its
+    /// condition).
+    fn effective_spec<'a>(
+        event: Option<&EventSpec>,
+        condition: impl Iterator<Item = &'a Query>,
+    ) -> Option<EventSpec> {
+        match event {
             Some(spec) => Some(spec.clone()),
-            None => Self::derive_event(def),
+            None => Self::derive_event(condition),
         }
     }
 
@@ -903,12 +932,12 @@ impl RuleManager {
             .rules
             .get(txn, &rid)
             .ok_or_else(|| HipacError::UnknownRule(name.to_owned()))?;
-        let signal = EventSignal {
+        let signal = Arc::new(EventSignal {
             time: self.events.clock().now(),
             txn: Some(txn),
             params,
             db: None,
-        };
+        });
         // Manual fire ignores `enabled` (the paper distinguishes
         // automatic firing, which disable suppresses, from the fire
         // operation).
@@ -920,7 +949,7 @@ impl RuleManager {
     // ------------------------------------------------------------------
 
     /// The Rule Manager's single interface operation: *signal event*.
-    fn signal_event(&self, event: EventId, signal: &EventSignal) -> Result<()> {
+    fn signal_event(&self, event: EventId, signal: &Arc<EventSignal>) -> Result<()> {
         self.stats.signals_processed.fetch_add(1, Ordering::Relaxed);
         if !self.firing_gate.load(Ordering::Relaxed) {
             return Ok(());
@@ -971,24 +1000,25 @@ impl RuleManager {
                     immediate.push((t, rid, def));
                 }
                 (CouplingMode::Deferred, Some(t)) => {
+                    let signal = Arc::clone(signal);
                     self.deferred
                         .lock()
                         .entry(t)
                         .or_default()
-                        .push((rid, signal.clone()));
+                        .push((rid, signal));
                 }
                 // No triggering transaction (temporal/external events
                 // outside any transaction): every mode degrades to a
                 // separate top-level firing.
-                _ => self.submit_separate(rid, signal.clone()),
+                _ => self.submit_separate(rid, Arc::clone(signal)),
             }
         }
         if !immediate.is_empty() {
             // All immediate firings share the triggering transaction.
             let parent = immediate[0].0;
-            let group: Vec<(RuleId, Arc<RuleDef>, EventSignal)> = immediate
+            let group: Vec<Firing> = immediate
                 .into_iter()
-                .map(|(_, rid, def)| (rid, def, signal.clone()))
+                .map(|(_, rid, def)| (rid, def, Arc::clone(signal)))
                 .collect();
             self.fire_group(parent, group)?;
         }
@@ -998,11 +1028,7 @@ impl RuleManager {
     /// Fire a group of rules as subtransactions of `parent`: one
     /// condition-evaluation subtransaction for the batch (§5.5), then
     /// one action subtransaction per satisfied rule.
-    fn fire_group(
-        &self,
-        parent: TxnId,
-        group: Vec<(RuleId, Arc<RuleDef>, EventSignal)>,
-    ) -> Result<()> {
+    fn fire_group(&self, parent: TxnId, mut group: Vec<Firing>) -> Result<()> {
         if group.is_empty() {
             return Ok(());
         }
@@ -1013,6 +1039,7 @@ impl RuleManager {
                 depth,
             });
         }
+        self.compile_stale(parent, &mut group);
         let tracing = self.tracer.is_enabled();
         let cond_start = tracing.then(std::time::Instant::now);
         // Condition evaluation subtransaction. Rules triggered by the
@@ -1028,31 +1055,23 @@ impl RuleManager {
             }
             let mut all: Vec<Option<crate::condition::ConditionOutcome>> =
                 (0..group.len()).map(|_| None).collect();
-            let mut done: Vec<bool> = vec![false; group.len()];
             for i in 0..group.len() {
-                if done[i] {
+                if all[i].is_some() {
                     continue;
                 }
-                // Collect every not-yet-evaluated firing with the same
+                // Collect every not-yet-evaluated firing of the same
                 // signal (deferred batches can mix signals; immediate
                 // groups share one).
                 let signal = &group[i].2;
-                let mut indices = Vec::new();
-                for (j, (_, _, s)) in group.iter().enumerate() {
-                    if !done[j] && s == signal {
-                        indices.push(j);
-                    }
-                }
-                let conds: Vec<&[hipac_object::query::Query]> = indices
-                    .iter()
-                    .map(|&j| group[j].1.condition.as_slice())
+                let indices: Vec<usize> = (i..group.len())
+                    .filter(|&j| all[j].is_none() && Arc::ptr_eq(&group[j].2, signal))
                     .collect();
-                let (outs, stats) =
-                    self.evaluator.evaluate_batch(cond_txn, &conds, signal)?;
+                let conds: Vec<&[Arc<CompiledQuery>]> =
+                    indices.iter().map(|&j| &group[j].1.condition[..]).collect();
+                let (outs, stats) = self.evaluator.evaluate(cond_txn, &conds, signal)?;
                 self.stats.absorb(stats);
                 for (&j, out) in indices.iter().zip(outs) {
                     all[j] = Some(out);
-                    done[j] = true;
                 }
             }
             Ok(all
@@ -1078,6 +1097,40 @@ impl RuleManager {
         self.dispatch_actions(parent, depth, group, outcomes, cond_us, tracing)
     }
 
+    /// Compile again, for the catalog `txn` sees, every rule of `group`
+    /// compiled for another. A committed rule recompiled for the
+    /// committed catalog replaces its stored form; under DDL pending on
+    /// `txn`'s chain the recompiled rule serves this firing only.
+    fn compile_stale(&self, txn: TxnId, group: &mut [Firing]) {
+        let generation = self.store.catalog_generation_for(txn);
+        if group.iter().all(|(_, rule, _)| rule.is_current(generation)) {
+            return;
+        }
+        let (generation, schema) = self.store.catalog(txn);
+        let mut local = None;
+        for (rid, rule, _) in group.iter_mut() {
+            if rule.is_current(generation) {
+                continue;
+            }
+            // Under pending DDL the compiled queries are this firing's
+            // own: they are not shared with other transactions.
+            let table = match generation {
+                Some(_) => &self.queries,
+                None => local.get_or_insert_with(QueryTable::new),
+            };
+            let def = rule.def();
+            let fresh = Arc::new(CompiledRule::compile(&def, &schema, generation, table));
+            if generation.is_some() {
+                self.rules.refresh_committed(rid, |stored| {
+                    if Arc::ptr_eq(stored, rule) {
+                        *stored = Arc::clone(&fresh);
+                    }
+                });
+            }
+            *rule = fresh;
+        }
+    }
+
     /// Run the action phase of a fired group: satisfied rules with a
     /// synchronous C-A coupling (immediate/deferred) execute as sibling
     /// subtransactions of `parent` — concurrently, on the firing pool,
@@ -1095,7 +1148,7 @@ impl RuleManager {
         &self,
         parent: TxnId,
         depth: usize,
-        group: Vec<(RuleId, Arc<RuleDef>, EventSignal)>,
+        group: Vec<Firing>,
         outcomes: Vec<crate::condition::ConditionOutcome>,
         cond_us: u64,
         tracing: bool,
@@ -1206,15 +1259,15 @@ impl RuleManager {
         parent: TxnId,
         depth: usize,
         rid: RuleId,
-        def: Arc<RuleDef>,
-        signal: EventSignal,
+        def: Arc<CompiledRule>,
+        signal: Arc<EventSignal>,
         rows: Vec<QueryResult>,
         cond_us: u64,
         tracing: bool,
     ) -> Result<()> {
         let action_start = tracing.then(std::time::Instant::now);
         let act_txn = self.tm.begin_child(parent)?;
-        match self.execute_action(act_txn, &def.action, &signal, &rows) {
+        match self.execute_action(act_txn, &def, &signal, &rows) {
             Ok(()) => self.tm.commit(act_txn)?,
             Err(e) => {
                 let _ = self.tm.abort(act_txn);
@@ -1246,7 +1299,10 @@ impl RuleManager {
     /// §6.2: separate firings run in their own top-level transactions
     /// on the worker pool; failures are collected, not propagated to
     /// the trigger.
-    fn submit_separate(&self, rid: RuleId, signal: EventSignal) {
+    ///
+    /// The job holds the shared signal as it was reported: the firing
+    /// reads its time, parameters and images, never its transaction.
+    fn submit_separate(&self, rid: RuleId, signal: Arc<EventSignal>) {
         let time = signal.time;
         let deadline = signal.txn.and_then(|t| self.tm.tree().effective_deadline(t));
         self.submit_separate_job(rid, time, deadline, move |mgr, txn| {
@@ -1256,11 +1312,7 @@ impl RuleManager {
             if !def.enabled {
                 return Ok(());
             }
-            let sig = EventSignal {
-                txn: Some(txn),
-                ..signal.clone()
-            };
-            mgr.fire_group(txn, vec![(rid, def, sig)])
+            mgr.fire_group(txn, vec![(rid, def, Arc::clone(&signal))])
         });
     }
 
@@ -1269,18 +1321,17 @@ impl RuleManager {
     fn submit_separate_action(
         &self,
         rid: RuleId,
-        def: Arc<RuleDef>,
-        signal: EventSignal,
+        def: Arc<CompiledRule>,
+        signal: Arc<EventSignal>,
         rows: Vec<QueryResult>,
     ) {
         let time = signal.time;
         let deadline = signal.txn.and_then(|t| self.tm.tree().effective_deadline(t));
         self.submit_separate_job(rid, time, deadline, move |mgr, txn| {
-            let sig = EventSignal {
-                txn: Some(txn),
-                ..signal.clone()
-            };
-            mgr.execute_action(txn, &def.action, &sig, &rows)
+            // The catalog may have moved since the condition ran.
+            let mut firing = [(rid, Arc::clone(&def), Arc::clone(&signal))];
+            mgr.compile_stale(txn, &mut firing);
+            mgr.execute_action(txn, &firing[0].1, &signal, &rows)
         });
     }
 
@@ -1398,7 +1449,7 @@ impl RuleManager {
             if batch.is_empty() {
                 return Ok(());
             }
-            let mut group = Vec::with_capacity(batch.len());
+            let mut group: Vec<Firing> = Vec::with_capacity(batch.len());
             for (rid, signal) in batch {
                 // Re-check visibility and enablement at commit time.
                 let Some(def) = self.rules.get(txn, &rid) else {
@@ -1420,26 +1471,26 @@ impl RuleManager {
     fn execute_action(
         &self,
         txn: TxnId,
-        action: &Action,
+        rule: &CompiledRule,
         signal: &EventSignal,
         cond_rows: &[QueryResult],
     ) -> Result<()> {
         self.stats.actions_executed.fetch_add(1, Ordering::Relaxed);
-        self.exec_ops(txn, &action.ops, signal, cond_rows, None)
+        let db = signal.db.as_deref();
+        let compiled = rule.exprs_ready(db, || self.store.schema(txn));
+        let ctx = ActionCtx {
+            txn,
+            signal,
+            compiled,
+            cond_rows,
+        };
+        self.exec_ops(&ctx, &rule.action, None)
     }
 
-    fn exec_ops(
-        &self,
-        txn: TxnId,
-        ops: &[ActionOp],
-        signal: &EventSignal,
-        cond_rows: &[QueryResult],
-        row_ctx: Option<&hipac_object::query::Row>,
-    ) -> Result<()> {
+    fn exec_ops(&self, ctx: &ActionCtx<'_>, ops: &[Op], row_ctx: Option<&Row>) -> Result<()> {
         for op in ops {
             match op {
-                ActionOp::Db(db) => self.exec_db_action(txn, db, signal, row_ctx)?,
-                ActionOp::AppRequest {
+                Op::AppRequest {
                     handler,
                     request,
                     args,
@@ -1450,27 +1501,53 @@ impl RuleManager {
                         .get(handler)
                         .cloned()
                         .ok_or_else(|| HipacError::NoApplicationHandler(handler.clone()))?;
-                    let bound = self.eval_args(txn, args, signal, row_ctx)?;
+                    let bound = self.eval_args(ctx, args, row_ctx)?;
                     handler_arc.handle(request, &bound)?;
                 }
-                ActionOp::SignalEvent { name, args } => {
-                    let bound = self.eval_args(txn, args, signal, row_ctx)?;
-                    self.events.signal_external(name, bound, Some(txn))?;
+                Op::SignalEvent { name, args } => {
+                    let bound = self.eval_args(ctx, args, row_ctx)?;
+                    self.events.signal_external(name, bound, Some(ctx.txn))?;
                 }
-                ActionOp::ForEachRow { query_index, ops } => {
-                    let rows = cond_rows.get(*query_index).ok_or_else(|| {
+                Op::ForEachRow { query_index, ops } => {
+                    let rows = ctx.cond_rows.get(*query_index).ok_or_else(|| {
                         HipacError::EvalError(format!(
                             "action references condition query {query_index}, \
                              but only {} result sets are available",
-                            cond_rows.len()
+                            ctx.cond_rows.len()
                         ))
                     })?;
                     for row in rows {
-                        self.exec_ops(txn, ops, signal, cond_rows, Some(row))?;
+                        self.exec_ops(ctx, ops, Some(row))?;
                     }
                 }
-                ActionOp::AbortWith { message } => {
+                Op::AbortWith { message } => {
                     return Err(HipacError::ConstraintViolation(message.clone()));
+                }
+                Op::Insert { class, values } => {
+                    let vals: Vec<Value> = values
+                        .iter()
+                        .map(|e| self.eval_expr(ctx, e, row_ctx))
+                        .collect::<Result<_>>()?;
+                    self.store.insert(ctx.txn, class, vals)?;
+                }
+                Op::UpdateWhere { query, assignments } => {
+                    let rows = self.evaluator.run_query(ctx.txn, query, ctx.signal)?;
+                    for row in rows {
+                        let mut assigned: Vec<(&str, Value)> =
+                            Vec::with_capacity(assignments.len());
+                        for (attr, expr) in assignments.iter() {
+                            // Assignments see the matched row's attributes.
+                            let v = self.eval_expr(ctx, expr, Some(&row))?;
+                            assigned.push((attr.as_str(), v));
+                        }
+                        self.store.update(ctx.txn, row.oid, &assigned)?;
+                    }
+                }
+                Op::DeleteWhere { query } => {
+                    let rows = self.evaluator.run_query(ctx.txn, query, ctx.signal)?;
+                    for row in rows {
+                        self.store.delete(ctx.txn, row.oid)?;
+                    }
                 }
             }
         }
@@ -1479,94 +1556,34 @@ impl RuleManager {
 
     /// Evaluate an action expression in the firing context: event
     /// parameters, the event's old/new images, and (inside
-    /// `ForEachRow`) the current row.
+    /// `ForEachRow` and `UpdateWhere`) the current row.
     fn eval_expr(
         &self,
-        txn: TxnId,
+        ctx: &ActionCtx<'_>,
         expr: &hipac_object::expr::Expr,
-        signal: &EventSignal,
-        row_ctx: Option<&hipac_object::query::Row>,
+        row_ctx: Option<&Row>,
     ) -> Result<Value> {
-        let schema = self.store.schema(txn);
-        let row_class = row_ctx.map(|r| r.class);
-        let delta_class = signal.db.as_ref().map(|d| d.class);
-        let resolved = expr.resolve_split(
-            &|name| match row_class {
-                Some(c) => schema.resolve_attr(c, name).map(|(s, _)| s),
-                None => Err(HipacError::EvalError(format!(
-                    "attribute {name} referenced outside a row context"
-                ))),
-            },
-            &|name| match delta_class {
-                Some(c) => schema.resolve_attr(c, name).map(|(s, _)| s),
-                None => Err(HipacError::EvalError(format!(
-                    "old/new.{name} referenced but the event carries no delta"
-                ))),
-            },
-        )?;
-        let ctx = Bindings {
-            row: row_ctx.map(|r| &r.values[..]),
-            old: signal.db.as_ref().and_then(|d| d.old.as_deref()),
-            new: signal.db.as_ref().and_then(|d| d.new.as_deref()),
-            params: Some(&signal.params),
-        };
-        resolved.eval(&ctx)
+        crate::compile::eval_expr(
+            expr,
+            ctx.compiled,
+            &|| self.store.schema(ctx.txn),
+            ctx.signal.db.as_deref(),
+            &ctx.signal.params,
+            row_ctx,
+        )
     }
 
     fn eval_args(
         &self,
-        txn: TxnId,
+        ctx: &ActionCtx<'_>,
         args: &[(String, hipac_object::expr::Expr)],
-        signal: &EventSignal,
-        row_ctx: Option<&hipac_object::query::Row>,
+        row_ctx: Option<&Row>,
     ) -> Result<HashMap<String, Value>> {
         let mut out = HashMap::with_capacity(args.len());
         for (name, expr) in args {
-            out.insert(name.clone(), self.eval_expr(txn, expr, signal, row_ctx)?);
+            out.insert(name.clone(), self.eval_expr(ctx, expr, row_ctx)?);
         }
         Ok(out)
-    }
-
-    fn exec_db_action(
-        &self,
-        txn: TxnId,
-        db: &DbAction,
-        signal: &EventSignal,
-        row_ctx: Option<&hipac_object::query::Row>,
-    ) -> Result<()> {
-        match db {
-            DbAction::Insert { class, values } => {
-                let vals: Vec<Value> = values
-                    .iter()
-                    .map(|e| self.eval_expr(txn, e, signal, row_ctx))
-                    .collect::<Result<_>>()?;
-                self.store.insert(txn, class, vals)?;
-                Ok(())
-            }
-            DbAction::UpdateWhere { query, assignments } => {
-                let query = self.evaluator.fold_delta(txn, query, signal)?;
-                let rows = self.store.query(txn, &query, Some(&signal.params))?;
-                for row in rows {
-                    let mut assigned: Vec<(&str, Value)> =
-                        Vec::with_capacity(assignments.len());
-                    for (attr, expr) in assignments {
-                        // Assignments see the matched row's attributes.
-                        let v = self.eval_expr(txn, expr, signal, Some(&row))?;
-                        assigned.push((attr.as_str(), v));
-                    }
-                    self.store.update(txn, row.oid, &assigned)?;
-                }
-                Ok(())
-            }
-            DbAction::DeleteWhere { query } => {
-                let query = self.evaluator.fold_delta(txn, query, signal)?;
-                let rows = self.store.query(txn, &query, Some(&signal.params))?;
-                for row in rows {
-                    self.store.delete(txn, row.oid)?;
-                }
-                Ok(())
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1576,7 +1593,9 @@ impl RuleManager {
     /// Retract catalog entries created by `txn` (its creation never
     /// committed).
     fn retract_created_by(&self, txn: TxnId) {
-        let dead = self.created_index.lock().remove(&txn).unwrap_or_default();
+        let Some(dead) = self.created_index.lock().remove(&txn) else {
+            return; // created nothing: nothing to retract, here or in the network
+        };
         let mut catalog = self.catalog.write();
         for rid in dead {
             // Only entries still attributed to this transaction: a
@@ -1685,13 +1704,14 @@ impl RuleManager {
         let (event, event_derived) = match &def.event {
             Some(spec) => (spec.clone(), false),
             None => (
-                Self::derive_event(&def).ok_or(HipacError::NoDerivableEvent(rid))?,
+                Self::derive_event(def.condition.iter().map(|q| q.query()))
+                    .ok_or(HipacError::NoDerivableEvent(rid))?,
                 true,
             ),
         };
         let schema = self.store.schema(txn);
         let mut condition_strategies = Vec::with_capacity(def.condition.len());
-        for q in &def.condition {
+        for q in def.condition.iter().map(|q| q.query()) {
             let strategy = if ConditionEvaluator::delta_answerable_shape(q) {
                 crate::trace::QueryStrategy::Delta
             } else {
@@ -1710,11 +1730,11 @@ impl RuleManager {
             enabled: def.enabled,
             event,
             event_derived,
-            placement: crate::network::placement(&def).to_string(),
+            placement: crate::network::placement_of(def.first_condition()).to_string(),
             condition_strategies,
             ec_coupling: def.ec_coupling,
             ca_coupling: def.ca_coupling,
-            action_ops: def.action.ops.len(),
+            action_ops: def.action.len(),
         })
     }
 }
@@ -1749,7 +1769,11 @@ where
     }
 }
 
-// Placeholder: ObjectId is used by condition.rs via re-export paths.
-const _: fn() = || {
-    let _ = std::mem::size_of::<ObjectId>();
-};
+/// What an action's operations evaluate against.
+struct ActionCtx<'a> {
+    txn: TxnId,
+    signal: &'a EventSignal,
+    /// The rule's expressions were compiled for this firing's context.
+    compiled: bool,
+    cond_rows: &'a [QueryResult],
+}

@@ -205,8 +205,8 @@ impl fmt::Display for Placement<'_> {
 /// Parse one conjunct as a literal link: `old.x ⟨cmp⟩ literal` /
 /// `new.x ⟨cmp⟩ literal` in either orientation, `cmp` one of `=`, `<`,
 /// `<=`, `>`, `>=`. This is the one definition of what counts as a
-/// guard. Pre-resolved slot forms are *not* links: their stored index
-/// could disagree with name resolution at evaluation time.
+/// guard. A compiled rule's resolved references read as their names:
+/// the network keys on attribute names and resolves them per probe.
 fn literal_link(e: &Expr) -> Option<Link<'_>> {
     let Expr::Binary(op, l, r) = e else {
         return None;
@@ -218,8 +218,8 @@ fn literal_link(e: &Expr) -> Option<Link<'_>> {
         _ => return None,
     };
     let (image, attr) = match side {
-        Expr::OldAttr(n) => (ImageRef::Old, n.as_str()),
-        Expr::NewAttr(n) => (ImageRef::New, n.as_str()),
+        Expr::OldAttr(n) | Expr::OldSlot(_, n) => (ImageRef::Old, n.as_str()),
+        Expr::NewAttr(n) | Expr::NewSlot(_, n) => (ImageRef::New, n.as_str()),
         _ => return None,
     };
     let op = match op {
@@ -238,11 +238,11 @@ fn literal_link(e: &Expr) -> Option<Link<'_>> {
     })
 }
 
-/// A rule's guard chain: its first condition query, when that has the
-/// delta-answerable shape, and the literal links its predicate opens
+/// A rule's guard chain: its first condition query `q0`, when that has
+/// the delta-answerable shape, and the literal links its predicate opens
 /// with, left to right up to the first conjunct of any other shape.
-fn guard_chain(def: &RuleDef) -> Option<(&Query, impl Iterator<Item = Link<'_>>)> {
-    let q0 = def.condition.first()?;
+fn guard_chain(q0: Option<&Query>) -> Option<(&Query, impl Iterator<Item = Link<'_>>)> {
+    let q0 = q0?;
     if !crate::condition::ConditionEvaluator::delta_answerable_shape(q0) {
         return None;
     }
@@ -255,7 +255,12 @@ fn guard_chain(def: &RuleDef) -> Option<(&Query, impl Iterator<Item = Link<'_>>)
 /// is empty. Deterministic, so placing and removing a rule derive the
 /// same answer from the same definition.
 pub fn placement(def: &RuleDef) -> Placement<'_> {
-    let Some((q0, mut chain)) = guard_chain(def) else {
+    placement_of(def.condition.first())
+}
+
+/// [`placement`] from a rule's first condition query.
+pub(crate) fn placement_of(q0: Option<&Query>) -> Placement<'_> {
+    let Some((q0, mut chain)) = guard_chain(q0) else {
         return Placement::Residual;
     };
     let Some(indexed) = chain.next() else {
@@ -286,7 +291,9 @@ fn flip(op: BinOp) -> BinOp {
 
 fn collect_attr_names<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
     match e {
-        Expr::OldAttr(n) | Expr::NewAttr(n) => out.push(n),
+        Expr::OldAttr(n) | Expr::NewAttr(n) | Expr::OldSlot(_, n) | Expr::NewSlot(_, n) => {
+            out.push(n)
+        }
         Expr::Unary(_, x) => collect_attr_names(x, out),
         Expr::Binary(_, l, r) => {
             collect_attr_names(l, out);
@@ -521,21 +528,29 @@ impl MatchNetwork {
     /// A definition change committed at top level: take the rule out
     /// of the placement its `old` committed definition derives (`None`
     /// = it had none), then place it per its `new` one (`None` =
-    /// deleted). `old_event` / `new_event` come from the catalog
-    /// rewiring.
-    pub fn commit_change(
+    /// deleted). Each definition is given by its first condition query
+    /// (`Some(None)`: a rule without conditions). `old_event` /
+    /// `new_event` come from the catalog rewiring.
+    pub(crate) fn commit_change(
         &self,
         old_event: EventId,
         new_event: EventId,
         rid: RuleId,
-        old: Option<&RuleDef>,
-        new: Option<&RuleDef>,
+        old: Option<Option<&Query>>,
+        new: Option<Option<&Query>>,
     ) {
         let mut inner = self.inner.write();
         self.remove_rule(&mut inner.nodes, old_event, rid, old);
-        if let Some(def) = new {
-            self.place_rule(&mut inner.nodes, new_event, rid, def);
+        if let Some(q0) = new {
+            self.place_rule(&mut inner.nodes, new_event, rid, q0);
         }
+    }
+
+    /// Does the top transaction `top` own an unstable mark (a rule it
+    /// created, or one whose definition it changed)?
+    pub fn owns_marks(&self, top: TxnId) -> bool {
+        let inner = self.inner.read();
+        inner.created.contains_key(&top) || inner.pending.contains_key(&top)
     }
 
     /// Drop the marks owned by a finished top transaction that no
@@ -554,7 +569,7 @@ impl MatchNetwork {
     /// placement share this path).
     pub fn place_committed(&self, event: EventId, rid: RuleId, def: &RuleDef) {
         let mut inner = self.inner.write();
-        self.place_rule(&mut inner.nodes, event, rid, def);
+        self.place_rule(&mut inner.nodes, event, rid, def.condition.first());
     }
 
     /// Resolve the candidate set for one signal: residual ∪ unstable ∪
@@ -704,7 +719,7 @@ impl MatchNetwork {
         nodes: &mut IdMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
-        def: &RuleDef,
+        q0: Option<&Query>,
     ) {
         let mut delta: u64 = 0;
         let node = self.node_mut(nodes, event);
@@ -715,7 +730,7 @@ impl MatchNetwork {
             indexed,
             checked,
             ref_attrs,
-        } = placement(def)
+        } = placement_of(q0)
         else {
             node.residual.insert(rid);
             return;
@@ -786,15 +801,15 @@ impl MatchNetwork {
         nodes: &mut IdMap<EventId, TypeNode>,
         event: EventId,
         rid: RuleId,
-        def: Option<&RuleDef>,
+        def: Option<Option<&Query>>,
     ) {
         let Some(node) = nodes.get_mut(&event) else {
             return;
         };
         let mut delta: u64 = 0;
         node.unstable.remove(&rid);
-        if let (true, Some(def)) = (node.placed.remove(&rid), def) {
-            match placement(def) {
+        if let (true, Some(q0)) = (node.placed.remove(&rid), def) {
+            match placement_of(q0) {
                 Placement::Residual => {
                     node.residual.remove(&rid);
                 }

@@ -1249,3 +1249,29 @@ fn firing_gate_suppresses_and_restores_rule_firing() {
         .unwrap();
     assert_eq!(e.log.lock().len(), 1, "reopened gate fires normally");
 }
+
+#[test]
+fn empty_child_commit_leaves_rules_unchanged() {
+    let e = engine();
+    e.tm.run_top(|t| {
+        e.rules
+            .create_rule(
+                t,
+                xerox_rule(CouplingMode::Immediate, CouplingMode::Immediate),
+            )
+            .map(|_| ())
+    })
+    .unwrap();
+    let t = e.tm.begin();
+    let event = e.rules.rule_event(t, "buy-xerox").unwrap();
+    let before = (e.rules.rule_count(t), e.rules.match_index_nodes());
+    let child = e.tm.begin_child(t).unwrap();
+    e.tm.commit(child).unwrap();
+    let child = e.tm.begin_child(t).unwrap();
+    e.tm.abort(child).unwrap();
+    e.tm.commit(t).unwrap();
+    let t = e.tm.begin();
+    assert_eq!((e.rules.rule_count(t), e.rules.match_index_nodes()), before);
+    assert_eq!(e.rules.rule_event(t, "buy-xerox").unwrap(), event);
+    e.tm.abort(t).unwrap();
+}

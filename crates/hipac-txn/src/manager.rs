@@ -140,7 +140,7 @@ impl TransactionManager {
     /// children. If a `before_commit` hook (deferred rule processing)
     /// fails, the transaction is aborted and the hook's error returned.
     pub fn commit(&self, txn: TxnId) -> Result<()> {
-        if !self.tree.active_children(txn)?.is_empty() {
+        if self.tree.has_live_child(txn)? {
             return Err(HipacError::InvalidTxnState {
                 txn,
                 state: "has active subtransactions",
@@ -175,7 +175,7 @@ impl TransactionManager {
             }
         }
         // Hook-created subtransactions must have terminated.
-        if !self.tree.active_children(txn)?.is_empty() {
+        if self.tree.has_live_child(txn)? {
             self.tree.set_state(txn, TxnState::Active)?;
             self.abort(txn)?;
             return Err(HipacError::internal(

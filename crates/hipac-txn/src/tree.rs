@@ -201,6 +201,13 @@ impl TxnTree {
             .collect())
     }
 
+    /// Does `txn` have a child that is still `Active` or `Committing`?
+    pub fn has_live_child(&self, txn: TxnId) -> Result<bool> {
+        let txns = self.txns.read();
+        let meta = txns.get(&txn).ok_or(HipacError::UnknownTxn(txn))?;
+        Ok(meta.children.iter().any(|c| is_live(&txns, *c)))
+    }
+
     /// `txn`'s state, and whether it is suspended (has a child that is
     /// still `Active` or `Committing`), read under one lock.
     pub fn state_and_suspended(&self, txn: TxnId) -> Result<(TxnState, bool)> {

@@ -161,9 +161,33 @@ impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> VersionStore<K, V
         inner.generation += 1;
     }
 
+    /// Replace the committed version of `key` with an equivalent one —
+    /// the same value in a form derived from a later state of another
+    /// store (a rule recompiled for a newer catalog). `f` sees the
+    /// committed value and may swap it; the generation does not move,
+    /// since the committed state means the same.
+    pub fn refresh_committed(&self, key: &K, f: impl FnOnce(&mut V)) {
+        if let Some(v) = self.inner.write().committed.get_mut(key) {
+            f(v);
+        }
+    }
+
+    /// Does `txn` have a pending layer? Only `txn`'s own commit or
+    /// abort removes its layer, and only `txn` (or, once it committed,
+    /// a child folding into it) adds one, so the answer holds for the
+    /// caller committing or aborting `txn`.
+    fn has_layer(&self, txn: TxnId) -> bool {
+        let inner = self.inner.read();
+        !inner.pending.is_empty() && inner.pending.contains_key(&txn)
+    }
+
     /// Fold `txn`'s pending layer into `parent`'s (subtransaction
-    /// commit).
+    /// commit). A transaction that wrote nothing here takes no write
+    /// lock.
     pub fn commit_into_parent(&self, txn: TxnId, parent: TxnId) {
+        if !self.has_layer(txn) {
+            return;
+        }
         let mut inner = self.inner.write();
         if let Some(layer) = inner.pending.remove(&txn) {
             let parent_layer = inner.pending.entry(parent).or_default();
@@ -179,8 +203,11 @@ impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> VersionStore<K, V
     /// of an absent key are omitted.
     #[allow(clippy::type_complexity)]
     pub fn commit_top(&self, txn: TxnId) -> Vec<(K, Option<V>, Option<V>)> {
-        let mut inner = self.inner.write();
         let mut changes = Vec::new();
+        if !self.has_layer(txn) {
+            return changes;
+        }
+        let mut inner = self.inner.write();
         if let Some(layer) = inner.pending.remove(&txn) {
             inner.generation += 1;
             for (k, v) in layer {
@@ -204,7 +231,9 @@ impl<K: Eq + Hash + Clone, V: Clone, S: BuildHasher + Default> VersionStore<K, V
     /// discarded by their own aborts, which the transaction manager
     /// drives top-down.
     pub fn abort(&self, txn: TxnId) {
-        self.inner.write().pending.remove(&txn);
+        if self.has_layer(txn) {
+            self.inner.write().pending.remove(&txn);
+        }
     }
 
     /// Visit every key/value pair visible to `txn`. Order unspecified.
@@ -441,6 +470,38 @@ mod tests {
         assert_eq!(vs.generation(), g2, "an abort changes nothing committed");
         vs.commit_top(tree.begin_top());
         assert_eq!(vs.generation(), g2, "an empty commit changes nothing");
+    }
+
+    #[test]
+    fn empty_child_commit_leaves_state_and_generation_unchanged() {
+        let (tree, vs) = setup();
+        vs.put_committed("x", 1);
+        let t = tree.begin_top();
+        vs.put(t, "y", 2);
+        let g = vs.generation();
+        let c = tree.begin_child(t).unwrap();
+        vs.commit_into_parent(c, t);
+        assert_eq!(vs.generation(), g);
+        assert_eq!(vs.get(t, &"y"), Some(2), "the parent's layer is untouched");
+        assert_eq!(vs.committed_generation(t), None);
+        let empty = tree.begin_child(t).unwrap();
+        vs.abort(empty);
+        assert_eq!(vs.get(t, &"y"), Some(2));
+        assert!(vs.commit_top(tree.begin_top()).is_empty());
+        assert_eq!(vs.generation(), g);
+        assert_eq!(vs.get_committed(&"x"), Some(1));
+    }
+
+    #[test]
+    fn refresh_committed_keeps_the_generation() {
+        let (_tree, vs) = setup();
+        vs.put_committed("x", 1);
+        let g = vs.generation();
+        vs.refresh_committed(&"x", |v| *v = 10);
+        vs.refresh_committed(&"absent", |v| *v = 99);
+        assert_eq!(vs.get_committed(&"x"), Some(10));
+        assert_eq!(vs.get_committed(&"absent"), None);
+        assert_eq!(vs.generation(), g);
     }
 
     #[test]

@@ -14,6 +14,10 @@ cargo test -q --no-fail-fast
 echo "==> matching differential suite (naive vs network)"
 cargo test -q -p hipac --test matching_diff
 
+echo "==> compiled-rule differential suite (compiled against freshly resolved firing: results, errors, state and lock history over swept seeds, with a class recreated with reordered attributes, subclass events, a class created and fired on before commit, :param and new.x probes)"
+cargo test -q -p hipac --test compiled_firing
+cargo test -q -p hipac-rules --test rule_manager_tests empty_child_commit_leaves_rules_unchanged
+
 echo "==> discrimination-network property suite (guard-chain prune soundness, compiled probe against the definition oracle, removal by derivation), the chain prune count, durable reopen and explained placement"
 # match_properties includes compiled_probe_matches_the_definition_oracle
 # and removal_derives_from_the_old_definition.
@@ -29,6 +33,10 @@ cargo test -q -p hipac-txn --test lock_torture
 cargo test -q -p crossbeam --lib full_bounded_send_blocks_until_a_recv_frees_room
 cargo test -q -p hipac-common --lib idhash
 cargo test -q -p hipac-object --lib lock_key
+# A commit takes no store write lock for a transaction that wrote
+# nothing there, and leaves the generation alone.
+cargo test -q -p hipac-txn --lib empty_child_commit_leaves_state_and_generation_unchanged
+cargo test -q -p hipac-txn --lib refresh_committed_keeps_the_generation
 
 echo "==> wire and record codecs: golden bytes, hostile decode, rule and catalog codecs, the WAL frame"
 # wire_golden pins the bytes of every frame, reply-journal, rule and
@@ -48,7 +56,9 @@ echo "==> firing-, read- and write-path allocation counts (2 000-rule wall: allo
 # durable_reopen_yields_*, catalog_reader_racing_ddl_commits_never_goes_back
 # (the catalog) and a_row_read_before_an_update_keeps_its_old_values,
 # reads_of_an_unchanged_row_share_one_allocation,
-# aborts_and_child_commits_leave_the_committed_version_in_place (rows).
+# aborts_and_child_commits_leave_the_committed_version_in_place (rows),
+# prepared_query_reprepares_after_ddl (prepared queries) and
+# empty_child_commit_leaves_state_and_generation_unchanged.
 cargo test -q -p hipac --test firing_alloc
 cargo test -q -p hipac --test read_alloc
 cargo test -q -p hipac --test write_alloc

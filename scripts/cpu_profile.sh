@@ -3,6 +3,15 @@
 # have no `perf`.
 #
 #   scripts/cpu_profile.sh <workload> <seed> <seconds> [top-n]
+#       [--callees <fn>[,<fn>...]] [--thread <substring>]
+#
+# --callees prints, for each named function (a full path or its last
+# `::` segments, e.g. `ConditionEvaluator::evaluate`), the share of
+# samples under it and how they split over its direct callees (inlined
+# frames count as callees; "(self)" is time in the function itself).
+# --thread keeps only the samples of threads whose label contains the
+# substring (e.g. `hipac-perf`, `hipac-rules-worker`); every table,
+# percentages included, is then over those samples alone.
 #
 # Builds bench/ with frame pointers and debug info into a target
 # directory of its own (target/cpu-profile/build; bench/ is not
@@ -40,11 +49,25 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-usage="usage: scripts/cpu_profile.sh <workload> <seed> <seconds> [top-n]"
+usage="usage: scripts/cpu_profile.sh <workload> <seed> <seconds> [top-n] [--callees f,g] [--thread s]"
 workload=${1:?$usage}
 seed=${2:?$usage}
 seconds=${3:?$usage}
-top=${4:-25}
+shift 3
+top=25
+if [[ $# -gt 0 && $1 != --* ]]; then
+    top=$1
+    shift
+fi
+callees=""
+thread=""
+while [[ $# -gt 0 ]]; do
+    case $1 in
+        --callees) callees=${2:?$usage}; shift 2 ;;
+        --thread) thread=${2:?$usage}; shift 2 ;;
+        *) echo "$usage" >&2; exit 2 ;;
+    esac
+done
 work=target/cpu-profile
 mkdir -p "$work/data"
 
@@ -167,10 +190,12 @@ CPU_PROFILE_OUT="$samples" LD_PRELOAD="$PWD/$work/sampler.so" HIPAC_BENCH_DIR="$
     --seed "$seed" --seconds "$seconds" --trace 0 | tail -1 > "$work/$workload-$seed.json"
 cat "$work/$workload-$seed.json"
 
-python3 - "$samples" "$bin" "$top" <<'EOF'
+python3 - "$samples" "$bin" "$top" "$callees" "$thread" <<'EOF'
 import bisect, collections, os, re, struct, subprocess, sys
 
 samples_path, binary, top = sys.argv[1], os.path.realpath(sys.argv[2]), int(sys.argv[3])
+callee_of = [f for f in sys.argv[4].split(",") if f]
+thread_filter = sys.argv[5]
 maps = []
 for line in open(samples_path + ".maps"):
     parts = line.split()
@@ -195,6 +220,10 @@ for name, tid, _ in raw:
 def label(name, tid):
     return "%s/%d" % (name, tid) if len(tids[name]) > 1 else re.sub(r"-\d+$", "-N", name)
 stacks = [(label(name, tid), pcs) for name, tid, pcs in raw]
+if thread_filter:
+    stacks = [(t, pcs) for t, pcs in stacks if thread_filter in t]
+    raw = [r for r in raw if thread_filter in label(r[0], r[1])]
+    print("\n(threads matching %r only)" % thread_filter)
 
 # The file offset -> virtual address delta: VirtAddr - Offset of the
 # binary's executable ("R E") LOAD segment.
@@ -277,6 +306,24 @@ table("samples outside the binary, by thread (their callers are lost: no frame p
 for thread, c in thread_c.most_common():
     if c * 50 >= total:
         table("self on thread %s" % thread, thread_self[thread], 8)
+
+# Callees: in each sample's leaf-first list of function names, the
+# outermost frame of the function and the name just below it.
+def named(name, want):
+    return name == want or name.endswith("::" + want)
+for want in callee_of:
+    under, below = 0, collections.Counter()
+    for _, fr in frames:
+        flat = [n for fm in fr for n in chain(fm)]
+        hits = [i for i, n in enumerate(flat) if named(n, want)]
+        if not hits:
+            continue
+        under += 1
+        i = hits[-1]
+        below[flat[i - 1] if i > 0 else "(self)"] += 1
+    print("\n== callees of %s: %.1f%% of samples (%d) ==" % (want, 100.0 * under / total, under))
+    for key, c in below.most_common(top):
+        print("%6.1f%% %7d  %s" % (100.0 * c / total, c, key))
 
 # libc samples by the nearest exported symbol at or below each one.
 def libc_class(sym):
