@@ -608,9 +608,6 @@ pub struct GroupCrashMatrixReport {
     pub postfsync_recovered: usize,
 }
 
-/// Extra keys in [`group_burst`]'s plug batch (see there).
-const PLUG_FILLER: usize = 2_000;
-
 fn group_store_key(i: usize) -> Vec<u8> {
     format!("gk{i:04}").into_bytes()
 }
@@ -619,16 +616,12 @@ fn open_group_store(
     dir: &std::path::Path,
     faults: Arc<FaultPolicy>,
 ) -> Arc<hipac_storage::DurableStore> {
-    let store = Arc::new(
+    // Group commit is on, with no straggler window: `group_burst` queues
+    // the whole cohort before any member can lead a flush.
+    Arc::new(
         hipac_storage::DurableStore::open_with_faults(dir, 1024, u64::MAX, faults)
             .expect("open group store"),
-    );
-    // A wide straggler window plus the barrier in `group_burst` makes
-    // cohort formation deterministic: the leader only flushes once
-    // every live committer is queued (or 100ms pass, which no healthy
-    // thread needs to reach its enqueue).
-    store.set_group_commit(true, Duration::from_millis(100));
-    store
+    )
 }
 
 /// Commit `committers` single-Put batches from as many threads so
@@ -637,13 +630,11 @@ fn open_group_store(
 /// A barrier alone cannot do that: the first thread released may run
 /// its whole commit before any other is scheduled, and the
 /// degenerate-to-immediate window (`queued >= committers`) then
-/// flushes a cohort of one. So a *plug* commit goes first: members
-/// spin until the plug's WAL append crosses the fault policy — at
-/// which point the plug holds the flush mutex and is headed into its
-/// fsync and a long apply — then all enter `commit`. Each member registers on
-/// the committers gauge before queuing, so whichever member leads
-/// after the plug releases waits out the straggler window until every
-/// member is queued.
+/// flushes a cohort of one. So a *plug* commit goes first, and the
+/// fault policy holds it at its `GroupWake` — past its fsync, with the
+/// flush mutex held — while the members enter `commit`. The plug is
+/// released only once the store reports every member queued, so
+/// whichever member leads after it drains the whole cohort at once.
 ///
 /// Returns `(plug_outcome, member_outcomes)`.
 #[allow(clippy::type_complexity)]
@@ -656,44 +647,37 @@ fn group_burst(
     std::result::Result<(), hipac_common::HipacError>,
     Vec<std::result::Result<(), hipac_common::HipacError>>,
 ) {
-    let hits_before = faults.hits();
-    let barrier = Arc::new(std::sync::Barrier::new(committers + 1));
-    let mut joins = Vec::new();
-    for i in 0..committers {
-        let store = Arc::clone(store);
-        let barrier = Arc::clone(&barrier);
-        let faults = Arc::clone(faults);
-        joins.push(std::thread::spawn(move || {
-            let ops = vec![hipac_storage::StoreOp::Put {
-                key: group_store_key(i),
-                value: seed.to_le_bytes().to_vec(),
-            }];
-            barrier.wait();
-            while faults.hits() == hits_before {
-                std::thread::yield_now();
-            }
-            store.commit(TxnId(1000 + i as u64), ops)
-        }));
-    }
+    use hipac_storage::fault::FaultPoint;
+
+    let put = |key: Vec<u8>| {
+        vec![hipac_storage::StoreOp::Put {
+            key,
+            value: seed.to_le_bytes().to_vec(),
+        }]
+    };
+    faults.hold_next(FaultPoint::GroupWake);
     let plug = {
         let store = Arc::clone(store);
-        let barrier = Arc::clone(&barrier);
-        std::thread::spawn(move || {
-            // The plug is a *big* batch: applying it keeps the flush mutex
-            // held for tens of milliseconds after the append the members
-            // are watching for, instead of one fsync's worth — room for
-            // every member to reach its enqueue even on a loaded runner.
-            let ops: Vec<_> = std::iter::once(b"gplug".to_vec())
-                .chain((0..PLUG_FILLER).map(|n| format!("gplug{n:05}").into_bytes()))
-                .map(|key| hipac_storage::StoreOp::Put {
-                    key,
-                    value: seed.to_le_bytes().to_vec(),
-                })
-                .collect();
-            barrier.wait();
-            store.commit(TxnId(999), ops)
-        })
+        let ops = put(b"gplug".to_vec());
+        std::thread::spawn(move || store.commit(TxnId(999), ops))
     };
+    while !faults.is_holding() && !plug.is_finished() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let joins: Vec<_> = (0..committers)
+        .map(|i| {
+            let store = Arc::clone(store);
+            let ops = put(group_store_key(i));
+            std::thread::spawn(move || store.commit(TxnId(1000 + i as u64), ops))
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while store.group_commit_queued() < committers && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let queued = store.group_commit_queued();
+    faults.release();
+    assert_eq!(queued, committers, "the cohort never queued");
     let plug_result = plug.join().expect("plug committer panicked");
     let member_results = joins
         .into_iter()
@@ -780,7 +764,7 @@ pub fn run_group_crash_matrix(seed: u64, committers: usize) -> GroupCrashMatrixR
         let stats = store.group_commit_stats();
         assert_eq!(
             stats.largest_group, committers as u64,
-            "calibration cohort split; widen the straggler window"
+            "calibration cohort split"
         );
         let log = faults.log();
         let wake = log

@@ -468,11 +468,22 @@ impl BTree {
 
     /// Look up `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.with_value(key, |value| value.map(<[u8]>::to_vec))
+    }
+
+    /// Whether the tree holds `key` (a [`BTree::get`] that copies
+    /// nothing).
+    pub fn contains_key(&self, key: &[u8]) -> Result<bool> {
+        self.with_value(key, |value| value.is_some())
+    }
+
+    /// Hand `key`'s value, read in place in its leaf, to `f`.
+    fn with_value<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R> {
         let root = self.root.read();
         let leaf = Self::find_leaf(&self.pool, *root, key)?;
         let guard = leaf.read();
         let view = NodeView::parse(node_bytes(&guard, leaf.id())?)?;
-        Ok(view.seek(key)?.value.map(<[u8]>::to_vec))
+        Ok(f(view.seek(key)?.value))
     }
 
     /// Insert or replace `key`; returns the previous value, if any.

@@ -16,6 +16,11 @@
 //! the pool if none of them can go; the next misses keep sweeping until
 //! the pool is back under capacity. A miss therefore costs the same
 //! whether ten frames are dirty or ten thousand.
+//!
+//! The pool's owner may hold part of the capacity back for memory it
+//! keeps beside the pool ([`BufferPool::reserve`]): the durable store
+//! reserves its memtable's size, the room its dirty pages took when
+//! commits still wrote pages.
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
@@ -110,6 +115,8 @@ pub enum EvictionPolicy {
 pub struct BufferPool {
     disk: Arc<DiskManager>,
     capacity: usize,
+    /// Pages of `capacity` held back by [`BufferPool::reserve`].
+    reserved: AtomicUsize,
     policy: EvictionPolicy,
     inner: Mutex<PoolInner>,
     hits: AtomicU64,
@@ -133,6 +140,7 @@ impl BufferPool {
         BufferPool {
             disk,
             capacity: capacity.max(1),
+            reserved: AtomicUsize::new(0),
             policy,
             inner: Mutex::new(PoolInner {
                 frames: HashMap::new(),
@@ -195,9 +203,25 @@ impl BufferPool {
         PageRef { frame }
     }
 
+    /// Hold `pages` of the capacity back, and evict (sweeping as a miss
+    /// does) toward what is left.
+    pub fn reserve(&self, pages: usize) -> Result<()> {
+        self.reserved.store(pages, Ordering::Relaxed);
+        self.evict_if_full(&mut self.inner.lock())
+    }
+
+    /// Pages currently held back by [`BufferPool::reserve`].
+    pub fn reserved(&self) -> usize {
+        self.reserved.load(Ordering::Relaxed)
+    }
+
     fn evict_if_full(&self, inner: &mut PoolInner) -> Result<()> {
+        let limit = self
+            .capacity
+            .saturating_sub(self.reserved.load(Ordering::Relaxed))
+            .max(1);
         let mut examined = 0;
-        while inner.frames.len() >= self.capacity && examined < SWEEP {
+        while inner.frames.len() >= limit && examined < SWEEP {
             let Some(id) = inner.queue.pop_front() else {
                 break;
             };
@@ -308,6 +332,27 @@ mod tests {
             let p = pool.fetch(*id).unwrap();
             assert_eq!(p.read().get_u64(0), i as u64 * 100, "page {id}");
         }
+    }
+
+    #[test]
+    fn a_reservation_shrinks_the_pool_and_its_release_regrows_it() {
+        let pool = pool("reserve", 16);
+        let ids: Vec<PageId> = (0..16).map(|_| pool.new_page().unwrap().id()).collect();
+        pool.flush_all().unwrap();
+        for id in &ids {
+            pool.fetch(*id).unwrap();
+        }
+        assert!(pool.buffered_pages() >= 15);
+        // Each call sweeps as one miss does; a few bring it down.
+        for _ in 0..4 {
+            pool.reserve(12).unwrap();
+        }
+        assert!(pool.buffered_pages() < 4, "{} pages", pool.buffered_pages());
+        pool.reserve(0).unwrap();
+        for id in &ids {
+            pool.fetch(*id).unwrap();
+        }
+        assert!(pool.buffered_pages() >= 15);
     }
 
     #[test]

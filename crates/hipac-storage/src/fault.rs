@@ -15,6 +15,12 @@
 //!   reaches the file before the "crash", exercising the torn-tail
 //!   truncation path in [`crate::wal::Wal::open`].
 //!
+//! A test policy can also *hold* a point ([`FaultPolicy::hold_next`]):
+//! the next thread to cross it parks there until released, which lets
+//! a test order other threads against a precise place on the commit
+//! path (the group crash matrix gathers a whole cohort behind a held
+//! commit this way).
+//!
 //! A fired crash is sticky: every subsequent fault-point hit on the
 //! same policy also errors, so a "dead" store cannot keep mutating
 //! disk state — exactly like a killed process. Recovery is then tested
@@ -30,7 +36,7 @@
 
 use hipac_common::{HipacError, Result};
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
 /// A named point on the storage I/O path where a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,8 +61,8 @@ pub enum FaultPoint {
     /// Before an `fsync` of the store's parent directory (file
     /// creation and checkpoint rename durability).
     DirSync,
-    /// `DurableStore::commit`, before each logged operation is applied
-    /// to the heap/index.
+    /// `DurableStore::commit`, before each logged operation is staged
+    /// in the memtable.
     StoreApply,
     /// Group commit only: after the cohort's single fsync, before any
     /// waiter is woken. A crash here is the "durable but unacked" window
@@ -81,6 +87,15 @@ struct State {
     rng: u64,
 }
 
+/// A [`FaultPolicy::hold_next`] gate.
+#[derive(Default)]
+struct Hold {
+    /// The point whose next crossing parks its thread.
+    armed: Option<FaultPoint>,
+    /// A thread is parked at the armed point.
+    parked: bool,
+}
+
 /// A shared, thread-safe fault-injection policy. Thread one through
 /// [`crate::DurableStore::open_with_faults`] (which forwards it to its
 /// `DiskManager` and `Wal`) to make every durability step observable
@@ -89,6 +104,8 @@ pub struct FaultPolicy {
     plan: Plan,
     enabled: bool,
     state: Mutex<State>,
+    hold: StdMutex<Hold>,
+    released: Condvar,
 }
 
 impl FaultPolicy {
@@ -103,6 +120,8 @@ impl FaultPolicy {
                 // xorshift64 must not start at 0.
                 rng: seed | 1,
             }),
+            hold: StdMutex::new(Hold::default()),
+            released: Condvar::new(),
         })
     }
 
@@ -144,6 +163,39 @@ impl FaultPolicy {
     /// ignores it — only a test policy can crash.
     pub fn crash_now(&self) {
         self.state.lock().crashed = true;
+    }
+
+    /// Park the next thread that crosses `point` — after its hit is
+    /// counted and only if it does not crash there — until
+    /// [`FaultPolicy::release`]. The no-op [`FaultPolicy::none`] never
+    /// parks anyone.
+    pub fn hold_next(&self, point: FaultPoint) {
+        self.hold.lock().expect("hold mutex poisoned").armed = Some(point);
+    }
+
+    /// Whether a thread is parked at the held point.
+    pub fn is_holding(&self) -> bool {
+        self.hold.lock().expect("hold mutex poisoned").parked
+    }
+
+    /// Let the parked thread (if any) go on, and disarm the hold.
+    pub fn release(&self) {
+        let mut hold = self.hold.lock().expect("hold mutex poisoned");
+        hold.armed = None;
+        hold.parked = false;
+        self.released.notify_all();
+    }
+
+    fn park_if_held(&self, point: FaultPoint) {
+        let mut hold = self.hold.lock().expect("hold mutex poisoned");
+        if hold.armed != Some(point) {
+            return;
+        }
+        hold.armed = None;
+        hold.parked = true;
+        while hold.parked {
+            hold = self.released.wait(hold).expect("hold mutex poisoned");
+        }
     }
 
     /// The error an injected crash surfaces as.
@@ -197,6 +249,8 @@ impl FaultPolicy {
                 return Err(Self::crash_error(point));
             }
         }
+        drop(s);
+        self.park_if_held(point);
         Ok(None)
     }
 }
@@ -256,6 +310,27 @@ mod tests {
         let inert = FaultPolicy::none();
         inert.crash_now();
         inert.hit(FaultPoint::WalSync).unwrap();
+    }
+
+    #[test]
+    fn hold_parks_the_next_crossing_until_released() {
+        let p = FaultPolicy::count_only();
+        p.hold_next(FaultPoint::WalSync);
+        p.hit(FaultPoint::WalAppend).unwrap();
+        assert!(!p.is_holding());
+        let parked = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.hit(FaultPoint::WalSync))
+        };
+        while !p.is_holding() {
+            std::thread::yield_now();
+        }
+        assert_eq!(p.hits(), 2, "the held hit is counted before it parks");
+        p.release();
+        parked.join().unwrap().unwrap();
+        // One-shot: the next crossing goes straight through.
+        p.hit(FaultPoint::WalSync).unwrap();
+        assert!(!p.is_holding());
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`wal`] — a checksummed append-only write-ahead log;
 //! * [`store`] — [`store::DurableStore`], the logical key→bytes store
 //!   the Object Manager persists into, with redo-only commit logging,
-//!   streaming shadow checkpoints and crash recovery;
+//!   committed changes kept in a memtable until the streaming shadow
+//!   checkpoint writes them, and crash recovery;
 //! * [`journal`] — the crash-safe reply journal and push-outbox key
 //!   space that keeps the network layer's exactly-once window durable
 //!   across restarts.
@@ -30,6 +31,7 @@ pub mod disk;
 pub mod fault;
 pub mod heap;
 pub mod journal;
+mod memtable;
 pub mod page;
 pub mod slotted;
 pub mod store;

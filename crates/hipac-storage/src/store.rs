@@ -5,26 +5,36 @@
 //!
 //! * **Redo-only commit logging.** Only committed top-level transactions
 //!   reach the store, as an atomic batch of [`StoreOp`]s. A batch is
-//!   appended to the WAL (`Begin … Commit`) and fsynced *before* being
-//!   applied to the heap/index, so a crash at any point loses nothing
-//!   committed and applies nothing uncommitted. The append writes into
-//!   zeros the log has already allocated ahead of its end (see
-//!   [`crate::wal`]), so that fsync writes data blocks only, not the
-//!   file's size and extents.
-//! * **No-steal buffering.** The buffer pool never evicts dirty pages
-//!   ([`EvictionPolicy::CleanOnly`]), so the data file always holds
-//!   exactly the last checkpoint's state.
-//! * **Shadow checkpoints.** A checkpoint rewrites all live data into a
-//!   fresh file, fsyncs it, atomically renames it over the old file and
-//!   only then truncates the WAL. A crash anywhere in that sequence
-//!   leaves either (old file + full WAL) or (new file + replayable WAL),
-//!   both of which recover to the same state because replay is
-//!   idempotent (last-writer-wins upserts). The rewrite is one streaming
-//!   pass in key order: values are appended to a fresh heap and the
-//!   index is bulk-loaded behind them. The shadow file means nothing
-//!   until the rename, so its (small, [`EvictionPolicy::WriteBack`])
-//!   pool steals freely — stolen pages in a `data.db.tmp` that a crash
-//!   leaves behind are discarded with it at the next open.
+//!   appended to the WAL (`Begin … Commit`) and fsynced *before* it is
+//!   staged in memory, so a crash at any point loses nothing committed
+//!   and applies nothing uncommitted. The append writes into zeros the
+//!   log has already allocated ahead of its end (see [`crate::wal`]), so
+//!   that fsync writes data blocks only, not the file's size and
+//!   extents.
+//! * **Committed changes wait in a memtable.** A commit writes no page:
+//!   each op goes into an in-memory, key-ordered table of the changes
+//!   since the last checkpoint — a value or a tombstone per key — and
+//!   recovery's replay rebuilds that table from the log. The data file
+//!   (heap plus B+tree, the *image*) therefore holds exactly the last
+//!   checkpoint's state, and every read merges the memtable over it.
+//!   Two rules keep the table small: a key put and deleted again while
+//!   the image does not hold it leaves no entry (reply-journal and
+//!   outbox rows are born and die within a cycle), and an entry is one
+//!   allocation.
+//! * **Shadow checkpoints.** A checkpoint rewrites all live data — the
+//!   image with the memtable merged over it — into a fresh file, fsyncs
+//!   it, atomically renames it over the old file and only then
+//!   truncates the WAL and empties the memtable. A crash anywhere in
+//!   that sequence leaves either (old file + full WAL) or (new file +
+//!   replayable WAL), both of which recover to the same state because
+//!   replay is idempotent (last-writer-wins upserts). The rewrite is one
+//!   streaming pass in key order: values are appended to a fresh heap
+//!   and the index is bulk-loaded behind them. The shadow file means
+//!   nothing until the rename, so its (small,
+//!   [`EvictionPolicy::WriteBack`]) pool steals freely — stolen pages
+//!   in a `data.db.tmp` that a crash leaves behind are discarded with
+//!   it at the next open. The image's own pool is never written
+//!   ([`EvictionPolicy::CleanOnly`]).
 //!
 //! Values of any size are supported by chunking across heap records.
 
@@ -33,7 +43,8 @@ use crate::buffer::{BufferPool, EvictionPolicy};
 use crate::disk::{sync_dir, DiskManager};
 use crate::fault::{FaultPoint, FaultPolicy};
 use crate::heap::{HeapFile, RecordId};
-use crate::page::PageId;
+use crate::memtable::{Live, Memtable, Merge};
+use crate::page::{PageId, PAGE_SIZE};
 use crate::wal::{TailRead, TailTruncate, Wal, WalRecord};
 use hipac_common::{HipacError, Result, TxnId};
 use parking_lot::Mutex;
@@ -147,12 +158,21 @@ hipac_common::wire_enum! {
     }
 }
 
+impl StoreOp {
+    /// The key this operation writes.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            StoreOp::Put { key, .. } | StoreOp::Delete { key } => key,
+        }
+    }
+}
+
+/// The data file as of the last checkpoint: values in a heap, keys in a
+/// B+tree. Only the checkpoint writes it.
 struct Engine {
     heap: HeapFile,
     index: BTree,
-    /// The [`REPL_APPLIED_KEY`] watermark as last applied, so the
-    /// replica's chaining check reads no tree.
-    repl_applied: Option<u64>,
+    pool: Arc<BufferPool>,
 }
 
 impl Engine {
@@ -170,14 +190,8 @@ impl Engine {
             let heap_first = PageId(meta.read().get_u64(META_HEAP_OFF));
             let index_root = PageId(meta.read().get_u64(META_INDEX_OFF));
             let heap = HeapFile::open(Arc::clone(&pool), heap_first)?;
-            let index = BTree::open(pool, index_root)?;
-            let mut engine = Engine {
-                heap,
-                index,
-                repl_applied: None,
-            };
-            engine.repl_applied = engine.get(REPL_APPLIED_KEY)?.as_deref().and_then(watermark);
-            Ok(engine)
+            let index = BTree::open(Arc::clone(&pool), index_root)?;
+            Ok(Engine { heap, index, pool })
         } else if magic == 0 {
             let heap = HeapFile::create(Arc::clone(&pool))?;
             let index = BTree::create(Arc::clone(&pool))?;
@@ -194,40 +208,12 @@ impl Engine {
             pool.flush_and_sync()?;
             meta.write().put_u64(META_MAGIC_OFF, MAGIC);
             pool.flush_and_sync()?;
-            Ok(Engine {
-                heap,
-                index,
-                repl_applied: None,
-            })
+            Ok(Engine { heap, index, pool })
         } else {
             Err(HipacError::Corruption(format!(
                 "bad database magic {magic:#x} in {}",
                 data_path.display()
             )))
-        }
-    }
-
-    fn apply(&mut self, op: &StoreOp) -> Result<()> {
-        let old = match op {
-            StoreOp::Put { key, value } => {
-                let head = write_value(&self.heap, value)?;
-                let old = self.index.insert(key, &head.to_u64().to_le_bytes())?;
-                if key == REPL_APPLIED_KEY {
-                    self.repl_applied = watermark(value);
-                }
-                old
-            }
-            StoreOp::Delete { key } => {
-                let old = self.index.delete(key)?;
-                if key == REPL_APPLIED_KEY {
-                    self.repl_applied = None;
-                }
-                old
-            }
-        };
-        match old {
-            Some(old) => self.delete_value(rid_of(&old)?),
-            None => Ok(()),
         }
     }
 
@@ -243,21 +229,19 @@ impl Engine {
         Ok(out)
     }
 
-    /// Delete a chunk chain starting at `head`.
-    fn delete_value(&self, head: RecordId) -> Result<()> {
-        let mut cur = Some(head);
-        while let Some(rid) = cur {
-            let rec = self.heap.get(rid)?;
-            self.heap.delete(rid)?;
-            cur = next_chunk(&rec)?;
-        }
-        Ok(())
-    }
-
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match self.index.get(key)? {
             Some(ridb) => Ok(Some(self.read_value(rid_of(&ridb)?)?)),
             None => Ok(None),
+        }
+    }
+
+    /// A [`Merge`] pair with its value: an image pair's is read from the
+    /// heap.
+    fn resolve(&self, live: Result<Live<'_>>) -> Result<(Vec<u8>, Vec<u8>)> {
+        match live? {
+            Live::Image(key, ridb) => Ok((key, self.read_value(rid_of(&ridb)?)?)),
+            Live::Staged(key, value) => Ok((key.to_vec(), value.to_vec())),
         }
     }
 }
@@ -316,10 +300,43 @@ fn rid_of(bytes: &[u8]) -> Result<RecordId> {
 
 struct Inner {
     engine: Engine,
+    /// The committed changes since the last checkpoint, over `engine`.
+    memtable: Memtable,
+    /// The [`REPL_APPLIED_KEY`] watermark, cached as it is staged, so
+    /// the replica's chaining check reads no table.
+    repl_applied: Option<u64>,
     wal: Wal,
     pool_capacity: usize,
     checkpoint_threshold: u64,
     faults: Arc<FaultPolicy>,
+}
+
+impl Inner {
+    /// Stage one committed (already logged) operation.
+    fn stage(&mut self, op: &StoreOp) -> Result<()> {
+        let value = match op {
+            StoreOp::Put { value, .. } => Some(value.as_slice()),
+            StoreOp::Delete { .. } => None,
+        };
+        self.memtable.stage(&self.engine.index, op.key(), value)?;
+        if op.key() == REPL_APPLIED_KEY {
+            self.repl_applied = value.and_then(watermark);
+        }
+        // The memtable's bytes count against the image pool's capacity,
+        // as dirty pages did when commits wrote pages.
+        let pages = self.memtable.bytes() / PAGE_SIZE;
+        if pages != self.engine.pool.reserved() {
+            self.engine.pool.reserve(pages)?;
+        }
+        Ok(())
+    }
+
+    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        match self.memtable.get(key) {
+            Some(staged) => Ok(staged.map(<[u8]>::to_vec)),
+            None => self.engine.get(key),
+        }
+    }
 }
 
 /// Snapshot of the group-commit counters (diagnostics / wire stats).
@@ -447,14 +464,24 @@ impl DurableStore {
         // A crash during checkpoint may leave a stale tmp file; it is
         // never authoritative, so discard it.
         let _ = std::fs::remove_file(dir.join("data.db.tmp"));
-        let mut engine = Engine::open(&dir.join("data.db"), pool_capacity, Arc::clone(&faults))?;
+        let engine = Engine::open(&dir.join("data.db"), pool_capacity, Arc::clone(&faults))?;
         let (wal, records) = Wal::open_with_faults(&dir.join("wal.log"), Arc::clone(&faults))?;
         // The data and WAL files may have just been created: make their
         // directory entries durable before anything is logged against
         // them.
         faults.hit(FaultPoint::DirSync)?;
         sync_dir(dir)?;
-        // Recovery: apply every committed batch in log order.
+        let repl_applied = engine.get(REPL_APPLIED_KEY)?.as_deref().and_then(watermark);
+        let mut inner = Inner {
+            engine,
+            memtable: Memtable::default(),
+            repl_applied,
+            wal,
+            pool_capacity,
+            checkpoint_threshold,
+            faults,
+        };
+        // Recovery: stage every committed batch in log order.
         let mut current: Option<(TxnId, Vec<StoreOp>)> = None;
         for rec in records {
             match rec {
@@ -477,7 +504,7 @@ impl DurableStore {
                     if let Some((t, ops)) = current.take() {
                         if t == txn {
                             for op in &ops {
-                                engine.apply(op)?;
+                                inner.stage(op)?;
                             }
                         }
                     }
@@ -490,13 +517,7 @@ impl DurableStore {
             Self::read_epoch_file(&Self::epoch_path(dir));
         Ok(DurableStore {
             dir: dir.to_path_buf(),
-            inner: Mutex::new(Inner {
-                engine,
-                wal,
-                pool_capacity,
-                checkpoint_threshold,
-                faults,
-            }),
+            inner: Mutex::new(inner),
             group: GroupCommit::new(),
             repl_epoch: AtomicU64::new(epoch),
             repl_fence_prev: AtomicU64::new(fence_prev),
@@ -524,6 +545,12 @@ impl DurableStore {
             grouped_txns: self.group.grouped_txns.load(Ordering::Relaxed),
             largest_group: self.group.largest_group.load(Ordering::Relaxed),
         }
+    }
+
+    /// Batches queued for the next group flush (tests order committers
+    /// against a held flush with it).
+    pub fn group_commit_queued(&self) -> usize {
+        self.group.queue.lock().expect("group queue poisoned").len()
     }
 
     /// Atomically and durably commit a batch of operations on behalf of
@@ -563,10 +590,10 @@ impl DurableStore {
         let mut inner = self.inner.lock();
         Self::log_batch(&inner.wal, txn, batch)?;
         for op in batch {
-            // Failpoint between the durable log and each in-memory
-            // apply: a crash here must recover the batch from the WAL.
+            // Failpoint between the durable log and each op's staging:
+            // a crash here must recover the batch from the WAL.
             inner.faults.hit(FaultPoint::StoreApply)?;
-            inner.engine.apply(op)?;
+            inner.stage(op)?;
         }
         if inner.wal.size()? >= inner.checkpoint_threshold {
             Self::checkpoint_locked(&self.dir, &mut inner)?;
@@ -659,7 +686,7 @@ impl DurableStore {
     }
 
     /// Append every cohort batch (each batch contiguous, in queue
-    /// order), fsync once, then apply. Any failure fails the *whole*
+    /// order), fsync once, then stage. Any failure fails the *whole*
     /// cohort: a batch appended before the failure is unsynced (or, for
     /// post-fsync failures, durable-but-unacked) and in either case the
     /// committer must not be told it succeeded — recovery and the
@@ -691,7 +718,7 @@ impl DurableStore {
                 if let Err(e) = inner
                     .faults
                     .hit(FaultPoint::StoreApply)
-                    .and_then(|()| inner.engine.apply(op))
+                    .and_then(|()| inner.stage(op))
                 {
                     ok = Err(e);
                     break;
@@ -714,8 +741,8 @@ impl DurableStore {
     }
 
     /// Failpoint for crash testing: durably log the batch but "crash"
-    /// before applying it to the data structures. A subsequent
-    /// [`DurableStore::open`] must recover the batch from the WAL.
+    /// before staging it. A subsequent [`DurableStore::open`] must
+    /// recover the batch from the WAL.
     pub fn commit_log_only_for_crash_test(&self, txn: TxnId, ops: &[StoreOp]) -> Result<()> {
         let inner = self.inner.lock();
         Self::log_batch(&inner.wal, txn, ops)
@@ -728,7 +755,7 @@ impl DurableStore {
 
     /// Read the value for `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.inner.lock().engine.get(key)
+        self.inner.lock().get(key)
     }
 
     /// All `(key, value)` pairs with `key` in the given range, in key
@@ -739,13 +766,10 @@ impl DurableStore {
         end: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let inner = self.inner.lock();
-        let keys = inner.engine.index.range(start, end)?;
-        let mut out = Vec::with_capacity(keys.len());
-        for (key, ridb) in keys {
-            let value = inner.engine.read_value(rid_of(&ridb)?)?;
-            out.push((key, value));
-        }
-        Ok(out)
+        let image = inner.engine.index.range(start, end)?.into_iter().map(Ok);
+        Merge::new(image, inner.memtable.range(start, end))
+            .map(|live| inner.engine.resolve(live))
+            .collect()
     }
 
     /// All `(key, value)` pairs whose key starts with `prefix`.
@@ -758,7 +782,10 @@ impl DurableStore {
 
     /// Number of keys.
     pub fn len(&self) -> Result<usize> {
-        self.inner.lock().engine.index.len()
+        let inner = self.inner.lock();
+        let image = inner.engine.index.len()?;
+        let delta = inner.memtable.len_delta(&inner.engine.index)?;
+        Ok(image.saturating_add_signed(delta))
     }
 
     /// True if the store holds no keys.
@@ -777,20 +804,26 @@ impl DurableStore {
         let tmp_path = dir.join("data.db.tmp");
         let data_path = dir.join("data.db");
         let _ = std::fs::remove_file(&tmp_path);
-        // Build the shadow copy: one pass over the index in key order,
-        // appending each value to the new heap and handing its new
-        // address to the bulk loader. Every page is written once, as
-        // the small write-back pool steals it or at the final flush.
+        // Build the shadow copy: one pass over the index in key order
+        // with the memtable merged over it, appending each live value
+        // to the new heap and handing its new address to the bulk
+        // loader. Every page is written once, as the small write-back
+        // pool steals it or at the final flush.
         {
             let disk = DiskManager::open_with_faults(&tmp_path, Arc::clone(&inner.faults))?;
             let pool = Arc::new(BufferPool::new(Arc::new(disk), SHADOW_POOL_PAGES));
             let meta = pool.fetch(PageId(0))?;
             let heap = HeapFile::create(Arc::clone(&pool))?;
             let live = &inner.engine;
-            let copied = live.index.entries()?.map(|entry| {
-                let (key, ridb) = entry?;
-                let value = live.read_value(rid_of(&ridb)?)?;
-                let head = write_value(&heap, &value)?;
+            let staged = inner.memtable.range(Bound::Unbounded, Bound::Unbounded);
+            let copied = Merge::new(live.index.entries()?, staged).map(|entry| {
+                let (key, head) = match entry? {
+                    Live::Image(key, ridb) => {
+                        let value = live.read_value(rid_of(&ridb)?)?;
+                        (key, write_value(&heap, &value)?)
+                    }
+                    Live::Staged(key, value) => (key.to_vec(), write_value(&heap, value)?),
+                };
                 Ok((key, head.to_u64().to_le_bytes().to_vec()))
             });
             let index = BTree::bulk_load(Arc::clone(&pool), copied)?;
@@ -808,11 +841,16 @@ impl DurableStore {
         std::fs::rename(&tmp_path, &data_path)?;
         inner.faults.hit(FaultPoint::DirSync)?;
         sync_dir(dir)?;
-        // Reopen over the new file, then retire the WAL.
-        inner.engine = Engine::open(&data_path, inner.pool_capacity, Arc::clone(&inner.faults))?;
+        // Open the new file and retire the WAL; only then does the new
+        // image replace the old one and the memtable empty. Until
+        // then a failure leaves the old image (still open) and the
+        // memtable, which together read as before.
+        let engine = Engine::open(&data_path, inner.pool_capacity, Arc::clone(&inner.faults))?;
         inner.wal.append(&WalRecord::Checkpoint)?;
         inner.wal.sync()?;
         inner.wal.reset()?;
+        inner.engine = engine;
+        inner.memtable.clear();
         Ok(())
     }
 
@@ -845,15 +883,11 @@ impl DurableStore {
     pub fn snapshot_for_repl(&self) -> Result<(u64, SnapshotPairs)> {
         let inner = self.inner.lock();
         let lsn = inner.wal.durable_lsn();
-        let mut out = Vec::new();
-        for entry in inner.engine.index.entries()? {
-            let (key, ridb) = entry?;
-            if key == REPL_APPLIED_KEY {
-                continue;
-            }
-            let value = inner.engine.read_value(rid_of(&ridb)?)?;
-            out.push((key, value));
-        }
+        let staged = inner.memtable.range(Bound::Unbounded, Bound::Unbounded);
+        let out = Merge::new(inner.engine.index.entries()?, staged)
+            .map(|live| inner.engine.resolve(live))
+            .filter(|pair| !matches!(pair, Ok((key, _)) if key == REPL_APPLIED_KEY))
+            .collect::<Result<_>>()?;
         Ok((lsn, out))
     }
 
@@ -910,13 +944,7 @@ impl DurableStore {
         let mut batch: Vec<StoreOp> = run
             .iter()
             .flat_map(|b| b.ops)
-            .filter(|op| {
-                let key = match op {
-                    StoreOp::Put { key, .. } => key,
-                    StoreOp::Delete { key } => key,
-                };
-                key != REPL_APPLIED_KEY
-            })
+            .filter(|op| op.key() != REPL_APPLIED_KEY)
             .cloned()
             .collect();
         batch.push(StoreOp::Put {
@@ -965,7 +993,7 @@ impl DurableStore {
     /// The primary LSN this (replica) store reflects, if it has ever
     /// applied replicated state.
     pub fn replicated_applied_lsn(&self) -> Result<Option<u64>> {
-        Ok(self.inner.lock().engine.repl_applied)
+        Ok(self.inner.lock().repl_applied)
     }
 
     /// Overwrite the replica watermark directly (rejoin repair only —
@@ -1318,6 +1346,8 @@ mod tests {
                 ],
             )
             .unwrap();
+        // The scans must read the image, not the memtable.
+        store.checkpoint().unwrap();
         store.inner.lock().engine.index.insert(b"d2", b"no rid").unwrap();
         let pairs = |pairs: &[(&[u8], &[u8])]| -> Vec<(Vec<u8>, Vec<u8>)> {
             pairs.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
@@ -1359,6 +1389,103 @@ mod tests {
         assert_eq!(store.replicated_applied_lsn().unwrap(), Some(40));
         store.commit(TxnId(1), &[del(REPL_APPLIED_KEY)]).unwrap();
         assert_eq!(store.replicated_applied_lsn().unwrap(), None);
+    }
+
+    /// The memtable keeps what the checkpoint needs and nothing more: a
+    /// key put and deleted again while the image lacks it leaves no
+    /// entry, a delete of a key the image holds stays until the
+    /// checkpoint (and across a reopen), and the checkpoint empties it.
+    #[test]
+    fn memtable_keeps_no_entry_for_a_key_born_and_deleted_in_one_cycle() {
+        let dir = tmpdir("memtable-rule");
+        let staged = |store: &DurableStore| store.inner.lock().memtable.len();
+        let store = DurableStore::open(&dir).unwrap();
+        store.commit(TxnId(1), &[put(b"kept", b"1")]).unwrap();
+        assert_eq!(staged(&store), 1);
+        store.checkpoint().unwrap();
+        assert_eq!(staged(&store), 0, "the checkpoint empties the memtable");
+
+        store.commit(TxnId(2), &[put(b"j1", b"ack")]).unwrap();
+        store.commit(TxnId(3), &[put(b"j1", b"ack2")]).unwrap();
+        assert_eq!(staged(&store), 1);
+        store.commit(TxnId(4), &[del(b"j1")]).unwrap();
+        assert_eq!(staged(&store), 0, "born and deleted within one cycle");
+        store
+            .commit(TxnId(5), &[put(b"q1", b"push"), del(b"q1")])
+            .unwrap();
+        store.commit(TxnId(6), &[del(b"never")]).unwrap();
+        assert_eq!(staged(&store), 0, "nor within one batch, nor absent");
+
+        store.commit(TxnId(7), &[del(b"kept")]).unwrap();
+        assert_eq!(staged(&store), 1, "an image key's delete waits");
+        store
+            .commit(TxnId(8), &[put(b"kept", b"2"), del(b"kept")])
+            .unwrap();
+        assert_eq!(staged(&store), 1, "re-put and deleted: still one tombstone");
+        assert_eq!(store.get(b"kept").unwrap(), None);
+        assert_eq!(store.len().unwrap(), 0);
+        drop(store);
+
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(staged(&store), 1, "replay stages the same table");
+        assert_eq!(store.get(b"kept").unwrap(), None);
+        store.checkpoint().unwrap();
+        assert_eq!(staged(&store), 0);
+        assert_eq!(store.len().unwrap(), 0);
+        drop(store);
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(store.get(b"kept").unwrap(), None);
+        assert!(store
+            .range(Bound::Unbounded, Bound::Unbounded)
+            .unwrap()
+            .is_empty());
+    }
+
+    /// A checkpoint that fails — before its rename, or after it but
+    /// before the WAL is retired — leaves the memtable over the old
+    /// image, and the store reads exactly as before.
+    #[test]
+    fn failed_checkpoint_keeps_the_memtable_and_the_old_image() {
+        let workload = |store: &DurableStore| {
+            store
+                .commit(TxnId(1), &[put(b"a", b"1"), put(b"b", b"2")])
+                .unwrap();
+            store.checkpoint().unwrap();
+            store
+                .commit(TxnId(2), &[del(b"a"), put(b"c", b"3")])
+                .unwrap();
+            store.checkpoint()
+        };
+        let counter = FaultPolicy::count_only();
+        let dir = tmpdir("failed-ckpt-count");
+        let store =
+            DurableStore::open_with_faults(&dir, 64, u64::MAX, Arc::clone(&counter)).unwrap();
+        workload(&store).unwrap();
+        let log = counter.log();
+        for point in [FaultPoint::CheckpointRename, FaultPoint::WalReset] {
+            let hit = log.iter().rposition(|p| *p == point).unwrap() as u64;
+            let dir = tmpdir(&format!("failed-ckpt-{point:?}"));
+            let faults = FaultPolicy::crash_at(hit, 7);
+            let store = DurableStore::open_with_faults(&dir, 64, u64::MAX, faults).unwrap();
+            assert!(FaultPolicy::is_injected(&workload(&store).unwrap_err()));
+            assert_eq!(store.inner.lock().memtable.len(), 2, "{point:?}");
+            let expect = vec![
+                (b"b".to_vec(), b"2".to_vec()),
+                (b"c".to_vec(), b"3".to_vec()),
+            ];
+            assert_eq!(
+                store.range(Bound::Unbounded, Bound::Unbounded).unwrap(),
+                expect
+            );
+            assert_eq!(store.len().unwrap(), 2, "{point:?}");
+            assert_eq!(store.get(b"a").unwrap(), None, "{point:?}");
+            drop(store);
+            let store = DurableStore::open(&dir).unwrap();
+            assert_eq!(
+                store.range(Bound::Unbounded, Bound::Unbounded).unwrap(),
+                expect
+            );
+        }
     }
 
     #[test]

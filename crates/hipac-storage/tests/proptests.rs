@@ -12,7 +12,7 @@ use hipac_storage::slotted::{SlottedPage, UpdateOutcome};
 use hipac_storage::{DurableStore, StoreOp};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -379,6 +379,189 @@ proptest! {
         let all = store.range(Bound::Unbounded, Bound::Unbounded).unwrap();
         let expected: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
         prop_assert_eq!(all, expected);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reads through the memtable: committed changes wait in memory until a
+// checkpoint writes them into the data file, so every read merges the
+// two. After each step of a random history — batches, forced and
+// automatic checkpoints, crashes between the log and the memtable,
+// reopens — every read must agree with a `BTreeMap` model.
+
+#[derive(Debug, Clone)]
+enum StoreStep {
+    Batch(Vec<StoreOp>),
+    Checkpoint,
+    /// Log the batch only, as a crash before it is staged, and reopen.
+    Crash(Vec<StoreOp>),
+    Reopen,
+}
+
+/// Mostly small values; one in eight spans several heap records.
+fn arb_value() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..8,
+        any::<u8>(),
+        proptest::collection::vec(any::<u8>(), 0..48),
+    )
+        .prop_map(
+            |(pick, fill, small)| {
+                if pick == 0 {
+                    vec![fill; 5_000]
+                } else {
+                    small
+                }
+            },
+        )
+}
+
+fn arb_batch() -> impl Strategy<Value = Vec<StoreOp>> {
+    proptest::collection::vec(
+        prop_oneof![
+            (arb_key(), arb_value()).prop_map(|(key, value)| vec![StoreOp::Put { key, value }]),
+            arb_key().prop_map(|key| vec![StoreOp::Delete { key }]),
+            // Deleted and put again within one batch.
+            (arb_key(), arb_value()).prop_map(|(key, value)| {
+                vec![
+                    StoreOp::Delete { key: key.clone() },
+                    StoreOp::Put { key, value },
+                ]
+            }),
+        ],
+        1..5,
+    )
+    .prop_map(|chunks| chunks.concat())
+}
+
+fn arb_store_step() -> impl Strategy<Value = StoreStep> {
+    prop_oneof![
+        arb_batch().prop_map(StoreStep::Batch),
+        arb_batch().prop_map(StoreStep::Batch),
+        arb_batch().prop_map(StoreStep::Batch),
+        Just(StoreStep::Checkpoint),
+        arb_batch().prop_map(StoreStep::Crash),
+        Just(StoreStep::Reopen),
+    ]
+}
+
+fn apply_to_model(model: &mut BTreeMap<Vec<u8>, Vec<u8>>, ops: &[StoreOp]) {
+    for op in ops {
+        match op {
+            StoreOp::Put { key, value } => {
+                model.insert(key.clone(), value.clone());
+            }
+            StoreOp::Delete { key } => {
+                model.remove(key);
+            }
+        }
+    }
+}
+
+/// The model's pairs within the bounds.
+fn model_range(
+    model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    start: Bound<&[u8]>,
+    end: Bound<&[u8]>,
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    model
+        .iter()
+        .filter(|(k, _)| (start, end).contains(k.as_slice()))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect()
+}
+
+/// Every read the store offers, against the model: `get` of every
+/// short key, `scan_prefix` of every one-byte prefix, `range` over
+/// bounds of every kind (inverted and empty ones included), `len` and
+/// `snapshot_for_repl`.
+fn check_reads(store: &DurableStore, model: &BTreeMap<Vec<u8>, Vec<u8>>, step: usize) {
+    let all = model_range(model, Bound::Unbounded, Bound::Unbounded);
+    assert_eq!(store.len().unwrap(), model.len(), "step {step}: len");
+    assert_eq!(
+        store.snapshot_for_repl().unwrap().1,
+        all,
+        "step {step}: snapshot"
+    );
+    let short_keys = (0u8..8)
+        .map(|a| vec![a])
+        .chain((0u8..8).flat_map(|a| (0u8..8).map(move |b| vec![a, b])));
+    for key in short_keys.chain(model.keys().cloned()) {
+        assert_eq!(
+            store.get(&key).unwrap().as_ref(),
+            model.get(&key),
+            "step {step}: get {key:?}"
+        );
+    }
+    for prefix in (0u8..8).map(|a| vec![a]).chain([vec![], vec![3, 3]]) {
+        let expect: Vec<_> = all
+            .iter()
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .cloned()
+            .collect();
+        assert_eq!(
+            store.scan_prefix(&prefix).unwrap(),
+            expect,
+            "step {step}: prefix {prefix:?}"
+        );
+    }
+    let points: [&[u8]; 4] = [&[2], &[3, 5], &[3, 5], &[6, 1, 7]];
+    let bounds = |k: &'static [u8]| [Bound::Included(k), Bound::Excluded(k), Bound::Unbounded];
+    for a in points {
+        for b in points {
+            for start in bounds(a) {
+                for end in bounds(b) {
+                    assert_eq!(
+                        store.range(start, end).unwrap(),
+                        model_range(model, start, end),
+                        "step {step}: range {start:?}..{end:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn durable_store_merged_reads_match_the_model(
+        steps in proptest::collection::vec(arb_store_step(), 1..24),
+        threshold_pick in 0usize..3,
+    ) {
+        // Small thresholds make commits cross automatic checkpoints.
+        let threshold = [600, 4_096, u64::MAX][threshold_pick];
+        let dir = tmpdir("store-merged");
+        let open = || DurableStore::open_with(&dir, 64, threshold).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut store = open();
+        for (i, step) in steps.iter().enumerate() {
+            let txn = TxnId(i as u64 + 1);
+            match step {
+                StoreStep::Batch(ops) => {
+                    store.commit(txn, ops.to_vec()).unwrap();
+                    apply_to_model(&mut model, ops);
+                }
+                StoreStep::Checkpoint => {
+                    store.checkpoint().unwrap();
+                    prop_assert_eq!(store.wal_size().unwrap(), 0);
+                }
+                StoreStep::Crash(ops) => {
+                    store.commit_log_only_for_crash_test(txn, ops).unwrap();
+                    apply_to_model(&mut model, ops);
+                    drop(store);
+                    store = open();
+                }
+                StoreStep::Reopen => {
+                    drop(store);
+                    store = open();
+                }
+            }
+            check_reads(&store, &model, i);
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

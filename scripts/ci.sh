@@ -64,8 +64,9 @@ cargo test -q -p hipac --test read_alloc
 cargo test -q -p hipac --test write_alloc
 cargo test -q -p hipac-object --test store_tests
 
-echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, index atomicity"
+echo "==> crash matrix (deterministic, fixed seed, grouped replica apply and mid-fill crashes included, recovery from a zero-tailed WAL), streaming-checkpoint and B+tree allocation counts, grouped-apply chaining, pre-zeroed WAL, reads merged over the memtable against a model (checkpoints, crashes, reopens), index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test btree_alloc --test wal_tail
+cargo test -q -p hipac-storage --test proptests durable_store_merged_reads_match_the_model
 cargo test -q -p hipac-object --test index_atomicity
 
 echo "==> serializability-checked stress suites"
@@ -99,8 +100,10 @@ cargo test -q -p hipac-storage --test wal_tail gap
 echo "==> group commit differential suite (on vs off, both matching modes, crash sweep)"
 cargo test -q -p hipac-check --test group_commit_diff
 
-echo "==> group crash matrix (pre-fsync / post-fsync-pre-wake) + interleaving property test"
-cargo test -q -p hipac-check --test restart_torture group_commit_crash_matrix
+echo "==> group crash matrix (pre-fsync / post-fsync-pre-wake; the cohort gathers behind a plug held at GroupWake, run 5 times) + interleaving property test"
+for _ in 1 2 3 4 5; do
+  cargo test -q -p hipac-check --test restart_torture group_commit_crash_matrix
+done
 cargo test -q -p hipac-storage --test proptests group_commit_interleavings
 
 echo "==> reactor load suite (idle horde, slow subscriber, push seq order under concurrent firings and resubscribe, unread replies paused then retired, cross-shard dedup)"
