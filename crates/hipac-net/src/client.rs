@@ -1,12 +1,16 @@
 //! [`HipacClient`]: blocking request/response client with push-frame
 //! delivery and transparent failure recovery.
 //!
-//! A background reader thread demultiplexes the socket: responses are
-//! routed to the issuing caller by request id (so the client is safe to
-//! share across threads — `&self` methods, interior locking), and push
-//! frames — application requests from rule actions, the paper's §4.1
-//! role reversal — are dispatched to handlers registered with
-//! [`HipacClient::on_push`] / [`HipacClient::subscribe`].
+//! A caller waiting for a reply reads the socket itself: it takes the
+//! connection's *read turn* and reads until its own reply arrives,
+//! routing any other caller's reply to that caller by request id (so
+//! the client is safe to share across threads — `&self` methods,
+//! interior locking). A client that serves push frames — application
+//! requests from rule actions, the paper's §4.1 role reversal — hands
+//! its socket to a reader thread instead, which routes replies the same
+//! way and dispatches pushes to the handlers registered with
+//! [`HipacClient::on_push`] / [`HipacClient::subscribe`]; it starts when
+//! the first handler is subscribed.
 //!
 //! ## Resilience
 //!
@@ -25,8 +29,8 @@
 //! expire locally as [`WireError::Timeout`].
 //!
 //! The guarantees extend across server restarts: push
-//! frames carry per-subscription sequence numbers which the reader
-//! thread acknowledges after the handler returns (redeliveries with an
+//! frames carry per-subscription sequence numbers which the client
+//! acknowledges after the handler returns (redeliveries with an
 //! already-seen sequence are acked but not re-handled), and
 //! [`ClientConfig::retry_ambiguous`] opts keyed requests into retrying
 //! server refusals and ambiguous storage errors with the *same*
@@ -45,7 +49,7 @@ use hipac_common::ROLE_PRIMARY;
 use hipac_common::{TxnId, Value};
 use hipac_object::AttrDef;
 use hipac_rules::RuleDef;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -57,7 +61,7 @@ use std::time::{Duration, Instant};
 /// Callback invoked on a push frame.
 pub type PushHandler = Box<dyn Fn(&PushEvent) + Send + Sync>;
 
-type Pending = Mutex<HashMap<u64, crossbeam::channel::Sender<Reply>>>;
+type Handlers = Arc<RwLock<HashMap<String, PushHandler>>>;
 
 /// Tuning knobs for [`HipacClient`].
 #[derive(Debug, Clone)]
@@ -223,51 +227,207 @@ fn breaker_for(addr: SocketAddr) -> Arc<Breaker> {
     )
 }
 
-/// One live TCP connection: writer half, response router, reader
-/// thread. Torn down and replaced wholesale on any transport error.
+/// The read half of a connection and its frame reader.
+struct ReadHalf {
+    stream: TcpStream,
+    frames: FrameReader,
+    /// The read timeout last set on the socket.
+    timeout: Option<Duration>,
+}
+
+/// Reply routing for one connection.
+struct Replies {
+    /// A slot per request awaiting its reply, filled when it arrives.
+    slots: HashMap<u64, Option<Reply>>,
+    /// The read half, while nobody reads it. A caller takes it for its
+    /// read turn and puts it back; the reader thread takes it for good.
+    idle: Option<ReadHalf>,
+    /// Callers waiting on [`Conn::arrived`].
+    waiters: usize,
+}
+
+/// One live TCP connection, and its reader thread once it serves push
+/// handlers. Torn down and replaced wholesale on any transport error.
 struct Conn {
-    /// Shared with the reader thread, which writes push acks on it.
-    writer: Arc<Mutex<TcpStream>>,
-    pending: Arc<Pending>,
-    dead: Arc<AtomicBool>,
+    /// Shared with the readers, which write push acks on it.
+    writer: Mutex<TcpStream>,
+    replies: Mutex<Replies>,
+    /// Signalled when a reply is routed, the read half is put back, or
+    /// the connection dies.
+    arrived: Condvar,
+    dead: AtomicBool,
+    handlers: Handlers,
+    /// Highest push sequence handled per handler (the client's).
+    push_seen: Arc<Mutex<HashMap<String, u64>>>,
     reader: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Conn {
     fn dial(
         addrs: &[SocketAddr],
-        handlers: &Arc<RwLock<HashMap<String, PushHandler>>>,
+        handlers: &Handlers,
         push_seen: &Arc<Mutex<HashMap<String, u64>>>,
     ) -> Result<Conn, WireError> {
         let stream = TcpStream::connect(addrs)?;
         stream.set_nodelay(true).ok();
-        let reader_stream = stream.try_clone()?;
-        let writer = Arc::new(Mutex::new(stream));
-        let pending: Arc<Pending> = Arc::new(Mutex::new(HashMap::new()));
-        let dead = Arc::new(AtomicBool::new(false));
-        let reader = {
-            let pending = Arc::clone(&pending);
-            let handlers = Arc::clone(handlers);
-            let dead = Arc::clone(&dead);
-            let writer = Arc::clone(&writer);
-            let push_seen = Arc::clone(push_seen);
-            std::thread::Builder::new()
-                .name("hipac-net-client-reader".to_owned())
-                .spawn(move || read_loop(reader_stream, &pending, &handlers, &push_seen, &writer, &dead))
-                .expect("spawn client reader")
+        let half = ReadHalf {
+            stream: stream.try_clone()?,
+            frames: FrameReader::new(),
+            timeout: None,
         };
         Ok(Conn {
-            writer,
-            pending,
-            dead,
-            reader: Mutex::new(Some(reader)),
+            writer: Mutex::new(stream),
+            replies: Mutex::new(Replies {
+                slots: HashMap::new(),
+                idle: Some(half),
+                waiters: 0,
+            }),
+            arrived: Condvar::new(),
+            dead: AtomicBool::new(false),
+            handlers: Arc::clone(handlers),
+            push_seen: Arc::clone(push_seen),
+            reader: Mutex::new(None),
         })
     }
 
-    /// Close the socket and join the reader; blocked callers wake with
-    /// a transport error when the reader clears the pending table.
-    fn teardown(&self) {
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Acquire)
+    }
+
+    /// Wait on [`Conn::arrived`], at most `timeout`.
+    fn wait(&self, replies: &mut MutexGuard<'_, Replies>, timeout: Option<Duration>) {
+        replies.waiters += 1;
+        match timeout {
+            Some(t) => {
+                self.arrived.wait_for(replies, t);
+            }
+            None => self.arrived.wait(replies),
+        }
+        replies.waiters -= 1;
+    }
+
+    /// Wake the waiting callers, if there are any.
+    fn wake(&self, replies: &Replies) {
+        if replies.waiters > 0 {
+            self.arrived.notify_all();
+        }
+    }
+
+    /// Mark the connection dead and wake every waiting caller.
+    fn kill(&self) {
+        let replies = self.replies.lock();
         self.dead.store(true, Ordering::Release);
+        self.wake(&replies);
+    }
+
+    /// Read one frame, waiting at most `timeout` (`None`: for ever), and
+    /// route it: a reply to its caller's slot (id 0 and ids nobody
+    /// waits for, a request that timed out, are dropped), a push to its
+    /// handler. Returns the id of a routed reply. `Err` when the
+    /// connection failed: EOF, a transport error, a frame a server never
+    /// sends a client (requests, repl stream frames), or a lost ack.
+    fn read_one(&self, half: &mut ReadHalf, timeout: Option<Duration>) -> Result<Option<u64>, WireError> {
+        if timeout != half.timeout {
+            half.stream.set_read_timeout(timeout)?;
+            half.timeout = timeout;
+        }
+        match half.frames.poll(&mut half.stream)? {
+            None => Ok(None),
+            Some(Frame::Response { id, reply }) => {
+                let mut replies = self.replies.lock();
+                if let Some(slot) = replies.slots.get_mut(&id) {
+                    *slot = Some(reply);
+                    self.wake(&replies);
+                }
+                Ok(Some(id))
+            }
+            Some(Frame::Push(event)) => self.deliver(event).map(|()| None),
+            Some(_) => Err(WireError::Protocol("unexpected frame from server".into())),
+        }
+    }
+
+    /// A caller's read turn: read and route frames until `id`'s reply
+    /// is routed or `until` passes.
+    fn read_turn(&self, half: &mut ReadHalf, id: u64, until: Option<Instant>) -> Result<(), WireError> {
+        loop {
+            let left = until.map(|u| u.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) || self.read_one(half, left)? == Some(id) {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Run a push's handler, then ack it.
+    fn deliver(&self, event: PushEvent) -> Result<(), WireError> {
+        // seq 0 = unsequenced push: always deliver, no ack. Otherwise
+        // dedup on the per-handler high-water mark — redelivery after
+        // reconnect resends pushes the server never saw acked,
+        // including ones we already ran.
+        let duplicate = event.seq != 0 && {
+            let mut seen = self.push_seen.lock();
+            let last = seen.entry(event.handler.clone()).or_insert(0);
+            if event.seq <= *last {
+                true
+            } else {
+                *last = event.seq;
+                false
+            }
+        };
+        if !duplicate {
+            // No handler registered: the server pushed to a handler
+            // this client never subscribed (or one unregistered since);
+            // ignore.
+            if let Some(h) = self.handlers.read().get(&event.handler) {
+                h(&event);
+            }
+        }
+        if event.seq == 0 {
+            return Ok(());
+        }
+        // Ack after the handler returns (at-least-once for the handler,
+        // exactly-once per seq for delivery). Id 0 makes the ack
+        // fire-and-forget: the server sends no response.
+        let ack = Frame::Request {
+            id: 0,
+            meta: RequestMeta::default(),
+            command: Command::AckPush {
+                handler: event.handler,
+                seq: event.seq,
+            },
+        };
+        ack.write_to(&mut *self.writer.lock())
+    }
+
+    /// Start the reader thread, unless it runs already: it takes the
+    /// read half — with the bytes its reader holds — once no caller is
+    /// reading it, and keeps it, so pushes are read and handled even
+    /// while no caller waits for a reply.
+    fn serve_pushes(self: &Arc<Self>) {
+        let mut thread = self.reader.lock();
+        let mut replies = self.replies.lock();
+        while thread.is_none() && !self.is_dead() {
+            let Some(mut half) = replies.idle.take() else {
+                self.wait(&mut replies, None);
+                continue;
+            };
+            let conn = Arc::clone(self);
+            let read_loop = move || {
+                while conn.read_one(&mut half, None).is_ok() {}
+                conn.kill();
+            };
+            *thread = Some(
+                std::thread::Builder::new()
+                    .name("hipac-net-client-reader".to_owned())
+                    .spawn(read_loop)
+                    .expect("spawn client reader"),
+            );
+        }
+    }
+
+    /// Close the socket and join the reader thread; waiting callers
+    /// wake with a transport error.
+    fn teardown(&self) {
+        self.kill();
         let _ = self.writer.lock().shutdown(Shutdown::Both);
         if let Some(t) = self.reader.lock().take() {
             let _ = t.join();
@@ -283,7 +443,7 @@ pub struct HipacClient {
     next_id: AtomicU64,
     next_seq: AtomicU64,
     conn: Mutex<Option<Arc<Conn>>>,
-    handlers: Arc<RwLock<HashMap<String, PushHandler>>>,
+    handlers: Handlers,
     /// Highest push sequence handled per handler. Owned by the client
     /// (not the connection) so redeliveries after a reconnect are
     /// recognized and acked without re-running the handler.
@@ -458,7 +618,7 @@ impl HipacClient {
     fn ensure_conn(&self) -> Result<Arc<Conn>, WireError> {
         let mut guard = self.conn.lock();
         if let Some(c) = guard.as_ref() {
-            if !c.dead.load(Ordering::Acquire) {
+            if !c.is_dead() {
                 return Ok(Arc::clone(c));
             }
         }
@@ -488,6 +648,11 @@ impl HipacClient {
                 return Err(e);
             }
         };
+        // A client with handlers reads pushes from the start, so the
+        // re-subscriptions below find their catch-up read.
+        if !self.handlers.read().is_empty() {
+            conn.serve_pushes();
+        }
         let handshake = (|| -> Result<(), WireError> {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             let ping = Command::Ping {
@@ -574,9 +739,16 @@ impl HipacClient {
 
     /// Register a local callback for push frames addressed to
     /// `handler`, without telling the server (use
-    /// [`HipacClient::subscribe`] for both at once).
+    /// [`HipacClient::subscribe`] for both at once). Pushes are handled
+    /// on this client's reader thread, which the first handler starts
+    /// on the live connection — before the server is told, so that
+    /// catch-up pushes find a reader — and every redial restarts.
     pub fn on_push(&self, handler: &str, f: impl Fn(&PushEvent) + Send + Sync + 'static) {
         self.handlers.write().insert(handler.to_owned(), Box::new(f));
+        let live = self.conn.lock().clone();
+        if let Some(conn) = live.filter(|c| !c.is_dead()) {
+            conn.serve_pushes();
+        }
     }
 
     // ---- transaction operations ----
@@ -738,9 +910,10 @@ impl HipacClient {
 
     /// Become the application server for `handler`: rule actions
     /// addressed to it are delivered to `f` on this client's reader
-    /// thread. Keep `f` quick — it blocks delivery of later frames.
-    /// The subscription survives reconnects: the client re-subscribes
-    /// every tracked handler as part of redialing.
+    /// thread (see [`HipacClient::on_push`]). Keep `f` quick — it
+    /// blocks delivery of later frames. The subscription survives
+    /// reconnects: the client re-subscribes every tracked handler as
+    /// part of redialing.
     pub fn subscribe(
         &self,
         handler: &str,
@@ -1145,9 +1318,11 @@ impl FleetClient {
     }
 }
 
-/// Register the pending slot, write the frame, await the routed reply.
-/// `Reply::Err` passes through (the caller distinguishes remote errors
-/// from transport ones); all failure paths clean up the pending slot.
+/// Register the reply slot, write the frame, and await the reply:
+/// read it on the caller's own read turn, or take it from the slot
+/// where another reader routed it. `Reply::Err` passes through (the
+/// caller distinguishes remote errors from transport ones); every
+/// failure path removes the slot.
 fn raw_request(
     conn: &Conn,
     id: u64,
@@ -1155,53 +1330,47 @@ fn raw_request(
     command: Command,
     deadline: Option<Duration>,
 ) -> Result<Reply, WireError> {
-    if conn.dead.load(Ordering::Acquire) {
-        return Err(WireError::Transport("connection lost".into()));
-    }
-    let (tx, rx) = crossbeam::channel::bounded(1);
-    conn.pending.lock().insert(id, tx);
-    // The reader marks the connection dead *before* it clears the
-    // pending table: a request registered after that sweep would wait
-    // forever, so look again now that ours is in the table.
-    if conn.dead.load(Ordering::Acquire) {
-        conn.pending.lock().remove(&id);
-        return Err(WireError::Transport("connection lost".into()));
-    }
+    conn.replies.lock().slots.insert(id, None);
     let frame = Frame::Request { id, meta, command }.encode();
     if let Err(e) = conn.writer.lock().write_all(&frame) {
-        conn.pending.lock().remove(&id);
+        conn.replies.lock().slots.remove(&id);
         return Err(WireError::Transport(format!("write failed: {e}")));
     }
-    match deadline {
-        None => match rx.recv() {
-            Ok(reply) => Ok(reply),
-            // Reader dropped the senders: connection died with the
-            // request outstanding — outcome unknown.
-            Err(_) => Err(WireError::Transport(
-                "connection lost awaiting reply".into(),
-            )),
-        },
-        Some(d) => {
-            // Grace on top of the deadline: a server that aborts the
-            // request with DeadlineExceeded at the deadline still needs
-            // time to deliver that definite answer.
-            let wait = d + DEADLINE_GRACE;
-            match rx.recv_timeout(wait) {
-                Ok(reply) => Ok(reply),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    conn.pending.lock().remove(&id);
-                    Err(WireError::Timeout(format!(
-                        "no reply within {}ms deadline (+{}ms grace)",
-                        d.as_millis(),
-                        DEADLINE_GRACE.as_millis()
-                    )))
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(
-                    WireError::Transport("connection lost awaiting reply".into()),
-                ),
-            }
+    // Grace on top of the deadline: a server that aborts the request
+    // with DeadlineExceeded at the deadline still needs time to deliver
+    // that definite answer.
+    let until = deadline.map(|d| Instant::now() + d + DEADLINE_GRACE);
+    let mut replies = conn.replies.lock();
+    let outcome = loop {
+        if let Some(reply) = replies.slots.get_mut(&id).and_then(Option::take) {
+            break Ok(reply);
         }
-    }
+        if conn.is_dead() {
+            break Err(WireError::Transport("connection lost awaiting reply".into()));
+        }
+        let left = until.map(|u| u.saturating_duration_since(Instant::now()));
+        if left == Some(Duration::ZERO) {
+            break Err(WireError::Timeout(format!(
+                "no reply within {}ms deadline (+{}ms grace)",
+                deadline.unwrap_or_default().as_millis(),
+                DEADLINE_GRACE.as_millis()
+            )));
+        }
+        let Some(mut half) = replies.idle.take() else {
+            conn.wait(&mut replies, left);
+            continue;
+        };
+        drop(replies);
+        let read = conn.read_turn(&mut half, id, until);
+        replies = conn.replies.lock();
+        replies.idle = Some(half);
+        if read.is_err() {
+            conn.dead.store(true, Ordering::Release);
+        }
+        conn.wake(&replies);
+    };
+    replies.slots.remove(&id);
+    outcome
 }
 
 /// Slack between the deadline and the local timeout, so the server's
@@ -1238,78 +1407,4 @@ fn retry_backoff(base: Duration, client_id: u64, seq: u64, attempt: u32) -> Dura
 
 fn unexpected(reply: Reply) -> WireError {
     WireError::Protocol(format!("unexpected reply: {reply:?}"))
-}
-
-fn read_loop(
-    mut stream: TcpStream,
-    pending: &Pending,
-    handlers: &RwLock<HashMap<String, PushHandler>>,
-    push_seen: &Mutex<HashMap<String, u64>>,
-    writer: &Mutex<TcpStream>,
-    dead: &AtomicBool,
-) {
-    let mut reader = FrameReader::new();
-    loop {
-        match reader.poll(&mut stream) {
-            Ok(Some(Frame::Response { id, reply })) => {
-                if let Some(tx) = pending.lock().remove(&id) {
-                    let _ = tx.send(reply);
-                }
-                // No waiter: request raced with a local error path that
-                // already gave up on it (or id 0: a fire-and-forget ack
-                // whose Ok the server still sends); drop the reply.
-            }
-            Ok(Some(Frame::Push(event))) => {
-                // seq 0 = unsequenced push: always deliver, no ack.
-                // Otherwise dedup on the per-handler high-water mark —
-                // redelivery after reconnect resends pushes the server
-                // never saw acked, including ones we already ran.
-                let duplicate = event.seq != 0 && {
-                    let mut seen = push_seen.lock();
-                    let last = seen.entry(event.handler.clone()).or_insert(0);
-                    if event.seq <= *last {
-                        true
-                    } else {
-                        *last = event.seq;
-                        false
-                    }
-                };
-                if !duplicate {
-                    let guard = handlers.read();
-                    if let Some(h) = guard.get(&event.handler) {
-                        h(&event);
-                    }
-                    // No handler registered: the server pushed to a
-                    // handler this client never subscribed (or one
-                    // unregistered since); ignore.
-                }
-                // Ack after the handler returns (at-least-once for the
-                // handler, exactly-once per seq for delivery). Id 0 is
-                // the fire-and-forget channel: no waiter is registered,
-                // so the server's Ok is dropped above.
-                if event.seq != 0 {
-                    let ack = Frame::Request {
-                        id: 0,
-                        meta: RequestMeta::default(),
-                        command: Command::AckPush {
-                            handler: event.handler.clone(),
-                            seq: event.seq,
-                        },
-                    };
-                    if ack.write_to(&mut *writer.lock()).is_err() {
-                        break;
-                    }
-                }
-            }
-            // A burst ended inside a frame: read on.
-            Ok(None) => {}
-            // Servers never send requests to plain clients, and repl
-            // stream frames only flow to a subscribed replica (see
-            // `hipac-repl`); a malformed stream or EOF is fatal.
-            Ok(Some(Frame::Request { .. })) | Ok(Some(Frame::Repl(_))) | Err(_) => break,
-        }
-    }
-    dead.store(true, Ordering::Release);
-    // Wake every blocked caller: dropping the senders errors their recv.
-    pending.lock().clear();
 }

@@ -13,14 +13,15 @@
 //!   reader (a burst per `read`, frames decoded in place) behind every
 //!   socket read in the workspace.
 //! * [`server`] — [`server::HipacServer`]: a TCP server wrapping an
-//!   `ActiveDatabase`. A few reactor shards multiplex every connection
-//!   and queue its frames on a bounded worker pool; sessions keep
-//!   per-session transaction tables, and rule-action application
-//!   requests are delivered as push frames to subscribed clients.
-//! * [`reactor`] — the epoll facade and bounded non-blocking writes
-//!   the shards are built on.
+//!   `ActiveDatabase`. A bounded worker pool waits on a few epoll sets,
+//!   and the worker that receives a connection's readiness reads, runs
+//!   and answers its requests; sessions keep per-session transaction
+//!   tables, and rule-action application requests are delivered as
+//!   push frames to subscribed clients.
+//! * [`reactor`] — the epoll facade the workers wait on.
 //! * [`client`] — [`client::HipacClient`]: a blocking request/response
-//!   client with push-frame handler registration.
+//!   client whose callers read their own replies, with push-frame
+//!   handler registration.
 //!
 //! The protocol carries end-to-end failure resilience: every request
 //! carries an idempotency key (stable client id + monotonic sequence)

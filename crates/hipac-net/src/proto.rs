@@ -297,6 +297,7 @@ wire_struct! {
         pub group_commits: u64,
         pub group_commit_txns: u64,
         pub group_commit_largest: u64,
+        // Always 1: every worker waits on one epoll set.
         pub reactor_shards: u64,
         // ---- tenancy and breakers. The server encodes breaker_trips /
         // breaker_resets as zero; the client overlays its process-wide
@@ -378,8 +379,9 @@ pub enum Command {
     Unsubscribe { handler: String },
     /// Acknowledge the push frame with sequence `seq` on subscription
     /// `handler`: the server drops it from the redelivery outbox. Sent
-    /// by the client after the push handler returns (frame id 0 —
-    /// fire-and-forget, the `Ok` reply is discarded).
+    /// by the client after the push handler returns, with frame id 0:
+    /// fire-and-forget, so the server sends no response (any other id
+    /// is answered).
     AckPush { handler: String, seq: u64 },
     // ---- observability ----
     Stats,
@@ -399,8 +401,9 @@ pub enum Command {
     ReplSubscribe { start_lsn: u64, epoch: u64 },
     /// Follower → primary: the follower's store durably reflects the
     /// primary's log up to `applied_lsn`. Drives the primary's
-    /// semi-sync commit gate and its lag gauges (frame id 0 —
-    /// fire-and-forget).
+    /// semi-sync commit gate and its lag gauges. Sent with frame id 0:
+    /// fire-and-forget, so the server sends no response (any other id
+    /// is answered).
     ///
     /// `epoch`: the sender's replication epoch — a value newer
     /// than the receiver's fences the receiver (this is also the heal

@@ -1,19 +1,21 @@
-//! Reactor plumbing for the sharded server: a minimal epoll facade and
-//! the wake pipe.
+//! Reactor plumbing for the server: a minimal epoll facade.
 //!
 //! The offline toolchain has no `mio`/`libc`, so on Linux/x86_64 the
 //! [`Poller`] drives `epoll` through raw syscalls (the same shim
 //! approach the workspace uses for third-party crates). Elsewhere it
-//! degrades to a level-triggered scan: `wait` sleeps one tick and
+//! degrades to a level-triggered scan: a wait sleeps one tick and
 //! reports every registered token as ready for whatever it is armed
-//! for, and the shard's non-blocking reads and writes turn the
+//! for, and the server's non-blocking reads and writes turn the
 //! over-approximation into correctness (they simply observe
 //! `WouldBlock`). The facade is deliberately tiny — one `u64` token per
-//! fd and one interest setter, [`Poller::set_interest`] — because that
-//! is all the shard loop needs.
+//! fd. The server's workers register each socket one-shot
+//! ([`Poller::add_oneshot`]): an event disarms it until the worker that
+//! served it [`rearm`](Poller::rearm)s it, and each worker takes one
+//! event at a time ([`Poller::wait_one`]). [`Poller::add`] and
+//! [`Poller::wait`] stay plain level-triggered, for callers that drive
+//! a set of sockets from one thread.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io;
 use std::os::fd::RawFd;
 use std::time::Duration;
 
@@ -26,6 +28,10 @@ const EV_ERR_HUP: u32 = 0x8 | 0x10;
 /// The peer's half-close (`RDHUP`): news only to a reader (its next
 /// read returns EOF), so it is armed with reads.
 const EV_RDHUP: u32 = 0x2000;
+
+/// One-shot registration (`EPOLLONESHOT`): an event disarms the fd
+/// until it is re-armed.
+const EV_ONESHOT: u32 = 1 << 30;
 
 /// The event mask for the given interest.
 fn mask(read: bool, write: bool) -> u32 {
@@ -113,35 +119,49 @@ mod sys {
             self.ctl(EPOLL_CTL_ADD, fd, token, mask(true, false))
         }
 
-        /// Set what `fd` is watched for: readable (disarmed to pause a
-        /// connection) and writable (armed while its outbound queue waits).
-        pub fn set_interest(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, mask(read, write))
+        /// Register `fd` one-shot with read interest: its first event
+        /// disarms it until [`Poller::rearm`].
+        pub fn add_oneshot(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, fd, token, mask(true, false) | EV_ONESHOT)
+        }
+
+        /// Re-arm a one-shot `fd` for the given interest. Level-triggered:
+        /// a condition that already holds is reported at once.
+        pub fn rearm(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, fd, token, mask(read, write) | EV_ONESHOT)
         }
 
         pub fn del(&self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        /// Wait up to `timeout` for events, appending `(token, events)`
-        /// pairs to `out`. Returns the number of events delivered.
-        pub fn wait(&self, out: &mut Vec<(u64, u32)>, timeout: Duration) -> io::Result<usize> {
-            let mut buf = [EpollEvent { events: 0, data: 0 }; 128];
+        /// Wait up to `timeout` for at most `N` events.
+        fn wait_n<const N: usize>(&self, timeout: Duration) -> io::Result<impl Iterator<Item = (u64, u32)>> {
+            let mut buf = [EpollEvent { events: 0, data: 0 }; N];
             let n = check(unsafe {
                 syscall4(
                     SYS_EPOLL_WAIT,
                     self.epfd as usize,
                     buf.as_mut_ptr() as usize,
-                    buf.len(),
+                    N,
                     timeout.as_millis().min(i32::MAX as u128) as usize,
                 )
             })?;
-            for ev in buf.iter().take(n) {
-                let events = ev.events;
-                let data = ev.data;
-                out.push((data, events));
-            }
-            Ok(n)
+            Ok(buf.into_iter().take(n).map(|ev| (ev.data, ev.events)))
+        }
+
+        /// Wait up to `timeout` for events, appending `(token, events)`
+        /// pairs to `out`. Returns the number of events delivered.
+        pub fn wait(&self, out: &mut Vec<(u64, u32)>, timeout: Duration) -> io::Result<usize> {
+            let before = out.len();
+            out.extend(self.wait_n::<128>(timeout)?);
+            Ok(out.len() - before)
+        }
+
+        /// Wait up to `timeout` for one event: `(token, events)`, or
+        /// `None` when the wait timed out.
+        pub fn wait_one(&self, timeout: Duration) -> io::Result<Option<(u64, u32)>> {
+            Ok(self.wait_n::<1>(timeout)?.next())
         }
     }
 
@@ -155,21 +175,27 @@ mod sys {
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 mod sys {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
+    use std::sync::atomic::{AtomicI32, Ordering};
     use std::sync::Mutex;
 
-    /// Portable fallback: no kernel poller, so `wait` sleeps one short
+    /// Portable fallback: no kernel poller, so a wait sleeps one short
     /// tick and reports every registered token as ready for what it is
-    /// armed for. The shard's non-blocking reads and writes absorb the
-    /// over-approximation.
+    /// armed for. The server's non-blocking reads and writes absorb the
+    /// over-approximation. A one-shot fd is disarmed (its mask kept
+    /// with no interest) once reported.
     pub struct Poller {
-        tokens: Mutex<HashMap<RawFd, (u64, u32)>>,
+        tokens: Mutex<BTreeMap<RawFd, (u64, u32)>>,
+        /// The fd `wait_one` reported last: the next call scans on from
+        /// it, so every armed fd gets its turn.
+        last: AtomicI32,
     }
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             Ok(Poller {
-                tokens: Mutex::new(HashMap::new()),
+                tokens: Mutex::new(BTreeMap::new()),
+                last: AtomicI32::new(-1),
             })
         }
 
@@ -178,8 +204,13 @@ mod sys {
             Ok(())
         }
 
-        pub fn set_interest(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-            self.tokens.lock().unwrap().insert(fd, (token, mask(read, write)));
+        pub fn add_oneshot(&self, fd: RawFd, token: u64) -> io::Result<()> {
+            self.tokens.lock().unwrap().insert(fd, (token, mask(true, false) | EV_ONESHOT));
+            Ok(())
+        }
+
+        pub fn rearm(&self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
+            self.tokens.lock().unwrap().insert(fd, (token, mask(read, write) | EV_ONESHOT));
             Ok(())
         }
 
@@ -199,42 +230,35 @@ mod sys {
             }
             Ok(out.len())
         }
+
+        pub fn wait_one(&self, timeout: Duration) -> io::Result<Option<(u64, u32)>> {
+            std::thread::sleep(timeout.min(Duration::from_millis(5)));
+            let mut tokens = self.tokens.lock().unwrap();
+            let last = self.last.load(Ordering::Relaxed);
+            let after = tokens.range(last.saturating_add(1)..);
+            let fd = after
+                .chain(tokens.range(..=last))
+                .find(|(_, (_, ev))| ev & (EV_IN | EV_OUT) != 0)
+                .map(|(fd, _)| *fd);
+            Ok(fd.map(|fd| {
+                self.last.store(fd, Ordering::Relaxed);
+                let (token, events) = tokens.get_mut(&fd).expect("found above");
+                let ready = *events & (EV_IN | EV_OUT);
+                if *events & EV_ONESHOT != 0 {
+                    *events &= !(EV_IN | EV_OUT);
+                }
+                (*token, ready)
+            }))
+        }
     }
 }
 
 pub use sys::Poller;
 
-/// A loopback socket pair for waking a shard out of `Poller::wait`
-/// (the self-pipe pattern, built on TCP so it needs no platform
-/// surface beyond what the server already uses). Returns
-/// `(read_end, write_end)`: register the read end with the poller,
-/// hand the write end to whoever needs to wake the shard. Both ends
-/// are non-blocking.
-pub fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
-    let write_end = TcpStream::connect(listener.local_addr()?)?;
-    let (read_end, _) = listener.accept()?;
-    read_end.set_nonblocking(true)?;
-    write_end.set_nonblocking(true)?;
-    write_end.set_nodelay(true)?;
-    Ok((read_end, write_end))
-}
-
-/// Drain every readable byte from a wake socket (self-pipe pattern).
-pub fn drain_wake(stream: &mut impl Read) {
-    let mut buf = [0u8; 64];
-    while matches!(stream.read(&mut buf), Ok(n) if n > 0) {}
-}
-
-/// Signal a wake socket; failures are ignored (a full pipe already
-/// guarantees a pending wakeup).
-pub fn signal_wake(stream: &mut impl Write) {
-    let _ = stream.write(&[1]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::time::Instant;
@@ -279,19 +303,17 @@ mod tests {
         server.set_nonblocking(true).unwrap();
 
         let poller = Poller::new().unwrap();
-        poller.add(server.as_raw_fd(), 9).unwrap();
+        poller.add_oneshot(server.as_raw_fd(), 9).unwrap();
         client.write_all(b"pending").unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        poller.set_interest(server.as_raw_fd(), 9, false, false).unwrap();
-        let mut events = Vec::new();
-        poller.wait(&mut events, Duration::from_millis(30)).unwrap();
+        poller.rearm(server.as_raw_fd(), 9, false, false).unwrap();
+        let event = poller.wait_one(Duration::from_millis(30)).unwrap();
         assert!(
-            !events.iter().any(|(_, ev)| ev & EV_IN != 0),
+            !event.is_some_and(|(_, ev)| ev & EV_IN != 0),
             "disarmed fd must not report readable"
         );
-        poller.set_interest(server.as_raw_fd(), 9, true, false).unwrap();
-        events.clear();
-        poller.wait(&mut events, Duration::from_millis(100)).unwrap();
-        assert!(events.iter().any(|(t, ev)| *t == 9 && ev & EV_IN != 0));
+        poller.rearm(server.as_raw_fd(), 9, true, false).unwrap();
+        let event = poller.wait_one(Duration::from_millis(100)).unwrap();
+        assert!(event.is_some_and(|(t, ev)| t == 9 && ev & EV_IN != 0));
     }
 }

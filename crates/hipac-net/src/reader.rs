@@ -1,8 +1,8 @@
 //! [`FrameReader`]: the incremental frame reader behind every socket
 //! read in the workspace. One `read` takes whatever the kernel holds —
 //! a burst of frames — into a reused buffer, complete frames decode in
-//! place, and a partial frame waits for the rest. A reactor shard
-//! serves all its connections with one reader: it
+//! place, and a partial frame waits for the rest. A server worker
+//! serves every connection it owns in turn with one reader: it
 //! [`unpark`](FrameReader::unpark)s a connection's leftover bytes
 //! before reading it and [`park`](FrameReader::park)s them after, so an
 //! idle connection holds no read buffer. [`Frame::read_from`] stays the
@@ -110,6 +110,13 @@ impl FrameReader {
                 Err(e) => return Err(e.into()),
             }
         }
+    }
+
+    /// Free buffer space after the bytes read so far. Right after a
+    /// [`fill`](FrameReader::fill) that read something, a non-zero room
+    /// means the read was short: the source held no more just then.
+    pub fn room(&self) -> usize {
+        self.buf.len() - self.end
     }
 
     /// The next frame, reading `r` once if none is buffered. `Ok(None)`

@@ -50,10 +50,10 @@ pub(super) struct ServerShared {
     /// against the recovered journal, not against poisoned state.
     pub(super) storage_poisoned: AtomicBool,
     /// Idempotency window, striped by client-id hash ([`stripe_of_u64`])
-    /// so sessions served from different reactor shards never contend
-    /// on one global lock — and so the *same* client always probes the
-    /// same stripe no matter which shard its reconnected socket lands
-    /// on (cross-shard dedup correctness is by key, not by shard).
+    /// so sessions served by different workers rarely contend on one
+    /// lock — and so the *same* client always probes the same stripe
+    /// whichever connection carries it (dedup correctness across a
+    /// reconnect is by key, not by session).
     dedup: Vec<Mutex<DedupWindow>>,
     /// Journal keys evicted from the in-memory window, awaiting a
     /// piggybacked durable delete on the next journaled commit.
@@ -66,8 +66,8 @@ pub(super) struct ServerShared {
     /// the global counters.
     pub(super) tenant_shed_requests: AtomicU64,
     /// Per-tenant admission state, striped like the dedup window so
-    /// tenants served from different reactor shards never contend on
-    /// one lock. Tenant identity is the authenticated client id when
+    /// tenants served by different workers rarely contend on one
+    /// lock. Tenant identity is the authenticated client id when
     /// auth is on (id 0 = the shared `unauthenticated` class) and the
     /// asserted client id otherwise.
     tenants: Vec<Mutex<HashMap<u64, Arc<AtomicU64>>>>,

@@ -498,7 +498,7 @@ fn execute(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, command: Command) -> Hi
                 shed_adaptive: shared.shed_adaptive.load(Ordering::Relaxed),
                 journal_replays: shared.journal_replays.load(Ordering::Relaxed),
                 pushes_redelivered: shared.pushes_redelivered.load(Ordering::Relaxed),
-                reactor_shards: ctx.shards.len() as u64,
+                reactor_shards: 1,
                 auth_failures: shared.auth_failures.load(Ordering::Relaxed),
                 tenants_active: shared.tenants_active(),
                 tenant_shed_requests: shared.tenant_shed_requests.load(Ordering::Relaxed),

@@ -1,19 +1,21 @@
 //! [`HipacServer`]: the active DBMS behind a TCP listener.
 //!
-//! Connections are served by a sharded reactor: `reactor_shards`
-//! event-loop threads multiplex all sockets (non-blocking, via the
-//! [`crate::reactor`] epoll facade), so an idle connection costs one
-//! registered fd — no thread, no stack, no read buffer. Each shard
-//! reads its sockets a burst at a time through one
-//! [`crate::reader::FrameReader`] and queues the decoded frames on a
-//! pool of `workers` threads; a per-connection queue keeps each
-//! session's requests strictly ordered, and a full queue pauses that
-//! connection's reads (per-connection backpressure) until a worker
-//! drains it. Every byte sent to a connection — replies, pushes, the
+//! Connections are served by a reactor: `workers` threads wait on one
+//! shared epoll set (the [`crate::reactor`] facade), and the accept
+//! thread registers each non-blocking socket with it, one-shot, so an
+//! idle connection costs one registered fd — no thread, no stack, no
+//! read buffer. The worker that receives a
+//! connection's readiness owns the connection until it releases it: it
+//! reads the frames through its one [`crate::reader::FrameReader`],
+//! runs them in order and sends each reply itself, so a request crosses
+//! no thread inside the server, and a session's requests never run out
+//! of order. Every byte sent to a connection — replies, pushes, the
 //! replication stream — goes through its one ordered outbound queue
-//! (`ConnShared::send` in `shard.rs`). The server admits at most
-//! `workers + max_pending` concurrent connections; beyond that it
-//! refuses with an error frame instead of queueing unboundedly.
+//! (`ConnShared::send` in `shard.rs`); while bytes wait there, the
+//! owner reads nothing more from that connection (per-connection
+//! backpressure that cannot be bought with memory). The server admits
+//! at most `workers + max_pending` concurrent connections; beyond that
+//! it refuses with an error frame instead of queueing unboundedly.
 //!
 //! The paper's §4.1 role reversal — the DBMS calling the application —
 //! crosses the network through subscriptions: a client that sends
@@ -40,24 +42,27 @@ use crate::proto::{Frame, Reply, WireError};
 use admission::{load_reply_journal, ServerShared};
 use hipac::ActiveDatabase;
 use repl_hub::ReplHub;
-use shard::{shard_loop, worker_loop, ConnShared, ShardHandle};
+use parking_lot::Mutex;
+use shard::{worker_loop, ConnShared};
+use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use subscriptions::Subscriptions;
 
 /// Tuning knobs for [`HipacServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatch worker threads: every connection's requests execute on
-    /// this pool, one request per worker at a time.
+    /// Worker threads: each waits on the server's epoll set, and reads,
+    /// runs and answers the requests of one connection at a time.
     pub workers: usize,
     /// Connections admitted beyond `workers`: at most
-    /// `workers + max_pending` connections are open at once, and the
+    /// `workers + max_pending` connections are open at once — those no
+    /// worker serves wait as registered fds until one is free — and the
     /// next one is refused with a `ServerBusy` error frame.
     pub max_pending: usize,
     /// A connection with no complete request for this long is closed
@@ -91,12 +96,11 @@ pub struct ServerConfig {
     /// noisy tenant, not the quiet ones. `None` disables it;
     /// `max_inflight` remains the hard cap.
     pub shed_queue_delay: Option<Duration>,
-    /// Reactor shards: event-loop threads multiplexing all connections
-    /// over non-blocking sockets. Each connection is owned by exactly
-    /// one shard for reading; complete frames dispatch onto the
-    /// `workers` pool. `0` picks a default from the machine's
-    /// parallelism. Idle connections cost one registered fd each — no
-    /// stack, no thread.
+    /// Ignored. Every worker waits on one shared epoll set, so that any
+    /// free worker serves any connection: split into several sets, a
+    /// few requests blocked on a lock or a replica would stall every
+    /// other connection of their set. The field stays so that
+    /// configurations naming it still build.
     pub reactor_shards: usize,
     /// Shared secret for session authentication. When set, a
     /// session must present `Command::Auth` with a valid
@@ -154,16 +158,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// How often the accept thread and the shards wake to check the
-/// shutdown flag.
+/// How often the accept thread and idle workers wake to check the
+/// shutdown flag (and, for workers, whether the sweep is due).
 const READ_TICK: Duration = Duration::from_millis(50);
 
-/// Lock stripes for the shard-local session maps. Keys hash to a
-/// stripe independently of which reactor shard serves the connection,
-/// so the *same* client id or handler name always lands on the same
-/// stripe no matter where (or when) its connection is homed — which is
-/// exactly what keeps dedup and outbox semantics stable when a client
-/// reconnects onto a different shard.
+/// Lock stripes for the session maps. Keys hash to a stripe
+/// independently of the session, so the *same* client id or handler
+/// name always lands on the same stripe whichever connection carries
+/// it — which is what keeps dedup and outbox semantics stable when a
+/// client reconnects.
 const STATE_STRIPES: usize = 16;
 
 fn stripe_of_u64(key: u64) -> usize {
@@ -186,7 +189,13 @@ struct ServerCtx {
     shared: Arc<ServerShared>,
     cfg: ServerConfig,
     repl: Arc<ReplHub>,
-    shards: Vec<Arc<ShardHandle>>,
+    /// The epoll set every worker waits on.
+    poller: Arc<crate::reactor::Poller>,
+    /// Every live connection, by poller token.
+    conns: Mutex<HashMap<u64, Arc<ConnShared>>>,
+    /// When the next sweep of idle and stalled connections is due; the
+    /// worker that finds it passed (and the lock free) runs it.
+    next_sweep: Mutex<Instant>,
 }
 
 /// A running network front end over an [`ActiveDatabase`].
@@ -198,11 +207,7 @@ pub struct HipacServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    shard_threads: Vec<JoinHandle<()>>,
     worker_threads: Vec<JoinHandle<()>>,
-    /// The original job sender; dropped at shutdown (after the shards —
-    /// the only other senders — have joined) to release the workers.
-    jobs: Option<crossbeam::channel::Sender<Arc<ConnShared>>>,
     repl_thread: Option<JoinHandle<()>>,
     /// The slow-subscriber eviction housekeeper.
     evict_thread: Option<JoinHandle<()>>,
@@ -239,14 +244,7 @@ impl HipacServer {
         }
         let repl = ReplHub::new(durable, Arc::clone(db.repl_counters()), config.sync_repl);
         let repl_thread = repl_hub::spawn_shipper(&repl, &shutdown);
-        let n_shards = shard::resolve_shards(config.reactor_shards);
-        let mut shard_handles = Vec::with_capacity(n_shards);
-        let mut wake_readers = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let (handle, read_end) = ShardHandle::new()?;
-            shard_handles.push(handle);
-            wake_readers.push(read_end);
-        }
+        let workers = config.workers.max(1);
         let evict_thread = subscriptions::spawn_housekeeper(&subscriptions, &db, &shutdown);
         let ctx = Arc::new(ServerCtx {
             db,
@@ -254,34 +252,20 @@ impl HipacServer {
             shared,
             cfg: config.clone(),
             repl,
-            shards: shard_handles,
+            poller: Arc::new(crate::reactor::Poller::new()?),
+            conns: Mutex::new(HashMap::new()),
+            next_sweep: Mutex::new(Instant::now()),
         });
 
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Arc<ConnShared>>();
-        let workers = config.workers.max(1);
         let mut worker_threads = Vec::with_capacity(workers);
         for n in 0..workers {
-            let rx = job_rx.clone();
             let ctx = Arc::clone(&ctx);
+            let stop = Arc::clone(&shutdown);
             worker_threads.push(
                 std::thread::Builder::new()
                     .name(format!("hipac-net-worker-{n}"))
-                    .spawn(move || worker_loop(ctx, rx))
+                    .spawn(move || worker_loop(ctx, stop))
                     .expect("spawn worker thread"),
-            );
-        }
-
-        let mut shard_threads = Vec::with_capacity(n_shards);
-        for (idx, wake_rx) in wake_readers.into_iter().enumerate() {
-            let handle = Arc::clone(&ctx.shards[idx]);
-            let ctx = Arc::clone(&ctx);
-            let jobs = job_tx.clone();
-            let stop = Arc::clone(&shutdown);
-            shard_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("hipac-net-shard-{idx}"))
-                    .spawn(move || shard_loop(handle, wake_rx, ctx, jobs, stop))
-                    .expect("spawn shard thread"),
             );
         }
 
@@ -294,15 +278,13 @@ impl HipacServer {
             // immediately rather than up to READ_TICK later.
             let accept_poller = crate::reactor::Poller::new()?;
             accept_poller.add(listener.as_raw_fd(), 0)?;
-            // Admission cap: at most `workers` connections in active
-            // dispatch plus `max_pending` more whose requests wait
-            // their turn (an admitted idle connection is just an fd).
-            let conn_cap = (config.workers.max(1) + config.max_pending).max(1) as u64;
+            // Admission cap: at most `workers` connections being served
+            // plus `max_pending` more whose requests wait their turn (an
+            // admitted idle connection is just an fd).
+            let conn_cap = (workers + config.max_pending) as u64;
             std::thread::Builder::new()
                 .name("hipac-net-accept".to_owned())
                 .spawn(move || {
-                    let mut rr = 0usize;
-                    let mut backlog_events = Vec::new();
                     while !stop.load(Ordering::Acquire) {
                         match listener.accept() {
                             Ok((stream, _)) => {
@@ -322,14 +304,10 @@ impl HipacServer {
                                     continue;
                                 }
                                 ctx.shared.active_connections.fetch_add(1, Ordering::Relaxed);
-                                let sh = &ctx.shards[rr % ctx.shards.len()];
-                                rr = rr.wrapping_add(1);
-                                sh.inbox.lock().push(stream);
-                                sh.wake();
+                                shard::adopt(&ctx, stream);
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                backlog_events.clear();
-                                let _ = accept_poller.wait(&mut backlog_events, READ_TICK);
+                                let _ = accept_poller.wait_one(READ_TICK);
                             }
                             Err(_) => std::thread::sleep(READ_TICK),
                         }
@@ -342,9 +320,7 @@ impl HipacServer {
             addr,
             shutdown,
             accept_thread: Some(accept_thread),
-            shard_threads,
             worker_threads,
-            jobs: Some(job_tx),
             repl_thread: Some(repl_thread),
             evict_thread: Some(evict_thread),
             ctx,
@@ -424,29 +400,18 @@ impl HipacServer {
         self.ctx.subs.subscribers_evicted.load(Ordering::Relaxed)
     }
 
-    /// Stop accepting, interrupt live sessions at their next reactor
-    /// tick, abort their open transactions, and join all threads.
+    /// Stop accepting, let each worker finish the connection it
+    /// serves, then close every session, abort its open transactions,
+    /// and join all threads.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Wake the shards so they observe the flag promptly; each one
-        // enqueues a Teardown for every connection it owns on its way
-        // out (running after any frames already dispatched).
-        for sh in &self.ctx.shards {
-            sh.wake();
-        }
-        for t in self.shard_threads.drain(..) {
-            let _ = t.join();
-        }
-        // The shards held the only other job senders; dropping ours
-        // closes the channel and the workers exit once the teardown
-        // queue drains.
-        self.jobs = None;
         for t in self.worker_threads.drain(..) {
             let _ = t.join();
         }
+        shard::retire_where(&self.ctx, |_, _| true);
         if let Some(t) = self.repl_thread.take() {
             let _ = t.join();
         }

@@ -77,6 +77,8 @@ impl ReplPeer {
         let send = |msg| self.conn.send(&Frame::Repl(msg).encode());
         match due {
             Some(Due::Batches(batches, next_lsn)) => {
+                // The round's frames go out in one write.
+                let mut frames = Vec::new();
                 for b in &batches {
                     let batch = ReplMsg::Batch {
                         prev_lsn: self.chained,
@@ -86,9 +88,7 @@ impl ReplPeer {
                         ops: b.ops.clone(),
                         epoch,
                     };
-                    if !send(batch) {
-                        return None;
-                    }
+                    frames.extend(Frame::Repl(batch).encode());
                     self.chained = b.next_lsn;
                     self.fold = hipac_storage::fold_digest(
                         self.fold,
@@ -98,6 +98,9 @@ impl ReplPeer {
                 }
                 while self.digest_log.len() > DIGEST_LOG_CAP {
                     self.digest_log.pop_front();
+                }
+                if !frames.is_empty() && !self.conn.send(&frames) {
+                    return None;
                 }
                 let moved = next_lsn > self.shipped;
                 self.shipped = self.shipped.max(next_lsn);

@@ -1,28 +1,36 @@
-//! The reactor shards, which read every socket through one
-//! [`FrameReader`] per shard and queue decoded frames per connection;
-//! the dispatch workers, which drain one connection at a time; and
-//! [`ConnShared::send`], the one way bytes go out to a connection.
+//! The reactor: the workers that wait on the server's one epoll set
+//! and serve a connection from its readiness to its replies, the
+//! connections registered with that set, and [`ConnShared::send`], the
+//! one way bytes go out to a connection.
+//!
+//! A worker takes one event at a time. Every socket is registered
+//! one-shot, so an event disarms it; the worker that gets the event
+//! takes ownership of the connection (the `owned` flag, under the
+//! connection's `own` lock), flushes its outbound backlog, reads,
+//! decodes and runs its frames in order, sending each reply itself,
+//! and releases it: under the same lock it clears `owned`, parks the
+//! bytes not yet decoded and re-arms the socket. An event is only a
+//! hint: one that finds the connection owned is dropped, and since
+//! every release re-arms a level-triggered socket, whatever that event
+//! announced is reported again after the release. All workers share
+//! the one set, so any free worker serves any connection: a request
+//! that blocks its worker (a lock wait, a semi-synchronous commit)
+//! holds up no connection while another worker is free.
 
 use super::dispatch::handle;
 use super::{ServerCtx, READ_TICK};
-use crate::proto::Frame;
+use crate::proto::{Command, Frame};
 use crate::reactor::Poller;
 use crate::reader::FrameReader;
 use hipac_common::TxnId;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Dispatch-queue depth at which a connection's reads are paused (its
-/// `EPOLLIN` interest disarmed) until a worker drains the queue:
-/// per-connection backpressure that cannot be bought with memory. A
-/// pipelining client slows down; everyone else is unaffected.
-const PENDING_CAP: usize = 64;
 
 /// A connection whose oldest queued outbound byte has waited this long
 /// is retired: a peer that stops reading is cut loose.
@@ -31,46 +39,10 @@ const OUTBOUND_STALL: Duration = Duration::from_secs(5);
 /// Queued frames one vectored write takes at most.
 const MAX_IOV: usize = 64;
 
-/// Poller token reserved for a shard's wake pipe.
-const WAKE_TOKEN: u64 = u64::MAX;
-
-/// How often a shard retires idle and stalled connections.
+/// How often a worker retires idle and stalled connections.
 const SWEEP_EVERY: Duration = Duration::from_millis(100);
 
-type Jobs = crossbeam::channel::Sender<Arc<ConnShared>>;
-
-/// Resolved shard count: the explicit knob, or a small default from
-/// the machine's parallelism (shards are event loops, not compute —
-/// a few go a long way).
-pub(super) fn resolve_shards(knob: usize) -> usize {
-    if knob > 0 {
-        return knob;
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(4)
-}
-
-/// One unit of per-connection work, ordered through [`ConnQueue`].
-enum WorkItem {
-    /// A complete frame read by the owning shard.
-    Frame(Frame),
-    /// Session teardown — enqueued by the shard when it retires the
-    /// connection, so it runs strictly after every in-flight frame.
-    Teardown,
-}
-
-/// The per-connection dispatch queue. `busy` marks a worker currently
-/// draining it; the shard only submits the connection to the job
-/// channel on the false→true transition, so at most one worker works a
-/// connection at a time and its requests stay strictly ordered.
-struct ConnQueue {
-    busy: bool,
-    pending: VecDeque<WorkItem>,
-}
-
-/// Session state mutated by workers (one at a time, by construction).
+/// Session state mutated by the connection's owner.
 pub(super) struct SessionCore {
     /// The tenant identity this session has proven with `Command::Auth`;
     /// `None` until a valid token arrives. With an `auth_secret`
@@ -155,32 +127,47 @@ impl OutQueue {
     }
 }
 
-/// Connection state shared by its shard, the workers, and every sender
-/// (replies, pushes, the replication shipper).
+/// Who serves a connection, and what it left for the next turn.
+pub(super) struct Ownership {
+    /// A worker is serving the connection, or it was retired (a retired
+    /// connection stays owned for good).
+    owned: bool,
+    /// Bytes read but not yet decoded — a partial frame, or complete
+    /// frames left when a backlog stopped the reading. Empty, and
+    /// unallocated, for an idle connection.
+    rest: Vec<u8>,
+    /// When the connection last sent a complete request.
+    last_activity: Instant,
+}
+
+/// Connection state shared by its owner and every sender (replies,
+/// pushes, the replication shipper).
 pub(super) struct ConnShared {
     pub(super) id: u64,
-    /// The reactor shard owning this connection.
-    shard: Arc<ShardHandle>,
-    /// Read by the shard, written by [`OutQueue::write_out`].
+    /// The server's epoll set, which the socket is registered with:
+    /// a sender that leaves a backlog on a connection no one owns arms
+    /// write interest itself.
+    poller: Arc<Poller>,
+    /// Read by the owner, written by [`OutQueue::write_out`].
     stream: TcpStream,
     out: Mutex<OutQueue>,
     pub(super) core: Mutex<SessionCore>,
-    queue: Mutex<ConnQueue>,
+    own: Mutex<Ownership>,
     /// Set on a doomed connection (a write failed, a protocol
-    /// violation): queued frames are skipped and the shard retires the
-    /// socket at its next wake.
+    /// violation): frames not yet run are skipped, and the socket is
+    /// shut down so that its next event retires it.
     dead: AtomicBool,
-    /// Reads disarmed because the dispatch queue hit [`PENDING_CAP`];
-    /// the worker that drains the queue clears it and asks the shard to
-    /// re-arm.
-    paused: AtomicBool,
+    /// Debug check of the ownership rule: set while a worker serves
+    /// the connection.
+    #[cfg(debug_assertions)]
+    serving: AtomicBool,
 }
 
 impl ConnShared {
-    pub(super) fn new(id: u64, stream: TcpStream, shard: Arc<ShardHandle>) -> ConnShared {
+    pub(super) fn new(id: u64, stream: TcpStream, poller: Arc<Poller>) -> ConnShared {
         ConnShared {
             id,
-            shard,
+            poller,
             stream,
             out: Mutex::new(OutQueue::default()),
             core: Mutex::new(SessionCore {
@@ -188,36 +175,43 @@ impl ConnShared {
                 open_txns: HashSet::new(),
                 pending_repl: None,
             }),
-            queue: Mutex::new(ConnQueue {
-                busy: false,
-                pending: VecDeque::new(),
+            own: Mutex::new(Ownership {
+                owned: false,
+                rest: Vec::new(),
+                last_activity: Instant::now(),
             }),
             dead: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
+            #[cfg(debug_assertions)]
+            serving: AtomicBool::new(false),
         }
     }
 
-    /// Send one encoded frame, in the order `send` calls take the queue
-    /// lock. With nothing queued ahead it is written at once, as far as
-    /// the socket takes it; the shard finishes the rest when the socket
-    /// turns writable. Never waits. `false` once the connection closed.
+    /// Send one encoded frame (or several, concatenated), in the order
+    /// `send` calls take the queue lock. With nothing queued ahead it is
+    /// written at once, as far as the socket takes it; the rest waits
+    /// for the socket to turn writable. Never waits. `false` once the
+    /// connection closed.
     pub(super) fn send(&self, frame: &[u8]) -> bool {
         let mut out = self.out.lock();
         if out.closed {
             return false;
         }
         if !out.frames.is_empty() {
-            // The shard is finishing the queue; this frame goes after it.
+            // Write interest is armed, or the owner arms it at release.
             out.frames.push_back((frame.to_vec(), Instant::now()));
             return true;
         }
         match out.write_out(&self.stream, frame) {
             Ok(n) if n == frame.len() => {}
             Ok(n) => {
-                // A backlog formed: the shard arms writes, pauses reads.
                 out.frames.push_back((frame[n..].to_vec(), Instant::now()));
                 drop(out);
-                self.shard.poke(self.id);
+                // A backlog formed. An owner arms write interest when it
+                // releases the connection; with no owner, arm it here.
+                let own = self.own.lock();
+                if !own.owned {
+                    self.arm(false, true);
+                }
             }
             Err(_) => {
                 out.close();
@@ -234,329 +228,225 @@ impl ConnShared {
         !self.out.lock().frames.is_empty()
     }
 
-    /// Write what the socket takes of the queue (the shard's half of
-    /// [`ConnShared::send`]); `Ok(true)` once it is empty.
+    /// Write what the socket takes of the queue; `Ok(true)` once it is
+    /// empty.
     fn flush(&self) -> io::Result<bool> {
         let mut out = self.out.lock();
         out.write_out(&self.stream, &[])?;
         Ok(out.frames.is_empty())
     }
 
-    /// Whether the oldest queued byte has waited [`OUTBOUND_STALL`].
-    fn stalled(&self) -> bool {
-        let out = self.out.lock();
-        out.frames.front().is_some_and(|(_, t)| t.elapsed() >= OUTBOUND_STALL)
-    }
-
-    /// Doom the connection; its shard retires the socket (and enqueues
-    /// the teardown) at its next wake.
+    /// Doom the connection: shut its socket down, so its next event —
+    /// an EOF — retires it.
     fn doom(&self) {
         if !self.dead.swap(true, Ordering::AcqRel) {
-            self.shard.wake();
+            let _ = self.stream.shutdown(std::net::Shutdown::Both);
         }
     }
-}
 
-/// Shard-private per-connection state (owned by the shard thread).
-struct ShardConn {
-    /// Bytes read but not yet queued, parked here between the shard's
-    /// turns on this connection: a partial frame, or — when the queue
-    /// paused the connection mid-burst — complete frames too. Empty,
-    /// and unallocated, for an idle connection.
-    rest: Vec<u8>,
-    last_activity: Instant,
-    /// Outbound bytes were left after the shard's last flush.
-    backlog: bool,
-    /// The `(read, write)` interest last set with the poller.
-    armed: (bool, bool),
-    shared: Arc<ConnShared>,
-}
-
-/// A shard's mailbox, shared with the accept thread and every sender.
-pub(super) struct ShardHandle {
-    /// Freshly admitted sockets awaiting adoption by the shard.
-    pub(super) inbox: Mutex<Vec<TcpStream>>,
-    /// Connections to serve again: a drained dispatch queue or a fresh
-    /// outbound backlog.
-    poked: Mutex<Vec<u64>>,
-    /// Write end of the shard's wake pipe.
-    wake: Mutex<TcpStream>,
-}
-
-impl ShardHandle {
-    /// A shard's mailbox and the read end of its wake pipe.
-    pub(super) fn new() -> io::Result<(Arc<ShardHandle>, TcpStream)> {
-        let (read_end, write_end) = crate::reactor::wake_pair()?;
-        let handle = ShardHandle {
-            inbox: Mutex::new(Vec::new()),
-            poked: Mutex::new(Vec::new()),
-            wake: Mutex::new(write_end),
-        };
-        Ok((Arc::new(handle), read_end))
+    /// Re-arm the socket. Called under the `own` lock.
+    fn arm(&self, read: bool, write: bool) {
+        let _ = self.poller.rearm(self.stream.as_raw_fd(), self.id, read, write);
     }
 
-    pub(super) fn wake(&self) {
-        crate::reactor::signal_wake(&mut *self.wake.lock());
+    /// Take ownership, with the bytes the last owner parked, if no one
+    /// owns the connection (a retired one stays owned) and `claim`
+    /// agrees.
+    fn take_if(&self, claim: impl FnOnce(&Ownership) -> bool) -> Option<Vec<u8>> {
+        let mut own = self.own.lock();
+        if own.owned || !claim(&own) {
+            return None;
+        }
+        own.owned = true;
+        self.note_served(true);
+        Some(std::mem::take(&mut own.rest))
     }
 
-    /// Ask the shard to serve connection `id` again.
-    fn poke(&self, id: u64) {
-        self.poked.lock().push(id);
-        self.wake();
+    /// Whether the connection has sent no request for `idle_timeout`,
+    /// or its oldest queued byte has waited [`OUTBOUND_STALL`].
+    fn expired(&self, own: &Ownership, now: Instant, idle_timeout: Duration) -> bool {
+        let stalled = |(_, queued): &(Vec<u8>, Instant)| now.duration_since(*queued) >= OUTBOUND_STALL;
+        now.duration_since(own.last_activity) >= idle_timeout
+            || self.out.lock().frames.front().is_some_and(stalled)
     }
-}
 
-/// Append `item` to the connection's queue and submit the connection
-/// to the worker pool if no worker is already draining it. Returns
-/// whether the queue reached [`PENDING_CAP`]; the connection is then
-/// marked paused under the queue lock, so the worker that drains the
-/// queue is certain to see the mark and ask for a resume.
-fn enqueue(conn: &Arc<ConnShared>, item: WorkItem, jobs: &Jobs) -> bool {
-    let mut q = conn.queue.lock();
-    q.pending.push_back(item);
-    let full = q.pending.len() >= PENDING_CAP;
-    if full {
-        conn.paused.store(true, Ordering::Release);
+    /// Give the connection up: park `rest`, clear `owned` and re-arm —
+    /// for writes while outbound bytes wait (reading nothing more until
+    /// they are gone), for reads otherwise.
+    fn release(&self, rest: Vec<u8>, active: bool) {
+        let mut own = self.own.lock();
+        self.note_served(false);
+        own.owned = false;
+        own.rest = rest;
+        if active {
+            own.last_activity = Instant::now();
+        }
+        let backlog = self.backlogged();
+        self.arm(!backlog, backlog);
     }
-    if !q.busy {
-        q.busy = true;
-        drop(q);
-        let _ = jobs.send(Arc::clone(conn));
+
+    /// The debug check that no two workers own a connection at once.
+    fn note_served(&self, serving: bool) {
+        #[cfg(debug_assertions)]
+        assert_ne!(
+            self.serving.swap(serving, Ordering::AcqRel),
+            serving,
+            "connection {} owned by two workers at once",
+            self.id
+        );
+        let _ = serving;
     }
-    full
 }
 
 static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 
-/// The reactor shard event loop: adopts admitted sockets, reads frames
-/// from every connection it owns, dispatches complete frames to the
-/// worker pool through per-connection queues, and finishes outbound
-/// queues the senders left for it. All socket reads for a connection
-/// happen here.
-pub(super) fn shard_loop(
-    handle: Arc<ShardHandle>,
-    mut wake_rx: TcpStream,
-    ctx: Arc<ServerCtx>,
-    jobs: Jobs,
-    stop: Arc<AtomicBool>,
-) {
-    let poller = Poller::new().expect("create shard poller");
-    let _ = poller.add(wake_rx.as_raw_fd(), WAKE_TOKEN);
+/// Register an admitted socket with the server's epoll set, one-shot,
+/// for reads.
+pub(super) fn adopt(ctx: &ServerCtx, stream: TcpStream) {
+    let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+    let fd = stream.as_raw_fd();
+    let conn = Arc::new(ConnShared::new(id, stream, Arc::clone(&ctx.poller)));
+    ctx.conns.lock().insert(id, conn);
+    if ctx.poller.add_oneshot(fd, id).is_err() {
+        // Admission already counted it; undo (no session state exists).
+        ctx.conns.lock().remove(&id);
+        ctx.shared.active_connections.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A worker: waits on the server's epoll set for one event at a time
+/// and serves the connection it names, and runs the sweep when it is
+/// due.
+pub(super) fn worker_loop(ctx: Arc<ServerCtx>, stop: Arc<AtomicBool>) {
     let mut reader = FrameReader::new();
-    let mut conns: HashMap<u64, ShardConn> = HashMap::new();
-    let mut events: Vec<(u64, u32)> = Vec::new();
-    let mut last_sweep = Instant::now();
     while !stop.load(Ordering::Acquire) {
-        events.clear();
-        let _ = poller.wait(&mut events, READ_TICK);
-        let mut check_dead = false;
-        let mut ready: Vec<u64> = Vec::with_capacity(events.len());
-        for &(token, _flags) in &events {
-            if token == WAKE_TOKEN {
-                crate::reactor::drain_wake(&mut wake_rx);
-                check_dead = true;
-            } else {
-                ready.push(token);
+        if let Ok(Some((token, _))) = ctx.poller.wait_one(READ_TICK) {
+            let conn = ctx.conns.lock().get(&token).cloned();
+            if let Some(conn) = conn {
+                serve(&ctx, &mut reader, &conn);
             }
         }
-        // Adoption and pokes are signaled through the wake pipe, but
-        // checking the mailboxes every pass keeps the fallback poller
-        // (whose wakes are advisory) correct too.
-        for stream in handle.inbox.lock().drain(..) {
-            adopt(&handle, stream, &poller, &mut conns, &ctx);
-        }
-        ready.append(&mut handle.poked.lock());
-        for id in ready {
-            let Some(sc) = conns.get_mut(&id) else {
-                continue;
-            };
-            if !serve(&mut reader, sc, &poller, &jobs) {
-                if let Some(sc) = conns.remove(&id) {
-                    retire(&poller, sc, &jobs);
-                }
-            }
-        }
-        if check_dead {
-            let dead = |sc: &ShardConn| sc.shared.dead.load(Ordering::Acquire);
-            retire_where(&mut conns, &poller, &jobs, dead);
-        }
-        if last_sweep.elapsed() >= SWEEP_EVERY {
-            last_sweep = Instant::now();
-            let idle_timeout = ctx.cfg.idle_timeout;
-            let doomed = |sc: &ShardConn| {
-                sc.last_activity.elapsed() >= idle_timeout || (sc.backlog && sc.shared.stalled())
-            };
-            retire_where(&mut conns, &poller, &jobs, doomed);
-        }
-    }
-    // Shutdown: adopt whatever the accept thread already admitted (so
-    // the gauge bookkeeping stays uniform), then retire everything.
-    // The teardowns run after any frames already dispatched.
-    for stream in handle.inbox.lock().drain(..) {
-        adopt(&handle, stream, &poller, &mut conns, &ctx);
-    }
-    for (_, sc) in conns.drain() {
-        retire(&poller, sc, &jobs);
+        sweep_if_due(&ctx);
     }
 }
 
-/// Serve a connection that is ready or poked: flush its outbound queue;
-/// then, if that emptied it, queue the frames it sent; and set the
-/// poller interest to match — a peer that stops reading stops being
-/// served. Returns `false` when the connection must be retired.
-fn serve(reader: &mut FrameReader, sc: &mut ShardConn, poller: &Poller, jobs: &Jobs) -> bool {
-    sc.backlog = match sc.shared.flush() {
-        Ok(drained) => !drained,
-        Err(_) => return false,
+/// Serve a connection an event named, unless another thread owns it:
+/// flush its backlog, run what it sent, and release or retire it.
+fn serve(ctx: &Arc<ServerCtx>, reader: &mut FrameReader, conn: &Arc<ConnShared>) {
+    let Some(rest) = conn.take_if(|_| true) else {
+        return;
     };
-    if !pump(reader, sc, jobs) {
-        return false;
+    match conn.flush() {
+        Ok(true) => {}
+        Ok(false) => return conn.release(rest, false),
+        Err(_) => return retire(ctx, conn),
     }
-    let want = (
-        !sc.backlog && !sc.shared.paused.load(Ordering::Acquire),
-        sc.backlog,
-    );
-    if want != sc.armed {
-        let fd = sc.shared.stream.as_raw_fd();
-        let _ = poller.set_interest(fd, sc.shared.id, want.0, want.1);
-        sc.armed = want;
+    reader.unpark(rest);
+    let (alive, active) = pump(ctx, reader, conn);
+    let rest = reader.park();
+    if alive {
+        conn.release(rest, active);
+    } else {
+        retire(ctx, conn);
     }
-    true
 }
 
-/// Queue every complete frame of `sc` — those parked in its `rest`
-/// first, then what each further `read` brings — until the socket has
-/// nothing more or the queue pauses the connection. Does nothing while
-/// outbound bytes wait or the connection is paused. Returns `false`
-/// when the connection must be retired: EOF, a transport error, or a
-/// protocol violation (an oversize or undecodable frame), which ends
-/// the session after the frames already queued.
-fn pump(reader: &mut FrameReader, sc: &mut ShardConn, jobs: &Jobs) -> bool {
-    if sc.backlog || sc.shared.paused.load(Ordering::Acquire) {
-        return true;
-    }
-    reader.unpark(std::mem::take(&mut sc.rest));
+/// Run every complete frame of `conn` — those parked first, then what
+/// each further `read` brings — sending each reply. Stops after a short
+/// read (the socket held no more; the re-armed socket reports anything
+/// later) and while outbound bytes wait. Returns whether the connection
+/// lives — not after EOF, a transport error, a protocol violation (an
+/// oversize or undecodable frame) or a doom — and whether it sent a
+/// request.
+fn pump(ctx: &Arc<ServerCtx>, reader: &mut FrameReader, conn: &Arc<ConnShared>) -> (bool, bool) {
+    let (mut active, mut drained) = (false, false);
     let alive = loop {
+        if conn.dead.load(Ordering::Acquire) {
+            break false;
+        }
+        if conn.backlogged() {
+            break true;
+        }
         match reader.next_frame() {
             Ok(Some(frame)) => {
-                sc.last_activity = Instant::now();
-                if enqueue(&sc.shared, WorkItem::Frame(frame), jobs) {
-                    break true;
-                }
+                active = true;
+                process_frame(ctx, conn, frame);
             }
-            Ok(None) => match reader.fill(&mut &sc.shared.stream) {
-                Ok(true) => {}
+            Ok(None) if drained => break true,
+            Ok(None) => match reader.fill(&mut &conn.stream) {
+                Ok(true) => drained = reader.room() > 0,
                 Ok(false) => break true,
                 Err(_) => break false,
             },
             Err(_) => break false,
         }
     };
-    sc.rest = reader.park();
-    alive
+    (alive, active)
 }
 
-/// Register an admitted socket with this shard.
-fn adopt(
-    handle: &Arc<ShardHandle>,
-    stream: TcpStream,
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardConn>,
-    ctx: &Arc<ServerCtx>,
-) {
-    let id = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-    if poller.add(stream.as_raw_fd(), id).is_err() {
-        // Admission already counted it; undo (no session state exists).
-        ctx.shared.active_connections.fetch_sub(1, Ordering::Relaxed);
+/// Run the sweep if it is due and no other worker is running it: retire
+/// every connection idle past `idle_timeout` or stalled past
+/// [`OUTBOUND_STALL`] that no one owns.
+fn sweep_if_due(ctx: &Arc<ServerCtx>) {
+    let Some(mut next) = ctx.next_sweep.try_lock() else {
+        return;
+    };
+    let now = Instant::now();
+    if now < *next {
         return;
     }
-    conns.insert(
-        id,
-        ShardConn {
-            rest: Vec::new(),
-            last_activity: Instant::now(),
-            backlog: false,
-            armed: (true, false),
-            shared: Arc::new(ConnShared::new(id, stream, Arc::clone(handle))),
-        },
-    );
+    *next = now + SWEEP_EVERY;
+    drop(next);
+    retire_where(ctx, |conn, own| conn.expired(own, now, ctx.cfg.idle_timeout));
 }
 
-/// Retire every connection `doomed` picks.
-fn retire_where(
-    conns: &mut HashMap<u64, ShardConn>,
-    poller: &Poller,
-    jobs: &Jobs,
-    doomed: impl Fn(&ShardConn) -> bool,
-) {
-    let ids: Vec<u64> = conns
-        .iter()
-        .filter(|(_, sc)| doomed(sc))
-        .map(|(id, _)| *id)
+/// Retire every registered connection that no one owns and `doomed`
+/// picks.
+pub(super) fn retire_where(ctx: &Arc<ServerCtx>, doomed: impl Fn(&ConnShared, &Ownership) -> bool) {
+    let claimed: Vec<Arc<ConnShared>> = ctx
+        .conns
+        .lock()
+        .values()
+        .filter(|conn| conn.take_if(|own| doomed(conn, own)).is_some())
+        .cloned()
         .collect();
-    for id in ids {
-        if let Some(sc) = conns.remove(&id) {
-            retire(poller, sc, jobs);
-        }
+    for conn in claimed {
+        retire(ctx, &conn);
     }
 }
 
-/// Deregister and close a connection's socket — after one last write
-/// of what the socket takes of its outbound queue — then enqueue its
-/// teardown (which runs after any frames already in its queue).
-fn retire(poller: &Poller, sc: ShardConn, jobs: &Jobs) {
-    let conn = &sc.shared;
+/// Close an owned connection — after one last write of what the socket
+/// takes of its outbound queue — and tear its session down. The
+/// connection stays owned, so nothing serves it again.
+fn retire(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>) {
     {
         let mut out = conn.out.lock();
         let _ = out.write_out(&conn.stream, &[]);
         out.close();
     }
-    let _ = poller.del(conn.stream.as_raw_fd());
+    let _ = ctx.poller.del(conn.stream.as_raw_fd());
+    ctx.conns.lock().remove(&conn.id);
     let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-    enqueue(conn, WorkItem::Teardown, jobs);
+    teardown(ctx, conn);
 }
 
-/// A dispatch worker: drains per-connection queues handed over by the
-/// shards, one connection at a time (the `busy` flag keeps two workers
-/// off the same connection, so a session's requests execute in order).
-pub(super) fn worker_loop(ctx: Arc<ServerCtx>, rx: crossbeam::channel::Receiver<Arc<ConnShared>>) {
-    while let Ok(conn) = rx.recv() {
-        let resume = loop {
-            let item = {
-                let mut q = conn.queue.lock();
-                match q.pending.pop_front() {
-                    Some(i) => i,
-                    None => {
-                        q.busy = false;
-                        break conn.paused.swap(false, Ordering::AcqRel);
-                    }
-                }
-            };
-            match item {
-                WorkItem::Frame(frame) => process_frame(&ctx, &conn, frame),
-                WorkItem::Teardown => teardown(&ctx, &conn),
-            }
-        };
-        // Drained a paused connection: ask its shard to re-arm reads.
-        if resume && !conn.dead.load(Ordering::Acquire) {
-            conn.shard.poke(conn.id);
-        }
-    }
-}
-
-/// Execute one request frame and send its response.
+/// Execute one request frame and send its response. An `AckPush` or
+/// `ReplProgress` sent with frame id 0 is fire-and-forget: it runs, and
+/// no response is sent.
 fn process_frame(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, frame: Frame) {
-    if conn.dead.load(Ordering::Acquire) {
-        return; // doomed by an earlier write failure; skip the backlog
-    }
     let Frame::Request { id, meta, command } = frame else {
         // Clients never send responses or pushes; treat as a protocol
         // violation and drop the session.
         conn.doom();
         return;
     };
+    let quiet = id == 0
+        && matches!(
+            command,
+            Command::AckPush { .. } | Command::ReplProgress { .. }
+        );
     let reply = handle(ctx, conn, meta, command);
-    if !conn.send(&Frame::Response { id, reply }.encode()) {
+    if quiet || !conn.send(&Frame::Response { id, reply }.encode()) {
         return;
     }
     let pending = conn.core.lock().pending_repl.take();
@@ -566,7 +456,7 @@ fn process_frame(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>, frame: Frame) {
 }
 
 /// Abort open transactions and drop subscriptions on disconnect. Runs
-/// on a worker, strictly after the connection's in-flight frames.
+/// on the retiring thread, after every frame the connection had read.
 fn teardown(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>) {
     ctx.shared.active_connections.fetch_sub(1, Ordering::Relaxed);
     ctx.subs.drop_session(&ctx.db, conn.id);
@@ -583,21 +473,64 @@ fn teardown(ctx: &Arc<ServerCtx>, conn: &Arc<ConnShared>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
 
+    /// A connection on an epoll set of its own, registered one-shot for
+    /// reads, and its peer. Skipped (`None`) where the poller is the
+    /// fallback scan, which reports every armed socket as ready.
+    fn registered(token: u64) -> Option<(ConnShared, TcpStream)> {
+        if cfg!(not(all(target_os = "linux", target_arch = "x86_64"))) {
+            return None;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let poller = Arc::new(Poller::new().unwrap());
+        poller.add_oneshot(stream.as_raw_fd(), token).unwrap();
+        Some((ConnShared::new(token, stream, poller), peer))
+    }
+
+    /// The ownership rule: while one thread owns a connection, neither a
+    /// worker's event nor the sweep takes it; the owner's release parks
+    /// the bytes it did not decode for the next owner and re-arms the
+    /// socket, so the readiness an event announced meanwhile is
+    /// reported again.
+    #[test]
+    fn a_connection_has_one_owner_at_a_time() {
+        let Some((conn, mut peer)) = registered(3) else { return };
+        let event = || conn.poller.wait_one(Duration::from_secs(5)).unwrap();
+        peer.write_all(b"unread").unwrap();
+        assert_eq!(event().map(|(token, _)| token), Some(3));
+
+        let take = || conn.take_if(|_| true);
+        assert_eq!(take(), Some(Vec::new()), "a free connection is taken");
+        assert_eq!(take(), None, "an owned connection was taken again");
+        let long_after = Instant::now() + Duration::from_secs(3600);
+        let sweep = || conn.take_if(|own| conn.expired(own, long_after, Duration::ZERO));
+        assert_eq!(sweep(), None, "the sweep took an owned connection");
+
+        conn.release(b"parked".to_vec(), false);
+        let rearmed = event().map(|(token, _)| token);
+        assert_eq!(rearmed, Some(3), "the release re-armed the socket with its bytes unread");
+        assert_eq!(take(), Some(b"parked".to_vec()), "the next owner gets the parked bytes");
+        conn.release(Vec::new(), false);
+        assert!(sweep().is_some(), "an idle free connection expires");
+    }
+
     /// `send` never waits: what a peer that stops reading has no room for
-    /// is queued, the first shortfall pokes the shard once, and once the
-    /// peer reads, the flush delivers every frame whole and in order.
+    /// is queued, and on a connection no one owns the first shortfall
+    /// arms write interest, which reports once the peer reads — once,
+    /// until the socket is re-armed. The flush then delivers every frame
+    /// whole and in order.
     #[test]
     fn send_queues_what_a_full_socket_refuses() {
         const FRAME: usize = 64 * 1024;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        let (shard, _wake) = ShardHandle::new().unwrap();
-        let conn = ConnShared::new(7, stream, Arc::clone(&shard));
+        let Some((conn, mut peer)) = registered(7) else { return };
+        let event = |wait| conn.poller.wait_one(wait).unwrap();
+        let short = Duration::from_millis(20);
+        assert_eq!(event(short), None, "an idle connection reports nothing");
         let frame = |i: u32| {
             let mut f = vec![0u8; FRAME];
             f[..4].copy_from_slice(&i.to_be_bytes());
@@ -615,7 +548,7 @@ mod tests {
             n += 1;
         }
         assert!(start.elapsed() < Duration::from_secs(1), "send waited on the socket");
-        assert_eq!(*shard.poked.lock(), vec![7], "one poke, when the backlog formed");
+        assert_eq!(event(short), None, "a full socket reports nothing");
 
         let reader = std::thread::spawn(move || {
             let mut buf = vec![0u8; FRAME];
@@ -624,6 +557,9 @@ mod tests {
                 assert_eq!(buf[..4], i.to_be_bytes(), "frame {i} out of order");
             }
         });
+        let (token, events) = event(Duration::from_secs(5)).expect("no writable event");
+        assert_eq!((token, events & crate::reactor::EV_OUT), (7, crate::reactor::EV_OUT));
+        assert_eq!(event(short), None, "a one-shot socket reports once");
         while !conn.flush().unwrap() {
             std::thread::sleep(Duration::from_millis(1));
         }

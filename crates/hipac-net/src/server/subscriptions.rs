@@ -33,10 +33,9 @@ const ACK_FLUSH_EVERY: Duration = Duration::from_millis(2);
 /// with multiple subscribers per handler, redelivery is exactly-once
 /// per *subscription*, not per subscriber.
 ///
-/// Both maps are striped by handler hash (see [`STATE_STRIPES`]): the
-/// reactor serves every connection from a few shard threads plus the
-/// dispatch pool, and one global lock here would serialize unrelated
-/// handlers' pushes across all of them.
+/// Both maps are striped by handler hash (see [`STATE_STRIPES`]): every
+/// worker and rule-firing thread delivers here, and one global lock
+/// would serialize unrelated handlers' pushes across all of them.
 pub(super) struct Subscriptions {
     by_handler: Vec<RwLock<HashMap<String, Vec<Arc<ConnShared>>>>>,
     outbox: Vec<Mutex<HashMap<String, HandlerOutbox>>>,
@@ -672,7 +671,6 @@ pub(super) fn spawn_housekeeper(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use super::super::shard::ShardHandle;
     use hipac_storage::TailRead;
     use std::net::{TcpListener, TcpStream};
 
@@ -689,10 +687,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let _reader = listener.accept().unwrap();
-        let (shard, _wake) = ShardHandle::new().unwrap();
+        let poller = Arc::new(crate::reactor::Poller::new().unwrap());
         subs.handlers("h")
             .write()
-            .insert("h".to_owned(), vec![Arc::new(ConnShared::new(1, writer, shard))]);
+            .insert("h".to_owned(), vec![Arc::new(ConnShared::new(1, writer, poller))]);
         let row = |seq| store.get(&journal::outbox_key("h", seq)).unwrap();
         let batches_since = |lsn| match store.read_batches_from(lsn, 1 << 20).unwrap() {
             TailRead::Batches { batches, .. } => batches,

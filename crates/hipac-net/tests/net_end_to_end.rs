@@ -6,7 +6,7 @@
 use hipac::{ActiveDatabase, EngineStats};
 use hipac_common::{Value, ValueType};
 use hipac_event::EventSpec;
-use hipac_net::proto::{Frame, Reply};
+use hipac_net::proto::{Command, Frame, Reply, RequestMeta, PROTOCOL_VERSION};
 use hipac_net::{HipacClient, HipacServer, ServerConfig};
 use hipac_object::{AttrDef, Expr};
 use hipac_rules::{Action, ActionOp, RuleDef};
@@ -301,4 +301,44 @@ fn graceful_shutdown_joins_and_closes_clients() {
     // hang.
     let result = c.commit(t);
     assert!(result.is_err(), "request after shutdown: {result:?}");
+}
+
+/// `AckPush` and `ReplProgress` sent with frame id 0 are
+/// fire-and-forget: the server runs them and sends no response, so the
+/// next frame on the socket answers the request after them.
+#[test]
+fn fire_and_forget_requests_get_no_response() {
+    let server = server();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let request = |id, command| Frame::Request {
+        id,
+        meta: RequestMeta::default(),
+        command,
+    };
+    let ack = Command::AckPush {
+        handler: "nobody".into(),
+        seq: 1,
+    };
+    let progress = Command::ReplProgress {
+        applied_lsn: 0,
+        epoch: 0,
+        digest: 0,
+    };
+    let ping = Command::Ping {
+        version: PROTOCOL_VERSION,
+    };
+    let frames = [
+        request(0, ack).encode(),
+        request(0, progress).encode(),
+        request(1, ping).encode(),
+    ];
+    raw.write_all(&frames.concat()).unwrap();
+    match Frame::read_from(&mut raw).unwrap() {
+        Some(Frame::Response {
+            id: 1,
+            reply: Reply::Pong { .. },
+        }) => {}
+        other => panic!("expected the ping's Pong first, got {other:?}"),
+    }
 }

@@ -2,14 +2,16 @@
 //! descriptors, not threads or stacks; a slow subscriber cannot stall
 //! the push fan-out; pushes reach every subscriber in sequence order,
 //! under concurrent firings and across a resubscribe; a client that
-//! never reads its replies is paused, then retired; and the dedup
-//! window keeps exactly-once across reactor shards when a client
-//! reconnects onto a different shard.
+//! never reads its replies is paused, then retired; workers that share
+//! an epoll set answer every pipelined request once and in order, a
+//! backed-up connection included; a request blocked on a lock holds up
+//! only its own worker; and the dedup window keeps exactly-once when a
+//! client reconnects.
 //!
 //! The thousands-of-subscribers test uses raw `TcpStream` frames
-//! rather than `HipacClient` — the client spawns a reader thread per
-//! connection, which would turn a server-scalability test into a
-//! client-thread test.
+//! rather than `HipacClient`: a subscribed client runs a reader thread
+//! for its connection, which would turn a server-scalability test into
+//! a client-thread test.
 
 use hipac::ActiveDatabase;
 use hipac_common::{Value, ValueType};
@@ -118,7 +120,7 @@ fn fd_soft_limit() -> u64 {
 }
 
 /// Thousands of idle subscribers cost this process file descriptors,
-/// not threads: the reactor multiplexes them onto a fixed shard/worker
+/// not threads: the reactor multiplexes them onto a fixed worker
 /// pool, and one committed insert still fans out to every socket.
 ///
 /// Both connection ends live in this process, so each subscriber costs
@@ -300,12 +302,12 @@ fn slow_subscriber_is_culled_without_stalling_fanout() {
     drop(server);
 }
 
-/// Exactly-once across reactor shards: a keyed commit acked on one
-/// shard must dedup when the client reconnects — round-robin assigns
-/// the new connection to the *other* shard — and retries the same
-/// `(client_id, seq)`. The dedup window is striped by client id, not
-/// owned by a shard, so the retry replays the cached reply instead of
-/// re-executing.
+/// Exactly-once across a reconnect: a keyed commit acked on one
+/// connection must dedup when the client reconnects and retries the
+/// same `(client_id, seq)` on a new session. The dedup window is
+/// striped by client id, not owned by a session, so the retry replays
+/// the cached reply instead of re-executing. (`reactor_shards` is
+/// ignored; the test keeps the setting it was written with.)
 #[test]
 fn dedup_survives_reconnect_across_shards() {
     let _serial = serial();
@@ -343,17 +345,17 @@ fn dedup_survives_reconnect_across_shards() {
         },
     );
     assert_eq!(roundtrip(&mut conn, 3, meta(3), Command::Commit { txn }), Reply::Ok);
-    drop(conn); // the session dies with the shard-homed connection
+    drop(conn); // the session dies with its connection
 
-    // Reconnect: round-robin homes this connection on the other shard.
-    // Same idempotency key, same command — must replay, not re-run.
+    // Reconnect: a new session, the same idempotency key and the same
+    // command — must replay, not re-run.
     let mut conn = TcpStream::connect(server.local_addr()).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let before = server.dedup_hits();
     assert_eq!(
         roundtrip(&mut conn, 9, meta(3), Command::Commit { txn }),
         Reply::Ok,
-        "cross-shard retry must replay the cached reply"
+        "the retry on a new session must replay the cached reply"
     );
     assert!(
         server.dedup_hits() > before,
@@ -373,11 +375,11 @@ fn dedup_survives_reconnect_across_shards() {
     drop(server);
 }
 
-/// One `write` carrying far more pipelined requests than a connection
-/// may queue (`PENDING_CAP` is 64): the shard reads them in one burst,
-/// pauses the connection with complete frames still buffered, and must
-/// queue those frames itself on resume — epoll never reports bytes
-/// that already left the kernel. Every ping is answered, in order.
+/// One `write` carrying 200 pipelined requests, served by one worker:
+/// it reads them a burst at a time, and any complete frames it parks
+/// (behind a reply backlog) it must run itself on its next turn —
+/// epoll never reports bytes that already left the kernel. Every ping
+/// is answered, in order.
 #[test]
 fn burst_past_the_pending_cap_is_answered_in_order() {
     let _serial = serial();
@@ -559,9 +561,9 @@ fn send_buffer_max() -> u64 {
 }
 
 /// A client that pipelines requests and never reads its replies stops
-/// being served. Once a reply waits in its outbound queue, its reads
-/// pause, so at most `PENDING_CAP` (64) requests already dispatched run
-/// on and queue their replies; another client's round trips are
+/// being served. Once a reply waits in its outbound queue, its owner
+/// runs no further request (the bound below keeps the 64 of an earlier
+/// per-connection queue as slack); another client's round trips are
 /// unaffected, even with one worker, because nobody waits on the
 /// socket; and the connection is retired once its oldest queued reply
 /// has waited 5 s (plus at most one 100 ms sweep).
@@ -679,4 +681,179 @@ fn client_that_never_reads_replies_is_paused_then_retired() {
         "{ran} pairs ran, {delivered} replies arrived: more than {PENDING_CAP} \
          replies queued for a client that reads nothing"
     );
+}
+
+/// Pings with ids `ids`, pipelined in one buffer.
+fn pings(ids: std::ops::RangeInclusive<u64>) -> Vec<u8> {
+    ids.flat_map(|id| {
+        Frame::Request {
+            id,
+            meta: RequestMeta::default(),
+            command: Command::Ping {
+                version: hipac_net::proto::PROTOCOL_VERSION,
+            },
+        }
+        .encode()
+    })
+    .collect()
+}
+
+/// Read the replies to `ids`, asserting each is a `Pong` and in order.
+fn expect_pongs(conn: &mut TcpStream, ids: std::ops::RangeInclusive<u64>, who: usize) {
+    for want in ids {
+        match Frame::read_from(conn) {
+            Ok(Some(Frame::Response {
+                id,
+                reply: Reply::Pong { .. },
+            })) => assert_eq!(id, want, "connection {who}: reply {id} where {want} was due"),
+            other => panic!("connection {who}: ping {want} unanswered: {other:?}"),
+        }
+    }
+}
+
+/// Two workers wait on one epoll set and serve sixteen connections that
+/// pipeline bursts of requests with increasing ids. Fifteen send pings
+/// and read each burst's replies. One stops reading for a while, and
+/// its requests are queries with 16 KiB replies, which soon back up
+/// past what the kernel buffers: the worker that owns it stops reading
+/// it and releases it armed for writes, and it is served on from the
+/// bytes it parked once its replies drain. Every connection gets
+/// exactly one reply per request, in id order. The server's debug
+/// build asserts that no connection is ever owned by two workers at
+/// once; a worker that trips the assertion dies, and the replies it
+/// owed never come.
+#[test]
+fn workers_answer_each_pipelined_request_once_in_order() {
+    let _serial = serial();
+    const CONNS: usize = 16;
+    const BURSTS: u64 = 20;
+    const BURST: u64 = 100;
+    const STALLED_BURST: u64 = 50;
+    const REPLY: usize = 16 * 1024;
+    let server = server_with(ServerConfig {
+        workers: 2,
+        reactor_shards: 1,
+        ..ServerConfig::default()
+    });
+    let db = server.db();
+    db.run_top(|t| {
+        let blob = AttrDef::new("s", ValueType::Str);
+        db.store().create_class(t, "blob", None, vec![blob])?;
+        db.store().insert(t, "blob", vec![Value::from("x".repeat(REPLY))])?;
+        Ok(())
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    std::thread::scope(|s| {
+        for who in 0..CONNS {
+            s.spawn(move || {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+                let mut writer = conn.try_clone().unwrap();
+                if who > 0 {
+                    for b in 0..BURSTS {
+                        let ids = b * BURST + 1..=(b + 1) * BURST;
+                        writer.write_all(&pings(ids.clone())).unwrap();
+                        expect_pongs(&mut conn, ids, who);
+                    }
+                } else {
+                    let Reply::Txn(txn) = roundtrip(&mut conn, 1, RequestMeta::default(), Command::Begin)
+                    else {
+                        panic!("begin refused");
+                    };
+                    let last = 1 + BURSTS * STALLED_BURST;
+                    let writes = std::thread::spawn(move || {
+                        let query = |id| Frame::Request {
+                            id,
+                            meta: RequestMeta::default(),
+                            command: Command::Query {
+                                txn,
+                                text: "from blob".into(),
+                                params: Default::default(),
+                            },
+                        };
+                        for b in 0..BURSTS {
+                            let ids = 2 + b * STALLED_BURST..2 + (b + 1) * STALLED_BURST;
+                            let burst: Vec<u8> = ids.flat_map(|id| query(id).encode()).collect();
+                            writer.write_all(&burst).unwrap();
+                        }
+                    });
+                    std::thread::sleep(Duration::from_millis(500));
+                    for want in 2..=last {
+                        match Frame::read_from(&mut conn) {
+                            Ok(Some(Frame::Response {
+                                id,
+                                reply: Reply::Rows(rows),
+                            })) => {
+                                assert_eq!(id, want, "stalled connection: reply {id} where {want} was due");
+                                assert_eq!(rows.len(), 1);
+                            }
+                            other => panic!("stalled connection: query {want} unanswered: {other:?}"),
+                        }
+                    }
+                    writes.join().unwrap();
+                }
+                conn.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+                assert!(
+                    Frame::read_from(&mut conn).is_err(),
+                    "connection {who}: a reply beyond the last request"
+                );
+            });
+        }
+    });
+    drop(server);
+}
+
+/// A request blocked on a lock holds up its own worker and no other
+/// connection. Two workers, and `reactor_shards: 2` — ignored: were the
+/// workers split over two epoll sets with connections dealt round-robin,
+/// the holder (first connection) and the waiter (third) would share a
+/// set whose one worker waits in the waiter's update, and the holder's
+/// commit would run only once that wait timed out. With one shared set
+/// the other worker runs the commit at once, which frees the lock.
+#[test]
+fn a_lock_wait_does_not_stall_the_holders_commit() {
+    let _serial = serial();
+    let server = server_with(ServerConfig {
+        workers: 2,
+        reactor_shards: 2,
+        ..ServerConfig::default()
+    });
+    let db = server.db();
+    let oid = db
+        .run_top(|t| {
+            db.store()
+                .create_class(t, "t", None, vec![AttrDef::new("n", ValueType::Int)])?;
+            db.store().insert(t, "t", vec![Value::from(0i64)])
+        })
+        .unwrap()
+        .raw();
+    let holder = HipacClient::connect(server.local_addr()).unwrap();
+    let _filler = HipacClient::connect(server.local_addr()).unwrap();
+    let waiter = HipacClient::connect(server.local_addr()).unwrap();
+    let set = |n: i64| vec![("n".to_owned(), Value::from(n))];
+
+    let held = holder.begin().unwrap();
+    holder.update(held, oid, set(1)).unwrap();
+    std::thread::scope(|s| {
+        let waiting = s.spawn(|| {
+            let txn = waiter.begin().unwrap();
+            let start = Instant::now();
+            waiter.update(txn, oid, set(2)).unwrap();
+            waiter.commit(txn).unwrap();
+            start.elapsed()
+        });
+        // Let the waiter's update reach the lock and block its worker.
+        std::thread::sleep(Duration::from_millis(200));
+        let start = Instant::now();
+        holder.commit(held).unwrap();
+        let commit = start.elapsed();
+        // The lock timeout is 3 s.
+        assert!(commit < Duration::from_secs(1), "the holder's commit took {commit:?}");
+        let waited = waiting.join().unwrap();
+        assert!(waited < Duration::from_secs(2), "the waiter's update took {waited:?}");
+    });
+    drop(holder);
+    drop(waiter);
+    drop(server);
 }

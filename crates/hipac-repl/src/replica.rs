@@ -100,8 +100,9 @@ impl Shared {
     }
 
     /// Best-effort id-0 fire-and-forget request to the primary. The
-    /// primary's `Ok` reply lands in the follower read loop and is
-    /// dropped there.
+    /// primary answers an id-0 `AckPush` or `ReplProgress` with
+    /// nothing; its reply to a forwarded `Subscribe` lands in the
+    /// follower read loop and is dropped there.
     fn send_upstream(&self, command: Command) {
         let frame = Frame::Request {
             id: 0,
@@ -571,7 +572,7 @@ fn follow_burst(
     for frame in frames {
         let outcome = match frame {
             Frame::Repl(msg) => apply_repl(shared, store, msg, &mut run, snapshot, fold),
-            // Acks of our id-0 progress/subscribe/ack sends.
+            // Replies to our id-0 subscribe sends.
             Frame::Response { .. } => continue,
             // Pushes for subscriptions homed on this replica.
             Frame::Push(event) => {

@@ -106,8 +106,20 @@ for _ in 1 2 3 4 5; do
 done
 cargo test -q -p hipac-storage --test proptests group_commit_interleavings
 
-echo "==> reactor load suite (idle horde, slow subscriber, push seq order under concurrent firings and resubscribe, unread replies paused then retired, cross-shard dedup)"
+echo "==> reactor load suite (idle horde, slow subscriber, push seq order under concurrent firings and resubscribe, unread replies paused then retired, pipelined requests across workers, a lock wait stalling no other connection, dedup across a reconnect)"
 HORDE_N=2000 cargo test -q -p hipac-net --test reactor_load
+
+echo "==> workers own connections and clients read their own replies: two workers sharing an epoll set answer every pipelined request once and in order, a backed-up connection included (run 5 times; the debug build asserts one owner at a time), the ownership rule and one-shot write arming, id-0 acks get no response, client read turns (no thread without handlers, shared callers, a late reply dropped, an on_push handler served without a request)"
+for _ in 1 2 3 4 5; do
+  cargo test -q -p hipac-net --test reactor_load workers_answer_each_pipelined_request_once_in_order
+done
+cargo test -q -p hipac-net --lib server::shard
+cargo test -q -p hipac-net --test net_end_to_end fire_and_forget_requests_get_no_response
+cargo test -q -p hipac-net --test client_turns
+
+echo "==> measurement scripts parse (pair comparison, context switches per thread)"
+bash -n scripts/ab.sh
+bash -n scripts/ctxsw_count.sh
 
 echo "==> multi-tenant suite (auth sessions, tenant caps, slow-subscriber eviction)"
 cargo test -q -p hipac-net --test tenants
