@@ -619,7 +619,7 @@ fn open_group_store(
     // Group commit is on, with no straggler window: `group_burst` queues
     // the whole cohort before any member can lead a flush.
     Arc::new(
-        hipac_storage::DurableStore::open_with_faults(dir, 1024, u64::MAX, faults)
+        hipac_storage::DurableStore::open_with_faults(dir, u64::MAX, faults)
             .expect("open group store"),
     )
 }

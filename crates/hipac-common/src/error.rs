@@ -78,7 +78,8 @@ pub enum HipacError {
     // ---- storage ----
     /// Underlying I/O failure (message carries `std::io::Error` text).
     Io(String),
-    /// Page-level corruption or invariant violation detected.
+    /// Stored data that fails its checksum or format, or an invariant
+    /// violation detected.
     Corruption(String),
     /// A record, page or key was not found in the storage layer.
     StorageNotFound(String),

@@ -1,8 +1,8 @@
 //! Deterministic fault injection for the storage I/O path.
 //!
 //! Every mutating step on the durability path — WAL appends, fills and
-//! syncs, page writes and allocations, file/directory syncs, batch applies,
-//! the checkpoint rename — calls into a shared [`FaultPolicy`] before
+//! syncs, image writes and syncs, directory syncs, batch applies, the
+//! checkpoint rename — calls into a shared [`FaultPolicy`] before
 //! touching the file system. The default policy ([`FaultPolicy::none`])
 //! is a no-op; test harnesses substitute:
 //!
@@ -28,11 +28,9 @@
 //! policy also stops [`crate::wal::Wal`]'s drop from trimming its fill,
 //! so the reopen sees the zero-tailed log a real crash leaves.
 //!
-//! Page writes are never torn (crash-before or crash-after only): the
-//! shadow-checkpoint design makes data-file writes meaningful only
-//! behind an atomic rename, and the one exception — priming a fresh
-//! file — is covered by the magic-written-last initialization ordering
-//! in `store::Engine::open`.
+//! Image writes are never torn (crash-before only): an image is written
+//! whole into `data.db.tmp` and means nothing until the checkpoint
+//! renames it over `data.db`, so any prefix of it is as good as none.
 
 use hipac_common::{HipacError, Result};
 use parking_lot::Mutex;
@@ -52,12 +50,11 @@ pub enum FaultPoint {
     WalSync,
     /// `Wal::reset`, before the log is truncated.
     WalReset,
-    /// `DiskManager::write_page`, before the page write.
-    DiskWrite,
-    /// `DiskManager::allocate`, before the file is extended.
-    DiskAllocate,
-    /// `DiskManager::sync`, before `fsync` of the data file.
-    DiskSync,
+    /// Checkpoint, before each buffer of the new image is written to
+    /// `data.db.tmp`.
+    ImageWrite,
+    /// Checkpoint, before `fsync` of the new image.
+    ImageSync,
     /// Before an `fsync` of the store's parent directory (file
     /// creation and checkpoint rename durability).
     DirSync,
@@ -68,7 +65,7 @@ pub enum FaultPoint {
     /// waiter is woken. A crash here is the "durable but unacked" window
     /// for the *whole cohort* — recovery must replay every member.
     GroupWake,
-    /// Checkpoint, before the shadow file is renamed over the data
+    /// Checkpoint, before the new image is renamed over the data
     /// file.
     CheckpointRename,
 }
@@ -98,7 +95,7 @@ struct Hold {
 
 /// A shared, thread-safe fault-injection policy. Thread one through
 /// [`crate::DurableStore::open_with_faults`] (which forwards it to its
-/// `DiskManager` and `Wal`) to make every durability step observable
+/// image writes and its `Wal`) to make every durability step observable
 /// and crashable.
 pub struct FaultPolicy {
     plan: Plan,
@@ -274,14 +271,14 @@ mod tests {
         let p = FaultPolicy::count_only();
         p.hit(FaultPoint::WalAppend).unwrap();
         p.hit(FaultPoint::WalSync).unwrap();
-        p.on_write(FaultPoint::DiskWrite, 4096).unwrap();
+        p.on_write(FaultPoint::ImageWrite, 4096).unwrap();
         assert_eq!(p.hits(), 3);
         assert_eq!(
             p.log(),
             vec![
                 FaultPoint::WalAppend,
                 FaultPoint::WalSync,
-                FaultPoint::DiskWrite
+                FaultPoint::ImageWrite
             ]
         );
     }
@@ -294,7 +291,7 @@ mod tests {
         assert!(FaultPolicy::is_injected(&err));
         assert!(p.has_crashed());
         // Every later hit fails too (the process is "dead").
-        assert!(p.hit(FaultPoint::DiskWrite).is_err());
+        assert!(p.hit(FaultPoint::ImageWrite).is_err());
         assert!(p.on_write(FaultPoint::WalAppend, 100).is_err());
     }
 

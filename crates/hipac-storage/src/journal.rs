@@ -136,7 +136,7 @@ pub fn parse_evict_key(key: &[u8]) -> Option<String> {
 
 /// Seal a payload with a little-endian CRC-32 header. The WAL already
 /// checksums records, but journal values outlive the log (they survive
-/// checkpoints into the B+tree), so they carry their own end-to-end
+/// checkpoints into the image), so they carry their own end-to-end
 /// check.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut v = Vec::with_capacity(4 + payload.len());

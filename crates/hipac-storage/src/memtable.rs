@@ -1,10 +1,10 @@
 //! The committed changes since the last checkpoint, in key order.
 //!
-//! [`crate::store::DurableStore`] writes no page at commit: each logged
-//! op is staged here instead, as a value or a tombstone for its key,
-//! and the checkpoint writes the table into the data file it rewrites
-//! anyway. Reads see the store through [`Merge`], the table laid over
-//! the data file's key-ordered scan (the *image*).
+//! [`crate::store::DurableStore`] writes no data file at commit: each
+//! logged op is staged here instead, as a value or a tombstone for its
+//! key, and the checkpoint writes the table into the new image it
+//! writes anyway. Reads see the store through [`Merge`], the table laid
+//! over the image's key-ordered scan (see [`crate::image`]).
 //!
 //! The table's payload is bounded by the WAL bytes since the last
 //! checkpoint — every byte in it came from the log — and two rules keep
@@ -13,12 +13,13 @@
 //! * a key the image does not hold, once deleted, leaves no entry: a put
 //!   then a delete within one cycle (the reply journal's and the push
 //!   outbox's rows) costs nothing until the checkpoint. So a tombstone
-//!   also records that the image holds its key. A delete asks the image
-//!   (unless the key is already a tombstone); a put never asks;
+//!   also records that the image holds its key. A delete asks the
+//!   image's in-memory directory (unless the key is already a
+//!   tombstone); a put never asks;
 //! * an entry is one allocation holding its key, its tombstone flag and
 //!   its value, so no side set of keys is kept.
 
-use crate::btree::BTree;
+use crate::image::Image;
 use hipac_common::Result;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -93,37 +94,24 @@ impl Ord for Entry {
 #[derive(Default)]
 pub(crate) struct Memtable {
     entries: BTreeSet<Entry>,
-    /// The entries' allocations, in bytes.
-    bytes: usize,
 }
 
 impl Memtable {
     /// Stage a put (`Some(value)`) or a delete (`None`) of `key`. A
     /// delete leaves a tombstone only when `image` holds the key.
-    pub(crate) fn stage(&mut self, image: &BTree, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+    pub(crate) fn stage(&mut self, image: &Image, key: &[u8], value: Option<&[u8]>) {
         match value {
-            Some(_) => self.replace(Entry::new(key, value)),
+            Some(_) => {
+                self.entries.replace(Entry::new(key, value));
+            }
             None if self.get(key) == Some(None) => {}
-            None if image.contains_key(key)? => self.replace(Entry::new(key, None)),
+            None if image.contains(key) => {
+                self.entries.replace(Entry::new(key, None));
+            }
             None => {
-                if let Some(old) = self.entries.take(key) {
-                    self.bytes -= old.0.len();
-                }
+                self.entries.remove(key);
             }
         }
-        Ok(())
-    }
-
-    fn replace(&mut self, entry: Entry) {
-        self.bytes += entry.0.len();
-        if let Some(old) = self.entries.replace(entry) {
-            self.bytes -= old.0.len();
-        }
-    }
-
-    /// The entries' allocations, in bytes.
-    pub(crate) fn bytes(&self) -> usize {
-        self.bytes
     }
 
     /// `None` when `key` is not staged (the image answers), otherwise
@@ -153,16 +141,24 @@ impl Memtable {
 
     /// Live keys minus the image's: each staged value whose key the
     /// image lacks adds one, each tombstone takes one away.
-    pub(crate) fn len_delta(&self, image: &BTree) -> Result<isize> {
+    pub(crate) fn len_delta(&self, image: &Image) -> isize {
         let mut delta = 0;
         for entry in &self.entries {
             if entry.value().is_none() {
                 delta -= 1;
-            } else if !image.contains_key(entry.key())? {
+            } else if !image.contains(entry.key()) {
                 delta += 1;
             }
         }
-        Ok(delta)
+        delta
+    }
+
+    /// The staged keys that hold a value, in key order.
+    pub(crate) fn live_keys(&self) -> impl Iterator<Item = &[u8]> {
+        self.entries
+            .iter()
+            .filter(|entry| entry.value().is_some())
+            .map(Entry::key)
     }
 
     /// Number of staged keys.
@@ -174,16 +170,31 @@ impl Memtable {
     /// Forget every staged change (the image now holds them).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.bytes = 0;
     }
 }
 
 /// One live pair of a [`Merge`].
 pub(crate) enum Live<'a> {
-    /// The image's key and its index payload (the value's heap address).
+    /// A key and value read from the image.
     Image(Vec<u8>, Vec<u8>),
     /// A staged key and value.
     Staged(&'a [u8], &'a [u8]),
+}
+
+impl Live<'_> {
+    pub(crate) fn pair(&self) -> (&[u8], &[u8]) {
+        match self {
+            Live::Image(key, value) => (key, value),
+            Live::Staged(key, value) => (key, value),
+        }
+    }
+
+    pub(crate) fn into_owned(self) -> (Vec<u8>, Vec<u8>) {
+        match self {
+            Live::Image(key, value) => (key, value),
+            Live::Staged(key, value) => (key.to_vec(), value.to_vec()),
+        }
+    }
 }
 
 /// The key-ordered union of an image scan and the staged entries over
@@ -228,7 +239,7 @@ where
                     return self
                         .image
                         .next()
-                        .map(|entry| entry.map(|(key, payload)| Live::Image(key, payload)))
+                        .map(|entry| entry.map(|(key, value)| Live::Image(key, value)))
                 }
                 Ordering::Equal => {
                     self.image.next();

@@ -11,40 +11,29 @@
 //!   log has already allocated ahead of its end (see [`crate::wal`]), so
 //!   that fsync writes data blocks only, not the file's size and
 //!   extents.
-//! * **Committed changes wait in a memtable.** A commit writes no page:
-//!   each op goes into an in-memory, key-ordered table of the changes
-//!   since the last checkpoint — a value or a tombstone per key — and
-//!   recovery's replay rebuilds that table from the log. The data file
-//!   (heap plus B+tree, the *image*) therefore holds exactly the last
-//!   checkpoint's state, and every read merges the memtable over it.
-//!   Two rules keep the table small: a key put and deleted again while
-//!   the image does not hold it leaves no entry (reply-journal and
-//!   outbox rows are born and die within a cycle), and an entry is one
-//!   allocation.
-//! * **Shadow checkpoints.** A checkpoint rewrites all live data — the
-//!   image with the memtable merged over it — into a fresh file, fsyncs
-//!   it, atomically renames it over the old file and only then
-//!   truncates the WAL and empties the memtable. A crash anywhere in
-//!   that sequence leaves either (old file + full WAL) or (new file +
-//!   replayable WAL), both of which recover to the same state because
-//!   replay is idempotent (last-writer-wins upserts). The rewrite is one
-//!   streaming pass in key order: values are appended to a fresh heap
-//!   and the index is bulk-loaded behind them. The shadow file means
-//!   nothing until the rename, so its (small,
-//!   [`EvictionPolicy::WriteBack`]) pool steals freely — stolen pages
-//!   in a `data.db.tmp` that a crash leaves behind are discarded with
-//!   it at the next open. The image's own pool is never written
-//!   ([`EvictionPolicy::CleanOnly`]).
-//!
-//! Values of any size are supported by chunking across heap records.
+//! * **Committed changes wait in a memtable.** A commit writes no data
+//!   file: each op goes into an in-memory, key-ordered table of the
+//!   changes since the last checkpoint — a value or a tombstone per
+//!   key — and recovery's replay rebuilds that table from the log. The
+//!   data file (the *image*, one immutable sorted file: see
+//!   [`crate::image`]) therefore holds exactly the last checkpoint's
+//!   state, and every read merges the memtable over it. Two rules keep
+//!   the table small: a key put and deleted again while the image does
+//!   not hold it leaves no entry (reply-journal and outbox rows are born
+//!   and die within a cycle), and an entry is one allocation.
+//! * **Shadow checkpoints.** A checkpoint writes all live data — the
+//!   image with the memtable merged over it, in one streaming pass in
+//!   key order — into a fresh `data.db.tmp`, fsyncs it, atomically
+//!   renames it over `data.db` and only then truncates the WAL and
+//!   empties the memtable. A crash anywhere in that sequence leaves
+//!   either (old image + full WAL) or (new image + replayable WAL), both
+//!   of which recover to the same state because replay is idempotent
+//!   (last-writer-wins upserts). A `data.db.tmp` that a crash leaves
+//!   behind means nothing and is deleted at the next open.
 
-use crate::btree::BTree;
-use crate::buffer::{BufferPool, EvictionPolicy};
-use crate::disk::{sync_dir, DiskManager};
 use crate::fault::{FaultPoint, FaultPolicy};
-use crate::heap::{HeapFile, RecordId};
+use crate::image::{sync_dir, Image};
 use crate::memtable::{Live, Memtable, Merge};
-use crate::page::{PageId, PAGE_SIZE};
 use crate::wal::{TailRead, TailTruncate, Wal, WalRecord};
 use hipac_common::{HipacError, Result, TxnId};
 use parking_lot::Mutex;
@@ -129,18 +118,8 @@ pub struct ReplBatch<'a> {
     pub next_lsn: u64,
 }
 
-const MAGIC: u64 = 0x4849_5041_4344_4231; // "HIPACDB1"
-const META_MAGIC_OFF: usize = 0;
-const META_HEAP_OFF: usize = 8;
-const META_INDEX_OFF: usize = 16;
-
 /// Default WAL size (bytes) that triggers an automatic checkpoint.
 pub const DEFAULT_CHECKPOINT_THRESHOLD: u64 = 4 * 1024 * 1024;
-
-/// Pages the checkpoint's shadow pool may hold. The copy appends to one
-/// heap page and one B+tree node per level at a time, so this is ample
-/// at any store size.
-const SHADOW_POOL_PAGES: usize = 64;
 
 /// One logical operation in a committed batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,113 +146,6 @@ impl StoreOp {
     }
 }
 
-/// The data file as of the last checkpoint: values in a heap, keys in a
-/// B+tree. Only the checkpoint writes it.
-struct Engine {
-    heap: HeapFile,
-    index: BTree,
-    pool: Arc<BufferPool>,
-}
-
-impl Engine {
-    /// Open or initialize the engine over `data_path`.
-    fn open(data_path: &Path, pool_capacity: usize, faults: Arc<FaultPolicy>) -> Result<Engine> {
-        let disk = Arc::new(DiskManager::open_with_faults(data_path, faults)?);
-        let pool = Arc::new(BufferPool::with_policy(
-            disk,
-            pool_capacity,
-            EvictionPolicy::CleanOnly,
-        ));
-        let meta = pool.fetch(PageId(0))?;
-        let magic = meta.read().get_u64(META_MAGIC_OFF);
-        if magic == MAGIC {
-            let heap_first = PageId(meta.read().get_u64(META_HEAP_OFF));
-            let index_root = PageId(meta.read().get_u64(META_INDEX_OFF));
-            let heap = HeapFile::open(Arc::clone(&pool), heap_first)?;
-            let index = BTree::open(Arc::clone(&pool), index_root)?;
-            Ok(Engine { heap, index, pool })
-        } else if magic == 0 {
-            let heap = HeapFile::create(Arc::clone(&pool))?;
-            let index = BTree::create(Arc::clone(&pool))?;
-            {
-                let mut guard = meta.write();
-                guard.put_u64(META_HEAP_OFF, heap.first_page().0);
-                guard.put_u64(META_INDEX_OFF, index.root_page().0);
-            }
-            // The magic goes to disk *last*, in its own flush: a crash
-            // at any earlier point leaves magic 0 and a reopen simply
-            // re-initializes. Writing everything in one flush could
-            // persist the magic before the heap/index pages it points
-            // at (flush order is unspecified).
-            pool.flush_and_sync()?;
-            meta.write().put_u64(META_MAGIC_OFF, MAGIC);
-            pool.flush_and_sync()?;
-            Ok(Engine { heap, index, pool })
-        } else {
-            Err(HipacError::Corruption(format!(
-                "bad database magic {magic:#x} in {}",
-                data_path.display()
-            )))
-        }
-    }
-
-    /// Read a chunk chain starting at `head`.
-    fn read_value(&self, head: RecordId) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut cur = Some(head);
-        while let Some(rid) = cur {
-            let rec = self.heap.get(rid)?;
-            cur = next_chunk(&rec)?;
-            out.extend_from_slice(&rec[8..]);
-        }
-        Ok(out)
-    }
-
-    fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.index.get(key)? {
-            Some(ridb) => Ok(Some(self.read_value(rid_of(&ridb)?)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// A [`Merge`] pair with its value: an image pair's is read from the
-    /// heap.
-    fn resolve(&self, live: Result<Live<'_>>) -> Result<(Vec<u8>, Vec<u8>)> {
-        match live? {
-            Live::Image(key, ridb) => Ok((key, self.read_value(rid_of(&ridb)?)?)),
-            Live::Staged(key, value) => Ok((key.to_vec(), value.to_vec())),
-        }
-    }
-}
-
-/// Store `value` in `heap` as a chunk chain; returns the head record id.
-fn write_value(heap: &HeapFile, value: &[u8]) -> Result<RecordId> {
-    let chunk_payload = HeapFile::max_record_len() - 8;
-    // Write chunks back-to-front so each holds its successor's rid.
-    let mut next: u64 = 0;
-    let mut chunks: Vec<&[u8]> = value.chunks(chunk_payload).collect();
-    if chunks.is_empty() {
-        chunks.push(&[]);
-    }
-    for chunk in chunks.iter().rev() {
-        let mut rec = Vec::with_capacity(8 + chunk.len());
-        rec.extend_from_slice(&next.to_le_bytes());
-        rec.extend_from_slice(chunk);
-        let rid = heap.insert(&rec)?;
-        next = rid.to_u64() + 1; // +1 so 0 can mean "no next"
-    }
-    Ok(RecordId::from_u64(next - 1))
-}
-
-/// The successor link in a chunk record's first eight bytes.
-fn next_chunk(rec: &[u8]) -> Result<Option<RecordId>> {
-    let link = rec
-        .get(..8)
-        .ok_or_else(|| HipacError::Corruption("value chunk too short".into()))?;
-    let next = u64::from_le_bytes(link.try_into().expect("eight bytes"));
-    Ok((next != 0).then(|| RecordId::from_u64(next - 1)))
-}
-
 /// The LSN a [`REPL_APPLIED_KEY`] value records.
 fn watermark(value: &[u8]) -> Option<u64> {
     let lsn = value.get(..8)?;
@@ -290,52 +162,49 @@ fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
     Some(end)
 }
 
-/// Decode the record id an index leaf stores for a key.
-fn rid_of(bytes: &[u8]) -> Result<RecordId> {
-    let raw = bytes
-        .try_into()
-        .map_err(|_| HipacError::Corruption("bad rid in index".into()))?;
-    Ok(RecordId::from_u64(u64::from_le_bytes(raw)))
-}
-
 struct Inner {
-    engine: Engine,
-    /// The committed changes since the last checkpoint, over `engine`.
+    image: Image,
+    /// The committed changes since the last checkpoint, over `image`.
     memtable: Memtable,
     /// The [`REPL_APPLIED_KEY`] watermark, cached as it is staged, so
     /// the replica's chaining check reads no table.
     repl_applied: Option<u64>,
     wal: Wal,
-    pool_capacity: usize,
     checkpoint_threshold: u64,
     faults: Arc<FaultPolicy>,
 }
 
 impl Inner {
     /// Stage one committed (already logged) operation.
-    fn stage(&mut self, op: &StoreOp) -> Result<()> {
+    fn stage(&mut self, op: &StoreOp) {
         let value = match op {
             StoreOp::Put { value, .. } => Some(value.as_slice()),
             StoreOp::Delete { .. } => None,
         };
-        self.memtable.stage(&self.engine.index, op.key(), value)?;
+        self.memtable.stage(&self.image, op.key(), value);
         if op.key() == REPL_APPLIED_KEY {
             self.repl_applied = value.and_then(watermark);
         }
-        // The memtable's bytes count against the image pool's capacity,
-        // as dirty pages did when commits wrote pages.
-        let pages = self.memtable.bytes() / PAGE_SIZE;
-        if pages != self.engine.pool.reserved() {
-            self.engine.pool.reserve(pages)?;
-        }
-        Ok(())
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         match self.memtable.get(key) {
             Some(staged) => Ok(staged.map(<[u8]>::to_vec)),
-            None => self.engine.get(key),
+            None => self.image.get(key),
         }
+    }
+
+    /// The live pairs with keys in the bounds: the memtable over the
+    /// image, in key order.
+    fn merged<'a>(
+        &'a self,
+        start: Bound<&[u8]>,
+        end: Bound<&[u8]>,
+    ) -> impl Iterator<Item = Result<Live<'a>>> {
+        Merge::new(
+            self.image.range(start, end),
+            self.memtable.range(start, end),
+        )
     }
 }
 
@@ -438,25 +307,19 @@ pub struct DurableStore {
 impl DurableStore {
     /// Open (creating or recovering as needed) the store in `dir`.
     pub fn open(dir: &Path) -> Result<DurableStore> {
-        Self::open_with(dir, 1024, DEFAULT_CHECKPOINT_THRESHOLD)
+        Self::open_with(dir, DEFAULT_CHECKPOINT_THRESHOLD)
     }
 
-    /// Open with an explicit buffer-pool capacity (pages) and WAL
-    /// checkpoint threshold (bytes).
-    pub fn open_with(
-        dir: &Path,
-        pool_capacity: usize,
-        checkpoint_threshold: u64,
-    ) -> Result<DurableStore> {
-        Self::open_with_faults(dir, pool_capacity, checkpoint_threshold, FaultPolicy::none())
+    /// Open with an explicit WAL checkpoint threshold (bytes).
+    pub fn open_with(dir: &Path, checkpoint_threshold: u64) -> Result<DurableStore> {
+        Self::open_with_faults(dir, checkpoint_threshold, FaultPolicy::none())
     }
 
     /// As [`DurableStore::open_with`], threading a fault-injection
-    /// policy through every mutating step of the store, its disk
-    /// manager and its WAL (crash testing; see [`crate::fault`]).
+    /// policy through every mutating step of the store, its image
+    /// writes and its WAL (crash testing; see [`crate::fault`]).
     pub fn open_with_faults(
         dir: &Path,
-        pool_capacity: usize,
         checkpoint_threshold: u64,
         faults: Arc<FaultPolicy>,
     ) -> Result<DurableStore> {
@@ -464,20 +327,18 @@ impl DurableStore {
         // A crash during checkpoint may leave a stale tmp file; it is
         // never authoritative, so discard it.
         let _ = std::fs::remove_file(dir.join("data.db.tmp"));
-        let engine = Engine::open(&dir.join("data.db"), pool_capacity, Arc::clone(&faults))?;
+        let image = Image::open(&dir.join("data.db"))?;
         let (wal, records) = Wal::open_with_faults(&dir.join("wal.log"), Arc::clone(&faults))?;
-        // The data and WAL files may have just been created: make their
-        // directory entries durable before anything is logged against
-        // them.
+        // The WAL file may have just been created: make its directory
+        // entry durable before anything is logged against it.
         faults.hit(FaultPoint::DirSync)?;
         sync_dir(dir)?;
-        let repl_applied = engine.get(REPL_APPLIED_KEY)?.as_deref().and_then(watermark);
+        let repl_applied = image.get(REPL_APPLIED_KEY)?.as_deref().and_then(watermark);
         let mut inner = Inner {
-            engine,
+            image,
             memtable: Memtable::default(),
             repl_applied,
             wal,
-            pool_capacity,
             checkpoint_threshold,
             faults,
         };
@@ -504,7 +365,7 @@ impl DurableStore {
                     if let Some((t, ops)) = current.take() {
                         if t == txn {
                             for op in &ops {
-                                inner.stage(op)?;
+                                inner.stage(op);
                             }
                         }
                     }
@@ -593,7 +454,7 @@ impl DurableStore {
             // Failpoint between the durable log and each op's staging:
             // a crash here must recover the batch from the WAL.
             inner.faults.hit(FaultPoint::StoreApply)?;
-            inner.stage(op)?;
+            inner.stage(op);
         }
         if inner.wal.size()? >= inner.checkpoint_threshold {
             Self::checkpoint_locked(&self.dir, &mut inner)?;
@@ -715,14 +576,11 @@ impl DurableStore {
         for req in cohort {
             let mut ok = Ok(());
             for op in &req.ops {
-                if let Err(e) = inner
-                    .faults
-                    .hit(FaultPoint::StoreApply)
-                    .and_then(|()| inner.stage(op))
-                {
+                if let Err(e) = inner.faults.hit(FaultPoint::StoreApply) {
                     ok = Err(e);
                     break;
                 }
+                inner.stage(op);
             }
             results.push(ok);
         }
@@ -766,9 +624,9 @@ impl DurableStore {
         end: Bound<&[u8]>,
     ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let inner = self.inner.lock();
-        let image = inner.engine.index.range(start, end)?.into_iter().map(Ok);
-        Merge::new(image, inner.memtable.range(start, end))
-            .map(|live| inner.engine.resolve(live))
+        inner
+            .merged(start, end)
+            .map(|live| live.map(Live::into_owned))
             .collect()
     }
 
@@ -783,9 +641,8 @@ impl DurableStore {
     /// Number of keys.
     pub fn len(&self) -> Result<usize> {
         let inner = self.inner.lock();
-        let image = inner.engine.index.len()?;
-        let delta = inner.memtable.len_delta(&inner.engine.index)?;
-        Ok(image.saturating_add_signed(delta))
+        let delta = inner.memtable.len_delta(&inner.image);
+        Ok(inner.image.len().saturating_add_signed(delta))
     }
 
     /// True if the store holds no keys.
@@ -803,53 +660,28 @@ impl DurableStore {
     fn checkpoint_locked(dir: &Path, inner: &mut Inner) -> Result<()> {
         let tmp_path = dir.join("data.db.tmp");
         let data_path = dir.join("data.db");
-        let _ = std::fs::remove_file(&tmp_path);
-        // Build the shadow copy: one pass over the index in key order
-        // with the memtable merged over it, appending each live value
-        // to the new heap and handing its new address to the bulk
-        // loader. Every page is written once, as the small write-back
-        // pool steals it or at the final flush.
-        {
-            let disk = DiskManager::open_with_faults(&tmp_path, Arc::clone(&inner.faults))?;
-            let pool = Arc::new(BufferPool::new(Arc::new(disk), SHADOW_POOL_PAGES));
-            let meta = pool.fetch(PageId(0))?;
-            let heap = HeapFile::create(Arc::clone(&pool))?;
-            let live = &inner.engine;
-            let staged = inner.memtable.range(Bound::Unbounded, Bound::Unbounded);
-            let copied = Merge::new(live.index.entries()?, staged).map(|entry| {
-                let (key, head) = match entry? {
-                    Live::Image(key, ridb) => {
-                        let value = live.read_value(rid_of(&ridb)?)?;
-                        (key, write_value(&heap, &value)?)
-                    }
-                    Live::Staged(key, value) => (key.to_vec(), write_value(&heap, value)?),
-                };
-                Ok((key, head.to_u64().to_le_bytes().to_vec()))
-            });
-            let index = BTree::bulk_load(Arc::clone(&pool), copied)?;
-            {
-                let mut guard = meta.write();
-                guard.put_u64(META_MAGIC_OFF, MAGIC);
-                guard.put_u64(META_HEAP_OFF, heap.first_page().0);
-                guard.put_u64(META_INDEX_OFF, index.root_page().0);
-            }
-            pool.flush_and_sync()?;
-        }
+        // The new image: one pass over the old one in key order with
+        // the memtable merged over it. It comes back open, with the
+        // directory it was written with.
+        let image = Image::write(
+            &tmp_path,
+            inner.merged(Bound::Unbounded, Bound::Unbounded),
+            &inner.faults,
+        )?;
         // Atomic switch; the rename itself needs a directory fsync to
         // be durable.
         inner.faults.hit(FaultPoint::CheckpointRename)?;
         std::fs::rename(&tmp_path, &data_path)?;
         inner.faults.hit(FaultPoint::DirSync)?;
         sync_dir(dir)?;
-        // Open the new file and retire the WAL; only then does the new
-        // image replace the old one and the memtable empty. Until
-        // then a failure leaves the old image (still open) and the
-        // memtable, which together read as before.
-        let engine = Engine::open(&data_path, inner.pool_capacity, Arc::clone(&inner.faults))?;
+        // Retire the WAL; only then does the new image replace the old
+        // one and the memtable empty. Until then a failure leaves the
+        // old image (still open) and the memtable, which together read
+        // as before.
         inner.wal.append(&WalRecord::Checkpoint)?;
         inner.wal.sync()?;
         inner.wal.reset()?;
-        inner.engine = engine;
+        inner.image = image;
         inner.memtable.clear();
         Ok(())
     }
@@ -883,9 +715,9 @@ impl DurableStore {
     pub fn snapshot_for_repl(&self) -> Result<(u64, SnapshotPairs)> {
         let inner = self.inner.lock();
         let lsn = inner.wal.durable_lsn();
-        let staged = inner.memtable.range(Bound::Unbounded, Bound::Unbounded);
-        let out = Merge::new(inner.engine.index.entries()?, staged)
-            .map(|live| inner.engine.resolve(live))
+        let out = inner
+            .merged(Bound::Unbounded, Bound::Unbounded)
+            .map(|live| live.map(Live::into_owned))
             .filter(|pair| !matches!(pair, Ok((key, _)) if key == REPL_APPLIED_KEY))
             .collect::<Result<_>>()?;
         Ok((lsn, out))
@@ -965,15 +797,10 @@ impl DurableStore {
         pairs: &[(Vec<u8>, Vec<u8>)],
         snapshot_lsn: u64,
     ) -> Result<()> {
-        let existing = self.range(Bound::Unbounded, Bound::Unbounded)?;
-        let mut batch = Vec::with_capacity(existing.len() + pairs.len() + 1);
         let incoming: std::collections::HashSet<&[u8]> =
             pairs.iter().map(|(k, _)| k.as_slice()).collect();
-        for (key, _) in &existing {
-            if !incoming.contains(key.as_slice()) && key != REPL_APPLIED_KEY {
-                batch.push(StoreOp::Delete { key: key.clone() });
-            }
-        }
+        let mut batch = self.deletes_outside(&incoming);
+        batch.reserve(pairs.len() + 1);
         for (key, value) in pairs {
             if key.as_slice() == REPL_APPLIED_KEY {
                 continue;
@@ -988,6 +815,28 @@ impl DurableStore {
             value: snapshot_lsn.to_le_bytes().to_vec(),
         });
         self.commit(TxnId(0), batch)
+    }
+
+    /// A delete of every live key that `keep` lacks, the watermark
+    /// key aside. Reads keys only: the image's directory and the
+    /// memtable's live keys, no value.
+    fn deletes_outside(&self, keep: &std::collections::HashSet<&[u8]>) -> Vec<StoreOp> {
+        let inner = self.inner.lock();
+        // An image key is live unless a tombstone hides it; a staged
+        // value is counted here only when the image lacks its key.
+        let image_keys = inner
+            .image
+            .keys()
+            .filter(|key| inner.memtable.get(key) != Some(None));
+        let staged_keys = inner
+            .memtable
+            .live_keys()
+            .filter(|key| !inner.image.contains(key));
+        image_keys
+            .chain(staged_keys)
+            .filter(|key| !keep.contains(key) && *key != REPL_APPLIED_KEY)
+            .map(|key| StoreOp::Delete { key: key.to_vec() })
+            .collect()
     }
 
     /// The primary LSN this (replica) store reflects, if it has ever
@@ -1164,6 +1013,20 @@ mod tests {
         dir
     }
 
+    /// Overwrite, in the image file on disk, the first occurrence of
+    /// `value` (a record's value) with zeros.
+    fn garble_value(dir: &Path, value: &[u8]) {
+        use std::os::unix::fs::FileExt;
+        let path = dir.join("data.db");
+        let bytes = std::fs::read(&path).unwrap();
+        let at = bytes
+            .windows(value.len())
+            .position(|w| w == value)
+            .expect("the value is in the image");
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.write_all_at(&vec![0; value.len()], at as u64).unwrap();
+    }
+
     fn put(key: &[u8], value: &[u8]) -> StoreOp {
         StoreOp::Put {
             key: key.to_vec(),
@@ -1274,7 +1137,7 @@ mod tests {
     #[test]
     fn automatic_checkpoint_by_threshold() {
         let dir = tmpdir("auto-ckpt");
-        let store = DurableStore::open_with(&dir, 256, 4096).unwrap();
+        let store = DurableStore::open_with(&dir, 4096).unwrap();
         for i in 0..200u64 {
             store
                 .commit(TxnId(i), &[put(&i.to_be_bytes(), &[7u8; 100])])
@@ -1286,13 +1149,13 @@ mod tests {
     }
 
     #[test]
-    fn large_values_chunk_across_records() {
+    fn large_values_roundtrip_and_compact_away() {
         let dir = tmpdir("large");
         let store = DurableStore::open(&dir).unwrap();
         let big = (0..100_000u32).flat_map(|i| i.to_le_bytes()).collect::<Vec<u8>>();
         store.commit(TxnId(1), &[put(b"big", &big)]).unwrap();
         assert_eq!(store.get(b"big").unwrap(), Some(big.clone()));
-        // Overwrite with a small value and make sure the chain is gone
+        // Overwrite with a small value and make sure the big one is gone
         // (checkpoint rewrites compactly; size should be small).
         store.commit(TxnId(2), &[put(b"big", b"small")]).unwrap();
         store.checkpoint().unwrap();
@@ -1328,7 +1191,7 @@ mod tests {
 
     /// A prefix scan stops at the prefix's successor: it returns exactly
     /// the prefixed keys (trailing `0xFF` bytes included) and reads no
-    /// value past them — here, a later entry whose record id is garbage
+    /// value past them — here, a later record whose bytes are garbage
     /// fails any read that reaches it.
     #[test]
     fn scan_prefix_reads_nothing_past_the_prefix() {
@@ -1348,7 +1211,7 @@ mod tests {
             .unwrap();
         // The scans must read the image, not the memtable.
         store.checkpoint().unwrap();
-        store.inner.lock().engine.index.insert(b"d2", b"no rid").unwrap();
+        garble_value(&dir, b"after");
         let pairs = |pairs: &[(&[u8], &[u8])]| -> Vec<(Vec<u8>, Vec<u8>)> {
             pairs.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
         };
@@ -1389,6 +1252,50 @@ mod tests {
         assert_eq!(store.replicated_applied_lsn().unwrap(), Some(40));
         store.commit(TxnId(1), &[del(REPL_APPLIED_KEY)]).unwrap();
         assert_eq!(store.replicated_applied_lsn().unwrap(), None);
+    }
+
+    /// A snapshot install leaves exactly the snapshot's pairs and the
+    /// watermark, whether a stale key sits in the image, in the image
+    /// and overwritten in the memtable, or in the memtable alone — and
+    /// so it stays across a reopen and a checkpoint.
+    #[test]
+    fn install_snapshot_drops_stale_keys_of_image_and_memtable() {
+        let dir = tmpdir("install-snapshot");
+        let store = DurableStore::open(&dir).unwrap();
+        store
+            .commit(
+                TxnId(1),
+                &[put(b"a", b"1"), put(b"b", b"2"), put(b"c", b"3"), put(b"d", b"4")],
+            )
+            .unwrap();
+        store.checkpoint().unwrap();
+        store
+            .commit(
+                TxnId(2),
+                &[put(b"c", b"33"), put(b"e", b"5"), put(b"f", b"6"), del(b"d")],
+            )
+            .unwrap();
+        assert_eq!(store.inner.lock().image.len(), 4);
+        assert_eq!(store.inner.lock().memtable.len(), 4);
+        let snapshot = vec![
+            (b"b".to_vec(), b"B".to_vec()),
+            (b"f".to_vec(), b"F".to_vec()),
+            (b"g".to_vec(), b"G".to_vec()),
+        ];
+        store.install_snapshot(&snapshot, 40).unwrap();
+        let mut expect = snapshot.clone();
+        expect.push((REPL_APPLIED_KEY.to_vec(), 40u64.to_le_bytes().to_vec()));
+        let all = |store: &DurableStore| store.range(Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert_eq!(all(&store), expect);
+        assert_eq!(store.len().unwrap(), expect.len());
+        drop(store);
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(all(&store), expect, "after a reopen");
+        assert_eq!(store.replicated_applied_lsn().unwrap(), Some(40));
+        store.checkpoint().unwrap();
+        drop(store);
+        let store = DurableStore::open(&dir).unwrap();
+        assert_eq!(all(&store), expect, "after a checkpoint and a reopen");
     }
 
     /// The memtable keeps what the checkpoint needs and nothing more: a
@@ -1459,14 +1366,14 @@ mod tests {
         let counter = FaultPolicy::count_only();
         let dir = tmpdir("failed-ckpt-count");
         let store =
-            DurableStore::open_with_faults(&dir, 64, u64::MAX, Arc::clone(&counter)).unwrap();
+            DurableStore::open_with_faults(&dir, u64::MAX, Arc::clone(&counter)).unwrap();
         workload(&store).unwrap();
         let log = counter.log();
         for point in [FaultPoint::CheckpointRename, FaultPoint::WalReset] {
             let hit = log.iter().rposition(|p| *p == point).unwrap() as u64;
             let dir = tmpdir(&format!("failed-ckpt-{point:?}"));
             let faults = FaultPolicy::crash_at(hit, 7);
-            let store = DurableStore::open_with_faults(&dir, 64, u64::MAX, faults).unwrap();
+            let store = DurableStore::open_with_faults(&dir, u64::MAX, faults).unwrap();
             assert!(FaultPolicy::is_injected(&workload(&store).unwrap_err()));
             assert_eq!(store.inner.lock().memtable.len(), 2, "{point:?}");
             let expect = vec![
@@ -1503,19 +1410,15 @@ mod tests {
     fn directory_fsync_points_are_exercised() {
         let dir = tmpdir("dirsync");
         let faults = FaultPolicy::count_only();
-        let store = DurableStore::open_with_faults(
-            &dir,
-            1024,
-            DEFAULT_CHECKPOINT_THRESHOLD,
-            Arc::clone(&faults),
-        )
-        .unwrap();
+        let store =
+            DurableStore::open_with_faults(&dir, DEFAULT_CHECKPOINT_THRESHOLD, Arc::clone(&faults))
+                .unwrap();
         let dirsyncs = |log: &[FaultPoint]| {
             log.iter().filter(|p| **p == FaultPoint::DirSync).count()
         };
         assert!(
             dirsyncs(&faults.log()) >= 1,
-            "creating data/wal files must fsync the parent directory"
+            "creating the wal file must fsync the parent directory"
         );
         let before = dirsyncs(&faults.log());
         store.commit(TxnId(1), &[put(b"k", b"v")]).unwrap();
@@ -1534,13 +1437,8 @@ mod tests {
         drop(store);
         let dir2 = tmpdir("dirsync2");
         let faults2 = FaultPolicy::crash_at(rename_idx, 42);
-        let store2 = DurableStore::open_with_faults(
-            &dir2,
-            1024,
-            DEFAULT_CHECKPOINT_THRESHOLD,
-            faults2,
-        )
-        .unwrap();
+        let store2 =
+            DurableStore::open_with_faults(&dir2, DEFAULT_CHECKPOINT_THRESHOLD, faults2).unwrap();
         store2.commit(TxnId(1), &[put(b"k", b"v")]).unwrap();
         let err = store2.checkpoint().unwrap_err();
         assert!(FaultPolicy::is_injected(&err));

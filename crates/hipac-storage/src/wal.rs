@@ -398,7 +398,7 @@ impl Wal {
         }
         std::fs::rename(&tmp, path)?;
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            crate::disk::sync_dir(dir)?;
+            crate::image::sync_dir(dir)?;
         }
         Ok(())
     }

@@ -1,9 +1,9 @@
 //! Crash-matrix torture suite.
 //!
 //! For a recorded workload, the suite first *enumerates* every fault
-//! point the workload crosses (WAL appends/fills/syncs/resets, page
-//! writes and allocations, file and directory syncs, batch applies, the
-//! checkpoint rename) with a counting [`FaultPolicy`], then replays the
+//! point the workload crosses (WAL appends/fills/syncs/resets, image
+//! writes and syncs, directory syncs, batch applies, the checkpoint
+//! rename) with a counting [`FaultPolicy`], then replays the
 //! workload once per point with a policy that simulates a process crash
 //! exactly there — including seed-driven *torn* WAL appends and fills
 //! where only a prefix of the bytes reaches the file.
@@ -31,10 +31,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 const SEED: u64 = 0x5EED_CAFE;
-const POOL_PAGES: usize = 256;
 /// Threshold high enough that checkpoints happen only where the
 /// workload says so.
 const NO_AUTO_CKPT: u64 = u64::MAX;
+/// The image writer's buffer: every image write but the last is this size.
+const WRITE_BUFFER: u64 = 64 * 1024;
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -143,13 +144,8 @@ fn crash_matrix(name: &str, steps: &[Step]) {
     // Pass 1: count the fault points the full workload crosses.
     let count_dir = tmpdir(&format!("{name}-count"));
     let counter = FaultPolicy::count_only();
-    let store = DurableStore::open_with_faults(
-        &count_dir,
-        POOL_PAGES,
-        NO_AUTO_CKPT,
-        Arc::clone(&counter),
-    )
-    .unwrap();
+    let store =
+        DurableStore::open_with_faults(&count_dir, NO_AUTO_CKPT, Arc::clone(&counter)).unwrap();
     run(&store, steps, 0).unwrap();
     let expected_final = dump(&store);
     drop(store);
@@ -169,8 +165,7 @@ fn crash_matrix(name: &str, steps: &[Step]) {
     for k in 0..total {
         let dir = tmpdir(&format!("{name}-k{k}"));
         let faults = FaultPolicy::crash_at(k, SEED ^ k);
-        let opened =
-            DurableStore::open_with_faults(&dir, POOL_PAGES, NO_AUTO_CKPT, Arc::clone(&faults));
+        let opened = DurableStore::open_with_faults(&dir, NO_AUTO_CKPT, Arc::clone(&faults));
         // `resume_from` = the first step the recovered store still has
         // to run to reach the final state.
         let resume_from = match opened {
@@ -253,7 +248,7 @@ fn single_batch_matrix() {
 
 #[test]
 fn multi_batch_history_with_checkpoints_matrix() {
-    // Overwrites, deletes, a chunked large value, and checkpoints both
+    // Overwrites, deletes, a large value, and checkpoints both
     // mid-history and at the end — every transition in the store's
     // repertoire appears between two crash points.
     let steps = vec![
@@ -317,13 +312,8 @@ fn enumeration_is_deterministic() {
     for round in 0..2 {
         let dir = tmpdir(&format!("determinism-{round}"));
         let counter = FaultPolicy::count_only();
-        let store = DurableStore::open_with_faults(
-            &dir,
-            POOL_PAGES,
-            NO_AUTO_CKPT,
-            Arc::clone(&counter),
-        )
-        .unwrap();
+        let store =
+            DurableStore::open_with_faults(&dir, NO_AUTO_CKPT, Arc::clone(&counter)).unwrap();
         run(&store, &steps, 0).unwrap();
         drop(store);
         let mut hist: BTreeMap<String, usize> = BTreeMap::new();
@@ -335,14 +325,14 @@ fn enumeration_is_deterministic() {
     assert_eq!(histograms[0], histograms[1]);
 }
 
-/// The shadow file is built through a small write-back pool, so a
-/// checkpoint of a store larger than that pool has *stolen* pages in
-/// `data.db.tmp` long before its fsync. A crash at any such point must
-/// leave the old file and the full WAL in charge: the half-written
-/// shadow is discarded at reopen, nothing is lost, and the checkpoint
-/// can simply run again.
+/// The checkpoint writes the new image into `data.db.tmp` one buffer
+/// at a time, so a crash at any of those writes leaves a partial file
+/// there. The old image and the full WAL must stay in charge: the
+/// partial file is deleted at reopen, nothing is lost, and the
+/// checkpoint can simply run again. Crashes land at the checkpoint's
+/// first, a middle and its last image write.
 #[test]
-fn crash_mid_shadow_with_stolen_pages_on_disk() {
+fn crash_mid_image_write_leaves_the_old_image_in_charge() {
     let steps = vec![
         Step::Batch(
             (0..600u32)
@@ -354,52 +344,47 @@ fn crash_mid_shadow_with_stolen_pages_on_disk() {
     ];
     let expected = model_after(&steps, steps.len());
 
-    let count_dir = tmpdir("shadow-count");
+    let count_dir = tmpdir("image-write-count");
     let counter = FaultPolicy::count_only();
     let store =
-        DurableStore::open_with_faults(&count_dir, POOL_PAGES, NO_AUTO_CKPT, Arc::clone(&counter))
-            .unwrap();
+        DurableStore::open_with_faults(&count_dir, NO_AUTO_CKPT, Arc::clone(&counter)).unwrap();
     run(&store, &steps[..2], 0).unwrap();
     let checkpoint_start = counter.log().len();
     run(&store, &steps, 2).unwrap();
     drop(store);
-    // A page write that precedes a later allocation happened while the
-    // copy was still running: a steal, not the final flush.
+    let image_len = std::fs::metadata(count_dir.join("data.db")).unwrap().len();
     let log = counter.log();
-    let last_allocate = log
-        .iter()
-        .rposition(|p| *p == FaultPoint::DiskAllocate)
-        .unwrap();
-    let steals: Vec<usize> = (checkpoint_start..last_allocate)
-        .filter(|&k| log[k] == FaultPoint::DiskWrite)
+    let writes: Vec<usize> = (checkpoint_start..log.len())
+        .filter(|&k| log[k] == FaultPoint::ImageWrite)
         .collect();
     assert!(
-        steals.len() > 20,
-        "the shadow pool stole only {} pages",
-        steals.len()
+        writes.len() >= 3,
+        "the image went out in only {} writes",
+        writes.len()
     );
 
-    // Crash just after the first steal, mid-way, and at the last
-    // allocation (every steal already on disk).
-    for k in [steals[0] + 1, steals[steals.len() / 2] + 1, last_allocate] {
-        let dir = tmpdir(&format!("shadow-k{k}"));
+    // A crash at the checkpoint's `n`-th image write leaves the `n`
+    // full buffers before it in `data.db.tmp`.
+    for n in [0, writes.len() / 2, writes.len() - 1] {
+        let k = writes[n];
+        let dir = tmpdir(&format!("image-write-k{k}"));
         let faults = FaultPolicy::crash_at(k as u64, SEED ^ k as u64);
-        let store = DurableStore::open_with_faults(&dir, POOL_PAGES, NO_AUTO_CKPT, faults).unwrap();
+        let store = DurableStore::open_with_faults(&dir, NO_AUTO_CKPT, faults).unwrap();
         let (step, err) = run(&store, &steps, 0).unwrap_err();
         assert_eq!(step, 2, "k={k}: the crash must land inside the checkpoint");
         assert!(FaultPolicy::is_injected(&err), "k={k}: {err}");
         drop(store);
-        let shadow = dir.join("data.db.tmp");
+        let tmp = dir.join("data.db.tmp");
+        let partial = std::fs::metadata(&tmp)
+            .unwrap_or_else(|e| panic!("k={k}: no data.db.tmp: {e}"))
+            .len();
         assert!(
-            std::fs::metadata(&shadow).unwrap().len() > 8 * 4096,
-            "k={k}: stolen pages should be in the shadow file"
+            partial == n as u64 * WRITE_BUFFER && partial < image_len,
+            "k={k}: data.db.tmp holds {partial} of the image's {image_len} bytes"
         );
         let recovered = DurableStore::open(&dir).unwrap();
-        assert!(
-            !shadow.exists(),
-            "k={k}: a stale shadow is discarded at open"
-        );
-        assert_eq!(dump(&recovered), expected, "k={k}: old file + WAL");
+        assert!(!tmp.exists(), "k={k}: a partial image is deleted at open");
+        assert_eq!(dump(&recovered), expected, "k={k}: old image + WAL");
         assert!(
             recovered.wal_size().unwrap() > 0,
             "k={k}: the WAL was not retired"

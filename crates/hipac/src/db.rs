@@ -150,7 +150,6 @@ impl Builder {
                 let faults = self.storage_faults.unwrap_or_else(FaultPolicy::none);
                 let d = Arc::new(DurableStore::open_with_faults(
                     dir,
-                    1024,
                     hipac_storage::store::DEFAULT_CHECKPOINT_THRESHOLD,
                     faults,
                 )?);
