@@ -264,6 +264,58 @@ proptest! {
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A checkpoint loads its image in one sorted pass. Pairs loaded
+    /// all at once (one batch, one checkpoint) make the image that
+    /// inserting them one at a time, with checkpoints merging them in
+    /// every few pairs, ends with: the same bytes on disk and the same
+    /// reads. Both stay so under later churn and after a reopen.
+    #[test]
+    fn bulk_load_matches_repeated_insert(
+        entries in proptest::collection::vec((arb_key(), arb_value()), 0..120),
+        every in 1usize..40,
+        churn in proptest::collection::vec(arb_batch(), 0..6),
+    ) {
+        let dir = tmpdir("bulk-load");
+        let (loaded_dir, inserted_dir) = (dir.join("loaded"), dir.join("inserted"));
+        let loaded = DurableStore::open_with(&loaded_dir, u64::MAX).unwrap();
+        let inserted = DurableStore::open_with(&inserted_dir, u64::MAX).unwrap();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for (i, (key, value)) in entries.iter().enumerate() {
+            let put = StoreOp::Put { key: key.clone(), value: value.clone() };
+            inserted.commit(TxnId(i as u64 + 1), vec![put]).unwrap();
+            if (i + 1) % every == 0 {
+                inserted.checkpoint().unwrap();
+            }
+            model.insert(key.clone(), value.clone());
+        }
+        let all: Vec<StoreOp> = model
+            .iter()
+            .map(|(key, value)| StoreOp::Put { key: key.clone(), value: value.clone() })
+            .collect();
+        loaded.commit(TxnId(1), all).unwrap();
+        let same_image = |step: &str| {
+            loaded.checkpoint().unwrap();
+            inserted.checkpoint().unwrap();
+            let read = |d: &PathBuf| std::fs::read(d.join("data.db")).unwrap();
+            assert!(read(&loaded_dir) == read(&inserted_dir), "{step}: the images differ");
+        };
+        same_image("loaded");
+        check_reads(&loaded, &model, 0);
+        check_reads(&inserted, &model, 0);
+        for (i, ops) in churn.iter().enumerate() {
+            let txn = TxnId(entries.len() as u64 + i as u64 + 1);
+            loaded.commit(txn, ops.to_vec()).unwrap();
+            inserted.commit(txn, ops.to_vec()).unwrap();
+            apply_to_model(&mut model, ops);
+        }
+        same_image("churned");
+        drop((loaded, inserted));
+        for d in [&loaded_dir, &inserted_dir] {
+            check_reads(&DurableStore::open(d).unwrap(), &model, 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ cargo test -q -p hipac-object --test store_tests
 echo "==> crash matrix (deterministic, fixed seed, grouped replica apply, mid-fill and mid-image-write crashes included, recovery from a zero-tailed WAL), checkpoint bytes and writes per key, the image file's failure modes (damaged record, cut or damaged directory and trailer, old paged format, leftover tmp), grouped-apply chaining, pre-zeroed WAL, reads merged over the memtable against a model (checkpoints, crashes, reopens), index atomicity"
 cargo test -q -p hipac-storage --test crash_matrix --test checkpoint_stream --test image_file --test wal_tail
 cargo test -q -p hipac-storage --test proptests durable_store_merged_reads_match_the_model
+cargo test -q -p hipac-storage --test proptests bulk_load_matches_repeated_insert
 cargo test -q -p hipac-object --test index_atomicity
 
 echo "==> serializability-checked stress suites"
